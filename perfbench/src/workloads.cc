@@ -39,8 +39,10 @@ std::vector<Workload> AllWorkloads() {
     w.options.k = 16;
     w.options.k_prime = 64;
     w.options.num_partitions = 8;
-    w.options.num_workers = 4;
-    w.socket_workers = 4;
+    // Three workers plus the driver, which parses, partitions and
+    // serializes while they compute, keep to four cores.
+    w.options.num_workers = 3;
+    w.socket_workers = 3;
     w.kernel_threads = 1;
     all.push_back(w);
   }
