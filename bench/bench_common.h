@@ -12,12 +12,14 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/diversity.h"
 #include "core/metric.h"
 #include "core/point.h"
 #include "core/sequential.h"
+#include "util/status.h"
 
 namespace diverse {
 namespace bench {
@@ -68,6 +70,18 @@ inline double SolutionDiversity(DiversityProblem problem,
   sol.reserve(indices.size());
   for (size_t i : indices) sol.push_back(points[i]);
   return EvaluateDiversity(problem, sol, metric);
+}
+
+/// The value of a run the harness's fault-free configuration cannot fail;
+/// exits with the error if it does anyway.
+template <typename T>
+T OrDie(StatusOr<T> result) {
+  if (!result.ok()) {
+    std::fprintf(stderr, "run failed: %s\n",
+                 result.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(*result);
 }
 
 /// Prints a header banner so bench outputs are self-describing.

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
         o.num_partitions = p;
         o.num_workers = p;
         MapReduceDiversity mr(&metric, problem, o);
-        mr.Run(pts);
+        bench::OrDie(mr.TryRun(pts));
       }
       row.push_back(TablePrinter::Fmt(timer.Seconds(), 2));
     }
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
       o.num_workers = 8;
       MapReduceDiversity mr(&metric, problem, o);
       Timer timer;
-      mr.Run(pts);
+      bench::OrDie(mr.TryRun(pts));
       ktable.AddRow({std::to_string(kp), TablePrinter::Fmt(timer.Seconds(), 2)});
     }
     std::printf("fixed n = %zu, p = 8: time vs k' (expected linear):\n%s\n",

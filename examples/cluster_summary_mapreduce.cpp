@@ -42,23 +42,27 @@ int main() {
 
   std::printf("%-28s %8s %10s %10s %10s %8s\n", "variant", "rounds",
               "|T| pts", "M_L pts", "shuffle", "div");
-  auto report = [](const char* name, const MrResult& r) {
-    std::printf("%-28s %8zu %10zu %10zu %10zu %8.2f\n", name, r.rounds,
-                r.coreset_size, r.max_local_memory_points, r.shuffle_points,
-                r.diversity);
+  auto report = [](const char* name, const StatusOr<MrResult>& r) {
+    if (!r.ok()) {
+      std::printf("%-28s failed: %s\n", name, r.status().ToString().c_str());
+      return;
+    }
+    std::printf("%-28s %8zu %10zu %10zu %10zu %8.2f\n", name, r->rounds,
+                r->coreset_size, r->max_local_memory_points, r->shuffle_points,
+                r->diversity);
   };
 
-  report("2-round deterministic", mr.Run(points));
+  report("2-round deterministic", mr.TryRun(points));
 
   MrOptions ropts = opts;
   ropts.randomized_delegate_cap = true;
   MapReduceDiversity mr_rand(&metric, problem, ropts);
-  report("2-round randomized (Thm 7)", mr_rand.Run(points));
+  report("2-round randomized (Thm 7)", mr_rand.TryRun(points));
 
-  report("3-round generalized (Thm 10)", mr.RunGeneralized(points));
+  report("3-round generalized (Thm 10)", mr.TryRunGeneralized(points));
 
   // Multi-round recursion (Theorem 8) under a tight local-memory budget.
   report("recursive (Thm 8, ML=4096)",
-         mr.RunRecursive(points, /*local_memory_budget=*/4096));
+         mr.TryRunRecursive(points, /*local_memory_budget=*/4096));
   return 0;
 }

@@ -49,10 +49,15 @@ int main() {
   opts.num_partitions = 8;
   opts.num_workers = 4;
   MapReduceDiversity mr(&metric, DiversityProblem::kRemoteEdge, opts);
-  MrResult mres = mr.Run(points);
+  StatusOr<MrResult> mres = mr.TryRun(points);
+  if (!mres.ok()) {
+    std::fprintf(stderr, "mapreduce failed: %s\n",
+                 mres.status().ToString().c_str());
+    return 1;
+  }
   std::printf("mapreduce remote-edge:  div = %.4f (%zu rounds, |T| = %zu, M_L = %zu pts)\n",
-              mres.diversity, mres.rounds, mres.coreset_size,
-              mres.max_local_memory_points);
+              mres->diversity, mres->rounds, mres->coreset_size,
+              mres->max_local_memory_points);
 
   // All three pipelines solve the same problem; the distributed ones trade a
   // little accuracy (controlled by k') for memory/passes.

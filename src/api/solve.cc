@@ -1,15 +1,13 @@
 #include "api/solve.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
+#include <utility>
 
 #include "core/cover_tree.h"
 #include "core/screen.h"
 #include "core/sequential.h"
 #include "mapreduce/mr_diversity.h"
 #include "streaming/streaming_diversity.h"
-#include "util/check.h"
 #include "util/timer.h"
 
 namespace diverse {
@@ -67,35 +65,25 @@ SolveOptions Normalize(const SolveOptions& in) {
   return o;
 }
 
-SolveResult FromStreaming(const StreamingResult& r) {
+SolveResult FromStreaming(StreamingResult r, size_t passes) {
   SolveResult out;
-  out.solution = r.solution;
+  out.solution = std::move(r.solution);
   out.diversity = r.diversity;
   out.coreset_size = r.coreset_size;
+  out.rounds_or_passes = passes;
   return out;
 }
 
-SolveResult FromMr(const MrResult& r) {
+SolveResult FromMr(MrResult r) {
   SolveResult out;
-  out.solution = r.solution;
+  out.solution = std::move(r.solution);
   out.diversity = r.diversity;
   out.coreset_size = r.coreset_size;
   out.rounds_or_passes = r.rounds;
-  out.degraded = r.degraded;
+  out.degraded = std::move(r.degraded);
   return out;
 }
 
-bool PointIsFinite(const Point& p) {
-  const std::vector<float>& vals =
-      p.is_sparse() ? p.sparse_values() : p.dense_values();
-  for (float v : vals) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
-
-// The strict-contract checks of TrySolve (Solve keeps its historical
-// clamping behavior and skips these).
 Status ValidateSolveInput(const PointSet& points, const SolveOptions& o) {
   if (o.k == 0) {
     return InvalidArgumentError("k must be at least 1");
@@ -128,27 +116,53 @@ Status ValidateSolveInput(const PointSet& points, const SolveOptions& o) {
   return OkStatus();
 }
 
+MrOptions ToMrOptions(const SolveOptions& o) {
+  MrOptions mr;
+  mr.k = o.k;
+  mr.k_prime = o.k_prime;
+  mr.num_partitions = o.num_partitions;
+  mr.num_workers = o.num_workers;
+  mr.seed = o.seed;
+  mr.randomized_delegate_cap = (o.backend == Backend::kMapReduceRandomized);
+  mr.max_retries = o.max_retries;
+  mr.task_timeout_ms = o.task_timeout_ms;
+  mr.allow_degraded = o.allow_degraded;
+  mr.faults = o.faults;
+  mr.engine = o.engine;
+  mr.tree_reduce = o.tree_reduce;
+  return mr;
+}
+
 }  // namespace
 
-namespace {
-
-// The streaming and MapReduce backends consume value-typed points (the
-// stream engines copy what they keep; the MR drivers partition and re-lay
-// out per reducer), so both Solve overloads funnel through this helper
-// without forcing a columnar conversion of the whole input.
-StatusOr<SolveResult> TrySolveStreamingOrMr(const PointSet& points,
-                                            const Metric& metric,
-                                            const SolveOptions& o) {
+StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
+                               const SolveOptions& options) {
+  // The streaming and MapReduce backends consume value-typed points (the
+  // stream engines copy what they keep; the MR drivers partition and re-lay
+  // out per reducer); only the sequential backend runs on the columns.
+  const PointSet& points = data.points();
+  DIVERSE_RETURN_IF_ERROR(ValidateSolveInput(points, options));
+  const SolveOptions o = Normalize(options);
+  // The flags can only disable a tier for the duration of this call.
+  ScopedScreening screening_guard(o.screening);
+  ScopedIndexing indexing_guard(o.indexing);
+  Timer timer;
   SolveResult result;
   switch (o.backend) {
-    case Backend::kSequential:
-      DIVERSE_CHECK(false);  // handled by the Solve overloads
+    case Backend::kSequential: {
+      std::vector<size_t> picked =
+          SolveSequential(o.problem, data, metric, o.k);
+      for (size_t idx : picked) result.solution.push_back(data.point(idx));
+      // Evaluated straight off the dataset rows (tiled restricted matrix);
+      // bit-identical to evaluating the copied solution PointSet.
+      result.diversity =
+          EvaluateDiversitySubset(o.problem, data, picked, metric);
       break;
+    }
     case Backend::kStreaming: {
       StreamingDiversity sd(&metric, o.problem, o.k, o.k_prime);
       for (const Point& p : points) sd.Update(p);
-      result = FromStreaming(sd.Finalize());
-      result.rounds_or_passes = 1;
+      result = FromStreaming(sd.Finalize(), 1);
       break;
     }
     case Backend::kStreamingTwoPass: {
@@ -156,29 +170,14 @@ StatusOr<SolveResult> TrySolveStreamingOrMr(const PointSet& points,
       for (const Point& p : points) sd.UpdateFirstPass(p);
       sd.EndFirstPass();
       for (const Point& p : points) sd.UpdateSecondPass(p);
-      result = FromStreaming(sd.Finalize());
-      result.rounds_or_passes = 2;
+      result = FromStreaming(sd.Finalize(), 2);
       break;
     }
     case Backend::kMapReduce:
     case Backend::kMapReduceRandomized:
     case Backend::kMapReduceGeneralized:
     case Backend::kMapReduceRecursive: {
-      MrOptions mr;
-      mr.k = o.k;
-      mr.k_prime = o.k_prime;
-      mr.num_partitions = o.num_partitions;
-      mr.num_workers = o.num_workers;
-      mr.seed = o.seed;
-      mr.randomized_delegate_cap =
-          (o.backend == Backend::kMapReduceRandomized);
-      mr.max_retries = o.max_retries;
-      mr.task_timeout_ms = o.task_timeout_ms;
-      mr.allow_degraded = o.allow_degraded;
-      mr.faults = o.faults;
-      mr.engine = o.engine;
-      mr.tree_reduce = o.tree_reduce;
-      MapReduceDiversity driver(&metric, o.problem, mr);
+      MapReduceDiversity driver(&metric, o.problem, ToMrOptions(o));
       StatusOr<MrResult> run =
           o.backend == Backend::kMapReduceGeneralized
               ? driver.TryRunGeneralized(points)
@@ -186,89 +185,9 @@ StatusOr<SolveResult> TrySolveStreamingOrMr(const PointSet& points,
                     ? driver.TryRunRecursive(points, o.local_memory_budget)
                     : driver.TryRun(points);
       if (!run.ok()) return run.status();
-      result = FromMr(*run);
+      result = FromMr(std::move(*run));
       break;
     }
-  }
-  return result;
-}
-
-SolveResult SolveStreamingOrMr(const PointSet& points, const Metric& metric,
-                               const SolveOptions& o) {
-  StatusOr<SolveResult> result = TrySolveStreamingOrMr(points, metric, o);
-  if (!result.ok()) {
-    std::fprintf(stderr, "Solve failed: %s\n",
-                 result.status().ToString().c_str());
-  }
-  DIVERSE_CHECK(result.ok());
-  return std::move(*result);
-}
-
-}  // namespace
-
-SolveResult Solve(const Dataset& data, const Metric& metric,
-                  const SolveOptions& options) {
-  // Empty input: empty solution with zero diversity, on every backend (the
-  // algorithms themselves require n >= 1; the API normalizes the vacuous
-  // case so callers feeding live streams need no emptiness pre-check).
-  if (data.empty()) return {};
-  SolveOptions o = Normalize(options);
-  // The flag can only disable screening for this call; when true the
-  // process-global default (on unless SetScreeningEnabled(false)) applies.
-  ScopedScreening screening_guard(o.screening && ScreeningEnabled());
-  ScopedIndexing indexing_guard(o.indexing && IndexingEnabled());
-  Timer timer;
-  SolveResult result;
-  if (o.backend == Backend::kSequential) {
-    size_t k = std::min(o.k, data.size());
-    std::vector<size_t> picked = SolveSequential(o.problem, data, metric, k);
-    for (size_t idx : picked) result.solution.push_back(data.point(idx));
-    // Evaluate straight off the dataset rows (tiled restricted matrix);
-    // bit-identical to evaluating the copied solution PointSet.
-    result.diversity = EvaluateDiversitySubset(o.problem, data, picked, metric);
-  } else {
-    result = SolveStreamingOrMr(data.points(), metric, o);
-  }
-  result.seconds = timer.Seconds();
-  return result;
-}
-
-SolveResult Solve(const PointSet& points, const Metric& metric,
-                  const SolveOptions& options) {
-  if (points.empty()) return {};  // see the Dataset overload
-  Timer timer;
-  SolveResult result;
-  if (options.backend == Backend::kSequential) {
-    // Only the sequential backend runs directly on columnar storage; the
-    // shim's one copy happens here, inside the reported wall time.
-    result = Solve(Dataset::FromPoints(points), metric, options);
-  } else {
-    SolveOptions o = Normalize(options);
-    ScopedScreening screening_guard(o.screening && ScreeningEnabled());
-    ScopedIndexing indexing_guard(o.indexing && IndexingEnabled());
-    result = SolveStreamingOrMr(points, metric, o);
-  }
-  result.seconds = timer.Seconds();
-  return result;
-}
-
-StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
-                               const SolveOptions& options) {
-  DIVERSE_RETURN_IF_ERROR(ValidateSolveInput(data.points(), options));
-  SolveOptions o = Normalize(options);
-  ScopedScreening screening_guard(o.screening && ScreeningEnabled());
-  ScopedIndexing indexing_guard(o.indexing && IndexingEnabled());
-  Timer timer;
-  SolveResult result;
-  if (o.backend == Backend::kSequential) {
-    // k <= n is validated above, so no clamping happens here.
-    std::vector<size_t> picked = SolveSequential(o.problem, data, metric, o.k);
-    for (size_t idx : picked) result.solution.push_back(data.point(idx));
-    result.diversity = EvaluateDiversitySubset(o.problem, data, picked, metric);
-  } else {
-    StatusOr<SolveResult> run = TrySolveStreamingOrMr(data.points(), metric, o);
-    if (!run.ok()) return run.status();
-    result = std::move(*run);
   }
   result.seconds = timer.Seconds();
   return result;
@@ -276,19 +195,7 @@ StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
 
 StatusOr<SolveResult> TrySolve(const PointSet& points, const Metric& metric,
                                const SolveOptions& options) {
-  DIVERSE_RETURN_IF_ERROR(ValidateSolveInput(points, options));
-  if (options.backend == Backend::kSequential) {
-    return TrySolve(Dataset::FromPoints(points), metric, options);
-  }
-  SolveOptions o = Normalize(options);
-  ScopedScreening screening_guard(o.screening && ScreeningEnabled());
-  ScopedIndexing indexing_guard(o.indexing && IndexingEnabled());
-  Timer timer;
-  StatusOr<SolveResult> run = TrySolveStreamingOrMr(points, metric, o);
-  if (!run.ok()) return run.status();
-  SolveResult result = std::move(*run);
-  result.seconds = timer.Seconds();
-  return result;
+  return TrySolve(Dataset::FromPoints(points), metric, options);
 }
 
 }  // namespace diverse

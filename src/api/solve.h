@@ -1,9 +1,9 @@
-// Unified front door: one configuration struct and one Solve() call that
-// dispatches to the sequential, streaming (1- or 2-pass), or MapReduce
-// (2-round, randomized, 3-round generalized, recursive) back end. This is
-// the API the CLI tool and most downstream users go through; the individual
-// drivers remain available for callers that need streaming Update() hooks
-// or custom partitioning.
+// Unified front door: one configuration struct and one TrySolve() call that
+// validates the request and dispatches to the sequential, streaming (1- or
+// 2-pass), or MapReduce (2-round, randomized, 3-round generalized,
+// recursive) back end. This is the API the CLI tool and most downstream
+// users go through; the individual drivers remain available for callers
+// that need streaming Update() hooks or custom partitioning.
 
 #ifndef DIVERSE_API_SOLVE_H_
 #define DIVERSE_API_SOLVE_H_
@@ -40,7 +40,7 @@ std::string BackendName(Backend backend);
 /// *ok to false if provided).
 Backend ParseBackend(const std::string& name, bool* ok = nullptr);
 
-/// Full configuration for Solve().
+/// Full configuration for TrySolve().
 struct SolveOptions {
   DiversityProblem problem = DiversityProblem::kRemoteEdge;
   Backend backend = Backend::kSequential;
@@ -102,9 +102,10 @@ struct SolveOptions {
   bool tree_reduce = false;
 };
 
-/// Outcome of Solve().
+/// Outcome of TrySolve().
 struct SolveResult {
-  /// The selected points (k, or fewer if the input was smaller).
+  /// The selected points: k of them, or fewer only when a degraded
+  /// MapReduce run kept fewer than k core-set points.
   PointSet solution;
   /// div(solution) under options.problem.
   double diversity = 0.0;
@@ -120,36 +121,22 @@ struct SolveResult {
 };
 
 /// Solves diversity maximization on the rows of `data` with the configured
-/// backend. `metric` must outlive the call. An empty input yields an empty
-/// solution with zero diversity on every backend.
-/// Backends that need injective proxies reject remote-edge/remote-cycle
-/// inputs only where the paper's algorithm is undefined
-/// (kStreamingTwoPass and kMapReduceGeneralized); everything else accepts
-/// all six problems. Every backend runs its distance-dominated loops on the
-/// columnar batch kernels; callers that solve repeatedly on one input
-/// should build the Dataset once and use this overload.
-SolveResult Solve(const Dataset& data, const Metric& metric,
-                  const SolveOptions& options);
-
-/// Shim: copies `points` into a Dataset and solves on it.
-SolveResult Solve(const PointSet& points, const Metric& metric,
-                  const SolveOptions& options);
-
-/// Strictly validated entry point. Unlike Solve() — which keeps its
-/// historical clamping contract (k > n is clamped to n, empty input yields
-/// an empty result) — TrySolve rejects structurally invalid requests with a
-/// structured error instead of silently adjusting them:
+/// backend. `metric` must outlive the call. Every backend runs its
+/// distance-dominated loops on the columnar batch kernels; callers that
+/// solve repeatedly on one input should build the Dataset once and use this
+/// overload. Structurally invalid requests are rejected, never adjusted:
 ///   * kInvalidArgument: k == 0; k > n (including empty input); k' < k;
 ///     a non-finite (NaN/inf) input coordinate; a backend/problem pairing
-///     the paper's algorithms are undefined for (generalized core-set
-///     backends on non-injective-proxy problems).
+///     the paper's algorithms are undefined for (the generalized core-set
+///     backends kStreamingTwoPass and kMapReduceGeneralized on
+///     non-injective-proxy problems; everything else accepts all six).
 /// MapReduce task failures surface as the underlying driver error
 /// (kDataLoss, kAborted, ...) when recovery and degradation cannot
 /// complete the run.
 DIVERSE_MUST_USE StatusOr<SolveResult> TrySolve(
     const Dataset& data, const Metric& metric, const SolveOptions& options);
 
-/// Shim: validates `points` and solves on a Dataset copy.
+/// Copies `points` into a Dataset and solves on it.
 DIVERSE_MUST_USE StatusOr<SolveResult> TrySolve(
     const PointSet& points, const Metric& metric,
     const SolveOptions& options);

@@ -64,9 +64,9 @@ StatusOr<PointSet> ComputeInstantiate(const TaskEnvelope& env,
   return std::move(*inst);
 }
 
-// The same acquire/assign/release scratch discipline the pre-engine
-// simulator used (mr_diversity.h DatasetScratchPool): at most one scratch
-// Dataset per concurrently running reducer, capacity reused across calls.
+// A free-list of scratch Datasets: each call acquires one, Assign()s its
+// input into it (reusing columnar capacity from earlier calls) and releases
+// it, so at most one scratch exists per concurrently running reducer.
 struct LoopbackEngine::ScratchPool {
   Dataset Acquire() DIVERSE_EXCLUDES(mu) {
     MutexLock lock(&mu);

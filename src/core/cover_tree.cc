@@ -31,7 +31,8 @@ constexpr size_t kLeafRows = 256;
 // build recursion and traversal recursion.
 constexpr size_t kMaxDepth = 64;
 
-std::atomic<bool> g_indexing_enabled{true};
+// Live ScopedIndexing(false) guards; indexing is on iff there are none.
+std::atomic<int> g_indexing_disablers{0};
 
 IndexGate g_index_gate;
 
@@ -48,18 +49,16 @@ void MergeRanks(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
 }  // namespace
 
 bool IndexingEnabled() {
-  return g_indexing_enabled.load(std::memory_order_relaxed);
+  return g_indexing_disablers.load(std::memory_order_relaxed) == 0;
 }
 
-void SetIndexingEnabled(bool enabled) {
-  g_indexing_enabled.store(enabled, std::memory_order_relaxed);
+ScopedIndexing::ScopedIndexing(bool enabled) : disables_(!enabled) {
+  if (disables_) g_indexing_disablers.fetch_add(1, std::memory_order_relaxed);
 }
 
-ScopedIndexing::ScopedIndexing(bool enabled) : prev_(IndexingEnabled()) {
-  SetIndexingEnabled(enabled);
+ScopedIndexing::~ScopedIndexing() {
+  if (disables_) g_indexing_disablers.fetch_sub(1, std::memory_order_relaxed);
 }
-
-ScopedIndexing::~ScopedIndexing() { SetIndexingEnabled(prev_); }
 
 bool UseIndexing(const Metric& metric) {
   return IndexingEnabled() && metric.SupportsMetricIndexing();

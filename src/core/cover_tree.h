@@ -56,14 +56,16 @@
 
 namespace diverse {
 
-/// Process-global indexing toggle, default on. Results are bit-identical
-/// either way (the mirror of SetScreeningEnabled for the metric-index tier);
-/// the toggle exists for A/B benchmarking and as an escape hatch
-/// (SolveOptions::indexing, --indexing=0).
+/// Process-global indexing toggle: on unless a ScopedIndexing(false) guard
+/// is alive. Results are bit-identical either way (the mirror of
+/// ScreeningEnabled for the metric-index tier); the toggle exists for A/B
+/// benchmarking and as an escape hatch (SolveOptions::indexing,
+/// --indexing=0).
 bool IndexingEnabled();
-void SetIndexingEnabled(bool enabled);
 
-/// RAII override of the global indexing toggle (used by Solve and tests).
+/// RAII indexing override (used by TrySolve and tests), counted like
+/// ScopedScreening: a `false` guard disables indexing until the last such
+/// guard is destroyed, in any order; a `true` guard changes nothing.
 class ScopedIndexing {
  public:
   explicit ScopedIndexing(bool enabled);
@@ -72,7 +74,7 @@ class ScopedIndexing {
   ~ScopedIndexing();
 
  private:
-  bool prev_;
+  bool disables_;
 };
 
 /// True when indexed traversals may run for `metric` (toggle on and the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <utility>
 
 #include "util/check.h"
@@ -49,19 +48,7 @@ void Dataset::AppendColumnar(const Point& p) {
   } else {
     DIVERSE_CHECK_EQ(p.dim(), dim_);
   }
-  col_occupancy_valid_ = false;
   content_stamp_ = NextContentStamp();
-  // A valid screen-stats cache stays valid: fold the new row's norm in
-  // instead of invalidating (the lazy rebuild is O(n), and SMM's merge loop
-  // appends to a mirror it screens against after every append).
-  if (screen_stats_valid_) {
-    double n = p.norm();
-    if (n > 0.0) {
-      screen_stats_.min_positive_norm =
-          std::min(screen_stats_.min_positive_norm, n);
-    }
-    screen_stats_.max_norm = std::max(screen_stats_.max_norm, n);
-  }
   RowRef r;
   if (p.is_sparse()) {
     const auto& idx = p.sparse_indices();
@@ -84,6 +71,7 @@ void Dataset::AppendColumnar(const Point& p) {
   }
   rows_.push_back(r);
   norms_.push_back(p.norm());
+  screen_stats_.Add(p.norm());
 }
 
 void Dataset::Assign(std::span<const Point> points) {
@@ -106,8 +94,7 @@ void Dataset::Clear() {
   norms_.clear();
   dim_ = 0;
   sparse_stats_ = SparseStats();
-  col_occupancy_valid_ = false;
-  screen_stats_valid_ = false;
+  screen_stats_ = ScreenStats();
   content_stamp_ = NextContentStamp();
 }
 
@@ -127,8 +114,6 @@ void Dataset::AssignGatherColumnar(const Dataset& src,
   dense_.reserve(dense_total);
   csr_indices_.reserve(csr_total);
   csr_values_.reserve(csr_total);
-  ScreenStats s;
-  s.min_positive_norm = std::numeric_limits<double>::infinity();
   for (uint32_t ri : rows) {
     const RowRef& rr = src.rows_[ri];
     RowRef out = rr;
@@ -149,34 +134,10 @@ void Dataset::AssignGatherColumnar(const Dataset& src,
                     src.dense_.begin() + rr.start + rr.len);
     }
     rows_.push_back(out);
-    double n = src.norms_[ri];
-    norms_.push_back(n);
-    if (n > 0.0) s.min_positive_norm = std::min(s.min_positive_norm, n);
-    s.max_norm = std::max(s.max_norm, n);
+    norms_.push_back(src.norms_[ri]);
+    screen_stats_.Add(src.norms_[ri]);
   }
-  screen_stats_ = s;
-  screen_stats_valid_ = true;
   content_stamp_ = NextContentStamp();
-}
-
-const Dataset::ScreenStats& Dataset::screen_stats() const {
-  if (!screen_stats_valid_) {
-    ScreenStats s;
-    s.min_positive_norm = std::numeric_limits<double>::infinity();
-    for (double n : norms_) {
-      if (n > 0.0) s.min_positive_norm = std::min(s.min_positive_norm, n);
-      s.max_norm = std::max(s.max_norm, n);
-    }
-    screen_stats_ = s;
-    screen_stats_valid_ = true;
-  }
-  return screen_stats_;
-}
-
-void Dataset::BuildColumnOccupancy() {
-  col_occupancy_.assign(dim_, 0);
-  for (uint32_t idx : csr_indices_) ++col_occupancy_[idx];
-  col_occupancy_valid_ = true;
 }
 
 size_t Dataset::MemoryBytes() const {
@@ -184,8 +145,7 @@ size_t Dataset::MemoryBytes() const {
                  csr_indices_.capacity() * sizeof(uint32_t) +
                  csr_values_.capacity() * sizeof(float) +
                  rows_.capacity() * sizeof(RowRef) +
-                 norms_.capacity() * sizeof(double) +
-                 col_occupancy_.capacity() * sizeof(uint32_t);
+                 norms_.capacity() * sizeof(double);
   for (const Point& p : points_) bytes += p.MemoryBytes();
   return bytes;
 }

@@ -28,7 +28,9 @@
 #define DIVERSE_CORE_DATASET_H_
 
 #include <cstddef>
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -107,38 +109,26 @@ class Dataset {
   };
   const SparseStats& sparse_stats() const { return sparse_stats_; }
 
-  /// Builds the optional transposed index mirror: a per-column occupancy
-  /// count over the sparse rows (column_occupancy()[c] = number of sparse
-  /// rows storing column c). O(total_nnz + dim); invalidated by
-  /// Append/Assign/Clear. Not safe to call concurrently with itself — build
-  /// once before sharing the dataset across threads.
-  void BuildColumnOccupancy();
-
-  /// The column occupancy mirror, or nullptr when not built (or stale).
-  /// Purely advisory: strategy pickers use it to estimate intersection
-  /// density; results are identical with or without it.
-  const std::vector<uint32_t>* column_occupancy() const {
-    return col_occupancy_valid_ ? &col_occupancy_ : nullptr;
-  }
-
   /// Aggregate inputs to the certified fp32 screening bounds
-  /// (Metric::ScreenErrorBound), built lazily on first use and cached until
-  /// the next Append/Assign/Clear. The fp32 "shadow columns" of the
-  /// screening engine are the primary SoA/CSR arrays themselves (this class
-  /// has stored fp32 coordinates since PR 1), so the only cached screening
-  /// state is these norm statistics. Like BuildColumnOccupancy, the lazy
-  /// build is not safe to race with itself: the screened sweeps
-  /// (core/screen.h) touch it once on the calling thread before fanning
-  /// out, so only concurrent *first* uses from different threads on one
-  /// dataset would race — build it eagerly first in that scenario.
+  /// (Metric::ScreenErrorBound), maintained incrementally by every mutation
+  /// like sparse_stats(). The fp32 "shadow columns" of the screening engine
+  /// are the primary SoA/CSR arrays themselves, so these norm statistics are
+  /// the only screening state a dataset carries.
   struct ScreenStats {
-    /// Smallest strictly positive row norm (+inf when every row has norm
-    /// 0); the cosine screening bound divides by it.
-    double min_positive_norm = 0.0;
+    /// Smallest strictly positive row norm (+inf when no row has a positive
+    /// norm, including the empty dataset); the cosine screening bound
+    /// divides by it.
+    double min_positive_norm = std::numeric_limits<double>::infinity();
     /// Largest row norm.
     double max_norm = 0.0;
+
+    /// Folds one row norm in.
+    void Add(double norm) {
+      if (norm > 0.0) min_positive_norm = std::min(min_positive_norm, norm);
+      max_norm = std::max(max_norm, norm);
+    }
   };
-  const ScreenStats& screen_stats() const;
+  const ScreenStats& screen_stats() const { return screen_stats_; }
 
   /// True if any row uses the dense representation (the screening bounds
   /// use dim() as the worst-case term count for such rows).
@@ -199,23 +189,7 @@ class Dataset {
   std::vector<RowRef> rows_;
   std::vector<double> norms_;
   SparseStats sparse_stats_;
-  std::vector<uint32_t> col_occupancy_;
-  bool col_occupancy_valid_ = false;
-  // Lazy screening-bound cache (see screen_stats()); mutable so the
-  // const accessor can build it on first use. Appends keep a valid cache
-  // valid by folding the new row's norm in, so append-heavy loops that
-  // screen between appends (SMM's growing merge mirror) never pay a full
-  // O(n) rebuild per append.
-  //
-  // Concurrency note: this mutable-under-const cache makes screen_stats()
-  // NOT safe to call concurrently on a cold cache. The parallel engines
-  // respect the contract by warming it (one screen_stats() call) before
-  // fanning a dataset out to the thread pool, after which all access is
-  // read-only. Guarding it with a mutex instead would put a lock in the
-  // hot screening loop for a race that the warm-before-share discipline
-  // already prevents.
-  mutable ScreenStats screen_stats_;
-  mutable bool screen_stats_valid_ = false;
+  ScreenStats screen_stats_;
   uint64_t content_stamp_ = 0;
 };
 

@@ -146,30 +146,12 @@ size_t DirectIndexDim(const Dataset& data, size_t nr) {
 // do nearly an order of magnitude more positions than the per-pair merges
 // fall back (e.g. a lone sparse lane among dense ones against short rows).
 bool UnionWalkProfitable(size_t union_size, size_t total_lane_nnz,
-                         size_t sparse_lanes, double avg_row_nnz,
-                         double col_hits_per_row) {
+                         size_t sparse_lanes, double avg_row_nnz) {
   double engine = static_cast<double>(kernels::kTileLanes) *
                   (static_cast<double>(union_size) + avg_row_nnz);
   double per_pair = static_cast<double>(total_lane_nnz) +
                     static_cast<double>(sparse_lanes) * avg_row_nnz;
-  // When the transposed column mirror is available, credit the engine for
-  // expected index matches (matched positions advance both cursors at
-  // once).
-  engine -= static_cast<double>(kernels::kTileLanes) * col_hits_per_row;
   return engine <= 8.0 * per_pair;
-}
-
-// Expected per-row index matches between the decoded block union and the
-// sparse data rows, from the optional transposed column-occupancy mirror
-// (0.0 when the mirror is not built — the estimate is advisory only).
-double ExpectedColumnHits(const Dataset& data,
-                          const kernels::SparseTileScratch& ws) {
-  const std::vector<uint32_t>* occ = data.column_occupancy();
-  if (occ == nullptr || data.sparse_stats().rows == 0) return 0.0;
-  uint64_t hits = 0;
-  for (uint32_t idx : ws.indices) hits += (*occ)[idx];
-  return static_cast<double>(hits) /
-         static_cast<double>(data.sparse_stats().rows);
 }
 
 // --- Sparse query-block decode cache --------------------------------------
@@ -325,8 +307,7 @@ void BatchTileImpl(const Dataset& queries, size_t q_begin, size_t nq,
         if (sparse_union_walk &&
             !UnionWalkProfitable(sparse_ws[sub].indices.size(),
                                  sparse_ws[sub].total_nnz, sub_n,
-                                 stats.AvgNnz(),
-                                 ExpectedColumnHits(data, sparse_ws[sub]))) {
+                                 stats.AvgNnz())) {
           sparse_block = false;
           break;
         }

@@ -111,4 +111,13 @@ size_t Point::MemoryBytes() const {
          values_.capacity() * sizeof(float);
 }
 
+bool PointIsFinite(const Point& p) {
+  const std::vector<float>& vals =
+      p.is_sparse() ? p.sparse_values() : p.dense_values();
+  for (float v : vals) {
+    if (!std::isfinite(v)) return false;
+  }
+  return true;
+}
+
 }  // namespace diverse

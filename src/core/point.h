@@ -115,6 +115,9 @@ class Point {
 /// A dataset is simply a vector of points.
 using PointSet = std::vector<Point>;
 
+/// True if every stored coordinate of `p` is finite (no NaN/inf).
+bool PointIsFinite(const Point& p);
+
 }  // namespace diverse
 
 #endif  // DIVERSE_CORE_POINT_H_

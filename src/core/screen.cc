@@ -16,7 +16,8 @@ namespace diverse {
 
 namespace {
 
-std::atomic<bool> g_screening_enabled{true};
+// Live ScopedScreening(false) guards; screening is on iff there are none.
+std::atomic<int> g_screening_disablers{0};
 
 // Same grain rule as the exact batched sweeps (core/metric.cc): a fixed
 // amount of coordinate work per range, boundaries a function of (n, grain)
@@ -101,18 +102,16 @@ void CollectScreenRescues(const float* t, const float* thr, size_t count,
 }
 
 bool ScreeningEnabled() {
-  return g_screening_enabled.load(std::memory_order_relaxed);
+  return g_screening_disablers.load(std::memory_order_relaxed) == 0;
 }
 
-void SetScreeningEnabled(bool enabled) {
-  g_screening_enabled.store(enabled, std::memory_order_relaxed);
+ScopedScreening::ScopedScreening(bool enabled) : disables_(!enabled) {
+  if (disables_) g_screening_disablers.fetch_add(1, std::memory_order_relaxed);
 }
 
-ScopedScreening::ScopedScreening(bool enabled) : prev_(ScreeningEnabled()) {
-  SetScreeningEnabled(enabled);
+ScopedScreening::~ScopedScreening() {
+  if (disables_) g_screening_disablers.fetch_sub(1, std::memory_order_relaxed);
 }
-
-ScopedScreening::~ScopedScreening() { SetScreeningEnabled(prev_); }
 
 bool UseScreening(const Metric& metric) {
   return ScreeningEnabled() && metric.ScreeningProfitable();
@@ -136,9 +135,7 @@ size_t ScreenedRelaxTilesAndArgFarthest(const Metric& metric,
   if (!assignment.empty()) DIVERSE_CHECK_EQ(assignment.size(), n);
   if (n == 0) return 0;
 
-  // One bound for the whole sweep; reading it also builds both datasets'
-  // lazy screen stats on this thread, before the parallel fan-out. A
-  // degenerate bound (rel >= 1 — possible only at astronomical term
+  // One bound for the whole sweep. A degenerate bound (rel >= 1 — possible only at astronomical term
   // counts) would invert the skip-threshold transform, so such sweeps run
   // exact instead.
   const ScreenBound bound = metric.ScreenErrorBound(queries, data);

@@ -24,7 +24,7 @@
 //     deterministic at any thread count, and the exact-eval count of a
 //     screened sweep never exceeds what the pre-screening path paid.
 //   * Every sweep falls back to the exact path when screening is disabled
-//     (SetScreeningEnabled / SolveOptions::screening) or the metric reports
+//     (ScopedScreening / SolveOptions::screening) or the metric reports
 //     ScreeningProfitable() == false (Jaccard, user-defined metrics).
 //
 // Screening changes *when* exactness is paid for, never the answer.
@@ -111,14 +111,17 @@ inline float ScreenCertifiedBelow(double threshold, const ScreenBound& bound) {
 void CollectScreenRescues(const float* t, const float* thr, size_t count,
                           uint32_t base, std::vector<uint32_t>& out);
 
-/// Process-global screening toggle, default on. Results are bit-identical
-/// either way; the toggle exists for A/B benchmarking and as an escape
-/// hatch. Concurrent Solves with opposing SolveOptions::screening flags see
-/// a racy-but-harmless value (each sweep reads it once on entry).
+/// Process-global screening toggle: on unless a ScopedScreening(false)
+/// guard is alive. Results are bit-identical either way; the toggle exists
+/// for A/B benchmarking and as an escape hatch. A sweep that overlaps a
+/// concurrent call's disabling guard runs unscreened (each sweep reads the
+/// toggle once on entry) — harmless, since the answer does not change.
 bool ScreeningEnabled();
-void SetScreeningEnabled(bool enabled);
 
-/// RAII override of the global toggle (used by Solve and tests).
+/// RAII screening override (used by TrySolve and tests). A `false` guard
+/// disables screening until it is destroyed; guards are counted, so
+/// releasing them in any order restores the toggle once the last disabling
+/// guard is gone. A `true` guard changes nothing.
 class ScopedScreening {
  public:
   explicit ScopedScreening(bool enabled);
@@ -127,7 +130,7 @@ class ScopedScreening {
   ~ScopedScreening();
 
  private:
-  bool prev_;
+  bool disables_;
 };
 
 /// True when the screened sweeps should screen for `metric` (toggle on and
@@ -175,8 +178,7 @@ struct RelaxScreenPlan {
 };
 
 /// Builds the plan ScreenedRelaxArgFarthest would follow for a sweep of
-/// queries-rows against `data` (reads both datasets' lazy screen stats on
-/// the calling thread, like the flat sweep does before fanning out).
+/// queries-rows against `data`.
 RelaxScreenPlan PlanScreenedRelax(const Metric& metric, const Dataset& queries,
                                   const Dataset& data);
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -16,15 +16,6 @@
 namespace diverse {
 
 namespace {
-
-bool PointIsFinite(const Point& p) {
-  const std::vector<float>& vals =
-      p.is_sparse() ? p.sparse_values() : p.dense_values();
-  for (float v : vals) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
 
 // Deterministic single-coordinate corruption (NaN) used to simulate
 // wrong-output and corrupted-partition faults. The validators below are the
@@ -48,6 +39,33 @@ void GarbleOne(PointSet* pts, uint64_t sub_seed) {
   if (pts->empty()) return;
   size_t t = sub_seed % pts->size();
   (*pts)[t] = GarblePoint((*pts)[t], sub_seed);
+}
+
+// The input one reducer attempt reads: `pristine` itself, or — under a
+// corrupted-partition fault — a garbled copy held in `*scratch`. The
+// pristine input is re-read on retry, which is why detection plus
+// re-execution recovers exactly.
+const PointSet& AttemptInput(const MrTaskContext& ctx,
+                             const PointSet& pristine, PointSet* scratch) {
+  if (ctx.fault != FaultKind::kCorruptPartition || pristine.empty()) {
+    return pristine;
+  }
+  *scratch = pristine;
+  GarbleOne(scratch, ctx.fault_param);
+  return *scratch;
+}
+
+// Moves every point of `parts` into one set, in order.
+PointSet Concatenate(std::vector<PointSet>* parts) {
+  size_t total = 0;
+  for (const PointSet& p : *parts) total += p.size();
+  PointSet out;
+  out.reserve(total);
+  for (PointSet& p : *parts) {
+    out.insert(out.end(), std::make_move_iterator(p.begin()),
+               std::make_move_iterator(p.end()));
+  }
+  return out;
 }
 
 Status ValidateFinitePoints(const char* what, const std::string& round,
@@ -205,6 +223,13 @@ MapReduceDiversity::MapReduceDiversity(const Metric* metric,
   DIVERSE_CHECK_GE(options.num_workers, 1u);
 }
 
+CommunicationEngine* MapReduceDiversity::Engine(
+    std::optional<LoopbackEngine>* fallback) const {
+  if (options_.engine != nullptr) return options_.engine;
+  fallback->emplace(metric_, problem_);
+  return &**fallback;
+}
+
 void AccumulateRoundStats(const MapReduceSimulator& sim, MrResult* result) {
   result->rounds = sim.num_rounds();
   for (const RoundStats& r : sim.rounds()) {
@@ -260,22 +285,14 @@ Status MapReduceDiversity::CoresetRound(
       round_name, parts.size(),
       [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
         const size_t i = ctx.task;
-        // A corrupted-partition fault scrambles this attempt's local copy of
-        // the input; the pristine partition is re-read on retry, which is
-        // why detection (below) plus re-execution recovers exactly.
-        const PointSet* in = &parts[i];
         PointSet corrupted;
-        if (ctx.fault == FaultKind::kCorruptPartition && !parts[i].empty()) {
-          corrupted = parts[i];
-          GarbleOne(&corrupted, ctx.fault_param);
-          in = &corrupted;
-        }
+        const PointSet& in = AttemptInput(ctx, parts[i], &corrupted);
         DIVERSE_RETURN_IF_ERROR(
-            ValidateFinitePoints("input partition", round_name, i, *in));
+            ValidateFinitePoints("input partition", round_name, i, in));
         StatusOr<PointSet> cs_or = engine->Coreset(
             MakeEnvelope(round_name, ctx,
                          part_keys.empty() ? 0 : part_keys[i]),
-            *in, MakeCoresetSpec(in->size(), input_size));
+            in, MakeCoresetSpec(in.size(), input_size));
         if (!cs_or.ok()) return cs_or.status();
         PointSet cs = std::move(*cs_or);
         if (ctx.fault == FaultKind::kEmptyOutput) cs.clear();
@@ -346,13 +363,64 @@ Status MapReduceDiversity::TreeReduce(MapReduceSimulator* sim,
   return OkStatus();
 }
 
+StatusOr<PointSet> MapReduceDiversity::SolveRound(
+    MapReduceSimulator* sim, CommunicationEngine* engine,
+    const PointSet& aggregate) const {
+  PointSet solution;
+  RoundOutcome solve = sim->RunFallibleRound(
+      "solve", 1,
+      [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
+        PointSet corrupted;
+        const PointSet& in = AttemptInput(ctx, aggregate, &corrupted);
+        DIVERSE_RETURN_IF_ERROR(
+            ValidateFinitePoints("aggregated core-set", "solve", 0, in));
+        const size_t k = std::min(options_.k, in.size());
+        StatusOr<PointSet> sol_or =
+            engine->Solve(MakeEnvelope("solve", ctx), in, options_.k);
+        if (!sol_or.ok()) return sol_or.status();
+        PointSet sol = std::move(*sol_or);
+        if (ctx.fault == FaultKind::kEmptyOutput) sol.clear();
+        if (ctx.fault == FaultKind::kWrongOutput) GarbleOne(&sol, ctx.fault_param);
+        if (sol.size() != k) {
+          return DataLossError("solve produced " + std::to_string(sol.size()) +
+                               " of " + std::to_string(k) +
+                               " requested points");
+        }
+        DIVERSE_RETURN_IF_ERROR(
+            ValidateFinitePoints("solution", "solve", 0, sol));
+        *commit = [&solution, out = std::move(sol)]() mutable {
+          solution = std::move(out);
+        };
+        return OkStatus();
+      },
+      ExecPolicy(), [&](size_t) { return aggregate.size(); },
+      [&](size_t) { return solution.size(); });
+  if (!solve.ok()) return AnnotateRoundFailure("solve", solve.first_error);
+  return solution;
+}
+
+MrResult MapReduceDiversity::Finalize(PointSet solution, size_t coreset_size,
+                                      std::optional<DegradedResult> degraded,
+                                      const MapReduceSimulator& sim,
+                                      const Timer& total) const {
+  MrResult result;
+  result.solution = std::move(solution);
+  result.diversity = EvaluateDiversity(problem_, result.solution, *metric_);
+  result.coreset_size = coreset_size;
+  if (degraded.has_value()) {
+    degraded->approx_factor = 2.0 * SequentialAlpha(problem_);
+    result.degraded = std::move(degraded);
+  }
+  AccumulateRoundStats(sim, &result);
+  result.total_seconds = total.Seconds();
+  return result;
+}
+
 StatusOr<MrResult> MapReduceDiversity::TryRun(const PointSet& input) const {
   Timer total;
-  MrResult result;
   MapReduceSimulator sim(options_.num_workers);
-  LoopbackEngine fallback(metric_, problem_);
-  CommunicationEngine* engine =
-      options_.engine != nullptr ? options_.engine : &fallback;
+  std::optional<LoopbackEngine> fallback;
+  CommunicationEngine* engine = Engine(&fallback);
 
   std::vector<PointSet> parts =
       PartitionPoints(input, options_.num_partitions, options_.partition,
@@ -368,77 +436,26 @@ StatusOr<MrResult> MapReduceDiversity::TryRun(const PointSet& input) const {
 
   // Optional reduce rounds: collapse the core-set list through a binary
   // merge tree. Order-preserving concatenation is associative, so the lone
-  // survivor equals the inline union below and the solve is unchanged.
+  // survivor equals the plain union below and the solve is unchanged.
   if (options_.tree_reduce) {
     DIVERSE_RETURN_IF_ERROR(TreeReduce(&sim, engine, &coresets));
   }
 
-  // Final round: a single reducer aggregates T = union of (surviving)
-  // core-sets and runs the sequential approximation on it. With one reducer
-  // there is nothing to degrade to: permanent failure is fatal.
-  size_t agg_input = 0;
-  for (const PointSet& c : coresets) agg_input += c.size();
-  size_t coreset_size = 0;
-  PointSet solution;
-  RoundOutcome solve = sim.RunFallibleRound(
-      "solve", 1,
-      [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
-        PointSet united;
-        united.reserve(agg_input);
-        for (const PointSet& c : coresets) {
-          united.insert(united.end(), c.begin(), c.end());
-        }
-        if (ctx.fault == FaultKind::kCorruptPartition) {
-          GarbleOne(&united, ctx.fault_param);
-        }
-        DIVERSE_RETURN_IF_ERROR(
-            ValidateFinitePoints("aggregated core-set", "solve", 0, united));
-        const size_t k = std::min(options_.k, united.size());
-        const size_t agg_size = united.size();
-        StatusOr<PointSet> sol_or =
-            engine->Solve(MakeEnvelope("solve", ctx), united, options_.k);
-        if (!sol_or.ok()) return sol_or.status();
-        PointSet sol = std::move(*sol_or);
-        if (ctx.fault == FaultKind::kEmptyOutput) sol.clear();
-        if (ctx.fault == FaultKind::kWrongOutput) GarbleOne(&sol, ctx.fault_param);
-        if (sol.size() != k) {
-          return DataLossError("solve produced " + std::to_string(sol.size()) +
-                               " of " + std::to_string(k) +
-                               " requested points");
-        }
-        DIVERSE_RETURN_IF_ERROR(
-            ValidateFinitePoints("solution", "solve", 0, sol));
-        *commit = [&, agg_size, out = std::move(sol)]() mutable {
-          coreset_size = agg_size;
-          solution = std::move(out);
-        };
-        return OkStatus();
-      },
-      ExecPolicy(), [&](size_t) { return agg_input; },
-      [&](size_t) { return solution.size(); });
-  if (!solve.ok()) return AnnotateRoundFailure("solve", solve.first_error);
-
-  result.solution = std::move(solution);
-  result.diversity = EvaluateDiversity(problem_, result.solution, *metric_);
-  result.coreset_size = coreset_size;
-  if (degraded.has_value()) {
-    degraded->approx_factor = 2.0 * SequentialAlpha(problem_);
-    result.degraded = std::move(degraded);
-  }
-  AccumulateRoundStats(sim, &result);
-  result.total_seconds = total.Seconds();
-  return result;
+  // Final round: T = union of the (surviving) core-sets.
+  const PointSet aggregate = Concatenate(&coresets);
+  DIVERSE_ASSIGN_OR_RETURN(PointSet solution,
+                           SolveRound(&sim, engine, aggregate));
+  return Finalize(std::move(solution), aggregate.size(), std::move(degraded),
+                  sim, total);
 }
 
 StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
     const PointSet& input) const {
   DIVERSE_CHECK(RequiresInjectiveProxies(problem_));
   Timer total;
-  MrResult result;
   MapReduceSimulator sim(options_.num_workers);
-  LoopbackEngine fallback(metric_, problem_);
-  CommunicationEngine* engine =
-      options_.engine != nullptr ? options_.engine : &fallback;
+  std::optional<LoopbackEngine> fallback;
+  CommunicationEngine* engine = Engine(&fallback);
 
   std::vector<PointSet> parts =
       PartitionPoints(input, options_.num_partitions, options_.partition,
@@ -461,20 +478,15 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
           *commit = [] {};  // empty core-set, range stays 0
           return OkStatus();
         }
-        const PointSet* in = &parts[i];
         PointSet corrupted;
-        if (ctx.fault == FaultKind::kCorruptPartition) {
-          corrupted = parts[i];
-          GarbleOne(&corrupted, ctx.fault_param);
-          in = &corrupted;
-        }
+        const PointSet& in = AttemptInput(ctx, parts[i], &corrupted);
         DIVERSE_RETURN_IF_ERROR(
-            ValidateFinitePoints("input partition", "gen-coreset", i, *in));
-        size_t k_prime = std::min(options_.k_prime, in->size());
+            ValidateFinitePoints("input partition", "gen-coreset", i, in));
+        size_t k_prime = std::min(options_.k_prime, in.size());
         StatusOr<GenCoresetResult> gen_or = engine->GenCoreset(
             MakeEnvelope("gen-coreset", ctx,
                          part_keys.empty() ? 0 : part_keys[i]),
-            *in, options_.k, k_prime);
+            in, options_.k, k_prime);
         if (!gen_or.ok()) return gen_or.status();
         GeneralizedCoreset gen = std::move(gen_or->gen);
         double range = gen_or->range;
@@ -587,19 +599,14 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
           *commit = [] {};
           return OkStatus();
         }
-        const PointSet* in = &parts[i];
         PointSet corrupted;
-        if (ctx.fault == FaultKind::kCorruptPartition) {
-          corrupted = parts[i];
-          GarbleOne(&corrupted, ctx.fault_param);
-          in = &corrupted;
-        }
+        const PointSet& in = AttemptInput(ctx, parts[i], &corrupted);
         DIVERSE_RETURN_IF_ERROR(
-            ValidateFinitePoints("input partition", "instantiate", i, *in));
+            ValidateFinitePoints("input partition", "instantiate", i, in));
         StatusOr<PointSet> inst_or = engine->Instantiate(
             MakeEnvelope("instantiate", ctx,
                          part_keys.empty() ? 0 : part_keys[i]),
-            per_part[i], *in, r_t);
+            per_part[i], in, r_t);
         if (!inst_or.ok()) return inst_or.status();
         PointSet inst = std::move(*inst_or);
         if (ctx.fault == FaultKind::kEmptyOutput) inst.clear();
@@ -628,29 +635,17 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
     return AnnotateRoundFailure("instantiate", inst_round.first_error);
   }
 
-  for (PointSet& inst : instantiated) {
-    result.solution.insert(result.solution.end(), inst.begin(), inst.end());
-  }
-  result.diversity = EvaluateDiversity(problem_, result.solution, *metric_);
-  result.coreset_size = merged_size;
-  if (degraded.has_value()) {
-    degraded->approx_factor = 2.0 * SequentialAlpha(problem_);
-    result.degraded = std::move(degraded);
-  }
-  AccumulateRoundStats(sim, &result);
-  result.total_seconds = total.Seconds();
-  return result;
+  return Finalize(Concatenate(&instantiated), merged_size, std::move(degraded),
+                  sim, total);
 }
 
 StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
     const PointSet& input, size_t local_memory_budget) const {
   DIVERSE_CHECK_GE(local_memory_budget, options_.k_prime);
   Timer total;
-  MrResult result;
   MapReduceSimulator sim(options_.num_workers);
-  LoopbackEngine fallback(metric_, problem_);
-  CommunicationEngine* engine =
-      options_.engine != nullptr ? options_.engine : &fallback;
+  std::optional<LoopbackEngine> fallback;
+  CommunicationEngine* engine = Engine(&fallback);
 
   PointSet current = input;
   std::optional<DegradedResult> degraded;
@@ -668,10 +663,7 @@ StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
     DIVERSE_RETURN_IF_ERROR(
         CoresetRound(&sim, engine, "coreset-l" + std::to_string(level), parts,
                      input.size(), &coresets, &degraded));
-    PointSet next;
-    for (PointSet& c : coresets) {
-      next.insert(next.end(), c.begin(), c.end());
-    }
+    PointSet next = Concatenate(&coresets);
     // Guard against non-progress (budget too tight for k' per part).
     if (next.size() >= current.size()) {
       return FailedPreconditionError(
@@ -684,75 +676,10 @@ StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
     ++level;
   }
 
-  PointSet solution;
-  RoundOutcome solve = sim.RunFallibleRound(
-      "solve", 1,
-      [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
-        PointSet local = current;
-        if (ctx.fault == FaultKind::kCorruptPartition) {
-          GarbleOne(&local, ctx.fault_param);
-        }
-        DIVERSE_RETURN_IF_ERROR(
-            ValidateFinitePoints("aggregated core-set", "solve", 0, local));
-        const size_t k = std::min(options_.k, local.size());
-        StatusOr<PointSet> sol_or =
-            engine->Solve(MakeEnvelope("solve", ctx), local, options_.k);
-        if (!sol_or.ok()) return sol_or.status();
-        PointSet sol = std::move(*sol_or);
-        if (ctx.fault == FaultKind::kEmptyOutput) sol.clear();
-        if (ctx.fault == FaultKind::kWrongOutput) GarbleOne(&sol, ctx.fault_param);
-        if (sol.size() != k) {
-          return DataLossError("solve produced " + std::to_string(sol.size()) +
-                               " of " + std::to_string(k) +
-                               " requested points");
-        }
-        DIVERSE_RETURN_IF_ERROR(
-            ValidateFinitePoints("solution", "solve", 0, sol));
-        *commit = [&solution, out = std::move(sol)]() mutable {
-          solution = std::move(out);
-        };
-        return OkStatus();
-      },
-      ExecPolicy(), [&](size_t) { return current.size(); },
-      [&](size_t) { return solution.size(); });
-  if (!solve.ok()) return AnnotateRoundFailure("solve", solve.first_error);
-
-  result.solution = std::move(solution);
-  result.diversity = EvaluateDiversity(problem_, result.solution, *metric_);
-  result.coreset_size = current.size();
-  if (degraded.has_value()) {
-    degraded->approx_factor = 2.0 * SequentialAlpha(problem_);
-    result.degraded = std::move(degraded);
-  }
-  AccumulateRoundStats(sim, &result);
-  result.total_seconds = total.Seconds();
-  return result;
-}
-
-namespace {
-
-MrResult UnwrapOrDie(StatusOr<MrResult> result) {
-  if (!result.ok()) {
-    std::fprintf(stderr, "MapReduce run failed: %s\n",
-                 result.status().ToString().c_str());
-  }
-  DIVERSE_CHECK(result.ok());
-  return std::move(*result);
-}
-
-}  // namespace
-
-MrResult MapReduceDiversity::Run(const PointSet& input) const {
-  return UnwrapOrDie(TryRun(input));
-}
-
-MrResult MapReduceDiversity::RunGeneralized(const PointSet& input) const {
-  return UnwrapOrDie(TryRunGeneralized(input));
-}
-
-MrResult MapReduceDiversity::RunRecursive(const PointSet& input,
-                                          size_t local_memory_budget) const {
-  return UnwrapOrDie(TryRunRecursive(input, local_memory_budget));
+  DIVERSE_ASSIGN_OR_RETURN(PointSet solution,
+                           SolveRound(&sim, engine, current));
+  return Finalize(std::move(solution), current.size(), std::move(degraded),
+                  sim, total);
 }
 
 }  // namespace diverse

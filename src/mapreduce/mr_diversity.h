@@ -1,33 +1,34 @@
 // MapReduce diversity maximization — the "CPPU" algorithms of the paper.
 //
-//   * Run()            — the 2-round algorithm of Theorem 6: round 1 computes
-//                        a composable core-set (GMM for remote-edge/-cycle,
-//                        GMM-EXT for the other four) on each partition;
-//                        round 2 aggregates the core-sets in one reducer and
-//                        runs the sequential alpha-approximation. With the
-//                        randomized delegate cap of Theorem 7 enabled, round
-//                        1 caps delegates at Theta(max(log n, k/l)) instead
-//                        of k-1, shrinking the aggregate core-set.
-//   * RunGeneralized() — the 3-round algorithm of Theorem 10 (injective-proxy
-//                        problems only): round 1 GMM-GEN, round 2 solves the
-//                        multiset problem on the merged generalized core-set,
-//                        round 3 instantiates distinct delegates per
-//                        partition.
-//   * RunRecursive()   — the multi-round recursion of Theorem 8: core-sets of
-//                        core-sets until the aggregate fits the local memory
-//                        budget.
+//   * TryRun()            — the 2-round algorithm of Theorem 6: round 1
+//                           computes a composable core-set (GMM for
+//                           remote-edge/-cycle, GMM-EXT for the other four)
+//                           on each partition; round 2 aggregates the
+//                           core-sets in one reducer and runs the sequential
+//                           alpha-approximation. With the randomized delegate
+//                           cap of Theorem 7 enabled, round 1 caps delegates
+//                           at Theta(max(log n, k/l)) instead of k-1,
+//                           shrinking the aggregate core-set.
+//   * TryRunGeneralized() — the 3-round algorithm of Theorem 10
+//                           (injective-proxy problems only): round 1
+//                           GMM-GEN, round 2 solves the multiset problem on
+//                           the merged generalized core-set, round 3
+//                           instantiates distinct delegates per partition.
+//   * TryRunRecursive()   — the multi-round recursion of Theorem 8: core-sets
+//                           of core-sets until the aggregate fits the local
+//                           memory budget.
 //
 // Every driver executes its rounds on the fault-tolerant executor
 // (MapReduceSimulator::RunFallibleRound): reducer attempts validate their
 // inputs and outputs, failed attempts retry up to MrOptions::max_retries
 // times (re-execution from the pristine partition is bit-identical —
 // deterministic reducers), and stragglers past MrOptions::task_timeout_ms
-// race a speculative duplicate. The Try* entry points surface permanent
-// failures as Status instead of aborting; when a round-1 partition exhausts
-// its retries and MrOptions::allow_degraded is set, the run completes on
-// the surviving partitions and reports a DegradedResult — composability of
-// the core-sets (Theorem 4) means losing a partition shrinks the instance
-// the guarantee speaks about rather than invalidating it.
+// race a speculative duplicate. Permanent failures surface as Status; when
+// a round-1 partition exhausts its retries and MrOptions::allow_degraded is
+// set, the run completes on the surviving partitions and reports a
+// DegradedResult — composability of the core-sets (Theorem 4) means losing
+// a partition shrinks the instance the guarantee speaks about rather than
+// invalidating it.
 
 #ifndef DIVERSE_MAPREDUCE_MR_DIVERSITY_H_
 #define DIVERSE_MAPREDUCE_MR_DIVERSITY_H_
@@ -38,7 +39,6 @@
 #include <vector>
 
 #include "comm/comm.h"
-#include "core/dataset.h"
 #include "core/diversity.h"
 #include "core/metric.h"
 #include "core/point.h"
@@ -46,38 +46,9 @@
 #include "mapreduce/mapreduce.h"
 #include "mapreduce/partitioner.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
+#include "util/timer.h"
 
 namespace diverse {
-
-/// A free-list of scratch `Dataset`s shared by the reducers of one MapReduce
-/// run: each reducer acquires a scratch, Assign()s its partition into it
-/// (reusing the columnar array capacity from earlier partitions/rounds) and
-/// returns it, instead of constructing a fresh Dataset per partition. At
-/// most one scratch exists per concurrently running reducer.
-class DatasetScratchPool {
- public:
-  /// Pops a cleared scratch (or default-constructs one). Thread-safe:
-  /// called concurrently by every reducer attempt of a round.
-  Dataset Acquire() DIVERSE_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    if (free_.empty()) return Dataset();
-    Dataset d = std::move(free_.back());
-    free_.pop_back();
-    return d;
-  }
-
-  /// Clears `d` (keeping capacity) and returns it to the free list.
-  void Release(Dataset d) DIVERSE_EXCLUDES(mu_) {
-    d.Clear();
-    MutexLock lock(&mu_);
-    free_.push_back(std::move(d));
-  }
-
- private:
-  Mutex mu_;
-  std::vector<Dataset> free_ DIVERSE_GUARDED_BY(mu_);
-};
 
 /// Configuration of a MapReduce diversity run.
 struct MrOptions {
@@ -196,8 +167,8 @@ struct MrResult {
 /// baseline.
 void AccumulateRoundStats(const MapReduceSimulator& sim, MrResult* result);
 
-/// Driver for the MapReduce algorithms. Thread-safe for concurrent Run()
-/// calls only through distinct instances.
+/// Driver for the MapReduce algorithms. Thread-safe for concurrent runs
+/// only through distinct instances.
 class MapReduceDiversity {
  public:
   /// `metric` must outlive this object.
@@ -223,16 +194,12 @@ class MapReduceDiversity {
   StatusOr<MrResult> TryRunRecursive(const PointSet& input,
                                      size_t local_memory_budget) const;
 
-  /// Infallible shims: CHECK that the Try* variant succeeded. With no
-  /// injector configured the only failure sources are misconfiguration
-  /// (checked in the constructor already), so these keep the historical
-  /// contract for callers that opted out of error handling.
-  MrResult Run(const PointSet& input) const;
-  MrResult RunGeneralized(const PointSet& input) const;
-  MrResult RunRecursive(const PointSet& input,
-                        size_t local_memory_budget) const;
-
  private:
+  // The engine a run's tasks execute on: options_.engine when set, else an
+  // in-process loopback engine on the driver's metric, emplaced into
+  // `*fallback` (owned by the run).
+  CommunicationEngine* Engine(std::optional<LoopbackEngine>* fallback) const;
+
   // The core-set construction one partition needs under the configured
   // problem family (kernel size clamped to the partition, GMM vs GMM-EXT,
   // the Theorem-7 delegate cap). Executed by the engine.
@@ -258,6 +225,20 @@ class MapReduceDiversity {
   // core-sets that already survived their own round.
   Status TreeReduce(MapReduceSimulator* sim, CommunicationEngine* engine,
                     std::vector<PointSet>* coresets) const;
+
+  // The final round of TryRun and TryRunRecursive: one reducer runs the
+  // sequential alpha-approximation on `aggregate`. With one reducer there
+  // is nothing to degrade to, so permanent failure is fatal.
+  StatusOr<PointSet> SolveRound(MapReduceSimulator* sim,
+                                CommunicationEngine* engine,
+                                const PointSet& aggregate) const;
+
+  // The last step of every driver: evaluates div(solution), stamps the
+  // degradation certificate (if any) with the guaranteed factor, and
+  // copies the round statistics and the run's wall time into the result.
+  MrResult Finalize(PointSet solution, size_t coreset_size,
+                    std::optional<DegradedResult> degraded,
+                    const MapReduceSimulator& sim, const Timer& total) const;
 
   const Metric* metric_;
   DiversityProblem problem_;

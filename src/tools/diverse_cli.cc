@@ -102,17 +102,13 @@ commands:
   return 2;
 }
 
-StatusOr<PointSet> TryLoadAny(const std::string& path) {
-  if (path.size() > 4 && path.substr(path.size() - 4) == ".txt") {
-    return TryLoadPointsText(path);
-  }
-  return TryLoadPointsBinary(path);
+bool IsTextPath(const std::string& path) {
+  return path.size() > 4 && path.substr(path.size() - 4) == ".txt";
 }
 
 bool SaveAny(const PointSet& pts, const std::string& path,
              const std::string& format) {
-  bool text = format == "txt" ||
-              (path.size() > 4 && path.substr(path.size() - 4) == ".txt");
+  bool text = format == "txt" || IsTextPath(path);
   return text ? SavePointsText(pts, path) : SavePointsBinary(pts, path);
 }
 
@@ -125,12 +121,13 @@ std::unique_ptr<Metric> MakeMetric(const std::string& name) {
 int RunSolve(const CliFlags& flags) {
   std::string in = flags.Get("in", "");
   if (in.empty()) return Usage();
-  StatusOr<PointSet> points = TryLoadAny(in);
-  if (!points.ok()) {
-    std::fprintf(stderr, "error: %s\n", points.status().ToString().c_str());
+  StatusOr<Dataset> data =
+      IsTextPath(in) ? TryLoadDatasetText(in) : TryLoadDatasetBinary(in);
+  if (!data.ok()) {
+    std::fprintf(stderr, "error: %s\n", data.status().ToString().c_str());
     return 1;
   }
-  if (points->empty()) {
+  if (data->empty()) {
     std::fprintf(stderr, "error: dataset %s is empty\n", in.c_str());
     return 1;
   }
@@ -149,15 +146,6 @@ int RunSolve(const CliFlags& flags) {
   auto metric = MakeMetric(flags.Get("metric", "euclidean"));
   if (metric == nullptr) {
     std::fprintf(stderr, "error: unknown metric\n");
-    return 1;
-  }
-  if ((backend == Backend::kStreamingTwoPass ||
-       backend == Backend::kMapReduceGeneralized) &&
-      !RequiresInjectiveProxies(*problem)) {
-    std::fprintf(stderr,
-                 "error: backend %s is defined only for remote-clique/"
-                 "-star/-bipartition/-tree\n",
-                 BackendName(backend).c_str());
     return 1;
   }
 
@@ -235,13 +223,13 @@ int RunSolve(const CliFlags& flags) {
     return 1;
   }
 
-  StatusOr<SolveResult> solved = TrySolve(*points, *metric, opts);
+  StatusOr<SolveResult> solved = TrySolve(*data, *metric, opts);
   if (!solved.ok()) {
     std::fprintf(stderr, "error: %s\n", solved.status().ToString().c_str());
     return 1;
   }
   SolveResult result = std::move(*solved);
-  std::printf("n:          %zu\n", points->size());
+  std::printf("n:          %zu\n", data->size());
   std::printf("problem:    %s\n", ProblemName(*problem).c_str());
   std::printf("backend:    %s\n", BackendName(backend).c_str());
   if (socket_engine != nullptr) {
@@ -327,7 +315,8 @@ int RunGenerate(const CliFlags& flags) {
 int RunEstimate(const CliFlags& flags) {
   std::string in = flags.Get("in", "");
   if (in.empty()) return Usage();
-  StatusOr<PointSet> points = TryLoadAny(in);
+  StatusOr<PointSet> points =
+      IsTextPath(in) ? TryLoadPointsText(in) : TryLoadPointsBinary(in);
   if (!points.ok()) {
     std::fprintf(stderr, "error: %s\n", points.status().ToString().c_str());
     return 1;

@@ -4,7 +4,7 @@
 // channels were DIVERSE_CHECK-abort and bool/optional returns with no
 // diagnosis. Status carries a machine-readable code plus a human-readable
 // message through the fallible entry points (data loaders, input validation
-// at the Solve() boundary, and the fault-tolerant MapReduce executor), so a
+// at the TrySolve() boundary, and the fault-tolerant MapReduce executor), so a
 // reducer crash or a corrupt input file degrades into a reportable error
 // instead of a process abort. CHECK remains the right tool for internal
 // invariants whose violation means the library itself is wrong; Status is

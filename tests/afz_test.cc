@@ -71,9 +71,10 @@ TEST(AfzTest, CppuBeatsOrMatchesAfzOnPlantedData) {
   cppu_opts.num_workers = 4;
   cppu_opts.seed = 5;
   MapReduceDiversity cppu(&m, DiversityProblem::kRemoteClique, cppu_opts);
-  MrResult cppu_r = cppu.Run(pts);
+  StatusOr<MrResult> cppu_r = cppu.TryRun(pts);
+  ASSERT_TRUE(cppu_r.ok()) << cppu_r.status().ToString();
 
-  EXPECT_GE(cppu_r.diversity, 0.9 * afz.diversity);
+  EXPECT_GE(cppu_r->diversity, 0.9 * afz.diversity);
 }
 
 TEST(AfzDeathTest, RejectsUnsupportedProblems) {

@@ -135,9 +135,10 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
             o.backend = Backend::kSequential;
             o.k = kK;
             o.screening = screening;
-            SolveResult r = Solve(layout.pts, *metric, o);
-            ASSERT_EQ(r.solution.size(), kK) << ctx;
-            ExpectWithinFactor(r.diversity, opt, alpha, ctx + "/sequential");
+            StatusOr<SolveResult> r = TrySolve(layout.pts, *metric, o);
+            ASSERT_TRUE(r.ok()) << r.status().ToString();
+            ASSERT_EQ(r->solution.size(), kK) << ctx;
+            ExpectWithinFactor(r->diversity, opt, alpha, ctx + "/sequential");
           }
           // Streaming SMM(-EXT) core-set pipeline.
           {
@@ -147,9 +148,10 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
             o.k = kK;
             o.k_prime = kKPrime;
             o.screening = screening;
-            SolveResult r = Solve(layout.pts, *metric, o);
-            ASSERT_EQ(r.solution.size(), kK) << ctx;
-            ExpectWithinFactor(r.diversity, opt, 2.0 * alpha,
+            StatusOr<SolveResult> r = TrySolve(layout.pts, *metric, o);
+            ASSERT_TRUE(r.ok()) << r.status().ToString();
+            ASSERT_EQ(r->solution.size(), kK) << ctx;
+            ExpectWithinFactor(r->diversity, opt, 2.0 * alpha,
                                ctx + "/streaming");
           }
           // MapReduce core-set pipeline.
@@ -161,9 +163,10 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
             o.k_prime = kKPrime;
             o.num_partitions = 2;
             o.screening = screening;
-            SolveResult r = Solve(layout.pts, *metric, o);
-            ASSERT_EQ(r.solution.size(), kK) << ctx;
-            ExpectWithinFactor(r.diversity, opt, 2.0 * alpha,
+            StatusOr<SolveResult> r = TrySolve(layout.pts, *metric, o);
+            ASSERT_TRUE(r.ok()) << r.status().ToString();
+            ASSERT_EQ(r->solution.size(), kK) << ctx;
+            ExpectWithinFactor(r->diversity, opt, 2.0 * alpha,
                                ctx + "/mapreduce");
           }
           // Local-search refinement (remote-clique only): starts from the

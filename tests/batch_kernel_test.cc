@@ -5,9 +5,7 @@
 //   * CountingMetric adds exactly the number of evaluations a batched
 //     kernel performs;
 //   * batched parallel GMM selects the identical index sequence as the
-//     scalar reference, at any thread count;
-//   * Solve() exercises the Dataset path on the sequential, streaming, and
-//     MapReduce backends with results identical to the PointSet shim.
+//     scalar reference, at any thread count.
 
 #include <limits>
 #include <memory>
@@ -249,28 +247,6 @@ TEST(BatchKernelTest, ParallelGmmIndexSequenceIsDeterministic) {
   EXPECT_EQ(seven_threads.selected, scalar.selected);
   EXPECT_EQ(four_threads.assignment, scalar.assignment);
   EXPECT_EQ(four_threads.range, scalar.range);
-}
-
-TEST(BatchKernelTest, SolveDatasetOverloadMatchesPointSetAcrossBackends) {
-  PointSet pts = DensePoints(400, 3, /*seed=*/51);
-  Dataset data = Dataset::FromPoints(pts);
-  EuclideanMetric metric;
-  for (Backend backend :
-       {Backend::kSequential, Backend::kStreaming, Backend::kMapReduce}) {
-    for (DiversityProblem problem :
-         {DiversityProblem::kRemoteEdge, DiversityProblem::kRemoteClique}) {
-      SolveOptions options;
-      options.problem = problem;
-      options.backend = backend;
-      options.k = 6;
-      SolveResult from_dataset = Solve(data, metric, options);
-      SolveResult from_points = Solve(pts, metric, options);
-      EXPECT_EQ(from_dataset.solution, from_points.solution)
-          << BackendName(backend) << "/" << ProblemName(problem);
-      EXPECT_EQ(from_dataset.diversity, from_points.diversity);
-      EXPECT_EQ(from_dataset.solution.size(), 6u);
-    }
-  }
 }
 
 }  // namespace

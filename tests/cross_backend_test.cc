@@ -38,8 +38,9 @@ TEST_P(PlantedRecoveryTest, EveryBackendRecoversPlantedStructure) {
   opts.k = 6;
   opts.k_prime = 24;
   opts.num_partitions = 4;
-  SolveResult r = Solve(pts, metric, opts);
-  ASSERT_EQ(r.solution.size(), 6u);
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->solution.size(), 6u);
 
   // 6 random unit vectors have expected pairwise distance ~sqrt(2); a
   // solution living on the planted surface has clique value well above what
@@ -49,8 +50,10 @@ TEST_P(PlantedRecoveryTest, EveryBackendRecoversPlantedStructure) {
   seq.problem = DiversityProblem::kRemoteClique;
   seq.backend = Backend::kSequential;
   seq.k = 6;
-  double reference = Solve(pts, metric, seq).diversity;
-  EXPECT_GE(r.diversity, 0.75 * reference) << BackendName(backend);
+  StatusOr<SolveResult> reference_run = TrySolve(pts, metric, seq);
+  ASSERT_TRUE(reference_run.ok()) << reference_run.status().ToString();
+  double reference = reference_run->diversity;
+  EXPECT_GE(r->diversity, 0.75 * reference) << BackendName(backend);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,12 +89,13 @@ TEST(CrossBackendTest, AllBackendsWithinEnvelopeOfExactOptimum) {
         opts.k = 4;
         opts.k_prime = 8;
         opts.num_partitions = 2;
-        SolveResult r = Solve(pts, metric, opts);
+        StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
         // alpha <= 4 for all problems; factor 2 envelope for core-set loss
         // on such tiny inputs.
-        EXPECT_GE(r.diversity * SequentialAlpha(p) * 2.0 + 1e-9, opt)
+        EXPECT_GE(r->diversity * SequentialAlpha(p) * 2.0 + 1e-9, opt)
             << BackendName(b) << " " << ProblemName(p) << " seed " << seed;
-        EXPECT_LE(r.diversity, opt + 1e-9)
+        EXPECT_LE(r->diversity, opt + 1e-9)
             << BackendName(b) << " " << ProblemName(p) << " seed " << seed;
       }
     }
@@ -120,7 +124,9 @@ TEST(CrossBackendTest, StreamingStableUnderPermutations) {
     opts.backend = Backend::kStreaming;
     opts.k = 8;
     opts.k_prime = 32;
-    double div = Solve(shuffled, metric, opts).diversity;
+    StatusOr<SolveResult> div_run = TrySolve(shuffled, metric, opts);
+    ASSERT_TRUE(div_run.ok()) << div_run.status().ToString();
+    double div = div_run->diversity;
     lo = std::min(lo, div);
     hi = std::max(hi, div);
   }
@@ -147,9 +153,10 @@ TEST(CrossBackendTest, SparseCosineAllBackends) {
     opts.k = 5;
     opts.k_prime = 15;
     opts.num_partitions = 3;
-    SolveResult r = Solve(docs, metric, opts);
-    EXPECT_EQ(r.solution.size(), 5u) << BackendName(b);
-    EXPECT_GT(r.diversity, 0.0) << BackendName(b);
+    StatusOr<SolveResult> r = TrySolve(docs, metric, opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->solution.size(), 5u) << BackendName(b);
+    EXPECT_GT(r->diversity, 0.0) << BackendName(b);
   }
 }
 
@@ -165,9 +172,10 @@ TEST(CrossBackendTest, AlternativeMetricsEndToEnd) {
   opts.k = 5;
   opts.k_prime = 20;
   opts.num_partitions = 4;
-  SolveResult r = Solve(pts, manhattan, opts);
-  EXPECT_EQ(r.solution.size(), 5u);
-  EXPECT_GT(r.diversity, 0.0);
+  StatusOr<SolveResult> r = TrySolve(pts, manhattan, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 5u);
+  EXPECT_GT(r->diversity, 0.0);
 
   SparseTextOptions topts;
   topts.n = 400;
@@ -177,9 +185,10 @@ TEST(CrossBackendTest, AlternativeMetricsEndToEnd) {
   JaccardMetric jaccard;
   opts.problem = DiversityProblem::kRemoteEdge;
   opts.backend = Backend::kStreaming;
-  SolveResult rj = Solve(docs, jaccard, opts);
-  EXPECT_EQ(rj.solution.size(), 5u);
-  EXPECT_GT(rj.diversity, 0.0);
+  StatusOr<SolveResult> rj = TrySolve(docs, jaccard, opts);
+  ASSERT_TRUE(rj.ok()) << rj.status().ToString();
+  EXPECT_EQ(rj->solution.size(), 5u);
+  EXPECT_GT(rj->diversity, 0.0);
 }
 
 }  // namespace

@@ -1,5 +1,11 @@
 #include "core/dataset.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/sparse_text.h"
@@ -119,6 +125,43 @@ TEST(DatasetTest, MemoryBytesCoversColumnarArrays) {
   // At least the raw coordinate storage (row-major floats) twice: once in
   // the points, once columnar.
   EXPECT_GT(data.MemoryBytes(), 2 * 100 * 8 * sizeof(float));
+}
+
+// The screen stats recomputed from scratch over the row norms.
+void ExpectScreenStatsMatchRecomputation(const Dataset& data,
+                                         const std::string& ctx) {
+  double min_positive = std::numeric_limits<double>::infinity();
+  double max_norm = 0.0;
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (data.norm(i) > 0.0) min_positive = std::min(min_positive, data.norm(i));
+    max_norm = std::max(max_norm, data.norm(i));
+  }
+  EXPECT_EQ(data.screen_stats().min_positive_norm, min_positive) << ctx;
+  EXPECT_EQ(data.screen_stats().max_norm, max_norm) << ctx;
+}
+
+TEST(DatasetTest, ScreenStatsTrackEveryMutation) {
+  Dataset data;
+  ExpectScreenStatsMatchRecomputation(data, "empty");
+  EXPECT_EQ(data.screen_stats().min_positive_norm,
+            std::numeric_limits<double>::infinity());
+  // A zero row leaves min_positive_norm at +inf.
+  data.Append(Point::Dense({0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f}));
+  ExpectScreenStatsMatchRecomputation(data, "zero row");
+  PointSet pts = MixedPoints(12, 6, /*seed=*/7);
+  for (const Point& p : pts) {
+    data.Append(p);
+    ExpectScreenStatsMatchRecomputation(data, "append");
+  }
+  data.Assign(MixedPoints(9, 6, /*seed=*/8));
+  ExpectScreenStatsMatchRecomputation(data, "assign");
+  Dataset gathered;
+  std::vector<uint32_t> rows = {7, 2, 2, 5};
+  gathered.AssignGatherColumnar(data, rows);
+  ExpectScreenStatsMatchRecomputation(gathered, "gather");
+  data.Clear();
+  ExpectScreenStatsMatchRecomputation(data, "clear");
+  EXPECT_EQ(data.screen_stats().max_norm, 0.0);
 }
 
 TEST(DatasetDeathTest, RejectsMismatchedDimensions) {

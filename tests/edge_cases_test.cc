@@ -47,9 +47,10 @@ TEST_P(EdgeCaseBackendTest, AllIdenticalPoints) {
   opts.k = 4;
   opts.k_prime = 8;
   opts.num_partitions = 2;
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.solution.size(), 4u);
-  EXPECT_DOUBLE_EQ(r.diversity, 0.0);
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 4u);
+  EXPECT_DOUBLE_EQ(r->diversity, 0.0);
 }
 
 TEST_P(EdgeCaseBackendTest, HeavyDuplicates) {
@@ -61,9 +62,10 @@ TEST_P(EdgeCaseBackendTest, HeavyDuplicates) {
   opts.k = 5;
   opts.k_prime = 10;
   opts.num_partitions = 2;
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.solution.size(), 5u);
-  EXPECT_GT(r.diversity, 0.0);  // 200 distinct locations exist
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 5u);
+  EXPECT_GT(r->diversity, 0.0);  // 200 distinct locations exist
 }
 
 TEST_P(EdgeCaseBackendTest, CollinearPoints) {
@@ -75,12 +77,13 @@ TEST_P(EdgeCaseBackendTest, CollinearPoints) {
   opts.k = 4;
   opts.k_prime = 8;
   opts.num_partitions = 2;
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.solution.size(), 4u);
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 4u);
   // Best 4-point MST on [0,199] has weight 199 (the endpoints plus any two
   // inner points chained); any solution must reach at least half of that via
   // the coreset guarantee.
-  EXPECT_GE(r.diversity, 99.0);
+  EXPECT_GE(r->diversity, 99.0);
 }
 
 TEST_P(EdgeCaseBackendTest, KEqualsOne) {
@@ -92,9 +95,10 @@ TEST_P(EdgeCaseBackendTest, KEqualsOne) {
   opts.k = 1;
   opts.k_prime = 4;
   opts.num_partitions = 2;
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.solution.size(), 1u);
-  EXPECT_DOUBLE_EQ(r.diversity, 0.0);
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 1u);
+  EXPECT_DOUBLE_EQ(r->diversity, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -171,8 +175,9 @@ TEST(EdgeCaseTest, ZeroVectorsUnderCosine) {
   opts.backend = Backend::kStreaming;
   opts.k = 3;
   opts.k_prime = 6;
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.solution.size(), 3u);
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 3u);
 }
 
 TEST(EdgeCaseTest, ExactSolversOnDegenerateMatrices) {
@@ -200,7 +205,8 @@ Point SparseDoc() {
 
 PointSet AllDuplicateSparse(size_t n) { return PointSet(n, SparseDoc()); }
 
-TEST_P(EdgeCaseBackendTest, EmptyInputYieldsEmptySolution) {
+// Empty input is k > n on every backend: rejected, never silently solved.
+TEST_P(EdgeCaseBackendTest, EmptyInputIsInvalidArgument) {
   CosineMetric metric;
   SolveOptions opts;
   opts.problem = DiversityProblem::kRemoteEdge;
@@ -208,9 +214,9 @@ TEST_P(EdgeCaseBackendTest, EmptyInputYieldsEmptySolution) {
   opts.k = 3;
   opts.k_prime = 6;
   opts.num_partitions = 4;
-  SolveResult r = Solve(PointSet{}, metric, opts);
-  EXPECT_TRUE(r.solution.empty());
-  EXPECT_DOUBLE_EQ(r.diversity, 0.0);
+  StatusOr<SolveResult> r = TrySolve(PointSet{}, metric, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_P(EdgeCaseBackendTest, SingletonSparseInput) {
@@ -220,13 +226,14 @@ TEST_P(EdgeCaseBackendTest, SingletonSparseInput) {
   SolveOptions opts;
   opts.problem = DiversityProblem::kRemoteEdge;
   opts.backend = GetParam();
-  opts.k = 3;
+  opts.k = 1;
   opts.k_prime = 6;
   // More reducers than points: three of the four partitions are empty.
   opts.num_partitions = 4;
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.solution.size(), 1u);
-  EXPECT_DOUBLE_EQ(r.diversity, 0.0);
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 1u);
+  EXPECT_DOUBLE_EQ(r->diversity, 0.0);
 }
 
 TEST_P(EdgeCaseBackendTest, AllDuplicateSparsePoints) {
@@ -238,9 +245,10 @@ TEST_P(EdgeCaseBackendTest, AllDuplicateSparsePoints) {
   opts.k = 4;
   opts.k_prime = 8;
   opts.num_partitions = 3;
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.solution.size(), 4u);
-  EXPECT_DOUBLE_EQ(r.diversity, 0.0);
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 4u);
+  EXPECT_DOUBLE_EQ(r->diversity, 0.0);
 }
 
 TEST(EdgeCaseTest, SmmSingletonSparseStream) {
@@ -311,9 +319,10 @@ TEST(EdgeCaseTest, MapReduceSinglePartition) {
   opts.k = 4;
   opts.k_prime = 8;
   opts.num_partitions = 1;
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.solution.size(), 4u);
-  EXPECT_GT(r.diversity, 0.0);
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 4u);
+  EXPECT_GT(r->diversity, 0.0);
 }
 
 }  // namespace

@@ -60,7 +60,9 @@ TEST(IntegrationTest, MapReduceTracksSequentialOnSphereData) {
   mr_opts.num_partitions = 8;
   mr_opts.num_workers = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, mr_opts);
-  double dist = mr.Run(pts).diversity;
+  StatusOr<MrResult> dist_run = mr.TryRun(pts);
+  ASSERT_TRUE(dist_run.ok()) << dist_run.status().ToString();
+  double dist = dist_run->diversity;
 
   EXPECT_GE(dist, 0.7 * seq);
 }
@@ -87,7 +89,9 @@ TEST(IntegrationTest, MapReduceBeatsStreamingCoreset) {
   mr_opts.num_partitions = 8;
   mr_opts.num_workers = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, mr_opts);
-  double dist = mr.Run(pts).diversity;
+  StatusOr<MrResult> dist_run = mr.TryRun(pts);
+  ASSERT_TRUE(dist_run.ok()) << dist_run.status().ToString();
+  double dist = dist_run->diversity;
 
   EXPECT_GE(dist, 0.9 * stream);
 }
@@ -120,9 +124,10 @@ TEST(IntegrationTest, CosineTextPipelineEndToEnd) {
   mr_opts.num_partitions = 4;
   mr_opts.num_workers = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, mr_opts);
-  MrResult mres = mr.Run(docs);
-  EXPECT_EQ(mres.solution.size(), k);
-  EXPECT_GT(mres.diversity, 0.8 * sr.diversity);
+  StatusOr<MrResult> mres = mr.TryRun(docs);
+  ASSERT_TRUE(mres.ok()) << mres.status().ToString();
+  EXPECT_EQ(mres->solution.size(), k);
+  EXPECT_GT(mres->diversity, 0.8 * sr.diversity);
 }
 
 TEST(IntegrationTest, AllProblemsAllPipelinesOnOneDataset) {
@@ -142,7 +147,9 @@ TEST(IntegrationTest, AllProblemsAllPipelinesOnOneDataset) {
     mr_opts.num_partitions = 4;
     mr_opts.num_workers = 2;
     MapReduceDiversity mr(&m, p, mr_opts);
-    double dist = mr.Run(pts).diversity;
+    StatusOr<MrResult> dist_run = mr.TryRun(pts);
+    ASSERT_TRUE(dist_run.ok()) << dist_run.status().ToString();
+    double dist = dist_run->diversity;
 
     EXPECT_GT(stream, 0.4 * seq) << ProblemName(p);
     EXPECT_GT(dist, 0.5 * seq) << ProblemName(p);
@@ -186,8 +193,12 @@ TEST(IntegrationTest, ThreeRoundGeneralizedMatchesTwoRoundQuality) {
   mr_opts.num_partitions = 4;
   mr_opts.num_workers = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, mr_opts);
-  double two = mr.Run(pts).diversity;
-  double three = mr.RunGeneralized(pts).diversity;
+  StatusOr<MrResult> two_run = mr.TryRun(pts);
+  ASSERT_TRUE(two_run.ok()) << two_run.status().ToString();
+  double two = two_run->diversity;
+  StatusOr<MrResult> three_run = mr.TryRunGeneralized(pts);
+  ASSERT_TRUE(three_run.ok()) << three_run.status().ToString();
+  double three = three_run->diversity;
   EXPECT_GE(three, 0.7 * two);
 }
 

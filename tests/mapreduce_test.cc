@@ -74,9 +74,10 @@ TEST(MapReduceDriverTest, MorePartitionsThanPointsRunsEmptyReducers) {
   o.num_partitions = 8;
   o.num_workers = 4;
   MapReduceDiversity driver(&m, DiversityProblem::kRemoteEdge, o);
-  MrResult r = driver.Run(pts);
-  EXPECT_EQ(r.solution.size(), 3u);
-  EXPECT_GT(r.diversity, 0.0);
+  StatusOr<MrResult> r = driver.TryRun(pts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 3u);
+  EXPECT_GT(r->diversity, 0.0);
 }
 
 TEST(MapReduceDriverTest, GeneralizedMorePartitionsThanPoints) {
@@ -94,9 +95,10 @@ TEST(MapReduceDriverTest, GeneralizedMorePartitionsThanPoints) {
   o.num_partitions = 10;
   o.num_workers = 3;
   MapReduceDiversity driver(&m, DiversityProblem::kRemoteClique, o);
-  MrResult r = driver.RunGeneralized(docs);
-  EXPECT_EQ(r.solution.size(), 3u);
-  EXPECT_GE(r.diversity, 0.0);
+  StatusOr<MrResult> r = driver.TryRunGeneralized(docs);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 3u);
+  EXPECT_GE(r->diversity, 0.0);
 }
 
 TEST(MapReduceDriverTest, AdversarialPartitionMorePartsThanSparsePoints) {
@@ -117,8 +119,9 @@ TEST(MapReduceDriverTest, AdversarialPartitionMorePartsThanSparsePoints) {
   o.num_workers = 2;
   o.partition = PartitionStrategy::kAdversarial;
   MapReduceDiversity driver(&m, DiversityProblem::kRemoteEdge, o);
-  MrResult r = driver.Run(docs);
-  EXPECT_EQ(r.solution.size(), 2u);
+  StatusOr<MrResult> r = driver.TryRun(docs);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

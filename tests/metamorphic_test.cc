@@ -277,9 +277,11 @@ TEST_P(MetamorphicThreads, PowerOfTwoScalingScalesObjectivesExactly) {
           o.k = 6;
           o.k_prime = 18;
           o.num_partitions = 3;
-          SolveResult base = Solve(*pts, *mc.metric, o);
-          SolveResult big = Solve(scaled, *mc.metric, o);
-          EXPECT_EQ(big.diversity, mc.objective_factor * base.diversity)
+          StatusOr<SolveResult> base = TrySolve(*pts, *mc.metric, o);
+          ASSERT_TRUE(base.ok()) << base.status().ToString();
+          StatusOr<SolveResult> big = TrySolve(scaled, *mc.metric, o);
+          ASSERT_TRUE(big.ok()) << big.status().ToString();
+          EXPECT_EQ(big->diversity, mc.objective_factor * base->diversity)
               << mc.metric->Name() << "/" << ProblemName(p) << "/"
               << BackendName(b);
         }
@@ -353,8 +355,9 @@ TEST_P(MetamorphicThreads, DuplicatingAPointNeverImprovesTheObjective) {
             o.k = 4;
             o.k_prime = 8;
             o.num_partitions = 2;
-            SolveResult r = Solve(with_dup, *metric, o);
-            EXPECT_LE(r.diversity, cap + 1e-9)
+            StatusOr<SolveResult> r = TrySolve(with_dup, *metric, o);
+            ASSERT_TRUE(r.ok()) << r.status().ToString();
+            EXPECT_LE(r->diversity, cap + 1e-9)
                 << metric->Name() << "/" << ProblemName(p) << "/"
                 << BackendName(b);
           }

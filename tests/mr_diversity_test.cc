@@ -25,10 +25,11 @@ TEST(MrDiversityTest, TwoRoundsProduceKPoints) {
   PointSet pts = GenerateUniformCube(500, 2, /*seed=*/1);
   for (DiversityProblem p : kAllProblems) {
     MapReduceDiversity mr(&m, p, BasicOptions(6, 12, 4));
-    MrResult r = mr.Run(pts);
-    EXPECT_EQ(r.solution.size(), 6u) << ProblemName(p);
-    EXPECT_GT(r.diversity, 0.0) << ProblemName(p);
-    EXPECT_EQ(r.rounds, 2u) << ProblemName(p);
+    StatusOr<MrResult> r = mr.TryRun(pts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->solution.size(), 6u) << ProblemName(p);
+    EXPECT_GT(r->diversity, 0.0) << ProblemName(p);
+    EXPECT_EQ(r->rounds, 2u) << ProblemName(p);
   }
 }
 
@@ -40,16 +41,18 @@ TEST(MrDiversityTest, CoresetSizeAccounting) {
     // GMM family: |T| = l * k'.
     MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                           BasicOptions(k, k_prime, parts));
-    MrResult r = mr.Run(pts);
-    EXPECT_EQ(r.coreset_size, parts * k_prime);
+    StatusOr<MrResult> r = mr.TryRun(pts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->coreset_size, parts * k_prime);
   }
   {
     // GMM-EXT family: |T| <= l * k' * k.
     MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique,
                           BasicOptions(k, k_prime, parts));
-    MrResult r = mr.Run(pts);
-    EXPECT_GE(r.coreset_size, parts * k_prime);
-    EXPECT_LE(r.coreset_size, parts * k_prime * k);
+    StatusOr<MrResult> r = mr.TryRun(pts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GE(r->coreset_size, parts * k_prime);
+    EXPECT_LE(r->coreset_size, parts * k_prime * k);
   }
 }
 
@@ -58,9 +61,10 @@ TEST(MrDiversityTest, LocalMemoryIsMaxReducerInput) {
   PointSet pts = GenerateUniformCube(800, 2, /*seed=*/3);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(4, 8, 8));
-  MrResult r = mr.Run(pts);
+  StatusOr<MrResult> r = mr.TryRun(pts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Round 1 reducers hold n/l = 100 points; round 2 holds l*k' = 64.
-  EXPECT_EQ(r.max_local_memory_points, 100u);
+  EXPECT_EQ(r->max_local_memory_points, 100u);
 }
 
 TEST(MrDiversityTest, RandomizedDelegateCapShrinksCoreset) {
@@ -71,11 +75,13 @@ TEST(MrDiversityTest, RandomizedDelegateCapShrinksCoreset) {
   MrOptions rand_opts = base;
   rand_opts.randomized_delegate_cap = true;
   MapReduceDiversity rnd(&m, DiversityProblem::kRemoteClique, rand_opts);
-  MrResult det_r = det.Run(pts);
-  MrResult rnd_r = rnd.Run(pts);
+  StatusOr<MrResult> det_r = det.TryRun(pts);
+  ASSERT_TRUE(det_r.ok()) << det_r.status().ToString();
+  StatusOr<MrResult> rnd_r = rnd.TryRun(pts);
+  ASSERT_TRUE(rnd_r.ok()) << rnd_r.status().ToString();
   // Theorem 7: cap max(log2 n = 11, k/l = 8) = 11 delegates/cluster vs 31.
-  EXPECT_LT(rnd_r.coreset_size, det_r.coreset_size);
-  EXPECT_EQ(rnd_r.solution.size(), 32u);
+  EXPECT_LT(rnd_r->coreset_size, det_r->coreset_size);
+  EXPECT_EQ(rnd_r->solution.size(), 32u);
 }
 
 TEST(MrDiversityTest, ApproximationOnTinyInputVsExact) {
@@ -86,10 +92,11 @@ TEST(MrDiversityTest, ApproximationOnTinyInputVsExact) {
       PointSet pts = GenerateUniformCube(16, 2, seed * 23);
       size_t k = 4;
       MapReduceDiversity mr(&m, p, BasicOptions(k, 8, 2));
-      MrResult r = mr.Run(pts);
+      StatusOr<MrResult> r = mr.TryRun(pts);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
       double opt = ExactDiversityMaximization(p, pts, m, k).value;
       // alpha+eps bound, generous eps to absorb tiny-input effects.
-      EXPECT_GE(r.diversity * alpha * 2.0 + 1e-9, opt)
+      EXPECT_GE(r->diversity * alpha * 2.0 + 1e-9, opt)
           << ProblemName(p) << " seed " << seed;
     }
   }
@@ -111,9 +118,10 @@ TEST(MrDiversityTest, CompositionRobustToPartitioning) {
     MrOptions o = BasicOptions(8, 32, 4);
     o.partition = strat;
     MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-    MrResult r = mr.Run(pts);
-    best = std::max(best, r.diversity);
-    worst = std::min(worst, r.diversity);
+    StatusOr<MrResult> r = mr.TryRun(pts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    best = std::max(best, r->diversity);
+    worst = std::min(worst, r->diversity);
   }
   EXPECT_GT(worst, 0.0);
   EXPECT_LT(best / worst, 2.0);  // no partition collapses the quality
@@ -126,16 +134,17 @@ TEST(MrDiversityTest, GeneralizedThreeRounds) {
        {DiversityProblem::kRemoteClique, DiversityProblem::kRemoteStar,
         DiversityProblem::kRemoteBipartition, DiversityProblem::kRemoteTree}) {
     MapReduceDiversity mr(&m, p, BasicOptions(5, 10, 4));
-    MrResult r = mr.RunGeneralized(pts);
-    EXPECT_EQ(r.rounds, 3u) << ProblemName(p);
-    EXPECT_EQ(r.solution.size(), 5u) << ProblemName(p);
+    StatusOr<MrResult> r = mr.TryRunGeneralized(pts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rounds, 3u) << ProblemName(p);
+    EXPECT_EQ(r->solution.size(), 5u) << ProblemName(p);
     // Distinct points.
-    for (size_t i = 0; i < r.solution.size(); ++i) {
-      for (size_t j = i + 1; j < r.solution.size(); ++j) {
-        EXPECT_FALSE(r.solution[i] == r.solution[j]) << ProblemName(p);
+    for (size_t i = 0; i < r->solution.size(); ++i) {
+      for (size_t j = i + 1; j < r->solution.size(); ++j) {
+        EXPECT_FALSE(r->solution[i] == r->solution[j]) << ProblemName(p);
       }
     }
-    EXPECT_GT(r.diversity, 0.0) << ProblemName(p);
+    EXPECT_GT(r->diversity, 0.0) << ProblemName(p);
   }
 }
 
@@ -144,10 +153,12 @@ TEST(MrDiversityTest, GeneralizedUsesSmallerAggregateCoreset) {
   PointSet pts = GenerateUniformCube(2000, 2, /*seed=*/6);
   MrOptions o = BasicOptions(16, 32, 4);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, o);
-  MrResult two_round = mr.Run(pts);
-  MrResult three_round = mr.RunGeneralized(pts);
+  StatusOr<MrResult> two_round = mr.TryRun(pts);
+  ASSERT_TRUE(two_round.ok()) << two_round.status().ToString();
+  StatusOr<MrResult> three_round = mr.TryRunGeneralized(pts);
+  ASSERT_TRUE(three_round.ok()) << three_round.status().ToString();
   // Generalized: l*k' pairs vs up to l*k'*k points.
-  EXPECT_LT(three_round.coreset_size, two_round.coreset_size);
+  EXPECT_LT(three_round->coreset_size, two_round->coreset_size);
 }
 
 TEST(MrDiversityTest, GeneralizedQualityComparableToTwoRound) {
@@ -159,8 +170,12 @@ TEST(MrDiversityTest, GeneralizedQualityComparableToTwoRound) {
   PointSet pts = GenerateSphereDataset(sopts);
   MrOptions o = BasicOptions(6, 24, 4);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, o);
-  double two = mr.Run(pts).diversity;
-  double three = mr.RunGeneralized(pts).diversity;
+  StatusOr<MrResult> two_run = mr.TryRun(pts);
+  ASSERT_TRUE(two_run.ok()) << two_run.status().ToString();
+  double two = two_run->diversity;
+  StatusOr<MrResult> three_run = mr.TryRunGeneralized(pts);
+  ASSERT_TRUE(three_run.ok()) << three_run.status().ToString();
+  double three = three_run->diversity;
   EXPECT_GT(three, 0.5 * two);
 }
 
@@ -171,10 +186,11 @@ TEST(MrDiversityTest, RecursiveMultiRound) {
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
   // Budget 200 points per reducer: 4000 -> 20 parts * 8 = 160 <= 200, so two
   // coreset levels are NOT needed; force more with a tighter budget.
-  MrResult r = mr.RunRecursive(pts, 200);
-  EXPECT_EQ(r.solution.size(), 4u);
-  EXPECT_GE(r.rounds, 2u);
-  EXPECT_LE(r.max_local_memory_points, 200u);
+  StatusOr<MrResult> r = mr.TryRunRecursive(pts, 200);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 4u);
+  EXPECT_GE(r->rounds, 2u);
+  EXPECT_LE(r->max_local_memory_points, 200u);
 }
 
 TEST(MrDiversityTest, RecursiveDeepRecursion) {
@@ -182,11 +198,12 @@ TEST(MrDiversityTest, RecursiveDeepRecursion) {
   PointSet pts = GenerateUniformCube(5000, 2, /*seed=*/8);
   MrOptions o = BasicOptions(2, 4, 4);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-  MrResult r = mr.RunRecursive(pts, 50);
-  EXPECT_EQ(r.solution.size(), 2u);
-  EXPECT_GE(r.rounds, 3u);  // 5000 -> ~400 -> ~32 -> solve
-  EXPECT_LE(r.max_local_memory_points, 50u);
-  EXPECT_GT(r.diversity, 0.0);
+  StatusOr<MrResult> r = mr.TryRunRecursive(pts, 50);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 2u);
+  EXPECT_GE(r->rounds, 3u);  // 5000 -> ~400 -> ~32 -> solve
+  EXPECT_LE(r->max_local_memory_points, 50u);
+  EXPECT_GT(r->diversity, 0.0);
 }
 
 TEST(MrDiversityTest, ShuffleVolumeAccounted) {
@@ -195,9 +212,10 @@ TEST(MrDiversityTest, ShuffleVolumeAccounted) {
   size_t k = 4, k_prime = 8, parts = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(k, k_prime, parts));
-  MrResult r = mr.Run(pts);
+  StatusOr<MrResult> r = mr.TryRun(pts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Round 1 ships l*k' core-set points; round 2 ships the k-point solution.
-  EXPECT_EQ(r.shuffle_points, parts * k_prime + k);
+  EXPECT_EQ(r->shuffle_points, parts * k_prime + k);
 }
 
 TEST(MrDiversityTest, RoundTimingAccountedPerRound) {
@@ -205,13 +223,15 @@ TEST(MrDiversityTest, RoundTimingAccountedPerRound) {
   PointSet pts = GenerateUniformCube(300, 2, /*seed=*/10);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(4, 8, 4));
-  MrResult two = mr.Run(pts);
-  EXPECT_EQ(two.round_seconds.size(), two.rounds);
+  StatusOr<MrResult> two = mr.TryRun(pts);
+  ASSERT_TRUE(two.ok()) << two.status().ToString();
+  EXPECT_EQ(two->round_seconds.size(), two->rounds);
   MapReduceDiversity mrc(&m, DiversityProblem::kRemoteClique,
                          BasicOptions(4, 8, 4));
-  MrResult three = mrc.RunGeneralized(pts);
-  EXPECT_EQ(three.round_seconds.size(), three.rounds);
-  for (double s : three.round_seconds) EXPECT_GE(s, 0.0);
+  StatusOr<MrResult> three = mrc.TryRunGeneralized(pts);
+  ASSERT_TRUE(three.ok()) << three.status().ToString();
+  EXPECT_EQ(three->round_seconds.size(), three->rounds);
+  for (double s : three->round_seconds) EXPECT_GE(s, 0.0);
 }
 
 TEST(MrDiversityTest, GeneralizedSolutionPointsComeFromInput) {
@@ -219,8 +239,9 @@ TEST(MrDiversityTest, GeneralizedSolutionPointsComeFromInput) {
   PointSet pts = GenerateUniformCube(400, 2, /*seed=*/11);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteTree,
                         BasicOptions(5, 10, 4));
-  MrResult r = mr.RunGeneralized(pts);
-  for (const Point& s : r.solution) {
+  StatusOr<MrResult> r = mr.TryRunGeneralized(pts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  for (const Point& s : r->solution) {
     bool found = false;
     for (const Point& p : pts) {
       if (p == s) {
@@ -237,7 +258,7 @@ TEST(MrDiversityDeathTest, RecursiveRejectsBudgetBelowKPrime) {
   PointSet pts = GenerateUniformCube(500, 2, /*seed=*/12);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(4, 64, 4));
-  EXPECT_DEATH(mr.RunRecursive(pts, 32), "CHECK failed");
+  EXPECT_DEATH((void)mr.TryRunRecursive(pts, 32), "CHECK failed");
 }
 
 TEST(MrDiversityDeathTest, GeneralizedRejectsNonInjectiveProblems) {
@@ -245,7 +266,7 @@ TEST(MrDiversityDeathTest, GeneralizedRejectsNonInjectiveProblems) {
   PointSet pts = GenerateUniformCube(100, 2, /*seed=*/9);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(4, 8, 2));
-  EXPECT_DEATH(mr.RunGeneralized(pts), "CHECK failed");
+  EXPECT_DEATH((void)mr.TryRunGeneralized(pts), "CHECK failed");
 }
 
 }  // namespace

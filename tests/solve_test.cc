@@ -1,11 +1,14 @@
 #include "api/solve.h"
 
 #include <limits>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/cover_tree.h"
 #include "core/metric.h"
+#include "core/screen.h"
 #include "data/synthetic.h"
 
 namespace diverse {
@@ -42,13 +45,14 @@ TEST_P(SolveBackendTest, ProducesValidSolution) {
   opts.problem = c.problem;
   opts.backend = c.backend;
   opts.k = 6;
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.solution.size(), 6u);
-  EXPECT_GT(r.diversity, 0.0);
-  EXPECT_GE(r.seconds, 0.0);
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 6u);
+  EXPECT_GT(r->diversity, 0.0);
+  EXPECT_GE(r->seconds, 0.0);
   if (c.backend != Backend::kSequential) {
-    EXPECT_GT(r.coreset_size, 0u);
-    EXPECT_GE(r.rounds_or_passes, 1u);
+    EXPECT_GT(r->coreset_size, 0u);
+    EXPECT_GE(r->rounds_or_passes, 1u);
   }
 }
 
@@ -85,26 +89,30 @@ TEST(SolveTest, AutoDefaultsApplied) {
   SolveOptions opts;
   opts.backend = Backend::kMapReduce;
   opts.k = 4;  // k_prime, partitions, workers all auto
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.solution.size(), 4u);
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 4u);
   // auto k' = 16, auto partitions = 8 -> coreset 8*16.
-  EXPECT_EQ(r.coreset_size, 128u);
+  EXPECT_EQ(r->coreset_size, 128u);
 }
 
-TEST(SolveTest, SmallInputClampsKAndPartitions) {
+// More partitions than points is valid (the extra reducers see empty
+// partitions); only k > n is rejected.
+TEST(SolveTest, MorePartitionsThanPoints) {
   EuclideanMetric metric;
   PointSet pts = GenerateUniformCube(3, 2, /*seed=*/13);
   SolveOptions opts;
   opts.backend = Backend::kMapReduce;
-  opts.k = 8;
+  opts.k = 3;
   opts.num_partitions = 16;
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.solution.size(), 3u);  // whole input
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 3u);  // whole input
 }
 
 // ---------------------------------------------------------------------------
-// TrySolve: the strictly validated entry point. Solve() keeps its clamping
-// contract (asserted elsewhere); TrySolve must reject what Solve absorbs.
+// TrySolve validation: structurally invalid requests are rejected, never
+// adjusted.
 
 TEST(TrySolveTest, RejectsZeroK) {
   EuclideanMetric metric;
@@ -169,37 +177,56 @@ TEST(TrySolveTest, RejectsGeneralizedBackendOnNonInjectiveProblem) {
   }
 }
 
-TEST(TrySolveTest, ValidInputMatchesSolve) {
+// The PointSet overload only wraps its input in a Dataset: both overloads
+// give the same answer on every backend.
+TEST(TrySolveTest, PointSetAndDatasetOverloadsAgreeOnAllBackends) {
   EuclideanMetric metric;
   PointSet pts = GenerateUniformCube(300, 2, /*seed=*/36);
-  for (Backend b : {Backend::kSequential, Backend::kStreaming,
-                    Backend::kMapReduce}) {
+  Dataset data = Dataset::FromPoints(pts);
+  for (Backend b :
+       {Backend::kSequential, Backend::kStreaming, Backend::kStreamingTwoPass,
+        Backend::kMapReduce, Backend::kMapReduceRandomized,
+        Backend::kMapReduceGeneralized, Backend::kMapReduceRecursive}) {
     SolveOptions opts;
+    opts.problem = DiversityProblem::kRemoteClique;
     opts.backend = b;
     opts.k = 6;
     opts.seed = 36;
-    SolveResult want = Solve(pts, metric, opts);
+    StatusOr<SolveResult> want = TrySolve(data, metric, opts);
     StatusOr<SolveResult> got = TrySolve(pts, metric, opts);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_EQ(got->solution.size(), want.solution.size());
-    for (size_t i = 0; i < want.solution.size(); ++i) {
-      EXPECT_TRUE(got->solution[i] == want.solution[i]) << BackendName(b);
-    }
-    EXPECT_EQ(got->diversity, want.diversity) << BackendName(b);
+    ASSERT_TRUE(want.ok()) << BackendName(b) << ": " << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << BackendName(b) << ": " << got.status().ToString();
+    EXPECT_EQ(got->solution, want->solution) << BackendName(b);
+    EXPECT_EQ(got->diversity, want->diversity) << BackendName(b);
+    EXPECT_EQ(got->coreset_size, want->coreset_size) << BackendName(b);
+    EXPECT_EQ(got->rounds_or_passes, want->rounds_or_passes) << BackendName(b);
     EXPECT_FALSE(got->degraded.has_value());
   }
 }
 
-// The legacy entry point must keep absorbing what TrySolve rejects — both
-// contracts are load-bearing.
-TEST(TrySolveTest, LegacySolveStillClamps) {
-  EuclideanMetric metric;
-  PointSet pts = GenerateUniformCube(5, 2, /*seed=*/37);
-  SolveOptions opts;
-  opts.k = 50;
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.solution.size(), 5u);  // clamped, not rejected
-  EXPECT_TRUE(Solve(PointSet{}, metric, opts).solution.empty());
+// The screening/indexing guards count the scopes that disable them, so
+// releasing two disabling guards out of order — as two overlapping TrySolve
+// calls with screening = indexing = false can — turns both tiers back on.
+TEST(SolveTest, ToggleGuardsReleasedOutOfOrderRestoreBothTiers) {
+  auto first_screen = std::make_unique<ScopedScreening>(false);
+  auto first_index = std::make_unique<ScopedIndexing>(false);
+  auto second_screen = std::make_unique<ScopedScreening>(false);
+  auto second_index = std::make_unique<ScopedIndexing>(false);
+  {
+    // An enabling guard cannot override a live disabling one.
+    ScopedScreening on(true);
+    ScopedIndexing index_on(true);
+    EXPECT_FALSE(ScreeningEnabled());
+    EXPECT_FALSE(IndexingEnabled());
+  }
+  first_screen.reset();
+  first_index.reset();
+  EXPECT_FALSE(ScreeningEnabled());
+  EXPECT_FALSE(IndexingEnabled());
+  second_screen.reset();
+  second_index.reset();
+  EXPECT_TRUE(ScreeningEnabled());
+  EXPECT_TRUE(IndexingEnabled());
 }
 
 TEST(SolveTest, SequentialMatchesDirectCall) {
@@ -208,10 +235,11 @@ TEST(SolveTest, SequentialMatchesDirectCall) {
   SolveOptions opts;
   opts.problem = DiversityProblem::kRemoteEdge;
   opts.k = 5;
-  SolveResult r = Solve(pts, metric, opts);
-  EXPECT_EQ(r.rounds_or_passes, 0u);
-  EXPECT_EQ(r.coreset_size, 0u);
-  EXPECT_EQ(r.solution.size(), 5u);
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rounds_or_passes, 0u);
+  EXPECT_EQ(r->coreset_size, 0u);
+  EXPECT_EQ(r->solution.size(), 5u);
 }
 
 }  // namespace

@@ -500,22 +500,6 @@ TEST(SparseTileTest, EmptySparseRowsAndSingletons) {
   ExpectSparseTileMatchesScalar(pts, pts, "empty-singleton");
 }
 
-TEST(SparseTileTest, ColumnOccupancyMirrorDoesNotChangeResults) {
-  PointSet pts = SparseCorpus(100, 300, 5, 60, /*seed=*/205);
-  Dataset plain = Dataset::FromPoints(pts);
-  Dataset mirrored = Dataset::FromPoints(pts);
-  mirrored.BuildColumnOccupancy();
-  ASSERT_NE(mirrored.column_occupancy(), nullptr);
-  ASSERT_EQ(plain.column_occupancy(), nullptr);
-  size_t nq = 11, nr = 90;
-  for (const auto& metric : AllMetrics()) {
-    std::vector<double> a(nq * nr), b(nq * nr);
-    metric->DistanceTile(plain, 2, nq, plain, 5, nr, a.data(), nr);
-    metric->DistanceTile(mirrored, 2, nq, mirrored, 5, nr, b.data(), nr);
-    EXPECT_EQ(a, b) << metric->Name();
-  }
-}
-
 TEST(SparseTileTest, SparseStatsTrackAppendsAndClears) {
   Dataset d;
   d.Append(Point::Sparse({1, 3}, {1.0f, 2.0f}, 10));
@@ -525,11 +509,6 @@ TEST(SparseTileTest, SparseStatsTrackAppendsAndClears) {
   EXPECT_EQ(d.sparse_stats().total_nnz, 6u);
   EXPECT_EQ(d.sparse_stats().max_nnz, 4u);
   EXPECT_DOUBLE_EQ(d.sparse_stats().AvgNnz(), 3.0);
-  d.BuildColumnOccupancy();
-  ASSERT_NE(d.column_occupancy(), nullptr);
-  EXPECT_EQ((*d.column_occupancy())[2], 1u);
-  d.Append(Point::Sparse({2}, {5.0f}, 10));
-  EXPECT_EQ(d.column_occupancy(), nullptr);  // stale mirror invalidated
   d.Clear();
   EXPECT_EQ(d.sparse_stats().rows, 0u);
   EXPECT_EQ(d.sparse_stats().total_nnz, 0u);
