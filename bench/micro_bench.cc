@@ -35,7 +35,6 @@
 #include "core/metric.h"
 #include "core/screen.h"
 #include "core/sequential.h"
-#include "core/unfused_screen_metric.h"
 #include "core/vector_kernels.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
@@ -232,9 +231,9 @@ BENCHMARK(BM_GmmBatched50k)->Arg(1)->Arg(2)->Arg(4)
 // --- Per-center sweeps vs blocked multi-center tiles ---------------------
 // The acceptance workload of the tile layer: dense k-center assignment of
 // k=64 centers over n=50k points, single-threaded. The per-center variant
-// is the PR 1 path (one RelaxAndArgFarthest sweep per center, n rows
-// streamed k times); the tiled variant loads each row block once for all
-// centers (RelaxTilesAndArgFarthest).
+// is the PR 1 path (one exact ScreenedRelaxArgFarthest sweep per center, n
+// rows streamed k times); the tiled variant loads each row block once for
+// all centers (RelaxTilesAndArgFarthest).
 
 constexpr size_t kAssignN = 50000;
 constexpr size_t kAssignK = 64;
@@ -248,12 +247,13 @@ void BM_KCenterAssignPerCenter(benchmark::State& state) {
   std::vector<size_t> centers = Gmm(data, m, kAssignK).selected;
   std::vector<double> dist;
   std::vector<size_t> assignment(kAssignN);
+  ScopedScreening off(false);
   for (auto _ : state) {
     dist.assign(kAssignN, std::numeric_limits<double>::infinity());
     size_t farthest = 0;
     for (size_t c = 0; c < centers.size(); ++c) {
-      farthest = m.RelaxAndArgFarthest(data.point(centers[c]), data, dist,
-                                       assignment, c);
+      farthest = ScreenedRelaxArgFarthest(m, data, centers[c], data, dist,
+                                          assignment, c);
     }
     benchmark::DoNotOptimize(farthest);
   }
@@ -524,8 +524,33 @@ struct ScreenedSweepSetup {
   std::vector<double> dist;
   std::vector<size_t> assignment;
 
+  // The screened sweep under test: the fused
+  // ScreenedRelaxTilesAndArgFarthest or, when `unfused`, its
+  // materialize-then-collect form. Single-threaded the screened sweep is
+  // one range, so one UnfusedScreenedRelaxTile call over all rows plus the
+  // argmax scan is exactly the unfused sweep.
+  size_t Sweep(const Metric& metric, bool unfused, std::vector<double>& d,
+               std::vector<size_t>& a) const {
+    if (!unfused) {
+      return ScreenedRelaxTilesAndArgFarthest(
+          metric, center_rows, 0, center_rows.size(), 0, data, d, a);
+    }
+    ScreenSideStats qs = SideStatsOf(center_rows);
+    ScreenSideStats ds = SideStatsOf(data);
+    UnfusedScreenedRelaxTile(metric, center_rows, 0, center_rows.size(), 0,
+                             data, 0, data.size(),
+                             metric.ScreenErrorBound(qs, ds, data.dim()), d,
+                             a);
+    size_t farthest = 0;
+    for (size_t i = 1; i < d.size(); ++i) {
+      if (d[i] > d[farthest]) farthest = i;
+    }
+    return farthest;
+  }
+
   // Returns false (after SkipWithError) if screened != exact.
-  bool VerifyAndReportRescue(benchmark::State& state, const Metric& metric) {
+  bool VerifyAndReportRescue(benchmark::State& state, const Metric& metric,
+                             bool unfused = false) {
     std::vector<double> exact_dist(data.size(),
                                    std::numeric_limits<double>::infinity());
     std::vector<size_t> exact_assign(data.size(), 0);
@@ -540,9 +565,7 @@ struct ScreenedSweepSetup {
     std::vector<double> sdist(data.size(),
                               std::numeric_limits<double>::infinity());
     std::vector<size_t> sassign(data.size(), 0);
-    size_t far = ScreenedRelaxTilesAndArgFarthest(
-        counting, center_rows, 0, center_rows.size(), 0, data, sdist,
-        sassign);
+    size_t far = Sweep(counting, unfused, sdist, sassign);
     if (far != exact_far || sdist != exact_dist || sassign != exact_assign) {
       state.SkipWithError("screened sweep diverged from exact sweep");
       return false;
@@ -765,17 +788,14 @@ BENCHMARK(BM_FusedScreenRelaxDense)->Arg(3)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FusedScreenRelaxDenseUnfused(benchmark::State& state) {
-  EuclideanMetric inner;
-  UnfusedScreenMetric m(&inner);
+  EuclideanMetric m;
   size_t dim = static_cast<size_t>(state.range(0));
   SetGlobalThreadPoolSize(1);
   ScreenedSweepSetup s = MakeDenseScreenedSweep(dim);
-  if (!s.VerifyAndReportRescue(state, m)) return;
+  if (!s.VerifyAndReportRescue(state, m, /*unfused=*/true)) return;
   for (auto _ : state) {
     s.dist.assign(kScreenN, std::numeric_limits<double>::infinity());
-    size_t farthest = ScreenedRelaxTilesAndArgFarthest(
-        m, s.center_rows, 0, s.center_rows.size(), 0, s.data, s.dist,
-        s.assignment);
+    size_t farthest = s.Sweep(m, /*unfused=*/true, s.dist, s.assignment);
     benchmark::DoNotOptimize(farthest);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -60,8 +60,8 @@ ScopedIndexing::~ScopedIndexing() {
   if (disables_) g_indexing_disablers.fetch_sub(1, std::memory_order_relaxed);
 }
 
-bool UseIndexing(const Metric& metric) {
-  return IndexingEnabled() && metric.SupportsMetricIndexing();
+bool UseIndexing(const Metric& metric, const Dataset& data) {
+  return IndexingEnabled() && metric.IndexSlack(data).abs < kInf;
 }
 
 const IndexGate& GetIndexGate() { return g_index_gate; }
@@ -112,7 +112,7 @@ bool IndexProfitable(const Dataset& data, const Metric& metric, size_t k) {
 
 bool OneShotIndexProfitable(const Metric& metric, const Dataset& queries,
                             size_t nq, const Dataset& data) {
-  if (!UseIndexing(metric)) return false;
+  if (!UseIndexing(metric, data)) return false;
   const IndexGate& g = GetIndexGate();
   if (g.force < 0) return false;
   if (g.force == 0 && (data.size() < g.oneshot_min_rows ||
@@ -174,7 +174,8 @@ CoverTree CoverTree::Build(const Dataset& data, const Metric& metric) {
   double build_sb_inv = 0.0;
   bool f32_sweeps = false;
   if (UseScreening(metric)) {
-    build_sb = metric.ScreenErrorBound(data, data);
+    const ScreenSideStats ds = SideStatsOf(data);
+    build_sb = metric.ScreenErrorBound(ds, ds, data.dim());
     if (build_sb.rel < 1.0) {
       build_sb_inv = (1.0 + 1e-12) / (1.0 - build_sb.rel);
       f32_sweeps = true;
@@ -416,9 +417,11 @@ struct LazyTraversal {
     keeps.clear();
     keeps.reserve(merged.size());
     const size_t span_rows = nd.end - nd.begin;
+    const uint32_t center = static_cast<uint32_t>(nd.center);
     for (uint32_t rank : merged) {
-      double dc =
-          metric.DistanceRows(centers, center_rows[rank], leaf, nd.center);
+      double dc;
+      metric.DistanceRowsMany(centers, center_rows[rank], leaf, {&center, 1},
+                              &dc);
       ++stats->bound_evals;
       if (tree.Deflate(dc) - nd.radius > cur_ub) {
         stats->pruned_pairs += span_rows;

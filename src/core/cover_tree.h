@@ -36,7 +36,7 @@
 // cost. Traversals are single-threaded and deterministic; concurrent
 // traversals over one shared (immutable) tree are safe.
 //
-// Indexing is gated: metrics must opt in (SupportsMetricIndexing — the
+// Indexing is gated: metrics must opt in (a finite Metric::IndexSlack — the
 // triangle inequality is load-bearing; dot-product-style similarities stay
 // flat), a global toggle mirrors the screening toggle, and a deterministic
 // profitability probe estimates the doubling dimension of a sample before
@@ -77,9 +77,10 @@ class ScopedIndexing {
   bool disables_;
 };
 
-/// True when indexed traversals may run for `metric` (toggle on and the
-/// metric opted into triangle-inequality pruning).
-bool UseIndexing(const Metric& metric);
+/// True when indexed traversals may run for `metric` over `data` (toggle on
+/// and the metric opted into triangle-inequality pruning: its IndexSlack
+/// over `data` is finite).
+bool UseIndexing(const Metric& metric, const Dataset& data);
 
 /// Deterministic profitability gate for the index. All fields are read-only
 /// dataset/problem statistics in, one bool out — no scheduling dependence.

@@ -186,10 +186,11 @@ std::optional<PointSet> Instantiate(const GeneralizedCoreset& coreset,
         queries.Append(entries[pending[c0 + q]].point);
         candidates[q].clear();
       }
-      bool chunk_screened =
-          screened && metric.ScreeningProfitableFor(queries, data);
+      const ScreenSideStats qs = SideStatsOf(queries);
+      const ScreenSideStats ds = SideStatsOf(data);
+      bool chunk_screened = screened && metric.ScreeningProfitableFor(qs, ds);
       ScreenBound bound;
-      if (chunk_screened) bound = metric.ScreenErrorBound(queries, data);
+      if (chunk_screened) bound = metric.ScreenErrorBound(qs, ds, data.dim());
       for (size_t rb = 0; rb < data.size(); rb += kRowBlock) {
         size_t rn = std::min(kRowBlock, data.size() - rb);
         if (chunk_screened) {

@@ -69,7 +69,7 @@ GmmResult Gmm(const Dataset& data, const Metric& metric, size_t k,
   // build the metric index once and run the lazy-greedy traversal — bit-
   // identical selections, trajectories, assignments, and range, with per-
   // step work proportional to the contended frontier instead of n.
-  if (UseIndexing(metric) && IndexProfitable(data, metric, k)) {
+  if (UseIndexing(metric, data) && IndexProfitable(data, metric, k)) {
     CoverTree tree = CoverTree::Build(data, metric);
     return LazyGreedyGmm(data, tree, metric, k, first);
   }

@@ -48,7 +48,7 @@ struct GmmResult {
 /// Runs GMM for k steps on columnar `data` under `metric`, starting from
 /// row `first`. Requires 1 <= k <= data.size() and first < data.size().
 /// Cost: exactly k * n distance evaluations, executed as k fused
-/// relax-and-argmax sweeps (Metric::RelaxAndArgFarthest) — devirtualized
+/// relax-and-argmax sweeps (ScreenedRelaxArgFarthest) — devirtualized
 /// over the columnar rows and parallelized for large n. The selected index
 /// sequence is deterministic and identical to the scalar reference at any
 /// thread count.

@@ -59,27 +59,42 @@ inline double ScreenedUpper(float s, const ScreenBound& b) {
   return d + (b.rel * d + b.abs);
 }
 
+/// The statistics of one side of a sweep — a query point, a query dataset,
+/// or the swept data — that the screening bounds and the kernel gates read.
+/// Reading nothing else keeps every bound and every gate verdict
+/// deterministic and independent of thread count.
+struct ScreenSideStats {
+  bool has_dense = false;     ///< some row (or the point) is dense
+  bool has_sparse = false;    ///< some row (or the point) is sparse
+  size_t max_sparse_nnz = 0;  ///< largest sparse support
+  /// Smallest strictly positive norm (+inf when there is none).
+  double min_positive_norm = std::numeric_limits<double>::infinity();
+};
+
+ScreenSideStats SideStatsOf(const Dataset& data);
+ScreenSideStats SideStatsOf(const Point& point);
+
 /// Interface for a distance function over `Point`s.
 ///
 /// Implementations must satisfy the metric axioms: nonnegativity,
 /// d(x,x) = 0, symmetry, and the triangle inequality (property-tested in
-/// tests/metric_test.cc).
+/// tests/metric_test.cc). Only Distance and Name are required; every other
+/// member has a base-class fallback that is correct for any metric, so
+/// user-defined metrics work without overriding anything.
 ///
-/// Besides the scalar `Distance`, metrics expose *batched* kernels over
-/// columnar `Dataset` storage (core/dataset.h). The batch-kernel contract:
+/// The batched kernels run over columnar `Dataset` storage
+/// (core/dataset.h). The batch-kernel contract:
 ///   * out[i] == Distance(query, data.point(begin + i)) bit-for-bit — the
 ///     batch path runs the same shared kernels (core/vector_kernels.h) in
 ///     the same order as the scalar path;
 ///   * exactly as many distance evaluations are performed as the signature
-///     implies (out.size(), resp. data.size()) — CountingMetric relies on
-///     this to keep work accounting machine-independent;
+///     implies (out.size(), nq * nr, rows.size()) — CountingMetric relies
+///     on this to keep work accounting machine-independent;
 ///   * results are deterministic at any thread count: rows are partitioned
 ///     into ranges that depend only on the input size, and reductions
 ///     combine ranges in ascending order.
-/// The concrete metrics below override the batch kernels with devirtualized
-/// loops over the columnar rows, parallelized on GlobalThreadPool() for
-/// large sweeps; the base-class implementations are scalar fallbacks so
-/// user-defined metrics stay correct without overriding anything.
+/// The built-in metrics (KernelMetric below) implement them with
+/// devirtualized loops over the columnar rows.
 class Metric {
  public:
   virtual ~Metric() = default;
@@ -87,23 +102,18 @@ class Metric {
   /// Distance between two points. Must be thread-safe.
   virtual double Distance(const Point& a, const Point& b) const = 0;
 
-  /// Batched kernel: out[i] = Distance(query, data.point(begin + i)) for
-  /// i in [0, out.size()). Requires begin + out.size() <= data.size().
+  /// out[i] = Distance(query, data.point(begin + i)) for i in
+  /// [0, out.size()). Requires begin + out.size() <= data.size().
+  /// Parallelized on GlobalThreadPool for large sweeps.
   virtual void DistanceToMany(const Point& query, const Dataset& data,
                               size_t begin, std::span<double> out) const;
 
-  /// Fused one-vs-rest relax-and-argmax — one GMM / k-center step in a
-  /// single sweep. For every row i:
-  ///   d = Distance(query, data.point(i));
-  ///   if (d < dist[i]) { dist[i] = d; if assignment given:
-  ///                      assignment[i] = center_rank; }
-  /// Returns the smallest index maximizing the post-update dist[] (the
-  /// farthest point from the center set dist[] summarizes). Requires
-  /// dist.size() == data.size(), and assignment empty or the same size.
-  virtual size_t RelaxAndArgFarthest(const Point& query, const Dataset& data,
-                                     std::span<double> dist,
-                                     std::span<size_t> assignment = {},
-                                     size_t center_rank = 0) const;
+  /// fp32 screening sweep: out[i] approximates
+  /// Distance(query, data.point(begin + i)) within ScreenErrorBound of the
+  /// two sides' statistics. Computed on the calling thread — screened
+  /// sweeps partition work themselves.
+  virtual void DistanceToManyF32(const Point& query, const Dataset& data,
+                                 size_t begin, std::span<float> out) const;
 
   /// Blocked many-vs-many kernel: a Q x R tile of distances,
   ///   out[q * out_stride + r] =
@@ -112,7 +122,7 @@ class Metric {
   /// r_begin + nr <= data.size(), and out_stride >= nr (out_stride lets
   /// callers write tiles directly into a larger row-major matrix).
   ///
-  /// The concrete metrics compute dense x dense blocks with the multi-query
+  /// The built-in metrics compute dense x dense blocks with the multi-query
   /// lane kernels of core/vector_kernels.h and sparse x sparse blocks with
   /// the blocked CSR intersection kernels of core/sparse_kernels.h (each
   /// sparse query block is decoded once and every CSR row streamed a single
@@ -120,82 +130,55 @@ class Metric {
   /// Mixed dense/sparse pairs run the exact per-pair scalar merge, as do
   /// sparse blocks whose layout the strategy picker deems unprofitable
   /// (the choice reads only the block and the Dataset's nnz statistics, so
-  /// it never changes results or determinism). Evaluation count is exactly
-  /// nq * nr. The tile is computed on the calling thread: callers that want
-  /// parallelism partition their work into tiles across the thread pool
-  /// (see RelaxTilesAndArgFarthest / DistanceMatrix), which keeps nested
-  /// kernel calls deadlock-free and results independent of thread count.
+  /// it never changes results or determinism). The tile is computed on the
+  /// calling thread: callers that want parallelism partition their work
+  /// into tiles across the thread pool (see RelaxTilesAndArgFarthest in
+  /// core/screen.h), which keeps nested kernel calls deadlock-free and
+  /// results independent of thread count.
   virtual void DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,
                             const Dataset& data, size_t r_begin, size_t nr,
                             double* out, size_t out_stride) const;
 
   /// fp32 screening tile: same geometry as DistanceTile but float outputs,
-  /// each approximating the exact distance within the bound returned by
-  /// ScreenErrorBound(queries, data). Computed on the calling thread. The
+  /// each approximating the exact distance within ScreenErrorBound. The
   /// base implementation runs the exact DistanceTile and narrows to float
-  /// (bound: one fp32 rounding); the concrete metrics whose
-  /// ScreeningProfitable() is true override it with true fp32-accumulation
-  /// kernels (16 dense lanes, fp32 sparse union/intersection walks).
-  /// Overriding this without overriding ScreenErrorBound to match is a
-  /// correctness bug — the screened sweeps certify skips against the bound.
+  /// (bound: one fp32 rounding). Overriding this without overriding
+  /// ScreenErrorBound to match is a correctness bug — the screened sweeps
+  /// certify skips against the bound.
   virtual void DistanceTileF32(const Dataset& queries, size_t q_begin,
                                size_t nq, const Dataset& data, size_t r_begin,
                                size_t nr, float* out,
                                size_t out_stride) const;
 
-  /// fp32 screening sweep: out[i] approximates
-  /// Distance(query, data.point(begin + i)) within
-  /// ScreenErrorBound(query, data). Unlike DistanceToMany this is computed
-  /// on the calling thread — screened sweeps partition work themselves.
-  virtual void DistanceToManyF32(const Point& query, const Dataset& data,
-                                 size_t begin, std::span<float> out) const;
-
-  /// Exact distance between two columnar rows — the rescue path of the
-  /// screened sweeps. Bit-identical to Distance(a.point(i), b.point(j)):
-  /// the concrete metrics run the same shared kernels on the columnar row
-  /// views, and every kernel is symmetric in its operands bit for bit.
-  virtual double DistanceRows(const Dataset& a, size_t i, const Dataset& b,
-                              size_t j) const;
-
-  /// Batched rescue: out[t] = DistanceRows(a, i, b, rows[t]) for every
-  /// listed row, in one call — the screened sweeps gather a tile's rescued
-  /// rows and pay one virtual dispatch (and, for Euclidean, one batched
-  /// SQRTPD pass) instead of one per rescue. Computed on the calling
-  /// thread.
+  /// Exact distances from row i of `a` to each listed row of `b`:
+  /// out[t] == Distance(a.point(i), b.point(rows[t])) bit for bit (every
+  /// kernel is symmetric in its operands). The rescue path of the screened
+  /// sweeps — they gather a tile's rescued rows and pay one call (and, for
+  /// Euclidean, one batched SQRTPD pass) — and, with one row, the exact
+  /// distance of a single row pair. Computed on the calling thread.
   virtual void DistanceRowsMany(const Dataset& a, size_t i, const Dataset& b,
                                 std::span<const uint32_t> rows,
                                 double* out) const;
 
-  /// Fused screen + relax + rescue over a row range — the screened tile
-  /// sweep without the intermediate fp32 tile. Produces EXACTLY the relax
-  /// fold of RelaxTilesAndArgFarthest over centers [q_begin, q_begin + nq)
-  /// and rows [r_begin, r_begin + nr): final dist[r] is the exact minimum
-  /// over the incoming value and all center distances, assignment[r] the
-  /// rank_base-relative rank of the FIRST center achieving it (strict-min
-  /// semantics, exact ties to the lowest rank) — bit-identical to the
-  /// exact tile path. The fp32 screen and the certified skip tests (per-
-  /// row thresholds derived from dist[r] and `bound`; see core/screen.h)
-  /// only decide WHICH pairs pay an exact evaluation. Returns that number
-  /// of exact evaluations, which CountingMetric adds to its exact counter.
-  /// Implementations may certify skips more aggressively than the base
-  /// loop — the count is deterministic (a function of fp32 values and the
-  /// bound alone) and never exceeds nq * nr, but it is NOT promised equal
-  /// across implementations: the fused overrides typically rescue fewer
-  /// pairs than the base loop (tested fused <= unfused in screen_test).
-  /// dist/assignment span the whole dataset (absolute row indexing);
-  /// computed on the calling thread (screened sweeps partition rows
-  /// themselves). Requires bound.rel < 1 and bound == the value
-  /// ScreenErrorBound(queries, data) returned; callers gate on
+  /// Fused screen + relax + rescue over a row range. Produces EXACTLY the
+  /// relax fold of RelaxTilesAndArgFarthest over centers
+  /// [q_begin, q_begin + nq) and rows [r_begin, r_begin + nr): final dist[r]
+  /// is the exact minimum over the incoming value and all center distances,
+  /// assignment[r] the rank_base-relative rank of the FIRST center achieving
+  /// it. The fp32 screen and the certified skip tests only decide WHICH
+  /// pairs pay an exact evaluation; the return value is that number, which
+  /// CountingMetric adds to its exact counter. The count is deterministic
+  /// and never exceeds nq * nr, but implementations may certify skips more
+  /// aggressively than the base loop (fused <= unfused is tested in
+  /// screen_test). dist/assignment span the whole dataset (absolute row
+  /// indexing); computed on the calling thread. Requires bound.rel < 1 and
+  /// `bound` == ScreenErrorBound of the two datasets; callers gate on
   /// RelaxTileScreeningProfitableFor first.
   ///
-  /// The base implementation materializes thread-local fp32 tiles through
-  /// DistanceTileF32 and batches rescues through DistanceRowsMany — correct
-  /// for any metric. The concrete dense metrics override it with a
-  /// register-resident fused loop (one 16-lane fp32 kernel call and one
-  /// packed threshold compare per row, band hits resolved by a certified
-  /// per-row argmin screen), and CosineMetric additionally screens sparse
-  /// blocks in cosine space (per-row cos thresholds — no acos on the skip
-  /// path).
+  /// The base implementation is UnfusedScreenedRelaxTile (core/screen.h),
+  /// correct for any metric. The built-in screening metrics replace it with
+  /// a register-resident fused loop on all-dense layouts, and cosine also
+  /// screens all-sparse blocks in cosine space (no acos on the skip path).
   virtual size_t ScreenedRelaxTile(const Dataset& queries, size_t q_begin,
                                    size_t nq, size_t rank_base,
                                    const Dataset& data, size_t r_begin,
@@ -203,110 +186,82 @@ class Metric {
                                    std::span<double> dist,
                                    std::span<size_t> assignment) const;
 
-  /// Certified |screened - exact| bound valid for every (query row, data
-  /// row) pair of DistanceTileF32 over these datasets. Reads only dataset
-  /// statistics (dim, nnz maxima, norm extrema), so the bound — and hence
-  /// every rescue decision — is deterministic.
-  virtual ScreenBound ScreenErrorBound(const Dataset& queries,
-                                       const Dataset& data) const;
-
-  /// Same bound for a single-point query (DistanceToManyF32).
-  virtual ScreenBound ScreenErrorBound(const Point& query,
-                                       const Dataset& data) const;
+  /// Certified |screened - exact| bound valid for every (query, data row)
+  /// pair of the fp32 kernels, from the statistics of the two sides and the
+  /// ambient dimension. The base returns one fp32 rounding, which matches
+  /// its narrowing fp32 fallbacks.
+  virtual ScreenBound ScreenErrorBound(const ScreenSideStats& queries,
+                                       const ScreenSideStats& data,
+                                       size_t dim) const;
 
   /// True when the fp32 kernels above are real reduced-precision
   /// implementations that make a screening pass cheaper than the exact
-  /// sweep. The base class returns false (its default F32 kernels do full
-  /// exact work and then narrow), as does Jaccard (integer-exact support
-  /// counting is already the cheap path, and its discrete value set makes
-  /// screened ties — which always rescue — common). The screened sweeps of
-  /// core/screen.h fall back to the exact path when this is false.
+  /// sweep. False for the base class (its fp32 kernels do full exact work
+  /// and then narrow) and for Jaccard (integer-exact support counting is
+  /// already the cheap path, and its discrete value set makes screened ties
+  /// — which always rescue — common). The screened sweeps of core/screen.h
+  /// fall back to the exact path when this is false.
   virtual bool ScreeningProfitable() const { return false; }
 
-  /// Layout-aware refinement of ScreeningProfitable for a concrete sweep —
-  /// the gate the screened sweeps actually consult. Reads only dataset
-  /// statistics, so the decision (like every rescue decision) is
-  /// deterministic and thread-count independent; either verdict yields
-  /// bit-identical results, the gate only moves cost. The base forwards to
-  /// ScreeningProfitable(); CosineMetric narrows it to dense-only layouts
-  /// (the sparse angular tile is intersection-walk bound — index probing,
-  /// not arithmetic — so halving the accumulator width gains little while
-  /// rescues pay full per-pair merges).
-  virtual bool ScreeningProfitableFor(const Dataset& queries,
-                                      const Dataset& data) const;
-  virtual bool ScreeningProfitableFor(const Point& query,
-                                      const Dataset& data) const;
+  /// Layout-aware refinement of ScreeningProfitable — the gate the
+  /// screened sweeps actually consult. Either verdict yields bit-identical
+  /// results; the gate only moves cost. Cosine narrows it to dense-only
+  /// layouts (the sparse angular kernels are intersection-walk bound, so
+  /// halving the accumulator width gains little while rescues pay full
+  /// per-pair merges).
+  virtual bool ScreeningProfitableFor(const ScreenSideStats& /*queries*/,
+                                      const ScreenSideStats& /*data*/) const {
+    return ScreeningProfitable();
+  }
 
   /// Gate for the fused screened tile relax (ScreenedRelaxTile). Defaults
-  /// to ScreeningProfitableFor(queries, data); CosineMetric widens it to
-  /// all-sparse layouts, which its fused kernel screens in cosine space —
-  /// profitable where the unfused angular tile (an acos per pair even on
-  /// the skip path) measured a net loss. Reads only dataset statistics.
-  virtual bool RelaxTileScreeningProfitableFor(const Dataset& queries,
-                                               const Dataset& data) const;
-
-  /// True when Distance is a genuine metric whose triangle inequality the
-  /// metric index (core/cover_tree.h) may prune with, and IndexSlack()
-  /// below returns a certified rounding band for the exact kernels. The
-  /// base class returns false: user-defined "distances" (dot-product
-  /// similarity and friends) need not satisfy the triangle inequality at
-  /// all, so indexing stays gated off unless a metric opts in. All four
-  /// built-in metrics opt in — the cosine distance here is the *angular*
-  /// distance, a genuine metric, so its node bounds prune in angular space.
-  virtual bool SupportsMetricIndexing() const { return false; }
+  /// to ScreeningProfitableFor; cosine widens it to all-sparse layouts,
+  /// which its fused kernel screens in cosine space.
+  virtual bool RelaxTileScreeningProfitableFor(
+      const ScreenSideStats& queries, const ScreenSideStats& data) const {
+    return ScreeningProfitableFor(queries, data);
+  }
 
   /// Certified rounding slack of the *exact double* kernels: for every row
   /// pair, |computed - true| <= rel * computed + abs. The metric index
-  /// chains three computed distances through the triangle inequality
-  /// (center-to-center, node radius, and the bounded pair), so it inflates
-  /// each bound by a 4x multiple of this band before pruning — a prune is
-  /// then sound even though the chained values are computed doubles, not
-  /// true reals (derivation in the README). Reads only dataset statistics,
-  /// so every prune decision is deterministic. The base returns an
-  /// unbounded band (abs = +inf): every prune test fails — sound, and
-  /// consistent with SupportsMetricIndexing() == false.
+  /// (core/cover_tree.h) chains three computed distances through the
+  /// triangle inequality (center-to-center, node radius, and the bounded
+  /// pair), so it inflates each bound by a 4x multiple of this band before
+  /// pruning — a prune is then sound even though the chained values are
+  /// computed doubles, not true reals (derivation in the README). Reads only
+  /// dataset statistics, so every prune decision is deterministic.
+  ///
+  /// A finite band is also the opt-in to indexing at all. The base returns
+  /// an unbounded band (abs = +inf), which keeps the index off: user-defined
+  /// "distances" (dot-product similarity and friends) need not satisfy the
+  /// triangle inequality. All four built-in metrics opt in — the cosine
+  /// distance here is the angular distance, a genuine metric, so its node
+  /// bounds prune in angular space.
   virtual ScreenBound IndexSlack(const Dataset& data) const;
 
   /// Human-readable metric name, e.g. "euclidean".
   virtual std::string Name() const = 0;
 };
 
-/// Fused multi-center relax-and-argmax over blocked tiles: exactly
-/// equivalent to calling
-///   metric.RelaxAndArgFarthest(queries.point(q_begin + q), data, dist,
-///                              assignment, rank_base + q)
-/// once per q in ascending order and keeping the last return value, but
-/// executed as one blocked pass over `data` (each row block is loaded once
-/// for all nq centers instead of once per center). Parallelized over row
-/// ranges on GlobalThreadPool(); range boundaries and the first-max argmax
-/// combination depend only on the input sizes, so results are deterministic
-/// at any thread count. Costs exactly nq * data.size() evaluations through
-/// metric.DistanceTile. Requires nq >= 1 and dist.size() == data.size().
-size_t RelaxTilesAndArgFarthest(const Metric& metric, const Dataset& queries,
-                                size_t q_begin, size_t nq, size_t rank_base,
-                                const Dataset& data, std::span<double> dist,
-                                std::span<size_t> assignment = {});
-
-/// Standard Euclidean (L2) distance.
-class EuclideanMetric final : public Metric {
+/// The built-in metrics: one implementation of every kernel above,
+/// parameterized on a kernel trait K (core/metric.cc) that supplies the
+/// exact and fp32 pair and lane kernels, the certified screening bound and
+/// index slack, the gates, and the name. The members are defined and
+/// explicitly instantiated for the four traits in core/metric.cc.
+template <typename K>
+class KernelMetric final : public Metric {
  public:
   double Distance(const Point& a, const Point& b) const override;
   void DistanceToMany(const Point& query, const Dataset& data, size_t begin,
                       std::span<double> out) const override;
-  size_t RelaxAndArgFarthest(const Point& query, const Dataset& data,
-                             std::span<double> dist,
-                             std::span<size_t> assignment = {},
-                             size_t center_rank = 0) const override;
+  void DistanceToManyF32(const Point& query, const Dataset& data,
+                         size_t begin, std::span<float> out) const override;
   void DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,
                     const Dataset& data, size_t r_begin, size_t nr,
                     double* out, size_t out_stride) const override;
   void DistanceTileF32(const Dataset& queries, size_t q_begin, size_t nq,
                        const Dataset& data, size_t r_begin, size_t nr,
                        float* out, size_t out_stride) const override;
-  void DistanceToManyF32(const Point& query, const Dataset& data,
-                         size_t begin, std::span<float> out) const override;
-  double DistanceRows(const Dataset& a, size_t i, const Dataset& b,
-                      size_t j) const override;
   void DistanceRowsMany(const Dataset& a, size_t i, const Dataset& b,
                         std::span<const uint32_t> rows,
                         double* out) const override;
@@ -315,134 +270,57 @@ class EuclideanMetric final : public Metric {
                            size_t r_begin, size_t nr, const ScreenBound& bound,
                            std::span<double> dist,
                            std::span<size_t> assignment) const override;
-  ScreenBound ScreenErrorBound(const Dataset& queries,
-                               const Dataset& data) const override;
-  ScreenBound ScreenErrorBound(const Point& query,
-                               const Dataset& data) const override;
-  bool ScreeningProfitable() const override { return true; }
-  bool SupportsMetricIndexing() const override { return true; }
+  ScreenBound ScreenErrorBound(const ScreenSideStats& queries,
+                               const ScreenSideStats& data,
+                               size_t dim) const override;
+  bool ScreeningProfitable() const override;
+  bool ScreeningProfitableFor(const ScreenSideStats& queries,
+                              const ScreenSideStats& data) const override;
+  bool RelaxTileScreeningProfitableFor(
+      const ScreenSideStats& queries,
+      const ScreenSideStats& data) const override;
   ScreenBound IndexSlack(const Dataset& data) const override;
-  std::string Name() const override { return "euclidean"; }
+  std::string Name() const override;
 };
 
+struct EuclideanKernel;
+struct ManhattanKernel;
+struct CosineKernel;
+struct JaccardKernel;
+
+/// Standard Euclidean (L2) distance.
+using EuclideanMetric = KernelMetric<EuclideanKernel>;
+
 /// Rectilinear (L1 / Manhattan) distance.
-class ManhattanMetric final : public Metric {
- public:
-  double Distance(const Point& a, const Point& b) const override;
-  void DistanceToMany(const Point& query, const Dataset& data, size_t begin,
-                      std::span<double> out) const override;
-  size_t RelaxAndArgFarthest(const Point& query, const Dataset& data,
-                             std::span<double> dist,
-                             std::span<size_t> assignment = {},
-                             size_t center_rank = 0) const override;
-  void DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,
-                    const Dataset& data, size_t r_begin, size_t nr,
-                    double* out, size_t out_stride) const override;
-  void DistanceTileF32(const Dataset& queries, size_t q_begin, size_t nq,
-                       const Dataset& data, size_t r_begin, size_t nr,
-                       float* out, size_t out_stride) const override;
-  void DistanceToManyF32(const Point& query, const Dataset& data,
-                         size_t begin, std::span<float> out) const override;
-  double DistanceRows(const Dataset& a, size_t i, const Dataset& b,
-                      size_t j) const override;
-  size_t ScreenedRelaxTile(const Dataset& queries, size_t q_begin, size_t nq,
-                           size_t rank_base, const Dataset& data,
-                           size_t r_begin, size_t nr, const ScreenBound& bound,
-                           std::span<double> dist,
-                           std::span<size_t> assignment) const override;
-  ScreenBound ScreenErrorBound(const Dataset& queries,
-                               const Dataset& data) const override;
-  ScreenBound ScreenErrorBound(const Point& query,
-                               const Dataset& data) const override;
-  bool ScreeningProfitable() const override { return true; }
-  bool SupportsMetricIndexing() const override { return true; }
-  ScreenBound IndexSlack(const Dataset& data) const override;
-  std::string Name() const override { return "manhattan"; }
-};
+using ManhattanMetric = KernelMetric<ManhattanKernel>;
 
 /// Angular cosine distance arccos(u.v / (|u||v|)) in radians, exactly the
 /// `dist` function of the paper's Section 7. Zero vectors are at distance 0
 /// from each other and pi/2 from any nonzero vector (the convention that
 /// keeps the function a metric on the datasets we generate, which exclude
 /// zero vectors anyway).
-class CosineMetric final : public Metric {
- public:
-  double Distance(const Point& a, const Point& b) const override;
-  void DistanceToMany(const Point& query, const Dataset& data, size_t begin,
-                      std::span<double> out) const override;
-  size_t RelaxAndArgFarthest(const Point& query, const Dataset& data,
-                             std::span<double> dist,
-                             std::span<size_t> assignment = {},
-                             size_t center_rank = 0) const override;
-  void DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,
-                    const Dataset& data, size_t r_begin, size_t nr,
-                    double* out, size_t out_stride) const override;
-  void DistanceTileF32(const Dataset& queries, size_t q_begin, size_t nq,
-                       const Dataset& data, size_t r_begin, size_t nr,
-                       float* out, size_t out_stride) const override;
-  void DistanceToManyF32(const Point& query, const Dataset& data,
-                         size_t begin, std::span<float> out) const override;
-  double DistanceRows(const Dataset& a, size_t i, const Dataset& b,
-                      size_t j) const override;
-  size_t ScreenedRelaxTile(const Dataset& queries, size_t q_begin, size_t nq,
-                           size_t rank_base, const Dataset& data,
-                           size_t r_begin, size_t nr, const ScreenBound& bound,
-                           std::span<double> dist,
-                           std::span<size_t> assignment) const override;
-  ScreenBound ScreenErrorBound(const Dataset& queries,
-                               const Dataset& data) const override;
-  ScreenBound ScreenErrorBound(const Point& query,
-                               const Dataset& data) const override;
-  bool ScreeningProfitable() const override { return true; }
-  bool ScreeningProfitableFor(const Dataset& queries,
-                              const Dataset& data) const override;
-  bool ScreeningProfitableFor(const Point& query,
-                              const Dataset& data) const override;
-  /// Dense tiles screen in angular space (fused); all-sparse tiles screen
-  /// in cosine space through the blocked CSR dot engine — the skip path
-  /// pays one multiply-compare per pair instead of an arccos.
-  bool RelaxTileScreeningProfitableFor(const Dataset& queries,
-                                       const Dataset& data) const override;
-  bool SupportsMetricIndexing() const override { return true; }
-  ScreenBound IndexSlack(const Dataset& data) const override;
-  std::string Name() const override { return "cosine"; }
-};
+using CosineMetric = KernelMetric<CosineKernel>;
 
 /// Jaccard distance between coordinate supports (the "dissimilarity distance
-/// in database queries" of the paper's introduction).
-class JaccardMetric final : public Metric {
- public:
-  double Distance(const Point& a, const Point& b) const override;
-  void DistanceToMany(const Point& query, const Dataset& data, size_t begin,
-                      std::span<double> out) const override;
-  size_t RelaxAndArgFarthest(const Point& query, const Dataset& data,
-                             std::span<double> dist,
-                             std::span<size_t> assignment = {},
-                             size_t center_rank = 0) const override;
-  void DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,
-                    const Dataset& data, size_t r_begin, size_t nr,
-                    double* out, size_t out_stride) const override;
-  // Keeps the base-class fp32 kernels (exact work + narrow) and the
-  // ScreeningProfitable() = false default: support counting is
-  // integer-exact, so there is no cheaper reduced-precision form, and the
-  // discrete value set would make screened ties (always rescued) common.
-  double DistanceRows(const Dataset& a, size_t i, const Dataset& b,
-                      size_t j) const override;
-  bool SupportsMetricIndexing() const override { return true; }
-  ScreenBound IndexSlack(const Dataset& data) const override;
-  std::string Name() const override { return "jaccard"; }
-};
+/// in database queries" of the paper's introduction). Never screens: it
+/// keeps the base-class fp32 fallbacks.
+using JaccardMetric = KernelMetric<JaccardKernel>;
+
+extern template class KernelMetric<EuclideanKernel>;
+extern template class KernelMetric<ManhattanKernel>;
+extern template class KernelMetric<CosineKernel>;
+extern template class KernelMetric<JaccardKernel>;
 
 /// Decorator that counts distance evaluations. The count is the standard
 /// machine-independent cost measure for diversity/clustering algorithms and
 /// is used by tests (complexity assertions) and benches (work accounting).
 /// Batched kernels count the exact number of evaluations they perform
-/// (out.size() / data.size() per the batch-kernel contract), so the counter
-/// agrees with the scalar path for identical work regardless of batching or
-/// thread count. Screened (fp32) and exact (double) evaluations are
-/// accounted separately: the exact count of a screened sweep is its rescue
-/// work and never exceeds the count the pre-screening path would have paid
-/// for the same sweep.
+/// (out.size(), nq * nr or rows.size() per the batch-kernel contract), so
+/// the counter agrees with the scalar path for identical work regardless of
+/// batching or thread count. Screened (fp32) and exact (double) evaluations
+/// are accounted separately: the exact count of a screened sweep is its
+/// rescue work and never exceeds the count the pre-screening path would
+/// have paid for the same sweep.
 class CountingMetric final : public Metric {
  public:
   /// Wraps `base`, which must outlive this object.
@@ -459,13 +337,10 @@ class CountingMetric final : public Metric {
     base_->DistanceToMany(query, data, begin, out);
   }
 
-  size_t RelaxAndArgFarthest(const Point& query, const Dataset& data,
-                             std::span<double> dist,
-                             std::span<size_t> assignment = {},
-                             size_t center_rank = 0) const override {
-    count_.fetch_add(dist.size(), std::memory_order_relaxed);
-    return base_->RelaxAndArgFarthest(query, data, dist, assignment,
-                                      center_rank);
+  void DistanceToManyF32(const Point& query, const Dataset& data,
+                         size_t begin, std::span<float> out) const override {
+    screened_.fetch_add(out.size(), std::memory_order_relaxed);
+    base_->DistanceToManyF32(query, data, begin, out);
   }
 
   void DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,
@@ -482,18 +357,6 @@ class CountingMetric final : public Metric {
     screened_.fetch_add(nq * nr, std::memory_order_relaxed);
     base_->DistanceTileF32(queries, q_begin, nq, data, r_begin, nr, out,
                            out_stride);
-  }
-
-  void DistanceToManyF32(const Point& query, const Dataset& data,
-                         size_t begin, std::span<float> out) const override {
-    screened_.fetch_add(out.size(), std::memory_order_relaxed);
-    base_->DistanceToManyF32(query, data, begin, out);
-  }
-
-  double DistanceRows(const Dataset& a, size_t i, const Dataset& b,
-                      size_t j) const override {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    return base_->DistanceRows(a, i, b, j);
   }
 
   void DistanceRowsMany(const Dataset& a, size_t i, const Dataset& b,
@@ -519,37 +382,25 @@ class CountingMetric final : public Metric {
     return rescued;
   }
 
-  ScreenBound ScreenErrorBound(const Dataset& queries,
-                               const Dataset& data) const override {
-    return base_->ScreenErrorBound(queries, data);
-  }
-
-  ScreenBound ScreenErrorBound(const Point& query,
-                               const Dataset& data) const override {
-    return base_->ScreenErrorBound(query, data);
+  ScreenBound ScreenErrorBound(const ScreenSideStats& queries,
+                               const ScreenSideStats& data,
+                               size_t dim) const override {
+    return base_->ScreenErrorBound(queries, data, dim);
   }
 
   bool ScreeningProfitable() const override {
     return base_->ScreeningProfitable();
   }
 
-  bool ScreeningProfitableFor(const Dataset& queries,
-                              const Dataset& data) const override {
+  bool ScreeningProfitableFor(const ScreenSideStats& queries,
+                              const ScreenSideStats& data) const override {
     return base_->ScreeningProfitableFor(queries, data);
   }
 
-  bool ScreeningProfitableFor(const Point& query,
-                              const Dataset& data) const override {
-    return base_->ScreeningProfitableFor(query, data);
-  }
-
-  bool RelaxTileScreeningProfitableFor(const Dataset& queries,
-                                       const Dataset& data) const override {
+  bool RelaxTileScreeningProfitableFor(
+      const ScreenSideStats& queries,
+      const ScreenSideStats& data) const override {
     return base_->RelaxTileScreeningProfitableFor(queries, data);
-  }
-
-  bool SupportsMetricIndexing() const override {
-    return base_->SupportsMetricIndexing();
   }
 
   ScreenBound IndexSlack(const Dataset& data) const override {

@@ -19,18 +19,8 @@ namespace {
 // Live ScopedScreening(false) guards; screening is on iff there are none.
 std::atomic<int> g_screening_disablers{0};
 
-// Same grain rule as the exact batched sweeps (core/metric.cc): a fixed
-// amount of coordinate work per range, boundaries a function of (n, grain)
-// only. The screened argmax combines ranges ascending with strict
-// comparisons, so — like the exact path — ties resolve to the globally
-// first index no matter how the ranges are cut.
-constexpr size_t kGrainOps = 16384;
-constexpr size_t kMinGrainRows = 256;
-
-size_t GrainRows(const Dataset& data) {
-  size_t dim = std::max<size_t>(data.dim(), 1);
-  return std::max(kMinGrainRows, kGrainOps / dim);
-}
+// Rows per chunk of a single-query relax: bounds the thread-local scratch.
+constexpr size_t kRelaxChunk = 512;
 
 // Single-query *relax* sweeps (GMM's per-center loop) still gate on per-row
 // coordinate work: their fp32 pass re-reads a materialized buffer and the
@@ -70,7 +60,63 @@ size_t ExactArgClosest(const Metric& metric, const Point& query,
   return best;
 }
 
+// The parallel skeleton of every relax-and-argmax sweep: runs
+// relax(lo, hi) over all rows of `data` — GrainRows ranges on the pool,
+// each cut into blocks of at most `block` rows — and returns the smallest
+// index maximizing the relaxed dist[]. Each range folds its first maximum
+// block by block while the block is cache-warm; ranges combine in ascending
+// order with a strict comparison, which reproduces a sequential first-max
+// scan exactly at any thread count. relax(lo, hi) may touch only rows
+// [lo, hi) of dist and assignment.
+template <typename RelaxFn>
+size_t RelaxArgFarthestRanges(const Dataset& data, std::span<double> dist,
+                              std::span<size_t> assignment, size_t block,
+                              const RelaxFn& relax) {
+  size_t n = data.size();
+  DIVERSE_CHECK_EQ(dist.size(), n);
+  if (!assignment.empty()) DIVERSE_CHECK_EQ(assignment.size(), n);
+  if (n == 0) return 0;
+  size_t grain = GrainRows(data);
+  size_t num_ranges = (n + grain - 1) / grain;
+  // SIZE_MAX marks ranges a single inline call subsumed (the pool runs the
+  // whole sweep as one range when the work is small or it has one worker).
+  std::vector<size_t> range_best(num_ranges, SIZE_MAX);
+  GlobalThreadPool().ParallelForRanges(n, grain, [&](size_t lo, size_t hi) {
+    size_t local_best = lo;
+    double local_val = -std::numeric_limits<double>::infinity();
+    for (size_t b = lo; b < hi;) {
+      size_t e = hi - b > block ? b + block : hi;
+      relax(b, e);
+      for (; b < e; ++b) {
+        if (dist[b] > local_val) {
+          local_val = dist[b];
+          local_best = b;
+        }
+      }
+    }
+    range_best[lo / grain] = local_best;
+  });
+  size_t best = range_best[0];
+  DIVERSE_CHECK_LT(best, n);
+  for (size_t r = 1; r < num_ranges; ++r) {
+    size_t candidate = range_best[r];
+    if (candidate == SIZE_MAX) continue;
+    if (dist[candidate] > dist[best]) best = candidate;
+  }
+  return best;
+}
+
 }  // namespace
+
+size_t GrainRows(const Dataset& data) {
+  // A fixed amount of coordinate work per range, so dispatch overhead stays
+  // negligible at any dimension, with a floor that keeps ranges coarse for
+  // very high-dimensional rows.
+  constexpr size_t kGrainOps = 16384;
+  constexpr size_t kMinGrainRows = 256;
+  size_t dim = std::max<size_t>(data.dim(), 1);
+  return std::max(kMinGrainRows, kGrainOps / dim);
+}
 
 void CollectScreenRescues(const float* t, const float* thr, size_t count,
                           uint32_t base, std::vector<uint32_t>& out) {
@@ -117,72 +163,147 @@ bool UseScreening(const Metric& metric) {
   return ScreeningEnabled() && metric.ScreeningProfitable();
 }
 
+size_t RelaxTilesAndArgFarthest(const Metric& metric, const Dataset& queries,
+                                size_t q_begin, size_t nq, size_t rank_base,
+                                const Dataset& data, std::span<double> dist,
+                                std::span<size_t> assignment) {
+  DIVERSE_CHECK_GE(nq, 1u);
+  DIVERSE_CHECK_LE(q_begin + nq, queries.size());
+  // Row block per tile: small enough that a kQChunk x kRowBlock tile stays
+  // cache-resident (the relax pass re-reads every tile entry right after it
+  // is written), large enough to amortize the per-block query transpose.
+  constexpr size_t kRowBlock = 256;
+  // Centers per tile: bounds the scratch to kQChunk * kRowBlock doubles
+  // (128 KiB); within one DistanceTile call each data row is fetched once
+  // for all kQChunk centers.
+  constexpr size_t kQChunk = 64;
+  return RelaxArgFarthestRanges(
+      data, dist, assignment, kRowBlock, [&](size_t rb, size_t re) {
+        thread_local std::vector<double> tile;
+        size_t rn = re - rb;
+        for (size_t qc = 0; qc < nq; qc += kQChunk) {
+          size_t qn = std::min(kQChunk, nq - qc);
+          tile.resize(qn * rn);
+          metric.DistanceTile(queries, q_begin + qc, qn, data, rb, rn,
+                              tile.data(), rn);
+          // Relax centers in ascending rank order: identical to the
+          // sequential one-center-at-a-time relax loop, including ties
+          // (strictly smaller wins, earliest rank kept). Center-major order
+          // streams the tile sequentially while the block's dist (and
+          // assignment) slices stay cache-resident.
+          for (size_t q = 0; q < qn; ++q) {
+            const double* tile_row = tile.data() + q * rn;
+            if (assignment.empty()) {
+              for (size_t i = 0; i < rn; ++i) {
+                if (tile_row[i] < dist[rb + i]) dist[rb + i] = tile_row[i];
+              }
+            } else {
+              size_t rank = rank_base + qc + q;
+              for (size_t i = 0; i < rn; ++i) {
+                if (tile_row[i] < dist[rb + i]) {
+                  dist[rb + i] = tile_row[i];
+                  assignment[rb + i] = rank;
+                }
+              }
+            }
+          }
+        }
+      });
+}
+
+size_t UnfusedScreenedRelaxTile(const Metric& metric, const Dataset& queries,
+                                size_t q_begin, size_t nq, size_t rank_base,
+                                const Dataset& data, size_t r_begin,
+                                size_t nr, const ScreenBound& bound,
+                                std::span<double> dist,
+                                std::span<size_t> assignment) {
+  constexpr size_t kRowBlock = 256;
+  constexpr size_t kQChunk = 64;
+  const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
+  size_t exact_evals = 0;
+  thread_local std::vector<float> tile;
+  thread_local std::vector<float> thr;
+  thread_local std::vector<uint32_t> rescue;
+  thread_local std::vector<double> rescued_d;
+  for (size_t rb = 0; rb < nr; rb += kRowBlock) {
+    size_t rn = std::min(kRowBlock, nr - rb);
+    size_t row0 = r_begin + rb;
+    thr.resize(rn);
+    for (size_t i = 0; i < rn; ++i) {
+      thr[i] = ScreenSkipThreshold(dist[row0 + i], bound.abs, inv_rel);
+    }
+    for (size_t qc = 0; qc < nq; qc += kQChunk) {
+      size_t qn = std::min(kQChunk, nq - qc);
+      tile.resize(qn * rn);
+      metric.DistanceTileF32(queries, q_begin + qc, qn, data, row0, rn,
+                             tile.data(), rn);
+      for (size_t q = 0; q < qn; ++q) {
+        const float* tile_row = tile.data() + q * rn;
+        rescue.clear();
+        CollectScreenRescues(tile_row, thr.data(), rn,
+                             static_cast<uint32_t>(row0), rescue);
+        if (rescue.empty()) continue;
+        rescued_d.resize(rescue.size());
+        metric.DistanceRowsMany(queries, q_begin + qc + q, data, rescue,
+                                rescued_d.data());
+        exact_evals += rescue.size();
+        size_t rank = rank_base + qc + q;
+        for (size_t t = 0; t < rescue.size(); ++t) {
+          size_t row = rescue[t];
+          double d = rescued_d[t];
+          if (d < dist[row]) {
+            dist[row] = d;
+            if (!assignment.empty()) assignment[row] = rank;
+            thr[row - row0] = ScreenSkipThreshold(d, bound.abs, inv_rel);
+          }
+        }
+      }
+    }
+  }
+  return exact_evals;
+}
+
 size_t ScreenedRelaxTilesAndArgFarthest(const Metric& metric,
                                         const Dataset& queries, size_t q_begin,
                                         size_t nq, size_t rank_base,
                                         const Dataset& data,
                                         std::span<double> dist,
                                         std::span<size_t> assignment) {
-  if (!UseScreening(metric) ||
-      !metric.RelaxTileScreeningProfitableFor(queries, data)) {
-    return RelaxTilesAndArgFarthest(metric, queries, q_begin, nq, rank_base,
-                                    data, dist, assignment);
-  }
-  size_t n = data.size();
-  DIVERSE_CHECK_GE(nq, 1u);
-  DIVERSE_CHECK_LE(q_begin + nq, queries.size());
-  DIVERSE_CHECK_EQ(dist.size(), n);
-  if (!assignment.empty()) DIVERSE_CHECK_EQ(assignment.size(), n);
-  if (n == 0) return 0;
-
-  // One bound for the whole sweep. A degenerate bound (rel >= 1 — possible only at astronomical term
-  // counts) would invert the skip-threshold transform, so such sweeps run
-  // exact instead.
-  const ScreenBound bound = metric.ScreenErrorBound(queries, data);
-  if (!(bound.rel < 1.0)) {
-    return RelaxTilesAndArgFarthest(metric, queries, q_begin, nq, rank_base,
-                                    data, dist, assignment);
-  }
-
-  size_t grain = GrainRows(data);
-  size_t num_ranges = (n + grain - 1) / grain;
-  std::vector<size_t> range_best(num_ranges, SIZE_MAX);
-  GlobalThreadPool().ParallelForRanges(n, grain, [&](size_t lo, size_t hi) {
-    // The whole screen + relax + rescue loop for this row range runs inside
-    // the metric's fused kernel — no intermediate fp32 tile for the dense
-    // metrics, cosine-space thresholds for all-sparse cosine tiles, and
-    // the unfused materialize-then-collect fallback otherwise.
-    metric.ScreenedRelaxTile(queries, q_begin, nq, rank_base, data, lo,
-                             hi - lo, bound, dist, assignment);
-    size_t local_best = lo;
-    double local_val = -std::numeric_limits<double>::infinity();
-    for (size_t i = lo; i < hi; ++i) {
-      if (dist[i] > local_val) {
-        local_val = dist[i];
-        local_best = i;
-      }
+  const ScreenSideStats qs = SideStatsOf(queries);
+  const ScreenSideStats ds = SideStatsOf(data);
+  if (UseScreening(metric) && metric.RelaxTileScreeningProfitableFor(qs, ds)) {
+    // One bound for the whole sweep. A degenerate bound (rel >= 1 —
+    // possible only at astronomical term counts) would invert the
+    // skip-threshold transform, so such sweeps run exact instead.
+    const ScreenBound bound = metric.ScreenErrorBound(qs, ds, data.dim());
+    if (bound.rel < 1.0) {
+      DIVERSE_CHECK_GE(nq, 1u);
+      DIVERSE_CHECK_LE(q_begin + nq, queries.size());
+      // The whole screen + relax + rescue loop for a row range runs inside
+      // the metric's fused kernel — no intermediate fp32 tile for the dense
+      // metrics, cosine-space thresholds for all-sparse cosine tiles, and
+      // the unfused materialize-then-collect loop otherwise.
+      return RelaxArgFarthestRanges(
+          data, dist, assignment, SIZE_MAX, [&](size_t lo, size_t hi) {
+            metric.ScreenedRelaxTile(queries, q_begin, nq, rank_base, data,
+                                     lo, hi - lo, bound, dist, assignment);
+          });
     }
-    range_best[lo / grain] = local_best;
-  });
-
-  size_t best = range_best[0];
-  DIVERSE_CHECK_LT(best, n);
-  for (size_t r = 1; r < num_ranges; ++r) {
-    size_t candidate = range_best[r];
-    if (candidate == SIZE_MAX) continue;
-    if (dist[candidate] > dist[best]) best = candidate;
   }
-  return best;
+  return RelaxTilesAndArgFarthest(metric, queries, q_begin, nq, rank_base,
+                                  data, dist, assignment);
 }
 
 RelaxScreenPlan PlanScreenedRelax(const Metric& metric, const Dataset& queries,
                                   const Dataset& data) {
   RelaxScreenPlan plan;
+  const ScreenSideStats qs = SideStatsOf(queries);
+  const ScreenSideStats ds = SideStatsOf(data);
   if (!UseScreening(metric) || !SingleQueryScreenWorthwhile(data) ||
-      !metric.ScreeningProfitableFor(queries, data)) {
+      !metric.ScreeningProfitableFor(qs, ds)) {
     return plan;
   }
-  plan.bound = metric.ScreenErrorBound(queries, data);
+  plan.bound = metric.ScreenErrorBound(qs, ds, data.dim());
   if (!(plan.bound.rel < 1.0)) return plan;  // degenerate: run exact
   plan.inv_rel = (1.0 + 1e-12) / (1.0 - plan.bound.rel);
   plan.screen = true;
@@ -200,14 +321,13 @@ size_t ScreenedRelaxRange(const Metric& metric, const Dataset& queries,
   if (!assignment.empty()) DIVERSE_CHECK_EQ(assignment.size(), data.size());
   if (count == 0) return 0;
   const Point& query = queries.point(q_index);
-  constexpr size_t kChunk = 512;
   size_t end = begin + count;
   if (!plan.screen) {
-    // Exact per-pair relax through the batched kernel — the same doubles
-    // Metric::RelaxAndArgFarthest folds, chunked to bound scratch.
+    // Exact per-pair relax through the batched kernel, chunked to bound
+    // scratch.
     thread_local std::vector<double> dbuf;
-    for (size_t c0 = begin; c0 < end; c0 += kChunk) {
-      size_t cn = std::min(kChunk, end - c0);
+    for (size_t c0 = begin; c0 < end; c0 += kRelaxChunk) {
+      size_t cn = std::min(kRelaxChunk, end - c0);
       dbuf.resize(cn);
       metric.DistanceToMany(query, data, c0,
                             std::span<double>(dbuf.data(), cn));
@@ -220,18 +340,17 @@ size_t ScreenedRelaxRange(const Metric& metric, const Dataset& queries,
     }
     return count;
   }
-  // The flat sweep's chunk body verbatim, over [begin, end). Per-row fp32
-  // values, skip thresholds, and rescue verdicts are functions of the pair
-  // and the row's incoming dist alone (the per-row kernels do not couple
-  // rows), so chunk alignment cannot move a decision: this IS the flat
-  // sweep restricted to these rows.
+  // Per-row fp32 values, skip thresholds, and rescue verdicts are functions
+  // of the pair and the row's incoming dist alone (the per-row kernels do
+  // not couple rows), so chunk alignment cannot move a decision: any row
+  // range relaxes exactly as it would inside a full sweep.
   thread_local std::vector<float> buf;
   thread_local std::vector<float> thr;
   thread_local std::vector<uint32_t> rescue;
   thread_local std::vector<double> rescued_d;
   size_t exact_evals = 0;
-  for (size_t c0 = begin; c0 < end; c0 += kChunk) {
-    size_t cn = std::min(kChunk, end - c0);
+  for (size_t c0 = begin; c0 < end; c0 += kRelaxChunk) {
+    size_t cn = std::min(kRelaxChunk, end - c0);
     buf.resize(cn);
     thr.resize(cn);
     metric.DistanceToManyF32(query, data, c0,
@@ -265,77 +384,12 @@ size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& queries,
                                 std::span<size_t> assignment,
                                 size_t center_rank) {
   DIVERSE_CHECK_LT(q_index, queries.size());
-  if (!UseScreening(metric) || !SingleQueryScreenWorthwhile(data) ||
-      !metric.ScreeningProfitableFor(queries, data)) {
-    return metric.RelaxAndArgFarthest(queries.point(q_index), data, dist,
-                                      assignment, center_rank);
-  }
-  size_t n = data.size();
-  DIVERSE_CHECK_EQ(dist.size(), n);
-  if (!assignment.empty()) DIVERSE_CHECK_EQ(assignment.size(), n);
-  if (n == 0) return 0;
-
-  const ScreenBound bound = metric.ScreenErrorBound(queries, data);
-  if (!(bound.rel < 1.0)) {  // degenerate bound: the transform would invert
-    return metric.RelaxAndArgFarthest(queries.point(q_index), data, dist,
-                                      assignment, center_rank);
-  }
-  const Point& query = queries.point(q_index);
-  const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
-  constexpr size_t kChunk = 512;
-
-  size_t grain = GrainRows(data);
-  size_t num_ranges = (n + grain - 1) / grain;
-  std::vector<size_t> range_best(num_ranges, SIZE_MAX);
-  GlobalThreadPool().ParallelForRanges(n, grain, [&](size_t lo, size_t hi) {
-    thread_local std::vector<float> buf;
-    thread_local std::vector<float> thr;
-    thread_local std::vector<uint32_t> rescue;
-    thread_local std::vector<double> rescued_d;
-    size_t local_best = lo;
-    double local_val = -std::numeric_limits<double>::infinity();
-    for (size_t c0 = lo; c0 < hi; c0 += kChunk) {
-      size_t cn = std::min(kChunk, hi - c0);
-      buf.resize(cn);
-      thr.resize(cn);
-      metric.DistanceToManyF32(query, data, c0,
-                               std::span<float>(buf.data(), cn));
-      for (size_t i = 0; i < cn; ++i) {
-        thr[i] = ScreenSkipThreshold(dist[c0 + i], bound.abs, inv_rel);
-      }
-      rescue.clear();
-      CollectScreenRescues(buf.data(), thr.data(), cn,
-                           static_cast<uint32_t>(c0), rescue);
-      if (!rescue.empty()) {
-        rescued_d.resize(rescue.size());
-        metric.DistanceRowsMany(queries, q_index, data, rescue,
-                                rescued_d.data());
-        for (size_t t = 0; t < rescue.size(); ++t) {
-          size_t row = rescue[t];
-          if (rescued_d[t] < dist[row]) {
-            dist[row] = rescued_d[t];
-            if (!assignment.empty()) assignment[row] = center_rank;
-          }
-        }
-      }
-      for (size_t i = c0; i < c0 + cn; ++i) {
-        if (dist[i] > local_val) {
-          local_val = dist[i];
-          local_best = i;
-        }
-      }
-    }
-    range_best[lo / grain] = local_best;
-  });
-
-  size_t best = range_best[0];
-  DIVERSE_CHECK_LT(best, n);
-  for (size_t r = 1; r < num_ranges; ++r) {
-    size_t candidate = range_best[r];
-    if (candidate == SIZE_MAX) continue;
-    if (dist[candidate] > dist[best]) best = candidate;
-  }
-  return best;
+  const RelaxScreenPlan plan = PlanScreenedRelax(metric, queries, data);
+  return RelaxArgFarthestRanges(
+      data, dist, assignment, kRelaxChunk, [&](size_t lo, size_t hi) {
+        ScreenedRelaxRange(metric, queries, q_index, data, lo, hi - lo, plan,
+                           dist, assignment, center_rank);
+      });
 }
 
 namespace {
@@ -438,21 +492,21 @@ ScreenedNearest ScreenedArgClosestWithin(const Metric& metric,
   size_t n = data.size();
   DIVERSE_CHECK_GE(n, 1u);
   DIVERSE_CHECK_GE(cover_threshold, 0.0);
+  const ScreenSideStats qs = SideStatsOf(query);
+  const ScreenSideStats ds = SideStatsOf(data);
+  if (UseScreening(metric) && metric.ScreeningProfitableFor(qs, ds)) {
+    const ScreenBound bound = metric.ScreenErrorBound(qs, ds, data.dim());
+    if (bound.rel < 1.0) {
+      const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
+      const float beyond = ScreenSkipThreshold(cover_threshold, bound.abs,
+                                               inv_rel);
+      return ScreenedArgClosestWithinBody(metric, query, data, bound,
+                                          inv_rel, beyond);
+    }
+  }
   ScreenedNearest out;
-  if (!UseScreening(metric) || !metric.ScreeningProfitableFor(query, data)) {
-    out.index = ExactArgClosest(metric, query, data, &out.dist);
-    return out;
-  }
-  const ScreenBound bound = metric.ScreenErrorBound(query, data);
-  if (!(bound.rel < 1.0)) {
-    out.index = ExactArgClosest(metric, query, data, &out.dist);
-    return out;
-  }
-  const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
-  const float beyond = ScreenSkipThreshold(cover_threshold, bound.abs,
-                                           inv_rel);
-  return ScreenedArgClosestWithinBody(metric, query, data, bound, inv_rel,
-                                      beyond);
+  out.index = ExactArgClosest(metric, query, data, &out.dist);
+  return out;
 }
 
 // True when the context's cached dataset-worst-case bound covers `query`:
@@ -476,21 +530,21 @@ bool ScreenContextCovers(const PersistentScreenContext& ctx,
 // path.
 bool RefreshScreenContext(PersistentScreenContext& ctx, const Metric& metric,
                           const Dataset& data, double threshold) {
-  const Dataset::ScreenStats& ss = data.screen_stats();
+  const ScreenSideStats ds = SideStatsOf(data);
   bool same = ctx.valid_ && ctx.dim_ == data.dim() &&
-              ctx.has_dense_ == data.has_dense_rows() &&
-              ctx.max_nnz_ == data.sparse_stats().max_nnz &&
-              ctx.min_positive_norm_ == ss.min_positive_norm &&
+              ctx.has_dense_ == ds.has_dense &&
+              ctx.max_nnz_ == ds.max_sparse_nnz &&
+              ctx.min_positive_norm_ == ds.min_positive_norm &&
               ctx.threshold_ == threshold;
   if (same) {
     ++ctx.hits_;
   } else {
     ctx.dim_ = data.dim();
-    ctx.has_dense_ = data.has_dense_rows();
-    ctx.max_nnz_ = data.sparse_stats().max_nnz;
-    ctx.min_positive_norm_ = ss.min_positive_norm;
+    ctx.has_dense_ = ds.has_dense;
+    ctx.max_nnz_ = ds.max_sparse_nnz;
+    ctx.min_positive_norm_ = ds.min_positive_norm;
     ctx.threshold_ = threshold;
-    ctx.bound_ = metric.ScreenErrorBound(data, data);
+    ctx.bound_ = metric.ScreenErrorBound(ds, ds, data.dim());
     if (ctx.bound_.rel < 1.0) {
       ctx.inv_rel_ = (1.0 + 1e-12) / (1.0 - ctx.bound_.rel);
       ctx.beyond_ = ScreenSkipThreshold(threshold, ctx.bound_.abs,
@@ -514,7 +568,8 @@ ScreenedNearest ScreenedArgClosestWithin(const Metric& metric,
   size_t n = data.size();
   DIVERSE_CHECK_GE(n, 1u);
   DIVERSE_CHECK_GE(cover_threshold, 0.0);
-  if (!UseScreening(metric) || !metric.ScreeningProfitableFor(query, data)) {
+  if (!UseScreening(metric) ||
+      !metric.ScreeningProfitableFor(SideStatsOf(query), SideStatsOf(data))) {
     ScreenedNearest out;
     out.index = ExactArgClosest(metric, query, data, &out.dist);
     return out;
@@ -540,40 +595,34 @@ size_t ScreenedArgClosest(const Metric& metric, const Point& query,
 size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
                            const Dataset& data, double threshold) {
   size_t n = data.size();
+  const ScreenSideStats qs = SideStatsOf(query);
+  const ScreenSideStats ds = SideStatsOf(data);
+  if (UseScreening(metric) && metric.ScreeningProfitableFor(qs, ds)) {
+    if (threshold < 0.0) return n;  // distances are nonnegative; none fits
+    const ScreenBound bound = metric.ScreenErrorBound(qs, ds, data.dim());
+    if (bound.rel < 1.0) {
+      // Two precomputed float cutoffs replace the per-row double bound
+      // transforms: s <= within certifies d < threshold (qualify), a finite
+      // s > beyond certifies d > threshold (skip), and only band hits pay
+      // an exact evaluation. Chunked so a merge-heavy scan keeps its early
+      // exit.
+      const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
+      const float within = ScreenCertifiedBelow(threshold, bound);
+      const float beyond = ScreenSkipThreshold(threshold, bound.abs, inv_rel);
+      return ScreenedFirstWithinBody(metric, query, data, threshold, within,
+                                     beyond);
+    }
+  }
   constexpr size_t kChunk = 16;
-  if (!UseScreening(metric) || !metric.ScreeningProfitableFor(query, data)) {
-    double buf[kChunk];
-    for (size_t b = 0; b < n; b += kChunk) {
-      size_t bn = std::min(kChunk, n - b);
-      metric.DistanceToMany(query, data, b, std::span<double>(buf, bn));
-      for (size_t i = 0; i < bn; ++i) {
-        if (buf[i] <= threshold) return b + i;
-      }
+  double buf[kChunk];
+  for (size_t b = 0; b < n; b += kChunk) {
+    size_t bn = std::min(kChunk, n - b);
+    metric.DistanceToMany(query, data, b, std::span<double>(buf, bn));
+    for (size_t i = 0; i < bn; ++i) {
+      if (buf[i] <= threshold) return b + i;
     }
-    return n;
   }
-  if (threshold < 0.0) return n;  // distances are nonnegative; nothing fits
-  const ScreenBound bound = metric.ScreenErrorBound(query, data);
-  if (!(bound.rel < 1.0)) {
-    double buf[kChunk];
-    for (size_t b = 0; b < n; b += kChunk) {
-      size_t bn = std::min(kChunk, n - b);
-      metric.DistanceToMany(query, data, b, std::span<double>(buf, bn));
-      for (size_t i = 0; i < bn; ++i) {
-        if (buf[i] <= threshold) return b + i;
-      }
-    }
-    return n;
-  }
-  // Two precomputed float cutoffs replace the per-row double bound
-  // transforms: s <= within certifies d < threshold (qualify), a finite
-  // s > beyond certifies d > threshold (skip), and only band hits pay an
-  // exact evaluation. Chunked so a merge-heavy scan keeps its early exit.
-  const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
-  const float within = ScreenCertifiedBelow(threshold, bound);
-  const float beyond = ScreenSkipThreshold(threshold, bound.abs, inv_rel);
-  return ScreenedFirstWithinBody(metric, query, data, threshold, within,
-                                 beyond);
+  return n;
 }
 
 size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
@@ -584,7 +633,8 @@ size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
   }
   size_t n = data.size();
   if (n == 0) return 0;
-  if (!UseScreening(metric) || !metric.ScreeningProfitableFor(query, data) ||
+  if (!UseScreening(metric) ||
+      !metric.ScreeningProfitableFor(SideStatsOf(query), SideStatsOf(data)) ||
       threshold < 0.0) {
     return ScreenedFirstWithin(metric, query, data, threshold);
   }

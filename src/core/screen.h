@@ -9,9 +9,10 @@
 // (Metric::DistanceTileF32 / DistanceToManyF32: twice the SIMD lanes, half
 // the bandwidth of the exact tile engine), keep every candidate whose
 // screened value lies within a certified error band
-// (Metric::ScreenErrorBound) of the decision threshold, and re-evaluate only
-// those in exact double (Metric::DistanceRows / Distance — the same shared
-// kernels as the exact sweeps). Consequences:
+// (Metric::ScreenErrorBound over the two sides' ScreenSideStats) of the
+// decision threshold, and re-evaluate only those in exact double
+// (Metric::DistanceRowsMany / Distance — the same shared kernels as the
+// exact sweeps). Consequences:
 //
 //   * Results are bit-identical to the double-only path: every value that
 //     can influence a comparison, a stored distance, or a reported radius is
@@ -24,8 +25,9 @@
 //     deterministic at any thread count, and the exact-eval count of a
 //     screened sweep never exceeds what the pre-screening path paid.
 //   * Every sweep falls back to the exact path when screening is disabled
-//     (ScopedScreening / SolveOptions::screening) or the metric reports
-//     ScreeningProfitable() == false (Jaccard, user-defined metrics).
+//     (ScopedScreening / SolveOptions::screening) or the metric's gate
+//     (Metric::ScreeningProfitableFor) says screening does not pay — never
+//     for Jaccard and user-defined metrics.
 //
 // Screening changes *when* exactness is paid for, never the answer.
 
@@ -44,6 +46,13 @@
 #include "core/point.h"
 
 namespace diverse {
+
+/// Rows per parallel range of every row sweep (core/metric.cc's batched
+/// kernels and the relax sweeps below): a fixed amount of coordinate work
+/// per range. Range boundaries depend only on (n, grain), never on
+/// scheduling, so per-range reductions — combined in ascending order — are
+/// deterministic at any thread count.
+size_t GrainRows(const Dataset& data);
 
 // --- Certified-skip machinery ---------------------------------------------
 // Shared by the screened sweeps below and by the fused tile kernels
@@ -137,7 +146,39 @@ class ScopedScreening {
 /// the metric's fp32 kernels are genuinely cheaper than exact).
 bool UseScreening(const Metric& metric);
 
-/// Screened drop-in for RelaxTilesAndArgFarthest (core/metric.h): identical
+/// Fused multi-center relax-and-argmax over blocked tiles: for each center
+/// q in ascending order and every row i,
+///   d = Distance(queries.point(q_begin + q), data.point(i));
+///   if (d < dist[i]) { dist[i] = d; if assignment given:
+///                      assignment[i] = rank_base + q; }
+/// then returns the smallest index maximizing the relaxed dist[] — executed
+/// as one blocked pass over `data` (each row block is loaded once for all
+/// nq centers). Parallelized over row ranges on GlobalThreadPool(); range
+/// boundaries and the first-max argmax combination depend only on the
+/// input sizes, so results are deterministic at any thread count. Costs
+/// exactly nq * data.size() evaluations through metric.DistanceTile.
+/// Requires nq >= 1, dist.size() == data.size(), and assignment empty or
+/// the same size.
+size_t RelaxTilesAndArgFarthest(const Metric& metric, const Dataset& queries,
+                                size_t q_begin, size_t nq, size_t rank_base,
+                                const Dataset& data, std::span<double> dist,
+                                std::span<size_t> assignment = {});
+
+/// The materialize-then-collect screened tile relax, correct for any metric
+/// and the base Metric::ScreenedRelaxTile (same contract): fp32 tiles
+/// through metric.DistanceTileF32 on thread-local scratch, band hits
+/// collected against cached per-row skip thresholds, and their exact
+/// re-evaluations batched through metric.DistanceRowsMany. Returns the
+/// number of exact evaluations. The built-in metrics' fused kernels
+/// produce the identical fold with no more rescues (pinned in screen_test).
+size_t UnfusedScreenedRelaxTile(const Metric& metric, const Dataset& queries,
+                                size_t q_begin, size_t nq, size_t rank_base,
+                                const Dataset& data, size_t r_begin,
+                                size_t nr, const ScreenBound& bound,
+                                std::span<double> dist,
+                                std::span<size_t> assignment);
+
+/// Screened drop-in for RelaxTilesAndArgFarthest: identical
 /// dist / assignment updates and return value, but each row range is swept
 /// through the metric's fused Metric::ScreenedRelaxTile kernel — fp32
 /// screen, certified skip test, and exact rescue in one register-resident
@@ -151,10 +192,12 @@ size_t ScreenedRelaxTilesAndArgFarthest(const Metric& metric,
                                         std::span<double> dist,
                                         std::span<size_t> assignment = {});
 
-/// Screened drop-in for Metric::RelaxAndArgFarthest with the query drawn
-/// from a dataset row (queries.point(q_index) — for GMM, queries == data):
-/// identical dist / assignment updates and return value. Falls back to the
-/// exact batched sweep when screening is off.
+/// One-center relax-and-argmax with the query drawn from a dataset row
+/// (queries.point(q_index) — for GMM, queries == data): the one-center case
+/// of RelaxTilesAndArgFarthest, with center rank `center_rank`. Screens
+/// under PlanScreenedRelax's plan and otherwise relaxes through chunked
+/// exact DistanceToMany sweeps (exactly data.size() evaluations); dist,
+/// assignment and the return value are identical either way.
 size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& queries,
                                 size_t q_index, const Dataset& data,
                                 std::span<double> dist,
@@ -243,8 +286,8 @@ size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
 /// max sparse support, smallest positive norm) plus the threshold, and
 /// replays it until the key moves (appends rarely move the stats).
 ///
-/// Soundness: the cached bound is the dataset-vs-dataset worst case
-/// ScreenErrorBound(data, data), substituted for the per-query bound only
+/// Soundness: the cached bound is the dataset-vs-dataset worst case (the
+/// data's own statistics on both sides), substituted for the per-query bound only
 /// when the query's side statistics are dominated by the data's own
 /// extremes (a dense query needs dense rows present; a sparse query's
 /// support must not exceed the data's max; a positive query norm must not

@@ -160,10 +160,11 @@ void ScanLivePairsTiled(const Dataset& data, const Metric& metric,
     src = &compact;
   }
   size_t m = live.size();
+  const ScreenSideStats stats = SideStatsOf(*src);
   const bool screened =
-      UseScreening(metric) && metric.ScreeningProfitableFor(*src, *src);
+      UseScreening(metric) && metric.ScreeningProfitableFor(stats, stats);
   ScreenBound bound;
-  if (screened) bound = metric.ScreenErrorBound(*src, *src);
+  if (screened) bound = metric.ScreenErrorBound(stats, stats, src->dim());
   // Fused cutoff test: instead of a double bound transform plus a cutoff()
   // probe per pair, the cutoff is transformed ONCE into a float
   // (ScreenCertifiedBelow: s <= fcut certifies exact < cutoff strictly,
@@ -181,6 +182,13 @@ void ScanLivePairsTiled(const Dataset& data, const Metric& metric,
   auto emit_tracking_cutoff = [&](size_t i, size_t j, double d) {
     emit(i, j, d);
     if (cutoff() != cut) refresh_cut();
+  };
+  // Exact distance of one compacted row pair (a screened band hit).
+  auto exact_pair = [&](size_t i, size_t j) {
+    const uint32_t row = static_cast<uint32_t>(j);
+    double d;
+    metric.DistanceRowsMany(*src, i, *src, {&row, 1}, &d);
+    return d;
   };
   const float flt_max = std::numeric_limits<float>::max();
   constexpr size_t kQBlock = 64;   // pair-scan tile: kQBlock x kRBlock
@@ -200,8 +208,7 @@ void ScanLivePairsTiled(const Dataset& data, const Metric& metric,
         for (size_t j = i + 1; j < ib + in; ++j) {
           float s = out[j - i - 1];
           if (s >= -flt_max && s <= fcut) continue;
-          emit_tracking_cutoff(live[i], live[j],
-                               metric.DistanceRows(*src, i, *src, j));
+          emit_tracking_cutoff(live[i], live[j], exact_pair(i, j));
         }
       } else {
         std::span<double> out(tile.data(), count);
@@ -221,8 +228,7 @@ void ScanLivePairsTiled(const Dataset& data, const Metric& metric,
             float s = ftile[q * jn + r];
             if (s >= -flt_max && s <= fcut) continue;
             emit_tracking_cutoff(live[ib + q], live[jb + r],
-                                 metric.DistanceRows(*src, ib + q, *src,
-                                                     jb + r));
+                                 exact_pair(ib + q, jb + r));
           }
         }
       } else {

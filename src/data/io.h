@@ -48,6 +48,9 @@ class ByteReader {
   /// Copies `n` bytes into `out`; false when fewer than `n` remain.
   bool Read(void* out, size_t n) {
     if (n > remaining_) return false;
+    // memcpy requires valid pointers even for zero bytes, and an empty view
+    // (e.g. a default std::string_view) holds a null data pointer.
+    if (n == 0) return true;
     std::memcpy(out, p_, n);
     p_ += n;
     remaining_ -= n;

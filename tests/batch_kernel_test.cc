@@ -1,5 +1,6 @@
 // Equivalence, accounting, and determinism tests for the batched distance
-// kernels (Metric::DistanceToMany / RelaxAndArgFarthest over Dataset):
+// kernels (Metric::DistanceToMany and the exact ScreenedRelaxArgFarthest
+// sweep over Dataset):
 //   * batched results match the scalar Metric::Distance reference within
 //     1e-12 for all four metrics on dense, sparse, and mixed datasets;
 //   * CountingMetric adds exactly the number of evaluations a batched
@@ -119,7 +120,8 @@ TEST(BatchKernelTest, DistanceToManyAcceptsExternalQuery) {
   }
 }
 
-TEST(BatchKernelTest, RelaxAndArgFarthestMatchesManualRelax) {
+TEST(BatchKernelTest, ExactRelaxArgFarthestMatchesManualRelax) {
+  ScopedScreening off(false);
   for (const PointSet& pts : AllDatasets()) {
     Dataset data = Dataset::FromPoints(pts);
     for (const auto& metric : AllMetrics()) {
@@ -134,7 +136,8 @@ TEST(BatchKernelTest, RelaxAndArgFarthestMatchesManualRelax) {
       size_t want = 0;
       for (size_t rank = 0; rank < 2; ++rank) {
         const Point& c = pts[centers[rank]];
-        got = metric->RelaxAndArgFarthest(c, data, dist, assignment, rank);
+        got = ScreenedRelaxArgFarthest(*metric, data, centers[rank], data,
+                                       dist, assignment, rank);
         double best = -std::numeric_limits<double>::infinity();
         for (size_t i = 0; i < n; ++i) {
           double d = metric->Distance(pts[i], c);
@@ -171,7 +174,8 @@ TEST(BatchKernelTest, CountingMetricCountsBatchedEvaluationsExactly) {
   counting.Reset();
   std::vector<double> dist(pts.size(),
                            std::numeric_limits<double>::infinity());
-  counting.RelaxAndArgFarthest(pts[0], data, dist);
+  ScopedScreening off(false);
+  ScreenedRelaxArgFarthest(counting, data, 0, data, dist);
   EXPECT_EQ(counting.count(), pts.size());
 }
 

@@ -233,7 +233,7 @@ TEST_P(ThreadCounts, IndexedRelaxBitIdenticalToFlat) {
       std::string ctx = metric->Name() + "/" + layout.name;
       ASSERT_TRUE(
           OneShotIndexProfitable(*metric, centers, m, data) ||
-          !UseIndexing(*metric))
+          !UseIndexing(*metric, data))
           << ctx;
       CoverTree tree = CoverTree::Build(data, *metric);
       std::vector<double> flat_dist(n, kInf);
@@ -296,9 +296,11 @@ TEST(CoverTreeBuild, Invariants) {
     size_t min_orig = tree.perm()[nd.begin];
     for (size_t l = nd.begin; l < nd.end; ++l) {
       min_orig = std::min(min_orig, tree.perm()[l]);
-      EXPECT_LE(metric.DistanceRows(tree.leaf_data(), nd.center,
-                                    tree.leaf_data(), l),
-                nd.radius);
+      const uint32_t row = static_cast<uint32_t>(l);
+      double d;
+      metric.DistanceRowsMany(tree.leaf_data(), nd.center, tree.leaf_data(),
+                              {&row, 1}, &d);
+      EXPECT_LE(d, nd.radius);
     }
     EXPECT_EQ(nd.min_orig, min_orig);
     if (nd.left != 0) {
@@ -459,8 +461,10 @@ TEST(SparseDecodeCache, ReusesQueryBlockDecodesAcrossRowRanges) {
   size_t n = data.size();
   Dataset centers;
   for (size_t i = 0; i < 8; ++i) centers.Append(data.point(i * 11));
-  ASSERT_TRUE(metric.RelaxTileScreeningProfitableFor(centers, data));
-  ScreenBound bound = metric.ScreenErrorBound(centers, data);
+  ASSERT_TRUE(metric.RelaxTileScreeningProfitableFor(SideStatsOf(centers),
+                                                     SideStatsOf(data)));
+  ScreenBound bound = metric.ScreenErrorBound(SideStatsOf(centers),
+                                              SideStatsOf(data), data.dim());
   ASSERT_LT(bound.rel, 1.0);
   std::vector<double> dist(n, kInf);
   std::vector<size_t> assign(n, 0);

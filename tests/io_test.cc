@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -317,6 +318,17 @@ TEST(IoStatusTest, TryLoadersRoundTripValidFiles) {
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   EXPECT_EQ(ds->size(), uniform.size());
   std::remove(upath.c_str());
+}
+
+// A zero-byte read of an empty view (whose data pointer is null) must not
+// reach memcpy: passing it a null source is undefined even for zero bytes.
+TEST(ByteReaderTest, ZeroByteReadOfEmptyViewSucceeds) {
+  ByteReader in{std::string_view()};
+  char sink = 'x';
+  EXPECT_TRUE(in.Read(&sink, 0));
+  EXPECT_EQ(sink, 'x');
+  EXPECT_EQ(in.remaining(), 0u);
+  EXPECT_FALSE(in.Read(&sink, 1));
 }
 
 }  // namespace

@@ -31,7 +31,6 @@
 #include "core/metric.h"
 #include "core/screen.h"
 #include "core/sequential.h"
-#include "core/unfused_screen_metric.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
 #include "streaming/smm.h"
@@ -322,7 +321,8 @@ TEST(ScreenTest, ErrorBoundCoversSampledPairsAllMetricsAllLayouts) {
     Dataset data = Dataset::FromPoints(layout.pts);
     size_t n = data.size();
     for (const auto& metric : AllMetrics()) {
-      ScreenBound bound = metric->ScreenErrorBound(data, data);
+      ScreenBound bound = metric->ScreenErrorBound(
+          SideStatsOf(data), SideStatsOf(data), data.dim());
       std::vector<float> screened(n * n);
       std::vector<double> exact(n * n);
       metric->DistanceTileF32(data, 0, n, data, 0, n, screened.data(), n);
@@ -337,7 +337,8 @@ TEST(ScreenTest, ErrorBoundCoversSampledPairsAllMetricsAllLayouts) {
       }
       // Point-query sweep against its own bound.
       const Point& q = layout.pts[layout.pts.size() / 2];
-      ScreenBound qbound = metric->ScreenErrorBound(q, data);
+      ScreenBound qbound = metric->ScreenErrorBound(
+          SideStatsOf(q), SideStatsOf(data), data.dim());
       std::vector<float> srow(n);
       std::vector<double> erow(n);
       metric->DistanceToManyF32(q, data, 0, srow);
@@ -425,15 +426,16 @@ TEST(ScreenTest, ScreenedCountsDeterministicAcrossThreadCounts) {
 
 
 // The fused tile kernels (Metric::ScreenedRelaxTile overrides) must match
-// the unfused materialize-then-collect loop bit for bit AND never pay more
-// exact rescues than it: the dense kernels certify skips against the same
-// thresholds and screen the remaining candidates with a per-row argmin
-// test that can only shrink the rescue set.
+// the unfused materialize-then-collect loop (UnfusedScreenedRelaxTile) bit
+// for bit AND never pay more exact rescues than it: the dense kernels
+// certify skips against the same thresholds and screen the remaining
+// candidates with a per-row argmin test that can only shrink the rescue
+// set. Rows never couple, so one unfused call over all rows relaxes exactly
+// as the sweep's per-range calls do.
 TEST(ScreenTest, FusedTileRelaxNoMoreExactEvalsThanUnfused) {
   for (size_t dim : {3u, 16u}) {
     Dataset data = Dataset::FromPoints(DensePoints(3000, dim, /*seed=*/230));
     EuclideanMetric inner;
-    UnfusedScreenMetric unfused_inner(&inner);
     size_t nq = 48;
 
     CountingMetric fused(&inner);
@@ -443,12 +445,18 @@ TEST(ScreenTest, FusedTileRelaxNoMoreExactEvalsThanUnfused) {
     size_t fbest = ScreenedRelaxTilesAndArgFarthest(fused, data, 0, nq, 0,
                                                     data, fdist, fassign);
 
-    CountingMetric unfused(&unfused_inner);
+    CountingMetric unfused(&inner);
     std::vector<double> udist(data.size(),
                               std::numeric_limits<double>::infinity());
     std::vector<size_t> uassign(data.size(), 0);
-    size_t ubest = ScreenedRelaxTilesAndArgFarthest(unfused, data, 0, nq, 0,
-                                                    data, udist, uassign);
+    ScreenSideStats stats = SideStatsOf(data);
+    UnfusedScreenedRelaxTile(unfused, data, 0, nq, 0, data, 0, data.size(),
+                             inner.ScreenErrorBound(stats, stats, dim),
+                             udist, uassign);
+    size_t ubest = 0;
+    for (size_t i = 1; i < udist.size(); ++i) {
+      if (udist[i] > udist[ubest]) ubest = i;
+    }
 
     EXPECT_EQ(fbest, ubest) << dim;
     EXPECT_EQ(fdist, udist) << dim;
@@ -486,7 +494,8 @@ TEST(ScreenTest, SparseCosineTileRelaxScreensAndMatchesExact) {
   PointSet docs = SparsePoints(600, /*seed=*/232);
   Dataset data = Dataset::FromPoints(docs);
   CosineMetric base;
-  ASSERT_TRUE(base.RelaxTileScreeningProfitableFor(data, data));
+  ASSERT_TRUE(base.RelaxTileScreeningProfitableFor(SideStatsOf(data),
+                                                   SideStatsOf(data)));
   size_t nq = 24;
   std::vector<double> exact_dist(data.size(),
                                  std::numeric_limits<double>::infinity());

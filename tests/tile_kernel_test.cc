@@ -9,8 +9,8 @@
 //   * odd tile edges: Q and R not multiples of the lane width, nonzero
 //     offsets, strided output;
 //   * CountingMetric adds exactly nq * nr per tile;
-//   * RelaxTilesAndArgFarthest reproduces the per-center RelaxAndArgFarthest
-//     sweep sequence exactly (dist, assignment, argmax) at 1/2/8 threads;
+//   * RelaxTilesAndArgFarthest reproduces a per-center scalar Distance
+//     relax loop exactly (dist, assignment, argmax) at 1/2/8 threads;
 //   * the tiled DistanceMatrix build matches the scalar per-pair build and
 //     costs exactly n(n-1)/2 evaluations;
 //   * GreedyMatchingOnDataset refill scans run on the compacted live rows
@@ -234,8 +234,18 @@ TEST(TileKernelTest, RelaxTilesMatchesPerCenterSweepsAllMetricsAllLayouts) {
       std::vector<size_t> ref_assignment(n, 0);
       size_t want = 0;
       for (size_t c = 0; c < centers.size(); ++c) {
-        want = metric->RelaxAndArgFarthest(data.point(centers[c]), data,
-                                           ref_dist, ref_assignment, c);
+        double best = -std::numeric_limits<double>::infinity();
+        for (size_t i = 0; i < n; ++i) {
+          double d = metric->Distance(data.point(i), data.point(centers[c]));
+          if (d < ref_dist[i]) {
+            ref_dist[i] = d;
+            ref_assignment[i] = c;
+          }
+          if (ref_dist[i] > best) {
+            best = ref_dist[i];
+            want = i;
+          }
+        }
       }
       EXPECT_EQ(got, want) << metric->Name() << "/" << layout.name;
       EXPECT_EQ(assignment, ref_assignment)

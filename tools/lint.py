@@ -20,10 +20,11 @@ rules:
   no-naked-new        No naked `new`/`delete` in library code: ownership is
                       std::unique_ptr/std::make_unique or containers.
                       (Placement new into preallocated storage is allowed.)
-  tile-test-coverage  Every class overriding Metric::DistanceTile* must be
-                      exercised by tests/tile_kernel_test.cc — a tile
-                      override that skips the tile<->scalar equivalence
-                      matrix is an unverified kernel.
+  tile-test-coverage  Every built-in metric (each `using X =
+                      KernelMetric<...>` alias) and every other class
+                      overriding Metric::DistanceTile* must be exercised by
+                      tests/tile_kernel_test.cc — a tile kernel that skips
+                      the tile<->scalar equivalence matrix is unverified.
   statusor-value-guard  `.value()` on a StatusOr/optional requires a
                       visible guard (`ok()` / `has_value()` check or the
                       DIVERSE_ASSIGN_OR_RETURN macro) within the preceding
@@ -131,13 +132,26 @@ def lint_file(path):
 
 
 def lint_tile_coverage():
-    """Every Metric subclass overriding a DistanceTile* kernel must appear
-    in the tile equivalence test matrix."""
+    """Every Metric with DistanceTile* kernels must appear in the tile
+    equivalence test matrix: each alias of the built-in KernelMetric
+    template (the template's kernels run once per kernel trait), and every
+    other class that overrides a DistanceTile* kernel."""
     tile_test = (REPO / "tests" / "tile_kernel_test.cc").read_text(
         encoding="utf-8", errors="replace")
+
+    def in_matrix(name):
+        return re.search(rf"\b{name}\b", tile_test) is not None
+
     override_re = re.compile(r"\bDistanceTile\w*\s*\(")
     class_re = re.compile(r"^\s*class\s+(\w+)[^;]*$")
+    alias_re = re.compile(r"^\s*using\s+(\w+)\s*=\s*KernelMetric\s*<")
     for path in sorted(SRC.rglob("*.h")):
+        for line_no, code, _full in code_lines(path):
+            m = alias_re.match(code)
+            if m and not in_matrix(m.group(1)):
+                finding("tile-test-coverage", path, line_no,
+                        f"{m.group(1)} is a KernelMetric but never appears "
+                        "in tests/tile_kernel_test.cc")
         current_class = None
         brace_depth = 0
         class_depth = None
@@ -153,9 +167,10 @@ def lint_tile_coverage():
             if current_class and brace_depth <= (class_depth or 0) \
                     and "}" in code and ";" in code:
                 current_class = None
-            if current_class and override_re.search(code) \
-                    and "override" in code:
-                if current_class not in tile_test:
+            # KernelMetric itself is covered through its aliases above.
+            if current_class and current_class != "KernelMetric" \
+                    and override_re.search(code) and "override" in code:
+                if not in_matrix(current_class):
                     finding("tile-test-coverage", path, 0,
                             f"{current_class} overrides a DistanceTile* "
                             "kernel but never appears in "
