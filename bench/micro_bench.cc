@@ -11,9 +11,10 @@
 // records the run configuration (git sha, hardware thread count, AVX2
 // dispatch state, fp32 screening mode) so trajectories are comparable
 // across commits and machines, and whose entries each carry
-// {op, n, dim, threads, metric, ns_per_op, rescue_pct, pruned_pct}.
-// Benchmarks report n / dim / threads / rescue_pct / pruned_pct through
-// counters of those names and the metric through the label.
+// {op, n, dim, threads, metric, ns_per_op, rescue_pct, pruned_pct,
+// exact_evals}. Benchmarks report n / dim / threads / rescue_pct /
+// pruned_pct / exact_evals through counters of those names and the metric
+// through the label.
 
 #include <benchmark/benchmark.h>
 
@@ -148,6 +149,42 @@ void BM_GreedyMatching(benchmark::State& state) {
   state.SetLabel("euclidean");
 }
 BENCHMARK(BM_GreedyMatching)->Arg(500)->Arg(2000);
+
+// The remote-clique final round at core-set scale: greedy matching over
+// 16384 dim-16 blob points, k = 24, with the pair scan on a pool of 1 or 4
+// threads. Setup checks the selection against the 1-thread run and
+// SkipWithError()s on a mismatch, which drops the entry from the JSON.
+// exact_evals is the screened scan's exact re-evaluation count, which the
+// chunked scan keeps identical at every pool size.
+void BM_GreedyMatchingDataset(benchmark::State& state) {
+  constexpr size_t kMatchN = 16384;
+  constexpr size_t kMatchK = 24;
+  const size_t threads = static_cast<size_t>(state.range(0));
+  EuclideanMetric m;
+  Dataset data = Dataset::FromPoints(
+      GenerateGaussianBlobs(kMatchN, 64, 16, 0.02, /*seed=*/17));
+  SetGlobalThreadPoolSize(1);
+  const std::vector<size_t> reference =
+      GreedyMatchingOnDataset(data, m, kMatchK);
+  SetGlobalThreadPoolSize(threads);
+  CountingMetric counting(&m);
+  if (GreedyMatchingOnDataset(data, counting, kMatchK) != reference) {
+    state.SkipWithError("parallel matching diverged from the 1-thread run");
+    SetGlobalThreadPoolSize(1);
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GreedyMatchingOnDataset(data, m, kMatchK));
+  }
+  state.counters["n"] = static_cast<double>(kMatchN);
+  state.counters["dim"] = 16;
+  state.counters["threads"] = static_cast<double>(threads);
+  state.counters["exact_evals"] = static_cast<double>(counting.exact_evals());
+  state.SetLabel("euclidean");
+  SetGlobalThreadPoolSize(1);
+}
+BENCHMARK(BM_GreedyMatchingDataset)->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 // --- Scalar vs batched kernels -------------------------------------------
 // One query against n points of the given dimension: the scalar loop pays a
@@ -1129,6 +1166,7 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
     double ns_per_op = 0.0;
     double rescue_pct = -1.0;  // < 0: benchmark did not screen
     double pruned_pct = -1.0;  // < 0: benchmark did not index
+    double exact_evals = -1.0;  // < 0: benchmark did not count
   };
 
   // google-benchmark < 1.8 reports failures via Run::error_occurred; 1.8
@@ -1163,6 +1201,10 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
       if (rescue_it != run.counters.end()) e.rescue_pct = rescue_it->second.value;
       auto pruned_it = run.counters.find("pruned_pct");
       if (pruned_it != run.counters.end()) e.pruned_pct = pruned_it->second.value;
+      auto exact_it = run.counters.find("exact_evals");
+      if (exact_it != run.counters.end()) {
+        e.exact_evals = exact_it->second.value;
+      }
       e.metric = run.report_label;
       if (run.iterations > 0) {
         e.ns_per_op =
@@ -1198,6 +1240,9 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
       }
       if (e.pruned_pct >= 0.0) {
         std::fprintf(f, ", \"pruned_pct\": %.3f", e.pruned_pct);
+      }
+      if (e.exact_evals >= 0.0) {
+        std::fprintf(f, ", \"exact_evals\": %.0f", e.exact_evals);
       }
       std::fprintf(f, "}%s\n", i + 1 < entries_.size() ? "," : "");
     }

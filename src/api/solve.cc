@@ -195,7 +195,9 @@ StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
 
 StatusOr<SolveResult> TrySolve(const PointSet& points, const Metric& metric,
                                const SolveOptions& options) {
-  return TrySolve(Dataset::FromPoints(points), metric, options);
+  StatusOr<Dataset> data = Dataset::TryFromPoints(points);
+  if (!data.ok()) return data.status();
+  return TrySolve(*data, metric, options);
 }
 
 }  // namespace diverse

@@ -136,7 +136,8 @@ struct SolveResult {
 DIVERSE_MUST_USE StatusOr<SolveResult> TrySolve(
     const Dataset& data, const Metric& metric, const SolveOptions& options);
 
-/// Copies `points` into a Dataset and solves on it.
+/// Copies `points` into a Dataset and solves on it. Points of differing
+/// dims are kInvalidArgument (Dataset::TryFromPoints).
 DIVERSE_MUST_USE StatusOr<SolveResult> TrySolve(
     const PointSet& points, const Metric& metric,
     const SolveOptions& options);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <utility>
 
 #include "util/check.h"
@@ -35,6 +36,32 @@ Dataset Dataset::FromPoints(std::span<const Point> points) {
   Dataset d;
   d.Assign(points);
   return d;
+}
+
+StatusOr<Dataset> Dataset::TryFromPoints(PointSet points) {
+  for (size_t i = 1; i < points.size(); ++i) {
+    if (points[i].dim() != points[0].dim()) {
+      return InvalidArgumentError(
+          "point " + std::to_string(i) + " has dim " +
+          std::to_string(points[i].dim()) + " but point 0 has dim " +
+          std::to_string(points[0].dim()));
+    }
+  }
+  return Dataset(std::move(points));
+}
+
+const Point& Dataset::RowPoint(size_t i, Point* scratch) const {
+  if (points_.size() == rows_.size()) return points_[i];
+  const kernels::VecView v = row(i);
+  std::vector<float> values(v.values, v.values + v.nnz);
+  if (v.sparse) {
+    std::vector<uint32_t> indices(v.indices, v.indices + v.nnz);
+    *scratch = Point::Sparse(std::move(indices), std::move(values),
+                             static_cast<uint32_t>(v.dim));
+  } else {
+    *scratch = Point::Dense(std::move(values));
+  }
+  return *scratch;
 }
 
 void Dataset::Append(const Point& p) {

@@ -36,6 +36,7 @@
 
 #include "core/point.h"
 #include "core/vector_kernels.h"
+#include "util/status.h"
 
 namespace diverse {
 
@@ -52,6 +53,12 @@ class Dataset {
   /// Builds from a span by copying the points.
   static Dataset FromPoints(std::span<const Point> points);
 
+  /// Takes ownership of `points` like the constructor, but returns
+  /// kInvalidArgument, naming the first point whose dim differs from point
+  /// 0's, where the constructor would CHECK-abort. The entry point for
+  /// points from outside the program (loaders, TrySolve).
+  static StatusOr<Dataset> TryFromPoints(PointSet points);
+
   /// Number of rows.
   size_t size() const { return rows_.size(); }
 
@@ -65,6 +72,12 @@ class Dataset {
 
   /// Row i as a value-typed point.
   const Point& point(size_t i) const { return points_[i]; }
+
+  /// Row i as a value-typed point on any dataset: point(i) when the points
+  /// are retained, otherwise (AssignGatherColumnar results) rebuilt from the
+  /// columnar arrays into `*scratch`. The Metric base-class fallbacks read
+  /// rows through it, so user-defined metrics also run on gathered datasets.
+  const Point& RowPoint(size_t i, Point* scratch) const;
 
   /// True if row i uses the sparse representation.
   bool row_is_sparse(size_t i) const { return rows_[i].sparse != 0; }
@@ -159,13 +172,14 @@ class Dataset {
 
   /// Replaces the contents with src rows `rows` (in that order), copying
   /// ONLY the columnar arrays, norms, and aggregate statistics — points()
-  /// stays empty, so the value-typed accessors (point(), points()) must not
-  /// be used on the result. Kernels, norms, and screening statistics see
+  /// stays empty, so point() and points() must not be used on the result
+  /// (RowPoint() works). Kernels, norms, and screening statistics see
   /// exactly the content Append of the same rows would have produced, at
   /// raw array-copy speed instead of per-Point heap copies. This is the
   /// scratch path of the metric-index build (core/cover_tree.cc), which
   /// re-materializes every tree node's row range once to keep its pole
-  /// sweeps on contiguous rows.
+  /// sweeps on contiguous rows, and of the greedy-matching refill scans
+  /// (core/sequential.cc), which gather the live rows.
   void AssignGatherColumnar(const Dataset& src,
                             std::span<const uint32_t> rows);
 

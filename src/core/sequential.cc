@@ -1,11 +1,14 @@
 #include "core/sequential.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "core/gmm.h"
 #include "core/screen.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace diverse {
 
@@ -46,8 +49,9 @@ namespace {
 // total order the matching consumes pairs in: by distance descending, ties
 // by (i, j) ascending — the same pair the row-major first-strict-max scan
 // of the pre-buffered implementation selected. Because the order is total,
-// the surviving top-`cap` buffer and the selection are independent of the
-// order in which a scan emits pairs (and hence of tile shapes).
+// the top-`cap` set of any collection of pairs is unique: the kept buffer
+// and the selection are independent of the order in which a scan offers
+// pairs, of tile shapes, and of how the scan is split into chunks.
 struct HeavyPair {
   double dist;
   size_t i, j;
@@ -59,188 +63,214 @@ bool Heavier(const HeavyPair& a, const HeavyPair& b) {
   return a.j < b.j;
 }
 
+// The `cap` heaviest pairs offered so far: a bounded min-heap whose front()
+// is the lightest kept pair.
+class TopPairs {
+ public:
+  explicit TopPairs(size_t cap) : cap_(cap) { heap_.reserve(cap); }
+
+  void Offer(const HeavyPair& e) {
+    if (heap_.size() < cap_) {
+      heap_.push_back(e);
+      std::push_heap(heap_.begin(), heap_.end(), Heavier);
+    } else if (Heavier(e, heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), Heavier);
+      heap_.back() = e;
+      std::push_heap(heap_.begin(), heap_.end(), Heavier);
+    }
+  }
+
+  // -inf until the buffer is full, then the lightest kept distance. A pair
+  // strictly below it can never be kept; ties are decided by indices, so
+  // only a strict comparison is safe to prune on.
+  double cutoff() const {
+    return heap_.size() < cap_ ? -std::numeric_limits<double>::infinity()
+                               : heap_.front().dist;
+  }
+
+  // The kept pairs, in no particular order; leaves the buffer empty.
+  std::vector<HeavyPair> Take() { return std::move(heap_); }
+
+ private:
+  size_t cap_;
+  std::vector<HeavyPair> heap_;
+};
+
 // Greedy heaviest-pair matching core shared by the matrix and dataset
-// variants. `scan(emit, cutoff)` must call emit(i, j, dist) for every
-// unordered pair (i < j) of currently unused rows, in any order — except
-// that pairs whose distance is certainly *strictly below* cutoff() at the
-// moment they are considered may be skipped: such a pair can never displace
-// the buffer's lightest kept entry (ties are decided by indices, so only a
-// strict comparison is safe to prune on), and the buffer therefore ends up
-// with exactly the pairs the unpruned scan would have kept. cutoff() is
-// -inf until the buffer is full and then the lightest kept distance; the
-// screened dataset scan uses it to skip the exact re-evaluation of pairs
-// whose fp32 upper bound is already below it. One scan collects the
-// heaviest `buffer_cap` pairs; the greedy loop then consumes them in
-// `Heavier` order. Exact: a chosen pair only removes 2 points, so the next
-// heaviest *surviving* pair is the true global maximum; if the buffer runs
-// dry (pathological overlap among the top pairs), it is refilled with a
-// fresh scan over the unused rows only. This turns k/2 quadratic scans
-// into ~1.
+// variants. `scan(cap)` must return the `cap` heaviest pairs (i < j, under
+// Heavier) of currently unused rows — all of them when there are fewer — in
+// any order. The greedy loop consumes them heaviest first. Exact: a chosen
+// pair only removes 2 points, so the next heaviest *surviving* pair is the
+// true global maximum; if the buffer runs dry (pathological overlap among
+// the top pairs), it is refilled with a fresh scan over the unused rows
+// only. This turns k/2 quadratic scans into ~1.
 template <typename ScanFn>
 std::vector<size_t> GreedyHeaviestPairs(size_t n, size_t k,
                                         std::vector<bool>& used,
                                         const ScanFn& scan) {
   std::vector<size_t> chosen;
   chosen.reserve(k);
-  // Clamp to the number of pairs that can ever exist so large k on small n
-  // does not preallocate an oversized buffer.
-  size_t max_pairs = n >= 2 ? n * (n - 1) / 2 : 1;
-  const size_t buffer_cap =
-      std::min(std::max<size_t>(4 * k * k, 64), max_pairs);
-  std::vector<HeavyPair> heap;  // min-heap: front() = lightest kept pair
-  heap.reserve(buffer_cap + 1);
-  auto lighter_on_top = [](const HeavyPair& a, const HeavyPair& b) {
-    return Heavier(a, b);
-  };
-  auto rescan = [&] {
-    heap.clear();
-    scan(
-        [&](size_t i, size_t j, double dist) {
-          HeavyPair e{dist, i, j};
-          if (heap.size() < buffer_cap) {
-            heap.push_back(e);
-            std::push_heap(heap.begin(), heap.end(), lighter_on_top);
-          } else if (Heavier(e, heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), lighter_on_top);
-            heap.back() = e;
-            std::push_heap(heap.begin(), heap.end(), lighter_on_top);
-          }
-        },
-        [&]() {
-          return heap.size() < buffer_cap
-                     ? -std::numeric_limits<double>::infinity()
-                     : heap.front().dist;
-        });
-    std::sort(heap.begin(), heap.end(), Heavier);  // heaviest first
-  };
   if (k < 2) return chosen;  // no pairs to pick; skip the scan entirely
-  rescan();
+  // Clamp to the number of pairs that can ever exist (n >= k >= 2) so large
+  // k on small n does not preallocate an oversized buffer.
+  const size_t cap = std::min(std::max<size_t>(4 * k * k, 64), n * (n - 1) / 2);
+  std::vector<HeavyPair> buffer;
   size_t cursor = 0;
+  auto rescan = [&] {
+    buffer = scan(cap);
+    std::sort(buffer.begin(), buffer.end(), Heavier);  // heaviest first
+    cursor = 0;
+  };
+  rescan();
   while (chosen.size() + 1 < k) {
-    while (cursor < heap.size() &&
-           (used[heap[cursor].i] || used[heap[cursor].j])) {
+    while (cursor < buffer.size() &&
+           (used[buffer[cursor].i] || used[buffer[cursor].j])) {
       ++cursor;
     }
-    if (cursor == heap.size()) {
+    if (cursor == buffer.size()) {
       rescan();
-      cursor = 0;
-      DIVERSE_CHECK_LT(cursor, heap.size());
+      DIVERSE_CHECK_LT(cursor, buffer.size());
       continue;
     }
-    used[heap[cursor].i] = used[heap[cursor].j] = true;
-    chosen.push_back(heap[cursor].i);
-    chosen.push_back(heap[cursor].j);
+    used[buffer[cursor].i] = used[buffer[cursor].j] = true;
+    chosen.push_back(buffer[cursor].i);
+    chosen.push_back(buffer[cursor].j);
   }
   return chosen;
 }
 
-// Emits all live pairs of `data` under `metric` through blocked tiles.
-// When some rows are already used (a refill scan), the live rows are first
-// compacted into a scratch Dataset so the tile sweeps touch no dead row and
-// used rows' distances are never recomputed. When screening is active, each
-// tile is computed in fp32 first and a pair is re-evaluated exactly (and
-// emitted) only when its certified upper bound reaches cutoff() — pairs the
-// buffer could not keep are skipped without an exact evaluation, which is
-// legal per the GreedyHeaviestPairs contract and keeps the kept buffer
-// bit-identical to the exact scan's.
-template <typename EmitFn, typename CutoffFn>
-void ScanLivePairsTiled(const Dataset& data, const Metric& metric,
-                        const std::vector<bool>& used, const EmitFn& emit,
-                        const CutoffFn& cutoff) {
-  size_t n = data.size();
-  std::vector<size_t> live;
+// Most chunks one dataset pair scan is split into. The chunk count depends
+// only on the scan size and k, never on the pool size, so which pairs pay
+// an exact re-evaluation (and hence every evaluation count) is the same at
+// any thread count.
+constexpr size_t kMaxScanChunks = 16;
+// Bound on the pairs the chunk buffers of one scan keep together (24 bytes
+// each: 24 MB), so large k does not multiply buffer memory.
+constexpr size_t kScanPairBudget = size_t{1} << 20;
+
+// The `cap` heaviest live pairs of `data` under `metric`, scanned through
+// blocked tiles on GlobalThreadPool(). When some rows are already used (a
+// refill scan), the live rows are first gathered into a columnar scratch
+// Dataset so the tile sweeps touch no dead row and used rows' distances are
+// never recomputed.
+//
+// The 64-row query blocks are dealt round-robin to chunks (block b to chunk
+// b mod C; the triangle makes early blocks costlier, so dealing balances the
+// chunks), and each chunk keeps its own TopPairs. The merge of the chunk
+// buffers is exact: a pair lighter than the `cap` pairs its own chunk keeps
+// has `cap` heavier pairs globally, so it is not in the global top `cap`,
+// and the union of the chunk buffers contains the global top `cap`. When
+// screening is active, each tile is computed in fp32 first and a pair is
+// re-evaluated exactly only when its certified upper bound reaches its
+// chunk's cutoff; the same argument makes that pruning legal.
+std::vector<HeavyPair> ScanLivePairsTiled(const Dataset& data,
+                                          const Metric& metric,
+                                          const std::vector<bool>& used,
+                                          size_t cap) {
+  const size_t n = data.size();
+  std::vector<uint32_t> live;
   live.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (!used[i]) live.push_back(i);
+    if (!used[i]) live.push_back(static_cast<uint32_t>(i));
   }
   Dataset compact;
   const Dataset* src = &data;
   if (live.size() < n) {
-    for (size_t idx : live) compact.Append(data.point(idx));
+    compact.AssignGatherColumnar(data, live);
     src = &compact;
   }
-  size_t m = live.size();
+  const size_t m = live.size();
   const ScreenSideStats stats = SideStatsOf(*src);
   const bool screened =
       UseScreening(metric) && metric.ScreeningProfitableFor(stats, stats);
   ScreenBound bound;
   if (screened) bound = metric.ScreenErrorBound(stats, stats, src->dim());
-  // Fused cutoff test: instead of a double bound transform plus a cutoff()
-  // probe per pair, the cutoff is transformed ONCE into a float
-  // (ScreenCertifiedBelow: s <= fcut certifies exact < cutoff strictly,
-  // which is the only pruning the GreedyHeaviestPairs contract allows) and
-  // refreshed only when an emit may have advanced the heap — cutoff() is
-  // monotone nondecreasing and changes only on emits, so the refreshed
-  // value is exactly as fresh as the old per-pair probe.
-  double cut = 0.0;
-  float fcut = -1.0f;
-  auto refresh_cut = [&] {
-    cut = cutoff();
-    fcut = screened ? ScreenCertifiedBelow(cut, bound) : -1.0f;
-  };
-  refresh_cut();
-  auto emit_tracking_cutoff = [&](size_t i, size_t j, double d) {
-    emit(i, j, d);
-    if (cutoff() != cut) refresh_cut();
-  };
-  // Exact distance of one compacted row pair (a screened band hit).
-  auto exact_pair = [&](size_t i, size_t j) {
-    const uint32_t row = static_cast<uint32_t>(j);
-    double d;
-    metric.DistanceRowsMany(*src, i, *src, {&row, 1}, &d);
-    return d;
-  };
-  const float flt_max = std::numeric_limits<float>::max();
-  constexpr size_t kQBlock = 64;   // pair-scan tile: kQBlock x kRBlock
+
+  constexpr size_t kQBlock = 64;  // pair-scan tile: kQBlock x kRBlock
   constexpr size_t kRBlock = 256;
-  std::vector<double> tile(std::max(kQBlock * kRBlock, kQBlock));
-  std::vector<float> ftile(screened ? std::max(kQBlock * kRBlock, kQBlock)
-                                    : 0);
-  for (size_t ib = 0; ib < m; ib += kQBlock) {
-    size_t in = std::min(kQBlock, m - ib);
-    // Triangular corner within the block: per-row suffix sweeps keep the
-    // evaluation count at i < j pairs exactly.
-    for (size_t i = ib; i + 1 < ib + in; ++i) {
-      size_t count = ib + in - i - 1;
-      if (screened) {
-        std::span<float> out(ftile.data(), count);
-        metric.DistanceToManyF32(src->point(i), *src, i + 1, out);
-        for (size_t j = i + 1; j < ib + in; ++j) {
-          float s = out[j - i - 1];
+  constexpr size_t kTile = kQBlock * kRBlock;
+  const size_t blocks = (m + kQBlock - 1) / kQBlock;
+  const size_t chunks = std::max<size_t>(
+      1, std::min({blocks, kMaxScanChunks, kScanPairBudget / cap}));
+  // Buffers and tile scratch are allocated here, on the calling thread:
+  // allocated on pool threads they would land in per-thread malloc arenas,
+  // which keep the memory after the scan returns.
+  std::vector<TopPairs> tops;
+  tops.reserve(chunks);
+  for (size_t c = 0; c < chunks; ++c) tops.emplace_back(cap);
+  std::vector<std::vector<double>> tiles(screened ? 0 : chunks,
+                                         std::vector<double>(kTile));
+  std::vector<std::vector<float>> ftiles(screened ? chunks : 0,
+                                         std::vector<float>(kTile));
+  const float flt_max = std::numeric_limits<float>::max();
+
+  auto scan_chunk = [&](size_t c) {
+    TopPairs& top = tops[c];
+    // Fused cutoff test: the chunk's cutoff is transformed ONCE into a
+    // float (ScreenCertifiedBelow: s <= fcut certifies exact < cutoff
+    // strictly) and refreshed only when an offer may have raised it.
+    double cut = top.cutoff();
+    float fcut = screened ? ScreenCertifiedBelow(cut, bound) : -1.0f;
+    // Offers the pair of compacted rows qb + q, rb + r for every entry of
+    // the nq x nr distance tile of those rows.
+    auto sweep = [&](size_t qb, size_t nq, size_t rb, size_t nr) {
+      if (!screened) {
+        double* tile = tiles[c].data();
+        metric.DistanceTile(*src, qb, nq, *src, rb, nr, tile, nr);
+        for (size_t q = 0; q < nq; ++q) {
+          for (size_t r = 0; r < nr; ++r) {
+            top.Offer({tile[q * nr + r], live[qb + q], live[rb + r]});
+          }
+        }
+        return;
+      }
+      float* ftile = ftiles[c].data();
+      metric.DistanceTileF32(*src, qb, nq, *src, rb, nr, ftile, nr);
+      for (size_t q = 0; q < nq; ++q) {
+        for (size_t r = 0; r < nr; ++r) {
+          float s = ftile[q * nr + r];
           if (s >= -flt_max && s <= fcut) continue;
-          emit_tracking_cutoff(live[i], live[j], exact_pair(i, j));
-        }
-      } else {
-        std::span<double> out(tile.data(), count);
-        metric.DistanceToMany(src->point(i), *src, i + 1, out);
-        for (size_t j = i + 1; j < ib + in; ++j) {
-          emit(live[i], live[j], out[j - i - 1]);
-        }
-      }
-    }
-    // Rectangular panels to the right of the block.
-    for (size_t jb = ib + in; jb < m; jb += kRBlock) {
-      size_t jn = std::min(kRBlock, m - jb);
-      if (screened) {
-        metric.DistanceTileF32(*src, ib, in, *src, jb, jn, ftile.data(), jn);
-        for (size_t q = 0; q < in; ++q) {
-          for (size_t r = 0; r < jn; ++r) {
-            float s = ftile[q * jn + r];
-            if (s >= -flt_max && s <= fcut) continue;
-            emit_tracking_cutoff(live[ib + q], live[jb + r],
-                                 exact_pair(ib + q, jb + r));
-          }
-        }
-      } else {
-        metric.DistanceTile(*src, ib, in, *src, jb, jn, tile.data(), jn);
-        for (size_t q = 0; q < in; ++q) {
-          for (size_t r = 0; r < jn; ++r) {
-            emit(live[ib + q], live[jb + r], tile[q * jn + r]);
+          // A screened band hit: pay the exact distance.
+          const uint32_t row = static_cast<uint32_t>(rb + r);
+          double d;
+          metric.DistanceRowsMany(*src, qb + q, *src, {&row, 1}, &d);
+          top.Offer({d, live[qb + q], live[rb + r]});
+          if (top.cutoff() != cut) {
+            cut = top.cutoff();
+            fcut = ScreenCertifiedBelow(cut, bound);
           }
         }
       }
+    };
+    for (size_t b = c; b < blocks; b += chunks) {
+      const size_t ib = b * kQBlock;
+      const size_t in = std::min(kQBlock, m - ib);
+      // Triangular corner within the block: per-row suffix sweeps keep the
+      // evaluation count at i < j pairs exactly.
+      for (size_t i = ib; i + 1 < ib + in; ++i) {
+        sweep(i, 1, i + 1, ib + in - i - 1);
+      }
+      // Rectangular panels to the right of the block.
+      for (size_t jb = ib + in; jb < m; jb += kRBlock) {
+        sweep(ib, in, jb, std::min(kRBlock, m - jb));
+      }
     }
+  };
+  GlobalThreadPool().ParallelForRanges(chunks, 1, [&](size_t lo, size_t hi) {
+    for (size_t c = lo; c < hi; ++c) scan_chunk(c);
+  });
+
+  std::vector<HeavyPair> merged = tops[0].Take();
+  for (size_t c = 1; c < chunks; ++c) {
+    std::vector<HeavyPair> kept = tops[c].Take();
+    merged.insert(merged.end(), kept.begin(), kept.end());
   }
+  if (merged.size() > cap) {
+    std::nth_element(merged.begin(), merged.begin() + cap, merged.end(),
+                     Heavier);
+    merged.resize(cap);
+  }
+  return merged;
 }
 
 }  // namespace
@@ -258,16 +288,17 @@ std::vector<size_t> GreedyMatchingOnMatrix(const DistanceMatrix& d, size_t k) {
   // the cutoff only prunes heap probes for pairs strictly below the kept
   // buffer — which could not enter it anyway.
   std::vector<size_t> chosen =
-      GreedyHeaviestPairs(n, k, used, [&](auto&& emit, auto&& cutoff) {
+      GreedyHeaviestPairs(n, k, used, [&](size_t cap) {
+        TopPairs top(cap);
         for (size_t i = 0; i < n; ++i) {
           if (used[i]) continue;
           std::span<const double> row = d.row(i);
           for (size_t j = i + 1; j < n; ++j) {
-            if (used[j]) continue;
-            if (row[j] < cutoff()) continue;
-            emit(i, j, row[j]);
+            if (used[j] || row[j] < top.cutoff()) continue;
+            top.Offer({row[j], i, j});
           }
         }
+        return top.Take();
       });
   if (chosen.size() < k) {
     // Odd k: add the unused point with the largest distance sum to the
@@ -299,18 +330,21 @@ std::vector<size_t> GreedyMatchingOnDataset(const Dataset& data,
 
   std::vector<bool> used(n, false);
   std::vector<size_t> chosen =
-      GreedyHeaviestPairs(n, k, used, [&](auto&& emit, auto&& cutoff) {
-        ScanLivePairsTiled(data, metric, used, emit, cutoff);
+      GreedyHeaviestPairs(n, k, used, [&](size_t cap) {
+        return ScanLivePairsTiled(data, metric, used, cap);
       });
   if (chosen.size() < k) {
+    // Odd k: the same rule as GreedyMatchingOnMatrix, one batched row call
+    // per candidate (summed in chosen order, as the matrix variant does).
+    const std::vector<uint32_t> chosen_rows(chosen.begin(), chosen.end());
+    std::vector<double> dist(chosen_rows.size());
     size_t best_i = n;
     double best = -1.0;
     for (size_t i = 0; i < n; ++i) {
       if (used[i]) continue;
+      metric.DistanceRowsMany(data, i, data, chosen_rows, dist.data());
       double s = 0.0;
-      for (size_t c : chosen) {
-        s += metric.Distance(data.point(i), data.point(c));
-      }
+      for (double x : dist) s += x;
       if (s > best) {
         best = s;
         best_i = i;

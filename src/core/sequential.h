@@ -42,9 +42,16 @@ std::vector<size_t> GmmOnMatrix(const DistanceMatrix& d, size_t k,
 std::vector<size_t> GreedyMatchingOnMatrix(const DistanceMatrix& d, size_t k);
 
 /// Greedy heaviest-pair matching evaluated on the fly (no matrix storage),
-/// for point sets too large to materialize n^2 distances. The pair scans
-/// stream blocked Q x R distance tiles over the columnar storage; refill
-/// scans first compact the live rows into a scratch Dataset so used rows'
+/// for point sets too large to materialize n^2 distances; same selection as
+/// GreedyMatchingOnMatrix. The pair scans stream blocked Q x R distance
+/// tiles over the columnar storage, in parallel on GlobalThreadPool(): the
+/// 64-row query blocks are dealt round-robin to up to 16 chunks, each with
+/// its own top-pair heap and screening cutoff, and the chunk heaps are
+/// merged exactly. The chunk count depends only on the row count and k, so
+/// the selection and the exact/screened evaluation counts are identical at
+/// any thread count; it is also capped so all chunk heaps together keep at
+/// most 2^20 pairs (24 MB) unless one heap alone needs more. Refill scans
+/// first gather the live rows into a columnar scratch Dataset so used rows'
 /// distances are never recomputed (exactly live*(live-1)/2 evaluations per
 /// refill).
 std::vector<size_t> GreedyMatchingOnDataset(const Dataset& data,
@@ -61,8 +68,10 @@ std::vector<size_t> SolveSequentialOnMatrix(DiversityProblem problem,
 
 /// Solves the problem on the rows of `data`, returning k row indices.
 /// GMM-family problems cost O(k n) distances; matching-family ~n^2/2 (one
-/// buffered pair scan plus rare refills). Both run on the columnar batch
-/// kernels. Requires k <= data.size().
+/// buffered pair scan plus rare refills, chunked across the thread pool;
+/// see GreedyMatchingOnDataset). Both run on the columnar batch kernels,
+/// and the result is the same at any thread count. Requires
+/// k <= data.size().
 std::vector<size_t> SolveSequential(DiversityProblem problem,
                                     const Dataset& data, const Metric& metric,
                                     size_t k);

@@ -269,13 +269,13 @@ StatusOr<PointSet> TryLoadPointsBinary(const std::string& path) {
 StatusOr<Dataset> TryLoadDatasetText(const std::string& path) {
   StatusOr<PointSet> points = TryLoadPointsText(path);
   if (!points.ok()) return points.status();
-  return Dataset(std::move(*points));
+  return Dataset::TryFromPoints(std::move(*points));
 }
 
 StatusOr<Dataset> TryLoadDatasetBinary(const std::string& path) {
   StatusOr<PointSet> points = TryLoadPointsBinary(path);
   if (!points.ok()) return points.status();
-  return Dataset(std::move(*points));
+  return Dataset::TryFromPoints(std::move(*points));
 }
 
 std::optional<PointSet> LoadPointsText(const std::string& path) {

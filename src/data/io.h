@@ -115,11 +115,14 @@ bool SavePointsBinary(const PointSet& points, const std::string& path);
 DIVERSE_MUST_USE StatusOr<PointSet> TryLoadPointsBinary(const std::string& path);
 
 /// Reads a text-format file directly into columnar Dataset storage, ready
-/// for the batched kernels. Same errors as TryLoadPointsText.
+/// for the batched kernels. Same errors as TryLoadPointsText, plus
+/// kInvalidArgument when the points do not share one dim (see
+/// Dataset::TryFromPoints).
 DIVERSE_MUST_USE StatusOr<Dataset> TryLoadDatasetText(const std::string& path);
 
 /// Reads a binary-format file directly into columnar Dataset storage.
-/// Same errors as TryLoadPointsBinary.
+/// Same errors as TryLoadPointsBinary, plus kInvalidArgument when the
+/// points do not share one dim.
 DIVERSE_MUST_USE StatusOr<Dataset> TryLoadDatasetBinary(const std::string& path);
 
 /// Shims over the Try* loaders: nullopt on any failure, diagnostics

@@ -7,7 +7,9 @@
 // input byte selects the format (text vs binary) so one corpus covers
 // both parsers; accepted inputs additionally round-trip through the text
 // serializer as a consistency oracle (a parse-accepts / serialize-reparse
-// mismatch is a CHECK-abort, i.e. a fuzzer finding).
+// mismatch is a CHECK-abort, i.e. a fuzzer finding), and are built into a
+// Dataset the way the Dataset loaders do it, which must return a Status
+// (e.g. on mixed dims) rather than abort.
 //
 // Build modes (CMakeLists.txt):
 //   * clang + DIVERSE_FUZZ_LIBFUZZER: -fsanitize=fuzzer,address — real
@@ -20,7 +22,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
+#include "core/dataset.h"
 #include "data/io.h"
 #include "util/check.h"
 
@@ -45,6 +49,15 @@ void FuzzOne(const uint8_t* data, size_t size) {
         diverse::PointFromTextLine(diverse::PointToTextLine(p));
     DIVERSE_CHECK(back.has_value());
     DIVERSE_CHECK(*back == p);
+  }
+  const size_t n = parsed->size();
+  diverse::StatusOr<diverse::Dataset> dataset =
+      diverse::Dataset::TryFromPoints(std::move(*parsed));
+  if (dataset.ok()) {
+    DIVERSE_CHECK_EQ(dataset->size(), n);
+  } else {
+    DIVERSE_CHECK(dataset.status().code() ==
+                  diverse::StatusCode::kInvalidArgument);
   }
 }
 

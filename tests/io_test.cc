@@ -320,6 +320,34 @@ TEST(IoStatusTest, TryLoadersRoundTripValidFiles) {
   std::remove(upath.c_str());
 }
 
+// A Dataset holds one dim: the Dataset loaders reject mixed-dim files with
+// a Status naming the first point whose dim differs, instead of aborting.
+TEST(IoStatusTest, MixedDimDatasetLoadIsInvalidArgument) {
+  std::string bin = TempPath("mixed-dim.bin");
+  ASSERT_TRUE(SavePointsBinary(
+      {Point::Dense3(1, 2, 3), Point::Dense({1, 2, 3, 4})}, bin));
+  StatusOr<Dataset> from_bin = TryLoadDatasetBinary(bin);
+  EXPECT_EQ(from_bin.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(from_bin.status().message().find("point 1 has dim 4"),
+            std::string::npos)
+      << from_bin.status().message();
+  std::remove(bin.c_str());
+
+  std::string txt = TempPath("mixed-dim.txt");
+  {
+    FILE* f = fopen(txt.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    fputs("d 1 2 3\nd 1 2 3\nd 1 2 3 4\n", f);
+    fclose(f);
+  }
+  StatusOr<Dataset> from_txt = TryLoadDatasetText(txt);
+  EXPECT_EQ(from_txt.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(from_txt.status().message().find("point 2 has dim 4"),
+            std::string::npos)
+      << from_txt.status().message();
+  std::remove(txt.c_str());
+}
+
 // A zero-byte read of an empty view (whose data pointer is null) must not
 // reach memcpy: passing it a null source is undefined even for zero bytes.
 TEST(ByteReaderTest, ZeroByteReadOfEmptyViewSucceeds) {

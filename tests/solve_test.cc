@@ -162,6 +162,18 @@ TEST(TrySolveTest, RejectsNonFiniteCoordinates) {
       << r.status().message();
 }
 
+TEST(TrySolveTest, RejectsMixedDimensions) {
+  EuclideanMetric metric;
+  PointSet pts = GenerateUniformCube(20, 3, /*seed=*/35);
+  pts[5] = Point::Dense({0.5f, 0.5f, 0.5f, 0.5f});
+  SolveOptions opts;
+  opts.k = 3;
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("point 5 has dim 4"), std::string::npos)
+      << r.status().message();
+}
+
 TEST(TrySolveTest, RejectsGeneralizedBackendOnNonInjectiveProblem) {
   EuclideanMetric metric;
   PointSet pts = GenerateUniformCube(100, 2, /*seed=*/35);

@@ -14,7 +14,9 @@
 //   * the tiled DistanceMatrix build matches the scalar per-pair build and
 //     costs exactly n(n-1)/2 evaluations;
 //   * GreedyMatchingOnDataset refill scans run on the compacted live rows
-//     only: no used row's distance is ever recomputed.
+//     only: no used row's distance is ever recomputed;
+//   * the chunked parallel pair scan selects the matrix reference's pairs
+//     with the same exact/screened evaluation counts at 1/2/4 threads.
 
 #include <cmath>
 #include <limits>
@@ -417,6 +419,90 @@ TEST(TileKernelTest, GreedyMatchingRefillScansOnlyLiveRows) {
   // Same selection as the matrix reference.
   DistanceMatrix d(std::span<const Point>(pts), base);
   EXPECT_EQ(chosen, GreedyMatchingOnMatrix(d, 4));
+}
+
+// The dataset pair scan runs its query blocks as chunks on the thread pool;
+// the chunk count depends only on the input, so the selection and both
+// evaluation counts must be identical at every pool size, with and without
+// screening, and the selection must equal the matrix reference.
+struct MatchingRun {
+  std::vector<size_t> chosen;
+  uint64_t exact = 0;
+  uint64_t screened = 0;
+};
+
+MatchingRun CountedMatching(const Dataset& data, const Metric& base, size_t k,
+                            size_t threads, bool screening) {
+  SetGlobalThreadPoolSize(threads);
+  ScopedScreening guard(screening);
+  CountingMetric counting(&base);
+  MatchingRun run;
+  run.chosen = GreedyMatchingOnDataset(data, counting, k);
+  run.exact = counting.exact_evals();
+  run.screened = counting.screened_evals();
+  SetGlobalThreadPoolSize(1);
+  return run;
+}
+
+void ExpectMatchingIdenticalAtAnyThreadCount(const PointSet& pts, size_t k) {
+  EuclideanMetric base;
+  Dataset data = Dataset::FromPoints(pts);
+  DistanceMatrix d(std::span<const Point>(pts), base);
+  const std::vector<size_t> reference = GreedyMatchingOnMatrix(d, k);
+  for (bool screening : {false, true}) {
+    SCOPED_TRACE(screening ? "screened" : "exact");
+    const MatchingRun one = CountedMatching(data, base, k, 1, screening);
+    EXPECT_EQ(one.chosen, reference);
+    for (size_t threads : {2, 4}) {
+      SCOPED_TRACE(threads);
+      const MatchingRun many =
+          CountedMatching(data, base, k, threads, screening);
+      EXPECT_EQ(many.chosen, reference);
+      EXPECT_EQ(many.exact, one.exact);
+      EXPECT_EQ(many.screened, one.screened);
+    }
+  }
+}
+
+TEST(TileKernelTest, GreedyMatchingDeterministicAtAnyThreadCount) {
+  // 1200 rows = 19 query blocks of 64: the scan splits into 16 chunks.
+  ExpectMatchingIdenticalAtAnyThreadCount(
+      GenerateGaussianBlobs(1200, 12, 16, 0.05, /*seed=*/113), /*k=*/9);
+}
+
+// The hub construction of GreedyMatchingRefillScansOnlyLiveRows at a scale
+// where both the initial scan and the refill run on many chunks.
+TEST(TileKernelTest, GreedyMatchingRefillDeterministicAtAnyThreadCount) {
+  PointSet pts = GenerateGaussianBlobs(699, 1, 16, 0.05, /*seed=*/114);
+  pts.push_back(Point::Dense(std::vector<float>(16, 1e3f)));
+  // Buffer cap for k = 4 is 64 < 699 hub pairs: every kept pair shares the
+  // hub, so the second pick needs a refill over the 698 live rows.
+  const uint64_t n = pts.size();
+  const uint64_t all_pairs = n * (n - 1) / 2 + (n - 2) * (n - 3) / 2;
+  ExpectMatchingIdenticalAtAnyThreadCount(pts, 4);
+  EuclideanMetric base;
+  Dataset data = Dataset::FromPoints(pts);
+  EXPECT_EQ(CountedMatching(data, base, 4, 4, false).exact, all_pairs);
+  EXPECT_EQ(CountedMatching(data, base, 4, 4, true).screened, all_pairs);
+}
+
+// Refill scans gather the live rows into a columnar-only scratch Dataset; a
+// user-defined metric (base-class fallbacks only) must still run on it.
+TEST(TileKernelTest, GreedyMatchingRefillWithUserDefinedMetric) {
+  class Discrete final : public Metric {
+   public:
+    double Distance(const Point& a, const Point& b) const override {
+      return a == b ? 0.0 : 1.0;
+    }
+    std::string Name() const override { return "discrete"; }
+  };
+  // All distances tie at 1, so the 64 kept pairs are (0, 1) ... (0, 64):
+  // after the first pick the buffer is dry and the matching refills.
+  PointSet pts = DensePoints(100, 3, /*seed=*/115);
+  Discrete metric;
+  DistanceMatrix d(std::span<const Point>(pts), metric);
+  EXPECT_EQ(GreedyMatchingOnDataset(Dataset::FromPoints(pts), metric, 5),
+            GreedyMatchingOnMatrix(d, 5));
 }
 
 // --- Sparse tile engine ----------------------------------------------------
