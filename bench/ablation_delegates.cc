@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
 
     {
       MapReduceDiversity mr(&metric, problem, base);
-      MrResult r = bench::OrDie(mr.TryRun(pts));
+      MrResult r = bench::OrDie(mr.TryRun(Dataset(pts)));
       rows[0].coreset += static_cast<double>(r.coreset_size);
       rows[0].div += r.diversity;
     }
@@ -71,13 +71,13 @@ int main(int argc, char** argv) {
       MrOptions o = base;
       o.randomized_delegate_cap = true;
       MapReduceDiversity mr(&metric, problem, o);
-      MrResult r = bench::OrDie(mr.TryRun(pts));
+      MrResult r = bench::OrDie(mr.TryRun(Dataset(pts)));
       rows[1].coreset += static_cast<double>(r.coreset_size);
       rows[1].div += r.diversity;
     }
     {
       MapReduceDiversity mr(&metric, problem, base);
-      MrResult r = bench::OrDie(mr.TryRunGeneralized(pts));
+      MrResult r = bench::OrDie(mr.TryRunGeneralized(Dataset(pts)));
       rows[2].coreset += static_cast<double>(r.coreset_size);
       rows[2].div += r.diversity;
     }

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
 
   MapReduceDiversity loopback_driver(&metric, problem, mr);
   Timer timer;
-  StatusOr<MrResult> base = loopback_driver.TryRun(pts);
+  StatusOr<MrResult> base = loopback_driver.TryRun(Dataset(pts));
   double base_seconds = timer.Seconds();
   if (!base.ok()) {
     std::fprintf(stderr, "loopback run failed: %s\n",
@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
     smr.engine = &engine;
     MapReduceDiversity driver(&metric, problem, smr);
     Timer t;
-    StatusOr<MrResult> run = driver.TryRun(pts);
+    StatusOr<MrResult> run = driver.TryRun(Dataset(pts));
     double seconds = t.Seconds();
     if (!run.ok()) {
       std::fprintf(stderr, "socket run (%zu workers) failed: %s\n", workers,
@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
 
     auto run_once = [&](const char* label, Row* r) {
       Timer t;
-      StatusOr<MrResult> run = driver.TryRun(pts);
+      StatusOr<MrResult> run = driver.TryRun(Dataset(pts));
       r->seconds = t.Seconds();
       if (!run.ok()) {
         std::fprintf(stderr, "%s run failed: %s\n", label,

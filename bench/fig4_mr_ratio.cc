@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
         o.partition = PartitionStrategy::kRandom;
         o.seed = 17 + static_cast<uint64_t>(run);
         MapReduceDiversity mr(&metric, problem, o);
-        div[run][pi][mi] = bench::OrDie(mr.TryRun(pts)).diversity;
+        div[run][pi][mi] = bench::OrDie(mr.TryRun(Dataset(pts))).diversity;
       }
     }
     // Adversarial partition at parallelism 16, k' = k (the tightest core-set
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     o.num_workers = 16;
     o.partition = PartitionStrategy::kAdversarial;
     MapReduceDiversity mr(&metric, problem, o);
-    adv[run] = bench::OrDie(mr.TryRun(pts)).diversity;
+    adv[run] = bench::OrDie(mr.TryRun(Dataset(pts))).diversity;
   }
 
   auto best_of_run = [&](int run) {
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
       o.num_workers = 16;
       o.partition = strategies[s];
       MapReduceDiversity mr(&cosine, problem, o);
-      text_div[s] = bench::OrDie(mr.TryRun(docs)).diversity;
+      text_div[s] = bench::OrDie(mr.TryRun(Dataset(docs))).diversity;
     }
     std::printf("adversarial partitioning, text corpus (k = k' = 32): div "
                 "%.4f vs random %.4f (%.1f%% worse)\n\n",

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
         o.num_partitions = p;
         o.num_workers = p;
         MapReduceDiversity mr(&metric, problem, o);
-        bench::OrDie(mr.TryRun(pts));
+        bench::OrDie(mr.TryRun(Dataset(pts)));
       }
       row.push_back(TablePrinter::Fmt(timer.Seconds(), 2));
     }
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
       o.num_workers = 8;
       MapReduceDiversity mr(&metric, problem, o);
       Timer timer;
-      bench::OrDie(mr.TryRun(pts));
+      bench::OrDie(mr.TryRun(Dataset(pts)));
       ktable.AddRow({std::to_string(kp), TablePrinter::Fmt(timer.Seconds(), 2)});
     }
     std::printf("fixed n = %zu, p = 8: time vs k' (expected linear):\n%s\n",

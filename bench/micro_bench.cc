@@ -161,7 +161,7 @@ void BM_GreedyMatchingDataset(benchmark::State& state) {
   constexpr size_t kMatchK = 24;
   const size_t threads = static_cast<size_t>(state.range(0));
   EuclideanMetric m;
-  Dataset data = Dataset::FromPoints(
+  Dataset data(
       GenerateGaussianBlobs(kMatchN, 64, 16, 0.02, /*seed=*/17));
   SetGlobalThreadPoolSize(1);
   const std::vector<size_t> reference =
@@ -217,7 +217,7 @@ void BM_DistanceSweepBatched(benchmark::State& state) {
   // Pin to one worker so this measures devirtualization + layout, not
   // parallelism (BM_GmmBatched50k covers the thread axis).
   SetGlobalThreadPoolSize(1);
-  Dataset data = Dataset::FromPoints(GenerateUniformCube(n, dim, 7));
+  Dataset data(GenerateUniformCube(n, dim, 7));
   std::vector<double> out(n);
   for (auto _ : state) {
     m.DistanceToMany(data.point(0), data, 0, out);
@@ -251,7 +251,7 @@ void BM_GmmBatched50k(benchmark::State& state) {
   EuclideanMetric m;
   size_t threads = static_cast<size_t>(state.range(0));
   SetGlobalThreadPoolSize(threads);
-  Dataset data = Dataset::FromPoints(GenerateUniformCube(50000, 3, 8));
+  Dataset data(GenerateUniformCube(50000, 3, 8));
   for (auto _ : state) {
     benchmark::DoNotOptimize(Gmm(data, m, 32));
   }
@@ -280,7 +280,7 @@ void BM_KCenterAssignPerCenter(benchmark::State& state) {
   EuclideanMetric m;
   SetGlobalThreadPoolSize(1);
   Dataset data =
-      Dataset::FromPoints(GenerateUniformCube(kAssignN, kAssignDim, 9));
+      Dataset(GenerateUniformCube(kAssignN, kAssignDim, 9));
   std::vector<size_t> centers = Gmm(data, m, kAssignK).selected;
   std::vector<double> dist;
   std::vector<size_t> assignment(kAssignN);
@@ -306,7 +306,7 @@ void BM_KCenterAssignTiled(benchmark::State& state) {
   EuclideanMetric m;
   SetGlobalThreadPoolSize(1);
   Dataset data =
-      Dataset::FromPoints(GenerateUniformCube(kAssignN, kAssignDim, 9));
+      Dataset(GenerateUniformCube(kAssignN, kAssignDim, 9));
   Dataset center_rows;
   for (size_t c : Gmm(data, m, kAssignK).selected) {
     center_rows.Append(data.point(c));
@@ -335,7 +335,7 @@ void BM_DistanceTile(benchmark::State& state) {
   size_t q = static_cast<size_t>(state.range(0));
   size_t dim = static_cast<size_t>(state.range(1));
   SetGlobalThreadPoolSize(1);
-  Dataset data = Dataset::FromPoints(GenerateUniformCube(n, dim, 10));
+  Dataset data(GenerateUniformCube(n, dim, 10));
   std::vector<double> out(q * n);
   for (auto _ : state) {
     m.DistanceTile(data, 0, q, data, 0, n, out.data(), n);
@@ -355,7 +355,7 @@ void BM_DistanceTilePerQuery(benchmark::State& state) {
   size_t q = static_cast<size_t>(state.range(0));
   size_t dim = static_cast<size_t>(state.range(1));
   SetGlobalThreadPoolSize(1);
-  Dataset data = Dataset::FromPoints(GenerateUniformCube(n, dim, 10));
+  Dataset data(GenerateUniformCube(n, dim, 10));
   std::vector<double> out(n);
   for (auto _ : state) {
     for (size_t i = 0; i < q; ++i) {
@@ -379,7 +379,7 @@ void BM_DistanceMatrixTiled(benchmark::State& state) {
   EuclideanMetric m;
   size_t n = static_cast<size_t>(state.range(0));
   SetGlobalThreadPoolSize(1);
-  Dataset data = Dataset::FromPoints(GenerateUniformCube(n, 3, 11));
+  Dataset data(GenerateUniformCube(n, 3, 11));
   for (auto _ : state) {
     DistanceMatrix d(data, m);
     benchmark::DoNotOptimize(d.at(0, n - 1));
@@ -432,7 +432,7 @@ Dataset SparseBenchCorpus(size_t n, uint32_t vocab, size_t max_terms,
   opts.min_terms = max_terms / 2;
   opts.max_terms = max_terms;
   opts.seed = seed;
-  return Dataset::FromPoints(GenerateSparseTextDataset(opts));
+  return Dataset(GenerateSparseTextDataset(opts));
 }
 
 constexpr size_t kSparseTileQueries = 64;
@@ -618,7 +618,7 @@ struct ScreenedSweepSetup {
 
 ScreenedSweepSetup MakeDenseScreenedSweep(size_t dim) {
   ScreenedSweepSetup s;
-  s.data = Dataset::FromPoints(GenerateUniformCube(kScreenN, dim, 13));
+  s.data = Dataset(GenerateUniformCube(kScreenN, dim, 13));
   EuclideanMetric m;
   for (size_t c : Gmm(s.data, m, kScreenK).selected) {
     s.center_rows.Append(s.data.point(c));
@@ -679,7 +679,7 @@ BENCHMARK(BM_ScreenedSweepDenseExact)->Arg(3)->Arg(16)
 // polynomial acos (the exact path pays a libm acos per pair).
 ScreenedSweepSetup MakeDenseCosineScreenedSweep(size_t dim) {
   ScreenedSweepSetup s;
-  s.data = Dataset::FromPoints(GenerateUniformCube(kScreenN, dim, 15));
+  s.data = Dataset(GenerateUniformCube(kScreenN, dim, 15));
   CosineMetric m;
   for (size_t c : Gmm(s.data, m, kScreenK).selected) {
     s.center_rows.Append(s.data.point(c));
@@ -745,7 +745,7 @@ ScreenedSweepSetup MakeSparseScreenedSweep(size_t n) {
   opts.min_terms = 60;
   opts.max_terms = 120;
   opts.seed = 14;
-  s.data = Dataset::FromPoints(GenerateSparseTextDataset(opts));
+  s.data = Dataset(GenerateSparseTextDataset(opts));
   EuclideanMetric m;
   for (size_t c : Gmm(s.data, m, kScreenK).selected) {
     s.center_rows.Append(s.data.point(c));
@@ -879,7 +879,7 @@ ScreenedSweepSetup MakeSparseCosineScreenedSweep(size_t n) {
   opts.min_terms = 60;
   opts.max_terms = 120;
   opts.seed = 16;
-  s.data = Dataset::FromPoints(GenerateSparseTextDataset(opts));
+  s.data = Dataset(GenerateSparseTextDataset(opts));
   CosineMetric m;
   for (size_t c : Gmm(s.data, m, kScreenK).selected) {
     s.center_rows.Append(s.data.point(c));
@@ -941,7 +941,7 @@ void BM_ScreenedGmm50k(benchmark::State& state) {
   EuclideanMetric m;
   bool screening = state.range(0) != 0;
   SetGlobalThreadPoolSize(1);
-  Dataset data = Dataset::FromPoints(GenerateUniformCube(50000, 16, 8));
+  Dataset data(GenerateUniformCube(50000, 16, 8));
   ScopedScreening guard(screening);
   for (auto _ : state) {
     benchmark::DoNotOptimize(Gmm(data, m, 32));
@@ -984,7 +984,7 @@ BENCHMARK(BM_ParallelForRangesDispatch)->Arg(2)->Arg(4);
 // a few percent of the pinned flat path (the probe is the only overhead).
 
 Dataset MakeClusteredCorpus(size_t n) {
-  return Dataset::FromPoints(GenerateGaussianBlobs(n, 8, 16, 0.02, 17));
+  return Dataset(GenerateGaussianBlobs(n, 8, 16, 0.02, 17));
 }
 
 void BM_CoverTreeBuild(benchmark::State& state) {
@@ -1082,7 +1082,7 @@ void BM_LazyGreedyGmmUniformGated(benchmark::State& state) {
   bool gated = state.range(0) != 0;
   SetGlobalThreadPoolSize(1);
   EuclideanMetric m;
-  Dataset data = Dataset::FromPoints(GenerateUniformCube(20000, 32, 19));
+  Dataset data(GenerateUniformCube(20000, 32, 19));
   if (IndexProfitable(data, m, 64)) {
     state.SkipWithError("index gated on for the uniform corpus");
     return;
@@ -1131,7 +1131,7 @@ void BM_MrFaultRecovery(benchmark::State& state) {
   if (faulty) o.faults = &faults;
   MapReduceDiversity driver(&m, DiversityProblem::kRemoteEdge, o);
   for (auto _ : state) {
-    StatusOr<MrResult> r = driver.TryRun(pts);
+    StatusOr<MrResult> r = driver.TryRun(Dataset(pts));
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;

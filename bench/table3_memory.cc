@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   o.num_workers = 4;
   {  // MR 2-round, GMM family
     MapReduceDiversity mr(&metric, DiversityProblem::kRemoteEdge, o);
-    MrResult r = bench::OrDie(mr.TryRun(pts));
+    MrResult r = bench::OrDie(mr.TryRun(Dataset(pts)));
     table.AddRow({"MR 2-round det (GMM)", "r-edge / r-cycle",
                   TablePrinter::Fmt(
                       static_cast<long long>(r.max_local_memory_points)),
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   }
   {  // MR 2-round, GMM-EXT family
     MapReduceDiversity mr(&metric, DiversityProblem::kRemoteClique, o);
-    MrResult r = bench::OrDie(mr.TryRun(pts));
+    MrResult r = bench::OrDie(mr.TryRun(Dataset(pts)));
     table.AddRow({"MR 2-round det (GMM-EXT)", "other four",
                   TablePrinter::Fmt(
                       static_cast<long long>(r.max_local_memory_points)),
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     MrOptions ro = o;
     ro.randomized_delegate_cap = true;
     MapReduceDiversity mr(&metric, DiversityProblem::kRemoteClique, ro);
-    MrResult r = bench::OrDie(mr.TryRun(pts));
+    MrResult r = bench::OrDie(mr.TryRun(Dataset(pts)));
     table.AddRow({"MR 2-round randomized", "other four",
                   TablePrinter::Fmt(
                       static_cast<long long>(r.max_local_memory_points)),
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   }
   {  // MR 3-round generalized
     MapReduceDiversity mr(&metric, DiversityProblem::kRemoteClique, o);
-    MrResult r = bench::OrDie(mr.TryRunGeneralized(pts));
+    MrResult r = bench::OrDie(mr.TryRunGeneralized(Dataset(pts)));
     table.AddRow({"MR 3-round det (GMM-GEN)", "other four",
                   TablePrinter::Fmt(
                       static_cast<long long>(r.max_local_memory_points)),

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
       copts.num_partitions = reducers;
       copts.num_workers = workers;
       MapReduceDiversity cppu(&metric, problem, copts);
-      MrResult cppu_r = bench::OrDie(cppu.TryRun(pts));
+      MrResult cppu_r = bench::OrDie(cppu.TryRun(Dataset(pts)));
 
       double best = std::max(afz.diversity, cppu_r.diversity);
       table.AddRow({TablePrinter::Fmt(static_cast<long long>(size)),

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "core/dataset.h"
 #include "core/diversity.h"
 #include "core/metric.h"
 #include "data/synthetic.h"
@@ -26,7 +27,7 @@ int main() {
   data.n = 100000;
   data.k = 32;
   data.seed = 2024;
-  PointSet points = GenerateSphereDataset(data);
+  const Dataset input(GenerateSphereDataset(data));
 
   EuclideanMetric metric;
   MrOptions opts;
@@ -52,17 +53,17 @@ int main() {
                 r->diversity);
   };
 
-  report("2-round deterministic", mr.TryRun(points));
+  report("2-round deterministic", mr.TryRun(input));
 
   MrOptions ropts = opts;
   ropts.randomized_delegate_cap = true;
   MapReduceDiversity mr_rand(&metric, problem, ropts);
-  report("2-round randomized (Thm 7)", mr_rand.TryRun(points));
+  report("2-round randomized (Thm 7)", mr_rand.TryRun(input));
 
-  report("3-round generalized (Thm 10)", mr.TryRunGeneralized(points));
+  report("3-round generalized (Thm 10)", mr.TryRunGeneralized(input));
 
   // Multi-round recursion (Theorem 8) under a tight local-memory budget.
   report("recursive (Thm 8, ML=4096)",
-         mr.TryRunRecursive(points, /*local_memory_budget=*/4096));
+         mr.TryRunRecursive(input, /*local_memory_budget=*/4096));
   return 0;
 }

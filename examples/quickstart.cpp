@@ -49,7 +49,7 @@ int main() {
   opts.num_partitions = 8;
   opts.num_workers = 4;
   MapReduceDiversity mr(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> mres = mr.TryRun(points);
+  StatusOr<MrResult> mres = mr.TryRun(Dataset(points));
   if (!mres.ok()) {
     std::fprintf(stderr, "mapreduce failed: %s\n",
                  mres.status().ToString().c_str());

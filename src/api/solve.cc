@@ -1,6 +1,7 @@
 #include "api/solve.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "core/cover_tree.h"
@@ -84,14 +85,14 @@ SolveResult FromMr(MrResult r) {
   return out;
 }
 
-Status ValidateSolveInput(const PointSet& points, const SolveOptions& o) {
+Status ValidateSolveInput(const Dataset& data, const SolveOptions& o) {
   if (o.k == 0) {
     return InvalidArgumentError("k must be at least 1");
   }
-  if (o.k > points.size()) {
+  if (o.k > data.size()) {
     return InvalidArgumentError("k (" + std::to_string(o.k) +
                                 ") exceeds the input size (" +
-                                std::to_string(points.size()) + ")");
+                                std::to_string(data.size()) + ")");
   }
   if (o.k_prime != 0 && o.k_prime < o.k) {
     return InvalidArgumentError("k_prime (" + std::to_string(o.k_prime) +
@@ -107,8 +108,10 @@ Status ValidateSolveInput(const PointSet& points, const SolveOptions& o) {
         "injective-proxy problems; '" +
         ProblemName(o.problem) + "' is not one");
   }
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (!PointIsFinite(points[i])) {
+  for (size_t i = 0; i < data.size(); ++i) {
+    const kernels::VecView v = data.row(i);
+    if (!std::all_of(v.values, v.values + v.nnz,
+                     [](float x) { return std::isfinite(x); })) {
       return InvalidArgumentError("input point " + std::to_string(i) +
                                   " has a non-finite (NaN/inf) coordinate");
     }
@@ -137,11 +140,7 @@ MrOptions ToMrOptions(const SolveOptions& o) {
 
 StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
                                const SolveOptions& options) {
-  // The streaming and MapReduce backends consume value-typed points (the
-  // stream engines copy what they keep; the MR drivers partition and re-lay
-  // out per reducer); only the sequential backend runs on the columns.
-  const PointSet& points = data.points();
-  DIVERSE_RETURN_IF_ERROR(ValidateSolveInput(points, options));
+  DIVERSE_RETURN_IF_ERROR(ValidateSolveInput(data, options));
   const SolveOptions o = Normalize(options);
   // The flags can only disable a tier for the duration of this call.
   ScopedScreening screening_guard(o.screening);
@@ -161,15 +160,15 @@ StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
     }
     case Backend::kStreaming: {
       StreamingDiversity sd(&metric, o.problem, o.k, o.k_prime);
-      for (const Point& p : points) sd.Update(p);
+      sd.UpdateAll(data);
       result = FromStreaming(sd.Finalize(), 1);
       break;
     }
     case Backend::kStreamingTwoPass: {
       TwoPassStreamingDiversity sd(&metric, o.problem, o.k, o.k_prime);
-      for (const Point& p : points) sd.UpdateFirstPass(p);
+      sd.UpdateAllFirstPass(data);
       sd.EndFirstPass();
-      for (const Point& p : points) sd.UpdateSecondPass(p);
+      sd.UpdateAllSecondPass(data);
       result = FromStreaming(sd.Finalize(), 2);
       break;
     }
@@ -180,10 +179,10 @@ StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
       MapReduceDiversity driver(&metric, o.problem, ToMrOptions(o));
       StatusOr<MrResult> run =
           o.backend == Backend::kMapReduceGeneralized
-              ? driver.TryRunGeneralized(points)
+              ? driver.TryRunGeneralized(data)
               : o.backend == Backend::kMapReduceRecursive
-                    ? driver.TryRunRecursive(points, o.local_memory_budget)
-                    : driver.TryRun(points);
+                    ? driver.TryRunRecursive(data, o.local_memory_budget)
+                    : driver.TryRun(data);
       if (!run.ok()) return run.status();
       result = FromMr(std::move(*run));
       break;

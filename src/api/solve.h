@@ -136,8 +136,9 @@ struct SolveResult {
 DIVERSE_MUST_USE StatusOr<SolveResult> TrySolve(
     const Dataset& data, const Metric& metric, const SolveOptions& options);
 
-/// Copies `points` into a Dataset and solves on it. Points of differing
-/// dims are kInvalidArgument (Dataset::TryFromPoints).
+/// Copies the coordinates of `points` into a columnar Dataset (the only
+/// copy the solve makes) and solves on it. Points of differing dims are
+/// kInvalidArgument (Dataset::TryFromPoints).
 DIVERSE_MUST_USE StatusOr<SolveResult> TrySolve(
     const PointSet& points, const Metric& metric,
     const SolveOptions& options);

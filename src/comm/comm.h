@@ -53,11 +53,11 @@ struct TaskEnvelope {
   FaultKind fault = FaultKind::kNone;
   uint64_t fault_param = 0;
   /// Content stamp of the call's partition argument (FingerprintPoints),
-  /// or 0 for "unkeyed". The MapReduce drivers compute it once per round
-  /// (when the engine WantsPartitionCacheKeys) so every retry and
-  /// speculative re-launch of the task reuses the same key — the property
-  /// that lets a re-ship after a crash hit the worker cache instead of
-  /// re-serializing the partition.
+  /// or 0 for "unkeyed". The MapReduce drivers derive it from the
+  /// partition's content (when the engine WantsPartitionCacheKeys), so
+  /// every retry and speculative re-launch of the task carries the same
+  /// key — the property that lets a re-ship after a crash hit the worker
+  /// cache instead of re-serializing the partition.
   uint64_t cache_key = 0;
 };
 

@@ -16,7 +16,7 @@ Coreset GmmCoreset(const Dataset& data, const Metric& metric,
 
 Coreset GmmCoreset(std::span<const Point> points, const Metric& metric,
                    size_t k_prime) {
-  return GmmCoreset(Dataset::FromPoints(points), metric, k_prime);
+  return GmmCoreset(Dataset(points), metric, k_prime);
 }
 
 Coreset GmmExtCoreset(const Dataset& data, const Metric& metric,
@@ -53,7 +53,7 @@ Coreset GmmExtCoreset(const Dataset& data, const Metric& metric,
 
 Coreset GmmExtCoreset(std::span<const Point> points, const Metric& metric,
                       size_t k_prime, size_t delegates_per_cluster) {
-  return GmmExtCoreset(Dataset::FromPoints(points), metric, k_prime,
+  return GmmExtCoreset(Dataset(points), metric, k_prime,
                        delegates_per_cluster);
 }
 

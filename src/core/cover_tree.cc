@@ -87,10 +87,12 @@ bool IndexProfitable(const Dataset& data, const Metric& metric, size_t k) {
   size_t m = std::min(g.probe_centers, k / 4);
   if (m < 4 || sample < 2 * m) return false;  // unprobeable (custom gate)
   Rng rng(0x1dcbULL * 0x9E3779B97F4A7C15ULL);
-  Dataset probe;
-  for (size_t i = 0; i < sample; ++i) {
-    probe.Append(data.point(rng.NextBounded(data.size())));
+  std::vector<uint32_t> sample_ids(sample);
+  for (uint32_t& id : sample_ids) {
+    id = static_cast<uint32_t>(rng.NextBounded(data.size()));
   }
+  Dataset probe;
+  probe.AssignGatherColumnar(data, sample_ids);
   std::vector<double> dist(sample, kInf);
   std::vector<double> sel(m, 0.0);
   size_t cur = 0;

@@ -22,23 +22,9 @@ uint64_t NextContentStamp() {
 
 }  // namespace
 
-Dataset::Dataset(PointSet points) {
-  points_.reserve(points.size());
-  rows_.reserve(points.size());
-  norms_.reserve(points.size());
-  for (Point& p : points) {
-    AppendColumnar(p);
-    points_.push_back(std::move(p));
-  }
-}
+Dataset::Dataset(std::span<const Point> points) { Assign(points); }
 
-Dataset Dataset::FromPoints(std::span<const Point> points) {
-  Dataset d;
-  d.Assign(points);
-  return d;
-}
-
-StatusOr<Dataset> Dataset::TryFromPoints(PointSet points) {
+StatusOr<Dataset> Dataset::TryFromPoints(std::span<const Point> points) {
   for (size_t i = 1; i < points.size(); ++i) {
     if (points[i].dim() != points[0].dim()) {
       return InvalidArgumentError(
@@ -47,29 +33,25 @@ StatusOr<Dataset> Dataset::TryFromPoints(PointSet points) {
           std::to_string(points[0].dim()));
     }
   }
-  return Dataset(std::move(points));
+  return Dataset(points);
 }
 
-const Point& Dataset::RowPoint(size_t i, Point* scratch) const {
-  if (points_.size() == rows_.size()) return points_[i];
+Point Dataset::point(size_t i) const {
   const kernels::VecView v = row(i);
   std::vector<float> values(v.values, v.values + v.nnz);
-  if (v.sparse) {
-    std::vector<uint32_t> indices(v.indices, v.indices + v.nnz);
-    *scratch = Point::Sparse(std::move(indices), std::move(values),
-                             static_cast<uint32_t>(v.dim));
-  } else {
-    *scratch = Point::Dense(std::move(values));
-  }
-  return *scratch;
+  if (!v.sparse) return Point::Dense(std::move(values));
+  return Point::Sparse(std::vector<uint32_t>(v.indices, v.indices + v.nnz),
+                       std::move(values), static_cast<uint32_t>(v.dim));
+}
+
+PointSet Dataset::points() const {
+  PointSet out;
+  out.reserve(size());
+  for (size_t i = 0; i < size(); ++i) out.push_back(point(i));
+  return out;
 }
 
 void Dataset::Append(const Point& p) {
-  AppendColumnar(p);
-  points_.push_back(p);
-}
-
-void Dataset::AppendColumnar(const Point& p) {
   if (rows_.empty()) {
     dim_ = p.dim();
   } else {
@@ -103,17 +85,20 @@ void Dataset::AppendColumnar(const Point& p) {
 
 void Dataset::Assign(std::span<const Point> points) {
   Clear();
-  points_.reserve(points.size());
+  size_t dense_total = 0;
+  size_t csr_total = 0;
+  for (const Point& p : points) {
+    (p.is_sparse() ? csr_total : dense_total) += p.nnz();
+  }
+  dense_.reserve(dense_total);
+  csr_indices_.reserve(csr_total);
+  csr_values_.reserve(csr_total);
   rows_.reserve(points.size());
   norms_.reserve(points.size());
-  for (const Point& p : points) {
-    AppendColumnar(p);
-    points_.push_back(p);
-  }
+  for (const Point& p : points) Append(p);
 }
 
 void Dataset::Clear() {
-  points_.clear();
   dense_.clear();
   csr_indices_.clear();
   csr_values_.clear();
@@ -168,13 +153,10 @@ void Dataset::AssignGatherColumnar(const Dataset& src,
 }
 
 size_t Dataset::MemoryBytes() const {
-  size_t bytes = sizeof(Dataset) + dense_.capacity() * sizeof(float) +
-                 csr_indices_.capacity() * sizeof(uint32_t) +
-                 csr_values_.capacity() * sizeof(float) +
-                 rows_.capacity() * sizeof(RowRef) +
-                 norms_.capacity() * sizeof(double);
-  for (const Point& p : points_) bytes += p.MemoryBytes();
-  return bytes;
+  return sizeof(Dataset) + dense_.capacity() * sizeof(float) +
+         csr_indices_.capacity() * sizeof(uint32_t) +
+         csr_values_.capacity() * sizeof(float) +
+         rows_.capacity() * sizeof(RowRef) + norms_.capacity() * sizeof(double);
 }
 
 }  // namespace diverse

@@ -1,11 +1,11 @@
-// Columnar dataset storage — the memory layout the batched distance kernels
-// run on.
+// Columnar dataset storage — the one in-memory copy of the points, in the
+// layout the batched distance kernels run on.
 //
 // `PointSet` (a vector of `Point`) is an array-of-structs: every point owns
 // its own heap-allocated coordinate vectors, so a distance sweep over n
 // points chases 2n pointers and takes a virtual call per evaluation. For the
 // O(k n)-evaluation hot loops (GMM, SMM updates, coreset rounds) that layout
-// is the dominant cost. `Dataset` stores the same points contiguously:
+// is the dominant cost. `Dataset` stores the points contiguously:
 //
 //   * dense rows in one row-major float array (`dim` floats per row);
 //   * sparse rows in CSR form (one shared indices array + values array, with
@@ -17,12 +17,10 @@
 // dataset built from a mixed PointSet is still valid (dense rows sweep the
 // dense pool, sparse rows the CSR pool).
 //
-// A Dataset also retains the originating `Point`s (`points()`): algorithms
-// frequently need value-typed points for coresets, solutions, and shims, and
-// the retention is what makes the PointSet-based entry points thin wrappers
-// (construction copies the points once; no per-call conversions afterwards).
-// The columnar arrays add ~1x the coordinate storage on top — an explicit
-// space-for-time trade documented in the README.
+// A Dataset keeps no `Point`s: construction copies the coordinates into the
+// arrays above and nothing else. `point(i)` builds a value-typed Point from
+// row i where one is needed (solutions, core-sets, the engine boundary of
+// the MapReduce drivers); library code otherwise reads rows.
 
 #ifndef DIVERSE_CORE_DATASET_H_
 #define DIVERSE_CORE_DATASET_H_
@@ -47,17 +45,15 @@ class Dataset {
   /// An empty dataset. The first appended point fixes the dimension.
   Dataset() = default;
 
-  /// Takes ownership of `points` and builds the columnar arrays.
-  explicit Dataset(PointSet points);
+  /// Copies the coordinates of `points` into the columnar arrays. All points
+  /// must share one dim (CHECK); see TryFromPoints for untrusted input.
+  explicit Dataset(std::span<const Point> points);
 
-  /// Builds from a span by copying the points.
-  static Dataset FromPoints(std::span<const Point> points);
-
-  /// Takes ownership of `points` like the constructor, but returns
-  /// kInvalidArgument, naming the first point whose dim differs from point
-  /// 0's, where the constructor would CHECK-abort. The entry point for
-  /// points from outside the program (loaders, TrySolve).
-  static StatusOr<Dataset> TryFromPoints(PointSet points);
+  /// Builds like the constructor, but returns kInvalidArgument, naming the
+  /// first point whose dim differs from point 0's, where the constructor
+  /// would CHECK-abort. The entry point for points from outside the program
+  /// (loaders, TrySolve).
+  static StatusOr<Dataset> TryFromPoints(std::span<const Point> points);
 
   /// Number of rows.
   size_t size() const { return rows_.size(); }
@@ -67,23 +63,20 @@ class Dataset {
   /// Ambient dimension (0 while empty).
   size_t dim() const { return dim_; }
 
-  /// The stored points, in row order.
-  const PointSet& points() const { return points_; }
+  /// Row i as a value-typed point, built from the columnar arrays; equal
+  /// (operator==, and bit for bit in norm) to the point the row was
+  /// appended from.
+  Point point(size_t i) const;
 
-  /// Row i as a value-typed point.
-  const Point& point(size_t i) const { return points_[i]; }
-
-  /// Row i as a value-typed point on any dataset: point(i) when the points
-  /// are retained, otherwise (AssignGatherColumnar results) rebuilt from the
-  /// columnar arrays into `*scratch`. The Metric base-class fallbacks read
-  /// rows through it, so user-defined metrics also run on gathered datasets.
-  const Point& RowPoint(size_t i, Point* scratch) const;
+  /// Every row as a point, in row order: an O(n) export for API edges
+  /// (benches, tests). Library code reads rows instead.
+  PointSet points() const;
 
   /// True if row i uses the sparse representation.
   bool row_is_sparse(size_t i) const { return rows_[i].sparse != 0; }
 
-  /// Kernel view of row i over the columnar arrays (not the Point's own
-  /// heap vectors), valid until the next Append/Clear.
+  /// Kernel view of row i over the columnar arrays, valid until the next
+  /// Append/Assign/Clear.
   kernels::VecView row(size_t i) const {
     const RowRef& r = rows_[i];
     kernels::VecView v;
@@ -170,20 +163,18 @@ class Dataset {
   /// Removes all rows (dimension resets with the next Append).
   void Clear();
 
-  /// Replaces the contents with src rows `rows` (in that order), copying
-  /// ONLY the columnar arrays, norms, and aggregate statistics — points()
-  /// stays empty, so point() and points() must not be used on the result
-  /// (RowPoint() works). Kernels, norms, and screening statistics see
-  /// exactly the content Append of the same rows would have produced, at
-  /// raw array-copy speed instead of per-Point heap copies. This is the
-  /// scratch path of the metric-index build (core/cover_tree.cc), which
-  /// re-materializes every tree node's row range once to keep its pole
-  /// sweeps on contiguous rows, and of the greedy-matching refill scans
-  /// (core/sequential.cc), which gather the live rows.
+  /// Replaces the contents with src rows `rows` (in that order) by copying
+  /// their columnar slices, norms and statistics — exactly the content
+  /// Append of the same rows' points would have produced, at raw
+  /// array-copy speed. The scratch path of the metric-index build
+  /// (core/cover_tree.cc), which re-materializes every tree node's row range
+  /// once to keep its pole sweeps on contiguous rows, of the greedy-matching
+  /// refill scans (core/sequential.cc), and of every row subset a kernel
+  /// sweep needs (center rows, solution rows, probe samples).
   void AssignGatherColumnar(const Dataset& src,
                             std::span<const uint32_t> rows);
 
-  /// Approximate heap footprint in bytes (points + columnar arrays).
+  /// Approximate heap footprint in bytes (the columnar arrays).
   size_t MemoryBytes() const;
 
  private:
@@ -193,9 +184,6 @@ class Dataset {
     uint8_t sparse = 0;
   };
 
-  void AppendColumnar(const Point& p);
-
-  PointSet points_;
   size_t dim_ = 0;
   std::vector<float> dense_;
   std::vector<uint32_t> csr_indices_;

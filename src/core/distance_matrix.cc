@@ -31,7 +31,7 @@ DistanceMatrix::DistanceMatrix(std::span<const Point> points,
     uniform_dims = points[i].dim() == points[0].dim();
   }
   if (n_ >= kTiledBuildMin && uniform_dims) {
-    BuildTiled(Dataset::FromPoints(points), metric);
+    BuildTiled(Dataset(points), metric);
     return;
   }
   for (size_t i = 0; i < n_; ++i) {

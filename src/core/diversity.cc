@@ -233,8 +233,9 @@ double EvaluateDiversity(DiversityProblem problem,
 double EvaluateDiversitySubset(DiversityProblem problem, const Dataset& data,
                                std::span<const size_t> rows,
                                const Metric& metric) {
+  const std::vector<uint32_t> ids(rows.begin(), rows.end());
   Dataset subset;
-  for (size_t idx : rows) subset.Append(data.point(idx));
+  subset.AssignGatherColumnar(data, ids);
   return EvaluateDiversity(problem, DistanceMatrix(subset, metric));
 }
 

@@ -118,7 +118,7 @@ GeneralizedCoreset GmmGenCoreset(const Dataset& data, const Metric& metric,
 GeneralizedCoreset GmmGenCoreset(std::span<const Point> points,
                                  const Metric& metric, size_t k,
                                  size_t k_prime, double* range_out) {
-  return GmmGenCoreset(Dataset::FromPoints(points), metric, k, k_prime,
+  return GmmGenCoreset(Dataset(points), metric, k, k_prime,
                        range_out);
 }
 
@@ -170,7 +170,7 @@ std::optional<PointSet> Instantiate(const GeneralizedCoreset& coreset,
     if (needed[e] > 0) pending.push_back(e);
   }
   if (!pending.empty()) {
-    Dataset data = Dataset::FromPoints(points);
+    const Dataset data(points);
     const bool screened = UseScreening(metric);
     constexpr size_t kChunk = kernels::kTileLanes;
     constexpr size_t kRowBlock = 256;

@@ -78,7 +78,7 @@ GmmResult Gmm(const Dataset& data, const Metric& metric, size_t k,
 
 GmmResult Gmm(std::span<const Point> points, const Metric& metric, size_t k,
               size_t first) {
-  return Gmm(Dataset::FromPoints(points), metric, k, first);
+  return Gmm(Dataset(points), metric, k, first);
 }
 
 GmmResult GmmScalar(std::span<const Point> points, const Metric& metric,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "core/cover_tree.h"
 #include "core/gmm.h"
@@ -22,7 +23,7 @@ KCenterResult SolveKCenterGmm(const Dataset& data, const Metric& metric,
 
 KCenterResult SolveKCenterGmm(std::span<const Point> points,
                               const Metric& metric, size_t k) {
-  return SolveKCenterGmm(Dataset::FromPoints(points), metric, k);
+  return SolveKCenterGmm(Dataset(points), metric, k);
 }
 
 namespace {
@@ -120,9 +121,11 @@ KCenterResult SolveKCenterDoubling(std::span<const Point> points,
   // materializing an fp32 tile, and only band hits are re-evaluated
   // exactly — assignment, radius, and ties are bit-identical to the exact
   // tile pass.
-  Dataset data = Dataset::FromPoints(points);
+  const Dataset data(points);
+  const std::vector<uint32_t> center_ids(result.centers.begin(),
+                                         result.centers.end());
   Dataset center_rows;
-  for (size_t c : result.centers) center_rows.Append(points[c]);
+  center_rows.AssignGatherColumnar(data, center_ids);
   std::vector<double> dist(n, std::numeric_limits<double>::infinity());
   size_t farthest;
   // When both sides are large and the centers' statistics are dominated by
@@ -146,8 +149,9 @@ KCenterResult SolveKCenterDoubling(std::span<const Point> points,
 double ClusteringRadius(const Dataset& data, const Metric& metric,
                         std::span<const size_t> centers) {
   DIVERSE_CHECK(!centers.empty());
+  const std::vector<uint32_t> center_ids(centers.begin(), centers.end());
   Dataset center_rows;
-  for (size_t c : centers) center_rows.Append(data.point(c));
+  center_rows.AssignGatherColumnar(data, center_ids);
   std::vector<double> dist(data.size(),
                            std::numeric_limits<double>::infinity());
   size_t farthest;
@@ -164,7 +168,7 @@ double ClusteringRadius(const Dataset& data, const Metric& metric,
 
 double ClusteringRadius(std::span<const Point> points, const Metric& metric,
                         std::span<const size_t> centers) {
-  return ClusteringRadius(Dataset::FromPoints(points), metric, centers);
+  return ClusteringRadius(Dataset(points), metric, centers);
 }
 
 }  // namespace diverse

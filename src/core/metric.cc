@@ -889,9 +889,8 @@ ScreenSideStats SideStatsOf(const Point& point) {
 void Metric::DistanceToMany(const Point& query, const Dataset& data,
                             size_t begin, std::span<double> out) const {
   DIVERSE_CHECK_LE(begin + out.size(), data.size());
-  Point row;
   for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = Distance(query, data.RowPoint(begin + i, &row));
+    out[i] = Distance(query, data.point(begin + i));
   }
 }
 
@@ -910,12 +909,10 @@ void Metric::DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,
                           const Dataset& data, size_t r_begin, size_t nr,
                           double* out, size_t out_stride) const {
   CheckTileArgs(queries, q_begin, nq, data, r_begin, nr, out_stride);
-  Point query_row, data_row;
   for (size_t q = 0; q < nq; ++q) {
-    const Point& query = queries.RowPoint(q_begin + q, &query_row);
+    const Point query = queries.point(q_begin + q);
     for (size_t r = 0; r < nr; ++r) {
-      out[q * out_stride + r] =
-          Distance(query, data.RowPoint(r_begin + r, &data_row));
+      out[q * out_stride + r] = Distance(query, data.point(r_begin + r));
     }
   }
 }
@@ -941,10 +938,9 @@ void Metric::DistanceTileF32(const Dataset& queries, size_t q_begin,
 void Metric::DistanceRowsMany(const Dataset& a, size_t i, const Dataset& b,
                               std::span<const uint32_t> rows,
                               double* out) const {
-  Point a_row, b_row;
-  const Point& query = a.RowPoint(i, &a_row);
+  const Point query = a.point(i);
   for (size_t t = 0; t < rows.size(); ++t) {
-    out[t] = Distance(query, b.RowPoint(rows[t], &b_row));
+    out[t] = Distance(query, b.point(rows[t]));
   }
 }
 

@@ -106,11 +106,6 @@ std::string Point::ToString() const {
   return out.str();
 }
 
-size_t Point::MemoryBytes() const {
-  return sizeof(Point) + indices_.capacity() * sizeof(uint32_t) +
-         values_.capacity() * sizeof(float);
-}
-
 bool PointIsFinite(const Point& p) {
   const std::vector<float>& vals =
       p.is_sparse() ? p.sparse_values() : p.dense_values();

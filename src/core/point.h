@@ -96,10 +96,6 @@ class Point {
   /// Debug rendering, e.g. "(1.0, 2.5)" or "sparse{3:1.0, 17:2.0 | dim=5000}".
   std::string ToString() const;
 
-  /// Approximate heap footprint in bytes (used by the MapReduce simulator's
-  /// local-memory accounting).
-  size_t MemoryBytes() const;
-
  private:
   // For dense points `indices_` is empty and `values_` holds all dim_
   // coordinates; for sparse points the two arrays run in parallel.

@@ -320,7 +320,7 @@ size_t ScreenedRelaxRange(const Metric& metric, const Dataset& queries,
   DIVERSE_CHECK_EQ(dist.size(), data.size());
   if (!assignment.empty()) DIVERSE_CHECK_EQ(assignment.size(), data.size());
   if (count == 0) return 0;
-  const Point& query = queries.point(q_index);
+  const Point query = queries.point(q_index);
   size_t end = begin + count;
   if (!plan.screen) {
     // Exact per-pair relax through the batched kernel, chunked to bound
@@ -447,7 +447,8 @@ ScreenedNearest ScreenedArgClosestWithinBody(const Metric& metric,
     float v = s[i];
     bool finite = v >= -flt_max && v <= flt_max;
     if (finite && v > candidate_cutoff) continue;
-    double d = metric.Distance(query, data.point(i));
+    double d = 0.0;
+    metric.DistanceToMany(query, data, i, std::span<double>(&d, 1));
     if (d < best_val) {
       best_val = d;
       best = i;
@@ -475,9 +476,9 @@ size_t ScreenedFirstWithinBody(const Metric& metric, const Point& query,
       float v = buf[i];
       if (v >= -flt_max && v <= within) return b + i;
       if (v > beyond && v <= flt_max) continue;
-      if (metric.Distance(query, data.point(b + i)) <= threshold) {
-        return b + i;
-      }
+      double d = 0.0;
+      metric.DistanceToMany(query, data, b + i, std::span<double>(&d, 1));
+      if (d <= threshold) return b + i;
     }
   }
   return n;

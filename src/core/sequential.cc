@@ -358,7 +358,7 @@ std::vector<size_t> GreedyMatchingOnDataset(const Dataset& data,
 
 std::vector<size_t> GreedyMatchingOnPoints(std::span<const Point> points,
                                            const Metric& metric, size_t k) {
-  return GreedyMatchingOnDataset(Dataset::FromPoints(points), metric, k);
+  return GreedyMatchingOnDataset(Dataset(points), metric, k);
 }
 
 std::vector<size_t> SolveSequentialOnMatrix(DiversityProblem problem,
@@ -396,7 +396,7 @@ std::vector<size_t> SolveSequential(DiversityProblem problem,
 std::vector<size_t> SolveSequential(DiversityProblem problem,
                                     std::span<const Point> points,
                                     const Metric& metric, size_t k) {
-  return SolveSequential(problem, Dataset::FromPoints(points), metric, k);
+  return SolveSequential(problem, Dataset(points), metric, k);
 }
 
 std::vector<size_t> LocalSearchRemoteClique(std::span<const Point> points,
@@ -438,13 +438,12 @@ std::vector<size_t> LocalSearchRemoteClique(std::span<const Point> points,
     // consume them in the same candidate order, so the search trajectory is
     // unchanged; after an accepted swap the remainder of the block is
     // recomputed against the updated set (exactly what the scalar loop saw).
-    Dataset candidates = Dataset::FromPoints(points);
+    const Dataset candidates(points);
     Dataset current_rows;
-    PointSet current_points;
+    std::vector<uint32_t> current_ids;
     auto rebuild_current = [&] {
-      current_points.clear();
-      for (size_t idx : current) current_points.push_back(points[idx]);
-      current_rows.Assign(current_points);
+      current_ids.assign(current.begin(), current.end());
+      current_rows.AssignGatherColumnar(candidates, current_ids);
     };
     rebuild_current();
     constexpr size_t kCandidateBlock = 128;

@@ -269,13 +269,13 @@ StatusOr<PointSet> TryLoadPointsBinary(const std::string& path) {
 StatusOr<Dataset> TryLoadDatasetText(const std::string& path) {
   StatusOr<PointSet> points = TryLoadPointsText(path);
   if (!points.ok()) return points.status();
-  return Dataset::TryFromPoints(std::move(*points));
+  return Dataset::TryFromPoints(*points);
 }
 
 StatusOr<Dataset> TryLoadDatasetBinary(const std::string& path) {
   StatusOr<PointSet> points = TryLoadPointsBinary(path);
   if (!points.ok()) return points.status();
-  return Dataset::TryFromPoints(std::move(*points));
+  return Dataset::TryFromPoints(*points);
 }
 
 std::optional<PointSet> LoadPointsText(const std::string& path) {

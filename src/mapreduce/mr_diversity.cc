@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -41,18 +42,44 @@ void GarbleOne(PointSet* pts, uint64_t sub_seed) {
   (*pts)[t] = GarblePoint((*pts)[t], sub_seed);
 }
 
-// The input one reducer attempt reads: `pristine` itself, or — under a
-// corrupted-partition fault — a garbled copy held in `*scratch`. The
-// pristine input is re-read on retry, which is why detection plus
-// re-execution recovers exactly.
-const PointSet& AttemptInput(const MrTaskContext& ctx,
-                             const PointSet& pristine, PointSet* scratch) {
-  if (ctx.fault != FaultKind::kCorruptPartition || pristine.empty()) {
-    return pristine;
+// Rows `rows` of `data` as points, in order: how a partition reaches the
+// engine.
+PointSet GatherPoints(const Dataset& data, std::span<const uint32_t> rows) {
+  PointSet out;
+  out.reserve(rows.size());
+  for (uint32_t r : rows) out.push_back(data.point(r));
+  return out;
+}
+
+// The input one reducer attempt reads: a fresh copy of the pristine input,
+// garbled under a corrupted-partition fault. Every attempt re-reads the
+// pristine input, which is why detection plus re-execution recovers
+// exactly.
+PointSet AttemptInput(const MrTaskContext& ctx, PointSet in) {
+  if (ctx.fault == FaultKind::kCorruptPartition) {
+    GarbleOne(&in, ctx.fault_param);
   }
-  *scratch = pristine;
-  GarbleOne(scratch, ctx.fault_param);
-  return *scratch;
+  return in;
+}
+
+// The content stamp of a partition when the engine keeps a partition cache,
+// else 0 (unkeyed). Retries, speculative re-launches and the instantiate
+// round ship the same content, so they reuse the key and hit the cache.
+uint64_t PartitionCacheKey(const CommunicationEngine& engine,
+                           const PointSet& part) {
+  return engine.WantsPartitionCacheKeys() && !part.empty()
+             ? FingerprintPoints(part)
+             : 0;
+}
+
+// Point::operator== between row r of `data` and `p`, without building the
+// row's point.
+bool RowEquals(const Dataset& data, size_t r, const Point& p) {
+  const kernels::VecView a = data.row(r);
+  const kernels::VecView b = p.View();
+  return a.sparse == b.sparse && a.dim == b.dim && a.nnz == b.nnz &&
+         std::equal(a.values, a.values + a.nnz, b.values) &&
+         (!a.sparse || std::equal(a.indices, a.indices + a.nnz, b.indices));
 }
 
 // Moves every point of `parts` into one set, in order.
@@ -149,22 +176,6 @@ TaskEnvelope MakeEnvelope(const std::string& round, const MrTaskContext& ctx,
   return env;
 }
 
-// Per-partition content stamps, computed ONCE per driver run rather than
-// per attempt: every retry and speculative re-launch of a task reuses the
-// same key, so a re-ship after a crash (or a second solve over the same
-// corpus) hits the worker's partition cache instead of re-fingerprinting
-// and re-serializing. Empty when the engine has no cache to feed —
-// loopback runs pay nothing for the machinery.
-std::vector<uint64_t> PartitionCacheKeys(const CommunicationEngine& engine,
-                                         const std::vector<PointSet>& parts) {
-  if (!engine.WantsPartitionCacheKeys()) return {};
-  std::vector<uint64_t> keys(parts.size(), 0);
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (!parts[i].empty()) keys[i] = FingerprintPoints(parts[i]);
-  }
-  return keys;
-}
-
 Status AnnotateRoundFailure(const std::string& round_name,
                             const Status& error) {
   return Status(error.code(), "round '" + round_name +
@@ -177,7 +188,7 @@ Status AnnotateRoundFailure(const std::string& round_name,
 // covers. Returns the round error when degradation is disallowed or no
 // input point survives.
 Status ApplyRoundDegradation(const std::string& round_name,
-                             const std::vector<PointSet>& parts,
+                             const std::vector<std::vector<uint32_t>>& parts,
                              const RoundOutcome& outcome, bool allow_degraded,
                              std::optional<DegradedResult>* degraded) {
   if (outcome.ok()) return OkStatus();
@@ -190,7 +201,7 @@ Status ApplyRoundDegradation(const std::string& round_name,
   }
   size_t total = 0;
   size_t lost = 0;
-  for (const PointSet& p : parts) total += p.size();
+  for (const std::vector<uint32_t>& p : parts) total += p.size();
   for (size_t f : outcome.failed_tasks) lost += parts[f].size();
   if (total > 0 && lost >= total) {
     return DataLossError("round '" + round_name +
@@ -276,22 +287,20 @@ FallibleRoundOptions MapReduceDiversity::ExecPolicy() const {
 
 Status MapReduceDiversity::CoresetRound(
     MapReduceSimulator* sim, CommunicationEngine* engine,
-    const std::string& round_name, const std::vector<PointSet>& parts,
-    size_t input_size, std::vector<PointSet>* coresets,
+    const std::string& round_name, const Dataset& data,
+    const std::vector<std::vector<uint32_t>>& parts, size_t input_size,
+    std::vector<PointSet>* coresets,
     std::optional<DegradedResult>* degraded) const {
   coresets->assign(parts.size(), PointSet{});
-  const std::vector<uint64_t> part_keys = PartitionCacheKeys(*engine, parts);
   RoundOutcome outcome = sim->RunFallibleRound(
       round_name, parts.size(),
       [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
         const size_t i = ctx.task;
-        PointSet corrupted;
-        const PointSet& in = AttemptInput(ctx, parts[i], &corrupted);
+        const PointSet in = AttemptInput(ctx, GatherPoints(data, parts[i]));
         DIVERSE_RETURN_IF_ERROR(
             ValidateFinitePoints("input partition", round_name, i, in));
         StatusOr<PointSet> cs_or = engine->Coreset(
-            MakeEnvelope(round_name, ctx,
-                         part_keys.empty() ? 0 : part_keys[i]),
+            MakeEnvelope(round_name, ctx, PartitionCacheKey(*engine, in)),
             in, MakeCoresetSpec(in.size(), input_size));
         if (!cs_or.ok()) return cs_or.status();
         PointSet cs = std::move(*cs_or);
@@ -370,8 +379,7 @@ StatusOr<PointSet> MapReduceDiversity::SolveRound(
   RoundOutcome solve = sim->RunFallibleRound(
       "solve", 1,
       [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
-        PointSet corrupted;
-        const PointSet& in = AttemptInput(ctx, aggregate, &corrupted);
+        const PointSet in = AttemptInput(ctx, aggregate);
         DIVERSE_RETURN_IF_ERROR(
             ValidateFinitePoints("aggregated core-set", "solve", 0, in));
         const size_t k = std::min(options_.k, in.size());
@@ -416,22 +424,22 @@ MrResult MapReduceDiversity::Finalize(PointSet solution, size_t coreset_size,
   return result;
 }
 
-StatusOr<MrResult> MapReduceDiversity::TryRun(const PointSet& input) const {
+StatusOr<MrResult> MapReduceDiversity::TryRun(const Dataset& input) const {
   Timer total;
   MapReduceSimulator sim(options_.num_workers);
   std::optional<LoopbackEngine> fallback;
   CommunicationEngine* engine = Engine(&fallback);
 
-  std::vector<PointSet> parts =
-      PartitionPoints(input, options_.num_partitions, options_.partition,
-                      options_.seed, metric_);
+  const std::vector<std::vector<uint32_t>> parts =
+      PartitionRows(input, options_.num_partitions, options_.partition,
+                    options_.seed, metric_);
 
   // Round 1: one reducer per partition computes its composable core-set.
   // Permanently failed partitions are dropped here (their core-set slot
   // stays empty) and accounted in `degraded`.
   std::vector<PointSet> coresets;
   std::optional<DegradedResult> degraded;
-  DIVERSE_RETURN_IF_ERROR(CoresetRound(&sim, engine, "coreset", parts,
+  DIVERSE_RETURN_IF_ERROR(CoresetRound(&sim, engine, "coreset", input, parts,
                                        input.size(), &coresets, &degraded));
 
   // Optional reduce rounds: collapse the core-set list through a binary
@@ -450,24 +458,23 @@ StatusOr<MrResult> MapReduceDiversity::TryRun(const PointSet& input) const {
 }
 
 StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
-    const PointSet& input) const {
+    const Dataset& input) const {
   DIVERSE_CHECK(RequiresInjectiveProxies(problem_));
   Timer total;
   MapReduceSimulator sim(options_.num_workers);
   std::optional<LoopbackEngine> fallback;
   CommunicationEngine* engine = Engine(&fallback);
 
-  std::vector<PointSet> parts =
-      PartitionPoints(input, options_.num_partitions, options_.partition,
-                      options_.seed, metric_);
+  const std::vector<std::vector<uint32_t>> parts =
+      PartitionRows(input, options_.num_partitions, options_.partition,
+                    options_.seed, metric_);
 
   // Round 1: GMM-GEN per partition; keep each kernel's range so the
   // instantiation radius r_T = max_i r_{T_i} is known. Failed partitions are
   // dropped (empty generalized core-set, range 0) and excluded from round 3.
-  // One fingerprint pass serves both partition-shipping rounds (1 and 3):
-  // the instantiate round's by-ref requests hit the partitions the
-  // gen-coreset round already shipped into the worker caches.
-  const std::vector<uint64_t> part_keys = PartitionCacheKeys(*engine, parts);
+  // Both partition-shipping rounds (1 and 3) key a partition by its
+  // content, so the instantiate round's by-ref requests hit the partitions
+  // the gen-coreset round already shipped into the worker caches.
   std::vector<GeneralizedCoreset> gens(parts.size());
   std::vector<double> ranges(parts.size(), 0.0);
   RoundOutcome gen_round = sim.RunFallibleRound(
@@ -478,14 +485,12 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
           *commit = [] {};  // empty core-set, range stays 0
           return OkStatus();
         }
-        PointSet corrupted;
-        const PointSet& in = AttemptInput(ctx, parts[i], &corrupted);
+        const PointSet in = AttemptInput(ctx, GatherPoints(input, parts[i]));
         DIVERSE_RETURN_IF_ERROR(
             ValidateFinitePoints("input partition", "gen-coreset", i, in));
         size_t k_prime = std::min(options_.k_prime, in.size());
         StatusOr<GenCoresetResult> gen_or = engine->GenCoreset(
-            MakeEnvelope("gen-coreset", ctx,
-                         part_keys.empty() ? 0 : part_keys[i]),
+            MakeEnvelope("gen-coreset", ctx, PartitionCacheKey(*engine, in)),
             in, options_.k, k_prime);
         if (!gen_or.ok()) return gen_or.status();
         GeneralizedCoreset gen = std::move(gen_or->gen);
@@ -579,8 +584,8 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
       for (size_t e = 0; e < selected.size(); ++e) {
         if (assigned[e]) continue;
         const Point& p = selected.entries()[e].point;
-        for (const Point& q : parts[i]) {
-          if (q == p) {
+        for (uint32_t r : parts[i]) {
+          if (RowEquals(input, r, p)) {
             per_part[i].Add(p, selected.entries()[e].multiplicity);
             assigned[e] = true;
             break;
@@ -599,13 +604,11 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
           *commit = [] {};
           return OkStatus();
         }
-        PointSet corrupted;
-        const PointSet& in = AttemptInput(ctx, parts[i], &corrupted);
+        const PointSet in = AttemptInput(ctx, GatherPoints(input, parts[i]));
         DIVERSE_RETURN_IF_ERROR(
             ValidateFinitePoints("input partition", "instantiate", i, in));
         StatusOr<PointSet> inst_or = engine->Instantiate(
-            MakeEnvelope("instantiate", ctx,
-                         part_keys.empty() ? 0 : part_keys[i]),
+            MakeEnvelope("instantiate", ctx, PartitionCacheKey(*engine, in)),
             per_part[i], in, r_t);
         if (!inst_or.ok()) return inst_or.status();
         PointSet inst = std::move(*inst_or);
@@ -640,45 +643,55 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
 }
 
 StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
-    const PointSet& input, size_t local_memory_budget) const {
+    const Dataset& input, size_t local_memory_budget) const {
   DIVERSE_CHECK_GE(local_memory_budget, options_.k_prime);
   Timer total;
   MapReduceSimulator sim(options_.num_workers);
   std::optional<LoopbackEngine> fallback;
   CommunicationEngine* engine = Engine(&fallback);
 
-  PointSet current = input;
+  // Each level partitions the rows of `*current`: the input itself, then
+  // the columnar re-layout of the previous level's aggregate.
+  const Dataset* current = &input;
+  Dataset compressed;
+  PointSet aggregate;
   std::optional<DegradedResult> degraded;
   int level = 0;
   // Compress through core-set rounds until one reducer can hold everything.
   // Degradation applies at every level; the certificate's survival fraction
   // is the product over levels.
-  while (current.size() > local_memory_budget) {
+  while (current->size() > local_memory_budget) {
     size_t parts_needed =
-        (current.size() + local_memory_budget - 1) / local_memory_budget;
-    std::vector<PointSet> parts =
-        PartitionPoints(current, parts_needed, options_.partition,
-                        options_.seed + static_cast<uint64_t>(level), metric_);
+        (current->size() + local_memory_budget - 1) / local_memory_budget;
+    const std::vector<std::vector<uint32_t>> parts =
+        PartitionRows(*current, parts_needed, options_.partition,
+                      options_.seed + static_cast<uint64_t>(level), metric_);
     std::vector<PointSet> coresets;
-    DIVERSE_RETURN_IF_ERROR(
-        CoresetRound(&sim, engine, "coreset-l" + std::to_string(level), parts,
-                     input.size(), &coresets, &degraded));
-    PointSet next = Concatenate(&coresets);
+    DIVERSE_RETURN_IF_ERROR(CoresetRound(
+        &sim, engine, "coreset-l" + std::to_string(level), *current, parts,
+        input.size(), &coresets, &degraded));
+    aggregate = Concatenate(&coresets);
     // Guard against non-progress (budget too tight for k' per part).
-    if (next.size() >= current.size()) {
+    if (aggregate.size() >= current->size()) {
       return FailedPreconditionError(
           "recursive compression made no progress at level " +
-          std::to_string(level) + " (" + std::to_string(next.size()) + " of " +
-          std::to_string(current.size()) +
+          std::to_string(level) + " (" + std::to_string(aggregate.size()) +
+          " of " + std::to_string(current->size()) +
           " points remain); raise the local memory budget");
     }
-    current = std::move(next);
+    compressed = Dataset(aggregate);
+    current = &compressed;
     ++level;
+  }
+  if (level == 0) {
+    // The input fits one reducer: its one chunked part is every row.
+    aggregate = GatherPoints(
+        input, PartitionRows(input, 1, PartitionStrategy::kChunked, 0)[0]);
   }
 
   DIVERSE_ASSIGN_OR_RETURN(PointSet solution,
-                           SolveRound(&sim, engine, current));
-  return Finalize(std::move(solution), current.size(), std::move(degraded),
+                           SolveRound(&sim, engine, aggregate));
+  return Finalize(std::move(solution), aggregate.size(), std::move(degraded),
                   sim, total);
 }
 

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "comm/comm.h"
+#include "core/dataset.h"
 #include "core/diversity.h"
 #include "core/metric.h"
 #include "core/point.h"
@@ -168,7 +169,9 @@ struct MrResult {
 void AccumulateRoundStats(const MapReduceSimulator& sim, MrResult* result);
 
 /// Driver for the MapReduce algorithms. Thread-safe for concurrent runs
-/// only through distinct instances.
+/// only through distinct instances. The drivers partition the input's row
+/// ids (PartitionRows) and build a partition's points only for the engine
+/// call of each reducer attempt.
 class MapReduceDiversity {
  public:
   /// `metric` must outlive this object.
@@ -180,18 +183,18 @@ class MapReduceDiversity {
   /// partition loss (if allowed), and returns an error Status when the run
   /// cannot produce a certified result (aggregator failure, every partition
   /// lost, or degradation disallowed).
-  StatusOr<MrResult> TryRun(const PointSet& input) const;
+  StatusOr<MrResult> TryRun(const Dataset& input) const;
 
   /// 3-round generalized-core-set algorithm (Theorem 10). Requires an
   /// injective-proxy problem. Degradation applies to round 1 only; round-2
   /// solve and round-3 instantiation failures are fatal.
-  StatusOr<MrResult> TryRunGeneralized(const PointSet& input) const;
+  StatusOr<MrResult> TryRunGeneralized(const Dataset& input) const;
 
   /// Multi-round recursion (Theorem 8): keeps compressing through rounds of
   /// composable core-sets until the aggregate has at most
   /// `local_memory_budget` points, then solves sequentially. Degradation
   /// applies at every compression level.
-  StatusOr<MrResult> TryRunRecursive(const PointSet& input,
+  StatusOr<MrResult> TryRunRecursive(const Dataset& input,
                                      size_t local_memory_budget) const;
 
  private:
@@ -208,15 +211,16 @@ class MapReduceDiversity {
   // The executor policy derived from options_.
   FallibleRoundOptions ExecPolicy() const;
 
-  // Runs one fallible core-set round over `parts` on `engine`, committing
-  // into `coresets` (resized to parts.size()). On permanent task failures:
-  // degrades (drops the partitions, accumulating the certificate into
-  // `*degraded`) when allowed, else returns the error. `round_name`
-  // distinguishes recursion levels.
+  // Runs one fallible core-set round over the row-id partitions `parts` of
+  // `data` on `engine`, committing into `coresets` (resized to
+  // parts.size()). On permanent task failures: degrades (drops the
+  // partitions, accumulating the certificate into `*degraded`) when
+  // allowed, else returns the error. `round_name` distinguishes recursion
+  // levels.
   Status CoresetRound(MapReduceSimulator* sim, CommunicationEngine* engine,
-                      const std::string& round_name,
-                      const std::vector<PointSet>& parts, size_t input_size,
-                      std::vector<PointSet>* coresets,
+                      const std::string& round_name, const Dataset& data,
+                      const std::vector<std::vector<uint32_t>>& parts,
+                      size_t input_size, std::vector<PointSet>* coresets,
                       std::optional<DegradedResult>* degraded) const;
 
   // Collapses `coresets` to a single aggregate via fallible

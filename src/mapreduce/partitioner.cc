@@ -1,6 +1,7 @@
 #include "mapreduce/partitioner.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <numeric>
 
 #include "util/check.h"
@@ -20,30 +21,19 @@ std::string PartitionStrategyName(PartitionStrategy strategy) {
   return "unknown";
 }
 
-namespace {
-
-// Compares dense points lexicographically by coordinates.
-bool LexLess(const Point& a, const Point& b) {
-  const auto& va = a.dense_values();
-  const auto& vb = b.dense_values();
-  return std::lexicographical_compare(va.begin(), va.end(), vb.begin(),
-                                      vb.end());
-}
-
-}  // namespace
-
-std::vector<PointSet> PartitionPoints(std::span<const Point> points,
-                                      size_t num_parts,
-                                      PartitionStrategy strategy,
-                                      uint64_t seed, const Metric* metric) {
-  size_t n = points.size();
+std::vector<std::vector<uint32_t>> PartitionRows(const Dataset& data,
+                                                 size_t num_parts,
+                                                 PartitionStrategy strategy,
+                                                 uint64_t seed,
+                                                 const Metric* metric) {
+  const size_t n = data.size();
   DIVERSE_CHECK_GE(num_parts, 1u);
   // num_parts may exceed n (including n == 0): the first n parts receive one
-  // point each and the tail parts stay empty. Callers distributing work to a
+  // row each and the tail parts stay empty. Callers distributing work to a
   // fixed reducer fleet rely on always getting num_parts parts back.
 
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
 
   switch (strategy) {
     case PartitionStrategy::kChunked:
@@ -56,40 +46,50 @@ std::vector<PointSet> PartitionPoints(std::span<const Point> points,
       break;
     }
     case PartitionStrategy::kAdversarial: {
-      if (points.empty()) break;  // nothing to sort; no pivot to read
-      if (!points[0].is_sparse()) {
-        std::sort(order.begin(), order.end(), [&points](size_t a, size_t b) {
-          return LexLess(points[a], points[b]);
+      if (n == 0) break;  // nothing to sort; no pivot to read
+      if (data.sparse_stats().rows == 0) {
+        const size_t dim = data.dim();
+        std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+          const float* va = data.row(a).values;
+          const float* vb = data.row(b).values;
+          return std::lexicographical_compare(va, va + dim, vb, vb + dim);
         });
       } else {
         DIVERSE_CHECK(metric != nullptr);
-        // Scalar pivot-distance sweep: a one-shot columnar re-layout would
-        // cost more (n point copies) than the n virtual calls it saves.
-        const Point& pivot = points[0];
         std::vector<double> key(n);
-        for (size_t i = 0; i < n; ++i) {
-          key[i] = metric->Distance(points[i], pivot);
-        }
+        metric->DistanceToMany(data.point(0), data, 0, key);
         std::sort(order.begin(), order.end(),
-                  [&key](size_t a, size_t b) { return key[a] < key[b]; });
+                  [&key](uint32_t a, uint32_t b) { return key[a] < key[b]; });
       }
       break;
     }
   }
 
   // Split `order` into num_parts blocks whose sizes differ by at most one.
-  std::vector<PointSet> parts(num_parts);
-  size_t base = n / num_parts;
-  size_t extra = n % num_parts;
-  size_t pos = 0;
+  std::vector<std::vector<uint32_t>> parts(num_parts);
+  const size_t base = n / num_parts;
+  const size_t extra = n % num_parts;
+  auto next = order.begin();
   for (size_t p = 0; p < num_parts; ++p) {
-    size_t len = base + (p < extra ? 1 : 0);
-    parts[p].reserve(len);
-    for (size_t i = 0; i < len; ++i) {
-      parts[p].push_back(points[order[pos++]]);
-    }
+    const size_t len = base + (p < extra ? 1 : 0);
+    parts[p].assign(next, next + static_cast<std::ptrdiff_t>(len));
+    next += static_cast<std::ptrdiff_t>(len);
   }
-  DIVERSE_CHECK_EQ(pos, n);
+  DIVERSE_CHECK(next == order.end());
+  return parts;
+}
+
+std::vector<PointSet> PartitionPoints(std::span<const Point> points,
+                                      size_t num_parts,
+                                      PartitionStrategy strategy,
+                                      uint64_t seed, const Metric* metric) {
+  const std::vector<std::vector<uint32_t>> rows = PartitionRows(
+      Dataset(points), num_parts, strategy, seed, metric);
+  std::vector<PointSet> parts(rows.size());
+  for (size_t p = 0; p < rows.size(); ++p) {
+    parts[p].reserve(rows[p].size());
+    for (uint32_t r : rows[p]) parts[p].push_back(points[r]);
+  }
   return parts;
 }
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dataset.h"
 #include "core/metric.h"
 #include "core/point.h"
 
@@ -26,23 +27,32 @@ enum class PartitionStrategy : uint8_t {
   kChunked,
   /// Random shuffle, then equal-size blocks (the paper's default).
   kRandom,
-  /// Sorted so that each block covers a small-volume region: dense points
-  /// are sorted lexicographically by coordinates; other points by distance
-  /// to the first point (thin metric shells). This is the obfuscating
-  /// partition of Section 7.2.
+  /// Sorted so that each block covers a small-volume region: all-dense
+  /// inputs are sorted lexicographically by coordinates; any other input
+  /// (sparse or mixed rows) by distance to row 0 (thin metric shells). This
+  /// is the obfuscating partition of Section 7.2.
   kAdversarial,
 };
 
 /// Short name, e.g. "random".
 std::string PartitionStrategyName(PartitionStrategy strategy);
 
-/// Splits `points` into `num_parts` subsets of (near-)equal size according
-/// to `strategy`. `metric` is needed only for kAdversarial on sparse points;
-/// it may be null otherwise. Requires num_parts >= 1. When num_parts exceeds
-/// points.size() (including an empty input), exactly num_parts parts are
-/// still returned: the first points.size() hold one point each and the tail
-/// parts are empty — reducers tolerate empty inputs, so a fixed fleet size
-/// never crashes on a small round.
+/// Splits the rows of `data` into `num_parts` lists of row ids of
+/// (near-)equal size according to `strategy`. `metric` is needed only for
+/// kAdversarial on input with sparse rows; it may be null otherwise.
+/// Requires num_parts >= 1. When num_parts exceeds data.size() (including
+/// an empty input), exactly num_parts lists are still returned: the first
+/// data.size() hold one row each and the tail lists are empty — reducers
+/// tolerate empty inputs, so a fixed fleet size never crashes on a small
+/// round.
+std::vector<std::vector<uint32_t>> PartitionRows(const Dataset& data,
+                                                 size_t num_parts,
+                                                 PartitionStrategy strategy,
+                                                 uint64_t seed,
+                                                 const Metric* metric = nullptr);
+
+/// PartitionRows over the points (which must share one dim), with each
+/// part's points copied out in row-id order.
 std::vector<PointSet> PartitionPoints(std::span<const Point> points,
                                       size_t num_parts,
                                       PartitionStrategy strategy,

@@ -30,7 +30,7 @@ void StreamingDiversity::Update(const Point& p) {
 }
 
 void StreamingDiversity::UpdateAll(const Dataset& data) {
-  for (const Point& p : data.points()) Update(p);
+  for (size_t i = 0; i < data.size(); ++i) Update(data.point(i));
 }
 
 StreamingResult StreamingDiversity::Finalize() {
@@ -71,11 +71,11 @@ void TwoPassStreamingDiversity::UpdateFirstPass(const Point& p) {
 }
 
 void TwoPassStreamingDiversity::UpdateAllFirstPass(const Dataset& data) {
-  for (const Point& p : data.points()) UpdateFirstPass(p);
+  for (size_t i = 0; i < data.size(); ++i) UpdateFirstPass(data.point(i));
 }
 
 void TwoPassStreamingDiversity::UpdateAllSecondPass(const Dataset& data) {
-  for (const Point& p : data.points()) UpdateSecondPass(p);
+  for (size_t i = 0; i < data.size(); ++i) UpdateSecondPass(data.point(i));
 }
 
 void TwoPassStreamingDiversity::EndFirstPass() {

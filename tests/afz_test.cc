@@ -71,7 +71,7 @@ TEST(AfzTest, CppuBeatsOrMatchesAfzOnPlantedData) {
   cppu_opts.num_workers = 4;
   cppu_opts.seed = 5;
   MapReduceDiversity cppu(&m, DiversityProblem::kRemoteClique, cppu_opts);
-  StatusOr<MrResult> cppu_r = cppu.TryRun(pts);
+  StatusOr<MrResult> cppu_r = cppu.TryRun(Dataset(pts));
   ASSERT_TRUE(cppu_r.ok()) << cppu_r.status().ToString();
 
   EXPECT_GE(cppu_r->diversity, 0.9 * afz.diversity);

@@ -172,7 +172,7 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
           // Local-search refinement (remote-clique only): starts from the
           // greedy matching and monotonically improves the clique sum.
           if (p == DiversityProblem::kRemoteClique) {
-            Dataset data = Dataset::FromPoints(layout.pts);
+            Dataset data(layout.pts);
             std::vector<size_t> initial = SolveSequential(p, data, *metric,
                                                           kK);
             double matching_value =
@@ -217,7 +217,7 @@ TEST(ApproxRatioTest, DegradedRunCertifiedAgainstSurvivingOracle) {
         o.seed = kSeed;
         o.faults = &faults;
         MapReduceDiversity mr(metric.get(), p, o);
-        StatusOr<MrResult> r = mr.TryRun(layout.pts);
+        StatusOr<MrResult> r = mr.TryRun(Dataset(layout.pts));
         std::string ctx = layout.name + "/" + metric->Name() + "/" +
                           ProblemName(p) + "/degraded";
         ASSERT_TRUE(r.ok()) << ctx << ": " << r.status().ToString();
@@ -278,7 +278,7 @@ TEST(ApproxRatioTest, SocketBackendCertifiedAgainstOracle) {
 
       // Fault-free distributed run: within the proven factor.
       MapReduceDiversity mr(metric.get(), p, o);
-      StatusOr<MrResult> clean = mr.TryRun(pts);
+      StatusOr<MrResult> clean = mr.TryRun(Dataset(pts));
       ASSERT_TRUE(clean.ok()) << ctx << ": " << clean.status().ToString();
       ASSERT_FALSE(clean->degraded.has_value()) << ctx;
       double opt_all = ExactDiversityMaximization(p, pts, *metric, kK).value;
@@ -289,7 +289,7 @@ TEST(ApproxRatioTest, SocketBackendCertifiedAgainstOracle) {
       MrOptions fo = o;
       fo.faults = &faults;
       MapReduceDiversity faulty(metric.get(), p, fo);
-      StatusOr<MrResult> r = faulty.TryRun(pts);
+      StatusOr<MrResult> r = faulty.TryRun(Dataset(pts));
       ASSERT_TRUE(r.ok()) << ctx << ": " << r.status().ToString();
       ASSERT_TRUE(r->degraded.has_value()) << ctx;
       const DegradedResult& d = *r->degraded;
@@ -319,7 +319,7 @@ TEST(ApproxRatioTest, OracleDominatesEveryReportedSolution) {
     ASSERT_EQ(exact.best_subset.size(), kK);
     // Re-evaluating the reported optimal subset reproduces the reported
     // value, and every sequential solution is dominated by it.
-    Dataset data = Dataset::FromPoints(pts);
+    Dataset data(pts);
     EXPECT_NEAR(EvaluateDiversitySubset(p, data, exact.best_subset, metric),
                 exact.value, 1e-12)
         << ProblemName(p);

@@ -83,7 +83,7 @@ std::vector<PointSet> AllDatasets() {
 
 TEST(BatchKernelTest, DistanceToManyMatchesScalarAllMetricsAllLayouts) {
   for (const PointSet& pts : AllDatasets()) {
-    Dataset data = Dataset::FromPoints(pts);
+    Dataset data(pts);
     for (const auto& metric : AllMetrics()) {
       const Point& q = pts[7];
       std::vector<double> out(pts.size());
@@ -98,7 +98,7 @@ TEST(BatchKernelTest, DistanceToManyMatchesScalarAllMetricsAllLayouts) {
 
 TEST(BatchKernelTest, DistanceToManySupportsSubranges) {
   PointSet pts = MixedPoints(40, 10, /*seed=*/21);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   EuclideanMetric metric;
   const Point& q = pts[0];
   std::vector<double> out(17);
@@ -110,7 +110,7 @@ TEST(BatchKernelTest, DistanceToManySupportsSubranges) {
 
 TEST(BatchKernelTest, DistanceToManyAcceptsExternalQuery) {
   PointSet pts = DensePoints(30, 3, /*seed=*/22);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   CosineMetric metric;
   Point q = Point::Dense3(0.3f, 0.9f, 0.1f);  // not a dataset row
   std::vector<double> out(pts.size());
@@ -123,7 +123,7 @@ TEST(BatchKernelTest, DistanceToManyAcceptsExternalQuery) {
 TEST(BatchKernelTest, ExactRelaxArgFarthestMatchesManualRelax) {
   ScopedScreening off(false);
   for (const PointSet& pts : AllDatasets()) {
-    Dataset data = Dataset::FromPoints(pts);
+    Dataset data(pts);
     for (const auto& metric : AllMetrics()) {
       size_t n = pts.size();
       std::vector<double> dist(n, std::numeric_limits<double>::infinity());
@@ -163,7 +163,7 @@ TEST(BatchKernelTest, ExactRelaxArgFarthestMatchesManualRelax) {
 
 TEST(BatchKernelTest, CountingMetricCountsBatchedEvaluationsExactly) {
   PointSet pts = DensePoints(50, 4, /*seed=*/31);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   EuclideanMetric base;
   CountingMetric counting(&base);
 
@@ -183,7 +183,7 @@ TEST(BatchKernelTest, CountingMetricGmmCostIsExactlyKTimesN) {
   // dim >= 8: single-query sweeps below that are gated back to the exact
   // path (not enough per-row work to amortize a screen).
   PointSet pts = DensePoints(200, 8, /*seed=*/32);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   EuclideanMetric base;
   size_t k = 9;
   // Exact path: exactly k * n exact evaluations, nothing screened.
@@ -210,7 +210,7 @@ TEST(BatchKernelTest, CountingMetricGmmCostIsExactlyKTimesN) {
 
 TEST(BatchKernelTest, GmmMatchesScalarReferenceAllMetricsAllLayouts) {
   for (const PointSet& pts : AllDatasets()) {
-    Dataset data = Dataset::FromPoints(pts);
+    Dataset data(pts);
     for (const auto& metric : AllMetrics()) {
       GmmResult batched = Gmm(data, *metric, 10);
       GmmResult scalar = GmmScalar(pts, *metric, 10);
@@ -234,7 +234,7 @@ TEST(BatchKernelTest, GmmMatchesScalarReferenceAllMetricsAllLayouts) {
 TEST(BatchKernelTest, ParallelGmmIndexSequenceIsDeterministic) {
   EuclideanMetric metric;
   PointSet pts = DensePoints(20000, 4, /*seed=*/41);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   size_t k = 16;
 
   GmmResult scalar = GmmScalar(pts, metric, k);

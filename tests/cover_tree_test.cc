@@ -176,7 +176,7 @@ TEST_P(ThreadCounts, GmmIndexedBitIdenticalToFlat) {
   SetGlobalThreadPoolSize(GetParam());
   ScopedIndexGate force(ForcedOn());
   for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data = Dataset::FromPoints(layout.pts);
+    Dataset data(layout.pts);
     size_t k = std::min<size_t>(10, data.size());
     for (const auto& metric : AllMetrics()) {
       GmmResult flat;
@@ -203,7 +203,7 @@ TEST_P(ThreadCounts, GmmIndexedAtScaleBitIdenticalToFlat) {
       {"blobs", GenerateGaussianBlobs(4000, 8, 8, 0.02, /*seed=*/311)});
   layouts.push_back({"sparse", SparsePoints(3000, /*seed=*/312)});
   for (const NamedLayout& layout : layouts) {
-    Dataset data = Dataset::FromPoints(layout.pts);
+    Dataset data(layout.pts);
     for (const auto& metric : AllMetrics()) {
       GmmResult flat;
       {
@@ -224,7 +224,7 @@ TEST_P(ThreadCounts, IndexedRelaxBitIdenticalToFlat) {
   SetGlobalThreadPoolSize(GetParam());
   ScopedIndexGate force(ForcedOn());
   for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data = Dataset::FromPoints(layout.pts);
+    Dataset data(layout.pts);
     size_t n = data.size();
     size_t m = std::min<size_t>(24, n);
     Dataset centers;
@@ -270,7 +270,7 @@ TEST_P(ThreadCounts, IndexedRelaxBitIdenticalToFlat) {
 // node center, min_orig is exact, and leaf_data holds the permuted rows.
 TEST(CoverTreeBuild, Invariants) {
   EuclideanMetric metric;
-  Dataset data = Dataset::FromPoints(
+  Dataset data(
       GenerateGaussianBlobs(3000, 8, 6, 0.05, /*seed=*/321));
   CoverTree tree = CoverTree::Build(data, metric);
   size_t n = data.size();
@@ -327,7 +327,7 @@ TEST(CoverTreeBuild, EmptyAndSingleton) {
                                             no_dist),
             0u);
 
-  Dataset one = Dataset::FromPoints(AllDuplicates(1));
+  Dataset one(AllDuplicates(1));
   CoverTree single = CoverTree::Build(one, metric);
   ASSERT_EQ(single.size(), 1u);
   ASSERT_EQ(single.nodes().size(), 1u);
@@ -346,13 +346,13 @@ TEST(CoverTreeBuild, EmptyAndSingleton) {
 TEST(CoverTreeCounts, IndexedExactEvalsNeverExceedFlatScreened) {
   SetGlobalThreadPoolSize(1);
   ScopedIndexGate force(ForcedOn());
-  Dataset blobs = Dataset::FromPoints(
+  Dataset blobs(
       GenerateGaussianBlobs(3000, 8, 8, 0.02, /*seed=*/331));
   // Jaccard needs clustered SPARSE data: on dense rows every support is the
   // full dimension, all distances are 0, the root radius is 0, and the tree
   // collapses to one leaf — no node to prune.
   Dataset topics =
-      Dataset::FromPoints(ClusteredSparsePoints(3000, 8, /*seed=*/332));
+      Dataset(ClusteredSparsePoints(3000, 8, /*seed=*/332));
   for (const auto& base : AllMetrics()) {
     std::string ctx = base->Name();
     const Dataset& data = (ctx == "jaccard") ? topics : blobs;
@@ -387,17 +387,17 @@ TEST(CoverTreeCounts, IndexedExactEvalsNeverExceedFlatScreened) {
 TEST(CoverTreeGate, DeterministicVerdicts) {
   SetGlobalThreadPoolSize(1);
   EuclideanMetric metric;
-  Dataset clustered = Dataset::FromPoints(
+  Dataset clustered(
       GenerateGaussianBlobs(8192, 8, 8, 0.02, /*seed=*/341));
   Dataset uniform =
-      Dataset::FromPoints(GenerateUniformCube(8192, 32, /*seed=*/342));
+      Dataset(GenerateUniformCube(8192, 32, /*seed=*/342));
   EXPECT_TRUE(IndexProfitable(clustered, metric, 64));
   EXPECT_TRUE(IndexProfitable(clustered, metric, 64));
   EXPECT_FALSE(IndexProfitable(uniform, metric, 64));
   EXPECT_FALSE(IndexProfitable(uniform, metric, 64));
   // Below the structural minimums: no probe, no index.
   EXPECT_FALSE(IndexProfitable(clustered, metric, 8));
-  Dataset tiny = Dataset::FromPoints(GenerateUniformCube(64, 4, 343));
+  Dataset tiny(GenerateUniformCube(64, 4, 343));
   EXPECT_FALSE(IndexProfitable(tiny, metric, 64));
   // Force overrides both ways.
   IndexGate on = ForcedOn();
@@ -430,7 +430,7 @@ TEST(CoverTreeConcurrency, ConcurrentTraversalsShareOneTree) {
   SetGlobalThreadPoolSize(1);
   ScopedIndexGate force(ForcedOn());
   EuclideanMetric metric;
-  Dataset data = Dataset::FromPoints(
+  Dataset data(
       GenerateGaussianBlobs(2000, 8, 6, 0.03, /*seed=*/351));
   CoverTree tree = CoverTree::Build(data, metric);
   GmmResult want = LazyGreedyGmm(data, tree, metric, 24);
@@ -457,7 +457,7 @@ TEST(CoverTreeConcurrency, ConcurrentTraversalsShareOneTree) {
 TEST(SparseDecodeCache, ReusesQueryBlockDecodesAcrossRowRanges) {
   SetGlobalThreadPoolSize(1);
   CosineMetric metric;
-  Dataset data = Dataset::FromPoints(SparsePoints(4000, /*seed=*/361));
+  Dataset data(SparsePoints(4000, /*seed=*/361));
   size_t n = data.size();
   Dataset centers;
   for (size_t i = 0; i < 8; ++i) centers.Append(data.point(i * 11));
@@ -515,7 +515,7 @@ TEST(PersistentScreenContextTest, AmortizesCutoffsBitIdentically) {
   SetGlobalThreadPoolSize(1);
   EuclideanMetric metric;
   PointSet pts = GenerateUniformCube(400, 8, /*seed=*/371);
-  Dataset data = Dataset::FromPoints(
+  Dataset data(
       std::span<const Point>(pts.data(), pts.size() / 2));
   PersistentScreenContext ctx;
   double threshold = 0.8;

@@ -41,7 +41,7 @@ PointSet MixedPoints(size_t n, size_t dim, uint64_t seed) {
 
 TEST(DatasetTest, DenseConstruction) {
   PointSet pts = GenerateUniformCube(25, 4, /*seed=*/1);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   EXPECT_EQ(data.size(), 25u);
   EXPECT_EQ(data.dim(), 4u);
   for (size_t i = 0; i < pts.size(); ++i) {
@@ -62,7 +62,7 @@ TEST(DatasetTest, SparseConstruction) {
   opts.n = 30;
   opts.seed = 2;
   PointSet docs = GenerateSparseTextDataset(opts);
-  Dataset data = Dataset::FromPoints(docs);
+  Dataset data(docs);
   EXPECT_EQ(data.size(), docs.size());
   EXPECT_EQ(data.dim(), docs[0].dim());
   for (size_t i = 0; i < docs.size(); ++i) {
@@ -79,7 +79,7 @@ TEST(DatasetTest, SparseConstruction) {
 
 TEST(DatasetTest, MixedRepresentationRows) {
   PointSet pts = MixedPoints(20, 8, /*seed=*/3);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   for (size_t i = 0; i < pts.size(); ++i) {
     EXPECT_EQ(data.row_is_sparse(i), pts[i].is_sparse()) << "row " << i;
     EXPECT_EQ(data.point(i), pts[i]);
@@ -88,7 +88,7 @@ TEST(DatasetTest, MixedRepresentationRows) {
 
 TEST(DatasetTest, AppendMatchesFromPoints) {
   PointSet pts = MixedPoints(15, 6, /*seed=*/4);
-  Dataset bulk = Dataset::FromPoints(pts);
+  Dataset bulk(pts);
   Dataset incremental;
   EXPECT_TRUE(incremental.empty());
   for (const Point& p : pts) incremental.Append(p);
@@ -111,20 +111,73 @@ TEST(DatasetTest, ClearResetsDimension) {
   EXPECT_EQ(data.dim(), 3u);
 }
 
-TEST(DatasetTest, OwningConstructorKeepsPoints) {
-  PointSet pts = GenerateUniformCube(10, 3, /*seed=*/5);
-  PointSet copy = pts;
-  Dataset data(std::move(copy));
-  ASSERT_EQ(data.points().size(), pts.size());
-  for (size_t i = 0; i < pts.size(); ++i) EXPECT_EQ(data.point(i), pts[i]);
+// point(i) rebuilds each row's point from the columns: equal to the point
+// the row came from, with a bit-identical norm.
+void ExpectRowsRoundTrip(const Dataset& data, const PointSet& want,
+                         const std::string& ctx) {
+  ASSERT_EQ(data.size(), want.size()) << ctx;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const Point p = data.point(i);
+    EXPECT_EQ(p, want[i]) << ctx << " row " << i;
+    EXPECT_EQ(p.norm(), want[i].norm()) << ctx << " row " << i;
+    EXPECT_EQ(p.is_sparse(), want[i].is_sparse()) << ctx << " row " << i;
+    EXPECT_EQ(p.dim(), want[i].dim()) << ctx << " row " << i;
+  }
+  EXPECT_EQ(data.points(), want) << ctx;
 }
 
-TEST(DatasetTest, MemoryBytesCoversColumnarArrays) {
-  PointSet pts = GenerateUniformCube(100, 8, /*seed=*/6);
-  Dataset data = Dataset::FromPoints(pts);
-  // At least the raw coordinate storage (row-major floats) twice: once in
-  // the points, once columnar.
-  EXPECT_GT(data.MemoryBytes(), 2 * 100 * 8 * sizeof(float));
+TEST(DatasetTest, PointRoundTripsDenseSparseAndMixedRows) {
+  ExpectRowsRoundTrip(Dataset(GenerateUniformCube(12, 5, /*seed=*/5)),
+                      GenerateUniformCube(12, 5, /*seed=*/5), "dense");
+  const PointSet sparse = {
+      Point::Sparse({}, {}, 7),                      // empty support
+      Point::Sparse({1, 4}, {0.0f, 2.5f}, 7),        // a stored zero
+      Point::Sparse({0, 6}, {-1.0f, 0.0f}, 7),       // trailing stored zero
+      Point::Sparse({2, 3, 5}, {1.0f, 2.0f, 3.0f}, 7),
+  };
+  ExpectRowsRoundTrip(Dataset(sparse), sparse, "sparse");
+  const PointSet mixed = MixedPoints(20, 8, /*seed=*/3);
+  ExpectRowsRoundTrip(Dataset(mixed), mixed, "mixed");
+}
+
+TEST(DatasetTest, PointRoundTripsOnGatheredRows) {
+  const PointSet pts = MixedPoints(16, 6, /*seed=*/9);
+  const Dataset data(pts);
+  const std::vector<uint32_t> rows = {15, 0, 3, 3, 8, 1};
+  Dataset gathered;
+  gathered.AssignGatherColumnar(data, rows);
+  PointSet want;
+  for (uint32_t r : rows) want.push_back(pts[r]);
+  ExpectRowsRoundTrip(gathered, want, "gathered");
+  EXPECT_EQ(gathered.dim(), data.dim());
+}
+
+TEST(DatasetTest, ConstructsFromPointSetRvalue) {
+  const PointSet pts = GenerateUniformCube(10, 3, /*seed=*/5);
+  PointSet copy = pts;
+  const Dataset data(std::move(copy));
+  ExpectRowsRoundTrip(data, pts, "rvalue");
+}
+
+TEST(DatasetTest, MemoryBytesHoldsOneCopyOfTheCoordinates) {
+  // The columns are the only copy of the points: the footprint is the
+  // coordinate bytes plus a row header and a norm per row, nowhere near a
+  // second (per-point heap) copy of the coordinates.
+  const size_t n = 100;
+  const size_t dim = 16;
+  const Dataset dense(GenerateUniformCube(n, dim, /*seed=*/6));
+  const size_t dense_coords = n * dim * sizeof(float);
+  EXPECT_GE(dense.MemoryBytes(), dense_coords);
+  EXPECT_LE(dense.MemoryBytes(), sizeof(Dataset) + dense_coords + n * 32);
+
+  SparseTextOptions opts;
+  opts.n = n;
+  opts.seed = 2;
+  const Dataset sparse(GenerateSparseTextDataset(opts));
+  const size_t sparse_coords = sparse.sparse_stats().total_nnz *
+                               (sizeof(uint32_t) + sizeof(float));
+  EXPECT_GE(sparse.MemoryBytes(), sparse_coords);
+  EXPECT_LE(sparse.MemoryBytes(), sizeof(Dataset) + sparse_coords + n * 32);
 }
 
 // The screen stats recomputed from scratch over the row norms.

@@ -88,7 +88,7 @@ TEST(DeterminismTest, MapReduceParallelismDoesNotChangeResult) {
     o.num_workers = workers[i];
     o.seed = 29;
     MapReduceDiversity mr(&metric, DiversityProblem::kRemoteTree, o);
-    StatusOr<MrResult> r = mr.TryRun(pts);
+    StatusOr<MrResult> r = mr.TryRun(Dataset(pts));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     solutions[i] = std::move(r->solution);
   }
@@ -109,9 +109,9 @@ TEST(DeterminismTest, DifferentSeedsUsuallyDiffer) {
   o2.seed = o.seed + 1;
   MapReduceDiversity mr2(&metric, DiversityProblem::kRemoteEdge, o2);
   // Different random partitions -> (almost surely) different core-sets.
-  StatusOr<MrResult> r1 = mr.TryRun(pts);
+  StatusOr<MrResult> r1 = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  StatusOr<MrResult> r2 = mr2.TryRun(pts);
+  StatusOr<MrResult> r2 = mr2.TryRun(Dataset(pts));
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   // Values may coincide; the partitions should not produce byte-identical
   // core-set orderings AND identical solutions AND identical sizes all at
@@ -151,7 +151,7 @@ TEST(DeterminismTest, RecoveryIsBitIdenticalUnderFaultSchedule) {
   base.num_workers = 4;
   base.seed = 19;
   MapReduceDiversity clean(&metric, DiversityProblem::kRemoteClique, base);
-  StatusOr<MrResult> want = clean.TryRun(pts);
+  StatusOr<MrResult> want = clean.TryRun(Dataset(pts));
   ASSERT_TRUE(want.ok());
 
   StatusOr<FaultInjector> faults = FaultInjector::Parse(
@@ -162,8 +162,8 @@ TEST(DeterminismTest, RecoveryIsBitIdenticalUnderFaultSchedule) {
   faulty.faults = &*faults;
   faulty.task_timeout_ms = 25;
   MapReduceDiversity mr(&metric, DiversityProblem::kRemoteClique, faulty);
-  StatusOr<MrResult> r1 = mr.TryRun(pts);
-  StatusOr<MrResult> r2 = mr.TryRun(pts);
+  StatusOr<MrResult> r1 = mr.TryRun(Dataset(pts));
+  StatusOr<MrResult> r2 = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(SameSolutions(r1->solution, r2->solution));

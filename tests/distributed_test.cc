@@ -94,12 +94,12 @@ TEST(DistributedTest, TwoRoundDriverMatchesLoopbackAcrossMetricsAndLayouts) {
     for (const PointSet& input : {DenseInput(), SparseInput()}) {
       MrOptions opts = BaseOptions();
       MapReduceDiversity loopback_mr(mc.metric, problem, opts);
-      StatusOr<MrResult> base = loopback_mr.TryRun(input);
+      StatusOr<MrResult> base = loopback_mr.TryRun(Dataset(input));
       ASSERT_TRUE(base.ok()) << base.status().ToString();
 
       opts.engine = &socket;
       MapReduceDiversity socket_mr(mc.metric, problem, opts);
-      StatusOr<MrResult> remote = socket_mr.TryRun(input);
+      StatusOr<MrResult> remote = socket_mr.TryRun(Dataset(input));
       ASSERT_TRUE(remote.ok()) << remote.status().ToString();
 
       EXPECT_TRUE(SamePoints(base->solution, remote->solution))
@@ -124,12 +124,12 @@ TEST(DistributedTest, GeneralizedDriverMatchesLoopback) {
     for (const PointSet& input : {DenseInput(), SparseInput()}) {
       MrOptions opts = BaseOptions();
       MapReduceDiversity loopback_mr(mc.metric, problem, opts);
-      StatusOr<MrResult> base = loopback_mr.TryRunGeneralized(input);
+      StatusOr<MrResult> base = loopback_mr.TryRunGeneralized(Dataset(input));
       ASSERT_TRUE(base.ok()) << base.status().ToString();
 
       opts.engine = &socket;
       MapReduceDiversity socket_mr(mc.metric, problem, opts);
-      StatusOr<MrResult> remote = socket_mr.TryRunGeneralized(input);
+      StatusOr<MrResult> remote = socket_mr.TryRunGeneralized(Dataset(input));
       ASSERT_TRUE(remote.ok()) << remote.status().ToString();
 
       EXPECT_TRUE(SamePoints(base->solution, remote->solution)) << mc.name;
@@ -148,12 +148,12 @@ TEST(DistributedTest, TreeReduceMatchesSingleAggregator) {
   MrOptions opts = BaseOptions();
   opts.num_partitions = 7;  // odd width: exercises the carried element
   MapReduceDiversity flat(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> base = flat.TryRun(input);
+  StatusOr<MrResult> base = flat.TryRun(Dataset(input));
   ASSERT_TRUE(base.ok());
 
   opts.tree_reduce = true;
   MapReduceDiversity tree(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> reduced = tree.TryRun(input);
+  StatusOr<MrResult> reduced = tree.TryRun(Dataset(input));
   ASSERT_TRUE(reduced.ok()) << reduced.status().ToString();
   EXPECT_TRUE(SamePoints(base->solution, reduced->solution));
   EXPECT_EQ(base->diversity, reduced->diversity);
@@ -166,7 +166,7 @@ TEST(DistributedTest, TreeReduceMatchesSingleAggregator) {
   ASSERT_TRUE(socket.Healthy().ok());
   opts.engine = &socket;
   MapReduceDiversity remote_tree(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> remote = remote_tree.TryRun(input);
+  StatusOr<MrResult> remote = remote_tree.TryRun(Dataset(input));
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   EXPECT_TRUE(SamePoints(base->solution, remote->solution));
   EXPECT_EQ(base->diversity, remote->diversity);
@@ -189,7 +189,7 @@ TEST(DistributedTest, InjectedTransportFaultsRecoverBitIdentically) {
   const PointSet input = DenseInput();
   MrOptions opts = BaseOptions();
   MapReduceDiversity clean(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> base = clean.TryRun(input);
+  StatusOr<MrResult> base = clean.TryRun(Dataset(input));
   ASSERT_TRUE(base.ok());
 
   const TransportFaultCase cases[] = {
@@ -212,7 +212,7 @@ TEST(DistributedTest, InjectedTransportFaultsRecoverBitIdentically) {
     faulty.faults = &*faults;
     faulty.engine = &socket;
     MapReduceDiversity mr(&metric, DiversityProblem::kRemoteEdge, faulty);
-    StatusOr<MrResult> result = mr.TryRun(input);
+    StatusOr<MrResult> result = mr.TryRun(Dataset(input));
     ASSERT_TRUE(result.ok()) << tc.name << ": " << result.status().ToString();
     EXPECT_TRUE(SamePoints(base->solution, result->solution)) << tc.name;
     EXPECT_EQ(base->diversity, result->diversity) << tc.name;
@@ -235,7 +235,7 @@ TEST(DistributedTest, TransportFaultsSimulateIdenticallyOnLoopback) {
   const PointSet input = DenseInput();
   MrOptions opts = BaseOptions();
   MapReduceDiversity clean(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> base = clean.TryRun(input);
+  StatusOr<MrResult> base = clean.TryRun(Dataset(input));
   ASSERT_TRUE(base.ok());
 
   StatusOr<FaultInjector> faults = FaultInjector::Parse(
@@ -245,7 +245,7 @@ TEST(DistributedTest, TransportFaultsSimulateIdenticallyOnLoopback) {
   MrOptions faulty = opts;
   faulty.faults = &*faults;
   MapReduceDiversity mr(&metric, DiversityProblem::kRemoteEdge, faulty);
-  StatusOr<MrResult> result = mr.TryRun(input);
+  StatusOr<MrResult> result = mr.TryRun(Dataset(input));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(SamePoints(base->solution, result->solution));
   EXPECT_GE(result->task_retries, 4u);
@@ -268,7 +268,7 @@ TEST(DistributedTest, PersistentWorkerCrashDegradesDeterministically) {
   MrOptions opts = BaseOptions();
   opts.faults = &*faults;
   MapReduceDiversity loopback_mr(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> base = loopback_mr.TryRun(input);
+  StatusOr<MrResult> base = loopback_mr.TryRun(Dataset(input));
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   ASSERT_TRUE(base->degraded.has_value());
 
@@ -279,7 +279,7 @@ TEST(DistributedTest, PersistentWorkerCrashDegradesDeterministically) {
     MrOptions sopts = opts;
     sopts.engine = &socket;
     MapReduceDiversity mr(&metric, DiversityProblem::kRemoteEdge, sopts);
-    StatusOr<MrResult> result = mr.TryRun(input);
+    StatusOr<MrResult> result = mr.TryRun(Dataset(input));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_TRUE(result->degraded.has_value());
     EXPECT_EQ(result->degraded->failed_partitions,
@@ -308,7 +308,7 @@ TEST(DistributedTest, DegradationDisabledSurfacesTransportError) {
   opts.engine = &socket;
   opts.allow_degraded = false;
   MapReduceDiversity mr(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> result = mr.TryRun(DenseInput());
+  StatusOr<MrResult> result = mr.TryRun(Dataset(DenseInput()));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
 }
@@ -321,7 +321,7 @@ TEST(DistributedTest, ExternallyKilledWorkerIsRespawnedMidRun) {
   const PointSet input = DenseInput();
   MrOptions opts = BaseOptions();
   MapReduceDiversity clean(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> base = clean.TryRun(input);
+  StatusOr<MrResult> base = clean.TryRun(Dataset(input));
   ASSERT_TRUE(base.ok());
 
   // One worker, killed from outside between runs: the first RPC of the next
@@ -339,7 +339,7 @@ TEST(DistributedTest, ExternallyKilledWorkerIsRespawnedMidRun) {
   MrOptions sopts = opts;
   sopts.engine = &socket;
   MapReduceDiversity mr(&metric, DiversityProblem::kRemoteEdge, sopts);
-  StatusOr<MrResult> result = mr.TryRun(input);
+  StatusOr<MrResult> result = mr.TryRun(Dataset(input));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(SamePoints(base->solution, result->solution));
   EXPECT_GE(result->task_retries, 1u);
@@ -372,11 +372,11 @@ TEST(DistributedTest, HeartbeatDetectsDeadWorkerWhileIdle) {
   const PointSet input = DenseInput();
   MrOptions opts = BaseOptions();
   MapReduceDiversity clean(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> base = clean.TryRun(input);
+  StatusOr<MrResult> base = clean.TryRun(Dataset(input));
   ASSERT_TRUE(base.ok());
   opts.engine = &socket;
   MapReduceDiversity mr(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> result = mr.TryRun(input);
+  StatusOr<MrResult> result = mr.TryRun(Dataset(input));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(SamePoints(base->solution, result->solution));
 }
@@ -427,7 +427,7 @@ TEST(DistributedTest, ReadStallFaultRecoversThroughRetryBitIdentically) {
   const PointSet input = DenseInput();
   MrOptions opts = BaseOptions();
   MapReduceDiversity clean(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> base = clean.TryRun(input);
+  StatusOr<MrResult> base = clean.TryRun(Dataset(input));
   ASSERT_TRUE(base.ok());
 
   StatusOr<FaultInjector> faults =
@@ -442,7 +442,7 @@ TEST(DistributedTest, ReadStallFaultRecoversThroughRetryBitIdentically) {
   faulty.faults = &*faults;
   faulty.engine = &socket;
   MapReduceDiversity mr(&metric, DiversityProblem::kRemoteEdge, faulty);
-  StatusOr<MrResult> result = mr.TryRun(input);
+  StatusOr<MrResult> result = mr.TryRun(Dataset(input));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(SamePoints(base->solution, result->solution));
   EXPECT_EQ(base->diversity, result->diversity);
@@ -458,7 +458,7 @@ TEST(DistributedTest, RepeatedSolveHitsWorkerCacheBitIdentically) {
   const PointSet input = DenseInput();
   MrOptions opts = BaseOptions();
   MapReduceDiversity loopback_mr(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> base = loopback_mr.TryRun(input);
+  StatusOr<MrResult> base = loopback_mr.TryRun(Dataset(input));
   ASSERT_TRUE(base.ok());
 
   // One worker makes routing deterministic: every warm-run partition is
@@ -472,11 +472,11 @@ TEST(DistributedTest, RepeatedSolveHitsWorkerCacheBitIdentically) {
   opts.engine = &socket;
   MapReduceDiversity mr(&metric, DiversityProblem::kRemoteEdge, opts);
 
-  StatusOr<MrResult> cold = mr.TryRun(input);
+  StatusOr<MrResult> cold = mr.TryRun(Dataset(input));
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   const size_t cold_bytes = socket.stats().request_bytes_sent;
 
-  StatusOr<MrResult> warm = mr.TryRun(input);
+  StatusOr<MrResult> warm = mr.TryRun(Dataset(input));
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
 
   // The cached solve is bit-identical to both the cold solve and loopback.
@@ -497,7 +497,7 @@ TEST(DistributedTest, CacheEvictFaultFallsBackToFullReship) {
   MrOptions opts = BaseOptions();
   MapReduceDiversity loopback_mr(&metric, DiversityProblem::kRemoteClique,
                                  opts);
-  StatusOr<MrResult> base = loopback_mr.TryRunGeneralized(input);
+  StatusOr<MrResult> base = loopback_mr.TryRunGeneralized(Dataset(input));
   ASSERT_TRUE(base.ok());
 
   // One worker so the gen-coreset round (round 1) warms the same cache the
@@ -515,7 +515,7 @@ TEST(DistributedTest, CacheEvictFaultFallsBackToFullReship) {
   sopts.faults = &*faults;
   sopts.engine = &socket;
   MapReduceDiversity mr(&metric, DiversityProblem::kRemoteClique, sopts);
-  StatusOr<MrResult> result = mr.TryRunGeneralized(input);
+  StatusOr<MrResult> result = mr.TryRunGeneralized(Dataset(input));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(SamePoints(base->solution, result->solution));
   EXPECT_EQ(base->diversity, result->diversity);

@@ -106,7 +106,7 @@ TEST(DoublingTest, TreeEstimatorAgreesWithSamplingOnManifolds) {
     plane.push_back(Point::Dense({u, v, u + v, 0, u - v, 0, 2 * u, v}));
   }
   auto tree_dim = [&](const PointSet& pts) {
-    CoverTree tree = CoverTree::Build(Dataset::FromPoints(pts), m);
+    CoverTree tree = CoverTree::Build(Dataset(pts), m);
     DoublingEstimate est = EstimateDoublingDimensionFromTree(tree);
     EXPECT_GT(est.probes, 0u);
     return est.dimension;

@@ -209,7 +209,7 @@ TEST(FaultInjectionTest, CrashesAndStragglerRecoverBitIdentical) {
   PointSet pts = GenerateUniformCube(800, 3, /*seed=*/21);
   MrOptions clean = FaultyOptions(6, 12, 16);
   MapReduceDiversity baseline(&m, DiversityProblem::kRemoteEdge, clean);
-  StatusOr<MrResult> want = baseline.TryRun(pts);
+  StatusOr<MrResult> want = baseline.TryRun(Dataset(pts));
   ASSERT_TRUE(want.ok()) << want.status().ToString();
 
   StatusOr<FaultInjector> faults = FaultInjector::Parse(
@@ -220,7 +220,7 @@ TEST(FaultInjectionTest, CrashesAndStragglerRecoverBitIdentical) {
   faulty.faults = &*faults;
   faulty.task_timeout_ms = 40;  // well under the 400ms straggler delay
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, faulty);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
 
   EXPECT_TRUE(SameSolutions(got->solution, want->solution));
@@ -240,7 +240,7 @@ TEST(FaultInjectionTest, DataFaultsAreCaughtByValidationAndRetried) {
   PointSet pts = GenerateUniformCube(400, 2, /*seed=*/22);
   MrOptions clean = FaultyOptions(5, 10, 8);
   MapReduceDiversity baseline(&m, DiversityProblem::kRemoteClique, clean);
-  StatusOr<MrResult> want = baseline.TryRun(pts);
+  StatusOr<MrResult> want = baseline.TryRun(Dataset(pts));
   ASSERT_TRUE(want.ok());
 
   // One of each data fault, on distinct round-1 tasks plus the round-2
@@ -253,7 +253,7 @@ TEST(FaultInjectionTest, DataFaultsAreCaughtByValidationAndRetried) {
   MrOptions faulty = clean;
   faulty.faults = &*faults;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, faulty);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(SameSolutions(got->solution, want->solution));
   EXPECT_EQ(got->diversity, want->diversity);
@@ -267,7 +267,7 @@ TEST(FaultInjectionTest, GeneralizedDriverRecoversAcrossAllThreeRounds) {
   PointSet pts = GenerateUniformCube(500, 2, /*seed=*/23);
   MrOptions clean = FaultyOptions(4, 8, 8);
   MapReduceDiversity baseline(&m, DiversityProblem::kRemoteClique, clean);
-  StatusOr<MrResult> want = baseline.TryRunGeneralized(pts);
+  StatusOr<MrResult> want = baseline.TryRunGeneralized(Dataset(pts));
   ASSERT_TRUE(want.ok());
 
   StatusOr<FaultInjector> faults = FaultInjector::Parse(
@@ -277,7 +277,7 @@ TEST(FaultInjectionTest, GeneralizedDriverRecoversAcrossAllThreeRounds) {
   MrOptions faulty = clean;
   faulty.faults = &*faults;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, faulty);
-  StatusOr<MrResult> got = mr.TryRunGeneralized(pts);
+  StatusOr<MrResult> got = mr.TryRunGeneralized(Dataset(pts));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(SameSolutions(got->solution, want->solution));
   EXPECT_EQ(got->faults_injected, 3u);
@@ -289,7 +289,7 @@ TEST(FaultInjectionTest, RecursiveDriverRecoversPerLevel) {
   PointSet pts = GenerateUniformCube(1200, 2, /*seed=*/24);
   MrOptions clean = FaultyOptions(4, 8, 16);
   MapReduceDiversity baseline(&m, DiversityProblem::kRemoteEdge, clean);
-  StatusOr<MrResult> want = baseline.TryRunRecursive(pts, /*budget=*/64);
+  StatusOr<MrResult> want = baseline.TryRunRecursive(Dataset(pts), /*budget=*/64);
   ASSERT_TRUE(want.ok());
   ASSERT_GT(want->rounds, 2u);  // actually recursed
 
@@ -299,7 +299,7 @@ TEST(FaultInjectionTest, RecursiveDriverRecoversPerLevel) {
   MrOptions faulty = clean;
   faulty.faults = &*faults;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, faulty);
-  StatusOr<MrResult> got = mr.TryRunRecursive(pts, /*budget=*/64);
+  StatusOr<MrResult> got = mr.TryRunRecursive(Dataset(pts), /*budget=*/64);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(SameSolutions(got->solution, want->solution));
   EXPECT_EQ(got->faults_injected, 2u);
@@ -321,7 +321,7 @@ TEST(FaultInjectionTest, PermanentPartitionFailureDegrades) {
   MrOptions o = FaultyOptions(5, 10, 8);
   o.faults = &*faults;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->solution.size(), 5u);
   ASSERT_TRUE(got->degraded.has_value());
@@ -334,7 +334,7 @@ TEST(FaultInjectionTest, PermanentPartitionFailureDegrades) {
             2.0 * SequentialAlpha(DiversityProblem::kRemoteEdge));
   // The degraded run equals the fault-free run over the surviving
   // partitions: determinism extends to the degraded path.
-  StatusOr<MrResult> again = mr.TryRun(pts);
+  StatusOr<MrResult> again = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(SameSolutions(got->solution, again->solution));
 }
@@ -348,7 +348,7 @@ TEST(FaultInjectionTest, DegradationDisallowedFailsTheRun) {
   o.faults = &*faults;
   o.allow_degraded = false;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset(pts));
   EXPECT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kAborted)
       << got.status().ToString();
@@ -366,7 +366,7 @@ TEST(FaultInjectionTest, AllPartitionsLostIsAnError) {
   MrOptions o = FaultyOptions(4, 8, 2);
   o.faults = &faults;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset(pts));
   EXPECT_FALSE(got.ok());
 }
 
@@ -380,7 +380,7 @@ TEST(FaultInjectionTest, AggregatorFailureIsFatal) {
   MrOptions o = FaultyOptions(4, 8, 4);
   o.faults = &faults;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset(pts));
   EXPECT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDataLoss)
       << got.status().ToString();
@@ -395,7 +395,7 @@ TEST(FaultInjectionTest, RetryBudgetZeroMeansSingleAttempt) {
   o.faults = &faults;
   o.max_retries = 0;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset(pts));
   // No retries: the single crash is already permanent -> degraded.
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_TRUE(got->degraded.has_value());

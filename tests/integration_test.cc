@@ -60,7 +60,7 @@ TEST(IntegrationTest, MapReduceTracksSequentialOnSphereData) {
   mr_opts.num_partitions = 8;
   mr_opts.num_workers = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, mr_opts);
-  StatusOr<MrResult> dist_run = mr.TryRun(pts);
+  StatusOr<MrResult> dist_run = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(dist_run.ok()) << dist_run.status().ToString();
   double dist = dist_run->diversity;
 
@@ -89,7 +89,7 @@ TEST(IntegrationTest, MapReduceBeatsStreamingCoreset) {
   mr_opts.num_partitions = 8;
   mr_opts.num_workers = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, mr_opts);
-  StatusOr<MrResult> dist_run = mr.TryRun(pts);
+  StatusOr<MrResult> dist_run = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(dist_run.ok()) << dist_run.status().ToString();
   double dist = dist_run->diversity;
 
@@ -124,7 +124,7 @@ TEST(IntegrationTest, CosineTextPipelineEndToEnd) {
   mr_opts.num_partitions = 4;
   mr_opts.num_workers = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, mr_opts);
-  StatusOr<MrResult> mres = mr.TryRun(docs);
+  StatusOr<MrResult> mres = mr.TryRun(Dataset(docs));
   ASSERT_TRUE(mres.ok()) << mres.status().ToString();
   EXPECT_EQ(mres->solution.size(), k);
   EXPECT_GT(mres->diversity, 0.8 * sr.diversity);
@@ -147,7 +147,7 @@ TEST(IntegrationTest, AllProblemsAllPipelinesOnOneDataset) {
     mr_opts.num_partitions = 4;
     mr_opts.num_workers = 2;
     MapReduceDiversity mr(&m, p, mr_opts);
-    StatusOr<MrResult> dist_run = mr.TryRun(pts);
+    StatusOr<MrResult> dist_run = mr.TryRun(Dataset(pts));
     ASSERT_TRUE(dist_run.ok()) << dist_run.status().ToString();
     double dist = dist_run->diversity;
 
@@ -193,10 +193,10 @@ TEST(IntegrationTest, ThreeRoundGeneralizedMatchesTwoRoundQuality) {
   mr_opts.num_partitions = 4;
   mr_opts.num_workers = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, mr_opts);
-  StatusOr<MrResult> two_run = mr.TryRun(pts);
+  StatusOr<MrResult> two_run = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(two_run.ok()) << two_run.status().ToString();
   double two = two_run->diversity;
-  StatusOr<MrResult> three_run = mr.TryRunGeneralized(pts);
+  StatusOr<MrResult> three_run = mr.TryRunGeneralized(Dataset(pts));
   ASSERT_TRUE(three_run.ok()) << three_run.status().ToString();
   double three = three_run->diversity;
   EXPECT_GE(three, 0.7 * two);

@@ -74,7 +74,7 @@ TEST(MapReduceDriverTest, MorePartitionsThanPointsRunsEmptyReducers) {
   o.num_partitions = 8;
   o.num_workers = 4;
   MapReduceDiversity driver(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> r = driver.TryRun(pts);
+  StatusOr<MrResult> r = driver.TryRun(Dataset(pts));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->solution.size(), 3u);
   EXPECT_GT(r->diversity, 0.0);
@@ -95,7 +95,7 @@ TEST(MapReduceDriverTest, GeneralizedMorePartitionsThanPoints) {
   o.num_partitions = 10;
   o.num_workers = 3;
   MapReduceDiversity driver(&m, DiversityProblem::kRemoteClique, o);
-  StatusOr<MrResult> r = driver.TryRunGeneralized(docs);
+  StatusOr<MrResult> r = driver.TryRunGeneralized(Dataset(docs));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->solution.size(), 3u);
   EXPECT_GE(r->diversity, 0.0);
@@ -119,7 +119,7 @@ TEST(MapReduceDriverTest, AdversarialPartitionMorePartsThanSparsePoints) {
   o.num_workers = 2;
   o.partition = PartitionStrategy::kAdversarial;
   MapReduceDiversity driver(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> r = driver.TryRun(docs);
+  StatusOr<MrResult> r = driver.TryRun(Dataset(docs));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->solution.size(), 2u);
 }
@@ -346,7 +346,7 @@ TEST(MapReduceDriverTest, InjectedClockDrivesSpeculationEndToEnd) {
   o.num_partitions = 4;
   o.num_workers = 4;
   MapReduceDiversity clean(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> base = clean.TryRun(pts);
+  StatusOr<MrResult> base = clean.TryRun(Dataset(pts));
   ASSERT_TRUE(base.ok());
 
   FaultInjector faults;
@@ -357,7 +357,7 @@ TEST(MapReduceDriverTest, InjectedClockDrivesSpeculationEndToEnd) {
   slow.clock = &clock;
   slow.task_timeout_ms = 20;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, slow);
-  StatusOr<MrResult> got = mr.TryRun(pts);
+  StatusOr<MrResult> got = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_GE(got->task_timeouts, 1u);
   EXPECT_EQ(got->faults_injected, 1u);

@@ -183,8 +183,8 @@ TEST_P(MetamorphicThreads, PermutationLeavesSequentialSelectionsUnchanged) {
       bool sparse_layout = pts == &sparse;
       std::vector<size_t> perm = RandomPermutation(pts->size(), 503);
       PointSet permuted = Permute(*pts, perm);
-      Dataset data = Dataset::FromPoints(*pts);
-      Dataset pdata = Dataset::FromPoints(permuted);
+      Dataset data(*pts);
+      Dataset pdata(permuted);
       for (const auto& metric : metrics) {
         // Angular distance on sparse text ties EXACTLY at pi/2 for every
         // disjoint-support pair, and ties resolve by index order — which a
@@ -237,9 +237,9 @@ TEST_P(MetamorphicThreads, PermutationKeepsExactEvalCountsInvariant) {
   // The exact path's evaluation count is a function of (n, k) alone, so it
   // cannot depend on input order.
   CountingMetric c1(&base);
-  Gmm(Dataset::FromPoints(pts), c1, 10);
+  Gmm(Dataset(pts), c1, 10);
   CountingMetric c2(&base);
-  Gmm(Dataset::FromPoints(permuted), c2, 10);
+  Gmm(Dataset(permuted), c2, 10);
   EXPECT_EQ(c1.exact_evals(), c2.exact_evals());
   EXPECT_EQ(c1.screened_evals(), 0u);
   EXPECT_EQ(c2.screened_evals(), 0u);

@@ -25,7 +25,7 @@ TEST(MrDiversityTest, TwoRoundsProduceKPoints) {
   PointSet pts = GenerateUniformCube(500, 2, /*seed=*/1);
   for (DiversityProblem p : kAllProblems) {
     MapReduceDiversity mr(&m, p, BasicOptions(6, 12, 4));
-    StatusOr<MrResult> r = mr.TryRun(pts);
+    StatusOr<MrResult> r = mr.TryRun(Dataset(pts));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->solution.size(), 6u) << ProblemName(p);
     EXPECT_GT(r->diversity, 0.0) << ProblemName(p);
@@ -41,7 +41,7 @@ TEST(MrDiversityTest, CoresetSizeAccounting) {
     // GMM family: |T| = l * k'.
     MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                           BasicOptions(k, k_prime, parts));
-    StatusOr<MrResult> r = mr.TryRun(pts);
+    StatusOr<MrResult> r = mr.TryRun(Dataset(pts));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->coreset_size, parts * k_prime);
   }
@@ -49,7 +49,7 @@ TEST(MrDiversityTest, CoresetSizeAccounting) {
     // GMM-EXT family: |T| <= l * k' * k.
     MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique,
                           BasicOptions(k, k_prime, parts));
-    StatusOr<MrResult> r = mr.TryRun(pts);
+    StatusOr<MrResult> r = mr.TryRun(Dataset(pts));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_GE(r->coreset_size, parts * k_prime);
     EXPECT_LE(r->coreset_size, parts * k_prime * k);
@@ -61,7 +61,7 @@ TEST(MrDiversityTest, LocalMemoryIsMaxReducerInput) {
   PointSet pts = GenerateUniformCube(800, 2, /*seed=*/3);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(4, 8, 8));
-  StatusOr<MrResult> r = mr.TryRun(pts);
+  StatusOr<MrResult> r = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Round 1 reducers hold n/l = 100 points; round 2 holds l*k' = 64.
   EXPECT_EQ(r->max_local_memory_points, 100u);
@@ -75,9 +75,9 @@ TEST(MrDiversityTest, RandomizedDelegateCapShrinksCoreset) {
   MrOptions rand_opts = base;
   rand_opts.randomized_delegate_cap = true;
   MapReduceDiversity rnd(&m, DiversityProblem::kRemoteClique, rand_opts);
-  StatusOr<MrResult> det_r = det.TryRun(pts);
+  StatusOr<MrResult> det_r = det.TryRun(Dataset(pts));
   ASSERT_TRUE(det_r.ok()) << det_r.status().ToString();
-  StatusOr<MrResult> rnd_r = rnd.TryRun(pts);
+  StatusOr<MrResult> rnd_r = rnd.TryRun(Dataset(pts));
   ASSERT_TRUE(rnd_r.ok()) << rnd_r.status().ToString();
   // Theorem 7: cap max(log2 n = 11, k/l = 8) = 11 delegates/cluster vs 31.
   EXPECT_LT(rnd_r->coreset_size, det_r->coreset_size);
@@ -92,7 +92,7 @@ TEST(MrDiversityTest, ApproximationOnTinyInputVsExact) {
       PointSet pts = GenerateUniformCube(16, 2, seed * 23);
       size_t k = 4;
       MapReduceDiversity mr(&m, p, BasicOptions(k, 8, 2));
-      StatusOr<MrResult> r = mr.TryRun(pts);
+      StatusOr<MrResult> r = mr.TryRun(Dataset(pts));
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       double opt = ExactDiversityMaximization(p, pts, m, k).value;
       // alpha+eps bound, generous eps to absorb tiny-input effects.
@@ -118,7 +118,7 @@ TEST(MrDiversityTest, CompositionRobustToPartitioning) {
     MrOptions o = BasicOptions(8, 32, 4);
     o.partition = strat;
     MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-    StatusOr<MrResult> r = mr.TryRun(pts);
+    StatusOr<MrResult> r = mr.TryRun(Dataset(pts));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     best = std::max(best, r->diversity);
     worst = std::min(worst, r->diversity);
@@ -134,7 +134,7 @@ TEST(MrDiversityTest, GeneralizedThreeRounds) {
        {DiversityProblem::kRemoteClique, DiversityProblem::kRemoteStar,
         DiversityProblem::kRemoteBipartition, DiversityProblem::kRemoteTree}) {
     MapReduceDiversity mr(&m, p, BasicOptions(5, 10, 4));
-    StatusOr<MrResult> r = mr.TryRunGeneralized(pts);
+    StatusOr<MrResult> r = mr.TryRunGeneralized(Dataset(pts));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->rounds, 3u) << ProblemName(p);
     EXPECT_EQ(r->solution.size(), 5u) << ProblemName(p);
@@ -153,9 +153,9 @@ TEST(MrDiversityTest, GeneralizedUsesSmallerAggregateCoreset) {
   PointSet pts = GenerateUniformCube(2000, 2, /*seed=*/6);
   MrOptions o = BasicOptions(16, 32, 4);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, o);
-  StatusOr<MrResult> two_round = mr.TryRun(pts);
+  StatusOr<MrResult> two_round = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(two_round.ok()) << two_round.status().ToString();
-  StatusOr<MrResult> three_round = mr.TryRunGeneralized(pts);
+  StatusOr<MrResult> three_round = mr.TryRunGeneralized(Dataset(pts));
   ASSERT_TRUE(three_round.ok()) << three_round.status().ToString();
   // Generalized: l*k' pairs vs up to l*k'*k points.
   EXPECT_LT(three_round->coreset_size, two_round->coreset_size);
@@ -170,10 +170,10 @@ TEST(MrDiversityTest, GeneralizedQualityComparableToTwoRound) {
   PointSet pts = GenerateSphereDataset(sopts);
   MrOptions o = BasicOptions(6, 24, 4);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteClique, o);
-  StatusOr<MrResult> two_run = mr.TryRun(pts);
+  StatusOr<MrResult> two_run = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(two_run.ok()) << two_run.status().ToString();
   double two = two_run->diversity;
-  StatusOr<MrResult> three_run = mr.TryRunGeneralized(pts);
+  StatusOr<MrResult> three_run = mr.TryRunGeneralized(Dataset(pts));
   ASSERT_TRUE(three_run.ok()) << three_run.status().ToString();
   double three = three_run->diversity;
   EXPECT_GT(three, 0.5 * two);
@@ -186,7 +186,7 @@ TEST(MrDiversityTest, RecursiveMultiRound) {
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
   // Budget 200 points per reducer: 4000 -> 20 parts * 8 = 160 <= 200, so two
   // coreset levels are NOT needed; force more with a tighter budget.
-  StatusOr<MrResult> r = mr.TryRunRecursive(pts, 200);
+  StatusOr<MrResult> r = mr.TryRunRecursive(Dataset(pts), 200);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->solution.size(), 4u);
   EXPECT_GE(r->rounds, 2u);
@@ -198,7 +198,7 @@ TEST(MrDiversityTest, RecursiveDeepRecursion) {
   PointSet pts = GenerateUniformCube(5000, 2, /*seed=*/8);
   MrOptions o = BasicOptions(2, 4, 4);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge, o);
-  StatusOr<MrResult> r = mr.TryRunRecursive(pts, 50);
+  StatusOr<MrResult> r = mr.TryRunRecursive(Dataset(pts), 50);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->solution.size(), 2u);
   EXPECT_GE(r->rounds, 3u);  // 5000 -> ~400 -> ~32 -> solve
@@ -212,7 +212,7 @@ TEST(MrDiversityTest, ShuffleVolumeAccounted) {
   size_t k = 4, k_prime = 8, parts = 4;
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(k, k_prime, parts));
-  StatusOr<MrResult> r = mr.TryRun(pts);
+  StatusOr<MrResult> r = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Round 1 ships l*k' core-set points; round 2 ships the k-point solution.
   EXPECT_EQ(r->shuffle_points, parts * k_prime + k);
@@ -223,12 +223,12 @@ TEST(MrDiversityTest, RoundTimingAccountedPerRound) {
   PointSet pts = GenerateUniformCube(300, 2, /*seed=*/10);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(4, 8, 4));
-  StatusOr<MrResult> two = mr.TryRun(pts);
+  StatusOr<MrResult> two = mr.TryRun(Dataset(pts));
   ASSERT_TRUE(two.ok()) << two.status().ToString();
   EXPECT_EQ(two->round_seconds.size(), two->rounds);
   MapReduceDiversity mrc(&m, DiversityProblem::kRemoteClique,
                          BasicOptions(4, 8, 4));
-  StatusOr<MrResult> three = mrc.TryRunGeneralized(pts);
+  StatusOr<MrResult> three = mrc.TryRunGeneralized(Dataset(pts));
   ASSERT_TRUE(three.ok()) << three.status().ToString();
   EXPECT_EQ(three->round_seconds.size(), three->rounds);
   for (double s : three->round_seconds) EXPECT_GE(s, 0.0);
@@ -239,7 +239,7 @@ TEST(MrDiversityTest, GeneralizedSolutionPointsComeFromInput) {
   PointSet pts = GenerateUniformCube(400, 2, /*seed=*/11);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteTree,
                         BasicOptions(5, 10, 4));
-  StatusOr<MrResult> r = mr.TryRunGeneralized(pts);
+  StatusOr<MrResult> r = mr.TryRunGeneralized(Dataset(pts));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   for (const Point& s : r->solution) {
     bool found = false;
@@ -258,7 +258,7 @@ TEST(MrDiversityDeathTest, RecursiveRejectsBudgetBelowKPrime) {
   PointSet pts = GenerateUniformCube(500, 2, /*seed=*/12);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(4, 64, 4));
-  EXPECT_DEATH((void)mr.TryRunRecursive(pts, 32), "CHECK failed");
+  EXPECT_DEATH((void)mr.TryRunRecursive(Dataset(pts), 32), "CHECK failed");
 }
 
 TEST(MrDiversityDeathTest, GeneralizedRejectsNonInjectiveProblems) {
@@ -266,7 +266,7 @@ TEST(MrDiversityDeathTest, GeneralizedRejectsNonInjectiveProblems) {
   PointSet pts = GenerateUniformCube(100, 2, /*seed=*/9);
   MapReduceDiversity mr(&m, DiversityProblem::kRemoteEdge,
                         BasicOptions(4, 8, 2));
-  EXPECT_DEATH((void)mr.TryRunGeneralized(pts), "CHECK failed");
+  EXPECT_DEATH((void)mr.TryRunGeneralized(Dataset(pts)), "CHECK failed");
 }
 
 }  // namespace

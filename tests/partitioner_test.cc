@@ -1,8 +1,10 @@
 #include "mapreduce/partitioner.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -119,6 +121,48 @@ TEST(PartitionerTest, AdversarialSparseUsesMetricShells) {
     }
     EXPECT_GE(lo, prev_max - 1e-9);
     prev_max = hi;
+  }
+}
+
+TEST(PartitionerTest, AdversarialMixedInputWithDenseRowZeroUsesPivotShells) {
+  // Row 0 is dense but other rows are sparse: lexicographic order is
+  // undefined on sparse rows, so the partitioner sorts by distance to row 0.
+  EuclideanMetric m;
+  PointSet pts;
+  for (uint32_t i = 0; i < 40; ++i) {
+    const float v = static_cast<float>(i % 7) + 0.5f;
+    if (i % 3 == 0) {
+      pts.push_back(Point::Dense({v, 0.0f, 1.0f, 0.0f, v}));
+    } else {
+      pts.push_back(Point::Sparse({i % 5}, {v}, /*dim=*/5));
+    }
+  }
+  auto parts = PartitionPoints(pts, 4, PartitionStrategy::kAdversarial, 0, &m);
+  ASSERT_EQ(parts.size(), 4u);
+  double prev_max = -1.0;
+  size_t total = 0;
+  for (const PointSet& part : parts) {
+    EXPECT_EQ(part.size(), 10u);
+    total += part.size();
+    double lo = 1e100, hi = -1.0;
+    for (const Point& p : part) {
+      double d = m.Distance(p, pts[0]);
+      lo = std::min(lo, d);
+      hi = std::max(hi, d);
+    }
+    EXPECT_GE(lo, prev_max);
+    prev_max = hi;
+  }
+  EXPECT_EQ(total, pts.size());
+  // The row partitioner the MapReduce drivers use gives the same parts.
+  const std::vector<std::vector<uint32_t>> rows = PartitionRows(
+      Dataset(pts), 4, PartitionStrategy::kAdversarial, 0, &m);
+  ASSERT_EQ(rows.size(), parts.size());
+  for (size_t p = 0; p < parts.size(); ++p) {
+    ASSERT_EQ(rows[p].size(), parts[p].size());
+    for (size_t j = 0; j < rows[p].size(); ++j) {
+      EXPECT_EQ(pts[rows[p][j]], parts[p][j]);
+    }
   }
 }
 

@@ -147,13 +147,6 @@ TEST(PointTest, ToStringRenders) {
   EXPECT_EQ(Point::Sparse({3}, {1.0f}, 5).ToString(), "sparse{3:1 | dim=5}");
 }
 
-TEST(PointTest, MemoryBytesIsPositiveAndGrowsWithSize) {
-  Point small = Point::Dense({1.0f});
-  Point big = Point::Dense(std::vector<float>(100, 1.0f));
-  EXPECT_GT(small.MemoryBytes(), 0u);
-  EXPECT_GT(big.MemoryBytes(), small.MemoryBytes());
-}
-
 TEST(PointDeathTest, SparseRequiresSortedIndices) {
   EXPECT_DEATH(Point::Sparse({2, 1}, {1.0f, 1.0f}, 4), "CHECK failed");
 }

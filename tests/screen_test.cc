@@ -162,7 +162,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, ThreadCounts, ::testing::Values(1, 2, 8));
 TEST_P(ThreadCounts, GmmTrajectoryBitIdenticalToExact) {
   SetGlobalThreadPoolSize(GetParam());
   for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data = Dataset::FromPoints(layout.pts);
+    Dataset data(layout.pts);
     for (const auto& metric : AllMetrics()) {
       GmmResult exact;
       {
@@ -186,7 +186,7 @@ TEST_P(ThreadCounts, GmmTrajectoryBitIdenticalToExact) {
 TEST_P(ThreadCounts, ScreenedTileRelaxBitIdenticalToExact) {
   SetGlobalThreadPoolSize(GetParam());
   for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data = Dataset::FromPoints(layout.pts);
+    Dataset data(layout.pts);
     size_t n = data.size();
     for (const auto& metric : AllMetrics()) {
       std::vector<double> exact_dist(n,
@@ -211,7 +211,7 @@ TEST_P(ThreadCounts, ScreenedTileRelaxBitIdenticalToExact) {
 TEST_P(ThreadCounts, KCenterAndMatchingAndRadiusBitIdenticalToExact) {
   SetGlobalThreadPoolSize(GetParam());
   for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data = Dataset::FromPoints(layout.pts);
+    Dataset data(layout.pts);
     for (const auto& metric : AllMetrics()) {
       std::string ctx = metric->Name() + "/" + layout.name;
       KCenterResult exact_kc;
@@ -291,7 +291,7 @@ TEST_P(ThreadCounts, SmmStreamsBitIdenticalToExact) {
 TEST_P(ThreadCounts, InstantiateBitIdenticalToExact) {
   SetGlobalThreadPoolSize(GetParam());
   for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data = Dataset::FromPoints(layout.pts);
+    Dataset data(layout.pts);
     for (const auto& metric : AllMetrics()) {
       std::string ctx = metric->Name() + "/" + layout.name;
       double range = 0.0;
@@ -318,7 +318,7 @@ TEST_P(ThreadCounts, InstantiateBitIdenticalToExact) {
 // certified skip relies on.
 TEST(ScreenTest, ErrorBoundCoversSampledPairsAllMetricsAllLayouts) {
   for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data = Dataset::FromPoints(layout.pts);
+    Dataset data(layout.pts);
     size_t n = data.size();
     for (const auto& metric : AllMetrics()) {
       ScreenBound bound = metric->ScreenErrorBound(
@@ -355,7 +355,7 @@ TEST(ScreenTest, ErrorBoundCoversSampledPairsAllMetricsAllLayouts) {
 
 TEST(ScreenTest, ArgClosestAndFirstWithinMatchExactIncludingBoundaries) {
   for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data = Dataset::FromPoints(layout.pts);
+    Dataset data(layout.pts);
     for (const auto& metric : AllMetrics()) {
       std::string ctx = metric->Name() + "/" + layout.name;
       for (size_t qi : {size_t{0}, layout.pts.size() / 2}) {
@@ -403,7 +403,7 @@ TEST(ScreenTest, ArgClosestAndFirstWithinMatchExactIncludingBoundaries) {
 TEST(ScreenTest, ScreenedCountsDeterministicAcrossThreadCounts) {
   // dim >= 8 so the single-query work gate keeps the sweeps screened.
   PointSet pts = DensePoints(700, 8, /*seed=*/210);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   EuclideanMetric base;
   uint64_t exact_ref = 0, screened_ref = 0;
   for (size_t threads : {1u, 2u, 8u}) {
@@ -434,7 +434,7 @@ TEST(ScreenTest, ScreenedCountsDeterministicAcrossThreadCounts) {
 // as the sweep's per-range calls do.
 TEST(ScreenTest, FusedTileRelaxNoMoreExactEvalsThanUnfused) {
   for (size_t dim : {3u, 16u}) {
-    Dataset data = Dataset::FromPoints(DensePoints(3000, dim, /*seed=*/230));
+    Dataset data(DensePoints(3000, dim, /*seed=*/230));
     EuclideanMetric inner;
     size_t nq = 48;
 
@@ -492,7 +492,7 @@ TEST(ScreenTest, FusedSmmSweepsScreenAtLowDimension) {
 // to the exact tile relax, with deterministic counts across thread counts.
 TEST(ScreenTest, SparseCosineTileRelaxScreensAndMatchesExact) {
   PointSet docs = SparsePoints(600, /*seed=*/232);
-  Dataset data = Dataset::FromPoints(docs);
+  Dataset data(docs);
   CosineMetric base;
   ASSERT_TRUE(base.RelaxTileScreeningProfitableFor(SideStatsOf(data),
                                                    SideStatsOf(data)));
@@ -537,7 +537,7 @@ TEST(ScreenTest, SparseCosineTileRelaxScreensAndMatchesExact) {
 // fp32 evaluations; results agree bit for bit either way.
 TEST(ScreenTest, ToggleDisablesScreeningEntirely) {
   PointSet pts = DensePoints(300, 8, /*seed=*/211);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   EuclideanMetric base;
   {
     ScopedScreening off(false);
@@ -551,7 +551,7 @@ TEST(ScreenTest, ToggleDisablesScreeningEntirely) {
     ScopedScreening on(true);
     JaccardMetric jaccard;
     CountingMetric counting(&jaccard);
-    Dataset sparse = Dataset::FromPoints(SparsePoints(150, /*seed=*/212));
+    Dataset sparse(SparsePoints(150, /*seed=*/212));
     Gmm(sparse, counting, 8);
     EXPECT_EQ(counting.screened_evals(), 0u);
     EXPECT_EQ(counting.exact_evals(), 8u * sparse.size());

@@ -1,8 +1,10 @@
 #include "api/solve.h"
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -194,7 +196,7 @@ TEST(TrySolveTest, RejectsGeneralizedBackendOnNonInjectiveProblem) {
 TEST(TrySolveTest, PointSetAndDatasetOverloadsAgreeOnAllBackends) {
   EuclideanMetric metric;
   PointSet pts = GenerateUniformCube(300, 2, /*seed=*/36);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   for (Backend b :
        {Backend::kSequential, Backend::kStreaming, Backend::kStreamingTwoPass,
         Backend::kMapReduce, Backend::kMapReduceRandomized,
@@ -213,6 +215,40 @@ TEST(TrySolveTest, PointSetAndDatasetOverloadsAgreeOnAllBackends) {
     EXPECT_EQ(got->coreset_size, want->coreset_size) << BackendName(b);
     EXPECT_EQ(got->rounds_or_passes, want->rounds_or_passes) << BackendName(b);
     EXPECT_FALSE(got->degraded.has_value());
+  }
+}
+
+// A Dataset that never held points (AssignGatherColumnar copies only
+// columns) solves exactly like the same rows built from their points.
+TEST(TrySolveTest, GatheredDatasetSolvesLikeItsPointsOnAllBackends) {
+  EuclideanMetric metric;
+  const PointSet pts = GenerateUniformCube(400, 3, /*seed=*/37);
+  const Dataset source(pts);
+  std::vector<uint32_t> rows;
+  PointSet picked;
+  for (uint32_t r = 399; r >= 100; r -= 2) {
+    rows.push_back(r);
+    picked.push_back(pts[r]);
+  }
+  Dataset gathered;
+  gathered.AssignGatherColumnar(source, rows);
+  for (Backend b :
+       {Backend::kSequential, Backend::kStreaming, Backend::kStreamingTwoPass,
+        Backend::kMapReduce, Backend::kMapReduceRandomized,
+        Backend::kMapReduceGeneralized, Backend::kMapReduceRecursive}) {
+    SolveOptions opts;
+    opts.problem = DiversityProblem::kRemoteClique;
+    opts.backend = b;
+    opts.k = 6;
+    opts.seed = 37;
+    StatusOr<SolveResult> want = TrySolve(picked, metric, opts);
+    StatusOr<SolveResult> got = TrySolve(gathered, metric, opts);
+    ASSERT_TRUE(want.ok()) << BackendName(b) << ": " << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << BackendName(b) << ": " << got.status().ToString();
+    EXPECT_EQ(got->solution, want->solution) << BackendName(b);
+    EXPECT_EQ(got->diversity, want->diversity) << BackendName(b);
+    EXPECT_EQ(got->coreset_size, want->coreset_size) << BackendName(b);
+    EXPECT_EQ(got->rounds_or_passes, want->rounds_or_passes) << BackendName(b);
   }
 }
 

@@ -115,7 +115,7 @@ void ExpectTileEntry(double got, double want, bool dense_pair,
 
 TEST(TileKernelTest, TileMatchesPerQuerySweepsAllMetricsAllLayouts) {
   for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data = Dataset::FromPoints(layout.pts);
+    Dataset data(layout.pts);
     size_t n = data.size();
     // Odd edges: neither 13 nor 37 is a multiple of the 8-lane block, and
     // both begin offsets are nonzero.
@@ -142,7 +142,7 @@ TEST(TileKernelTest, TileMatchesPerQuerySweepsAllMetricsAllLayouts) {
 
 TEST(TileKernelTest, TileHonorsOutputStride) {
   PointSet pts = DensePoints(40, 5, /*seed=*/104);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   EuclideanMetric metric;
   size_t nq = 7, nr = 9, stride = 23;
   std::vector<double> out(nq * stride, -7.0);
@@ -161,7 +161,7 @@ TEST(TileKernelTest, TileHonorsOutputStride) {
 
 TEST(TileKernelTest, TileIdenticalAtAnyThreadCount) {
   PointSet pts = DensePoints(500, 4, /*seed=*/105);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   EuclideanMetric metric;
   size_t nq = 20, nr = 400;
   std::vector<std::vector<double>> results;
@@ -188,7 +188,7 @@ TEST(TileKernelTest, BaseClassFallbackMatchesScalarDistance) {
   };
   PointSet pts = DensePoints(30, 3, /*seed=*/106);
   pts[7] = pts[3];  // one duplicate pair
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   HammingLike metric;
   std::vector<double> tile(6 * 10);
   metric.DistanceTile(data, 2, 6, data, 5, 10, tile.data(), 10);
@@ -201,7 +201,7 @@ TEST(TileKernelTest, BaseClassFallbackMatchesScalarDistance) {
 
 TEST(TileKernelTest, CountingMetricCountsTilesExactly) {
   PointSet pts = DensePoints(60, 4, /*seed=*/107);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   EuclideanMetric base;
   CountingMetric counting(&base);
 
@@ -218,7 +218,7 @@ TEST(TileKernelTest, CountingMetricCountsTilesExactly) {
 
 TEST(TileKernelTest, RelaxTilesMatchesPerCenterSweepsAllMetricsAllLayouts) {
   for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data = Dataset::FromPoints(layout.pts);
+    Dataset data(layout.pts);
     size_t n = data.size();
     // Centers: a scattered, non-contiguous selection appended to its own
     // Dataset, as the k-center consumers build it.
@@ -264,7 +264,7 @@ TEST(TileKernelTest, RelaxTilesMatchesPerCenterSweepsAllMetricsAllLayouts) {
 
 TEST(TileKernelTest, RelaxTilesDeterministicAtAnyThreadCount) {
   PointSet pts = DensePoints(20000, 4, /*seed=*/108);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   EuclideanMetric metric;
   Dataset center_rows;
   for (size_t c = 0; c < 30; ++c) center_rows.Append(data.point(c * 613));
@@ -314,7 +314,7 @@ TEST(TileKernelTest, KCenterDoublingAssignmentUnchangedByTiles) {
 
 TEST(TileKernelTest, DistanceMatrixTiledMatchesScalarAllMetricsAllLayouts) {
   for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data = Dataset::FromPoints(layout.pts);
+    Dataset data(layout.pts);
     size_t n = data.size();
     for (const auto& metric : AllMetrics()) {
       DistanceMatrix tiled(data, *metric);
@@ -339,7 +339,7 @@ TEST(TileKernelTest, DistanceMatrixBuildCostsExactlyAllPairs) {
   PointSet pts = DensePoints(300, 3, /*seed=*/110);
   EuclideanMetric base;
   CountingMetric counting(&base);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   DistanceMatrix d(data, counting);
   EXPECT_EQ(counting.count(), pts.size() * (pts.size() - 1) / 2);
   // And the span constructor's tiled path agrees with it entry for entry.
@@ -353,7 +353,7 @@ TEST(TileKernelTest, DistanceMatrixBuildCostsExactlyAllPairs) {
 
 TEST(TileKernelTest, DistanceMatrixDeterministicAtAnyThreadCount) {
   PointSet pts = MixedPoints(280, 10, /*seed=*/111);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   CosineMetric metric;
   SetGlobalThreadPoolSize(1);
   DistanceMatrix one(data, metric);
@@ -386,7 +386,7 @@ TEST(TileKernelTest, GreedyMatchingRefillScansOnlyLiveRows) {
   pts.push_back(Point::Dense2(1e6f, 1e6f));
 
   EuclideanMetric base;
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   // Initial scan: n(n-1)/2. One refill over the 68 live rows after the hub
   // pair is consumed: 68*67/2. Nothing else.
   uint64_t initial = static_cast<uint64_t>(n) * (n - 1) / 2;
@@ -446,7 +446,7 @@ MatchingRun CountedMatching(const Dataset& data, const Metric& base, size_t k,
 
 void ExpectMatchingIdenticalAtAnyThreadCount(const PointSet& pts, size_t k) {
   EuclideanMetric base;
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   DistanceMatrix d(std::span<const Point>(pts), base);
   const std::vector<size_t> reference = GreedyMatchingOnMatrix(d, k);
   for (bool screening : {false, true}) {
@@ -481,7 +481,7 @@ TEST(TileKernelTest, GreedyMatchingRefillDeterministicAtAnyThreadCount) {
   const uint64_t all_pairs = n * (n - 1) / 2 + (n - 2) * (n - 3) / 2;
   ExpectMatchingIdenticalAtAnyThreadCount(pts, 4);
   EuclideanMetric base;
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   EXPECT_EQ(CountedMatching(data, base, 4, 4, false).exact, all_pairs);
   EXPECT_EQ(CountedMatching(data, base, 4, 4, true).screened, all_pairs);
 }
@@ -501,7 +501,7 @@ TEST(TileKernelTest, GreedyMatchingRefillWithUserDefinedMetric) {
   PointSet pts = DensePoints(100, 3, /*seed=*/115);
   Discrete metric;
   DistanceMatrix d(std::span<const Point>(pts), metric);
-  EXPECT_EQ(GreedyMatchingOnDataset(Dataset::FromPoints(pts), metric, 5),
+  EXPECT_EQ(GreedyMatchingOnDataset(Dataset(pts), metric, 5),
             GreedyMatchingOnMatrix(d, 5));
 }
 
@@ -525,8 +525,8 @@ PointSet SparseCorpus(size_t n, uint32_t vocab, size_t min_terms,
 void ExpectSparseTileMatchesScalar(const PointSet& queries_pts,
                                    const PointSet& data_pts,
                                    const std::string& label) {
-  Dataset queries = Dataset::FromPoints(queries_pts);
-  Dataset data = Dataset::FromPoints(data_pts);
+  Dataset queries(queries_pts);
+  Dataset data(data_pts);
   size_t nq = std::min<size_t>(13, queries.size());
   size_t nr = data.size() > 2 ? data.size() - 2 : data.size();
   size_t r_begin = data.size() - nr;
@@ -612,7 +612,7 @@ TEST(SparseTileTest, SparseStatsTrackAppendsAndClears) {
 
 TEST(SparseTileTest, CountingMetricCountsSparseTilesExactly) {
   PointSet pts = SparseCorpus(80, 200, 5, 40, /*seed=*/206);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   CosineMetric base;
   CountingMetric counting(&base);
   std::vector<double> tile(9 * 33);
@@ -622,7 +622,7 @@ TEST(SparseTileTest, CountingMetricCountsSparseTilesExactly) {
 
 TEST(SparseTileTest, SparseRelaxTilesDeterministicAtAnyThreadCount) {
   PointSet pts = SparseCorpus(6000, 500, 5, 60, /*seed=*/207);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   Dataset center_rows;
   for (size_t c = 0; c < 24; ++c) center_rows.Append(data.point(c * 241));
   for (const auto& metric : AllMetrics()) {
@@ -654,7 +654,7 @@ TEST(SparseTileTest, SparseRelaxTilesDeterministicAtAnyThreadCount) {
 
 TEST(SparseTileTest, MixedTileThreadCountDeterminism) {
   PointSet pts = MixedPoints(900, 14, /*seed=*/208);
-  Dataset data = Dataset::FromPoints(pts);
+  Dataset data(pts);
   for (const auto& metric : AllMetrics()) {
     std::vector<std::vector<double>> results;
     for (size_t threads : {1u, 2u, 8u}) {

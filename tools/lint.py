@@ -33,6 +33,11 @@ rules:
   tsa-escape-justified  DIVERSE_NO_THREAD_SAFETY_ANALYSIS requires a
                       same-line justification comment: the analysis
                       escape hatch must say why the analysis is wrong.
+  no-dataset-points-in-src  `.points()` is banned in library code:
+                      Dataset::points() (the only points() method under
+                      src/) rebuilds every row as a Point, an O(n) export
+                      for API edges. Library paths read rows (row(i),
+                      point(i), AssignGatherColumnar) instead.
 """
 
 import argparse
@@ -102,6 +107,7 @@ def lint_file(path):
     guard_re = re.compile(r"\.ok\s*\(\s*\)|has_value\s*\(\s*\)|"
                           r"DIVERSE_ASSIGN_OR_RETURN|DIVERSE_CHECK")
     tsa_escape_re = re.compile(r"DIVERSE_NO_THREAD_SAFETY_ANALYSIS")
+    points_re = re.compile(r"(?:\.|->)\s*points\s*\(\s*\)")
 
     for i, (line_no, code, full) in enumerate(lines):
         if rand_re.search(code) and not allowed(full, "no-unseeded-rand"):
@@ -120,6 +126,11 @@ def lint_file(path):
                         ".value() without a visible ok()/has_value() guard "
                         "or DIVERSE_ASSIGN_OR_RETURN in the preceding 8 "
                         "lines")
+        if points_re.search(code) \
+                and not allowed(full, "no-dataset-points-in-src"):
+            finding("no-dataset-points-in-src", path, line_no,
+                    "Dataset::points() re-materializes the whole dataset; "
+                    "read rows instead")
         if tsa_escape_re.search(code):
             comment = full[full.find("//"):] if "//" in full else ""
             # The macro definition itself (thread_annotations.h) is exempt.
