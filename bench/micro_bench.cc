@@ -18,6 +18,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -264,6 +265,51 @@ void BM_GmmBatched50k(benchmark::State& state) {
 }
 BENCHMARK(BM_GmmBatched50k)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+// A user-defined metric: it overrides only Distance, so every batched call
+// runs the Metric base-class fallbacks, which read rows as Points.
+class UserEuclidean final : public Metric {
+ public:
+  double Distance(const Point& a, const Point& b) const override {
+    return std::sqrt(a.SquaredEuclideanDistanceTo(b));
+  }
+  std::string Name() const override { return "user-euclidean"; }
+};
+
+// GMM under a user-defined metric: the DistanceToMany fallback.
+void BM_UserMetricGmm(benchmark::State& state) {
+  UserEuclidean m;
+  SetGlobalThreadPoolSize(1);
+  Dataset data(GenerateUniformCube(20000, 16, 8));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Gmm(data, m, 32));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 20000);
+  state.counters["n"] = 20000;
+  state.counters["dim"] = 16;
+  state.SetLabel("user-euclidean");
+}
+BENCHMARK(BM_UserMetricGmm)->Unit(benchmark::kMillisecond);
+
+// One 64 x 4096 tile under a user-defined metric: the DistanceTile
+// fallback.
+void BM_UserMetricTile(benchmark::State& state) {
+  UserEuclidean m;
+  const size_t n = 4096;
+  const size_t q = 64;
+  Dataset data(GenerateUniformCube(n, 16, 10));
+  std::vector<double> out(q * n);
+  for (auto _ : state) {
+    m.DistanceTile(data, 0, q, data, 0, n, out.data(), n);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(q * n));
+  state.counters["n"] = static_cast<double>(n);
+  state.counters["dim"] = 16;
+  state.SetLabel("user-euclidean");
+}
+BENCHMARK(BM_UserMetricTile);
 
 // --- Per-center sweeps vs blocked multi-center tiles ---------------------
 // The acceptance workload of the tile layer: dense k-center assignment of

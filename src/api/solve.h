@@ -136,9 +136,8 @@ struct SolveResult {
 DIVERSE_MUST_USE StatusOr<SolveResult> TrySolve(
     const Dataset& data, const Metric& metric, const SolveOptions& options);
 
-/// Copies the coordinates of `points` into a columnar Dataset (the only
-/// copy the solve makes) and solves on it. Points of differing dims are
-/// kInvalidArgument (Dataset::TryFromPoints).
+/// Copies `points` into a Dataset, the solve's only copy, and solves on it.
+/// Points of differing dims are kInvalidArgument (Dataset::TryFromPoints).
 DIVERSE_MUST_USE StatusOr<SolveResult> TrySolve(
     const PointSet& points, const Metric& metric,
     const SolveOptions& options);

@@ -52,13 +52,6 @@ struct TaskEnvelope {
   size_t attempt = 0;
   FaultKind fault = FaultKind::kNone;
   uint64_t fault_param = 0;
-  /// Content stamp of the call's partition argument (FingerprintPoints),
-  /// or 0 for "unkeyed". The MapReduce drivers derive it from the
-  /// partition's content (when the engine WantsPartitionCacheKeys), so
-  /// every retry and speculative re-launch of the task carries the same
-  /// key — the property that lets a re-ship after a crash hit the worker
-  /// cache instead of re-serializing the partition.
-  uint64_t cache_key = 0;
 };
 
 /// What core-set to build on a partition.
@@ -91,10 +84,9 @@ class CommunicationEngine {
   /// "loopback" or "socket" — result provenance in logs and benches.
   virtual std::string BackendName() const = 0;
 
-  /// True when the engine benefits from TaskEnvelope::cache_key (the
-  /// socket engine with a worker partition cache). Drivers skip the
-  /// fingerprint pass entirely when this is false, so loopback runs pay
-  /// nothing for the cache machinery.
+  /// True when the engine keeps a worker partition cache, keyed by the
+  /// content it fingerprints on each ship. No driver reads this any more;
+  /// perfbench's TracingEngine forwards it.
   virtual bool WantsPartitionCacheKeys() const { return false; }
 
   /// GMM / GMM-EXT core-set of one partition (round 1 of the 2-round and

@@ -408,9 +408,7 @@ StatusOr<WireReply> SocketEngine::Call(const TaskEnvelope& env,
   uint64_t key = 0;
   if (caching) {
     const auto fp_start = std::chrono::steady_clock::now();
-    // The MapReduce drivers stamp the envelope once per round; a bare
-    // engine call (tests, benches) pays the fingerprint itself.
-    key = env.cache_key != 0 ? env.cache_key : FingerprintPoints(*points);
+    key = FingerprintPoints(*points);
     tally.ship_seconds += SecondsSince(fp_start);
     if (env.fault == FaultKind::kCacheEvict) {
       // Inflict the eviction for real: the worker drops the entry before

@@ -114,8 +114,7 @@ class SocketEngine final : public CommunicationEngine {
 
   std::string BackendName() const override { return "socket"; }
 
-  /// Drivers should fingerprint partitions once per round exactly when the
-  /// worker cache can use the key.
+  /// True when the worker partition cache is enabled.
   bool WantsPartitionCacheKeys() const override {
     return options_.worker_cache_bytes > 0;
   }

@@ -37,11 +37,9 @@ StatusOr<Dataset> Dataset::TryFromPoints(std::span<const Point> points) {
 }
 
 Point Dataset::point(size_t i) const {
-  const kernels::VecView v = row(i);
-  std::vector<float> values(v.values, v.values + v.nnz);
-  if (!v.sparse) return Point::Dense(std::move(values));
-  return Point::Sparse(std::vector<uint32_t>(v.indices, v.indices + v.nnz),
-                       std::move(values), static_cast<uint32_t>(v.dim));
+  Point p;
+  p.Assign(row(i));
+  return p;
 }
 
 PointSet Dataset::points() const {

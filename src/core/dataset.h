@@ -63,9 +63,8 @@ class Dataset {
   /// Ambient dimension (0 while empty).
   size_t dim() const { return dim_; }
 
-  /// Row i as a value-typed point, built from the columnar arrays; equal
-  /// (operator==, and bit for bit in norm) to the point the row was
-  /// appended from.
+  /// Row i as a value-typed point built from the columns, equal (and bit
+  /// for bit in norm) to the point the row was appended from.
   Point point(size_t i) const;
 
   /// Every row as a point, in row order: an O(n) export for API edges

@@ -889,8 +889,9 @@ ScreenSideStats SideStatsOf(const Point& point) {
 void Metric::DistanceToMany(const Point& query, const Dataset& data,
                             size_t begin, std::span<double> out) const {
   DIVERSE_CHECK_LE(begin + out.size(), data.size());
+  Point row;
   for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = Distance(query, data.point(begin + i));
+    out[i] = Distance(query, row.Assign(data.row(begin + i)));
   }
 }
 
@@ -909,10 +910,13 @@ void Metric::DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,
                           const Dataset& data, size_t r_begin, size_t nr,
                           double* out, size_t out_stride) const {
   CheckTileArgs(queries, q_begin, nq, data, r_begin, nr, out_stride);
+  // Each data row becomes a Point once per tile, not once per query.
+  PointSet rows(nr);
+  for (size_t r = 0; r < nr; ++r) rows[r].Assign(data.row(r_begin + r));
   for (size_t q = 0; q < nq; ++q) {
     const Point query = queries.point(q_begin + q);
     for (size_t r = 0; r < nr; ++r) {
-      out[q * out_stride + r] = Distance(query, data.point(r_begin + r));
+      out[q * out_stride + r] = Distance(query, rows[r]);
     }
   }
 }
@@ -939,8 +943,9 @@ void Metric::DistanceRowsMany(const Dataset& a, size_t i, const Dataset& b,
                               std::span<const uint32_t> rows,
                               double* out) const {
   const Point query = a.point(i);
+  Point row;
   for (size_t t = 0; t < rows.size(); ++t) {
-    out[t] = Distance(query, b.point(rows[t]));
+    out[t] = Distance(query, row.Assign(b.row(rows[t])));
   }
 }
 

@@ -36,6 +36,15 @@ Point Point::Sparse(std::vector<uint32_t> indices, std::vector<float> values,
   return p;
 }
 
+Point& Point::Assign(const kernels::VecView& v) {
+  dim_ = v.dim;
+  is_sparse_ = v.sparse;
+  values_.assign(v.values, v.values + v.nnz);
+  indices_.assign(v.indices, v.indices + (v.sparse ? v.nnz : 0));
+  norm_ = v.norm;
+  return *this;
+}
+
 const std::vector<float>& Point::dense_values() const {
   DIVERSE_CHECK(!is_sparse_);
   return values_;
@@ -104,6 +113,11 @@ std::string Point::ToString() const {
     out << ")";
   }
   return out.str();
+}
+
+size_t Point::MemoryBytes() const {
+  return sizeof(Point) + indices_.capacity() * sizeof(uint32_t) +
+         values_.capacity() * sizeof(float);
 }
 
 bool PointIsFinite(const Point& p) {

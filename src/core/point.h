@@ -43,6 +43,10 @@ class Point {
   static Point Sparse(std::vector<uint32_t> indices, std::vector<float> values,
                       uint32_t dim);
 
+  /// Replaces this point with the valid point `v` views (norm included),
+  /// reusing its buffers, so reading rows through one Point rarely allocates.
+  Point& Assign(const kernels::VecView& v);
+
   /// True if this point uses the sparse representation.
   bool is_sparse() const { return is_sparse_; }
 
@@ -95,6 +99,9 @@ class Point {
 
   /// Debug rendering, e.g. "(1.0, 2.5)" or "sparse{3:1.0, 17:2.0 | dim=5000}".
   std::string ToString() const;
+
+  /// Approximate heap footprint in bytes.
+  size_t MemoryBytes() const;
 
  private:
   // For dense points `indices_` is empty and `values_` holds all dim_

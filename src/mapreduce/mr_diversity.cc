@@ -8,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "comm/serialize.h"
 #include "core/generalized_coreset.h"
 #include "core/sequential.h"
 #include "util/check.h"
@@ -22,18 +21,13 @@ namespace {
 // wrong-output and corrupted-partition faults. The validators below are the
 // detection side of the same coin.
 Point GarblePoint(const Point& p, uint64_t sub_seed) {
-  const float bad = std::numeric_limits<float>::quiet_NaN();
-  if (p.is_sparse()) {
-    std::vector<uint32_t> idx = p.sparse_indices();
-    std::vector<float> val = p.sparse_values();
-    if (val.empty()) return p;
-    val[sub_seed % val.size()] = bad;
-    return Point::Sparse(std::move(idx), std::move(val), p.dim());
-  }
-  std::vector<float> val = p.dense_values();
-  if (val.empty()) return p;
-  val[sub_seed % val.size()] = bad;
-  return Point::Dense(std::move(val));
+  if (p.nnz() == 0) return p;
+  kernels::VecView v = p.View();
+  std::vector<float> val(v.values, v.values + v.nnz);
+  val[sub_seed % val.size()] = std::numeric_limits<float>::quiet_NaN();
+  v.values = val.data();
+  v.norm = std::numeric_limits<double>::quiet_NaN();
+  return Point().Assign(v);
 }
 
 void GarbleOne(PointSet* pts, uint64_t sub_seed) {
@@ -42,38 +36,33 @@ void GarbleOne(PointSet* pts, uint64_t sub_seed) {
   (*pts)[t] = GarblePoint((*pts)[t], sub_seed);
 }
 
-// Rows `rows` of `data` as points, in order: how a partition reaches the
-// engine.
-PointSet GatherPoints(const Dataset& data, std::span<const uint32_t> rows) {
+// Rows `rows` of `data` as the points one reducer attempt ships, garbled
+// under a corrupted-partition fault. Every attempt re-reads the pristine
+// rows, which is why detection plus re-execution recovers exactly.
+PointSet PartitionInput(const MrTaskContext& ctx, const Dataset& data,
+                        std::span<const uint32_t> rows) {
   PointSet out;
   out.reserve(rows.size());
   for (uint32_t r : rows) out.push_back(data.point(r));
+  if (ctx.fault == FaultKind::kCorruptPartition) {
+    GarbleOne(&out, ctx.fault_param);
+  }
   return out;
 }
 
-// The input one reducer attempt reads: a fresh copy of the pristine input,
-// garbled under a corrupted-partition fault. Every attempt re-reads the
-// pristine input, which is why detection plus re-execution recovers
-// exactly.
-PointSet AttemptInput(const MrTaskContext& ctx, PointSet in) {
-  if (ctx.fault == FaultKind::kCorruptPartition) {
-    GarbleOne(&in, ctx.fault_param);
+// The input the solve attempt reads: `pristine`, or under a
+// corrupted-partition fault a garbled copy held in `*scratch`.
+const PointSet& AttemptInput(const MrTaskContext& ctx,
+                             const PointSet& pristine, PointSet* scratch) {
+  if (ctx.fault != FaultKind::kCorruptPartition || pristine.empty()) {
+    return pristine;
   }
-  return in;
+  *scratch = pristine;
+  GarbleOne(scratch, ctx.fault_param);
+  return *scratch;
 }
 
-// The content stamp of a partition when the engine keeps a partition cache,
-// else 0 (unkeyed). Retries, speculative re-launches and the instantiate
-// round ship the same content, so they reuse the key and hit the cache.
-uint64_t PartitionCacheKey(const CommunicationEngine& engine,
-                           const PointSet& part) {
-  return engine.WantsPartitionCacheKeys() && !part.empty()
-             ? FingerprintPoints(part)
-             : 0;
-}
-
-// Point::operator== between row r of `data` and `p`, without building the
-// row's point.
+// Point::operator== between row r of `data` and `p`, building no point.
 bool RowEquals(const Dataset& data, size_t r, const Point& p) {
   const kernels::VecView a = data.row(r);
   const kernels::VecView b = p.View();
@@ -161,14 +150,11 @@ GeneralizedCoreset GarbleGen(const GeneralizedCoreset& gen,
 // The engine-call identity of one reducer attempt. Transport faults ride
 // along so the engine (not the executor) inflicts them — the executor
 // already counted the probe; data faults stay in the reducer body.
-// `cache_key` is the partition's round-level content stamp (0 = unkeyed).
-TaskEnvelope MakeEnvelope(const std::string& round, const MrTaskContext& ctx,
-                          uint64_t cache_key = 0) {
+TaskEnvelope MakeEnvelope(const std::string& round, const MrTaskContext& ctx) {
   TaskEnvelope env;
   env.round = round;
   env.task = ctx.task;
   env.attempt = ctx.attempt;
-  env.cache_key = cache_key;
   if (IsTransportFault(ctx.fault)) {
     env.fault = ctx.fault;
     env.fault_param = ctx.fault_param;
@@ -296,12 +282,12 @@ Status MapReduceDiversity::CoresetRound(
       round_name, parts.size(),
       [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
         const size_t i = ctx.task;
-        const PointSet in = AttemptInput(ctx, GatherPoints(data, parts[i]));
+        const PointSet in = PartitionInput(ctx, data, parts[i]);
         DIVERSE_RETURN_IF_ERROR(
             ValidateFinitePoints("input partition", round_name, i, in));
         StatusOr<PointSet> cs_or = engine->Coreset(
-            MakeEnvelope(round_name, ctx, PartitionCacheKey(*engine, in)),
-            in, MakeCoresetSpec(in.size(), input_size));
+            MakeEnvelope(round_name, ctx), in,
+            MakeCoresetSpec(in.size(), input_size));
         if (!cs_or.ok()) return cs_or.status();
         PointSet cs = std::move(*cs_or);
         if (ctx.fault == FaultKind::kEmptyOutput) cs.clear();
@@ -379,7 +365,8 @@ StatusOr<PointSet> MapReduceDiversity::SolveRound(
   RoundOutcome solve = sim->RunFallibleRound(
       "solve", 1,
       [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
-        const PointSet in = AttemptInput(ctx, aggregate);
+        PointSet corrupted;
+        const PointSet& in = AttemptInput(ctx, aggregate, &corrupted);
         DIVERSE_RETURN_IF_ERROR(
             ValidateFinitePoints("aggregated core-set", "solve", 0, in));
         const size_t k = std::min(options_.k, in.size());
@@ -472,9 +459,9 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
   // Round 1: GMM-GEN per partition; keep each kernel's range so the
   // instantiation radius r_T = max_i r_{T_i} is known. Failed partitions are
   // dropped (empty generalized core-set, range 0) and excluded from round 3.
-  // Both partition-shipping rounds (1 and 3) key a partition by its
-  // content, so the instantiate round's by-ref requests hit the partitions
-  // the gen-coreset round already shipped into the worker caches.
+  // A caching engine keys a shipped partition by its content, so the
+  // instantiate round's by-ref requests hit the partitions the gen-coreset
+  // round already shipped into the worker caches.
   std::vector<GeneralizedCoreset> gens(parts.size());
   std::vector<double> ranges(parts.size(), 0.0);
   RoundOutcome gen_round = sim.RunFallibleRound(
@@ -485,13 +472,12 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
           *commit = [] {};  // empty core-set, range stays 0
           return OkStatus();
         }
-        const PointSet in = AttemptInput(ctx, GatherPoints(input, parts[i]));
+        const PointSet in = PartitionInput(ctx, input, parts[i]);
         DIVERSE_RETURN_IF_ERROR(
             ValidateFinitePoints("input partition", "gen-coreset", i, in));
         size_t k_prime = std::min(options_.k_prime, in.size());
         StatusOr<GenCoresetResult> gen_or = engine->GenCoreset(
-            MakeEnvelope("gen-coreset", ctx, PartitionCacheKey(*engine, in)),
-            in, options_.k, k_prime);
+            MakeEnvelope("gen-coreset", ctx), in, options_.k, k_prime);
         if (!gen_or.ok()) return gen_or.status();
         GeneralizedCoreset gen = std::move(gen_or->gen);
         double range = gen_or->range;
@@ -604,12 +590,11 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
           *commit = [] {};
           return OkStatus();
         }
-        const PointSet in = AttemptInput(ctx, GatherPoints(input, parts[i]));
+        const PointSet in = PartitionInput(ctx, input, parts[i]);
         DIVERSE_RETURN_IF_ERROR(
             ValidateFinitePoints("input partition", "instantiate", i, in));
         StatusOr<PointSet> inst_or = engine->Instantiate(
-            MakeEnvelope("instantiate", ctx, PartitionCacheKey(*engine, in)),
-            per_part[i], in, r_t);
+            MakeEnvelope("instantiate", ctx), per_part[i], in, r_t);
         if (!inst_or.ok()) return inst_or.status();
         PointSet inst = std::move(*inst_or);
         if (ctx.fault == FaultKind::kEmptyOutput) inst.clear();
@@ -684,9 +669,8 @@ StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
     ++level;
   }
   if (level == 0) {
-    // The input fits one reducer: its one chunked part is every row.
-    aggregate = GatherPoints(
-        input, PartitionRows(input, 1, PartitionStrategy::kChunked, 0)[0]);
+    // The input fits one reducer; its engine call takes it as points.
+    aggregate = input.points();  // lint: allow(no-dataset-points-in-src)
   }
 
   DIVERSE_ASSIGN_OR_RETURN(PointSet solution,

@@ -169,9 +169,8 @@ struct MrResult {
 void AccumulateRoundStats(const MapReduceSimulator& sim, MrResult* result);
 
 /// Driver for the MapReduce algorithms. Thread-safe for concurrent runs
-/// only through distinct instances. The drivers partition the input's row
-/// ids (PartitionRows) and build a partition's points only for the engine
-/// call of each reducer attempt.
+/// only through distinct instances. Partitions are lists of row ids; a
+/// partition becomes points only at its engine call.
 class MapReduceDiversity {
  public:
   /// `metric` must outlive this object.
@@ -212,11 +211,10 @@ class MapReduceDiversity {
   FallibleRoundOptions ExecPolicy() const;
 
   // Runs one fallible core-set round over the row-id partitions `parts` of
-  // `data` on `engine`, committing into `coresets` (resized to
-  // parts.size()). On permanent task failures: degrades (drops the
-  // partitions, accumulating the certificate into `*degraded`) when
-  // allowed, else returns the error. `round_name` distinguishes recursion
-  // levels.
+  // `data` on `engine`, committing into `coresets` (resized to parts.size()).
+  // On permanent task failures: degrades (drops the partitions, accumulating
+  // the certificate into `*degraded`) when allowed, else returns the error.
+  // `round_name` distinguishes recursion levels.
   Status CoresetRound(MapReduceSimulator* sim, CommunicationEngine* engine,
                       const std::string& round_name, const Dataset& data,
                       const std::vector<std::vector<uint32_t>>& parts,

@@ -37,14 +37,12 @@ enum class PartitionStrategy : uint8_t {
 /// Short name, e.g. "random".
 std::string PartitionStrategyName(PartitionStrategy strategy);
 
-/// Splits the rows of `data` into `num_parts` lists of row ids of
+/// Splits the rows of `data` into `num_parts` (>= 1) row-id lists of
 /// (near-)equal size according to `strategy`. `metric` is needed only for
-/// kAdversarial on input with sparse rows; it may be null otherwise.
-/// Requires num_parts >= 1. When num_parts exceeds data.size() (including
-/// an empty input), exactly num_parts lists are still returned: the first
-/// data.size() hold one row each and the tail lists are empty — reducers
-/// tolerate empty inputs, so a fixed fleet size never crashes on a small
-/// round.
+/// kAdversarial on input with sparse rows; it may be null otherwise. When
+/// num_parts exceeds data.size() (including an empty input), the first
+/// data.size() lists hold one row each and the tail lists are empty —
+/// reducers tolerate empty inputs, so a fixed fleet size never crashes.
 std::vector<std::vector<uint32_t>> PartitionRows(const Dataset& data,
                                                  size_t num_parts,
                                                  PartitionStrategy strategy,

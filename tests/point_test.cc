@@ -147,6 +147,27 @@ TEST(PointTest, ToStringRenders) {
   EXPECT_EQ(Point::Sparse({3}, {1.0f}, 5).ToString(), "sparse{3:1 | dim=5}");
 }
 
+TEST(PointTest, MemoryBytesIsPositiveAndGrowsWithSize) {
+  Point small = Point::Dense({1.0f});
+  Point big = Point::Dense(std::vector<float>(100, 1.0f));
+  EXPECT_GT(small.MemoryBytes(), 0u);
+  EXPECT_GT(big.MemoryBytes(), small.MemoryBytes());
+}
+
+TEST(PointTest, AssignCopiesTheViewedPointInEitherRepresentation) {
+  const Point dense = Point::Dense({1.0f, -2.0f, 3.5f});
+  const Point sparse = Point::Sparse({1, 4}, {2.5f, 0.0f}, 6);
+  const Point empty_sparse = Point::Sparse({}, {}, 4);
+  Point p;
+  for (const Point* src : {&sparse, &dense, &empty_sparse, &sparse}) {
+    p.Assign(src->View());
+    EXPECT_EQ(p, *src);
+    EXPECT_EQ(p.is_sparse(), src->is_sparse());
+    EXPECT_EQ(p.dim(), src->dim());
+    EXPECT_EQ(p.norm(), src->norm());
+  }
+}
+
 TEST(PointDeathTest, SparseRequiresSortedIndices) {
   EXPECT_DEATH(Point::Sparse({2, 1}, {1.0f, 1.0f}, 4), "CHECK failed");
 }
