@@ -76,6 +76,44 @@ void BM_CosineDistanceSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_CosineDistanceSparse)->Arg(20)->Arg(60)->Arg(120);
 
+// One 120-term sparse query against 4096 sparse rows through the one-query
+// batch path (the SMM update's exact sweep), single-threaded. Setup checks
+// every distance against scalar Distance bit for bit.
+void BM_CosineToManySparse(benchmark::State& state) {
+  CosineMetric m;
+  size_t n = 4096;
+  SetGlobalThreadPoolSize(1);
+  SparseTextOptions opts;
+  opts.n = n;
+  opts.min_terms = 60;
+  opts.max_terms = 120;
+  opts.seed = 17;
+  Dataset data(GenerateSparseTextDataset(opts));
+  opts.n = 1;
+  opts.min_terms = 120;
+  opts.seed = 18;
+  Point query = GenerateSparseTextDataset(opts)[0];
+  std::vector<double> out(n);
+  m.DistanceToMany(query, data, 0, out);
+  for (size_t i = 0; i < n; ++i) {
+    if (out[i] != m.Distance(query, data.point(i))) {
+      state.SkipWithError("DistanceToMany diverged from scalar Distance");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    m.DistanceToMany(query, data, 0, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+  state.counters["n"] = static_cast<double>(n);
+  state.counters["dim"] = static_cast<double>(opts.vocab_size);
+  state.counters["threads"] = 1;
+  state.SetLabel("cosine");
+}
+BENCHMARK(BM_CosineToManySparse);
+
 void BM_Gmm(benchmark::State& state) {
   EuclideanMetric m;
   size_t n = static_cast<size_t>(state.range(0));
@@ -912,6 +950,56 @@ void BM_FusedScreenSmmUpdate(benchmark::State& state) {
   state.SetLabel(screening ? "euclidean/screened" : "euclidean/exact");
 }
 BENCHMARK(BM_FusedScreenSmmUpdate)->Arg(1)->Arg(0);
+
+// Forwards Distance to CosineMetric and keeps every other Metric member's
+// base-class fallback: the scalar reference for the sparse SMM sweep.
+class ScalarCosineMetric final : public Metric {
+ public:
+  double Distance(const Point& a, const Point& b) const override {
+    return cosine_.Distance(a, b);
+  }
+  std::string Name() const override { return "scalar-cosine"; }
+
+ private:
+  CosineMetric cosine_;
+};
+
+// SMM updates over a sparse text stream under cosine (vocab 5000, k'=128),
+// single-threaded: the stream-text-cosine request's inner loop. Setup
+// checks that a 3000-document prefix yields the same core-set as the
+// scalar fallbacks.
+void BM_SmmUpdateSparseCosine(benchmark::State& state) {
+  CosineMetric m;
+  SetGlobalThreadPoolSize(1);
+  SparseTextOptions opts;
+  opts.n = 20000;
+  opts.seed = 19;
+  PointSet pts = GenerateSparseTextDataset(opts);
+  {
+    ScalarCosineMetric scalar;
+    Smm fast(&m, 32, 128);
+    Smm ref(&scalar, 32, 128);
+    for (size_t i = 0; i < 3000; ++i) {
+      fast.Update(pts[i]);
+      ref.Update(pts[i]);
+    }
+    if (fast.Finalize() != ref.Finalize()) {
+      state.SkipWithError("SMM diverged from the scalar-Distance reference");
+      return;
+    }
+  }
+  Smm smm(&m, 32, 128);
+  size_t i = 0;
+  for (auto _ : state) {
+    smm.Update(pts[i++ % pts.size()]);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["n"] = 128;
+  state.counters["dim"] = static_cast<double>(opts.vocab_size);
+  state.counters["threads"] = 1;
+  state.SetLabel("cosine");
+}
+BENCHMARK(BM_SmmUpdateSparseCosine);
 
 // The cosine-space angular screen on an all-sparse corpus: the skip path
 // pays one multiply-compare per lane off the blocked CSR dot engine — no

@@ -39,6 +39,34 @@ VecView QueryView(const Point& query, const Dataset& data) {
   return query.View();
 }
 
+// BatchMap of one sparse query under an intersection kernel (dot,
+// Jaccard). Each range scatters the query into a thread-local dim-sized
+// slot table (slot[idx] = position + 1) and scores every sparse row by
+// walking only the row's own index list (K::SlotPair); dense rows keep
+// K::Pair. The touched slots are zeroed before the range returns, so the
+// table is all zero between calls. Caller guarantees data.dim() <=
+// kDirectIndexMaxDim.
+template <typename K>
+void SlotBatchMap(const VecView& q, const Dataset& data, size_t begin,
+                  std::span<double> out) {
+  DIVERSE_CHECK_LE(begin + out.size(), data.size());
+  if (out.empty()) return;
+  GlobalThreadPool().ParallelForRanges(
+      out.size(), GrainRows(data), [&](size_t lo, size_t hi) {
+        thread_local std::vector<uint32_t> slot;
+        if (slot.size() < data.dim()) slot.resize(data.dim());
+        for (size_t p = 0; p < q.nnz; ++p) {
+          slot[q.indices[p]] = static_cast<uint32_t>(p + 1);
+        }
+        for (size_t i = lo; i < hi; ++i) {
+          VecView row = data.row(begin + i);
+          out[i] = row.is_sparse() ? K::SlotPair(slot.data(), q, row)
+                                   : K::Pair(row, q);
+        }
+        for (size_t p = 0; p < q.nnz; ++p) slot[q.indices[p]] = 0;
+      });
+}
+
 // --- Blocked many-vs-many tiles ------------------------------------------
 
 void CheckTileArgs(const Dataset& queries, size_t q_begin, size_t nq,
@@ -626,6 +654,8 @@ size_t CosineSparseScreenedRelaxTile(const Dataset& queries, size_t q_begin,
 //                            (double exact, float fp32); Finish turns a
 //                            block of lane values into distances in place;
 //   kDenseLanes, kUnionWalk  the tile engine's strategy switches;
+//   SlotPair                 one sparse row against a sparse query's slot
+//                            table (intersection kernels, !kUnionWalk);
 //   kRootOfSquares           lane values are SQUARED distances (Squared,
 //                            SquaredF32 per pair): one-query runs take the
 //                            roots in one batched pass, and the fused screen
@@ -793,6 +823,19 @@ struct CosineKernel {
           vals[lane], row.norm, qv[lane].norm));
     }
   }
+  // One sparse pair through the query's slot table (SlotBatchMap): the
+  // row's slot hits are the common indices in ascending order, so the dot
+  // sums the scalar merge's terms in the merge's order.
+  static double SlotPair(const uint32_t* slot, const VecView& q,
+                         const VecView& row) {
+    double s = 0.0;
+    for (size_t j = 0; j < row.nnz; ++j) {
+      uint32_t p = slot[row.indices[j]];
+      if (p != 0) s += static_cast<double>(row.values[j]) * q.values[p - 1];
+    }
+    Finish(&s, &q, row, 1);
+    return s;
+  }
   static ScreenBound Bound(const ScreenSideStats& q, const ScreenSideStats& r,
                            size_t dim) {
     double e_c = CosineSpaceError(MaxPairTerms(q, r, dim),
@@ -800,9 +843,10 @@ struct CosineKernel {
     double e_d = std::sqrt(2.0 * e_c) + e_c + 1e-5;
     return ScreenBound{0.0, std::min(e_d, 4.0)};
   }
-  // Dense-only: the sparse angular tile spends its time finding index
-  // intersections, which fp32 cannot cheapen, and angular rescues pay full
-  // per-pair merges — measured a net loss on text corpora.
+  // Dense-only: a sparse sweep spends its time finding index
+  // intersections, which fp32 cannot cheapen. The exact one-query path
+  // (SlotBatchMap) finds them with one slot probe per row term, so a
+  // screening pass would repeat that walk and then pay the rescues.
   static bool Screens(const ScreenSideStats& q, const ScreenSideStats& r) {
     return !q.has_sparse && !r.has_sparse;
   }
@@ -858,6 +902,15 @@ struct JaccardKernel {
     kernels::SparseJaccardLanes(ws, row, out);
   }
   static void Finish(double*, const VecView*, const VecView&, size_t) {}
+  // Support count through the query's slot table (SlotBatchMap).
+  static double SlotPair(const uint32_t* slot, const VecView& q,
+                         const VecView& row) {
+    size_t inter = 0;
+    for (size_t j = 0; j < row.nnz; ++j) inter += slot[row.indices[j]] != 0;
+    size_t uni = row.nnz + q.nnz - inter;
+    if (uni == 0) return 0.0;
+    return 1.0 - static_cast<double>(inter) / static_cast<double>(uni);
+  }
   // A ratio of exact integer counts: one double divide and one subtract
   // round, so a couple of ulps relative plus an underflow floor covers it
   // with the usual >=2x margin.
@@ -985,6 +1038,12 @@ void KernelMetric<K>::DistanceToMany(const Point& query, const Dataset& data,
                                      size_t begin,
                                      std::span<double> out) const {
   VecView q = QueryView(query, data);
+  if constexpr (!K::kUnionWalk) {
+    if (q.is_sparse() && data.dim() <= kDirectIndexMaxDim) {
+      SlotBatchMap<K>(q, data, begin, out);
+      return;
+    }
+  }
   BatchMap(data, begin, out,
            [&q](const VecView& row) { return K::Pair(row, q); });
 }

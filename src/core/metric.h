@@ -206,9 +206,9 @@ class Metric {
   /// Layout-aware refinement of ScreeningProfitable — the gate the
   /// screened sweeps actually consult. Either verdict yields bit-identical
   /// results; the gate only moves cost. Cosine narrows it to dense-only
-  /// layouts (the sparse angular kernels are intersection-walk bound, so
-  /// halving the accumulator width gains little while rescues pay full
-  /// per-pair merges).
+  /// layouts: a sparse sweep's cost is finding the index intersection,
+  /// which the exact one-query slot-table path already pays once per row
+  /// term, so an fp32 pass could only add a second walk plus rescues.
   virtual bool ScreeningProfitableFor(const ScreenSideStats& /*queries*/,
                                       const ScreenSideStats& /*data*/) const {
     return ScreeningProfitable();

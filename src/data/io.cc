@@ -278,28 +278,4 @@ StatusOr<Dataset> TryLoadDatasetBinary(const std::string& path) {
   return Dataset::TryFromPoints(*points);
 }
 
-std::optional<PointSet> LoadPointsText(const std::string& path) {
-  StatusOr<PointSet> points = TryLoadPointsText(path);
-  if (!points.ok()) return std::nullopt;
-  return std::move(*points);
-}
-
-std::optional<PointSet> LoadPointsBinary(const std::string& path) {
-  StatusOr<PointSet> points = TryLoadPointsBinary(path);
-  if (!points.ok()) return std::nullopt;
-  return std::move(*points);
-}
-
-std::optional<Dataset> LoadDatasetText(const std::string& path) {
-  StatusOr<Dataset> data = TryLoadDatasetText(path);
-  if (!data.ok()) return std::nullopt;
-  return std::move(*data);
-}
-
-std::optional<Dataset> LoadDatasetBinary(const std::string& path) {
-  StatusOr<Dataset> data = TryLoadDatasetBinary(path);
-  if (!data.ok()) return std::nullopt;
-  return std::move(*data);
-}
-
 }  // namespace diverse

@@ -125,13 +125,6 @@ DIVERSE_MUST_USE StatusOr<Dataset> TryLoadDatasetText(const std::string& path);
 /// points do not share one dim.
 DIVERSE_MUST_USE StatusOr<Dataset> TryLoadDatasetBinary(const std::string& path);
 
-/// Shims over the Try* loaders: nullopt on any failure, diagnostics
-/// discarded.
-std::optional<PointSet> LoadPointsText(const std::string& path);
-std::optional<PointSet> LoadPointsBinary(const std::string& path);
-std::optional<Dataset> LoadDatasetText(const std::string& path);
-std::optional<Dataset> LoadDatasetBinary(const std::string& path);
-
 /// Serializes one point to its text-format line (no trailing newline).
 std::string PointToTextLine(const Point& point);
 

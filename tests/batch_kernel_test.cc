@@ -1,13 +1,19 @@
 // Equivalence, accounting, and determinism tests for the batched distance
 // kernels (Metric::DistanceToMany and the exact ScreenedRelaxArgFarthest
 // sweep over Dataset):
-//   * batched results match the scalar Metric::Distance reference within
-//     1e-12 for all four metrics on dense, sparse, and mixed datasets;
+//   * batched results match the scalar Metric::Distance reference bit for
+//     bit for all four metrics on dense, sparse, and mixed datasets,
+//     including the one-sparse-query slot-table path of cosine and Jaccard
+//     on edge-case rows (stored zeros, empty support, zero norms, 1e30 and
+//     inf coordinates);
 //   * CountingMetric adds exactly the number of evaluations a batched
 //     kernel performs;
 //   * batched parallel GMM selects the identical index sequence as the
 //     scalar reference, at any thread count.
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -89,7 +95,7 @@ TEST(BatchKernelTest, DistanceToManyMatchesScalarAllMetricsAllLayouts) {
       std::vector<double> out(pts.size());
       metric->DistanceToMany(q, data, 0, out);
       for (size_t i = 0; i < pts.size(); ++i) {
-        EXPECT_NEAR(out[i], metric->Distance(pts[i], q), 1e-12)
+        EXPECT_EQ(out[i], metric->Distance(pts[i], q))
             << metric->Name() << " row " << i;
       }
     }
@@ -104,7 +110,7 @@ TEST(BatchKernelTest, DistanceToManySupportsSubranges) {
   std::vector<double> out(17);
   metric.DistanceToMany(q, data, 5, out);
   for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_NEAR(out[i], metric.Distance(pts[5 + i], q), 1e-12);
+    EXPECT_EQ(out[i], metric.Distance(pts[5 + i], q));
   }
 }
 
@@ -116,8 +122,161 @@ TEST(BatchKernelTest, DistanceToManyAcceptsExternalQuery) {
   std::vector<double> out(pts.size());
   metric.DistanceToMany(q, data, 0, out);
   for (size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_NEAR(out[i], metric.Distance(pts[i], q), 1e-12);
+    EXPECT_EQ(out[i], metric.Distance(pts[i], q));
   }
+}
+
+// --- One sparse query against many rows -----------------------------------
+// Cosine and Jaccard score a sparse query through a per-thread slot table
+// (dims up to 2^14) and fall back to the per-pair merge above that. Both
+// must reproduce Distance bit for bit on every row layout, split across
+// ranges at any pool size, and leave the table clean for the next query.
+
+// The bit pattern of `d`, with every NaN mapped to one pattern, so
+// EXPECT_EQ compares bits and NaN matches NaN.
+uint64_t Bits(double d) {
+  return std::isnan(d) ? ~uint64_t{0} : std::bit_cast<uint64_t>(d);
+}
+
+Point SparseOf(std::vector<uint32_t> indices, std::vector<float> values,
+               uint32_t dim) {
+  return Point::Sparse(std::move(indices), std::move(values), dim);
+}
+
+// A sparse vector with each of the first `span` coordinates present with
+// probability `density`, values in [-1, 2).
+Point RandomSparse(Rng& rng, uint32_t dim, uint32_t span, double density) {
+  std::vector<uint32_t> indices;
+  std::vector<float> values;
+  for (uint32_t j = 0; j < span; ++j) {
+    if (rng.NextDouble() < density) {
+      indices.push_back(j);
+      values.push_back(static_cast<float>(3.0 * rng.NextDouble() - 1.0));
+    }
+  }
+  return SparseOf(std::move(indices), std::move(values), dim);
+}
+
+// Rows and queries whose distances take the kernels' edge conventions, in
+// order: empty support, stored zeros only (zero norm), one stored zero,
+// all negative, 1e30f coordinates, an inf coordinate, the last coordinate.
+PointSet EdgeVectors(uint32_t dim) {
+  const float inf = std::numeric_limits<float>::infinity();
+  PointSet v;
+  v.push_back(SparseOf({}, {}, dim));
+  v.push_back(SparseOf({3, 40, 77}, {0.0f, 0.0f, 0.0f}, dim));
+  v.push_back(SparseOf({3, 5, 100}, {0.0f, 1.5f, -2.0f}, dim));
+  v.push_back(SparseOf({1, 5, 9, 64}, {-1.0f, -0.5f, -3.0f, -2.0f}, dim));
+  v.push_back(SparseOf({5, 9, 100}, {1e30f, 2.0f, 1e30f}, dim));
+  v.push_back(SparseOf({3, 9, 40}, {inf, 1.0f, 2.0f}, dim));
+  v.push_back(SparseOf({dim - 1}, {4.0f}, dim));
+  return v;
+}
+
+// ≥600 rows, so the sweep splits into several pool ranges: random sparse
+// rows with every edge vector interleaved, and with every seventh row
+// dense when `mixed`.
+PointSet OneQueryRows(uint32_t dim, bool mixed, uint64_t seed) {
+  Rng rng(seed);
+  PointSet edge = EdgeVectors(dim);
+  PointSet pts;
+  for (size_t i = 0; i < 640; ++i) {
+    if (i % 40 == 0) {
+      pts.push_back(edge[(i / 40) % edge.size()]);
+    } else if (mixed && i % 7 == 0) {
+      std::vector<float> values(dim, 0.0f);
+      for (uint32_t j = 0; j < 200; ++j) {
+        values[j] = static_cast<float>(rng.NextDouble());
+      }
+      pts.push_back(Point::Dense(std::move(values)));
+    } else {
+      pts.push_back(RandomSparse(rng, dim, 400, 0.1));
+    }
+  }
+  return pts;
+}
+
+// Queries run back to back: a ~120-term query, the edge vectors, a short
+// query after the long one (a stale slot would score false hits), and
+// rows of the dataset itself.
+PointSet OneQueryQueries(const PointSet& rows, uint32_t dim, uint64_t seed) {
+  Rng rng(seed);
+  PointSet qs;
+  qs.push_back(RandomSparse(rng, dim, 400, 0.3));
+  for (const Point& e : EdgeVectors(dim)) qs.push_back(e);
+  qs.push_back(RandomSparse(rng, dim, 400, 0.3));
+  qs.push_back(SparseOf({2}, {1.0f}, dim));
+  qs.push_back(rows[1]);
+  qs.push_back(rows[40]);
+  return qs;
+}
+
+void ExpectOneQueryMatchesScalar(const Metric& metric, const PointSet& rows,
+                                 const PointSet& queries, size_t begin,
+                                 size_t count) {
+  Dataset data(rows);
+  std::vector<double> out(count);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const Point& q = queries[qi];
+    metric.DistanceToMany(q, data, begin, out);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(Bits(out[i]), Bits(metric.Distance(rows[begin + i], q)))
+          << metric.Name() << " query " << qi << " row " << begin + i;
+    }
+  }
+}
+
+TEST(BatchKernelTest, OneSparseQueryMatchesScalarAllSparseAndMixed) {
+  const uint32_t dim = 512;
+  CosineMetric cosine;
+  JaccardMetric jaccard;
+  const Metric* metrics[] = {&cosine, &jaccard};
+  for (size_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    SetGlobalThreadPoolSize(threads);
+    for (bool mixed : {false, true}) {
+      SCOPED_TRACE(mixed ? "mixed rows" : "all-sparse rows");
+      PointSet rows = OneQueryRows(dim, mixed, /*seed=*/51);
+      PointSet queries = OneQueryQueries(rows, dim, /*seed=*/52);
+      for (const Metric* metric : metrics) {
+        ExpectOneQueryMatchesScalar(*metric, rows, queries, 0, rows.size());
+      }
+    }
+  }
+  SetGlobalThreadPoolSize(1);
+}
+
+TEST(BatchKernelTest, OneSparseQuerySubrangesMatchScalar) {
+  const uint32_t dim = 512;
+  PointSet rows = OneQueryRows(dim, /*mixed=*/true, /*seed=*/53);
+  PointSet queries = OneQueryQueries(rows, dim, /*seed=*/54);
+  CosineMetric cosine;
+  JaccardMetric jaccard;
+  const Metric* metrics[] = {&cosine, &jaccard};
+  for (size_t threads : {1, 2, 8}) {
+    SetGlobalThreadPoolSize(threads);
+    for (const Metric* metric : metrics) {
+      ExpectOneQueryMatchesScalar(*metric, rows, queries, 37, 561);
+      ExpectOneQueryMatchesScalar(*metric, rows, queries, 600, 1);
+      ExpectOneQueryMatchesScalar(*metric, rows, queries, 5, 0);
+    }
+  }
+  SetGlobalThreadPoolSize(1);
+}
+
+// Above the slot table's dimension cap the sweep takes the per-pair merge.
+TEST(BatchKernelTest, OneSparseQueryAboveDirectIndexDimMatchesScalar) {
+  const uint32_t dim = uint32_t{1} << 15;
+  PointSet rows = OneQueryRows(dim, /*mixed=*/false, /*seed=*/55);
+  PointSet queries = OneQueryQueries(rows, dim, /*seed=*/56);
+  CosineMetric cosine;
+  JaccardMetric jaccard;
+  for (size_t threads : {1, 8}) {
+    SetGlobalThreadPoolSize(threads);
+    ExpectOneQueryMatchesScalar(cosine, rows, queries, 0, rows.size());
+    ExpectOneQueryMatchesScalar(jaccard, rows, queries, 0, rows.size());
+  }
+  SetGlobalThreadPoolSize(1);
 }
 
 TEST(BatchKernelTest, ExactRelaxArgFarthestMatchesManualRelax) {

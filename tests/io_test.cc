@@ -58,8 +58,8 @@ TEST(IoTextTest, FileRoundTripMixed) {
   PointSet pts = MixedPoints();
   std::string path = TempPath("points.txt");
   ASSERT_TRUE(SavePointsText(pts, path));
-  auto loaded = LoadPointsText(path);
-  ASSERT_TRUE(loaded.has_value());
+  StatusOr<PointSet> loaded = TryLoadPointsText(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->size(), pts.size());
   for (size_t i = 0; i < pts.size(); ++i) {
     EXPECT_TRUE((*loaded)[i] == pts[i]) << "point " << i;
@@ -67,16 +67,18 @@ TEST(IoTextTest, FileRoundTripMixed) {
   std::remove(path.c_str());
 }
 
-TEST(IoTextTest, MissingFileIsNullopt) {
-  EXPECT_FALSE(LoadPointsText("/nonexistent/dir/file.txt").has_value());
+TEST(IoTextTest, MissingFileIsNotFound) {
+  StatusOr<PointSet> loaded = TryLoadPointsText("/nonexistent/dir/file.txt");
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 TEST(IoBinaryTest, FileRoundTripMixed) {
   PointSet pts = MixedPoints();
   std::string path = TempPath("points.bin");
   ASSERT_TRUE(SavePointsBinary(pts, path));
-  auto loaded = LoadPointsBinary(path);
-  ASSERT_TRUE(loaded.has_value());
+  StatusOr<PointSet> loaded = TryLoadPointsBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->size(), pts.size());
   for (size_t i = 0; i < pts.size(); ++i) {
     EXPECT_TRUE((*loaded)[i] == pts[i]) << "point " << i;
@@ -87,8 +89,8 @@ TEST(IoBinaryTest, FileRoundTripMixed) {
 TEST(IoBinaryTest, EmptySetRoundTrips) {
   std::string path = TempPath("empty.bin");
   ASSERT_TRUE(SavePointsBinary({}, path));
-  auto loaded = LoadPointsBinary(path);
-  ASSERT_TRUE(loaded.has_value());
+  StatusOr<PointSet> loaded = TryLoadPointsBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->empty());
   std::remove(path.c_str());
 }
@@ -102,7 +104,9 @@ TEST(IoBinaryTest, BadMagicRejected) {
     fwrite(junk, 1, sizeof(junk), f);
     fclose(f);
   }
-  EXPECT_FALSE(LoadPointsBinary(path).has_value());
+  StatusOr<PointSet> loaded = TryLoadPointsBinary(path);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
@@ -119,7 +123,9 @@ TEST(IoBinaryTest, TruncatedFileRejected) {
     fclose(f);
     ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
   }
-  EXPECT_FALSE(LoadPointsBinary(path).has_value());
+  StatusOr<PointSet> loaded = TryLoadPointsBinary(path);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
   std::remove(path.c_str());
 }
 

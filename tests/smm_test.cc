@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "core/metric.h"
+#include "data/sparse_text.h"
 #include "data/synthetic.h"
+#include "util/thread_pool.h"
 
 namespace diverse {
 namespace {
@@ -181,6 +183,93 @@ TEST(SmmGenTest, ExpandedSizeMatchesDelegateVariant) {
 TEST(SmmDeathTest, RequiresKPrimeAtLeastK) {
   EuclideanMetric m;
   EXPECT_DEATH(Smm(&m, 5, 4), "CHECK failed");
+}
+
+// Forwards Distance to CosineMetric and keeps every other Metric member's
+// base-class fallback, so each SMM sweep runs the scalar per-row loop.
+class ScalarCosineMetric final : public Metric {
+ public:
+  double Distance(const Point& a, const Point& b) const override {
+    return cosine_.Distance(a, b);
+  }
+  std::string Name() const override { return "scalar-cosine"; }
+
+ private:
+  CosineMetric cosine_;
+};
+
+// Everything the three SMM variants produce on one stream.
+struct SmmRun {
+  PointSet centers;
+  PointSet delegates;
+  GeneralizedCoreset counts;
+  double threshold[3];
+  size_t phases[3];
+};
+
+SmmRun RunAllSmm(const Metric* m, const PointSet& stream) {
+  const size_t k = 8, k_prime = 64;
+  Smm smm(m, k, k_prime);
+  SmmExt ext(m, k, k_prime);
+  SmmGen gen(m, k, k_prime);
+  for (const Point& p : stream) {
+    smm.Update(p);
+    ext.Update(p);
+    gen.Update(p);
+  }
+  SmmRun r;
+  const internal_smm::SmmEngine* engines[] = {&smm.engine(), &ext.engine(),
+                                              &gen.engine()};
+  for (size_t v = 0; v < 3; ++v) {
+    r.threshold[v] = engines[v]->threshold();
+    r.phases[v] = engines[v]->phases();
+  }
+  r.centers = smm.Finalize();
+  r.delegates = ext.Finalize();
+  r.counts = gen.Finalize();
+  return r;
+}
+
+void ExpectSameRun(const SmmRun& got, const SmmRun& want) {
+  EXPECT_EQ(got.centers, want.centers);
+  EXPECT_EQ(got.delegates, want.delegates);
+  ASSERT_EQ(got.counts.size(), want.counts.size());
+  for (size_t i = 0; i < got.counts.size(); ++i) {
+    EXPECT_EQ(got.counts.entries()[i].point, want.counts.entries()[i].point);
+    EXPECT_EQ(got.counts.entries()[i].multiplicity,
+              want.counts.entries()[i].multiplicity);
+  }
+  for (size_t v = 0; v < 3; ++v) {
+    EXPECT_EQ(got.threshold[v], want.threshold[v]) << "variant " << v;
+    EXPECT_EQ(got.phases[v], want.phases[v]) << "variant " << v;
+  }
+}
+
+// The sparse-cosine sweeps of the built-in metric (one query scored through
+// a slot table) must follow the scalar fallbacks' trajectory exactly: the
+// same core-sets, threshold and phase count, at any thread count, with an
+// exact-evaluation count that does not depend on the thread count.
+TEST(SmmTest, SparseCosineMatchesScalarFallbackAtAnyThreadCount) {
+  SparseTextOptions opts;
+  opts.n = 5000;
+  opts.seed = 61;
+  PointSet stream = GenerateSparseTextDataset(opts);
+  ScalarCosineMetric scalar;
+  CosineMetric cosine;
+  SetGlobalThreadPoolSize(1);
+  SmmRun want = RunAllSmm(&scalar, stream);
+  EXPECT_GE(want.phases[0], 2u);
+  uint64_t exact_at_one_thread = 0;
+  for (size_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    SetGlobalThreadPoolSize(threads);
+    ExpectSameRun(RunAllSmm(&scalar, stream), want);
+    CountingMetric counting(&cosine);
+    ExpectSameRun(RunAllSmm(&counting, stream), want);
+    if (threads == 1) exact_at_one_thread = counting.exact_evals();
+    EXPECT_EQ(counting.exact_evals(), exact_at_one_thread);
+  }
+  SetGlobalThreadPoolSize(1);
 }
 
 // Parameterized sweep: the coreset size grows with k' and the coverage
