@@ -12,9 +12,9 @@
 // dispatch state, fp32 screening mode) so trajectories are comparable
 // across commits and machines, and whose entries each carry
 // {op, n, dim, threads, metric, ns_per_op, rescue_pct, pruned_pct,
-// exact_evals}. Benchmarks report n / dim / threads / rescue_pct /
-// pruned_pct / exact_evals through counters of those names and the metric
-// through the label.
+// exact_evals, screened_evals}. Benchmarks report n / dim / threads /
+// rescue_pct / pruned_pct / exact_evals / screened_evals through counters of
+// those names and the metric through the label.
 
 #include <benchmark/benchmark.h>
 
@@ -190,25 +190,34 @@ void BM_GreedyMatching(benchmark::State& state) {
 BENCHMARK(BM_GreedyMatching)->Arg(500)->Arg(2000);
 
 // The remote-clique final round at core-set scale: greedy matching over
-// 16384 dim-16 blob points, k = 24, with the pair scan on a pool of 1 or 4
-// threads. Setup checks the selection against the 1-thread run and
-// SkipWithError()s on a mismatch, which drops the entry from the JSON.
-// exact_evals is the screened scan's exact re-evaluation count, which the
-// chunked scan keeps identical at every pool size.
+// 16384 dim-16 points, k = 24, with the pair scan on a pool of 1 or 4
+// threads (first arg). The second arg picks the input: 0 = Gaussian blobs,
+// where the cluster-pair bounds skip most of the scan, 1 = a uniform cube,
+// where they skip nothing and the clustering is pure overhead. Setup checks
+// the selection against the exhaustive scan (ScopedIndexing(false), 1
+// thread) and SkipWithError()s on a mismatch, which drops the entry from
+// the JSON. exact_evals and screened_evals count the bounded scan's
+// evaluations (clustering included), which the chunked scan keeps
+// identical at every pool size.
 void BM_GreedyMatchingDataset(benchmark::State& state) {
   constexpr size_t kMatchN = 16384;
   constexpr size_t kMatchK = 24;
   const size_t threads = static_cast<size_t>(state.range(0));
+  const bool cube = state.range(1) != 0;
   EuclideanMetric m;
-  Dataset data(
-      GenerateGaussianBlobs(kMatchN, 64, 16, 0.02, /*seed=*/17));
+  Dataset data(cube ? GenerateUniformCube(kMatchN, 16, /*seed=*/17)
+                    : GenerateGaussianBlobs(kMatchN, 64, 16, 0.02,
+                                            /*seed=*/17));
   SetGlobalThreadPoolSize(1);
-  const std::vector<size_t> reference =
-      GreedyMatchingOnDataset(data, m, kMatchK);
+  std::vector<size_t> reference;
+  {
+    ScopedIndexing exhaustive(false);
+    reference = GreedyMatchingOnDataset(data, m, kMatchK);
+  }
   SetGlobalThreadPoolSize(threads);
   CountingMetric counting(&m);
   if (GreedyMatchingOnDataset(data, counting, kMatchK) != reference) {
-    state.SkipWithError("parallel matching diverged from the 1-thread run");
+    state.SkipWithError("bounded matching diverged from the exhaustive scan");
     SetGlobalThreadPoolSize(1);
     return;
   }
@@ -219,10 +228,16 @@ void BM_GreedyMatchingDataset(benchmark::State& state) {
   state.counters["dim"] = 16;
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["exact_evals"] = static_cast<double>(counting.exact_evals());
-  state.SetLabel("euclidean");
+  state.counters["screened_evals"] =
+      static_cast<double>(counting.screened_evals());
+  state.SetLabel(cube ? "euclidean uniform cube" : "euclidean blobs");
   SetGlobalThreadPoolSize(1);
 }
-BENCHMARK(BM_GreedyMatchingDataset)->Arg(1)->Arg(4)
+BENCHMARK(BM_GreedyMatchingDataset)
+    ->Args({1, 0})
+    ->Args({4, 0})
+    ->Args({1, 1})
+    ->Args({4, 1})
     ->Unit(benchmark::kMillisecond);
 
 // --- Scalar vs batched kernels -------------------------------------------
@@ -1301,6 +1316,7 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
     double rescue_pct = -1.0;  // < 0: benchmark did not screen
     double pruned_pct = -1.0;  // < 0: benchmark did not index
     double exact_evals = -1.0;  // < 0: benchmark did not count
+    double screened_evals = -1.0;
   };
 
   // google-benchmark < 1.8 reports failures via Run::error_occurred; 1.8
@@ -1338,6 +1354,10 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
       auto exact_it = run.counters.find("exact_evals");
       if (exact_it != run.counters.end()) {
         e.exact_evals = exact_it->second.value;
+      }
+      auto screened_it = run.counters.find("screened_evals");
+      if (screened_it != run.counters.end()) {
+        e.screened_evals = screened_it->second.value;
       }
       e.metric = run.report_label;
       if (run.iterations > 0) {
@@ -1377,6 +1397,9 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
       }
       if (e.exact_evals >= 0.0) {
         std::fprintf(f, ", \"exact_evals\": %.0f", e.exact_evals);
+      }
+      if (e.screened_evals >= 0.0) {
+        std::fprintf(f, ", \"screened_evals\": %.0f", e.screened_evals);
       }
       std::fprintf(f, "}%s\n", i + 1 < entries_.size() ? "," : "");
     }

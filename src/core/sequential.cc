@@ -1,10 +1,12 @@
 #include "core/sequential.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <utility>
 
+#include "core/cover_tree.h"
 #include "core/gmm.h"
 #include "core/screen.h"
 #include "util/check.h"
@@ -148,38 +150,132 @@ constexpr size_t kMaxScanChunks = 16;
 // each: 24 MB), so large k does not multiply buffer memory.
 constexpr size_t kScanPairBudget = size_t{1} << 20;
 
+// Two clusters of the scan's row order (a <= b): no pair of rows with one
+// row in cluster a and the other in cluster b has a computed distance above
+// `bound`.
+struct ClusterPair {
+  double bound;
+  uint32_t a, b;
+};
+
+// The order the scan visits cluster pairs in: largest bound first, ties by
+// (a, b). The order is total, so it depends on the input only.
+bool ScansFirst(const ClusterPair& x, const ClusterPair& y) {
+  if (x.bound != y.bound) return x.bound > y.bound;
+  if (x.a != y.a) return x.a < y.a;
+  return x.b < y.b;
+}
+
+// An upper bound on the computed distance of any pair whose true distance
+// the triangle inequality bounds by a sum of computed distances `sum`:
+// d(i, c_a) + d(c_a, c_b) + d(c_b, j) across two clusters, d(i, c) + d(c, j)
+// inside one. Metric::IndexSlack certifies |x - t| <= rel * x + abs for
+// every computed distance x of true value t (the band the metric index
+// chains its node bounds through). So the true distance of the pair is at
+// most sum * (1 + rel) + 3 * abs, and its computed distance p satisfies
+// p * (1 - rel) <= sum * (1 + rel) + 4 * abs. The last factor absorbs the
+// rounding of the few double operations here. +inf when the slack is
+// unbounded or the bound is not a number: nothing is pruned.
+double CertifiedPairBound(double sum, const ScreenBound& slack) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!(slack.rel < 1.0)) return kInf;
+  const double bound = (sum * (1.0 + slack.rel) + 4.0 * slack.abs) /
+                       (1.0 - slack.rel) *
+                       (1.0 + 8.0 * std::numeric_limits<double>::epsilon());
+  return bound <= kInf ? bound : kInf;
+}
+
 // The `cap` heaviest live pairs of `data` under `metric`, scanned through
 // blocked tiles on GlobalThreadPool(). When some rows are already used (a
 // refill scan), the live rows are first gathered into a columnar scratch
 // Dataset so the tile sweeps touch no dead row and used rows' distances are
 // never recomputed.
 //
-// The 64-row query blocks are dealt round-robin to chunks (block b to chunk
-// b mod C; the triangle makes early blocks costlier, so dealing balances the
-// chunks), and each chunk keeps its own TopPairs. The merge of the chunk
-// buffers is exact: a pair lighter than the `cap` pairs its own chunk keeps
-// has `cap` heavier pairs globally, so it is not in the global top `cap`,
-// and the union of the chunk buffers contains the global top `cap`. When
-// screening is active, each tile is computed in fp32 first and a pair is
-// re-evaluated exactly only when its certified upper bound reaches its
-// chunk's cutoff; the same argument makes that pruning legal.
+// When the metric supports indexing, GMM clusters the live rows and they
+// are gathered cluster-major, so each cluster is one contiguous row range;
+// cluster pairs are visited by certified bound, largest first (the bound,
+// its slack and why it cannot move a selection are documented on
+// GreedyMatchingOnDataset). Otherwise the rows form one cluster with an
+// infinite bound: the exhaustive scan.
+//
+// The 64-row query blocks of the visited cluster pairs are dealt
+// round-robin to chunks (the b-th block in visiting order goes to chunk
+// b mod C; the triangle makes early blocks costlier, so dealing balances
+// the chunks), and each chunk keeps its own TopPairs. A chunk stops at the
+// first cluster pair whose bound is strictly below its cutoff. The merge of
+// the chunk buffers is exact: a pair lighter than the `cap` pairs its own
+// chunk keeps, offered or skipped, has `cap` heavier pairs globally, so it
+// is not in the global top `cap`, and the union of the chunk buffers
+// contains the global top `cap`. When screening is active, each tile is
+// computed in fp32 first and a pair is re-evaluated exactly only when its
+// certified upper bound reaches its chunk's cutoff; the same argument makes
+// that pruning legal.
 std::vector<HeavyPair> ScanLivePairsTiled(const Dataset& data,
                                           const Metric& metric,
                                           const std::vector<bool>& used,
                                           size_t cap) {
   const size_t n = data.size();
-  std::vector<uint32_t> live;
-  live.reserve(n);
+  // ids[r] = original row of scanned row r.
+  std::vector<uint32_t> ids;
+  ids.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (!used[i]) live.push_back(static_cast<uint32_t>(i));
+    if (!used[i]) ids.push_back(static_cast<uint32_t>(i));
   }
   Dataset compact;
   const Dataset* src = &data;
-  if (live.size() < n) {
-    compact.AssignGatherColumnar(data, live);
+  if (ids.size() < n) {
+    compact.AssignGatherColumnar(data, ids);
     src = &compact;
   }
-  const size_t m = live.size();
+  const size_t m = ids.size();
+
+  // Cluster g owns the scanned rows [start[g], start[g + 1]).
+  std::vector<size_t> start = {0, m};
+  std::vector<ClusterPair> pairs = {
+      {std::numeric_limits<double>::infinity(), 0, 0}};
+  Dataset clustered;
+  if (UseIndexing(metric, *src)) {
+    const size_t groups =
+        static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(m))));
+    const GmmResult gmm = Gmm(*src, metric, groups);
+    start.assign(groups + 1, 0);
+    for (size_t r = 0; r < m; ++r) ++start[gmm.assignment[r] + 1];
+    for (size_t g = 0; g < groups; ++g) start[g + 1] += start[g];
+    std::vector<size_t> next(start.begin(), start.end() - 1);
+    std::vector<uint32_t> order(m);
+    std::vector<double> radius(groups, 0.0);
+    for (size_t r = 0; r < m; ++r) {
+      const size_t g = gmm.assignment[r];
+      order[next[g]++] = static_cast<uint32_t>(r);
+      radius[g] = std::max(radius[g], gmm.distance_to_selected[r]);
+    }
+    const std::vector<uint32_t> center_rows(gmm.selected.begin(),
+                                            gmm.selected.end());
+    Dataset centers;
+    centers.AssignGatherColumnar(*src, center_rows);
+    std::vector<double> center_dist(groups * groups);
+    metric.DistanceTile(centers, 0, groups, centers, 0, groups,
+                        center_dist.data(), groups);
+    const ScreenBound slack = metric.IndexSlack(*src);
+    pairs.clear();
+    for (size_t a = 0; a < groups; ++a) {
+      if (start[a] == start[a + 1]) continue;
+      for (size_t b = a; b < groups; ++b) {
+        if (start[b] == start[b + 1]) continue;
+        const double sum = a == b ? 2.0 * radius[a]
+                                  : radius[a] + center_dist[a * groups + b] +
+                                        radius[b];
+        pairs.push_back({CertifiedPairBound(sum, slack),
+                         static_cast<uint32_t>(a), static_cast<uint32_t>(b)});
+      }
+    }
+    std::sort(pairs.begin(), pairs.end(), ScansFirst);
+    clustered.AssignGatherColumnar(*src, order);
+    src = &clustered;
+    for (uint32_t& r : order) r = ids[r];
+    ids = std::move(order);
+  }
+
   const ScreenSideStats stats = SideStatsOf(*src);
   const bool screened =
       UseScreening(metric) && metric.ScreeningProfitableFor(stats, stats);
@@ -206,12 +302,16 @@ std::vector<HeavyPair> ScanLivePairsTiled(const Dataset& data,
 
   auto scan_chunk = [&](size_t c) {
     TopPairs& top = tops[c];
+    // Offers the pair of scanned rows q, r under its original row ids.
+    auto offer = [&](double d, size_t q, size_t r) {
+      top.Offer({d, std::min(ids[q], ids[r]), std::max(ids[q], ids[r])});
+    };
     // Fused cutoff test: the chunk's cutoff is transformed ONCE into a
     // float (ScreenCertifiedBelow: s <= fcut certifies exact < cutoff
     // strictly) and refreshed only when an offer may have raised it.
     double cut = top.cutoff();
     float fcut = screened ? ScreenCertifiedBelow(cut, bound) : -1.0f;
-    // Offers the pair of compacted rows qb + q, rb + r for every entry of
+    // Offers the pair of scanned rows qb + q, rb + r for every entry of
     // the nq x nr distance tile of those rows.
     auto sweep = [&](size_t qb, size_t nq, size_t rb, size_t nr) {
       if (!screened) {
@@ -219,7 +319,7 @@ std::vector<HeavyPair> ScanLivePairsTiled(const Dataset& data,
         metric.DistanceTile(*src, qb, nq, *src, rb, nr, tile, nr);
         for (size_t q = 0; q < nq; ++q) {
           for (size_t r = 0; r < nr; ++r) {
-            top.Offer({tile[q * nr + r], live[qb + q], live[rb + r]});
+            offer(tile[q * nr + r], qb + q, rb + r);
           }
         }
         return;
@@ -234,7 +334,7 @@ std::vector<HeavyPair> ScanLivePairsTiled(const Dataset& data,
           const uint32_t row = static_cast<uint32_t>(rb + r);
           double d;
           metric.DistanceRowsMany(*src, qb + q, *src, {&row, 1}, &d);
-          top.Offer({d, live[qb + q], live[rb + r]});
+          offer(d, qb + q, rb + r);
           if (top.cutoff() != cut) {
             cut = top.cutoff();
             fcut = ScreenCertifiedBelow(cut, bound);
@@ -242,18 +342,33 @@ std::vector<HeavyPair> ScanLivePairsTiled(const Dataset& data,
         }
       }
     };
-    for (size_t b = c; b < blocks; b += chunks) {
-      const size_t ib = b * kQBlock;
-      const size_t in = std::min(kQBlock, m - ib);
-      // Triangular corner within the block: per-row suffix sweeps keep the
-      // evaluation count at i < j pairs exactly.
-      for (size_t i = ib; i + 1 < ib + in; ++i) {
-        sweep(i, 1, i + 1, ib + in - i - 1);
+    size_t first_block = 0;  // visiting-order index of the pair's block 0
+    for (const ClusterPair& p : pairs) {
+      if (p.bound < top.cutoff()) break;
+      const size_t qlo = start[p.a];
+      const size_t qhi = start[p.a + 1];
+      const size_t pair_blocks = (qhi - qlo + kQBlock - 1) / kQBlock;
+      // This chunk's blocks of the pair: visiting-order indices = c mod C.
+      const size_t skip = (c + chunks - first_block % chunks) % chunks;
+      for (size_t blk = skip; blk < pair_blocks; blk += chunks) {
+        const size_t ib = qlo + blk * kQBlock;
+        const size_t in = std::min(kQBlock, qhi - ib);
+        size_t jlo = start[p.b];
+        if (p.a == p.b) {
+          // Triangular corner within the block: per-row suffix sweeps keep
+          // the evaluation count at i < j pairs exactly.
+          for (size_t i = ib; i + 1 < ib + in; ++i) {
+            sweep(i, 1, i + 1, ib + in - i - 1);
+          }
+          jlo = ib + in;
+        }
+        // Rectangular panels to the right of the block.
+        const size_t jhi = start[p.b + 1];
+        for (size_t jb = jlo; jb < jhi; jb += kRBlock) {
+          sweep(ib, in, jb, std::min(kRBlock, jhi - jb));
+        }
       }
-      // Rectangular panels to the right of the block.
-      for (size_t jb = ib + in; jb < m; jb += kRBlock) {
-        sweep(ib, in, jb, std::min(kRBlock, m - jb));
-      }
+      first_block += pair_blocks;
     }
   };
   GlobalThreadPool().ParallelForRanges(chunks, 1, [&](size_t lo, size_t hi) {

@@ -43,17 +43,43 @@ std::vector<size_t> GreedyMatchingOnMatrix(const DistanceMatrix& d, size_t k);
 
 /// Greedy heaviest-pair matching evaluated on the fly (no matrix storage),
 /// for point sets too large to materialize n^2 distances; same selection as
-/// GreedyMatchingOnMatrix. The pair scans stream blocked Q x R distance
-/// tiles over the columnar storage, in parallel on GlobalThreadPool(): the
-/// 64-row query blocks are dealt round-robin to up to 16 chunks, each with
-/// its own top-pair heap and screening cutoff, and the chunk heaps are
-/// merged exactly. The chunk count depends only on the row count and k, so
-/// the selection and the exact/screened evaluation counts are identical at
-/// any thread count; it is also capped so all chunk heaps together keep at
-/// most 2^20 pairs (24 MB) unless one heap alone needs more. Refill scans
-/// first gather the live rows into a columnar scratch Dataset so used rows'
-/// distances are never recomputed (exactly live*(live-1)/2 evaluations per
-/// refill).
+/// GreedyMatchingOnMatrix. Each pair scan keeps the top `cap` = 4k^2 live
+/// pairs under a total order (distance descending, then (i, j)), so the
+/// kept set, and hence the selection, does not depend on which pairs the
+/// scan offers, in what order, or how it is split.
+///
+/// What the bound prunes: when the metric supports indexing (UseIndexing:
+/// the toggle is on and Metric::IndexSlack is finite), the scan first
+/// clusters the m live rows with GMM (ceil(sqrt(m)) centers) and gathers
+/// them cluster-major. A pair of clusters (a, b) gets the bound
+/// d(c_a, c_b) + R_a + R_b (2 R_a when a == b), where R is the cluster's
+/// largest distance to its center, and the scan visits cluster pairs by
+/// bound, largest first. It stops at the first pair whose bound is strictly
+/// below the running cutoff (the lightest kept distance), skipping every
+/// later pair. On clustered inputs (the remote-clique core-set aggregate)
+/// this skips almost all pairs; on uniform data it skips few, and the
+/// clustering (ceil(sqrt(m)) * m evaluations) is overhead.
+///
+/// Slack: the bound chains computed distances through the triangle
+/// inequality. IndexSlack certifies |x - t| <= rel * x + abs for each
+/// computed x of true value t, so a pair's computed distance is at most
+/// (S * (1 + rel) + 4 * abs) / (1 - rel) for the sum S of the three (or
+/// two) computed terms, which is the bound used, rounded up.
+///
+/// Why selections cannot move: a skipped pair's computed distance is
+/// strictly below the cutoff, i.e. strictly lighter than `cap` pairs already
+/// kept, so it could never enter the kept set. Without indexing the rows
+/// form one cluster with an infinite bound: the exhaustive scan.
+///
+/// The scan's 64-row query blocks are dealt round-robin to up to 16 chunks
+/// on GlobalThreadPool(), each with its own top-pair heap, cutoff and stop
+/// rule, and the chunk heaps are merged exactly. The chunk count depends
+/// only on the row count and k, so the selection and the exact/screened
+/// evaluation counts are identical at any thread count; it is also capped
+/// so all chunk heaps together keep at most 2^20 pairs (24 MB) unless one
+/// heap alone needs more. Refill scans first gather the live rows into a
+/// columnar scratch Dataset so used rows' distances are never recomputed
+/// (the exhaustive refill pays exactly live*(live-1)/2 evaluations).
 std::vector<size_t> GreedyMatchingOnDataset(const Dataset& data,
                                             const Metric& metric, size_t k);
 
@@ -67,9 +93,10 @@ std::vector<size_t> SolveSequentialOnMatrix(DiversityProblem problem,
                                             const DistanceMatrix& d, size_t k);
 
 /// Solves the problem on the rows of `data`, returning k row indices.
-/// GMM-family problems cost O(k n) distances; matching-family ~n^2/2 (one
-/// buffered pair scan plus rare refills, chunked across the thread pool;
-/// see GreedyMatchingOnDataset). Both run on the columnar batch kernels,
+/// GMM-family problems cost O(k n) distances; matching-family at most
+/// ~n^2/2 (one buffered pair scan, cluster-bounded when the metric supports
+/// indexing, plus rare refills, chunked across the thread pool; see
+/// GreedyMatchingOnDataset). Both run on the columnar batch kernels,
 /// and the result is the same at any thread count. Requires
 /// k <= data.size().
 std::vector<size_t> SolveSequential(DiversityProblem problem,

@@ -49,33 +49,46 @@ MrResult RunAfz(const PointSet& input, const Metric& metric,
       PartitionPoints(input, options.num_partitions, options.partition,
                       options.seed, &metric);
 
+  // AFZ runs fault-free: its reducers never fail, so every task commits on
+  // its first attempt and both rounds succeed.
   std::vector<PointSet> coresets(parts.size());
-  sim.RunRoundWithSizes(
+  RoundOutcome coreset_round = sim.RunFallibleRound(
       "afz-coreset", parts.size(),
-      [&](size_t i) {
-        coresets[i] = AfzPartitionCoreset(parts[i], metric, problem,
+      [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
+        const size_t i = ctx.task;
+        PointSet cs = AfzPartitionCoreset(parts[i], metric, problem,
                                           options.k, options.max_sweeps);
+        *commit = [&coresets, i, out = std::move(cs)]() mutable {
+          coresets[i] = std::move(out);
+        };
+        return OkStatus();
       },
-      [&](size_t i) { return parts[i].size(); },
+      FallibleRoundOptions{}, [&](size_t i) { return parts[i].size(); },
       [&](size_t i) { return coresets[i].size(); });
+  DIVERSE_CHECK(coreset_round.ok());
 
-  Dataset aggregate;
+  PointSet united;
+  for (const PointSet& c : coresets) {
+    united.insert(united.end(), c.begin(), c.end());
+  }
+  const Dataset aggregate(std::move(united));
   PointSet solution;
-  sim.RunRoundWithSizes(
+  RoundOutcome solve_round = sim.RunFallibleRound(
       "afz-solve", 1,
-      [&](size_t) {
-        PointSet united;
-        for (const PointSet& c : coresets) {
-          united.insert(united.end(), c.begin(), c.end());
-        }
-        aggregate = Dataset(std::move(united));
+      [&](const MrTaskContext&, std::function<void()>* commit) -> Status {
         size_t k = std::min(options.k, aggregate.size());
         std::vector<size_t> picked =
             SolveSequential(problem, aggregate, metric, k);
-        for (size_t idx : picked) solution.push_back(aggregate.point(idx));
+        PointSet out;
+        for (size_t idx : picked) out.push_back(aggregate.point(idx));
+        *commit = [&solution, o = std::move(out)]() mutable {
+          solution = std::move(o);
+        };
+        return OkStatus();
       },
-      [&](size_t) { return aggregate.size(); },
+      FallibleRoundOptions{}, [&](size_t) { return aggregate.size(); },
       [&](size_t) { return solution.size(); });
+  DIVERSE_CHECK(solve_round.ok());
 
   result.solution = std::move(solution);
   result.diversity = EvaluateDiversity(problem, result.solution, metric);

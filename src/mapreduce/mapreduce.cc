@@ -26,34 +26,6 @@ size_t RoundStats::TotalOutputPoints() const {
 MapReduceSimulator::MapReduceSimulator(size_t num_workers)
     : pool_(num_workers) {}
 
-void MapReduceSimulator::RunRound(const std::string& name, size_t num_reducers,
-                                  const std::function<void(size_t)>& reducer) {
-  RunRoundWithSizes(
-      name, num_reducers, reducer, [](size_t) { return 0; },
-      [](size_t) { return 0; });
-}
-
-void MapReduceSimulator::RunRoundWithSizes(
-    const std::string& name, size_t num_reducers,
-    const std::function<void(size_t)>& reducer,
-    const std::function<size_t(size_t)>& input_points_of,
-    const std::function<size_t(size_t)>& output_points_of) {
-  Timer timer;
-  pool_.ParallelFor(num_reducers, reducer);
-  RoundStats stats;
-  stats.name = name;
-  stats.num_reducers = num_reducers;
-  stats.attempts = num_reducers;
-  stats.wall_seconds = timer.Seconds();
-  stats.input_points.resize(num_reducers);
-  stats.output_points.resize(num_reducers);
-  for (size_t i = 0; i < num_reducers; ++i) {
-    stats.input_points[i] = input_points_of(i);
-    stats.output_points[i] = output_points_of(i);
-  }
-  rounds_.push_back(std::move(stats));
-}
-
 namespace {
 
 // Per-task scheduling state of one fallible round. Guarded by the round

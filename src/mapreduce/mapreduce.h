@@ -8,11 +8,11 @@
 // output sizes, and the maximum local memory actually touched, so benches
 // can report the quantities Theorems 6-10 bound.
 //
-// On top of the plain barrier rounds sits a fault-aware tier
-// (RunFallibleRound): reducer attempts return Status instead of aborting,
-// failed attempts are retried with a bounded budget, wall-clock stragglers
-// are speculatively re-launched, and a deterministic FaultInjector can
-// script every failure mode so recovery paths are reproducible unit tests.
+// Every round is fault-aware (RunFallibleRound): reducer attempts return
+// Status instead of aborting, failed attempts are retried with a bounded
+// budget, wall-clock stragglers are speculatively re-launched, and a
+// deterministic FaultInjector can script every failure mode so recovery
+// paths are reproducible unit tests.
 // This executor is the substrate a real multi-process transport plugs into:
 // its failure semantics (deterministic re-execution, first-commit-wins,
 // bounded retries, per-round accounting) are transport-independent.
@@ -43,7 +43,7 @@ struct RoundStats {
   /// Per-reducer output sizes in points, as reported by the driver.
   std::vector<size_t> output_points;
 
-  // Fault-tolerance accounting (all zero on the plain barrier rounds).
+  // Fault-tolerance accounting.
   /// Task attempts launched (== num_reducers when nothing went wrong).
   size_t attempts = 0;
   /// Attempts beyond the first per task (failure retries + speculative
@@ -126,21 +126,6 @@ struct [[nodiscard]] RoundOutcome {
 class MapReduceSimulator {
  public:
   explicit MapReduceSimulator(size_t num_workers);
-
-  /// Runs `reducer(i)` for every i in [0, num_reducers), in parallel across
-  /// the worker pool, and records timing. The reducer must fill in its
-  /// input/output sizes through the returned stats object *before* the next
-  /// round if it wants them recorded; more simply, use the overload below.
-  void RunRound(const std::string& name, size_t num_reducers,
-                const std::function<void(size_t)>& reducer);
-
-  /// As above, but the driver also supplies per-reducer size reporters:
-  /// sizes are recorded into the round's stats after the barrier.
-  void RunRoundWithSizes(
-      const std::string& name, size_t num_reducers,
-      const std::function<void(size_t)>& reducer,
-      const std::function<size_t(size_t)>& input_points_of,
-      const std::function<size_t(size_t)>& output_points_of);
 
   /// Fault-tolerant round: every task is attempted up to
   /// `opts.max_attempts` times (failed attempts re-execute from the same

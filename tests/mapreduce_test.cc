@@ -1,6 +1,8 @@
 #include "mapreduce/mapreduce.h"
 
 #include <atomic>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,46 +18,6 @@
 
 namespace diverse {
 namespace {
-
-TEST(MapReduceSimulatorTest, RunsAllReducers) {
-  MapReduceSimulator sim(4);
-  std::vector<std::atomic<int>> hits(10);
-  sim.RunRound("test", 10, [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_EQ(sim.num_rounds(), 1u);
-}
-
-TEST(MapReduceSimulatorTest, RecordsRoundStats) {
-  MapReduceSimulator sim(2);
-  sim.RunRoundWithSizes(
-      "sized", 3, [](size_t) {},
-      [](size_t i) { return 100 * (i + 1); },
-      [](size_t i) { return 10 * (i + 1); });
-  ASSERT_EQ(sim.rounds().size(), 1u);
-  const RoundStats& r = sim.rounds()[0];
-  EXPECT_EQ(r.name, "sized");
-  EXPECT_EQ(r.num_reducers, 3u);
-  EXPECT_EQ(r.MaxInputPoints(), 300u);
-  EXPECT_EQ(r.TotalOutputPoints(), 60u);
-  EXPECT_GE(r.wall_seconds, 0.0);
-}
-
-TEST(MapReduceSimulatorTest, MultipleRoundsAccumulate) {
-  MapReduceSimulator sim(2);
-  sim.RunRound("r1", 2, [](size_t) {});
-  sim.RunRound("r2", 5, [](size_t) {});
-  ASSERT_EQ(sim.num_rounds(), 2u);
-  EXPECT_EQ(sim.rounds()[0].name, "r1");
-  EXPECT_EQ(sim.rounds()[1].name, "r2");
-  EXPECT_EQ(sim.rounds()[1].num_reducers, 5u);
-}
-
-TEST(MapReduceSimulatorTest, MoreReducersThanWorkers) {
-  MapReduceSimulator sim(2);
-  std::atomic<int> counter{0};
-  sim.RunRound("over", 100, [&counter](size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 100);
-}
 
 TEST(MapReduceSimulatorTest, WorkerCountExposed) {
   MapReduceSimulator sim(7);
@@ -150,6 +112,62 @@ TEST(FallibleRoundTest, CleanRoundCommitsEveryTaskOnce) {
   EXPECT_EQ(r.timeouts, 0u);
   EXPECT_EQ(r.faults_injected, 0u);
   EXPECT_TRUE(r.failed_tasks.empty());
+}
+
+// A fault-free round whose task i commits by bumping hits[i].
+RoundOutcome RunCountingRound(MapReduceSimulator& sim, const std::string& name,
+                              size_t num_tasks,
+                              std::vector<std::atomic<int>>& hits,
+                              const std::function<size_t(size_t)>& input_of,
+                              const std::function<size_t(size_t)>& output_of) {
+  return sim.RunFallibleRound(
+      name, num_tasks,
+      [&hits](const MrTaskContext& ctx,
+              std::function<void()>* commit) -> Status {
+        const size_t i = ctx.task;
+        *commit = [&hits, i] { hits[i].fetch_add(1); };
+        return OkStatus();
+      },
+      FallibleRoundOptions{}, input_of, output_of);
+}
+
+TEST(FallibleRoundTest, RecordsRoundStats) {
+  MapReduceSimulator sim(2);
+  std::vector<std::atomic<int>> hits(3);
+  RoundOutcome out = RunCountingRound(
+      sim, "sized", 3, hits, [](size_t i) { return 100 * (i + 1); },
+      [](size_t i) { return 10 * (i + 1); });
+  EXPECT_TRUE(out.ok());
+  ASSERT_EQ(sim.rounds().size(), 1u);
+  const RoundStats& r = sim.rounds()[0];
+  EXPECT_EQ(r.name, "sized");
+  EXPECT_EQ(r.num_reducers, 3u);
+  EXPECT_EQ(r.MaxInputPoints(), 300u);
+  EXPECT_EQ(r.TotalOutputPoints(), 60u);
+  EXPECT_GE(r.wall_seconds, 0.0);
+}
+
+TEST(FallibleRoundTest, MultipleRoundsAccumulate) {
+  MapReduceSimulator sim(2);
+  std::vector<std::atomic<int>> hits(5);
+  auto none = [](size_t) { return size_t{0}; };
+  EXPECT_TRUE(RunCountingRound(sim, "r1", 2, hits, none, none).ok());
+  EXPECT_TRUE(RunCountingRound(sim, "r2", 5, hits, none, none).ok());
+  ASSERT_EQ(sim.num_rounds(), 2u);
+  EXPECT_EQ(sim.rounds()[0].name, "r1");
+  EXPECT_EQ(sim.rounds()[1].name, "r2");
+  EXPECT_EQ(sim.rounds()[1].num_reducers, 5u);
+}
+
+// More tasks than workers: tasks queue on the pool, and every one still
+// runs and commits exactly once.
+TEST(FallibleRoundTest, MoreTasksThanWorkers) {
+  MapReduceSimulator sim(2);
+  std::vector<std::atomic<int>> hits(100);
+  auto none = [](size_t) { return size_t{0}; };
+  EXPECT_TRUE(RunCountingRound(sim, "over", 100, hits, none, none).ok());
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(sim.rounds().back().attempts, 100u);
 }
 
 TEST(FallibleRoundTest, TransientFailureIsRetriedUntilSuccess) {

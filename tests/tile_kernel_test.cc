@@ -16,7 +16,11 @@
 //   * GreedyMatchingOnDataset refill scans run on the compacted live rows
 //     only: no used row's distance is ever recomputed;
 //   * the chunked parallel pair scan selects the matrix reference's pairs
-//     with the same exact/screened evaluation counts at 1/2/4 threads.
+//     with the same exact/screened evaluation counts at 1/2/4 threads;
+//   * the cluster-bounded pair scan selects exactly what the exhaustive
+//     scan (ScopedIndexing(false)) and the matrix reference select, on
+//     clustered, uniform, all-duplicate, hub, sparse and L1 inputs, and
+//     never pays more evaluations than the exhaustive scan where it prunes.
 
 #include <cmath>
 #include <limits>
@@ -27,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cover_tree.h"
 #include "core/dataset.h"
 #include "core/distance_matrix.h"
 #include "core/kcenter.h"
@@ -370,8 +375,9 @@ TEST(TileKernelTest, DistanceMatrixDeterministicAtAnyThreadCount) {
 // A hub far from a tight cluster makes every top-buffer pair share the hub:
 // after the first chosen pair both endpoints are dead, the buffer runs dry,
 // and the matching must rescan. The refill must only touch the live rows —
-// exactly live*(live-1)/2 additional evaluations, with no distance to a
-// used row recomputed.
+// the exhaustive scan (ScopedIndexing(false)) pays exactly live*(live-1)/2
+// additional evaluations, with no distance to a used row recomputed, and
+// the cluster-bounded scan never pays more than that.
 TEST(TileKernelTest, GreedyMatchingRefillScansOnlyLiveRows) {
   size_t n = 70;
   Rng rng(112);
@@ -396,6 +402,7 @@ TEST(TileKernelTest, GreedyMatchingRefillScansOnlyLiveRows) {
   std::vector<size_t> chosen;
   {
     ScopedScreening off(false);
+    ScopedIndexing exhaustive(false);
     CountingMetric counting(&base);
     chosen = GreedyMatchingOnDataset(data, counting, 4);
     EXPECT_EQ(chosen.size(), 4u);
@@ -408,12 +415,31 @@ TEST(TileKernelTest, GreedyMatchingRefillScansOnlyLiveRows) {
   // pre-screening baseline, and the selection is unchanged.
   {
     ScopedScreening on(true);
+    ScopedIndexing exhaustive(false);
     CountingMetric counting(&base);
     std::vector<size_t> screened = GreedyMatchingOnDataset(data, counting, 4);
     EXPECT_EQ(screened, chosen);
     EXPECT_EQ(counting.screened_evals(), initial + refill);
     EXPECT_LE(counting.exact_evals(), initial + refill);
     EXPECT_GT(counting.exact_evals(), 0u);
+  }
+
+  // The cluster-bounded scan (clustering and center distances included)
+  // selects the same pairs for at most the exhaustive scan's evaluations,
+  // unscreened and screened.
+  {
+    ScopedScreening off(false);
+    CountingMetric counting(&base);
+    EXPECT_EQ(GreedyMatchingOnDataset(data, counting, 4), chosen);
+    EXPECT_LE(counting.count(), initial + refill);
+    EXPECT_EQ(counting.screened_evals(), 0u);
+  }
+  {
+    ScopedScreening on(true);
+    CountingMetric counting(&base);
+    EXPECT_EQ(GreedyMatchingOnDataset(data, counting, 4), chosen);
+    EXPECT_LE(counting.screened_evals(), initial + refill);
+    EXPECT_LE(counting.exact_evals(), initial + refill);
   }
 
   // Same selection as the matrix reference.
@@ -424,7 +450,8 @@ TEST(TileKernelTest, GreedyMatchingRefillScansOnlyLiveRows) {
 // The dataset pair scan runs its query blocks as chunks on the thread pool;
 // the chunk count depends only on the input, so the selection and both
 // evaluation counts must be identical at every pool size, with and without
-// screening, and the selection must equal the matrix reference.
+// screening, for the cluster-bounded and the exhaustive scan, and the
+// selection must equal the matrix reference.
 struct MatchingRun {
   std::vector<size_t> chosen;
   uint64_t exact = 0;
@@ -432,9 +459,11 @@ struct MatchingRun {
 };
 
 MatchingRun CountedMatching(const Dataset& data, const Metric& base, size_t k,
-                            size_t threads, bool screening) {
+                            size_t threads, bool screening,
+                            bool indexing = true) {
   SetGlobalThreadPoolSize(threads);
   ScopedScreening guard(screening);
+  ScopedIndexing bounded(indexing);
   CountingMetric counting(&base);
   MatchingRun run;
   run.chosen = GreedyMatchingOnDataset(data, counting, k);
@@ -444,6 +473,8 @@ MatchingRun CountedMatching(const Dataset& data, const Metric& base, size_t k,
   return run;
 }
 
+// Also checks that the bounded scan pays no more evaluations, exact plus
+// screened, than the exhaustive one: both inputs here are clustered.
 void ExpectMatchingIdenticalAtAnyThreadCount(const PointSet& pts, size_t k) {
   EuclideanMetric base;
   Dataset data(pts);
@@ -451,15 +482,26 @@ void ExpectMatchingIdenticalAtAnyThreadCount(const PointSet& pts, size_t k) {
   const std::vector<size_t> reference = GreedyMatchingOnMatrix(d, k);
   for (bool screening : {false, true}) {
     SCOPED_TRACE(screening ? "screened" : "exact");
-    const MatchingRun one = CountedMatching(data, base, k, 1, screening);
-    EXPECT_EQ(one.chosen, reference);
-    for (size_t threads : {2, 4}) {
-      SCOPED_TRACE(threads);
-      const MatchingRun many =
-          CountedMatching(data, base, k, threads, screening);
-      EXPECT_EQ(many.chosen, reference);
-      EXPECT_EQ(many.exact, one.exact);
-      EXPECT_EQ(many.screened, one.screened);
+    MatchingRun exhaustive;
+    for (bool indexing : {false, true}) {
+      SCOPED_TRACE(indexing ? "bounded" : "exhaustive");
+      const MatchingRun one =
+          CountedMatching(data, base, k, 1, screening, indexing);
+      EXPECT_EQ(one.chosen, reference);
+      for (size_t threads : {2, 4}) {
+        SCOPED_TRACE(threads);
+        const MatchingRun many =
+            CountedMatching(data, base, k, threads, screening, indexing);
+        EXPECT_EQ(many.chosen, reference);
+        EXPECT_EQ(many.exact, one.exact);
+        EXPECT_EQ(many.screened, one.screened);
+      }
+      if (!indexing) {
+        exhaustive = one;
+      } else {
+        EXPECT_LE(one.exact + one.screened,
+                  exhaustive.exact + exhaustive.screened);
+      }
     }
   }
 }
@@ -482,8 +524,130 @@ TEST(TileKernelTest, GreedyMatchingRefillDeterministicAtAnyThreadCount) {
   ExpectMatchingIdenticalAtAnyThreadCount(pts, 4);
   EuclideanMetric base;
   Dataset data(pts);
-  EXPECT_EQ(CountedMatching(data, base, 4, 4, false).exact, all_pairs);
-  EXPECT_EQ(CountedMatching(data, base, 4, 4, true).screened, all_pairs);
+  // The exhaustive scan evaluates every live pair of both scans once.
+  EXPECT_EQ(CountedMatching(data, base, 4, 4, false, false).exact, all_pairs);
+  EXPECT_EQ(CountedMatching(data, base, 4, 4, true, false).screened,
+            all_pairs);
+  // The bounded scan evaluates at most that many.
+  EXPECT_LE(CountedMatching(data, base, 4, 4, false).exact, all_pairs);
+  EXPECT_LE(CountedMatching(data, base, 4, 4, true).screened, all_pairs);
+}
+
+// The cluster-bounded pair scan only skips cluster pairs whose certified
+// bound is strictly below a cutoff, and the kept set is the top `cap` under
+// a total order, so its selection must equal the exhaustive scan's and the
+// matrix reference's on any input, unscreened and screened.
+void ExpectBoundedScanMatchesExhaustive(const PointSet& pts,
+                                        const Metric& metric, size_t k) {
+  Dataset data(pts);
+  DistanceMatrix d(data, metric);
+  const std::vector<size_t> reference = GreedyMatchingOnMatrix(d, k);
+  for (bool screening : {false, true}) {
+    SCOPED_TRACE(screening ? "screened" : "exact");
+    ScopedScreening guard(screening);
+    std::vector<size_t> exhaustive;
+    {
+      ScopedIndexing off(false);
+      exhaustive = GreedyMatchingOnDataset(data, metric, k);
+    }
+    EXPECT_EQ(exhaustive, reference);
+    EXPECT_EQ(GreedyMatchingOnDataset(data, metric, k), reference);
+  }
+}
+
+TEST(TileKernelTest, BoundedPairScanMatchesExhaustiveOnBlobs) {
+  EuclideanMetric metric;
+  PointSet pts = GenerateGaussianBlobs(1500, 20, 8, 0.03, /*seed=*/116);
+  ExpectBoundedScanMatchesExhaustive(pts, metric, 10);
+  ExpectBoundedScanMatchesExhaustive(pts, metric, 9);  // odd k
+  // The bound does prune here: the bounded scan pays fewer evaluations.
+  Dataset data(pts);
+  const MatchingRun bounded = CountedMatching(data, metric, 10, 1, true);
+  const MatchingRun exhaustive =
+      CountedMatching(data, metric, 10, 1, true, false);
+  EXPECT_EQ(bounded.chosen, exhaustive.chosen);
+  EXPECT_LT(bounded.exact + bounded.screened,
+            exhaustive.exact + exhaustive.screened);
+}
+
+// Uniform data gives the bound little to prune; the answer must not move.
+TEST(TileKernelTest, BoundedPairScanMatchesExhaustiveOnUniformCube) {
+  EuclideanMetric metric;
+  ExpectBoundedScanMatchesExhaustive(GenerateUniformCube(1200, 8, 117),
+                                     metric, 12);
+  ExpectBoundedScanMatchesExhaustive(GenerateUniformCube(900, 2, 118),
+                                     metric, 7);
+}
+
+// Points of a thick ring: the heaviest pairs join far sides of clusters
+// around the rim, so their distances come within a cluster radius of the
+// cluster-pair bounds, and a bound that dropped either radius would skip
+// pairs the greedy picks.
+PointSet ThickRing(size_t n, double thickness, uint64_t seed) {
+  Rng rng(seed);
+  PointSet pts;
+  for (size_t i = 0; i < n; ++i) {
+    const double angle = 2.0 * M_PI * rng.NextDouble();
+    const double radius = 1.0 + thickness * rng.NextDouble();
+    pts.push_back(Point::Dense2(static_cast<float>(radius * std::cos(angle)),
+                                static_cast<float>(radius * std::sin(angle))));
+  }
+  return pts;
+}
+
+TEST(TileKernelTest, BoundedPairScanMatchesExhaustiveOnThickRing) {
+  EuclideanMetric metric;
+  for (uint64_t seed : {125, 126, 127}) {
+    SCOPED_TRACE(seed);
+    for (size_t k : {4, 6, 10, 16}) {
+      SCOPED_TRACE(k);
+      ExpectBoundedScanMatchesExhaustive(ThickRing(1200, 0.15, seed), metric,
+                                         k);
+    }
+  }
+}
+
+// All rows equal: every radius and distance is 0 and every pair ties, so
+// nothing may be pruned and the (i, j) tie order alone decides.
+TEST(TileKernelTest, BoundedPairScanMatchesExhaustiveOnDuplicateRows) {
+  PointSet pts(300, Point::Dense({0.25f, -1.5f, 3.0f}));
+  EuclideanMetric euclidean;
+  ExpectBoundedScanMatchesExhaustive(pts, euclidean, 6);
+  ExpectBoundedScanMatchesExhaustive(pts, euclidean, 7);
+  CosineMetric cosine;
+  ExpectBoundedScanMatchesExhaustive(pts, cosine, 8);
+}
+
+// The hub-plus-cluster layout forces a refill; the bounded refill clusters
+// the live rows afresh.
+TEST(TileKernelTest, BoundedPairScanMatchesExhaustiveOnHubRefill) {
+  PointSet pts = GenerateGaussianBlobs(699, 1, 16, 0.05, /*seed=*/114);
+  pts.push_back(Point::Dense(std::vector<float>(16, 1e3f)));
+  EuclideanMetric metric;
+  ExpectBoundedScanMatchesExhaustive(pts, metric, 4);
+  ExpectBoundedScanMatchesExhaustive(pts, metric, 5);
+}
+
+TEST(TileKernelTest, BoundedPairScanMatchesExhaustiveOnSparseCosine) {
+  CosineMetric metric;
+  ExpectBoundedScanMatchesExhaustive(SparsePoints(700, 119), metric, 10);
+  ExpectBoundedScanMatchesExhaustive(MixedPoints(400, 24, 120), metric, 9);
+}
+
+TEST(TileKernelTest, BoundedPairScanMatchesExhaustiveOnManhattan) {
+  ManhattanMetric metric;
+  ExpectBoundedScanMatchesExhaustive(
+      GenerateGaussianBlobs(1000, 10, 6, 0.05, /*seed=*/121), metric, 11);
+  ExpectBoundedScanMatchesExhaustive(SparsePoints(500, 122), metric, 8);
+}
+
+// k = n: every row is chosen (the odd tail included), in the same order.
+TEST(TileKernelTest, BoundedPairScanMatchesExhaustiveWhenKIsN) {
+  EuclideanMetric metric;
+  ExpectBoundedScanMatchesExhaustive(
+      GenerateGaussianBlobs(40, 4, 3, 0.05, /*seed=*/123), metric, 40);
+  ExpectBoundedScanMatchesExhaustive(GenerateUniformCube(41, 3, 124), metric,
+                                     41);
 }
 
 // Refill scans gather the live rows into a columnar-only scratch Dataset; a
