@@ -194,8 +194,8 @@ BENCHMARK(BM_GreedyMatching)->Arg(500)->Arg(2000);
 // threads (first arg). The second arg picks the input: 0 = Gaussian blobs,
 // where the cluster-pair bounds skip most of the scan, 1 = a uniform cube,
 // where they skip nothing and the clustering is pure overhead. Setup checks
-// the selection against the exhaustive scan (ScopedIndexing(false), 1
-// thread) and SkipWithError()s on a mismatch, which drops the entry from
+// the selection against the exhaustive scan (indexing off, 1 thread)
+// and SkipWithError()s on a mismatch, which drops the entry from
 // the JSON. exact_evals and screened_evals count the bounded scan's
 // evaluations (clustering included), which the chunked scan keeps
 // identical at every pool size.
@@ -209,11 +209,8 @@ void BM_GreedyMatchingDataset(benchmark::State& state) {
                     : GenerateGaussianBlobs(kMatchN, 64, 16, 0.02,
                                             /*seed=*/17));
   SetGlobalThreadPoolSize(1);
-  std::vector<size_t> reference;
-  {
-    ScopedIndexing exhaustive(false);
-    reference = GreedyMatchingOnDataset(data, m, kMatchK);
-  }
+  const std::vector<size_t> reference = GreedyMatchingOnDataset(
+      data, EuclideanMetric({.indexing = IndexPolicy::kOff}), kMatchK);
   SetGlobalThreadPoolSize(threads);
   CountingMetric counting(&m);
   if (GreedyMatchingOnDataset(data, counting, kMatchK) != reference) {
@@ -376,14 +373,13 @@ constexpr size_t kAssignK = 64;
 constexpr size_t kAssignDim = 3;
 
 void BM_KCenterAssignPerCenter(benchmark::State& state) {
-  EuclideanMetric m;
+  EuclideanMetric m({.screening = false});
   SetGlobalThreadPoolSize(1);
   Dataset data =
       Dataset(GenerateUniformCube(kAssignN, kAssignDim, 9));
   std::vector<size_t> centers = Gmm(data, m, kAssignK).selected;
   std::vector<double> dist;
   std::vector<size_t> assignment(kAssignN);
-  ScopedScreening off(false);
   for (auto _ : state) {
     dist.assign(kAssignN, std::numeric_limits<double>::infinity());
     size_t farthest = 0;
@@ -690,13 +686,9 @@ struct ScreenedSweepSetup {
     std::vector<double> exact_dist(data.size(),
                                    std::numeric_limits<double>::infinity());
     std::vector<size_t> exact_assign(data.size(), 0);
-    size_t exact_far;
-    {
-      ScopedScreening off(false);
-      exact_far = RelaxTilesAndArgFarthest(metric, center_rows, 0,
-                                           center_rows.size(), 0, data,
-                                           exact_dist, exact_assign);
-    }
+    size_t exact_far = RelaxTilesAndArgFarthest(
+        metric, center_rows, 0, center_rows.size(), 0, data, exact_dist,
+        exact_assign);
     CountingMetric counting(&metric);
     std::vector<double> sdist(data.size(),
                               std::numeric_limits<double>::infinity());
@@ -756,7 +748,6 @@ void BM_ScreenedSweepDenseExact(benchmark::State& state) {
   size_t dim = static_cast<size_t>(state.range(0));
   SetGlobalThreadPoolSize(1);
   ScreenedSweepSetup s = MakeDenseScreenedSweep(dim);
-  ScopedScreening off(false);
   for (auto _ : state) {
     s.dist.assign(kScreenN, std::numeric_limits<double>::infinity());
     size_t farthest =
@@ -815,7 +806,6 @@ void BM_ScreenedSweepDenseCosineExact(benchmark::State& state) {
   size_t dim = static_cast<size_t>(state.range(0));
   SetGlobalThreadPoolSize(1);
   ScreenedSweepSetup s = MakeDenseCosineScreenedSweep(dim);
-  ScopedScreening off(false);
   for (auto _ : state) {
     s.dist.assign(kScreenN, std::numeric_limits<double>::infinity());
     size_t farthest =
@@ -881,7 +871,6 @@ void BM_ScreenedSweepSparseEuclideanExact(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   SetGlobalThreadPoolSize(1);
   ScreenedSweepSetup s = MakeSparseScreenedSweep(n);
-  ScopedScreening off(false);
   for (auto _ : state) {
     s.dist.assign(n, std::numeric_limits<double>::infinity());
     size_t farthest =
@@ -948,11 +937,10 @@ BENCHMARK(BM_FusedScreenRelaxDenseUnfused)->Arg(3)->Arg(16)
 // >=8-coords-per-row gate, so the pre-fusion engine ran this exact. Arg(1)
 // screens (fused sweep), Arg(0) is the exact baseline.
 void BM_FusedScreenSmmUpdate(benchmark::State& state) {
-  EuclideanMetric m;
   bool screening = state.range(0) != 0;
+  EuclideanMetric m({.screening = screening});
   SetGlobalThreadPoolSize(1);
   PointSet pts = GenerateUniformCube(100000, 3, 4);
-  ScopedScreening guard(screening);
   Smm smm(&m, 64, 128);
   size_t i = 0;
   for (auto _ : state) {
@@ -1065,7 +1053,6 @@ void BM_FusedScreenSparseCosineExact(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   SetGlobalThreadPoolSize(1);
   ScreenedSweepSetup s = MakeSparseCosineScreenedSweep(n);
-  ScopedScreening off(false);
   for (auto _ : state) {
     s.dist.assign(n, std::numeric_limits<double>::infinity());
     size_t farthest =
@@ -1087,11 +1074,10 @@ BENCHMARK(BM_FusedScreenSparseCosineExact)->Arg(4096)
 // gated back to the exact path — too little per-row work to amortize the
 // screen; dim 3 therefore ties by construction).
 void BM_ScreenedGmm50k(benchmark::State& state) {
-  EuclideanMetric m;
   bool screening = state.range(0) != 0;
+  EuclideanMetric m({.screening = screening});
   SetGlobalThreadPoolSize(1);
   Dataset data(GenerateUniformCube(50000, 16, 8));
-  ScopedScreening guard(screening);
   for (auto _ : state) {
     benchmark::DoNotOptimize(Gmm(data, m, 32));
   }
@@ -1169,11 +1155,8 @@ void BM_LazyGreedyGmmClustered(benchmark::State& state) {
     state.SkipWithError("index gated off on the clustered corpus");
     return;
   }
-  GmmResult flat;
-  {
-    ScopedIndexing off(false);
-    flat = Gmm(data, m, k);
-  }
+  GmmResult flat =
+      Gmm(data, EuclideanMetric({.indexing = IndexPolicy::kOff}), k);
   CoverTree tree = CoverTree::Build(data, m);
   CoverTreeQueryStats stats;
   GmmResult indexed = LazyGreedyGmm(data, tree, m, k, 0, &stats);
@@ -1206,9 +1189,8 @@ void BM_LazyGreedyGmmClusteredFlat(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   size_t k = static_cast<size_t>(state.range(1));
   SetGlobalThreadPoolSize(1);
-  EuclideanMetric m;
+  EuclideanMetric m({.indexing = IndexPolicy::kOff});
   Dataset data = MakeClusteredCorpus(n);
-  ScopedIndexing off(false);
   for (auto _ : state) {
     GmmResult r = Gmm(data, m, k);
     benchmark::DoNotOptimize(r.range);
@@ -1230,13 +1212,13 @@ BENCHMARK(BM_LazyGreedyGmmClusteredFlat)->Args({20000, 64})
 void BM_LazyGreedyGmmUniformGated(benchmark::State& state) {
   bool gated = state.range(0) != 0;
   SetGlobalThreadPoolSize(1);
-  EuclideanMetric m;
+  EuclideanMetric m(gated ? KernelPolicy{}
+                          : KernelPolicy{.indexing = IndexPolicy::kOff});
   Dataset data(GenerateUniformCube(20000, 32, 19));
-  if (IndexProfitable(data, m, 64)) {
+  if (IndexProfitable(data, EuclideanMetric(), 64)) {
     state.SkipWithError("index gated on for the uniform corpus");
     return;
   }
-  ScopedIndexing guard(gated);
   for (auto _ : state) {
     GmmResult r = Gmm(data, m, 64);
     benchmark::DoNotOptimize(r.range);
@@ -1376,10 +1358,9 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
     std::fprintf(
         f,
         "  \"meta\": {\"git_sha\": \"%s\", \"hw_threads\": %u, "
-        "\"avx2\": %s, \"screening\": %s},\n",
+        "\"avx2\": %s},\n",
         Escaped(GitSha()).c_str(), std::thread::hardware_concurrency(),
-        diverse::kernels::TileSimdEnabled() ? "true" : "false",
-        diverse::ScreeningEnabled() ? "true" : "false");
+        diverse::kernels::TileSimdEnabled() ? "true" : "false");
     std::fprintf(f, "  \"entries\": [\n");
     for (size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/cover_tree.h"
-#include "core/screen.h"
 #include "core/sequential.h"
 #include "mapreduce/mr_diversity.h"
 #include "streaming/streaming_diversity.h"
@@ -142,9 +140,6 @@ StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
                                const SolveOptions& options) {
   DIVERSE_RETURN_IF_ERROR(ValidateSolveInput(data, options));
   const SolveOptions o = Normalize(options);
-  // The flags can only disable a tier for the duration of this call.
-  ScopedScreening screening_guard(o.screening);
-  ScopedIndexing indexing_guard(o.indexing);
   Timer timer;
   SolveResult result;
   switch (o.backend) {

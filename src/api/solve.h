@@ -55,20 +55,6 @@ struct SolveOptions {
   /// MapReduce recursive backend: local memory budget in points.
   /// 0 means "auto": max(4 k' k, 1024).
   size_t local_memory_budget = 0;
-  /// Mixed-precision screening of the distance-dominated loops
-  /// (core/screen.h): fp32 sweeps with certified error bounds decide which
-  /// candidates need exact double evaluation. Results are bit-identical
-  /// either way — set false to force the exact-only path (A/B benchmarking,
-  /// escape hatch). The flag scopes a process-global toggle for the
-  /// duration of the call.
-  bool screening = true;
-  /// Metric-index tier (core/cover_tree.h): cover-tree node bounds prune
-  /// whole row ranges above the fp32 screen, and GMM runs its lazy-greedy
-  /// traversal, when the metric supports triangle-inequality pruning and
-  /// the deterministic profitability probe approves. Bit-identical either
-  /// way — set false to pin the flat screened sweeps (A/B benchmarking,
-  /// escape hatch). Scopes the process-global toggle like `screening`.
-  bool indexing = true;
   uint64_t seed = 1;
 
   // Fault tolerance (MapReduce backends; see README "Fault tolerance &
@@ -121,8 +107,10 @@ struct SolveResult {
 };
 
 /// Solves diversity maximization on the rows of `data` with the configured
-/// backend. `metric` must outlive the call. Every backend runs its
-/// distance-dominated loops on the columnar batch kernels; callers that
+/// backend. `metric` must outlive the call; its KernelPolicy (core/metric.h)
+/// decides whether the driver's sweeps screen in fp32 and use the metric
+/// index — results are bit-identical under every policy. Every backend runs
+/// its distance-dominated loops on the columnar batch kernels; callers that
 /// solve repeatedly on one input should build the Dataset once and use this
 /// overload. Structurally invalid requests are rejected, never adjusted:
 ///   * kInvalidArgument: k == 0; k > n (including empty input); k' < k;

@@ -1,7 +1,6 @@
 #include "core/cover_tree.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -31,10 +30,17 @@ constexpr size_t kLeafRows = 256;
 // build recursion and traversal recursion.
 constexpr size_t kMaxDepth = 64;
 
-// Live ScopedIndexing(false) guards; indexing is on iff there are none.
-std::atomic<int> g_indexing_disablers{0};
-
-IndexGate g_index_gate;
+// IndexProfitable's gate (described on its declaration): structural
+// minimums, probe shape, and the largest probed doubling dimension that
+// still indexes.
+constexpr size_t kMinRows = 4096;
+constexpr size_t kMinK = 64;
+constexpr size_t kProbeSample = 1024;
+constexpr size_t kProbeCenters = 32;
+constexpr double kMaxProbeDim = 3.0;
+// OneShotIndexProfitable's structural minimums.
+constexpr size_t kOneShotMinRows = 65536;
+constexpr size_t kOneShotMinCenters = 256;
 
 // Merge two ascending rank lists (each rank enters the tree once per
 // traversal, so the inputs are disjoint and the output stays strictly
@@ -48,31 +54,15 @@ void MergeRanks(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
 
 }  // namespace
 
-bool IndexingEnabled() {
-  return g_indexing_disablers.load(std::memory_order_relaxed) == 0;
-}
-
-ScopedIndexing::ScopedIndexing(bool enabled) : disables_(!enabled) {
-  if (disables_) g_indexing_disablers.fetch_add(1, std::memory_order_relaxed);
-}
-
-ScopedIndexing::~ScopedIndexing() {
-  if (disables_) g_indexing_disablers.fetch_sub(1, std::memory_order_relaxed);
-}
-
 bool UseIndexing(const Metric& metric, const Dataset& data) {
-  return IndexingEnabled() && metric.IndexSlack(data).abs < kInf;
+  return metric.policy().indexing != IndexPolicy::kOff &&
+         metric.IndexSlack(data).abs < kInf;
 }
-
-const IndexGate& GetIndexGate() { return g_index_gate; }
-
-void SetIndexGateForTesting(const IndexGate& gate) { g_index_gate = gate; }
 
 bool IndexProfitable(const Dataset& data, const Metric& metric, size_t k) {
-  const IndexGate& g = GetIndexGate();
-  if (g.force < 0) return false;
-  if (g.force > 0) return true;
-  if (data.size() < g.min_rows || k < g.min_k) return false;
+  const IndexPolicy policy = metric.policy().indexing;
+  if (policy != IndexPolicy::kAuto) return policy == IndexPolicy::kForce;
+  if (data.size() < kMinRows || k < kMinK) return false;
   // Probe: a deterministic fixed-seed sample runs a short farthest-first
   // loop; the decay of its selection distances estimates the doubling
   // dimension. For m centers on a d-dimensional corpus
@@ -83,9 +73,9 @@ bool IndexProfitable(const Dataset& data, const Metric& metric, size_t k) {
   // verdict, always) rather than by striding: stride sampling resonates
   // with interleaved cluster layouts (stride == cluster count samples a
   // single cluster) and misestimates badly.
-  size_t sample = std::min(g.probe_sample, data.size() / 8);
-  size_t m = std::min(g.probe_centers, k / 4);
-  if (m < 4 || sample < 2 * m) return false;  // unprobeable (custom gate)
+  size_t sample = std::min(kProbeSample, data.size() / 8);
+  size_t m = std::min(kProbeCenters, k / 4);
+  if (m < 4 || sample < 2 * m) return false;  // unprobeable
   Rng rng(0x1dcbULL * 0x9E3779B97F4A7C15ULL);
   std::vector<uint32_t> sample_ids(sample);
   for (uint32_t& id : sample_ids) {
@@ -109,16 +99,14 @@ bool IndexProfitable(const Dataset& data, const Metric& metric, size_t k) {
   if (ratio >= 1.0) return false;   // no decay: no usable geometry
   double d_hat =
       std::log(static_cast<double>(m - 1)) / std::log(1.0 / ratio);
-  return d_hat <= g.max_probe_dim;
+  return d_hat <= kMaxProbeDim;
 }
 
 bool OneShotIndexProfitable(const Metric& metric, const Dataset& queries,
                             size_t nq, const Dataset& data) {
   if (!UseIndexing(metric, data)) return false;
-  const IndexGate& g = GetIndexGate();
-  if (g.force < 0) return false;
-  if (g.force == 0 && (data.size() < g.oneshot_min_rows ||
-                       nq < g.oneshot_min_centers)) {
+  if (metric.policy().indexing != IndexPolicy::kForce &&
+      (data.size() < kOneShotMinRows || nq < kOneShotMinCenters)) {
     return false;
   }
   // Slack coverage (soundness, not profitability — enforced even under

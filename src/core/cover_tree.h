@@ -38,9 +38,10 @@
 //
 // Indexing is gated: metrics must opt in (a finite Metric::IndexSlack — the
 // triangle inequality is load-bearing; dot-product-style similarities stay
-// flat), a global toggle mirrors the screening toggle, and a deterministic
-// profitability probe estimates the doubling dimension of a sample before
-// committing to a build (uniform high-dimensional data gates off).
+// flat), the metric's KernelPolicy::indexing can turn the tier off or force
+// it on, and under the default policy a deterministic profitability probe
+// estimates the doubling dimension of a sample before committing to a
+// build (uniform high-dimensional data gates off).
 
 #ifndef DIVERSE_CORE_COVER_TREE_H_
 #define DIVERSE_CORE_COVER_TREE_H_
@@ -56,67 +57,27 @@
 
 namespace diverse {
 
-/// Process-global indexing toggle: on unless a ScopedIndexing(false) guard
-/// is alive. Results are bit-identical either way (the mirror of
-/// ScreeningEnabled for the metric-index tier); the toggle exists for A/B
-/// benchmarking and as an escape hatch (SolveOptions::indexing,
-/// --indexing=0).
-bool IndexingEnabled();
-
-/// RAII indexing override (used by TrySolve and tests), counted like
-/// ScopedScreening: a `false` guard disables indexing until the last such
-/// guard is destroyed, in any order; a `true` guard changes nothing.
-class ScopedIndexing {
- public:
-  explicit ScopedIndexing(bool enabled);
-  ScopedIndexing(const ScopedIndexing&) = delete;
-  ScopedIndexing& operator=(const ScopedIndexing&) = delete;
-  ~ScopedIndexing();
-
- private:
-  bool disables_;
-};
-
-/// True when indexed traversals may run for `metric` over `data` (toggle on
-/// and the metric opted into triangle-inequality pruning: its IndexSlack
+/// True when indexed traversals may run for `metric` over `data`: its
+/// policy does not turn indexing off (KernelPolicy::indexing, core/metric.h)
+/// and the metric opted into triangle-inequality pruning (its IndexSlack
 /// over `data` is finite).
 bool UseIndexing(const Metric& metric, const Dataset& data);
 
-/// Deterministic profitability gate for the index. All fields are read-only
-/// dataset/problem statistics in, one bool out — no scheduling dependence.
-struct IndexGate {
-  /// Structural minimums: below either, a build cannot amortize.
-  size_t min_rows = 4096;
-  size_t min_k = 64;
-  /// Probe shape: a stride sample of min(probe_sample, n / 8) rows runs a
-  /// farthest-first loop for min(probe_centers, k / 4) centers; the decay
-  /// of the selection distances estimates the doubling dimension
-  /// (d_hat = log(m - 1) / log(sel[1] / sel[m - 1])).
-  size_t probe_sample = 1024;
-  size_t probe_centers = 32;
-  /// Index on iff the probe's d_hat is at most this.
-  double max_probe_dim = 3.0;
-  /// One-shot (multi-center relax) structural minimums: building a tree for
-  /// a single pass only pays when both sides are large.
-  size_t oneshot_min_rows = 65536;
-  size_t oneshot_min_centers = 256;
-  /// Test override: +1 forces indexing on (skips minimums and probe), -1
-  /// forces it off, 0 uses the probe.
-  int force = 0;
-};
-
-/// The process-global gate (tests swap it with SetIndexGateForTesting).
-const IndexGate& GetIndexGate();
-void SetIndexGateForTesting(const IndexGate& gate);
-
 /// Deterministic verdict: should GMM(data, k) build and use the index?
-/// Runs the stride-sample probe described on IndexGate (a few thousand
-/// screened evaluations — O(sqrt) of one flat sweep at the minimums).
+/// Under IndexPolicy::kAuto: below 4096 rows or k < 64 a build cannot
+/// amortize; otherwise a fixed-seed sample of min(1024, n / 8) rows runs a
+/// farthest-first loop for min(32, k / 4) centers, and the decay of the
+/// selection distances estimates the doubling dimension (d_hat =
+/// log(m - 1) / log(sel[1] / sel[m - 1])) — index iff d_hat <= 3. The probe
+/// costs a few thousand screened evaluations, O(sqrt) of one flat sweep at
+/// the minimums. kForce answers true and kOff false without probing.
 bool IndexProfitable(const Dataset& data, const Metric& metric, size_t k);
 
 /// Deterministic verdict for the one-shot multi-center relax (k-center's
-/// final assignment passes): `queries` are the centers. Folds the size
-/// minimums AND the slack-coverage check — the tree's certified slack is
+/// final assignment passes): `queries` are the centers. Folds UseIndexing,
+/// the size minimums (65536 rows and 256 centers: a tree built for a single
+/// pass only pays when both sides are large; kForce skips them) AND the
+/// slack-coverage check — the tree's certified slack is
 /// computed from `data`'s statistics, so query rows must be dominated by
 /// them (dense queries need dense rows present, sparse support and norm
 /// extremes must not exceed the data's own).

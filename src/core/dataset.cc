@@ -14,7 +14,8 @@ namespace {
 // Process-global stamp source for Dataset::content_stamp(): relaxed is
 // enough (the counter only needs uniqueness, not ordering), and 64 bits
 // never wrap in practice.
-std::atomic<uint64_t> g_next_content_stamp{1};
+std::atomic<uint64_t>  // lint: allow(no-mutable-globals-in-core) unique ids
+    g_next_content_stamp{1};
 
 uint64_t NextContentStamp() {
   return g_next_content_stamp.fetch_add(1, std::memory_order_relaxed);

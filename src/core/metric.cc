@@ -167,8 +167,10 @@ struct SparseDecodeKey {
 // Monotonic telemetry only (tests assert deltas after joining all workers)
 // — relaxed ordering is sufficient because no other memory is published
 // through these counters. The decode caches themselves are thread_local.
-std::atomic<uint64_t> g_sparse_decode_count{0};
-std::atomic<uint64_t> g_sparse_decode_hits{0};
+std::atomic<uint64_t>  // lint: allow(no-mutable-globals-in-core) test telemetry
+    g_sparse_decode_count{0};
+std::atomic<uint64_t>  // lint: allow(no-mutable-globals-in-core) test telemetry
+    g_sparse_decode_hits{0};
 
 // True (and counted as a hit) when `have` already holds `want`'s decode;
 // otherwise records `want` into `have` and tells the caller to decode.
@@ -1217,11 +1219,12 @@ void ResetSparseQueryDecodeStats() {
   g_sparse_decode_hits.store(0, std::memory_order_relaxed);
 }
 
-std::unique_ptr<Metric> MakeMetricByName(const std::string& name) {
-  if (name == "euclidean") return std::make_unique<EuclideanMetric>();
-  if (name == "manhattan") return std::make_unique<ManhattanMetric>();
-  if (name == "cosine") return std::make_unique<CosineMetric>();
-  if (name == "jaccard") return std::make_unique<JaccardMetric>();
+std::unique_ptr<Metric> MakeMetricByName(const std::string& name,
+                                         KernelPolicy policy) {
+  if (name == "euclidean") return std::make_unique<EuclideanMetric>(policy);
+  if (name == "manhattan") return std::make_unique<ManhattanMetric>(policy);
+  if (name == "cosine") return std::make_unique<CosineMetric>(policy);
+  if (name == "jaccard") return std::make_unique<JaccardMetric>(policy);
   return nullptr;
 }
 

@@ -74,6 +74,25 @@ struct ScreenSideStats {
 ScreenSideStats SideStatsOf(const Dataset& data);
 ScreenSideStats SideStatsOf(const Point& point);
 
+/// How the metric-index tier (core/cover_tree.h) engages.
+enum class IndexPolicy {
+  kAuto,   ///< the size minimums and the doubling-dimension probe decide
+  kOff,    ///< flat sweeps only
+  kForce,  ///< index whenever the metric opts in (skips minimums and probe)
+};
+
+/// Which accelerated tiers the sweeps over a metric may use. Every setting
+/// yields bit-identical results; the policy only moves cost (A/B
+/// benchmarking, escape hatch). It travels with the Metric every sweep
+/// already receives, so two concurrent solves on differently built metrics
+/// never see each other's choice.
+struct KernelPolicy {
+  /// Certified fp32 screening (core/screen.h), where the metric's gate
+  /// says it pays.
+  bool screening = true;
+  IndexPolicy indexing = IndexPolicy::kAuto;
+};
+
 /// Interface for a distance function over `Point`s.
 ///
 /// Implementations must satisfy the metric axioms: nonnegativity,
@@ -95,9 +114,14 @@ ScreenSideStats SideStatsOf(const Point& point);
 ///     combine ranges in ascending order.
 /// The built-in metrics (KernelMetric below) implement them with
 /// devirtualized loops over the columnar rows.
+///
+/// Each metric also carries the KernelPolicy its sweeps read (fixed at
+/// construction; user-defined metrics get the default).
 class Metric {
  public:
   virtual ~Metric() = default;
+
+  const KernelPolicy& policy() const { return policy_; }
 
   /// Distance between two points. Must be thread-safe.
   virtual double Distance(const Point& a, const Point& b) const = 0;
@@ -241,6 +265,12 @@ class Metric {
 
   /// Human-readable metric name, e.g. "euclidean".
   virtual std::string Name() const = 0;
+
+ protected:
+  explicit Metric(KernelPolicy policy = {}) : policy_(policy) {}
+
+ private:
+  KernelPolicy policy_;
 };
 
 /// The built-in metrics: one implementation of every kernel above,
@@ -251,6 +281,8 @@ class Metric {
 template <typename K>
 class KernelMetric final : public Metric {
  public:
+  explicit KernelMetric(KernelPolicy policy = {}) : Metric(policy) {}
+
   double Distance(const Point& a, const Point& b) const override;
   void DistanceToMany(const Point& query, const Dataset& data, size_t begin,
                       std::span<double> out) const override;
@@ -323,8 +355,9 @@ extern template class KernelMetric<JaccardKernel>;
 /// have paid for the same sweep.
 class CountingMetric final : public Metric {
  public:
-  /// Wraps `base`, which must outlive this object.
-  explicit CountingMetric(const Metric* base) : base_(base) {}
+  /// Wraps `base`, which must outlive this object, under its policy.
+  explicit CountingMetric(const Metric* base)
+      : Metric(base->policy()), base_(base) {}
 
   double Distance(const Point& a, const Point& b) const override {
     count_.fetch_add(1, std::memory_order_relaxed);
@@ -438,7 +471,9 @@ class CountingMetric final : public Metric {
 /// factory the CLI and the distributed workers resolve --metric / wire
 /// metric names through; user-defined Metric subclasses have no portable
 /// name, which is why the socket transport accepts only these four.
-std::unique_ptr<Metric> MakeMetricByName(const std::string& name);
+/// Workers build theirs with the default policy.
+std::unique_ptr<Metric> MakeMetricByName(const std::string& name,
+                                         KernelPolicy policy = {});
 
 /// Sparse query-block decode-cache instrumentation (the CountingMetric-style
 /// proof of reuse asked of the cache): the blocked sparse engines decode

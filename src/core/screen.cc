@@ -1,7 +1,6 @@
 #include "core/screen.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <vector>
 
@@ -15,9 +14,6 @@
 namespace diverse {
 
 namespace {
-
-// Live ScopedScreening(false) guards; screening is on iff there are none.
-std::atomic<int> g_screening_disablers{0};
 
 // Rows per chunk of a single-query relax: bounds the thread-local scratch.
 constexpr size_t kRelaxChunk = 512;
@@ -147,20 +143,8 @@ void CollectScreenRescues(const float* t, const float* thr, size_t count,
   }
 }
 
-bool ScreeningEnabled() {
-  return g_screening_disablers.load(std::memory_order_relaxed) == 0;
-}
-
-ScopedScreening::ScopedScreening(bool enabled) : disables_(!enabled) {
-  if (disables_) g_screening_disablers.fetch_add(1, std::memory_order_relaxed);
-}
-
-ScopedScreening::~ScopedScreening() {
-  if (disables_) g_screening_disablers.fetch_sub(1, std::memory_order_relaxed);
-}
-
 bool UseScreening(const Metric& metric) {
-  return ScreeningEnabled() && metric.ScreeningProfitable();
+  return metric.policy().screening && metric.ScreeningProfitable();
 }
 
 size_t RelaxTilesAndArgFarthest(const Metric& metric, const Dataset& queries,

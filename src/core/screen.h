@@ -24,10 +24,12 @@
 //     counts (CountingMetric: screened_evals / exact_evals) are
 //     deterministic at any thread count, and the exact-eval count of a
 //     screened sweep never exceeds what the pre-screening path paid.
-//   * Every sweep falls back to the exact path when screening is disabled
-//     (ScopedScreening / SolveOptions::screening) or the metric's gate
-//     (Metric::ScreeningProfitableFor) says screening does not pay — never
-//     for Jaccard and user-defined metrics.
+//   * Every sweep falls back to the exact path when the metric's policy
+//     turns screening off (KernelPolicy::screening, core/metric.h) or its
+//     gate (Metric::ScreeningProfitableFor) says screening does not pay —
+//     never for Jaccard and user-defined metrics. The policy is part of the
+//     metric, so concurrent sweeps on differently built metrics never see
+//     each other's choice.
 //
 // Screening changes *when* exactness is paid for, never the answer.
 
@@ -120,30 +122,8 @@ inline float ScreenCertifiedBelow(double threshold, const ScreenBound& bound) {
 void CollectScreenRescues(const float* t, const float* thr, size_t count,
                           uint32_t base, std::vector<uint32_t>& out);
 
-/// Process-global screening toggle: on unless a ScopedScreening(false)
-/// guard is alive. Results are bit-identical either way; the toggle exists
-/// for A/B benchmarking and as an escape hatch. A sweep that overlaps a
-/// concurrent call's disabling guard runs unscreened (each sweep reads the
-/// toggle once on entry) — harmless, since the answer does not change.
-bool ScreeningEnabled();
-
-/// RAII screening override (used by TrySolve and tests). A `false` guard
-/// disables screening until it is destroyed; guards are counted, so
-/// releasing them in any order restores the toggle once the last disabling
-/// guard is gone. A `true` guard changes nothing.
-class ScopedScreening {
- public:
-  explicit ScopedScreening(bool enabled);
-  ScopedScreening(const ScopedScreening&) = delete;
-  ScopedScreening& operator=(const ScopedScreening&) = delete;
-  ~ScopedScreening();
-
- private:
-  bool disables_;
-};
-
-/// True when the screened sweeps should screen for `metric` (toggle on and
-/// the metric's fp32 kernels are genuinely cheaper than exact).
+/// True when the screened sweeps should screen for `metric` (its policy
+/// allows screening and its fp32 kernels are genuinely cheaper than exact).
 bool UseScreening(const Metric& metric);
 
 /// Fused multi-center relax-and-argmax over blocked tiles: for each center
@@ -206,7 +186,7 @@ size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& queries,
 
 /// Precomputed decision state of one ScreenedRelaxArgFarthest-style sweep:
 /// whether the sweep screens at all (all the flat path's gates folded in —
-/// the global toggle, the metric's profitability verdicts, the per-row-work
+/// the metric's screening policy, its profitability verdicts, the per-row-work
 /// gate, and the degenerate-bound check), and when it does, the certified
 /// bound plus its precomputed (1 + 1e-12) / (1 - rel). The metric index
 /// (core/cover_tree.h) plans ONCE per relax step and applies the plan to

@@ -49,7 +49,7 @@ std::vector<size_t> GreedyMatchingOnMatrix(const DistanceMatrix& d, size_t k);
 /// scan offers, in what order, or how it is split.
 ///
 /// What the bound prunes: when the metric supports indexing (UseIndexing:
-/// the toggle is on and Metric::IndexSlack is finite), the scan first
+/// its policy allows it and Metric::IndexSlack is finite), the scan first
 /// clusters the m live rows with GMM (ceil(sqrt(m)) centers) and gathers
 /// them cluster-major. A pair of clusters (a, b) gets the bound
 /// d(c_a, c_b) + R_a + R_b (2 R_a when a == b), where R is the cluster's

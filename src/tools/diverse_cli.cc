@@ -77,6 +77,8 @@ commands:
             [--metric=euclidean|manhattan|cosine|jaccard] [--out=FILE]
             [--screening=0|1]  (fp32 screen-then-certify sweeps, default on)
             [--indexing=0|1]   (cover-tree metric-index tier, default on)
+            (both set the driver metric's policy; socket workers keep the
+             defaults)
             fault tolerance (MapReduce backends):
             [--max-retries=N]      (task retries beyond the first attempt, default 2)
             [--task-timeout-ms=N]  (straggler budget per attempt; 0 = off)
@@ -112,12 +114,6 @@ bool SaveAny(const PointSet& pts, const std::string& path,
   return text ? SavePointsText(pts, path) : SavePointsBinary(pts, path);
 }
 
-// The builtin-metric registry (core/metric.h) — one name table shared with
-// the socket transport, which ships metric *names* to worker processes.
-std::unique_ptr<Metric> MakeMetric(const std::string& name) {
-  return MakeMetricByName(name);
-}
-
 int RunSolve(const CliFlags& flags) {
   std::string in = flags.Get("in", "");
   if (in.empty()) return Usage();
@@ -143,7 +139,12 @@ int RunSolve(const CliFlags& flags) {
     std::fprintf(stderr, "error: unknown backend\n");
     return 1;
   }
-  auto metric = MakeMetric(flags.Get("metric", "euclidean"));
+  // The builtin-metric registry (core/metric.h) — one name table shared
+  // with the socket transport, which ships metric *names* to workers.
+  KernelPolicy policy;
+  policy.screening = flags.GetInt("screening", 1) != 0;
+  if (flags.GetInt("indexing", 1) == 0) policy.indexing = IndexPolicy::kOff;
+  auto metric = MakeMetricByName(flags.Get("metric", "euclidean"), policy);
   if (metric == nullptr) {
     std::fprintf(stderr, "error: unknown metric\n");
     return 1;
@@ -157,8 +158,6 @@ int RunSolve(const CliFlags& flags) {
   opts.num_partitions = static_cast<size_t>(flags.GetInt("partitions", 0));
   opts.num_workers = static_cast<size_t>(flags.GetInt("workers", 0));
   opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  opts.screening = flags.GetInt("screening", 1) != 0;
-  opts.indexing = flags.GetInt("indexing", 1) != 0;
   opts.max_retries = static_cast<size_t>(flags.GetInt("max-retries", 2));
   opts.task_timeout_ms =
       static_cast<uint64_t>(flags.GetInt("task-timeout-ms", 0));
@@ -326,7 +325,7 @@ int RunEstimate(const CliFlags& flags) {
                  in.c_str());
     return 1;
   }
-  auto metric = MakeMetric(flags.Get("metric", "euclidean"));
+  auto metric = MakeMetricByName(flags.Get("metric", "euclidean"));
   if (metric == nullptr) {
     std::fprintf(stderr, "error: unknown metric\n");
     return 1;

@@ -2,7 +2,7 @@
 //
 // The locking contracts of the concurrent subsystems (ThreadPool's task
 // arena, the fallible MapReduce round state, the loopback engine's scratch
-// pool, the global pool/toggle singletons) are declared with Clang's thread-safety attributes
+// pool, the global pool singleton) are declared with Clang's thread-safety attributes
 // so `-Wthread-safety -Werror` proves them at compile time — the same
 // certified-at-the-source philosophy the screening tiers apply to numerics.
 // Under compilers without the analysis (g++) every macro expands to nothing

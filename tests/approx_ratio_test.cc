@@ -105,14 +105,11 @@ void ExpectWithinFactor(double achieved, double opt, double factor,
 
 TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
   SetGlobalThreadPoolSize(GetParam());
-  // Force the metric-index gate on so the indexed dimension of the grid
+  // The indexed dimension of the grid forces the metric index on, so it
   // actually exercises the cover-tree traversals on these tiny instances
   // (the real profitability probe would gate them off as too small); the
   // indexing-off dimension pins the flat sweeps. Indexing is bit-identical
   // by contract, so the assertions are unchanged.
-  IndexGate forced;
-  forced.force = +1;
-  SetIndexGateForTesting(forced);
   for (const NamedLayout& layout : Layouts()) {
     for (const auto& metric : AllMetrics()) {
       for (DiversityProblem p : kAllProblems) {
@@ -121,8 +118,10 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
         double alpha = SequentialAlpha(p);
         for (bool screening : {true, false}) {
         for (bool indexing : {true, false}) {
-          ScopedScreening guard(screening);
-          ScopedIndexing index_guard(indexing);
+          const auto tiered = MakeMetricByName(
+              metric->Name(),
+              {.screening = screening,
+               .indexing = indexing ? IndexPolicy::kForce : IndexPolicy::kOff});
           std::string ctx = layout.name + "/" + metric->Name() + "/" +
                             ProblemName(p) +
                             (screening ? "/screened" : "/exact") +
@@ -134,8 +133,7 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
             o.problem = p;
             o.backend = Backend::kSequential;
             o.k = kK;
-            o.screening = screening;
-            StatusOr<SolveResult> r = TrySolve(layout.pts, *metric, o);
+            StatusOr<SolveResult> r = TrySolve(layout.pts, *tiered, o);
             ASSERT_TRUE(r.ok()) << r.status().ToString();
             ASSERT_EQ(r->solution.size(), kK) << ctx;
             ExpectWithinFactor(r->diversity, opt, alpha, ctx + "/sequential");
@@ -147,8 +145,7 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
             o.backend = Backend::kStreaming;
             o.k = kK;
             o.k_prime = kKPrime;
-            o.screening = screening;
-            StatusOr<SolveResult> r = TrySolve(layout.pts, *metric, o);
+            StatusOr<SolveResult> r = TrySolve(layout.pts, *tiered, o);
             ASSERT_TRUE(r.ok()) << r.status().ToString();
             ASSERT_EQ(r->solution.size(), kK) << ctx;
             ExpectWithinFactor(r->diversity, opt, 2.0 * alpha,
@@ -162,8 +159,7 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
             o.k = kK;
             o.k_prime = kKPrime;
             o.num_partitions = 2;
-            o.screening = screening;
-            StatusOr<SolveResult> r = TrySolve(layout.pts, *metric, o);
+            StatusOr<SolveResult> r = TrySolve(layout.pts, *tiered, o);
             ASSERT_TRUE(r.ok()) << r.status().ToString();
             ASSERT_EQ(r->solution.size(), kK) << ctx;
             ExpectWithinFactor(r->diversity, opt, 2.0 * alpha,
@@ -173,14 +169,14 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
           // greedy matching and monotonically improves the clique sum.
           if (p == DiversityProblem::kRemoteClique) {
             Dataset data(layout.pts);
-            std::vector<size_t> initial = SolveSequential(p, data, *metric,
+            std::vector<size_t> initial = SolveSequential(p, data, *tiered,
                                                           kK);
             double matching_value =
-                EvaluateDiversitySubset(p, data, initial, *metric);
+                EvaluateDiversitySubset(p, data, initial, *tiered);
             std::vector<size_t> improved = LocalSearchRemoteClique(
-                layout.pts, *metric, initial, /*max_sweeps=*/8);
+                layout.pts, *tiered, initial, /*max_sweeps=*/8);
             double ls_value =
-                EvaluateDiversitySubset(p, data, improved, *metric);
+                EvaluateDiversitySubset(p, data, improved, *tiered);
             EXPECT_GE(ls_value + 1e-9, matching_value)
                 << ctx << "/local-search";
             ExpectWithinFactor(ls_value, opt, alpha, ctx + "/local-search");
@@ -190,7 +186,6 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
       }
     }
   }
-  SetIndexGateForTesting(IndexGate{});
   SetGlobalThreadPoolSize(1);
 }
 

@@ -70,12 +70,12 @@ PointSet MixedPoints(size_t n, size_t dim, uint64_t seed) {
   return pts;
 }
 
-std::vector<std::unique_ptr<Metric>> AllMetrics() {
+std::vector<std::unique_ptr<Metric>> AllMetrics(KernelPolicy policy = {}) {
   std::vector<std::unique_ptr<Metric>> metrics;
-  metrics.push_back(std::make_unique<EuclideanMetric>());
-  metrics.push_back(std::make_unique<ManhattanMetric>());
-  metrics.push_back(std::make_unique<CosineMetric>());
-  metrics.push_back(std::make_unique<JaccardMetric>());
+  metrics.push_back(std::make_unique<EuclideanMetric>(policy));
+  metrics.push_back(std::make_unique<ManhattanMetric>(policy));
+  metrics.push_back(std::make_unique<CosineMetric>(policy));
+  metrics.push_back(std::make_unique<JaccardMetric>(policy));
   return metrics;
 }
 
@@ -280,10 +280,9 @@ TEST(BatchKernelTest, OneSparseQueryAboveDirectIndexDimMatchesScalar) {
 }
 
 TEST(BatchKernelTest, ExactRelaxArgFarthestMatchesManualRelax) {
-  ScopedScreening off(false);
   for (const PointSet& pts : AllDatasets()) {
     Dataset data(pts);
-    for (const auto& metric : AllMetrics()) {
+    for (const auto& metric : AllMetrics({.screening = false})) {
       size_t n = pts.size();
       std::vector<double> dist(n, std::numeric_limits<double>::infinity());
       std::vector<size_t> assignment(n, 0);
@@ -323,7 +322,7 @@ TEST(BatchKernelTest, ExactRelaxArgFarthestMatchesManualRelax) {
 TEST(BatchKernelTest, CountingMetricCountsBatchedEvaluationsExactly) {
   PointSet pts = DensePoints(50, 4, /*seed=*/31);
   Dataset data(pts);
-  EuclideanMetric base;
+  EuclideanMetric base({.screening = false});
   CountingMetric counting(&base);
 
   std::vector<double> out(30);
@@ -333,7 +332,6 @@ TEST(BatchKernelTest, CountingMetricCountsBatchedEvaluationsExactly) {
   counting.Reset();
   std::vector<double> dist(pts.size(),
                            std::numeric_limits<double>::infinity());
-  ScopedScreening off(false);
   ScreenedRelaxArgFarthest(counting, data, 0, data, dist);
   EXPECT_EQ(counting.count(), pts.size());
 }
@@ -347,8 +345,8 @@ TEST(BatchKernelTest, CountingMetricGmmCostIsExactlyKTimesN) {
   size_t k = 9;
   // Exact path: exactly k * n exact evaluations, nothing screened.
   {
-    ScopedScreening off(false);
-    CountingMetric counting(&base);
+    EuclideanMetric exact({.screening = false});
+    CountingMetric counting(&exact);
     Gmm(data, counting, k);
     EXPECT_EQ(counting.count(), k * pts.size());
     EXPECT_EQ(counting.screened_evals(), 0u);
@@ -357,7 +355,6 @@ TEST(BatchKernelTest, CountingMetricGmmCostIsExactlyKTimesN) {
   // kernels, and the exact (rescue) count never exceeds the pre-screening
   // baseline. (On this workload most relax positions are certified skips.)
   {
-    ScopedScreening on(true);
     CountingMetric counting(&base);
     Gmm(data, counting, k);
     EXPECT_EQ(counting.screened_evals(), k * pts.size());

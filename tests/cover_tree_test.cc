@@ -37,19 +37,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-struct ScopedIndexGate {
-  IndexGate prev;
-  explicit ScopedIndexGate(const IndexGate& gate) : prev(GetIndexGate()) {
-    SetIndexGateForTesting(gate);
-  }
-  ~ScopedIndexGate() { SetIndexGateForTesting(prev); }
-};
-
-IndexGate ForcedOn() {
-  IndexGate gate;
-  gate.force = 1;
-  return gate;
-}
+// Indexing forced on: skips the gate's size minimums and probe.
+constexpr KernelPolicy kForced{.indexing = IndexPolicy::kForce};
 
 PointSet SparsePoints(size_t n, uint64_t seed) {
   SparseTextOptions opts;
@@ -130,13 +119,18 @@ PointSet OneClusterPlusOutlier(size_t n, uint64_t seed) {
   return pts;
 }
 
-std::vector<std::unique_ptr<Metric>> AllMetrics() {
+std::vector<std::unique_ptr<Metric>> AllMetrics(KernelPolicy policy = {}) {
   std::vector<std::unique_ptr<Metric>> metrics;
-  metrics.push_back(std::make_unique<EuclideanMetric>());
-  metrics.push_back(std::make_unique<ManhattanMetric>());
-  metrics.push_back(std::make_unique<CosineMetric>());
-  metrics.push_back(std::make_unique<JaccardMetric>());
+  metrics.push_back(std::make_unique<EuclideanMetric>(policy));
+  metrics.push_back(std::make_unique<ManhattanMetric>(policy));
+  metrics.push_back(std::make_unique<CosineMetric>(policy));
+  metrics.push_back(std::make_unique<JaccardMetric>(policy));
   return metrics;
+}
+
+// The built-in `metric` rebuilt with the index off: the flat screened path.
+std::unique_ptr<Metric> Flat(const Metric& metric) {
+  return MakeMetricByName(metric.Name(), {.indexing = IndexPolicy::kOff});
 }
 
 struct NamedLayout {
@@ -174,17 +168,11 @@ INSTANTIATE_TEST_SUITE_P(Threads, ThreadCounts, ::testing::Values(1, 2, 8));
 // radii, and single-point trees.
 TEST_P(ThreadCounts, GmmIndexedBitIdenticalToFlat) {
   SetGlobalThreadPoolSize(GetParam());
-  ScopedIndexGate force(ForcedOn());
   for (const NamedLayout& layout : AllLayouts()) {
     Dataset data(layout.pts);
     size_t k = std::min<size_t>(10, data.size());
-    for (const auto& metric : AllMetrics()) {
-      GmmResult flat;
-      {
-        ScopedIndexing off(false);
-        flat = Gmm(data, *metric, k);
-      }
-      ScopedIndexing on(true);
+    for (const auto& metric : AllMetrics(kForced)) {
+      GmmResult flat = Gmm(data, *Flat(*metric), k);
       GmmResult indexed = Gmm(data, *metric, k);
       ExpectSameGmm(indexed, flat, metric->Name() + "/" + layout.name);
     }
@@ -197,20 +185,14 @@ TEST_P(ThreadCounts, GmmIndexedBitIdenticalToFlat) {
 // exercised heavily.
 TEST_P(ThreadCounts, GmmIndexedAtScaleBitIdenticalToFlat) {
   SetGlobalThreadPoolSize(GetParam());
-  ScopedIndexGate force(ForcedOn());
   std::vector<NamedLayout> layouts;
   layouts.push_back(
       {"blobs", GenerateGaussianBlobs(4000, 8, 8, 0.02, /*seed=*/311)});
   layouts.push_back({"sparse", SparsePoints(3000, /*seed=*/312)});
   for (const NamedLayout& layout : layouts) {
     Dataset data(layout.pts);
-    for (const auto& metric : AllMetrics()) {
-      GmmResult flat;
-      {
-        ScopedIndexing off(false);
-        flat = Gmm(data, *metric, 48, /*first=*/7);
-      }
-      ScopedIndexing on(true);
+    for (const auto& metric : AllMetrics(kForced)) {
+      GmmResult flat = Gmm(data, *Flat(*metric), 48, /*first=*/7);
       GmmResult indexed = Gmm(data, *metric, 48, /*first=*/7);
       ExpectSameGmm(indexed, flat, metric->Name() + "/" + layout.name);
     }
@@ -222,14 +204,13 @@ TEST_P(ThreadCounts, GmmIndexedAtScaleBitIdenticalToFlat) {
 // incoming dist arrays.
 TEST_P(ThreadCounts, IndexedRelaxBitIdenticalToFlat) {
   SetGlobalThreadPoolSize(GetParam());
-  ScopedIndexGate force(ForcedOn());
   for (const NamedLayout& layout : AllLayouts()) {
     Dataset data(layout.pts);
     size_t n = data.size();
     size_t m = std::min<size_t>(24, n);
     Dataset centers;
     for (size_t i = 0; i < m; ++i) centers.Append(data.point((i * 7) % n));
-    for (const auto& metric : AllMetrics()) {
+    for (const auto& metric : AllMetrics(kForced)) {
       std::string ctx = metric->Name() + "/" + layout.name;
       ASSERT_TRUE(
           OneShotIndexProfitable(*metric, centers, m, data) ||
@@ -332,8 +313,8 @@ TEST(CoverTreeBuild, EmptyAndSingleton) {
   ASSERT_EQ(single.size(), 1u);
   ASSERT_EQ(single.nodes().size(), 1u);
   EXPECT_EQ(single.nodes()[0].left, 0u);
-  ScopedIndexGate force(ForcedOn());
-  GmmResult r = LazyGreedyGmm(one, single, metric, 1);
+  EuclideanMetric forced(kForced);
+  GmmResult r = LazyGreedyGmm(one, single, forced, 1);
   EXPECT_EQ(r.selected, std::vector<size_t>{0});
   EXPECT_EQ(r.range, 0.0);
 }
@@ -345,7 +326,6 @@ TEST(CoverTreeBuild, EmptyAndSingleton) {
 // node bound evaluations.
 TEST(CoverTreeCounts, IndexedExactEvalsNeverExceedFlatScreened) {
   SetGlobalThreadPoolSize(1);
-  ScopedIndexGate force(ForcedOn());
   Dataset blobs(
       GenerateGaussianBlobs(3000, 8, 8, 0.02, /*seed=*/331));
   // Jaccard needs clustered SPARSE data: on dense rows every support is the
@@ -353,22 +333,22 @@ TEST(CoverTreeCounts, IndexedExactEvalsNeverExceedFlatScreened) {
   // collapses to one leaf — no node to prune.
   Dataset topics =
       Dataset(ClusteredSparsePoints(3000, 8, /*seed=*/332));
-  for (const auto& base : AllMetrics()) {
+  for (const auto& base : AllMetrics(kForced)) {
     std::string ctx = base->Name();
     const Dataset& data = (ctx == "jaccard") ? topics : blobs;
-    CountingMetric counting(base.get());
     // Flat screened baseline (index off, screen on).
     GmmResult flat;
     uint64_t flat_exact = 0;
     {
-      ScopedIndexing off(false);
-      flat = Gmm(data, counting, 32);
-      flat_exact = counting.exact_evals();
+      const auto flat_base = Flat(*base);
+      CountingMetric flat_counting(flat_base.get());
+      flat = Gmm(data, flat_counting, 32);
+      flat_exact = flat_counting.exact_evals();
     }
     // Indexed: tree built with the PLAIN metric (build cost accounted
     // separately), traversal through the counting wrapper.
     CoverTree tree = CoverTree::Build(data, *base);
-    counting.Reset();
+    CountingMetric counting(base.get());
     CoverTreeQueryStats stats;
     GmmResult indexed = LazyGreedyGmm(data, tree, counting, 32, 0, &stats);
     ExpectSameGmm(indexed, flat, ctx);
@@ -399,26 +379,18 @@ TEST(CoverTreeGate, DeterministicVerdicts) {
   EXPECT_FALSE(IndexProfitable(clustered, metric, 8));
   Dataset tiny(GenerateUniformCube(64, 4, 343));
   EXPECT_FALSE(IndexProfitable(tiny, metric, 64));
-  // Force overrides both ways.
-  IndexGate on = ForcedOn();
-  {
-    ScopedIndexGate g(on);
-    EXPECT_TRUE(IndexProfitable(tiny, metric, 64));
-  }
-  IndexGate off;
-  off.force = -1;
-  {
-    ScopedIndexGate g(off);
-    EXPECT_FALSE(IndexProfitable(clustered, metric, 64));
-  }
+  // The policy overrides both ways.
+  EuclideanMetric forced(kForced);
+  EXPECT_TRUE(IndexProfitable(tiny, forced, 64));
+  EuclideanMetric off({.indexing = IndexPolicy::kOff});
+  EXPECT_FALSE(IndexProfitable(clustered, off, 64));
   // One-shot slack coverage: a query whose norm undercuts the data's
   // smallest positive norm is not dominated and must take the flat path.
   {
-    ScopedIndexGate g(on);
-    EXPECT_TRUE(OneShotIndexProfitable(metric, clustered, 256, clustered));
+    EXPECT_TRUE(OneShotIndexProfitable(forced, clustered, 256, clustered));
     Dataset tiny_norm;
     tiny_norm.Append(Point::Dense(std::vector<float>(8, 1e-30f)));
-    EXPECT_FALSE(OneShotIndexProfitable(metric, tiny_norm, 256, clustered));
+    EXPECT_FALSE(OneShotIndexProfitable(forced, tiny_norm, 256, clustered));
   }
 }
 
@@ -428,8 +400,7 @@ TEST(CoverTreeGate, DeterministicVerdicts) {
 // label.
 TEST(CoverTreeConcurrency, ConcurrentTraversalsShareOneTree) {
   SetGlobalThreadPoolSize(1);
-  ScopedIndexGate force(ForcedOn());
-  EuclideanMetric metric;
+  EuclideanMetric metric(kForced);
   Dataset data(
       GenerateGaussianBlobs(2000, 8, 6, 0.03, /*seed=*/351));
   CoverTree tree = CoverTree::Build(data, metric);
@@ -496,15 +467,11 @@ TEST(SparseDecodeCache, ReusesQueryBlockDecodesAcrossRowRanges) {
   EXPECT_EQ(assign, want_assign);
   // The indexed path leans harder on the cache: one center block applied to
   // many leaf slabs re-decodes nothing.
-  ScopedIndexGate force(ForcedOn());
-  CoverTree tree = CoverTree::Build(data, metric);
+  CosineMetric forced(kForced);
+  CoverTree tree = CoverTree::Build(data, forced);
   ResetSparseQueryDecodeStats();
-  GmmResult flat;
-  {
-    ScopedIndexing off(false);
-    flat = Gmm(data, metric, 16);
-  }
-  GmmResult indexed = LazyGreedyGmm(data, tree, metric, 16);
+  GmmResult flat = Gmm(data, CosineMetric({.indexing = IndexPolicy::kOff}), 16);
+  GmmResult indexed = LazyGreedyGmm(data, tree, forced, 16);
   ExpectSameGmm(indexed, flat, "cosine/sparse-decode");
 }
 

@@ -164,21 +164,18 @@ TEST_P(MetamorphicThreads, PermutationLeavesSequentialSelectionsUnchanged) {
   PointSet dense = DensePoints(60, /*seed=*/501);
   PointSet sparse = ContinuousSparsePoints(60, /*seed=*/502);
 
-  std::vector<std::unique_ptr<Metric>> metrics;
-  metrics.push_back(std::make_unique<EuclideanMetric>());
-  metrics.push_back(std::make_unique<ManhattanMetric>());
-  metrics.push_back(std::make_unique<CosineMetric>());
-
-  // The indexed dimension forces the metric-index gate on (the probe would
+  // The indexed dimension forces the metric index on (the probe would
   // gate these 60-point sets off); equivariance must survive because the
   // cover-tree traversal is bit-identical to the flat sweep.
-  IndexGate forced;
-  forced.force = +1;
-  SetIndexGateForTesting(forced);
   for (bool screening : {true, false}) {
   for (bool indexing : {true, false}) {
-    ScopedScreening guard(screening);
-    ScopedIndexing index_guard(indexing);
+    const KernelPolicy policy{
+        .screening = screening,
+        .indexing = indexing ? IndexPolicy::kForce : IndexPolicy::kOff};
+    std::vector<std::unique_ptr<Metric>> metrics;
+    metrics.push_back(std::make_unique<EuclideanMetric>(policy));
+    metrics.push_back(std::make_unique<ManhattanMetric>(policy));
+    metrics.push_back(std::make_unique<CosineMetric>(policy));
     for (const PointSet* pts : {&dense, &sparse}) {
       bool sparse_layout = pts == &sparse;
       std::vector<size_t> perm = RandomPermutation(pts->size(), 503);
@@ -224,7 +221,6 @@ TEST_P(MetamorphicThreads, PermutationLeavesSequentialSelectionsUnchanged) {
     }
   }
   }
-  SetIndexGateForTesting(IndexGate{});
 }
 
 TEST_P(MetamorphicThreads, PermutationKeepsExactEvalCountsInvariant) {
@@ -232,8 +228,7 @@ TEST_P(MetamorphicThreads, PermutationKeepsExactEvalCountsInvariant) {
   PointSet pts = DensePoints(80, /*seed=*/504);
   std::vector<size_t> perm = RandomPermutation(pts.size(), 505);
   PointSet permuted = Permute(pts, perm);
-  EuclideanMetric base;
-  ScopedScreening off(false);
+  EuclideanMetric base({.screening = false});
   // The exact path's evaluation count is a function of (n, k) alone, so it
   // cannot depend on input order.
   CountingMetric c1(&base);

@@ -50,19 +50,20 @@ Dataset Layout(const std::string& name) {
 // A user-defined metric: overrides nothing but Distance and Name.
 class DiscreteMetric final : public Metric {
  public:
+  explicit DiscreteMetric(KernelPolicy policy = {}) : Metric(policy) {}
   double Distance(const Point& a, const Point& b) const override {
     return a == b ? 0.0 : 1.0;
   }
   std::string Name() const override { return "discrete"; }
 };
 
-std::vector<std::unique_ptr<Metric>> GateMetrics() {
+std::vector<std::unique_ptr<Metric>> GateMetrics(KernelPolicy policy = {}) {
   std::vector<std::unique_ptr<Metric>> metrics;
-  metrics.push_back(std::make_unique<EuclideanMetric>());
-  metrics.push_back(std::make_unique<ManhattanMetric>());
-  metrics.push_back(std::make_unique<CosineMetric>());
-  metrics.push_back(std::make_unique<JaccardMetric>());
-  metrics.push_back(std::make_unique<DiscreteMetric>());
+  metrics.push_back(std::make_unique<EuclideanMetric>(policy));
+  metrics.push_back(std::make_unique<ManhattanMetric>(policy));
+  metrics.push_back(std::make_unique<CosineMetric>(policy));
+  metrics.push_back(std::make_unique<JaccardMetric>(policy));
+  metrics.push_back(std::make_unique<DiscreteMetric>(policy));
   return metrics;
 }
 
@@ -149,7 +150,6 @@ TEST(MetricGateTable, IndexingVerdicts) {
   // Indexing is a property of the metric: the four built-ins are genuine
   // metrics with a certified rounding slack, a user-defined distance is
   // never pruned with.
-  ScopedIndexing on(true);
   auto metrics = GateMetrics();
   for (const char* layout : {"dense", "sparse", "mixed", "empty"}) {
     Dataset data = Layout(layout);
@@ -157,8 +157,7 @@ TEST(MetricGateTable, IndexingVerdicts) {
     for (const auto& m : metrics) index.push_back(UseIndexing(*m, data));
     EXPECT_EQ(Verdicts(index), "11110") << layout;
   }
-  ScopedIndexing off(false);
-  for (const auto& m : metrics) {
+  for (const auto& m : GateMetrics({.indexing = IndexPolicy::kOff})) {
     EXPECT_FALSE(UseIndexing(*m, Layout("dense"))) << m->Name();
   }
 }

@@ -140,6 +140,11 @@ std::vector<std::unique_ptr<Metric>> AllMetrics() {
   return metrics;
 }
 
+// The built-in `metric` rebuilt with screening off: the exact-only oracle.
+std::unique_ptr<Metric> Unscreened(const Metric& metric) {
+  return MakeMetricByName(metric.Name(), {.screening = false});
+}
+
 struct NamedLayout {
   std::string name;
   PointSet pts;
@@ -164,12 +169,7 @@ TEST_P(ThreadCounts, GmmTrajectoryBitIdenticalToExact) {
   for (const NamedLayout& layout : AllLayouts()) {
     Dataset data(layout.pts);
     for (const auto& metric : AllMetrics()) {
-      GmmResult exact;
-      {
-        ScopedScreening off(false);
-        exact = Gmm(data, *metric, 10);
-      }
-      ScopedScreening on(true);
+      GmmResult exact = Gmm(data, *Unscreened(*metric), 10);
       GmmResult screened = Gmm(data, *metric, 10);
       std::string ctx = metric->Name() + "/" + layout.name;
       EXPECT_EQ(screened.selected, exact.selected) << ctx;
@@ -218,12 +218,11 @@ TEST_P(ThreadCounts, KCenterAndMatchingAndRadiusBitIdenticalToExact) {
       std::vector<size_t> exact_match;
       double exact_radius;
       {
-        ScopedScreening off(false);
-        exact_kc = SolveKCenterDoubling(layout.pts, *metric, 6);
-        exact_match = GreedyMatchingOnDataset(data, *metric, 9);
-        exact_radius = ClusteringRadius(data, *metric, exact_kc.centers);
+        const auto exact = Unscreened(*metric);
+        exact_kc = SolveKCenterDoubling(layout.pts, *exact, 6);
+        exact_match = GreedyMatchingOnDataset(data, *exact, 9);
+        exact_radius = ClusteringRadius(data, *exact, exact_kc.centers);
       }
-      ScopedScreening on(true);
       KCenterResult kc = SolveKCenterDoubling(layout.pts, *metric, 6);
       EXPECT_EQ(kc.centers, exact_kc.centers) << ctx;
       EXPECT_EQ(kc.assignment, exact_kc.assignment) << ctx;
@@ -246,10 +245,10 @@ TEST_P(ThreadCounts, SmmStreamsBitIdenticalToExact) {
       double exact_threshold;
       size_t exact_phases;
       {
-        ScopedScreening off(false);
-        Smm smm(metric.get(), 4, 8);
-        SmmExt ext(metric.get(), 4, 8);
-        SmmGen gen(metric.get(), 4, 8);
+        const auto exact = Unscreened(*metric);
+        Smm smm(exact.get(), 4, 8);
+        SmmExt ext(exact.get(), 4, 8);
+        SmmGen gen(exact.get(), 4, 8);
         for (const Point& p : layout.pts) {
           smm.Update(p);
           ext.Update(p);
@@ -261,7 +260,6 @@ TEST_P(ThreadCounts, SmmStreamsBitIdenticalToExact) {
         exact_ext = ext.Finalize();
         exact_gen = gen.Finalize();
       }
-      ScopedScreening on(true);
       Smm smm(metric.get(), 4, 8);
       SmmExt ext(metric.get(), 4, 8);
       SmmGen gen(metric.get(), 4, 8);
@@ -297,12 +295,8 @@ TEST_P(ThreadCounts, InstantiateBitIdenticalToExact) {
       double range = 0.0;
       GeneralizedCoreset coreset =
           GmmGenCoreset(data, *metric, 4, 10, &range);
-      std::optional<PointSet> exact;
-      {
-        ScopedScreening off(false);
-        exact = Instantiate(coreset, layout.pts, *metric, range);
-      }
-      ScopedScreening on(true);
+      std::optional<PointSet> exact =
+          Instantiate(coreset, layout.pts, *Unscreened(*metric), range);
       std::optional<PointSet> screened =
           Instantiate(coreset, layout.pts, *metric, range);
       ASSERT_EQ(screened.has_value(), exact.has_value()) << ctx;
@@ -358,18 +352,12 @@ TEST(ScreenTest, ArgClosestAndFirstWithinMatchExactIncludingBoundaries) {
     Dataset data(layout.pts);
     for (const auto& metric : AllMetrics()) {
       std::string ctx = metric->Name() + "/" + layout.name;
+      const auto exact = Unscreened(*metric);
       for (size_t qi : {size_t{0}, layout.pts.size() / 2}) {
         const Point& q = layout.pts[qi];
         double exact_min, min_dist;
-        size_t exact_idx, idx;
-        {
-          ScopedScreening off(false);
-          exact_idx = ScreenedArgClosest(*metric, q, data, &exact_min);
-        }
-        {
-          ScopedScreening on(true);
-          idx = ScreenedArgClosest(*metric, q, data, &min_dist);
-        }
+        size_t exact_idx = ScreenedArgClosest(*exact, q, data, &exact_min);
+        size_t idx = ScreenedArgClosest(*metric, q, data, &min_dist);
         EXPECT_EQ(idx, exact_idx) << ctx;
         EXPECT_EQ(min_dist, exact_min) << ctx;
         // Thresholds at an exact distance value (inclusive boundary), just
@@ -380,15 +368,8 @@ TEST(ScreenTest, ArgClosestAndFirstWithinMatchExactIncludingBoundaries) {
         for (double threshold :
              {exact_min, std::nextafter(exact_min, -1.0), mid,
               std::nextafter(mid, -1.0), 1e300, -1.0}) {
-          size_t exact_first, first;
-          {
-            ScopedScreening off(false);
-            exact_first = ScreenedFirstWithin(*metric, q, data, threshold);
-          }
-          {
-            ScopedScreening on(true);
-            first = ScreenedFirstWithin(*metric, q, data, threshold);
-          }
+          size_t exact_first = ScreenedFirstWithin(*exact, q, data, threshold);
+          size_t first = ScreenedFirstWithin(*metric, q, data, threshold);
           EXPECT_EQ(first, exact_first) << ctx << " threshold " << threshold;
         }
       }
@@ -476,7 +457,6 @@ TEST(ScreenTest, FusedSmmSweepsScreenAtLowDimension) {
   PointSet pts = DensePoints(400, 3, /*seed=*/231);
   EuclideanMetric base;
   CountingMetric counting(&base);
-  ScopedScreening on(true);
   Smm smm(&counting, 8, 16);
   for (const Point& p : pts) smm.Update(p);
   EXPECT_GT(counting.screened_evals(), 0u);
@@ -500,16 +480,11 @@ TEST(ScreenTest, SparseCosineTileRelaxScreensAndMatchesExact) {
   std::vector<double> exact_dist(data.size(),
                                  std::numeric_limits<double>::infinity());
   std::vector<size_t> exact_assign(data.size(), 0);
-  size_t exact_best;
-  {
-    ScopedScreening off(false);
-    exact_best = RelaxTilesAndArgFarthest(base, data, 0, nq, 0, data,
-                                          exact_dist, exact_assign);
-  }
+  size_t exact_best = RelaxTilesAndArgFarthest(base, data, 0, nq, 0, data,
+                                                exact_dist, exact_assign);
   uint64_t screened_ref = 0, exact_ref = 0;
   for (size_t threads : {1u, 2u, 8u}) {
     SetGlobalThreadPoolSize(threads);
-    ScopedScreening on(true);
     CountingMetric counting(&base);
     std::vector<double> dist(data.size(),
                              std::numeric_limits<double>::infinity());
@@ -533,14 +508,13 @@ TEST(ScreenTest, SparseCosineTileRelaxScreensAndMatchesExact) {
   SetGlobalThreadPoolSize(1);
 }
 
-// The global toggle and the SolveOptions flag: screening off means zero
-// fp32 evaluations; results agree bit for bit either way.
+// The metric's screening policy: screening off means zero fp32 evaluations;
+// results agree bit for bit either way.
 TEST(ScreenTest, ToggleDisablesScreeningEntirely) {
   PointSet pts = DensePoints(300, 8, /*seed=*/211);
   Dataset data(pts);
-  EuclideanMetric base;
+  EuclideanMetric base({.screening = false});
   {
-    ScopedScreening off(false);
     CountingMetric counting(&base);
     Gmm(data, counting, 8);
     EXPECT_EQ(counting.screened_evals(), 0u);
@@ -548,7 +522,6 @@ TEST(ScreenTest, ToggleDisablesScreeningEntirely) {
   }
   // Jaccard never screens (ScreeningProfitable false), even when enabled.
   {
-    ScopedScreening on(true);
     JaccardMetric jaccard;
     CountingMetric counting(&jaccard);
     Dataset sparse(SparsePoints(150, /*seed=*/212));

@@ -8,9 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cover_tree.h"
 #include "core/metric.h"
-#include "core/screen.h"
 #include "data/synthetic.h"
 
 namespace diverse {
@@ -250,31 +248,6 @@ TEST(TrySolveTest, GatheredDatasetSolvesLikeItsPointsOnAllBackends) {
     EXPECT_EQ(got->coreset_size, want->coreset_size) << BackendName(b);
     EXPECT_EQ(got->rounds_or_passes, want->rounds_or_passes) << BackendName(b);
   }
-}
-
-// The screening/indexing guards count the scopes that disable them, so
-// releasing two disabling guards out of order — as two overlapping TrySolve
-// calls with screening = indexing = false can — turns both tiers back on.
-TEST(SolveTest, ToggleGuardsReleasedOutOfOrderRestoreBothTiers) {
-  auto first_screen = std::make_unique<ScopedScreening>(false);
-  auto first_index = std::make_unique<ScopedIndexing>(false);
-  auto second_screen = std::make_unique<ScopedScreening>(false);
-  auto second_index = std::make_unique<ScopedIndexing>(false);
-  {
-    // An enabling guard cannot override a live disabling one.
-    ScopedScreening on(true);
-    ScopedIndexing index_on(true);
-    EXPECT_FALSE(ScreeningEnabled());
-    EXPECT_FALSE(IndexingEnabled());
-  }
-  first_screen.reset();
-  first_index.reset();
-  EXPECT_FALSE(ScreeningEnabled());
-  EXPECT_FALSE(IndexingEnabled());
-  second_screen.reset();
-  second_index.reset();
-  EXPECT_TRUE(ScreeningEnabled());
-  EXPECT_TRUE(IndexingEnabled());
 }
 
 TEST(SolveTest, SequentialMatchesDirectCall) {

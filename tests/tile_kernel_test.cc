@@ -18,7 +18,7 @@
 //   * the chunked parallel pair scan selects the matrix reference's pairs
 //     with the same exact/screened evaluation counts at 1/2/4 threads;
 //   * the cluster-bounded pair scan selects exactly what the exhaustive
-//     scan (ScopedIndexing(false)) and the matrix reference select, on
+//     scan (indexing off) and the matrix reference select, on
 //     clustered, uniform, all-duplicate, hub, sparse and L1 inputs, and
 //     never pays more evaluations than the exhaustive scan where it prunes.
 
@@ -375,7 +375,7 @@ TEST(TileKernelTest, DistanceMatrixDeterministicAtAnyThreadCount) {
 // A hub far from a tight cluster makes every top-buffer pair share the hub:
 // after the first chosen pair both endpoints are dead, the buffer runs dry,
 // and the matching must rescan. The refill must only touch the live rows —
-// the exhaustive scan (ScopedIndexing(false)) pays exactly live*(live-1)/2
+// the exhaustive scan (indexing off) pays exactly live*(live-1)/2
 // additional evaluations, with no distance to a used row recomputed, and
 // the cluster-bounded scan never pays more than that.
 TEST(TileKernelTest, GreedyMatchingRefillScansOnlyLiveRows) {
@@ -401,9 +401,9 @@ TEST(TileKernelTest, GreedyMatchingRefillScansOnlyLiveRows) {
   // Exact path: every scanned pair is an exact evaluation.
   std::vector<size_t> chosen;
   {
-    ScopedScreening off(false);
-    ScopedIndexing exhaustive(false);
-    CountingMetric counting(&base);
+    EuclideanMetric exact(
+        {.screening = false, .indexing = IndexPolicy::kOff});
+    CountingMetric counting(&exact);
     chosen = GreedyMatchingOnDataset(data, counting, 4);
     EXPECT_EQ(chosen.size(), 4u);
     EXPECT_EQ(counting.count(), initial + refill);
@@ -414,9 +414,8 @@ TEST(TileKernelTest, GreedyMatchingRefillScansOnlyLiveRows) {
   // the buffer could keep are re-evaluated exactly — never more than the
   // pre-screening baseline, and the selection is unchanged.
   {
-    ScopedScreening on(true);
-    ScopedIndexing exhaustive(false);
-    CountingMetric counting(&base);
+    EuclideanMetric exhaustive({.indexing = IndexPolicy::kOff});
+    CountingMetric counting(&exhaustive);
     std::vector<size_t> screened = GreedyMatchingOnDataset(data, counting, 4);
     EXPECT_EQ(screened, chosen);
     EXPECT_EQ(counting.screened_evals(), initial + refill);
@@ -428,14 +427,13 @@ TEST(TileKernelTest, GreedyMatchingRefillScansOnlyLiveRows) {
   // selects the same pairs for at most the exhaustive scan's evaluations,
   // unscreened and screened.
   {
-    ScopedScreening off(false);
-    CountingMetric counting(&base);
+    EuclideanMetric unscreened({.screening = false});
+    CountingMetric counting(&unscreened);
     EXPECT_EQ(GreedyMatchingOnDataset(data, counting, 4), chosen);
     EXPECT_LE(counting.count(), initial + refill);
     EXPECT_EQ(counting.screened_evals(), 0u);
   }
   {
-    ScopedScreening on(true);
     CountingMetric counting(&base);
     EXPECT_EQ(GreedyMatchingOnDataset(data, counting, 4), chosen);
     EXPECT_LE(counting.screened_evals(), initial + refill);
@@ -458,13 +456,21 @@ struct MatchingRun {
   uint64_t screened = 0;
 };
 
+// The built-in `metric` rebuilt with screening and indexing on or off.
+std::unique_ptr<Metric> WithTiers(const Metric& metric, bool screening,
+                                  bool indexing) {
+  return MakeMetricByName(
+      metric.Name(),
+      {.screening = screening,
+       .indexing = indexing ? IndexPolicy::kAuto : IndexPolicy::kOff});
+}
+
 MatchingRun CountedMatching(const Dataset& data, const Metric& base, size_t k,
                             size_t threads, bool screening,
                             bool indexing = true) {
   SetGlobalThreadPoolSize(threads);
-  ScopedScreening guard(screening);
-  ScopedIndexing bounded(indexing);
-  CountingMetric counting(&base);
+  const auto metric = WithTiers(base, screening, indexing);
+  CountingMetric counting(metric.get());
   MatchingRun run;
   run.chosen = GreedyMatchingOnDataset(data, counting, k);
   run.exact = counting.exact_evals();
@@ -544,14 +550,12 @@ void ExpectBoundedScanMatchesExhaustive(const PointSet& pts,
   const std::vector<size_t> reference = GreedyMatchingOnMatrix(d, k);
   for (bool screening : {false, true}) {
     SCOPED_TRACE(screening ? "screened" : "exact");
-    ScopedScreening guard(screening);
-    std::vector<size_t> exhaustive;
-    {
-      ScopedIndexing off(false);
-      exhaustive = GreedyMatchingOnDataset(data, metric, k);
-    }
+    std::vector<size_t> exhaustive = GreedyMatchingOnDataset(
+        data, *WithTiers(metric, screening, false), k);
     EXPECT_EQ(exhaustive, reference);
-    EXPECT_EQ(GreedyMatchingOnDataset(data, metric, k), reference);
+    EXPECT_EQ(
+        GreedyMatchingOnDataset(data, *WithTiers(metric, screening, true), k),
+        reference);
   }
 }
 

@@ -38,6 +38,13 @@ rules:
                       src/) rebuilds every row as a Point, an O(n) export
                       for API edges. Library paths read rows (row(i),
                       point(i), AssignGatherColumnar) instead.
+  no-mutable-globals-in-core  Namespace-scope variables in src/core must
+                      be const, constexpr or thread_local. Per-call choices
+                      travel with the call (the Metric's KernelPolicy), so
+                      two concurrent solves never see each other's state;
+                      a process-global that some call writes breaks that.
+                      The allow comment may sit on any line of the
+                      declaration.
 """
 
 import argparse
@@ -142,6 +149,74 @@ def lint_file(path):
                         "same-line justification comment")
 
 
+VAR_OK_RE = re.compile(r"\b(?:const|constexpr|thread_local)\b")
+NOT_VAR_RE = re.compile(
+    r"^\s*(?:using|typedef|template|class|struct|union|enum|friend|"
+    r"static_assert|namespace|extern\s+template)\b")
+NAMESPACE_RE = re.compile(r"^\s*(?:inline\s+)?namespace\b[\w:\s]*$|"
+                          r'^\s*extern\s+""\s*$')
+TYPE_KEYWORD_RE = re.compile(r"\b(?:class|struct|union|enum)\b")
+
+
+def lint_core_globals(path):
+    """no-mutable-globals-in-core: scans the namespace-scope statements of
+    one src/core file. A brace opens a namespace, a brace initializer
+    (after `=`, or right after a declarator with no parameter list) or any
+    other body; only statements ending in `;` outside every non-namespace
+    body are declarations at namespace scope."""
+    stack = []  # one entry per open brace: "ns", "init" or "body"
+    stmt, stmt_lines = "", []
+    for line_no, code, full in code_lines(path):
+        if code.lstrip().startswith("#"):
+            continue  # preprocessor
+        for ch in code:
+            at_ns = all(kind == "ns" for kind in stack)
+            if ch == "{":
+                text = stmt.strip()
+                if at_ns and NAMESPACE_RE.match(text):
+                    stack.append("ns")
+                    stmt, stmt_lines = "", []
+                elif at_ns and text and ("=" in text or (
+                        "(" not in text and not TYPE_KEYWORD_RE.search(text)
+                        and re.search(r"[\w\]]$", text))):
+                    stack.append("init")
+                else:
+                    stack.append("body")
+                continue
+            if ch == "}":
+                kind = stack.pop() if stack else "ns"
+                if kind == "body" and all(k == "ns" for k in stack):
+                    stmt, stmt_lines = "", []
+                continue
+            if not at_ns:
+                continue
+            if ch == ";":
+                check_core_global(path, stmt, stmt_lines)
+                stmt, stmt_lines = "", []
+                continue
+            stmt += ch
+            if not stmt_lines or stmt_lines[-1][0] != line_no:
+                stmt_lines.append((line_no, full))
+        if all(kind == "ns" for kind in stack):
+            stmt += " "
+
+
+def check_core_global(path, stmt, stmt_lines):
+    text = re.sub(r"alignas\s*\([^)]*\)|\[\[[^\]]*\]\]", "", stmt).strip()
+    if not text or NOT_VAR_RE.match(text) or VAR_OK_RE.search(text):
+        return
+    # A parameter list before any initializer is a function declaration.
+    paren, eq = text.find("("), text.find("=")
+    if paren >= 0 and (eq < 0 or paren < eq):
+        return
+    if any(allowed(full, "no-mutable-globals-in-core")
+           for _, full in stmt_lines):
+        return
+    finding("no-mutable-globals-in-core", path, stmt_lines[0][0],
+            "mutable namespace-scope state in src/core; pass it with the "
+            "call (e.g. the Metric's KernelPolicy) or make it const")
+
+
 def lint_tile_coverage():
     """Every Metric with DistanceTile* kernels must appear in the tile
     equivalence test matrix: each alias of the built-in KernelMetric
@@ -200,6 +275,9 @@ def main():
 
     for path in sorted(SRC.rglob("*.h")) + sorted(SRC.rglob("*.cc")):
         lint_file(path)
+    core = SRC / "core"
+    for path in sorted(core.glob("*.h")) + sorted(core.glob("*.cc")):
+        lint_core_globals(path)
     lint_tile_coverage()
 
     if findings:
