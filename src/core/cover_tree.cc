@@ -112,7 +112,7 @@ bool OneShotIndexProfitable(const Metric& metric, const Dataset& queries,
   // Slack coverage (soundness, not profitability — enforced even under
   // force): the tree's certified band reads the DATA's statistics, so every
   // query row's must be dominated by them; Metric::IndexSlack is monotone
-  // in these statistics, exactly like the PersistentScreenContext bound.
+  // in these statistics, like every Metric::ScreenErrorBound.
   if (queries.dim() != data.dim()) return false;
   if (queries.has_dense_rows() && !data.has_dense_rows()) return false;
   if (queries.sparse_stats().max_nnz > data.sparse_stats().max_nnz) {

@@ -22,11 +22,10 @@ constexpr size_t kRelaxChunk = 512;
 // coordinate work: their fp32 pass re-reads a materialized buffer and the
 // rescue band stays populated throughout the k-step trajectory, so below
 // ~8 coords per row the screen only ties the exact sweep. The fused SMM
-// sweeps (ScreenedArgClosest / ScreenedArgClosestWithin /
-// ScreenedFirstWithin) carry no such gate: their skip path is one float
-// compare against precomputed cutoffs, profitable at any dimension. The
-// decision reads only dataset statistics — deterministic, and either
-// verdict is bit-identical.
+// sweeps (ScreenedArgClosestWithin / ScreenedFirstWithin) carry no such
+// gate: their skip path is one float compare against precomputed cutoffs,
+// profitable at any dimension. The decision reads only dataset
+// statistics — deterministic, and either verdict is bit-identical.
 bool SingleQueryScreenWorthwhile(const Dataset& data) {
   size_t work = data.has_dense_rows() ? data.dim() : 0;
   const Dataset::SparseStats& ss = data.sparse_stats();
@@ -36,24 +35,23 @@ bool SingleQueryScreenWorthwhile(const Dataset& data) {
   return work >= 8;
 }
 
-// Exact (unscreened) first-strict-argmin sweep — the fallback of the fused
-// nearest-center sweeps.
-size_t ExactArgClosest(const Metric& metric, const Point& query,
-                       const Dataset& data, double* min_dist) {
+// Exact (unscreened) first-strict-argmin sweep — the fallback of
+// ScreenedArgClosestWithin.
+ScreenedNearest ExactNearest(const Metric& metric, const Point& query,
+                             const Dataset& data) {
   size_t n = data.size();
   thread_local std::vector<double> d;
   d.resize(n);
   metric.DistanceToMany(query, data, 0, std::span<double>(d.data(), n));
-  size_t best = 0;
-  double best_val = std::numeric_limits<double>::infinity();
+  ScreenedNearest out;
+  out.dist = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < n; ++i) {
-    if (d[i] < best_val) {
-      best_val = d[i];
-      best = i;
+    if (d[i] < out.dist) {
+      out.dist = d[i];
+      out.index = i;
     }
   }
-  if (min_dist != nullptr) *min_dist = best_val;
-  return best;
+  return out;
 }
 
 // The parallel skeleton of every relax-and-argmax sweep: runs
@@ -376,20 +374,25 @@ size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& queries,
       });
 }
 
-namespace {
-
-// The fused argmin + coverage sweep under an already-resolved bound: shared
-// by the one-shot overload (per-query bound) and the persistent-context
-// overload (cached dataset-worst-case bound). `beyond` is the precomputed
-// certify-beyond cutoff at the caller's cover threshold.
-ScreenedNearest ScreenedArgClosestWithinBody(const Metric& metric,
-                                             const Point& query,
-                                             const Dataset& data,
-                                             const ScreenBound& bound,
-                                             double inv_rel, float beyond) {
+ScreenedNearest ScreenedArgClosestWithin(const Metric& metric,
+                                         const Point& query,
+                                         const Dataset& data,
+                                         double cover_threshold) {
   size_t n = data.size();
-  ScreenedNearest out;
+  DIVERSE_CHECK_GE(n, 1u);
+  DIVERSE_CHECK_GE(cover_threshold, 0.0);
+  const ScreenSideStats qs = SideStatsOf(query);
+  const ScreenSideStats ds = SideStatsOf(data);
+  if (!UseScreening(metric) || !metric.ScreeningProfitableFor(qs, ds)) {
+    return ExactNearest(metric, query, data);
+  }
+  const ScreenBound bound = metric.ScreenErrorBound(qs, ds, data.dim());
+  if (!(bound.rel < 1.0)) {
+    return ExactNearest(metric, query, data);  // degenerate: run exact
+  }
+  const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
   const float flt_max = std::numeric_limits<float>::max();
+  ScreenedNearest out;
   thread_local std::vector<float> s;
   s.resize(n);
   metric.DistanceToManyF32(query, data, 0, std::span<float>(s.data(), n));
@@ -409,7 +412,8 @@ ScreenedNearest ScreenedArgClosestWithinBody(const Metric& metric,
   // cover threshold, the caller's coverage decision is settled with zero
   // exact evaluations (the skip-threshold transform is exactly the
   // "certify exact > t" test, applied with t = cover_threshold).
-  if (!any_nonfinite && smin > beyond) {
+  if (!any_nonfinite &&
+      smin > ScreenSkipThreshold(cover_threshold, bound.abs, inv_rel)) {
     out.beyond = true;
     return out;
   }
@@ -444,142 +448,10 @@ ScreenedNearest ScreenedArgClosestWithinBody(const Metric& metric,
   return out;
 }
 
-// The fused first-within loop under already-resolved cutoffs: shared by
-// the one-shot and persistent-context overloads of ScreenedFirstWithin.
-size_t ScreenedFirstWithinBody(const Metric& metric, const Point& query,
-                               const Dataset& data, double threshold,
-                               float within, float beyond) {
-  size_t n = data.size();
-  constexpr size_t kChunk = 16;
-  const float flt_max = std::numeric_limits<float>::max();
-  float buf[kChunk];
-  for (size_t b = 0; b < n; b += kChunk) {
-    size_t bn = std::min(kChunk, n - b);
-    metric.DistanceToManyF32(query, data, b, std::span<float>(buf, bn));
-    for (size_t i = 0; i < bn; ++i) {
-      float v = buf[i];
-      if (v >= -flt_max && v <= within) return b + i;
-      if (v > beyond && v <= flt_max) continue;
-      double d = 0.0;
-      metric.DistanceToMany(query, data, b + i, std::span<double>(&d, 1));
-      if (d <= threshold) return b + i;
-    }
-  }
-  return n;
-}
-
-}  // namespace
-
-ScreenedNearest ScreenedArgClosestWithin(const Metric& metric,
-                                         const Point& query,
-                                         const Dataset& data,
-                                         double cover_threshold) {
-  size_t n = data.size();
-  DIVERSE_CHECK_GE(n, 1u);
-  DIVERSE_CHECK_GE(cover_threshold, 0.0);
-  const ScreenSideStats qs = SideStatsOf(query);
-  const ScreenSideStats ds = SideStatsOf(data);
-  if (UseScreening(metric) && metric.ScreeningProfitableFor(qs, ds)) {
-    const ScreenBound bound = metric.ScreenErrorBound(qs, ds, data.dim());
-    if (bound.rel < 1.0) {
-      const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
-      const float beyond = ScreenSkipThreshold(cover_threshold, bound.abs,
-                                               inv_rel);
-      return ScreenedArgClosestWithinBody(metric, query, data, bound,
-                                          inv_rel, beyond);
-    }
-  }
-  ScreenedNearest out;
-  out.index = ExactArgClosest(metric, query, data, &out.dist);
-  return out;
-}
-
-// True when the context's cached dataset-worst-case bound covers `query`:
-// the query's side statistics are dominated by the data's own extremes, so
-// the cached bound is at least as wide as the per-call bound (see the
-// header's soundness note).
-bool ScreenContextCovers(const PersistentScreenContext& ctx,
-                         const Point& query) {
-  if (query.is_sparse()) {
-    if (query.sparse_values().size() > ctx.max_nnz_) return false;
-  } else if (!ctx.has_dense_) {
-    return false;
-  }
-  double qn = query.norm();
-  return qn == 0.0 || qn >= ctx.min_positive_norm_;
-}
-
-// Rebuilds the context's cached bound and cutoffs when the (data stats,
-// threshold) key moved; counts a hit otherwise. Returns false when the
-// cached bound is degenerate (rel >= 1) and callers must take the one-shot
-// path.
-bool RefreshScreenContext(PersistentScreenContext& ctx, const Metric& metric,
-                          const Dataset& data, double threshold) {
-  const ScreenSideStats ds = SideStatsOf(data);
-  bool same = ctx.valid_ && ctx.dim_ == data.dim() &&
-              ctx.has_dense_ == ds.has_dense &&
-              ctx.max_nnz_ == ds.max_sparse_nnz &&
-              ctx.min_positive_norm_ == ds.min_positive_norm &&
-              ctx.threshold_ == threshold;
-  if (same) {
-    ++ctx.hits_;
-  } else {
-    ctx.dim_ = data.dim();
-    ctx.has_dense_ = ds.has_dense;
-    ctx.max_nnz_ = ds.max_sparse_nnz;
-    ctx.min_positive_norm_ = ds.min_positive_norm;
-    ctx.threshold_ = threshold;
-    ctx.bound_ = metric.ScreenErrorBound(ds, ds, data.dim());
-    if (ctx.bound_.rel < 1.0) {
-      ctx.inv_rel_ = (1.0 + 1e-12) / (1.0 - ctx.bound_.rel);
-      ctx.beyond_ = ScreenSkipThreshold(threshold, ctx.bound_.abs,
-                                        ctx.inv_rel_);
-      ctx.within_ = ScreenCertifiedBelow(threshold, ctx.bound_);
-    }
-    ctx.valid_ = true;
-    ++ctx.rebuilds_;
-  }
-  return ctx.bound_.rel < 1.0;
-}
-
-ScreenedNearest ScreenedArgClosestWithin(const Metric& metric,
-                                         const Point& query,
-                                         const Dataset& data,
-                                         double cover_threshold,
-                                         PersistentScreenContext* ctx) {
-  if (ctx == nullptr) {
-    return ScreenedArgClosestWithin(metric, query, data, cover_threshold);
-  }
-  size_t n = data.size();
-  DIVERSE_CHECK_GE(n, 1u);
-  DIVERSE_CHECK_GE(cover_threshold, 0.0);
-  if (!UseScreening(metric) ||
-      !metric.ScreeningProfitableFor(SideStatsOf(query), SideStatsOf(data))) {
-    ScreenedNearest out;
-    out.index = ExactArgClosest(metric, query, data, &out.dist);
-    return out;
-  }
-  if (!RefreshScreenContext(*ctx, metric, data, cover_threshold) ||
-      !ScreenContextCovers(*ctx, query)) {
-    return ScreenedArgClosestWithin(metric, query, data, cover_threshold);
-  }
-  return ScreenedArgClosestWithinBody(metric, query, data, ctx->bound_,
-                                      ctx->inv_rel_, ctx->beyond_);
-}
-
-size_t ScreenedArgClosest(const Metric& metric, const Point& query,
-                          const Dataset& data, double* min_dist) {
-  // +inf cover threshold: the coverage certificate can never fire, so this
-  // is the plain fused screened argmin.
-  ScreenedNearest r = ScreenedArgClosestWithin(
-      metric, query, data, std::numeric_limits<double>::infinity());
-  if (min_dist != nullptr) *min_dist = r.dist;
-  return r.index;
-}
-
 size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
                            const Dataset& data, double threshold) {
   size_t n = data.size();
+  constexpr size_t kChunk = 16;
   const ScreenSideStats qs = SideStatsOf(query);
   const ScreenSideStats ds = SideStatsOf(data);
   if (UseScreening(metric) && metric.ScreeningProfitableFor(qs, ds)) {
@@ -594,11 +466,23 @@ size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
       const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
       const float within = ScreenCertifiedBelow(threshold, bound);
       const float beyond = ScreenSkipThreshold(threshold, bound.abs, inv_rel);
-      return ScreenedFirstWithinBody(metric, query, data, threshold, within,
-                                     beyond);
+      const float flt_max = std::numeric_limits<float>::max();
+      float buf[kChunk];
+      for (size_t b = 0; b < n; b += kChunk) {
+        size_t bn = std::min(kChunk, n - b);
+        metric.DistanceToManyF32(query, data, b, std::span<float>(buf, bn));
+        for (size_t i = 0; i < bn; ++i) {
+          float v = buf[i];
+          if (v >= -flt_max && v <= within) return b + i;
+          if (v > beyond && v <= flt_max) continue;
+          double d = 0.0;
+          metric.DistanceToMany(query, data, b + i, std::span<double>(&d, 1));
+          if (d <= threshold) return b + i;
+        }
+      }
+      return n;
     }
   }
-  constexpr size_t kChunk = 16;
   double buf[kChunk];
   for (size_t b = 0; b < n; b += kChunk) {
     size_t bn = std::min(kChunk, n - b);
@@ -608,27 +492,6 @@ size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
     }
   }
   return n;
-}
-
-size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
-                           const Dataset& data, double threshold,
-                           PersistentScreenContext* ctx) {
-  if (ctx == nullptr) {
-    return ScreenedFirstWithin(metric, query, data, threshold);
-  }
-  size_t n = data.size();
-  if (n == 0) return 0;
-  if (!UseScreening(metric) ||
-      !metric.ScreeningProfitableFor(SideStatsOf(query), SideStatsOf(data)) ||
-      threshold < 0.0) {
-    return ScreenedFirstWithin(metric, query, data, threshold);
-  }
-  if (!RefreshScreenContext(*ctx, metric, data, threshold) ||
-      !ScreenContextCovers(*ctx, query)) {
-    return ScreenedFirstWithin(metric, query, data, threshold);
-  }
-  return ScreenedFirstWithinBody(metric, query, data, threshold,
-                                 ctx->within_, ctx->beyond_);
 }
 
 }  // namespace diverse

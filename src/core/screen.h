@@ -217,15 +217,6 @@ size_t ScreenedRelaxRange(const Metric& metric, const Dataset& queries,
                           std::span<double> dist, std::span<size_t> assignment,
                           size_t center_rank);
 
-/// First row index minimizing Distance(query, row) — ties to the smallest
-/// index, exactly like a sequential strict-min scan — with the exact
-/// minimum distance in *min_dist. Requires data nonempty. (SMM's
-/// nearest-center update scan.) The fused sweep compares raw fp32 values
-/// against precomputed float cutoffs (no per-row double bound transforms)
-/// and carries no per-row work gate: it screens at any dimension.
-size_t ScreenedArgClosest(const Metric& metric, const Point& query,
-                          const Dataset& data, double* min_dist);
-
 /// Outcome of the fused nearest-center + coverage sweep.
 struct ScreenedNearest {
   /// True when the screen certified min distance > cover_threshold without
@@ -241,8 +232,12 @@ struct ScreenedNearest {
 /// pass decides, per row, whether it can be the nearest center and whether
 /// the whole sweep can certify min distance > cover_threshold. When it can,
 /// the caller's coverage decision needs no exact evaluation at all;
-/// otherwise the exact first-strict argmin and minimum are returned, bit-
-/// identical to the exact scan. Requires data nonempty.
+/// otherwise the exact first-strict argmin (ties to the smallest index) and
+/// minimum are returned, bit-identical to the exact scan. A +inf
+/// cover_threshold never certifies, making this a plain screened argmin.
+/// The candidate test compares raw fp32 values against precomputed float
+/// cutoffs and carries no per-row work gate: it screens at any dimension.
+/// Requires data nonempty.
 ScreenedNearest ScreenedArgClosestWithin(const Metric& metric,
                                          const Point& query,
                                          const Dataset& data,
@@ -250,91 +245,12 @@ ScreenedNearest ScreenedArgClosestWithin(const Metric& metric,
 
 /// First row index with Distance(query, row) <= threshold, or data.size()
 /// when no row qualifies, scanning ascending with chunked early exit.
-/// (SMM's merge-step membership scan.) Fused like ScreenedArgClosest: two
-/// precomputed float cutoffs (certainly-within / certainly-beyond) replace
-/// the per-row double bound transforms, and no per-row work gate applies.
+/// (SMM's merge-step membership scan.) Fused like ScreenedArgClosestWithin:
+/// two precomputed float cutoffs (certainly-within / certainly-beyond)
+/// replace the per-row double bound transforms, and no per-row work gate
+/// applies.
 size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
                            const Dataset& data, double threshold);
-
-/// Reusable screening state for engines that issue MANY structurally
-/// identical point-vs-dataset sweeps against a slowly changing dataset and
-/// a slowly changing threshold (SMM: one nearest-center sweep per stream
-/// point, one membership sweep per merge candidate). The one-shot sweeps
-/// above recompute the error bound and both float cutoffs on every call —
-/// fixed work that dominates at low dimension. A context snapshots that
-/// state keyed on the dataset's aggregate statistics (dim, dense presence,
-/// max sparse support, smallest positive norm) plus the threshold, and
-/// replays it until the key moves (appends rarely move the stats).
-///
-/// Soundness: the cached bound is the dataset-vs-dataset worst case (the
-/// data's own statistics on both sides), substituted for the per-query bound only
-/// when the query's side statistics are dominated by the data's own
-/// extremes (a dense query needs dense rows present; a sparse query's
-/// support must not exceed the data's max; a positive query norm must not
-/// undercut the data's smallest positive norm). Dominated queries see a
-/// bound at least as wide as their per-call bound — wider bounds rescue
-/// more and skip less, never unsafely — because every ScreenErrorBound
-/// here is monotone in those statistics (the base default is constant).
-/// Non-dominated queries silently take the one-shot path. Results are
-/// bit-identical with or without a context; only evaluation counts move.
-///
-/// Thread-compatibility: a context is per-engine mutable state (SMM owns
-/// one per instance) and is refreshed unlocked on the calling thread —
-/// share one across threads and the cache key races. One context per
-/// engine, like the engines themselves (see streaming/smm.h).
-class PersistentScreenContext {
- public:
-  PersistentScreenContext() = default;
-
-  /// Times the cached cutoffs were rebuilt because the key moved (tests
-  /// assert amortization: rebuilds stay O(stat changes), not O(calls)).
-  uint64_t rebuilds() const { return rebuilds_; }
-  /// Calls that replayed the cached cutoffs without rebuilding.
-  uint64_t hits() const { return hits_; }
-
- private:
-  friend ScreenedNearest ScreenedArgClosestWithin(
-      const Metric& metric, const Point& query, const Dataset& data,
-      double cover_threshold, PersistentScreenContext* ctx);
-  friend size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
-                                    const Dataset& data, double threshold,
-                                    PersistentScreenContext* ctx);
-  friend bool RefreshScreenContext(PersistentScreenContext& ctx,
-                                   const Metric& metric, const Dataset& data,
-                                   double threshold);
-  friend bool ScreenContextCovers(const PersistentScreenContext& ctx,
-                                  const Point& query);
-
-  // Snapshot key.
-  bool valid_ = false;
-  size_t dim_ = 0;
-  bool has_dense_ = false;
-  size_t max_nnz_ = 0;
-  double min_positive_norm_ = 0.0;
-  double threshold_ = -1.0;
-  // Cached derived state (meaningful while valid_).
-  ScreenBound bound_;
-  double inv_rel_ = 0.0;
-  float beyond_ = 0.0f;   // certify exact > threshold_ cutoff
-  float within_ = -1.0f;  // certify exact < threshold_ cutoff
-  uint64_t rebuilds_ = 0;
-  uint64_t hits_ = 0;
-};
-
-/// ScreenedArgClosestWithin with a persistent context (nullptr falls back
-/// to the one-shot overload). Bit-identical results; the context only
-/// amortizes the per-call bound and cutoff precomputation.
-ScreenedNearest ScreenedArgClosestWithin(const Metric& metric,
-                                         const Point& query,
-                                         const Dataset& data,
-                                         double cover_threshold,
-                                         PersistentScreenContext* ctx);
-
-/// ScreenedFirstWithin with a persistent context (nullptr falls back to
-/// the one-shot overload). Bit-identical results.
-size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
-                           const Dataset& data, double threshold,
-                           PersistentScreenContext* ctx);
 
 }  // namespace diverse
 

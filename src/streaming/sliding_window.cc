@@ -9,7 +9,10 @@ namespace diverse {
 
 SlidingWindowDiversity::SlidingWindowDiversity(
     const Metric* metric, const SlidingWindowOptions& options)
-    : metric_(metric), options_(options) {
+    : metric_(metric),
+      options_(options),
+      running_(metric, options.k, options.k_prime,
+               internal_smm::OnePassMode(options.problem)) {
   DIVERSE_CHECK(metric != nullptr);
   DIVERSE_CHECK_GE(options_.k, 1u);
   DIVERSE_CHECK_GE(options_.k_prime, options_.k);
@@ -20,29 +23,14 @@ SlidingWindowDiversity::SlidingWindowDiversity(
   // Retained full blocks: enough that the retained span always covers the
   // last `window` points once that many have arrived.
   max_blocks_ = (options_.window + options_.block - 1) / options_.block;
-  StartBlock();
-}
-
-void SlidingWindowDiversity::StartBlock() {
-  if (RequiresInjectiveProxies(options_.problem)) {
-    running_smm_ext_ = std::make_unique<SmmExt>(metric_, options_.k,
-                                                options_.k_prime);
-    running_smm_.reset();
-  } else {
-    running_smm_ =
-        std::make_unique<Smm>(metric_, options_.k, options_.k_prime);
-    running_smm_ext_.reset();
-  }
-  running_count_ = 0;
 }
 
 void SlidingWindowDiversity::SealBlock() {
-  Block block;
-  block.coreset =
-      running_smm_ ? running_smm_->Finalize() : running_smm_ext_->Finalize();
-  blocks_.push_back(std::move(block));
+  blocks_.push_back(running_.FinalizeCoreset());
   while (blocks_.size() > max_blocks_) blocks_.pop_front();
-  StartBlock();
+  running_ =
+      internal_smm::SmmEngine(metric_, options_.k, options_.k_prime,
+                              internal_smm::OnePassMode(options_.problem));
   // Sample the post-seal residency (sealed core-set retained, fresh
   // engine): together with the per-Update samples this makes the high-water
   // mark cover every steady state the summary passes through, including
@@ -51,35 +39,23 @@ void SlidingWindowDiversity::SealBlock() {
 }
 
 void SlidingWindowDiversity::Update(const Point& p) {
-  if (running_smm_) {
-    running_smm_->Update(p);
-  } else {
-    running_smm_ext_->Update(p);
-  }
-  ++running_count_;
+  running_.Update(p);
   ++points_processed_;
   peak_stored_points_ = std::max(peak_stored_points_, StoredPoints());
-  if (running_count_ == options_.block) SealBlock();
+  if (running_.points_processed() == options_.block) SealBlock();
 }
 
 StreamingResult SlidingWindowDiversity::Query() const {
   StreamingResult result;
   PointSet united;
-  for (const Block& b : blocks_) {
-    united.insert(united.end(), b.coreset.begin(), b.coreset.end());
+  for (const PointSet& b : blocks_) {
+    united.insert(united.end(), b.begin(), b.end());
   }
-  if (running_count_ > 0) {
-    // Snapshot the running block: engines are value types, so finalize a
-    // copy without disturbing the live one.
-    if (running_smm_) {
-      Smm copy = *running_smm_;
-      PointSet c = copy.Finalize();
-      united.insert(united.end(), c.begin(), c.end());
-    } else {
-      SmmExt copy = *running_smm_ext_;
-      PointSet c = copy.Finalize();
-      united.insert(united.end(), c.begin(), c.end());
-    }
+  if (running_.points_processed() > 0) {
+    // The running block's core-set so far; finalizing only reads the
+    // engine, so the live block is not disturbed.
+    PointSet c = running_.FinalizeCoreset();
+    united.insert(united.end(), c.begin(), c.end());
   }
   result.coreset_size = united.size();
   // Report the running high-water mark, not the instantaneous residency:
@@ -104,10 +80,8 @@ StreamingResult SlidingWindowDiversity::Query() const {
 
 size_t SlidingWindowDiversity::StoredPoints() const {
   size_t total = 0;
-  for (const Block& b : blocks_) total += b.coreset.size();
-  if (running_smm_) total += running_smm_->engine().StoredPoints();
-  if (running_smm_ext_) total += running_smm_ext_->engine().StoredPoints();
-  return total;
+  for (const PointSet& b : blocks_) total += b.size();
+  return total + running_.StoredPoints();
 }
 
 }  // namespace diverse

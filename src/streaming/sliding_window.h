@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <memory>
 
 #include "core/diversity.h"
 #include "core/metric.h"
@@ -50,10 +49,10 @@ struct SlidingWindowOptions {
 /// Maintains per-block streaming core-sets for the last `window` points and
 /// answers diversity queries over the (block-granular) window.
 ///
-/// Thread-compatibility contract: single-threaded, like the SMM engines it
-/// wraps (see smm.h) — Update/Query mutate block state and the columnar
-/// query mirror without locking. One instance per stream consumer;
-/// concurrent callers must serialize externally.
+/// Thread-compatibility contract: single-threaded, like the SMM engine it
+/// wraps (see smm.h) — Update mutates block state without locking. One
+/// instance per stream consumer; concurrent callers must serialize
+/// externally.
 class SlidingWindowDiversity {
  public:
   /// `metric` must outlive this object. Requires k >= 1, k_prime >= k,
@@ -86,26 +85,18 @@ class SlidingWindowDiversity {
   size_t PeakStoredPoints() const { return peak_stored_points_; }
 
  private:
-  // One full block's frozen core-set.
-  struct Block {
-    PointSet coreset;
-  };
-
-  // (Re)creates the engine for a fresh block.
-  void StartBlock();
-  // Freezes the running block into blocks_ and trims expired blocks.
+  // Freezes the running block into blocks_, trims expired blocks and
+  // starts a fresh engine.
   void SealBlock();
 
   const Metric* metric_;
   SlidingWindowOptions options_;
   size_t max_blocks_ = 0;
 
-  std::deque<Block> blocks_;
-  // Engine of the currently-filling block (exactly one of the two is live,
-  // chosen by problem family).
-  std::unique_ptr<Smm> running_smm_;
-  std::unique_ptr<SmmExt> running_smm_ext_;
-  size_t running_count_ = 0;
+  std::deque<PointSet> blocks_;  // frozen core-sets of full blocks
+  // Engine of the currently-filling block: SMM or SMM-EXT by problem
+  // family, as in StreamingDiversity.
+  internal_smm::SmmEngine running_;
   size_t points_processed_ = 0;
   size_t peak_stored_points_ = 0;
 };

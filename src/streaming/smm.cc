@@ -1,5 +1,6 @@
 #include "streaming/smm.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -19,60 +20,49 @@ SmmEngine::SmmEngine(const Metric* metric, size_t k, size_t k_prime, Mode mode)
 
 void SmmEngine::Update(const Point& p) {
   ++points_processed_;
-  if (initializing_) {
-    Entry e;
-    e.center = p;
-    if (mode_ == Mode::kDelegates) e.delegates.push_back(p);
-    centers_.push_back(std::move(e));
-    centers_columnar_.Append(p);
-    if (centers_.size() == k_prime_ + 1) {
-      // d_1 = min pairwise distance among the first k'+1 points, computed
-      // as one tiled pairwise pass over the columnar center mirror.
-      DistanceMatrix pairwise(centers_columnar_, *metric_);
-      double d1 = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < pairwise.size(); ++i) {
-        for (size_t j = i + 1; j < pairwise.size(); ++j) {
-          d1 = std::min(d1, pairwise.at(i, j));
-        }
+  if (!initializing_) {
+    // Update step of the current phase: one fused screened "argmin +
+    // threshold" sweep over the columnar centers. When the fp32 pass
+    // certifies that every center is beyond 4 d_i, the point opens a new
+    // center with zero exact evaluations; otherwise the exact first-strict
+    // argmin decides the host. Either way the decision is bit-identical to
+    // the exact batched sweep it falls back to when screening is off.
+    ScreenedNearest nearest = ScreenedArgClosestWithin(
+        *metric_, p, centers_columnar_, 4.0 * threshold_);
+    if (!nearest.beyond && nearest.dist <= 4.0 * threshold_) {
+      // Covered point: delegate bookkeeping in the EXT/GEN variants, plain
+      // discard in base SMM.
+      Entry& host = centers_[nearest.index];
+      if (mode_ == Mode::kDelegates && host.delegates.size() < k_) {
+        host.delegates.push_back(p);
+      } else if (mode_ == Mode::kCounts && host.count < k_) {
+        ++host.count;
       }
-      threshold_ = d1;
-      initializing_ = false;
-      MergeUntilBelowCapacity();
+      return;
     }
-    return;
   }
-
-  // Update step of the current phase: one fused screened "argmin +
-  // threshold" sweep over the columnar center mirror. When the fp32 pass
-  // certifies that every center is beyond 4 d_i, the point opens a new
-  // center with zero exact evaluations; otherwise the exact first-strict
-  // argmin decides the host. Either way the decision is bit-identical to
-  // the exact batched sweep it falls back to when screening is off, and —
-  // unlike the pre-fusion sweep — it screens at any dimension (no
-  // >=8-coords-per-row gate).
-  ScreenedNearest nearest =
-      ScreenedArgClosestWithin(*metric_, p, centers_columnar_,
-                               4.0 * threshold_, &update_ctx_);
-  if (nearest.beyond || nearest.dist > 4.0 * threshold_) {
-    Entry e;
-    e.center = p;
-    if (mode_ == Mode::kDelegates) e.delegates.push_back(p);
-    centers_.push_back(std::move(e));
-    centers_columnar_.Append(p);
-    if (centers_.size() == k_prime_ + 1) {
-      threshold_ *= 2.0;
-      MergeUntilBelowCapacity();
+  // p opens a new center.
+  Entry e;
+  if (mode_ == Mode::kDelegates) e.delegates.push_back(p);
+  centers_.push_back(std::move(e));
+  centers_columnar_.Append(p);
+  if (centers_.size() < k_prime_ + 1) return;
+  if (initializing_) {
+    // d_1 = min pairwise distance among the first k'+1 points, computed as
+    // one tiled pairwise pass over the columnar centers.
+    DistanceMatrix pairwise(centers_columnar_, *metric_);
+    double d1 = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < pairwise.size(); ++i) {
+      for (size_t j = i + 1; j < pairwise.size(); ++j) {
+        d1 = std::min(d1, pairwise.at(i, j));
+      }
     }
-    return;
+    threshold_ = d1;
+    initializing_ = false;
+  } else {
+    threshold_ *= 2.0;
   }
-  // Covered point: delegate bookkeeping in the EXT/GEN variants, plain
-  // discard in base SMM.
-  Entry& host = centers_[nearest.index];
-  if (mode_ == Mode::kDelegates && host.delegates.size() < k_) {
-    host.delegates.push_back(p);
-  } else if (mode_ == Mode::kCounts && host.count < k_) {
-    ++host.count;
-  }
+  MergeUntilBelowCapacity();
 }
 
 void SmmEngine::MergeUntilBelowCapacity() {
@@ -109,29 +99,30 @@ void SmmEngine::MergeStep() {
   // <= 2 d_i: scan centers in order; a center joins I unless an earlier
   // member of I is within 2 d_i, in which case it merges into that member
   // (the maximality witness), transferring delegates / counts. The kept
-  // set grows its own columnar mirror as it goes, so the membership scan
+  // set grows its own columnar copy as it goes, so the membership scan
   // runs as chunked screened threshold sweeps over contiguous rows
   // (certainly-within and certainly-beyond fp32 verdicts need no exact
   // evaluation; only band hits do), keeping the old scalar loop's early
   // exit to within one chunk (a merge-heavy step costs ~|T| evaluations,
-  // not |T|^2/2) and returning the exact scan's first host. The mirror
+  // not |T|^2/2) and returning the exact scan's first host. The kept copy
   // then becomes the post-merge centers_columnar_.
   double radius = 2.0 * threshold_;
   std::vector<Entry> kept;
   kept.reserve(centers_.size());
-  Dataset kept_mirror;  // columnar mirror of `kept`, same order
-  for (Entry& e : centers_) {
-    size_t host = ScreenedFirstWithin(*metric_, e.center, kept_mirror, radius,
-                                      &merge_ctx_);
+  Dataset kept_columnar;  // the centers of `kept`, same order
+  for (size_t i = 0; i < centers_.size(); ++i) {
+    Point center = centers_columnar_.point(i);
+    Entry& e = centers_[i];
+    size_t host = ScreenedFirstWithin(*metric_, center, kept_columnar, radius);
     if (host == kept.size()) {
-      kept_mirror.Append(e.center);
+      kept_columnar.Append(center);
       kept.push_back(std::move(e));
       continue;
     }
     Entry& h = kept[host];
     switch (mode_) {
       case Mode::kCentersOnly:
-        removed_.push_back(std::move(e.center));
+        removed_.push_back(std::move(center));
         break;
       case Mode::kDelegates: {
         size_t room = k_ - h.delegates.size();
@@ -147,8 +138,7 @@ void SmmEngine::MergeStep() {
     }
   }
   centers_ = std::move(kept);
-  // The kept mirror is exactly the surviving centers, in order.
-  centers_columnar_ = std::move(kept_mirror);
+  centers_columnar_ = std::move(kept_columnar);
 }
 
 size_t SmmEngine::StoredPoints() const {
@@ -169,13 +159,22 @@ size_t SmmEngine::StoredPoints() const {
 
 PointSet SmmEngine::Centers() const {
   PointSet out;
-  out.reserve(centers_.size());
-  for (const Entry& e : centers_) out.push_back(e.center);
+  out.reserve(centers_columnar_.size());
+  for (size_t i = 0; i < centers_columnar_.size(); ++i) {
+    out.push_back(centers_columnar_.point(i));
+  }
   return out;
 }
 
-PointSet SmmEngine::FinalizeCenters() {
-  DIVERSE_CHECK(mode_ == Mode::kCentersOnly);
+PointSet SmmEngine::FinalizeCoreset() const {
+  DIVERSE_CHECK(mode_ != Mode::kCounts);
+  if (mode_ == Mode::kDelegates) {
+    PointSet out;
+    for (const Entry& e : centers_) {
+      out.insert(out.end(), e.delegates.begin(), e.delegates.end());
+    }
+    return out;
+  }
   PointSet out = Centers();
   // The paper's modification: if fewer than k centers survive the last
   // phase, pad with arbitrary points removed by its merge step
@@ -187,19 +186,12 @@ PointSet SmmEngine::FinalizeCenters() {
   return out;
 }
 
-PointSet SmmEngine::FinalizeDelegates() {
-  DIVERSE_CHECK(mode_ == Mode::kDelegates);
-  PointSet out;
-  for (const Entry& e : centers_) {
-    for (const Point& p : e.delegates) out.push_back(p);
-  }
-  return out;
-}
-
-GeneralizedCoreset SmmEngine::FinalizeCounts() {
+GeneralizedCoreset SmmEngine::FinalizeCounts() const {
   DIVERSE_CHECK(mode_ == Mode::kCounts);
   GeneralizedCoreset out;
-  for (const Entry& e : centers_) out.Add(e.center, e.count);
+  for (size_t i = 0; i < centers_.size(); ++i) {
+    out.Add(centers_columnar_.point(i), centers_[i].count);
+  }
   return out;
 }
 

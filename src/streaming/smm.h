@@ -34,7 +34,6 @@
 #include "core/generalized_coreset.h"
 #include "core/metric.h"
 #include "core/point.h"
-#include "core/screen.h"
 
 namespace diverse {
 
@@ -42,11 +41,10 @@ namespace internal_smm {
 
 /// Shared phase machinery of the SMM family. Not a public API.
 ///
-/// Thread-compatibility contract: every SMM engine (and the columnar
-/// mirror it maintains for the merge step) is a SINGLE-THREADED state
-/// machine — Update/Merge mutate the center set and mirror with no
-/// internal locking, by design: a stream has one consumer, and wrapping
-/// every point in a mutex would dominate the per-point work. Concurrent
+/// Thread-compatibility contract: every SMM engine is a SINGLE-THREADED
+/// state machine — Update/Merge mutate the center set with no internal
+/// locking, by design: a stream has one consumer, and wrapping every point
+/// in a mutex would dominate the per-point work. Concurrent
 /// use requires one engine instance per thread (the MapReduce driver does
 /// exactly this) or external serialization by the caller. Distinct
 /// instances share nothing mutable, so per-thread engines need no locks.
@@ -81,21 +79,21 @@ class SmmEngine {
   /// pairwise-separation invariant).
   PointSet Centers() const;
 
-  /// Finalizes in kCentersOnly mode: centers padded from M to >= k points
-  /// when possible (padding is skipped only if the whole stream had fewer
-  /// points).
-  PointSet FinalizeCenters();
-
-  /// Finalizes in kDelegates mode: the union of all delegate sets.
-  PointSet FinalizeDelegates();
+  /// The point core-set of a kCentersOnly or kDelegates engine. Centers
+  /// only: the centers, padded from M to >= k points when possible
+  /// (padding is skipped only if the whole stream had fewer points).
+  /// Delegates: the union of all delegate sets. Reads the state only, so
+  /// it may be called mid-stream.
+  PointSet FinalizeCoreset() const;
 
   /// Finalizes in kCounts mode: the generalized core-set
   /// {(t, m_t) : t in T}.
-  GeneralizedCoreset FinalizeCounts();
+  GeneralizedCoreset FinalizeCounts() const;
 
  private:
+  // Per-center bookkeeping; the center itself is row i of
+  // centers_columnar_.
   struct Entry {
-    Point center;
     PointSet delegates;  // kDelegates mode; includes center, |.| <= k
     size_t count = 1;    // kCounts mode; includes center, <= k
   };
@@ -112,22 +110,15 @@ class SmmEngine {
   size_t k_prime_;
   Mode mode_;
 
-  std::vector<Entry> centers_;
-  // Columnar mirror of the centers in `centers_` (same order), so the
-  // per-update nearest-center scan runs as one screened devirtualized sweep
-  // (core/screen.h) instead of |T| virtual Distance calls, the
-  // phase-threshold pairwise scans run as blocked distance tiles
-  // (DistanceMatrix over the mirror), and merge steps scan their growing
-  // kept mirror in chunked screened threshold sweeps. Appended to on
-  // insertion, replaced by the kept mirror after merges.
+  // T, stored once: centers_columnar_ row i is center i and centers_[i]
+  // its bookkeeping. Columnar so the per-update nearest-center scan runs
+  // as one screened devirtualized sweep (core/screen.h) instead of |T|
+  // virtual Distance calls, the phase-threshold pairwise scans run as
+  // blocked distance tiles (DistanceMatrix), and merge steps scan their
+  // growing kept set in chunked screened threshold sweeps. Appended to on
+  // insertion, replaced by the kept set after merges.
   Dataset centers_columnar_;
-  // Persistent screen contexts for the two screened sweep shapes above: the
-  // per-update nearest-center scan and the merge-step membership scan. The
-  // cached fp32 cutoffs replay across calls while the mirror's aggregate
-  // statistics and the phase threshold stay put (rebuilds are O(stat
-  // changes), not O(points)); results are bit-identical either way.
-  PersistentScreenContext update_ctx_;
-  PersistentScreenContext merge_ctx_;
+  std::vector<Entry> centers_;
   PointSet removed_;  // M: points dropped in the current phase's merges
   double threshold_ = 0.0;
   bool initializing_ = true;
@@ -150,7 +141,7 @@ class Smm {
   void Update(const Point& p) { engine_.Update(p); }
 
   /// Returns the core-set (at least min(k, stream size) points).
-  PointSet Finalize() { return engine_.FinalizeCenters(); }
+  PointSet Finalize() const { return engine_.FinalizeCoreset(); }
 
   const internal_smm::SmmEngine& engine() const { return engine_; }
 
@@ -168,7 +159,7 @@ class SmmExt {
   void Update(const Point& p) { engine_.Update(p); }
 
   /// Returns the delegate-augmented core-set T' = union of E_t.
-  PointSet Finalize() { return engine_.FinalizeDelegates(); }
+  PointSet Finalize() const { return engine_.FinalizeCoreset(); }
 
   const internal_smm::SmmEngine& engine() const { return engine_; }
 
@@ -186,7 +177,7 @@ class SmmGen {
   void Update(const Point& p) { engine_.Update(p); }
 
   /// Returns the generalized core-set {(t, m_t)}.
-  GeneralizedCoreset Finalize() { return engine_.FinalizeCounts(); }
+  GeneralizedCoreset Finalize() const { return engine_.FinalizeCounts(); }
 
   /// Radius within which every stream point has a kernel point; the
   /// delta used by the second (instantiation) pass.

@@ -11,22 +11,14 @@ namespace diverse {
 StreamingDiversity::StreamingDiversity(const Metric* metric,
                                        DiversityProblem problem, size_t k,
                                        size_t k_prime)
-    : metric_(metric), problem_(problem), k_(k) {
-  if (RequiresInjectiveProxies(problem)) {
-    smm_ext_ = std::make_unique<SmmExt>(metric, k, k_prime);
-  } else {
-    smm_ = std::make_unique<Smm>(metric, k, k_prime);
-  }
-}
+    : metric_(metric),
+      problem_(problem),
+      k_(k),
+      engine_(metric, k, k_prime, internal_smm::OnePassMode(problem)) {}
 
 void StreamingDiversity::Update(const Point& p) {
-  if (smm_) {
-    smm_->Update(p);
-    peak_memory_ = std::max(peak_memory_, smm_->engine().StoredPoints());
-  } else {
-    smm_ext_->Update(p);
-    peak_memory_ = std::max(peak_memory_, smm_ext_->engine().StoredPoints());
-  }
+  engine_.Update(p);
+  peak_memory_ = std::max(peak_memory_, engine_.StoredPoints());
 }
 
 void StreamingDiversity::UpdateAll(const Dataset& data) {
@@ -35,11 +27,10 @@ void StreamingDiversity::UpdateAll(const Dataset& data) {
 
 StreamingResult StreamingDiversity::Finalize() {
   StreamingResult result;
-  PointSet coreset = smm_ ? smm_->Finalize() : smm_ext_->Finalize();
+  PointSet coreset = engine_.FinalizeCoreset();
   result.coreset_size = coreset.size();
   result.peak_memory_points = peak_memory_;
-  result.phases =
-      smm_ ? smm_->engine().phases() : smm_ext_->engine().phases();
+  result.phases = engine_.phases();
 
   size_t k = std::min(k_, coreset.size());
   if (k == 0) return result;

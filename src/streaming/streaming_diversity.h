@@ -16,7 +16,6 @@
 #define DIVERSE_STREAMING_STREAMING_DIVERSITY_H_
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "core/dataset.h"
@@ -41,6 +40,17 @@ struct StreamingResult {
   /// Number of SMM phases executed.
   size_t phases = 0;
 };
+
+namespace internal_smm {
+
+/// The engine mode of the one-pass algorithm: SMM-EXT (kDelegates) for the
+/// injective-proxy problems, SMM (kCentersOnly) for the others.
+inline SmmEngine::Mode OnePassMode(DiversityProblem problem) {
+  return RequiresInjectiveProxies(problem) ? SmmEngine::Mode::kDelegates
+                                           : SmmEngine::Mode::kCentersOnly;
+}
+
+}  // namespace internal_smm
 
 /// One-pass streaming diversity maximization (Theorem 3).
 class StreamingDiversity {
@@ -70,9 +80,8 @@ class StreamingDiversity {
   const Metric* metric_;
   DiversityProblem problem_;
   size_t k_;
-  // Exactly one of the two engines is live, chosen by problem family.
-  std::unique_ptr<Smm> smm_;
-  std::unique_ptr<SmmExt> smm_ext_;
+  // SMM (kCentersOnly) or SMM-EXT (kDelegates), chosen by problem family.
+  internal_smm::SmmEngine engine_;
   size_t peak_memory_ = 0;
 };
 

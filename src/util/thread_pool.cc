@@ -213,9 +213,11 @@ size_t DefaultGlobalThreads() {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
-Mutex g_global_pool_mu;
-std::unique_ptr<ThreadPool> g_global_pool
-    DIVERSE_GUARDED_BY(g_global_pool_mu);
+// The process-wide pool: mutable global state until ROADMAP item 3 (open)
+// moves the pool into per-call state.
+Mutex g_global_pool_mu;  // lint: allow(no-mutable-globals-in-core) item 3
+std::unique_ptr<ThreadPool>  // lint: allow(no-mutable-globals-in-core) item 3
+    g_global_pool DIVERSE_GUARDED_BY(g_global_pool_mu);
 
 }  // namespace
 

@@ -8,8 +8,8 @@
 // (indexed leaf-sweep rescues never exceed the flat screened baseline, and
 // CountingMetric's total equals rescues + node bound evaluations), the
 // build invariants, the deterministic profitability gate, concurrent
-// traversals over one shared tree, the sparse decode cache's reuse
-// counters, and PersistentScreenContext amortization.
+// traversals over one shared tree, and the sparse decode cache's reuse
+// counters.
 
 #include <algorithm>
 #include <cstddef>
@@ -473,39 +473,6 @@ TEST(SparseDecodeCache, ReusesQueryBlockDecodesAcrossRowRanges) {
   GmmResult flat = Gmm(data, CosineMetric({.indexing = IndexPolicy::kOff}), 16);
   GmmResult indexed = LazyGreedyGmm(data, tree, forced, 16);
   ExpectSameGmm(indexed, flat, "cosine/sparse-decode");
-}
-
-// Satellite proof: PersistentScreenContext replays cached cutoffs across
-// structurally identical sweeps (rebuilds stay O(stat changes), hits grow
-// with calls) and never changes a result.
-TEST(PersistentScreenContextTest, AmortizesCutoffsBitIdentically) {
-  SetGlobalThreadPoolSize(1);
-  EuclideanMetric metric;
-  PointSet pts = GenerateUniformCube(400, 8, /*seed=*/371);
-  Dataset data(
-      std::span<const Point>(pts.data(), pts.size() / 2));
-  PersistentScreenContext ctx;
-  double threshold = 0.8;
-  for (size_t i = pts.size() / 2; i < pts.size(); ++i) {
-    ScreenedNearest with =
-        ScreenedArgClosestWithin(metric, pts[i], data, threshold, &ctx);
-    ScreenedNearest without =
-        ScreenedArgClosestWithin(metric, pts[i], data, threshold);
-    EXPECT_EQ(with.beyond, without.beyond);
-    if (!with.beyond) {
-      EXPECT_EQ(with.index, without.index);
-      EXPECT_EQ(with.dist, without.dist);
-    }
-    size_t first_with =
-        ScreenedFirstWithin(metric, pts[i], data, threshold, &ctx);
-    size_t first_without = ScreenedFirstWithin(metric, pts[i], data, threshold);
-    EXPECT_EQ(first_with, first_without);
-    // Occasional appends: a valid stats cache folds the new row in, and the
-    // context only rebuilds when the aggregate statistics actually move.
-    if (i % 37 == 0) data.Append(pts[i]);
-  }
-  EXPECT_GT(ctx.hits(), 0u);
-  EXPECT_LT(ctx.rebuilds(), ctx.hits());
 }
 
 }  // namespace

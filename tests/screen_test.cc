@@ -16,6 +16,7 @@
 //     the exact-eval count never exceeding the pre-screening baseline.
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <memory>
 #include <span>
@@ -348,29 +349,65 @@ TEST(ScreenTest, ErrorBoundCoversSampledPairsAllMetricsAllLayouts) {
 }
 
 TEST(ScreenTest, ArgClosestAndFirstWithinMatchExactIncludingBoundaries) {
+  const double inf = std::numeric_limits<double>::infinity();
   for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data(layout.pts);
-    for (const auto& metric : AllMetrics()) {
-      std::string ctx = metric->Name() + "/" + layout.name;
-      const auto exact = Unscreened(*metric);
-      for (size_t qi : {size_t{0}, layout.pts.size() / 2}) {
-        const Point& q = layout.pts[qi];
-        double exact_min, min_dist;
-        size_t exact_idx = ScreenedArgClosest(*exact, q, data, &exact_min);
-        size_t idx = ScreenedArgClosest(*metric, q, data, &min_dist);
-        EXPECT_EQ(idx, exact_idx) << ctx;
-        EXPECT_EQ(min_dist, exact_min) << ctx;
-        // Thresholds at an exact distance value (inclusive boundary), just
-        // below it, and far out.
-        std::vector<double> all(data.size());
-        metric->DistanceToMany(q, data, 0, all);
-        double mid = all[data.size() / 3];
-        for (double threshold :
-             {exact_min, std::nextafter(exact_min, -1.0), mid,
-              std::nextafter(mid, -1.0), 1e300, -1.0}) {
-          size_t exact_first = ScreenedFirstWithin(*exact, q, data, threshold);
-          size_t first = ScreenedFirstWithin(*metric, q, data, threshold);
-          EXPECT_EQ(first, exact_first) << ctx << " threshold " << threshold;
+    for (size_t qi : {size_t{0}, layout.pts.size() / 2}) {
+      const Point& q = layout.pts[qi];
+      // The query against all rows (its own row makes the minimum 0) and
+      // against the other rows (usually a positive minimum, which gives
+      // the coverage certificate a margin to get wrong).
+      PointSet others = layout.pts;
+      others.erase(others.begin() + static_cast<std::ptrdiff_t>(qi));
+      for (const Dataset& data : {Dataset(layout.pts), Dataset(others)}) {
+        for (const auto& metric : AllMetrics()) {
+          std::string ctx = metric->Name() + "/" + layout.name + "/q" +
+                            std::to_string(qi) + "/n" +
+                            std::to_string(data.size());
+          const auto exact = Unscreened(*metric);
+          // A +inf cover threshold never certifies: the plain argmin.
+          ScreenedNearest exact_nearest =
+              ScreenedArgClosestWithin(*exact, q, data, inf);
+          ScreenedNearest nearest =
+              ScreenedArgClosestWithin(*metric, q, data, inf);
+          ASSERT_FALSE(exact_nearest.beyond) << ctx;
+          ASSERT_FALSE(nearest.beyond) << ctx;
+          EXPECT_EQ(nearest.index, exact_nearest.index) << ctx;
+          EXPECT_EQ(nearest.dist, exact_nearest.dist) << ctx;
+          const double exact_min = exact_nearest.dist;
+          // Thresholds at an exact distance value (inclusive boundary), just
+          // below it, and far out.
+          std::vector<double> all(data.size());
+          metric->DistanceToMany(q, data, 0, all);
+          double mid = all[data.size() / 3];
+          for (double threshold :
+               {exact_min, std::nextafter(exact_min, -1.0), mid,
+                std::nextafter(mid, -1.0), 1e300}) {
+            // Cover thresholds are nonnegative; nextafter(0, -1) is not.
+            if (threshold < 0.0) continue;
+            // The coverage certificate may fire only when every row really
+            // is beyond the threshold; otherwise the sweep reports the
+            // exact first-strict argmin.
+            ScreenedNearest within =
+                ScreenedArgClosestWithin(*metric, q, data, threshold);
+            if (within.beyond) {
+              EXPECT_GT(exact_min, threshold)
+                  << ctx << " threshold " << threshold;
+            } else {
+              EXPECT_EQ(within.index, exact_nearest.index)
+                  << ctx << " threshold " << threshold;
+              EXPECT_EQ(within.dist, exact_min)
+                  << ctx << " threshold " << threshold;
+            }
+          }
+          for (double threshold :
+               {exact_min, std::nextafter(exact_min, -1.0), mid,
+                std::nextafter(mid, -1.0), 1e300, -1.0}) {
+            size_t exact_first =
+                ScreenedFirstWithin(*exact, q, data, threshold);
+            size_t first = ScreenedFirstWithin(*metric, q, data, threshold);
+            EXPECT_EQ(first, exact_first)
+                << ctx << " threshold " << threshold;
+          }
         }
       }
     }

@@ -211,6 +211,33 @@ TEST(SlidingWindowTest, PeakMemoryCoversEvictedBlocks) {
   EXPECT_GE(sw.Query().peak_memory_points, external_max);
 }
 
+// Query() snapshots the running block's core-set mid-block; that must only
+// read the live engine. Two summarizers see the same stream, one queried
+// after every 7th point and once more mid-block, the other never: they
+// must end in the same state.
+TEST(SlidingWindowTest, QueryDoesNotDisturbTheRunningBlock) {
+  EuclideanMetric m;
+  for (DiversityProblem problem :
+       {DiversityProblem::kRemoteEdge, DiversityProblem::kRemoteClique}) {
+    SlidingWindowOptions o = Options(problem, 4, 12, 300, 100);
+    SlidingWindowDiversity queried(&m, o);
+    SlidingWindowDiversity quiet(&m, o);
+    PointSet pts = GenerateUniformCube(1037, 3, /*seed=*/9);
+    for (size_t i = 0; i < pts.size(); ++i) {
+      queried.Update(pts[i]);
+      quiet.Update(pts[i]);
+      if (i % 7 == 6 || i == 550) queried.Query();
+    }
+    StreamingResult a = queried.Query();
+    StreamingResult b = quiet.Query();
+    const int id = static_cast<int>(problem);
+    EXPECT_EQ(a.solution, b.solution) << id;
+    EXPECT_EQ(a.diversity, b.diversity) << id;
+    EXPECT_EQ(a.coreset_size, b.coreset_size) << id;
+    EXPECT_EQ(queried.StoredPoints(), quiet.StoredPoints()) << id;
+  }
+}
+
 TEST(SlidingWindowDeathTest, WindowSmallerThanBlockRejected) {
   EuclideanMetric m;
   EXPECT_DEATH(SlidingWindowDiversity(

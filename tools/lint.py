@@ -38,13 +38,14 @@ rules:
                       src/) rebuilds every row as a Point, an O(n) export
                       for API edges. Library paths read rows (row(i),
                       point(i), AssignGatherColumnar) instead.
-  no-mutable-globals-in-core  Namespace-scope variables in src/core must
-                      be const, constexpr or thread_local. Per-call choices
+  no-mutable-globals-in-core  Namespace-scope variables in src/ must be
+                      const, constexpr or thread_local. Per-call choices
                       travel with the call (the Metric's KernelPolicy), so
                       two concurrent solves never see each other's state;
                       a process-global that some call writes breaks that.
-                      The allow comment may sit on any line of the
-                      declaration.
+                      (The id predates the rule's widening from src/core
+                      to all of src/.) The allow comment may sit on any
+                      line of the declaration.
 """
 
 import argparse
@@ -158,9 +159,9 @@ NAMESPACE_RE = re.compile(r"^\s*(?:inline\s+)?namespace\b[\w:\s]*$|"
 TYPE_KEYWORD_RE = re.compile(r"\b(?:class|struct|union|enum)\b")
 
 
-def lint_core_globals(path):
+def lint_mutable_globals(path):
     """no-mutable-globals-in-core: scans the namespace-scope statements of
-    one src/core file. A brace opens a namespace, a brace initializer
+    one src/ file. A brace opens a namespace, a brace initializer
     (after `=`, or right after a declarator with no parameter list) or any
     other body; only statements ending in `;` outside every non-namespace
     body are declarations at namespace scope."""
@@ -191,7 +192,7 @@ def lint_core_globals(path):
             if not at_ns:
                 continue
             if ch == ";":
-                check_core_global(path, stmt, stmt_lines)
+                check_mutable_global(path, stmt, stmt_lines)
                 stmt, stmt_lines = "", []
                 continue
             stmt += ch
@@ -201,8 +202,10 @@ def lint_core_globals(path):
             stmt += " "
 
 
-def check_core_global(path, stmt, stmt_lines):
-    text = re.sub(r"alignas\s*\([^)]*\)|\[\[[^\]]*\]\]", "", stmt).strip()
+def check_mutable_global(path, stmt, stmt_lines):
+    # Attributes and thread-safety annotations are not parameter lists.
+    text = re.sub(r"alignas\s*\([^)]*\)|\[\[[^\]]*\]\]|"
+                  r"\bDIVERSE_\w*GUARDED_BY\s*\([^)]*\)", "", stmt).strip()
     if not text or NOT_VAR_RE.match(text) or VAR_OK_RE.search(text):
         return
     # A parameter list before any initializer is a function declaration.
@@ -213,7 +216,7 @@ def check_core_global(path, stmt, stmt_lines):
            for _, full in stmt_lines):
         return
     finding("no-mutable-globals-in-core", path, stmt_lines[0][0],
-            "mutable namespace-scope state in src/core; pass it with the "
+            "mutable namespace-scope state in src/; pass it with the "
             "call (e.g. the Metric's KernelPolicy) or make it const")
 
 
@@ -275,9 +278,7 @@ def main():
 
     for path in sorted(SRC.rglob("*.h")) + sorted(SRC.rglob("*.cc")):
         lint_file(path)
-    core = SRC / "core"
-    for path in sorted(core.glob("*.h")) + sorted(core.glob("*.cc")):
-        lint_core_globals(path)
+        lint_mutable_globals(path)
     lint_tile_coverage()
 
     if findings:
