@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "core/coreset.h"
-#include "core/cover_tree.h"
 #include "core/dataset.h"
 #include "core/distance_matrix.h"
 #include "core/diversity.h"
@@ -40,6 +39,7 @@
 #include "core/vector_kernels.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
+#include "gmm_scalar.h"
 #include "mapreduce/mr_diversity.h"
 #include "streaming/smm.h"
 #include "util/thread_pool.h"
@@ -210,7 +210,7 @@ void BM_GreedyMatchingDataset(benchmark::State& state) {
                                             /*seed=*/17));
   SetGlobalThreadPoolSize(1);
   const std::vector<size_t> reference = GreedyMatchingOnDataset(
-      data, EuclideanMetric({.indexing = IndexPolicy::kOff}), kMatchK);
+      data, EuclideanMetric({.indexing = false}), kMatchK);
   SetGlobalThreadPoolSize(threads);
   CountingMetric counting(&m);
   if (GreedyMatchingOnDataset(data, counting, kMatchK) != reference) {
@@ -1110,60 +1110,27 @@ void BM_ParallelForRangesDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForRangesDispatch)->Arg(2)->Arg(4);
 
-// --- Cover-tree metric index (third screening tier) ----------------------
-// Clustered corpus in the regime the index targets: 8 well-separated blobs
-// at dim 16 with small spread, so the profitability probe sees low doubling
-// dimension and gates the index ON (setup SkipWithErrors if it ever gates
-// off — the acceptance criterion). The uniform dim-32 corpus is the
-// complement: the probe must gate OFF and the gated Gmm() must ride within
-// a few percent of the pinned flat path (the probe is the only overhead).
+// --- GMM on a clustered corpus ---------------------------------------------
+// 8 well-separated blobs at dim 16 with small spread: the regime a
+// cluster-bounded GMM would prune (ROADMAP item 2), pinned here as the flat
+// screened baseline it must beat. Setup checks the result against the
+// scalar reference (SkipWithError on a mismatch drops the entry).
 
-Dataset MakeClusteredCorpus(size_t n) {
-  return Dataset(GenerateGaussianBlobs(n, 8, 16, 0.02, 17));
-}
-
-void BM_CoverTreeBuild(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  SetGlobalThreadPoolSize(1);
-  EuclideanMetric m;
-  Dataset data = MakeClusteredCorpus(n);
-  for (auto _ : state) {
-    CoverTree tree = CoverTree::Build(data, m);
-    benchmark::DoNotOptimize(tree.nodes().data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-  state.counters["n"] = static_cast<double>(n);
-  state.counters["dim"] = 16;
-  state.counters["threads"] = 1;
-  state.SetLabel("euclidean");
-}
-BENCHMARK(BM_CoverTreeBuild)->Arg(20000)->Arg(200000)
-    ->Unit(benchmark::kMillisecond);
-
-// End-to-end gated GMM on the clustered corpus: probe + build + lazy-greedy
-// traversal per call (the honest cost an API caller pays). Setup verifies
-// the gate fires and the indexed result is bit-identical to the flat
-// screened sweep, and reports the node-prune rate through pruned_pct.
-void BM_LazyGreedyGmmClustered(benchmark::State& state) {
+void BM_GmmClustered(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   size_t k = static_cast<size_t>(state.range(1));
   SetGlobalThreadPoolSize(1);
   EuclideanMetric m;
-  Dataset data = MakeClusteredCorpus(n);
-  if (!IndexProfitable(data, m, k)) {
-    state.SkipWithError("index gated off on the clustered corpus");
-    return;
-  }
-  GmmResult flat =
-      Gmm(data, EuclideanMetric({.indexing = IndexPolicy::kOff}), k);
-  CoverTree tree = CoverTree::Build(data, m);
-  CoverTreeQueryStats stats;
-  GmmResult indexed = LazyGreedyGmm(data, tree, m, k, 0, &stats);
-  if (indexed.selected != flat.selected || indexed.range != flat.range ||
-      indexed.assignment != flat.assignment ||
-      indexed.distance_to_selected != flat.distance_to_selected) {
-    state.SkipWithError("indexed GMM diverged from flat screened GMM");
+  PointSet pts = GenerateGaussianBlobs(n, 8, 16, 0.02, 17);
+  Dataset data(pts);
+  GmmResult got = Gmm(data, m, k);
+  GmmResult want = GmmScalar(pts, m, k);
+  if (got.selected != want.selected ||
+      got.selection_distance != want.selection_distance ||
+      got.assignment != want.assignment ||
+      got.distance_to_selected != want.distance_to_selected ||
+      got.range != want.range) {
+    state.SkipWithError("GMM diverged from the scalar reference");
     return;
   }
   for (auto _ : state) {
@@ -1175,62 +1142,9 @@ void BM_LazyGreedyGmmClustered(benchmark::State& state) {
   state.counters["n"] = static_cast<double>(n);
   state.counters["dim"] = 16;
   state.counters["threads"] = 1;
-  state.counters["pruned_pct"] =
-      100.0 * static_cast<double>(stats.pruned_pairs) /
-      static_cast<double>(stats.pruned_pairs + stats.applied_pairs);
   state.SetLabel("euclidean");
 }
-BENCHMARK(BM_LazyGreedyGmmClustered)->Args({20000, 64})->Args({200000, 256})
-    ->Unit(benchmark::kMillisecond);
-
-// The flat screened baseline on the identical corpus and k (indexing pinned
-// off) — the pair of entries is the measured speedup.
-void BM_LazyGreedyGmmClusteredFlat(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  size_t k = static_cast<size_t>(state.range(1));
-  SetGlobalThreadPoolSize(1);
-  EuclideanMetric m({.indexing = IndexPolicy::kOff});
-  Dataset data = MakeClusteredCorpus(n);
-  for (auto _ : state) {
-    GmmResult r = Gmm(data, m, k);
-    benchmark::DoNotOptimize(r.range);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n * k));
-  state.counters["n"] = static_cast<double>(n);
-  state.counters["dim"] = 16;
-  state.counters["threads"] = 1;
-  state.SetLabel("euclidean");
-}
-BENCHMARK(BM_LazyGreedyGmmClusteredFlat)->Args({20000, 64})
-    ->Args({200000, 256})->Unit(benchmark::kMillisecond);
-
-// Uniform high-dimensional corpus: the probe gates OFF (setup verifies) and
-// Gmm() pays only the probe before falling back — Arg(1) measures the gated
-// call, Arg(0) the flat path with indexing pinned off. Their ratio is the
-// gated-off regression the acceptance bound caps at 5%.
-void BM_LazyGreedyGmmUniformGated(benchmark::State& state) {
-  bool gated = state.range(0) != 0;
-  SetGlobalThreadPoolSize(1);
-  EuclideanMetric m(gated ? KernelPolicy{}
-                          : KernelPolicy{.indexing = IndexPolicy::kOff});
-  Dataset data(GenerateUniformCube(20000, 32, 19));
-  if (IndexProfitable(data, EuclideanMetric(), 64)) {
-    state.SkipWithError("index gated on for the uniform corpus");
-    return;
-  }
-  for (auto _ : state) {
-    GmmResult r = Gmm(data, m, 64);
-    benchmark::DoNotOptimize(r.range);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(20000 * 64));
-  state.counters["n"] = 20000;
-  state.counters["dim"] = 32;
-  state.counters["threads"] = 1;
-  state.SetLabel(gated ? "euclidean/gated-off" : "euclidean/flat");
-}
-BENCHMARK(BM_LazyGreedyGmmUniformGated)->Arg(1)->Arg(0)
+BENCHMARK(BM_GmmClustered)->Args({20000, 64})->Args({200000, 256})
     ->Unit(benchmark::kMillisecond);
 
 // Fault-tolerant executor overhead. The 2-round MR driver now runs every

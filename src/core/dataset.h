@@ -165,11 +165,10 @@ class Dataset {
   /// Replaces the contents with src rows `rows` (in that order) by copying
   /// their columnar slices, norms and statistics — exactly the content
   /// Append of the same rows' points would have produced, at raw
-  /// array-copy speed. The scratch path of the metric-index build
-  /// (core/cover_tree.cc), which re-materializes every tree node's row range
-  /// once to keep its pole sweeps on contiguous rows, of the greedy-matching
-  /// refill scans (core/sequential.cc), and of every row subset a kernel
-  /// sweep needs (center rows, solution rows, probe samples).
+  /// array-copy speed. The scratch path of the greedy-matching scans
+  /// (core/sequential.cc: live-row refills and the cluster-major gather)
+  /// and of every row subset a kernel sweep needs (center rows, solution
+  /// rows).
   void AssignGatherColumnar(const Dataset& src,
                             std::span<const uint32_t> rows);
 

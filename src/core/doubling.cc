@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "core/cover_tree.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -75,42 +74,6 @@ DoublingEstimate EstimateDoublingDimension(
       est.worst_cover_size = std::max(est.worst_cover_size, cover);
       ++est.probes;
     }
-  }
-  if (est.worst_cover_size > 0) {
-    est.dimension = std::log2(static_cast<double>(est.worst_cover_size));
-  }
-  return est;
-}
-
-DoublingEstimate EstimateDoublingDimensionFromTree(const CoverTree& tree) {
-  DoublingEstimate est;
-  const auto& nodes = tree.nodes();
-  std::vector<size_t> stack;
-  for (size_t v = 0; v < nodes.size(); ++v) {
-    const CoverTree::Node& nd = nodes[v];
-    // Leaves and point masses (radius 0) probe nothing: their half-radius
-    // cover is trivially themselves.
-    if (nd.left == 0 || nd.radius <= 0.0) continue;
-    double half = nd.radius / 2.0;
-    // Minimal descendant frontier with radius <= half: descend only through
-    // subtrees still wider than half. Each frontier node's rows lie within
-    // its own radius (<= half) of its center, and the frontier partitions
-    // the probed node's rows, so it is an explicit half-radius cover.
-    size_t frontier = 0;
-    stack.assign(1, v);
-    while (!stack.empty()) {
-      size_t w = stack.back();
-      stack.pop_back();
-      const CoverTree::Node& c = nodes[w];
-      if (w != v && (c.left == 0 || c.radius <= half)) {
-        ++frontier;
-        continue;
-      }
-      stack.push_back(c.left);
-      stack.push_back(c.right);
-    }
-    est.worst_cover_size = std::max(est.worst_cover_size, frontier);
-    ++est.probes;
   }
   if (est.worst_cover_size > 0) {
     est.dimension = std::log2(static_cast<double>(est.worst_cover_size));

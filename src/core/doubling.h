@@ -50,21 +50,6 @@ DoublingEstimate EstimateDoublingDimension(
     std::span<const Point> points, const Metric& metric,
     const DoublingEstimateOptions& options = {});
 
-class CoverTree;
-
-/// Estimates the doubling dimension from a built metric index
-/// (core/cover_tree.h) — no extra distance evaluations: every internal node
-/// of radius R is a ball the build already covered with descendant balls,
-/// so its minimal descendant frontier of radius <= R/2 is an explicit
-/// half-radius cover. Reports log2 of the largest frontier over all
-/// internal nodes (probes = internal nodes examined). Like the sampling
-/// estimator this is an empirical estimate — the tree's two-pole partition
-/// need not be a minimal cover, but on data the index prunes well the two
-/// estimators agree to within a couple of bits (see doubling_test.cc).
-/// Leaves that never shrink below R/2 count as one ball (the safe,
-/// underestimating direction for choosing k').
-DoublingEstimate EstimateDoublingDimensionFromTree(const CoverTree& tree);
-
 }  // namespace diverse
 
 #endif  // DIVERSE_CORE_DOUBLING_H_

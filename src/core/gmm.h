@@ -49,9 +49,9 @@ struct GmmResult {
 /// row `first`. Requires 1 <= k <= data.size() and first < data.size().
 /// Cost: exactly k * n distance evaluations, executed as k fused
 /// relax-and-argmax sweeps (ScreenedRelaxArgFarthest) — devirtualized
-/// over the columnar rows and parallelized for large n. The selected index
-/// sequence is deterministic and identical to the scalar reference at any
-/// thread count.
+/// over the columnar rows and parallelized for large n. The result is
+/// deterministic and identical to the scalar reference (tests/gmm_scalar.h)
+/// at any thread count.
 GmmResult Gmm(const Dataset& data, const Metric& metric, size_t k,
               size_t first = 0);
 
@@ -60,12 +60,6 @@ GmmResult Gmm(const Dataset& data, const Metric& metric, size_t k,
 /// should build it once and use the overload above.
 GmmResult Gmm(std::span<const Point> points, const Metric& metric, size_t k,
               size_t first = 0);
-
-/// Scalar reference implementation: the classic per-pair loop over
-/// Metric::Distance, with no Dataset, batching, or threading. Kept for
-/// equivalence tests and the scalar-vs-batched microbenchmarks.
-GmmResult GmmScalar(std::span<const Point> points, const Metric& metric,
-                    size_t k, size_t first = 0);
 
 /// Farness rho_T = min_{c in T} d(c, T \ {c}) of the rows `subset` of
 /// `points` (the remote-edge value of the subset).

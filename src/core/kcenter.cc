@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/cover_tree.h"
 #include "core/gmm.h"
 #include "core/screen.h"
 #include "util/check.h"
@@ -127,21 +126,9 @@ KCenterResult SolveKCenterDoubling(std::span<const Point> points,
   Dataset center_rows;
   center_rows.AssignGatherColumnar(data, center_ids);
   std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-  size_t farthest;
-  // When both sides are large and the centers' statistics are dominated by
-  // the data's (OneShotIndexProfitable), a one-shot cover-tree traversal
-  // prunes whole row ranges per center before the tile screen even runs —
-  // still bit-identical.
-  if (OneShotIndexProfitable(metric, center_rows, center_rows.size(), data)) {
-    CoverTree tree = CoverTree::Build(data, metric);
-    farthest = IndexedRelaxTilesAndArgFarthest(metric, center_rows, 0,
-                                               center_rows.size(), 0, tree,
-                                               dist, result.assignment);
-  } else {
-    farthest = ScreenedRelaxTilesAndArgFarthest(
-        metric, center_rows, 0, center_rows.size(), 0, data, dist,
-        result.assignment);
-  }
+  size_t farthest = ScreenedRelaxTilesAndArgFarthest(
+      metric, center_rows, 0, center_rows.size(), 0, data, dist,
+      result.assignment);
   result.radius = dist[farthest];
   return result;
 }
@@ -154,15 +141,8 @@ double ClusteringRadius(const Dataset& data, const Metric& metric,
   center_rows.AssignGatherColumnar(data, center_ids);
   std::vector<double> dist(data.size(),
                            std::numeric_limits<double>::infinity());
-  size_t farthest;
-  if (OneShotIndexProfitable(metric, center_rows, center_rows.size(), data)) {
-    CoverTree tree = CoverTree::Build(data, metric);
-    farthest = IndexedRelaxTilesAndArgFarthest(
-        metric, center_rows, 0, center_rows.size(), 0, tree, dist);
-  } else {
-    farthest = ScreenedRelaxTilesAndArgFarthest(
-        metric, center_rows, 0, center_rows.size(), 0, data, dist);
-  }
+  size_t farthest = ScreenedRelaxTilesAndArgFarthest(
+      metric, center_rows, 0, center_rows.size(), 0, data, dist);
   return dist[farthest];
 }
 

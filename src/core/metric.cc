@@ -146,7 +146,7 @@ bool UnionWalkProfitable(size_t union_size, size_t total_lane_nnz,
 // read-only while data rows stream against it — so a thread that decodes
 // the same block twice in a row does pure rework. That happens constantly
 // in tiled sweeps (one query chunk against many row blocks) and in the
-// cover-tree leaf path (one center against many leaf slabs). Each
+// chunked flat sweeps (one center's rescues against many row chunks). Each
 // thread-local scratch slot therefore remembers what it holds: the owning
 // dataset's content stamp (globally unique per mutation, so equal stamps
 // imply identical content — see Dataset::content_stamp), the lane block's
@@ -355,16 +355,15 @@ void BatchTile(const Dataset& queries, size_t q_begin, size_t nq,
 // README's "Mixed-precision screening" section and are property-tested
 // against sampled |screened - exact| gaps in tests/screen_test.cc.
 //
-// Metric-index pruning slack: the cover tree (core/cover_tree.h) prunes
-// with chains of EXACT-double kernel values: d(q, center) - radius
-// lower-bounds d(q, x) for any x in the node, d(q, center) + radius
-// upper-bounds it. The exact kernels round, so each computed value carries
-// the double analog of the fp32 screening band — the same derivations with
-// u = 2^-52 and the same >=2x safety factors. A pruning test chains at most
-// three computed values (the pair bound, the center distance, and the
-// radius, itself a computed pair distance), so the traversal widens by FOUR
-// times this band before any comparison: sound for every chain it forms,
-// and still orders of magnitude below the distances the tests discriminate
+// Index pruning slack (IndexSlack): greedy matching's cluster-pair bound
+// (core/sequential.cc) chains EXACT-double kernel values through the
+// triangle inequality: d(i, c_a) + d(c_a, c_b) + d(c_b, j) upper-bounds
+// d(i, j). The exact kernels round, so each computed value carries the
+// double analog of the fp32 screening band — the same derivations with
+// u = 2^-52 and the same >=2x safety factors. The bound chains at most
+// three computed values and widens their sum by this band before any
+// comparison (CertifiedPairBound): sound for every chain it forms, and
+// still orders of magnitude below the distances the scan discriminates
 // on.
 
 constexpr double kF32Eps = 5.9604644775390625e-08;  // 2^-24
@@ -879,8 +878,8 @@ struct CosineKernel {
   static constexpr auto SparseScreenedRelaxTile =
       CosineSparseScreenedRelaxTile;
   // The distance here is the ANGULAR cosine — a genuine metric, so the
-  // triangle inequality holds in angle space and that is where the tree
-  // prunes. The slack is the cosine-space band of the exact double dot
+  // triangle inequality holds in angle space and that is where the
+  // matching bound prunes. The slack is the cosine-space band of the exact double dot
   // (Cauchy-Schwarz over absolute terms, any order) with a denormal floor
   // over the smallest positive norm product, lifted to the angle like the
   // screening bound, plus ulp-scale headroom for the exact std::acos
@@ -1037,7 +1036,7 @@ ScreenBound Metric::ScreenErrorBound(const ScreenSideStats&,
 
 ScreenBound Metric::IndexSlack(const Dataset&) const {
   // Unbounded band: every prune test fails, and UseIndexing keeps the
-  // metric index off altogether.
+  // cluster-pair bound off altogether.
   return ScreenBound{0.0, std::numeric_limits<double>::infinity()};
 }
 

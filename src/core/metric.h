@@ -74,13 +74,6 @@ struct ScreenSideStats {
 ScreenSideStats SideStatsOf(const Dataset& data);
 ScreenSideStats SideStatsOf(const Point& point);
 
-/// How the metric-index tier (core/cover_tree.h) engages.
-enum class IndexPolicy {
-  kAuto,   ///< the size minimums and the doubling-dimension probe decide
-  kOff,    ///< flat sweeps only
-  kForce,  ///< index whenever the metric opts in (skips minimums and probe)
-};
-
 /// Which accelerated tiers the sweeps over a metric may use. Every setting
 /// yields bit-identical results; the policy only moves cost (A/B
 /// benchmarking, escape hatch). It travels with the Metric every sweep
@@ -90,7 +83,9 @@ struct KernelPolicy {
   /// Certified fp32 screening (core/screen.h), where the metric's gate
   /// says it pays.
   bool screening = true;
-  IndexPolicy indexing = IndexPolicy::kAuto;
+  /// Triangle-inequality pruning: greedy matching's cluster-pair bound
+  /// (core/sequential.h), where the metric opts in through IndexSlack.
+  bool indexing = true;
 };
 
 /// Interface for a distance function over `Point`s.
@@ -247,20 +242,21 @@ class Metric {
   }
 
   /// Certified rounding slack of the *exact double* kernels: for every row
-  /// pair, |computed - true| <= rel * computed + abs. The metric index
-  /// (core/cover_tree.h) chains three computed distances through the
-  /// triangle inequality (center-to-center, node radius, and the bounded
-  /// pair), so it inflates each bound by a 4x multiple of this band before
-  /// pruning — a prune is then sound even though the chained values are
-  /// computed doubles, not true reals (derivation in the README). Reads only
-  /// dataset statistics, so every prune decision is deterministic.
+  /// pair, |computed - true| <= rel * computed + abs. Greedy matching's
+  /// cluster-pair bound (core/sequential.h) chains three computed distances
+  /// through the triangle inequality (a row's distance to its cluster
+  /// center, the center-to-center distance, and the other row's), so it
+  /// widens their sum by this band before pruning — a prune is then sound
+  /// even though the chained values are computed doubles, not true reals.
+  /// Reads only dataset statistics, so every prune decision is
+  /// deterministic.
   ///
   /// A finite band is also the opt-in to indexing at all. The base returns
-  /// an unbounded band (abs = +inf), which keeps the index off: user-defined
+  /// an unbounded band (abs = +inf), which keeps the bound off: user-defined
   /// "distances" (dot-product similarity and friends) need not satisfy the
   /// triangle inequality. All four built-in metrics opt in — the cosine
-  /// distance here is the angular distance, a genuine metric, so its node
-  /// bounds prune in angular space.
+  /// distance here is the angular distance, a genuine metric, so its
+  /// cluster bounds prune in angular space.
   virtual ScreenBound IndexSlack(const Dataset& data) const;
 
   /// Human-readable metric name, e.g. "euclidean".
@@ -481,9 +477,9 @@ std::unique_ptr<Metric> MakeMetricByName(const std::string& name,
 /// (kernels::PackSparseQueryLanes) before streaming data rows. The decode is
 /// now cached per thread, keyed on (Dataset::content_stamp, absolute block
 /// rows, lane count, direct-index dim), so a block re-swept by the same
-/// thread — consecutive row ranges of one tiled sweep, or one center
-/// applied to many cover-tree leaf slabs — skips the re-decode. Counters
-/// are process-global, relaxed, and test-only.
+/// thread — consecutive row ranges of one tiled sweep, or one center's
+/// rescues across the row chunks of a flat sweep — skips the re-decode.
+/// Counters are process-global, relaxed, and test-only.
 uint64_t SparseQueryDecodeCount();  ///< decodes performed (cache misses)
 uint64_t SparseQueryDecodeHits();   ///< decodes skipped by the cache
 void ResetSparseQueryDecodeStats();

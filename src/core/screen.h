@@ -126,6 +126,12 @@ void CollectScreenRescues(const float* t, const float* thr, size_t count,
 /// allows screening and its fp32 kernels are genuinely cheaper than exact).
 bool UseScreening(const Metric& metric);
 
+/// True when triangle-inequality pruning (greedy matching's cluster-pair
+/// bound, core/sequential.h) may run for `metric` over `data`: its policy
+/// allows indexing (KernelPolicy::indexing) and the metric opted in (its
+/// IndexSlack over `data` is finite).
+bool UseIndexing(const Metric& metric, const Dataset& data);
+
 /// Fused multi-center relax-and-argmax over blocked tiles: for each center
 /// q in ascending order and every row i,
 ///   d = Distance(queries.point(q_begin + q), data.point(i));
@@ -175,47 +181,15 @@ size_t ScreenedRelaxTilesAndArgFarthest(const Metric& metric,
 /// One-center relax-and-argmax with the query drawn from a dataset row
 /// (queries.point(q_index) — for GMM, queries == data): the one-center case
 /// of RelaxTilesAndArgFarthest, with center rank `center_rank`. Screens
-/// under PlanScreenedRelax's plan and otherwise relaxes through chunked
-/// exact DistanceToMany sweeps (exactly data.size() evaluations); dist,
-/// assignment and the return value are identical either way.
+/// when the metric's gates and a per-row work gate allow it, and otherwise
+/// relaxes through chunked exact DistanceToMany sweeps (exactly data.size()
+/// evaluations); dist, assignment and the return value are identical
+/// either way.
 size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& queries,
                                 size_t q_index, const Dataset& data,
                                 std::span<double> dist,
                                 std::span<size_t> assignment = {},
                                 size_t center_rank = 0);
-
-/// Precomputed decision state of one ScreenedRelaxArgFarthest-style sweep:
-/// whether the sweep screens at all (all the flat path's gates folded in —
-/// the metric's screening policy, its profitability verdicts, the per-row-work
-/// gate, and the degenerate-bound check), and when it does, the certified
-/// bound plus its precomputed (1 + 1e-12) / (1 - rel). The metric index
-/// (core/cover_tree.h) plans ONCE per relax step and applies the plan to
-/// each surviving leaf range, so per-pair screening decisions — fp32
-/// values, skip thresholds, rescue sets — are exactly the flat sweep's
-/// restricted to those rows; that containment is what keeps indexed exact-
-/// eval counts at or below the flat screened baseline.
-struct RelaxScreenPlan {
-  bool screen = false;  ///< false: every pair pays the exact kernel
-  ScreenBound bound;    ///< valid when screen
-  double inv_rel = 0.0; ///< (1 + 1e-12) / (1 - bound.rel) when screen
-};
-
-/// Builds the plan ScreenedRelaxArgFarthest would follow for a sweep of
-/// queries-rows against `data`.
-RelaxScreenPlan PlanScreenedRelax(const Metric& metric, const Dataset& queries,
-                                  const Dataset& data);
-
-/// The relax body of ScreenedRelaxArgFarthest restricted to rows
-/// [begin, begin + count): relaxes dist/assignment (full-dataset spans,
-/// absolute row indexing) against queries.point(q_index) under `plan`, with
-/// per-pair decisions identical to the flat sweep's, and returns the number
-/// of exact evaluations paid. No argmax — callers (the cover-tree leaf
-/// scan) fold their own.
-size_t ScreenedRelaxRange(const Metric& metric, const Dataset& queries,
-                          size_t q_index, const Dataset& data, size_t begin,
-                          size_t count, const RelaxScreenPlan& plan,
-                          std::span<double> dist, std::span<size_t> assignment,
-                          size_t center_rank);
 
 /// Outcome of the fused nearest-center + coverage sweep.
 struct ScreenedNearest {

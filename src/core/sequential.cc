@@ -6,7 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/cover_tree.h"
 #include "core/gmm.h"
 #include "core/screen.h"
 #include "util/check.h"
@@ -170,8 +169,7 @@ bool ScansFirst(const ClusterPair& x, const ClusterPair& y) {
 // the triangle inequality bounds by a sum of computed distances `sum`:
 // d(i, c_a) + d(c_a, c_b) + d(c_b, j) across two clusters, d(i, c) + d(c, j)
 // inside one. Metric::IndexSlack certifies |x - t| <= rel * x + abs for
-// every computed distance x of true value t (the band the metric index
-// chains its node bounds through). So the true distance of the pair is at
+// every computed distance x of true value t. So the true distance of the pair is at
 // most sum * (1 + rel) + 3 * abs, and its computed distance p satisfies
 // p * (1 - rel) <= sum * (1 + rel) + 4 * abs. The last factor absorbs the
 // rounding of the few double operations here. +inf when the slack is

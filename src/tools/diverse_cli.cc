@@ -76,7 +76,7 @@ commands:
             [--k_prime=N] [--partitions=N] [--workers=N]
             [--metric=euclidean|manhattan|cosine|jaccard] [--out=FILE]
             [--screening=0|1]  (fp32 screen-then-certify sweeps, default on)
-            [--indexing=0|1]   (cover-tree metric-index tier, default on)
+            [--indexing=0|1]   (greedy matching's cluster-pair bound, default on)
             (both set the driver metric's policy; socket workers keep the
              defaults)
             fault tolerance (MapReduce backends):
@@ -143,7 +143,7 @@ int RunSolve(const CliFlags& flags) {
   // with the socket transport, which ships metric *names* to workers.
   KernelPolicy policy;
   policy.screening = flags.GetInt("screening", 1) != 0;
-  if (flags.GetInt("indexing", 1) == 0) policy.indexing = IndexPolicy::kOff;
+  policy.indexing = flags.GetInt("indexing", 1) != 0;
   auto metric = MakeMetricByName(flags.Get("metric", "euclidean"), policy);
   if (metric == nullptr) {
     std::fprintf(stderr, "error: unknown metric\n");

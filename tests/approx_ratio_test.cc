@@ -24,7 +24,6 @@
 
 #include "api/solve.h"
 #include "comm/socket_engine.h"
-#include "core/cover_tree.h"
 #include "core/diversity.h"
 #include "core/exact.h"
 #include "core/metric.h"
@@ -105,11 +104,10 @@ void ExpectWithinFactor(double achieved, double opt, double factor,
 
 TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
   SetGlobalThreadPoolSize(GetParam());
-  // The indexed dimension of the grid forces the metric index on, so it
-  // actually exercises the cover-tree traversals on these tiny instances
-  // (the real profitability probe would gate them off as too small); the
-  // indexing-off dimension pins the flat sweeps. Indexing is bit-identical
-  // by contract, so the assertions are unchanged.
+  // The indexed dimension of the grid exercises greedy matching's
+  // cluster-pair bound; the indexing-off dimension pins the exhaustive pair
+  // scan. Indexing is bit-identical by contract, so the assertions are
+  // unchanged.
   for (const NamedLayout& layout : Layouts()) {
     for (const auto& metric : AllMetrics()) {
       for (DiversityProblem p : kAllProblems) {
@@ -120,8 +118,7 @@ TEST_P(ApproxRatioThreads, AllBackendsWithinProvenFactorOfOracle) {
         for (bool indexing : {true, false}) {
           const auto tiered = MakeMetricByName(
               metric->Name(),
-              {.screening = screening,
-               .indexing = indexing ? IndexPolicy::kForce : IndexPolicy::kOff});
+              {.screening = screening, .indexing = indexing});
           std::string ctx = layout.name + "/" + metric->Name() + "/" +
                             ProblemName(p) +
                             (screening ? "/screened" : "/exact") +

@@ -28,6 +28,7 @@
 #include "core/sequential.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
+#include "gmm_scalar.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 

@@ -1,11 +1,12 @@
 // Concurrent solves with different kernel policies on one shared Dataset.
 //
-// Whether a sweep screens in fp32 or walks the cover tree is part of the
-// Metric it receives (KernelPolicy, core/metric.h), not process state, so a
-// call's answer AND its work must not depend on what overlapping calls
-// chose. Several threads run repeated TrySolve calls, each through its own
-// CountingMetric over a metric with one of six policies (screening on/off x
-// indexing auto/off/force), on the sequential, streaming and loopback
+// Whether a sweep screens in fp32 or prunes with the matching scan's
+// cluster-pair bound is part of the Metric it receives (KernelPolicy,
+// core/metric.h), not process state, so a call's answer AND its work must
+// not depend on what overlapping calls chose. Several threads run repeated
+// TrySolve calls, each through its own CountingMetric over a metric with
+// one of four policies (screening on/off x indexing on/off), on the
+// sequential, streaming and loopback
 // MapReduce backends. Every call must reproduce its serial run bit for bit:
 // the solution, the diversity, and both evaluation counts. Run under TSan
 // via the concurrency label.
@@ -49,21 +50,16 @@ std::vector<Job> AllJobs() {
       {Backend::kStreaming, DiversityProblem::kRemoteEdge},
       {Backend::kMapReduce, DiversityProblem::kRemoteClique},
   };
-  const std::vector<std::pair<IndexPolicy, std::string>> indexing = {
-      {IndexPolicy::kAuto, "auto"},
-      {IndexPolicy::kOff, "off"},
-      {IndexPolicy::kForce, "force"},
-  };
   std::vector<Job> jobs;
   for (const auto& [backend, problem] : runs) {
     for (bool screening : {true, false}) {
-      for (const auto& [index, index_name] : indexing) {
+      for (bool indexing : {true, false}) {
         jobs.push_back({backend, problem,
-                        {.screening = screening, .indexing = index},
+                        {.screening = screening, .indexing = indexing},
                         BackendName(backend) + "/" +
                             ProblemName(problem) +
                             (screening ? "/screened" : "/exact") +
-                            "/index=" + index_name});
+                            (indexing ? "/index=on" : "/index=off")});
       }
     }
   }

@@ -1,14 +1,22 @@
 #include "core/gmm.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dataset.h"
 #include "core/distance_matrix.h"
 #include "core/exact.h"
 #include "core/metric.h"
+#include "data/sparse_text.h"
 #include "data/synthetic.h"
+#include "gmm_scalar.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace diverse {
 namespace {
@@ -157,6 +165,138 @@ TEST(GmmTest, SingleCenter) {
   GmmResult r = Gmm(pts, m, 1);
   EXPECT_EQ(r.selected.size(), 1u);
   EXPECT_GT(r.range, 0.0);
+}
+
+PointSet SparsePoints(size_t n, uint64_t seed) {
+  SparseTextOptions opts;
+  opts.n = n;
+  opts.vocab_size = 300;
+  opts.seed = seed;
+  return GenerateSparseTextDataset(opts);
+}
+
+// One dense row in three, the rest sparse over the same dimension.
+PointSet MixedPoints(size_t n, size_t dim, uint64_t seed) {
+  Rng rng(seed);
+  PointSet pts;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 3 == 0) {
+      std::vector<float> values(dim);
+      for (float& v : values) v = static_cast<float>(rng.NextDouble());
+      pts.push_back(Point::Dense(std::move(values)));
+    } else {
+      std::vector<uint32_t> indices;
+      std::vector<float> values;
+      for (uint32_t j = 0; j < dim; ++j) {
+        if (rng.NextDouble() < 0.4) {
+          indices.push_back(j);
+          values.push_back(static_cast<float>(rng.NextDouble()));
+        }
+      }
+      pts.push_back(Point::Sparse(std::move(indices), std::move(values),
+                                  static_cast<uint32_t>(dim)));
+    }
+  }
+  return pts;
+}
+
+// Clustered sparse data: `clusters` topic supports over the vocabulary; each
+// point takes its topic's support with a few indices swapped, so Jaccard and
+// angular distances are small inside a topic and near-maximal across.
+PointSet ClusteredSparsePoints(size_t n, size_t clusters, uint64_t seed) {
+  constexpr uint32_t kVocab = 400;
+  constexpr size_t kSupport = 40;
+  Rng rng(seed);
+  PointSet pts;
+  for (size_t i = 0; i < n; ++i) {
+    size_t topic = i % clusters;
+    std::vector<uint32_t> idx;
+    std::vector<float> val;
+    for (size_t j = 0; j < kSupport; ++j) {
+      uint32_t base = static_cast<uint32_t>((topic * kSupport + j) % kVocab);
+      if (rng.NextDouble() < 0.05) {
+        base = static_cast<uint32_t>(rng.NextBounded(kVocab));
+      }
+      idx.push_back(base);
+      val.push_back(1.0f + static_cast<float>(rng.NextDouble()));
+    }
+    std::sort(idx.begin(), idx.end());
+    idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
+    val.resize(idx.size());
+    pts.push_back(Point::Sparse(std::move(idx), std::move(val), kVocab));
+  }
+  return pts;
+}
+
+PointSet AllDuplicates(size_t n) {
+  PointSet pts;
+  for (size_t i = 0; i < n; ++i) pts.push_back(Point::Dense3(1.0f, 2.0f, 3.0f));
+  return pts;
+}
+
+// A tight cluster plus one far outlier: every radius but the first collapses.
+PointSet OneClusterPlusOutlier(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  PointSet pts;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    pts.push_back(Point::Dense3(static_cast<float>(rng.NextDouble() * 0.01),
+                                static_cast<float>(rng.NextDouble() * 0.01),
+                                static_cast<float>(rng.NextDouble() * 0.01)));
+  }
+  pts.push_back(Point::Dense3(100.0f, -50.0f, 25.0f));
+  return pts;
+}
+
+struct GmmCase {
+  std::string name;
+  PointSet pts;
+  size_t k;
+  size_t first;
+};
+
+std::vector<GmmCase> GmmCases() {
+  std::vector<GmmCase> cases;
+  cases.push_back({"dense", GenerateUniformCube(140, 6, /*seed=*/301), 10, 0});
+  cases.push_back({"sparse", SparsePoints(140, /*seed=*/302), 10, 0});
+  cases.push_back({"mixed", MixedPoints(140, 12, /*seed=*/303), 10, 0});
+  cases.push_back({"dense-clustered",
+                   GenerateGaussianBlobs(4000, 8, 8, 0.02, /*seed=*/311), 48,
+                   7});
+  cases.push_back({"sparse-clustered",
+                   ClusteredSparsePoints(3000, 12, /*seed=*/312), 48, 7});
+  cases.push_back({"duplicates", AllDuplicates(90), 10, 0});
+  cases.push_back({"degenerate-radius",
+                   OneClusterPlusOutlier(120, /*seed=*/304), 10, 0});
+  cases.push_back({"single-point", OneClusterPlusOutlier(1, /*seed=*/305), 1,
+                   0});
+  return cases;
+}
+
+class GmmThreads : public ::testing::TestWithParam<size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Threads, GmmThreads, ::testing::Values(1, 2, 4));
+
+// The batched screened Gmm equals the scalar reference byte for byte, for
+// every built-in metric x layout x thread count, including layouts built to
+// stress ties (duplicates), degenerate radii and a single point.
+TEST_P(GmmThreads, BitIdenticalToScalar) {
+  SetGlobalThreadPoolSize(GetParam());
+  for (const GmmCase& c : GmmCases()) {
+    Dataset data(c.pts);
+    for (const std::string name : {"euclidean", "manhattan", "cosine",
+                                   "jaccard"}) {
+      std::unique_ptr<Metric> metric = MakeMetricByName(name);
+      const std::string ctx = name + "/" + c.name;
+      GmmResult got = Gmm(data, *metric, c.k, c.first);
+      GmmResult want = GmmScalar(c.pts, *metric, c.k, c.first);
+      EXPECT_EQ(got.selected, want.selected) << ctx;
+      EXPECT_EQ(got.selection_distance, want.selection_distance) << ctx;
+      EXPECT_EQ(got.assignment, want.assignment) << ctx;
+      EXPECT_EQ(got.distance_to_selected, want.distance_to_selected) << ctx;
+      EXPECT_EQ(got.range, want.range) << ctx;
+    }
+  }
+  SetGlobalThreadPoolSize(1);
 }
 
 TEST(GmmDeathTest, RejectsKZero) {

@@ -34,7 +34,6 @@
 #include <gtest/gtest.h>
 
 #include "api/solve.h"
-#include "core/cover_tree.h"
 #include "core/dataset.h"
 #include "core/diversity.h"
 #include "core/exact.h"
@@ -164,14 +163,12 @@ TEST_P(MetamorphicThreads, PermutationLeavesSequentialSelectionsUnchanged) {
   PointSet dense = DensePoints(60, /*seed=*/501);
   PointSet sparse = ContinuousSparsePoints(60, /*seed=*/502);
 
-  // The indexed dimension forces the metric index on (the probe would
-  // gate these 60-point sets off); equivariance must survive because the
-  // cover-tree traversal is bit-identical to the flat sweep.
+  // The indexed dimension turns greedy matching's cluster-pair bound on;
+  // equivariance must survive because the bounded scan selects exactly
+  // what the exhaustive scan does.
   for (bool screening : {true, false}) {
   for (bool indexing : {true, false}) {
-    const KernelPolicy policy{
-        .screening = screening,
-        .indexing = indexing ? IndexPolicy::kForce : IndexPolicy::kOff};
+    const KernelPolicy policy{.screening = screening, .indexing = indexing};
     std::vector<std::unique_ptr<Metric>> metrics;
     metrics.push_back(std::make_unique<EuclideanMetric>(policy));
     metrics.push_back(std::make_unique<ManhattanMetric>(policy));

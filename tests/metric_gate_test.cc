@@ -1,8 +1,8 @@
 // The kernel-selection gates of every metric, pinned as a literal table.
 //
 // Screening (Metric::ScreeningProfitableFor), the fused screened tile relax
-// (Metric::RelaxTileScreeningProfitableFor) and the metric index
-// (UseIndexing) each decide from dataset statistics alone which kernel a
+// (Metric::RelaxTileScreeningProfitableFor) and the matching scan's
+// cluster-pair bound (UseIndexing) each decide from dataset statistics alone which kernel a
 // sweep runs. Either verdict is bit-identical, so no oracle suite notices a
 // flipped gate — only the cost moves. This table fixes every verdict for
 // the four built-in metrics and a user-defined metric, over dense, sparse,
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cover_tree.h"
 #include "core/dataset.h"
 #include "core/metric.h"
 #include "core/screen.h"
@@ -157,7 +156,7 @@ TEST(MetricGateTable, IndexingVerdicts) {
     for (const auto& m : metrics) index.push_back(UseIndexing(*m, data));
     EXPECT_EQ(Verdicts(index), "11110") << layout;
   }
-  for (const auto& m : GateMetrics({.indexing = IndexPolicy::kOff})) {
+  for (const auto& m : GateMetrics({.indexing = false})) {
     EXPECT_FALSE(UseIndexing(*m, Layout("dense"))) << m->Name();
   }
 }

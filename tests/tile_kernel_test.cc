@@ -31,7 +31,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cover_tree.h"
 #include "core/dataset.h"
 #include "core/distance_matrix.h"
 #include "core/kcenter.h"
@@ -402,7 +401,7 @@ TEST(TileKernelTest, GreedyMatchingRefillScansOnlyLiveRows) {
   std::vector<size_t> chosen;
   {
     EuclideanMetric exact(
-        {.screening = false, .indexing = IndexPolicy::kOff});
+        {.screening = false, .indexing = false});
     CountingMetric counting(&exact);
     chosen = GreedyMatchingOnDataset(data, counting, 4);
     EXPECT_EQ(chosen.size(), 4u);
@@ -414,7 +413,7 @@ TEST(TileKernelTest, GreedyMatchingRefillScansOnlyLiveRows) {
   // the buffer could keep are re-evaluated exactly — never more than the
   // pre-screening baseline, and the selection is unchanged.
   {
-    EuclideanMetric exhaustive({.indexing = IndexPolicy::kOff});
+    EuclideanMetric exhaustive({.indexing = false});
     CountingMetric counting(&exhaustive);
     std::vector<size_t> screened = GreedyMatchingOnDataset(data, counting, 4);
     EXPECT_EQ(screened, chosen);
@@ -459,10 +458,8 @@ struct MatchingRun {
 // The built-in `metric` rebuilt with screening and indexing on or off.
 std::unique_ptr<Metric> WithTiers(const Metric& metric, bool screening,
                                   bool indexing) {
-  return MakeMetricByName(
-      metric.Name(),
-      {.screening = screening,
-       .indexing = indexing ? IndexPolicy::kAuto : IndexPolicy::kOff});
+  return MakeMetricByName(metric.Name(),
+                          {.screening = screening, .indexing = indexing});
 }
 
 MatchingRun CountedMatching(const Dataset& data, const Metric& base, size_t k,
@@ -818,6 +815,58 @@ TEST(SparseTileTest, SparseRelaxTilesDeterministicAtAnyThreadCount) {
     }
     SetGlobalThreadPoolSize(1);
   }
+}
+
+// The sparse decode cache reuses query-block decodes across row ranges of
+// one sweep. An all-sparse cosine tile relax decodes each center block once
+// per (row-range, lane-width) shape; a second call on the next equal-size
+// row range — the shape a thread's chunked sweep produces — must hit the
+// cache instead of re-decoding.
+TEST(SparseDecodeCache, ReusesQueryBlockDecodesAcrossRowRanges) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  SetGlobalThreadPoolSize(1);
+  CosineMetric metric;
+  SparseTextOptions opts;
+  opts.n = 4000;
+  opts.vocab_size = 300;
+  opts.seed = 361;
+  Dataset data(GenerateSparseTextDataset(opts));
+  size_t n = data.size();
+  Dataset centers;
+  for (size_t i = 0; i < 8; ++i) centers.Append(data.point(i * 11));
+  ASSERT_TRUE(metric.RelaxTileScreeningProfitableFor(SideStatsOf(centers),
+                                                     SideStatsOf(data)));
+  ScreenBound bound = metric.ScreenErrorBound(SideStatsOf(centers),
+                                              SideStatsOf(data), data.dim());
+  ASSERT_LT(bound.rel, 1.0);
+  std::vector<double> dist(n, kInf);
+  std::vector<size_t> assign(n, 0);
+  ResetSparseQueryDecodeStats();
+  metric.ScreenedRelaxTile(centers, 0, 8, 0, data, 0, n / 2, bound, dist,
+                           assign);
+  uint64_t first_decodes = SparseQueryDecodeCount();
+  EXPECT_GT(first_decodes, 0u);
+  EXPECT_EQ(SparseQueryDecodeHits(), 0u);
+  metric.ScreenedRelaxTile(centers, 0, 8, 0, data, n / 2, n - n / 2, bound,
+                           dist, assign);
+  // Same query block, same lane shape: the second range re-decodes nothing.
+  EXPECT_EQ(SparseQueryDecodeCount(), first_decodes);
+  EXPECT_GT(SparseQueryDecodeHits(), 0u);
+  // The cached sweep matches an uncached exact relax bit for bit.
+  std::vector<double> want_dist(n, kInf);
+  std::vector<size_t> want_assign(n, 0);
+  for (size_t q = 0; q < 8; ++q) {
+    std::vector<double> row(n);
+    metric.DistanceToMany(centers.point(q), data, 0, row);
+    for (size_t r = 0; r < n; ++r) {
+      if (row[r] < want_dist[r]) {
+        want_dist[r] = row[r];
+        want_assign[r] = q;
+      }
+    }
+  }
+  EXPECT_EQ(dist, want_dist);
+  EXPECT_EQ(assign, want_assign);
 }
 
 TEST(SparseTileTest, MixedTileThreadCountDeterminism) {
