@@ -11,10 +11,9 @@
 // records the run configuration (git sha, hardware thread count, AVX2
 // dispatch state, fp32 screening mode) so trajectories are comparable
 // across commits and machines, and whose entries each carry
-// {op, n, dim, threads, metric, ns_per_op, rescue_pct, pruned_pct,
-// exact_evals, screened_evals}. Benchmarks report n / dim / threads /
-// rescue_pct / pruned_pct / exact_evals / screened_evals through counters of
-// those names and the metric through the label.
+// {op, n, dim, threads, metric, ns_per_op, exact_evals, screened_evals}.
+// Benchmarks report n / dim / threads / exact_evals / screened_evals
+// through counters of those names and the metric through the label.
 
 #include <benchmark/benchmark.h>
 
@@ -22,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,9 +30,7 @@
 #include "core/distance_matrix.h"
 #include "core/diversity.h"
 #include "core/gmm.h"
-#include "core/kcenter.h"
 #include "core/metric.h"
-#include "core/screen.h"
 #include "core/sequential.h"
 #include "core/vector_kernels.h"
 #include "data/sparse_text.h"
@@ -361,67 +357,6 @@ void BM_UserMetricTile(benchmark::State& state) {
 }
 BENCHMARK(BM_UserMetricTile);
 
-// --- Per-center sweeps vs blocked multi-center tiles ---------------------
-// The acceptance workload of the tile layer: dense k-center assignment of
-// k=64 centers over n=50k points, single-threaded. The per-center variant
-// is the PR 1 path (one exact ScreenedRelaxArgFarthest sweep per center, n
-// rows streamed k times); the tiled variant loads each row block once for
-// all centers (RelaxTilesAndArgFarthest).
-
-constexpr size_t kAssignN = 50000;
-constexpr size_t kAssignK = 64;
-constexpr size_t kAssignDim = 3;
-
-void BM_KCenterAssignPerCenter(benchmark::State& state) {
-  EuclideanMetric m({.screening = false});
-  SetGlobalThreadPoolSize(1);
-  Dataset data =
-      Dataset(GenerateUniformCube(kAssignN, kAssignDim, 9));
-  std::vector<size_t> centers = Gmm(data, m, kAssignK).selected;
-  std::vector<double> dist;
-  std::vector<size_t> assignment(kAssignN);
-  for (auto _ : state) {
-    dist.assign(kAssignN, std::numeric_limits<double>::infinity());
-    size_t farthest = 0;
-    for (size_t c = 0; c < centers.size(); ++c) {
-      farthest = ScreenedRelaxArgFarthest(m, data, centers[c], data, dist,
-                                          assignment, c);
-    }
-    benchmark::DoNotOptimize(farthest);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kAssignN * kAssignK));
-  state.counters["n"] = static_cast<double>(kAssignN);
-  state.counters["dim"] = static_cast<double>(kAssignDim);
-  state.SetLabel("euclidean");
-}
-BENCHMARK(BM_KCenterAssignPerCenter)->Unit(benchmark::kMillisecond);
-
-void BM_KCenterAssignTiled(benchmark::State& state) {
-  EuclideanMetric m;
-  SetGlobalThreadPoolSize(1);
-  Dataset data =
-      Dataset(GenerateUniformCube(kAssignN, kAssignDim, 9));
-  Dataset center_rows;
-  for (size_t c : Gmm(data, m, kAssignK).selected) {
-    center_rows.Append(data.point(c));
-  }
-  std::vector<double> dist;
-  std::vector<size_t> assignment(kAssignN);
-  for (auto _ : state) {
-    dist.assign(kAssignN, std::numeric_limits<double>::infinity());
-    size_t farthest = RelaxTilesAndArgFarthest(
-        m, center_rows, 0, center_rows.size(), 0, data, dist, assignment);
-    benchmark::DoNotOptimize(farthest);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kAssignN * kAssignK));
-  state.counters["n"] = static_cast<double>(kAssignN);
-  state.counters["dim"] = static_cast<double>(kAssignDim);
-  state.SetLabel("euclidean");
-}
-BENCHMARK(BM_KCenterAssignTiled)->Unit(benchmark::kMillisecond);
-
 // One Q x R distance tile against the equivalent per-query DistanceToMany
 // sweeps, dense rows.
 void BM_DistanceTile(benchmark::State& state) {
@@ -636,303 +571,6 @@ void BM_SparseTileEuclideanWideVocabPerPair(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseTileEuclideanWideVocabPerPair)->Args({4096, 120});
 
-// --- Screened (fp32 screen-then-certify) argmax sweeps -------------------
-// The acceptance workload of the mixed-precision engine: the k-center
-// assignment argmax of k=64 centers over n=50k rows, screened
-// (ScreenedRelaxTilesAndArgFarthest: fp32 tiles + certified-band exact
-// rescues) against the PR 2 exact tile path on the same inputs. Setup
-// verifies bit-identity of dist / assignment / argmax between the two paths
-// (SkipWithError drops the entry from BENCH_micro.json on mismatch, which
-// the CI smoke job treats as a failure) and reports the rescue rate —
-// exact re-evaluations as a percentage of screened evaluations — through
-// the rescue_pct counter.
-
-constexpr size_t kScreenN = 50000;
-constexpr size_t kScreenK = 64;
-
-struct ScreenedSweepSetup {
-  Dataset data;
-  Dataset center_rows;
-  std::vector<double> dist;
-  std::vector<size_t> assignment;
-
-  // The screened sweep under test: the fused
-  // ScreenedRelaxTilesAndArgFarthest or, when `unfused`, its
-  // materialize-then-collect form. Single-threaded the screened sweep is
-  // one range, so one UnfusedScreenedRelaxTile call over all rows plus the
-  // argmax scan is exactly the unfused sweep.
-  size_t Sweep(const Metric& metric, bool unfused, std::vector<double>& d,
-               std::vector<size_t>& a) const {
-    if (!unfused) {
-      return ScreenedRelaxTilesAndArgFarthest(
-          metric, center_rows, 0, center_rows.size(), 0, data, d, a);
-    }
-    ScreenSideStats qs = SideStatsOf(center_rows);
-    ScreenSideStats ds = SideStatsOf(data);
-    UnfusedScreenedRelaxTile(metric, center_rows, 0, center_rows.size(), 0,
-                             data, 0, data.size(),
-                             metric.ScreenErrorBound(qs, ds, data.dim()), d,
-                             a);
-    size_t farthest = 0;
-    for (size_t i = 1; i < d.size(); ++i) {
-      if (d[i] > d[farthest]) farthest = i;
-    }
-    return farthest;
-  }
-
-  // Returns false (after SkipWithError) if screened != exact.
-  bool VerifyAndReportRescue(benchmark::State& state, const Metric& metric,
-                             bool unfused = false) {
-    std::vector<double> exact_dist(data.size(),
-                                   std::numeric_limits<double>::infinity());
-    std::vector<size_t> exact_assign(data.size(), 0);
-    size_t exact_far = RelaxTilesAndArgFarthest(
-        metric, center_rows, 0, center_rows.size(), 0, data, exact_dist,
-        exact_assign);
-    CountingMetric counting(&metric);
-    std::vector<double> sdist(data.size(),
-                              std::numeric_limits<double>::infinity());
-    std::vector<size_t> sassign(data.size(), 0);
-    size_t far = Sweep(counting, unfused, sdist, sassign);
-    if (far != exact_far || sdist != exact_dist || sassign != exact_assign) {
-      state.SkipWithError("screened sweep diverged from exact sweep");
-      return false;
-    }
-    state.counters["rescue_pct"] =
-        counting.screened_evals() == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(counting.exact_evals()) /
-                  static_cast<double>(counting.screened_evals());
-    return true;
-  }
-};
-
-ScreenedSweepSetup MakeDenseScreenedSweep(size_t dim) {
-  ScreenedSweepSetup s;
-  s.data = Dataset(GenerateUniformCube(kScreenN, dim, 13));
-  EuclideanMetric m;
-  for (size_t c : Gmm(s.data, m, kScreenK).selected) {
-    s.center_rows.Append(s.data.point(c));
-  }
-  s.assignment.resize(kScreenN);
-  return s;
-}
-
-void BM_ScreenedSweepDense(benchmark::State& state) {
-  EuclideanMetric m;
-  size_t dim = static_cast<size_t>(state.range(0));
-  SetGlobalThreadPoolSize(1);
-  ScreenedSweepSetup s = MakeDenseScreenedSweep(dim);
-  if (!s.VerifyAndReportRescue(state, m)) return;
-  for (auto _ : state) {
-    s.dist.assign(kScreenN, std::numeric_limits<double>::infinity());
-    size_t farthest = ScreenedRelaxTilesAndArgFarthest(
-        m, s.center_rows, 0, s.center_rows.size(), 0, s.data, s.dist,
-        s.assignment);
-    benchmark::DoNotOptimize(farthest);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kScreenN * kScreenK));
-  state.counters["n"] = static_cast<double>(kScreenN);
-  state.counters["dim"] = static_cast<double>(dim);
-  state.counters["threads"] = 1;
-  state.SetLabel("euclidean");
-}
-BENCHMARK(BM_ScreenedSweepDense)->Arg(3)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-// The PR 2 exact tile argmax on the identical inputs — the denominator of
-// the screened speedup.
-void BM_ScreenedSweepDenseExact(benchmark::State& state) {
-  EuclideanMetric m;
-  size_t dim = static_cast<size_t>(state.range(0));
-  SetGlobalThreadPoolSize(1);
-  ScreenedSweepSetup s = MakeDenseScreenedSweep(dim);
-  for (auto _ : state) {
-    s.dist.assign(kScreenN, std::numeric_limits<double>::infinity());
-    size_t farthest =
-        RelaxTilesAndArgFarthest(m, s.center_rows, 0, s.center_rows.size(), 0,
-                                 s.data, s.dist, s.assignment);
-    benchmark::DoNotOptimize(farthest);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kScreenN * kScreenK));
-  state.counters["n"] = static_cast<double>(kScreenN);
-  state.counters["dim"] = static_cast<double>(dim);
-  state.counters["threads"] = 1;
-  state.SetLabel("euclidean");
-}
-BENCHMARK(BM_ScreenedSweepDenseExact)->Arg(3)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-// Dense angular sweeps exercise the fp32 dot lanes plus the certified
-// polynomial acos (the exact path pays a libm acos per pair).
-ScreenedSweepSetup MakeDenseCosineScreenedSweep(size_t dim) {
-  ScreenedSweepSetup s;
-  s.data = Dataset(GenerateUniformCube(kScreenN, dim, 15));
-  CosineMetric m;
-  for (size_t c : Gmm(s.data, m, kScreenK).selected) {
-    s.center_rows.Append(s.data.point(c));
-  }
-  s.assignment.resize(kScreenN);
-  return s;
-}
-
-void BM_ScreenedSweepDenseCosine(benchmark::State& state) {
-  CosineMetric m;
-  size_t dim = static_cast<size_t>(state.range(0));
-  SetGlobalThreadPoolSize(1);
-  ScreenedSweepSetup s = MakeDenseCosineScreenedSweep(dim);
-  if (!s.VerifyAndReportRescue(state, m)) return;
-  for (auto _ : state) {
-    s.dist.assign(kScreenN, std::numeric_limits<double>::infinity());
-    size_t farthest = ScreenedRelaxTilesAndArgFarthest(
-        m, s.center_rows, 0, s.center_rows.size(), 0, s.data, s.dist,
-        s.assignment);
-    benchmark::DoNotOptimize(farthest);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kScreenN * kScreenK));
-  state.counters["n"] = static_cast<double>(kScreenN);
-  state.counters["dim"] = static_cast<double>(dim);
-  state.counters["threads"] = 1;
-  state.SetLabel("cosine");
-}
-BENCHMARK(BM_ScreenedSweepDenseCosine)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ScreenedSweepDenseCosineExact(benchmark::State& state) {
-  CosineMetric m;
-  size_t dim = static_cast<size_t>(state.range(0));
-  SetGlobalThreadPoolSize(1);
-  ScreenedSweepSetup s = MakeDenseCosineScreenedSweep(dim);
-  for (auto _ : state) {
-    s.dist.assign(kScreenN, std::numeric_limits<double>::infinity());
-    size_t farthest =
-        RelaxTilesAndArgFarthest(m, s.center_rows, 0, s.center_rows.size(), 0,
-                                 s.data, s.dist, s.assignment);
-    benchmark::DoNotOptimize(farthest);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kScreenN * kScreenK));
-  state.counters["n"] = static_cast<double>(kScreenN);
-  state.counters["dim"] = static_cast<double>(dim);
-  state.counters["threads"] = 1;
-  state.SetLabel("cosine");
-}
-BENCHMARK(BM_ScreenedSweepDenseCosineExact)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-// Sparse screened sweeps run the fp32 union-walk engine (Euclidean; the
-// angular sparse tile is gated unprofitable — see
-// CosineMetric::ScreeningProfitableFor).
-ScreenedSweepSetup MakeSparseScreenedSweep(size_t n) {
-  ScreenedSweepSetup s;
-  SparseTextOptions opts;
-  opts.n = n;
-  opts.vocab_size = 5000;
-  opts.min_terms = 60;
-  opts.max_terms = 120;
-  opts.seed = 14;
-  s.data = Dataset(GenerateSparseTextDataset(opts));
-  EuclideanMetric m;
-  for (size_t c : Gmm(s.data, m, kScreenK).selected) {
-    s.center_rows.Append(s.data.point(c));
-  }
-  s.assignment.resize(n);
-  return s;
-}
-
-void BM_ScreenedSweepSparseEuclidean(benchmark::State& state) {
-  EuclideanMetric m;
-  size_t n = static_cast<size_t>(state.range(0));
-  SetGlobalThreadPoolSize(1);
-  ScreenedSweepSetup s = MakeSparseScreenedSweep(n);
-  if (!s.VerifyAndReportRescue(state, m)) return;
-  for (auto _ : state) {
-    s.dist.assign(n, std::numeric_limits<double>::infinity());
-    size_t farthest = ScreenedRelaxTilesAndArgFarthest(
-        m, s.center_rows, 0, s.center_rows.size(), 0, s.data, s.dist,
-        s.assignment);
-    benchmark::DoNotOptimize(farthest);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n * kScreenK));
-  state.counters["n"] = static_cast<double>(n);
-  state.counters["dim"] = 5000;
-  state.counters["threads"] = 1;
-  state.SetLabel("euclidean");
-}
-BENCHMARK(BM_ScreenedSweepSparseEuclidean)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ScreenedSweepSparseEuclideanExact(benchmark::State& state) {
-  EuclideanMetric m;
-  size_t n = static_cast<size_t>(state.range(0));
-  SetGlobalThreadPoolSize(1);
-  ScreenedSweepSetup s = MakeSparseScreenedSweep(n);
-  for (auto _ : state) {
-    s.dist.assign(n, std::numeric_limits<double>::infinity());
-    size_t farthest =
-        RelaxTilesAndArgFarthest(m, s.center_rows, 0, s.center_rows.size(), 0,
-                                 s.data, s.dist, s.assignment);
-    benchmark::DoNotOptimize(farthest);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n * kScreenK));
-  state.counters["n"] = static_cast<double>(n);
-  state.counters["dim"] = 5000;
-  state.counters["threads"] = 1;
-  state.SetLabel("euclidean");
-}
-BENCHMARK(BM_ScreenedSweepSparseEuclideanExact)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-
-
-void BM_FusedScreenRelaxDense(benchmark::State& state) {
-  EuclideanMetric m;
-  size_t dim = static_cast<size_t>(state.range(0));
-  SetGlobalThreadPoolSize(1);
-  ScreenedSweepSetup s = MakeDenseScreenedSweep(dim);
-  if (!s.VerifyAndReportRescue(state, m)) return;
-  for (auto _ : state) {
-    s.dist.assign(kScreenN, std::numeric_limits<double>::infinity());
-    size_t farthest = ScreenedRelaxTilesAndArgFarthest(
-        m, s.center_rows, 0, s.center_rows.size(), 0, s.data, s.dist,
-        s.assignment);
-    benchmark::DoNotOptimize(farthest);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kScreenN * kScreenK));
-  state.counters["n"] = static_cast<double>(kScreenN);
-  state.counters["dim"] = static_cast<double>(dim);
-  state.counters["threads"] = 1;
-  state.SetLabel("euclidean");
-}
-BENCHMARK(BM_FusedScreenRelaxDense)->Arg(3)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FusedScreenRelaxDenseUnfused(benchmark::State& state) {
-  EuclideanMetric m;
-  size_t dim = static_cast<size_t>(state.range(0));
-  SetGlobalThreadPoolSize(1);
-  ScreenedSweepSetup s = MakeDenseScreenedSweep(dim);
-  if (!s.VerifyAndReportRescue(state, m, /*unfused=*/true)) return;
-  for (auto _ : state) {
-    s.dist.assign(kScreenN, std::numeric_limits<double>::infinity());
-    size_t farthest = s.Sweep(m, /*unfused=*/true, s.dist, s.assignment);
-    benchmark::DoNotOptimize(farthest);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kScreenN * kScreenK));
-  state.counters["n"] = static_cast<double>(kScreenN);
-  state.counters["dim"] = static_cast<double>(dim);
-  state.counters["threads"] = 1;
-  state.SetLabel("euclidean/unfused");
-}
-BENCHMARK(BM_FusedScreenRelaxDenseUnfused)->Arg(3)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
 // The fused SMM "argmin + threshold" update sweep at dim 3 — below the old
 // >=8-coords-per-row gate, so the pre-fusion engine ran this exact. Arg(1)
 // screens (fused sweep), Arg(0) is the exact baseline.
@@ -1003,72 +641,6 @@ void BM_SmmUpdateSparseCosine(benchmark::State& state) {
   state.SetLabel("cosine");
 }
 BENCHMARK(BM_SmmUpdateSparseCosine);
-
-// The cosine-space angular screen on an all-sparse corpus: the skip path
-// pays one multiply-compare per lane off the blocked CSR dot engine — no
-// arccos — which is what finally lets sparse cosine screen profitably
-// (the pre-fusion gate kept it on the exact path).
-ScreenedSweepSetup MakeSparseCosineScreenedSweep(size_t n) {
-  ScreenedSweepSetup s;
-  SparseTextOptions opts;
-  opts.n = n;
-  opts.vocab_size = 5000;
-  opts.min_terms = 60;
-  opts.max_terms = 120;
-  opts.seed = 16;
-  s.data = Dataset(GenerateSparseTextDataset(opts));
-  CosineMetric m;
-  for (size_t c : Gmm(s.data, m, kScreenK).selected) {
-    s.center_rows.Append(s.data.point(c));
-  }
-  s.assignment.resize(n);
-  return s;
-}
-
-void BM_FusedScreenSparseCosine(benchmark::State& state) {
-  CosineMetric m;
-  size_t n = static_cast<size_t>(state.range(0));
-  SetGlobalThreadPoolSize(1);
-  ScreenedSweepSetup s = MakeSparseCosineScreenedSweep(n);
-  if (!s.VerifyAndReportRescue(state, m)) return;
-  for (auto _ : state) {
-    s.dist.assign(n, std::numeric_limits<double>::infinity());
-    size_t farthest = ScreenedRelaxTilesAndArgFarthest(
-        m, s.center_rows, 0, s.center_rows.size(), 0, s.data, s.dist,
-        s.assignment);
-    benchmark::DoNotOptimize(farthest);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n * kScreenK));
-  state.counters["n"] = static_cast<double>(n);
-  state.counters["dim"] = 5000;
-  state.counters["threads"] = 1;
-  state.SetLabel("cosine");
-}
-BENCHMARK(BM_FusedScreenSparseCosine)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FusedScreenSparseCosineExact(benchmark::State& state) {
-  CosineMetric m;
-  size_t n = static_cast<size_t>(state.range(0));
-  SetGlobalThreadPoolSize(1);
-  ScreenedSweepSetup s = MakeSparseCosineScreenedSweep(n);
-  for (auto _ : state) {
-    s.dist.assign(n, std::numeric_limits<double>::infinity());
-    size_t farthest =
-        RelaxTilesAndArgFarthest(m, s.center_rows, 0, s.center_rows.size(), 0,
-                                 s.data, s.dist, s.assignment);
-    benchmark::DoNotOptimize(farthest);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n * kScreenK));
-  state.counters["n"] = static_cast<double>(n);
-  state.counters["dim"] = 5000;
-  state.counters["threads"] = 1;
-  state.SetLabel("cosine");
-}
-BENCHMARK(BM_FusedScreenSparseCosineExact)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
 
 // Screened GMM end to end at dim 16 (single-query sweeps below ~dim 8 are
 // gated back to the exact path — too little per-row work to amortize the
@@ -1198,8 +770,9 @@ BENCHMARK(BM_MrFaultRecovery)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 namespace {
 
 // Console reporter that also collects one {op, n, dim, metric, ns_per_op,
-// rescue_pct} record per iteration run and writes them — under a meta block
-// describing the run configuration — as BENCH_micro.json.
+// exact_evals, screened_evals} record per iteration run and writes them —
+// under a meta block describing the run configuration — as
+// BENCH_micro.json.
 class JsonTeeReporter : public benchmark::ConsoleReporter {
  public:
   struct Entry {
@@ -1209,8 +782,6 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
     double threads = 0.0;
     std::string metric;
     double ns_per_op = 0.0;
-    double rescue_pct = -1.0;  // < 0: benchmark did not screen
-    double pruned_pct = -1.0;  // < 0: benchmark did not index
     double exact_evals = -1.0;  // < 0: benchmark did not count
     double screened_evals = -1.0;
   };
@@ -1243,10 +814,6 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
       if (dim_it != run.counters.end()) e.dim = dim_it->second.value;
       auto t_it = run.counters.find("threads");
       if (t_it != run.counters.end()) e.threads = t_it->second.value;
-      auto rescue_it = run.counters.find("rescue_pct");
-      if (rescue_it != run.counters.end()) e.rescue_pct = rescue_it->second.value;
-      auto pruned_it = run.counters.find("pruned_pct");
-      if (pruned_it != run.counters.end()) e.pruned_pct = pruned_it->second.value;
       auto exact_it = run.counters.find("exact_evals");
       if (exact_it != run.counters.end()) {
         e.exact_evals = exact_it->second.value;
@@ -1284,12 +851,6 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
                    "\"ns_per_op\": %.3f",
                    Escaped(e.op).c_str(), e.n, e.dim, e.threads,
                    Escaped(e.metric).c_str(), e.ns_per_op);
-      if (e.rescue_pct >= 0.0) {
-        std::fprintf(f, ", \"rescue_pct\": %.3f", e.rescue_pct);
-      }
-      if (e.pruned_pct >= 0.0) {
-        std::fprintf(f, ", \"pruned_pct\": %.3f", e.pruned_pct);
-      }
       if (e.exact_evals >= 0.0) {
         std::fprintf(f, ", \"exact_evals\": %.0f", e.exact_evals);
       }

@@ -114,15 +114,4 @@ DistanceMatrix DistanceMatrix::Restrict(std::span<const size_t> subset) const {
   return out;
 }
 
-bool DistanceMatrix::SatisfiesTriangleInequality(double tol) const {
-  for (size_t i = 0; i < n_; ++i) {
-    for (size_t j = 0; j < n_; ++j) {
-      for (size_t k = 0; k < n_; ++k) {
-        if (at(i, j) > at(i, k) + at(k, j) + tol) return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace diverse

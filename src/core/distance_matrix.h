@@ -59,10 +59,6 @@ class DistanceMatrix {
   /// Restriction of this matrix to the rows/columns in `subset`.
   DistanceMatrix Restrict(std::span<const size_t> subset) const;
 
-  /// True if the entries satisfy the triangle inequality up to `tol`
-  /// (O(n^3); intended for tests).
-  bool SatisfiesTriangleInequality(double tol = 1e-9) const;
-
  private:
   void BuildTiled(const Dataset& data, const Metric& metric);
 

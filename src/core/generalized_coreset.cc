@@ -171,11 +171,11 @@ std::optional<PointSet> Instantiate(const GeneralizedCoreset& coreset,
   }
   if (!pending.empty()) {
     const Dataset data(points);
-    const bool screened = UseScreening(metric);
+    const ScreenSideStats ds = SideStatsOf(data);
     constexpr size_t kChunk = kernels::kTileLanes;
     constexpr size_t kRowBlock = 256;
     std::vector<double> tile(kChunk * kRowBlock);
-    std::vector<float> ftile(screened ? kChunk * kRowBlock : 0);
+    std::vector<float> ftile;  // sized by the first screened chunk
     std::vector<uint32_t> band;   // screened in-band rows, batched rescue
     std::vector<double> band_d;
     std::vector<std::vector<std::pair<double, size_t>>> candidates(kChunk);
@@ -187,10 +187,12 @@ std::optional<PointSet> Instantiate(const GeneralizedCoreset& coreset,
         candidates[q].clear();
       }
       const ScreenSideStats qs = SideStatsOf(queries);
-      const ScreenSideStats ds = SideStatsOf(data);
-      bool chunk_screened = screened && metric.ScreeningProfitableFor(qs, ds);
+      const bool chunk_screened = UseScreening(metric, qs, ds);
       ScreenBound bound;
-      if (chunk_screened) bound = metric.ScreenErrorBound(qs, ds, data.dim());
+      if (chunk_screened) {
+        bound = metric.ScreenErrorBound(qs, ds, data.dim());
+        ftile.resize(kChunk * kRowBlock);
+      }
       for (size_t rb = 0; rb < data.size(); rb += kRowBlock) {
         size_t rn = std::min(kRowBlock, data.size() - rb);
         if (chunk_screened) {

@@ -37,8 +37,7 @@ GmmResult Gmm(const Dataset& data, const Metric& metric, size_t k,
     // columnar views); selections, trajectories, and the final range are
     // bit-identical to the exact path, which it falls back to when
     // screening is off or the per-row work gate of core/screen.cc says a
-    // single-query screen cannot pay (the multi-center tile sweeps have no
-    // such gate — their fused kernel amortizes across the center block).
+    // single-query screen cannot pay.
     size_t farthest = ScreenedRelaxArgFarthest(
         metric, data, current, data, dist, assignment,
         result.selected.size() - 1);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <type_traits>
@@ -385,277 +384,14 @@ double MaxPairTerms(const ScreenSideStats& q, const ScreenSideStats& r,
 // cosine after the exact-double norm division (the fp32 narrowing of the
 // quotient is another u, inside the 2x margin), inflated by the denormal
 // floor over the smallest positive norm product. Zero-norm pairs take the
-// exact convention values and carry no error at all. The cosine-space
-// sparse screen (CosineSparseScreenedRelaxTile) compares in this band
-// directly; CosineKernel::Bound turns it into an absolute angular band via
-// the Hölder-type bound |acos x - acos y| <= sqrt(2|x-y|) + |x-y| (the
-// endpoint increment acos(1 - e) is the maximum and is below sqrt(2e) + e
-// for every e in [0, 2]), plus 1e-5 for kernels::AcosScreenPoly — the
-// screened angular kernels evaluate the arccos with that polynomial.
+// exact convention values and carry no error at all. CosineKernel::Bound
+// turns it into an absolute angular band via the Hölder-type bound
+// |acos x - acos y| <= sqrt(2|x-y|) + |x-y| (the endpoint increment
+// acos(1 - e) is the maximum and is below sqrt(2e) + e for every e in
+// [0, 2]), plus 1e-5 for kernels::AcosScreenPoly — the screened angular
+// kernels evaluate the arccos with that polynomial.
 double CosineSpaceError(double m, double min_norm_q, double min_norm_r) {
   return (2.0 * m + 32.0) * kF32Eps + m * 3e-45 / (min_norm_q * min_norm_r);
-}
-
-// --- Fused screened tile relax --------------------------------------------
-// Certain-skip cutoff in squared space for the fused Euclidean kernel: the
-// lane values stay SQUARED (no SQRTPS on the skip path), so the
-// distance-space skip threshold thr must map to a squared cutoff hi with
-//   v > hi (finite)  =>  sqrtf(v) > thr.
-// IEEE sqrt is correctly rounded and monotone, so the exact boundary is
-// within ~2.5 float ulps of thr^2; a 1e-6 relative inflation clears it with
-// orders of magnitude to spare. Outside the float range where the relative
-// margin is trustworthy (subnormal or near-overflow squares) the cutoff
-// degrades to +inf — no certain skip, every lane goes through the certified
-// candidate test, which is always safe.
-float SquaredSkipCutoff(float thr) {
-  if (!(thr < std::numeric_limits<float>::infinity())) {
-    return std::numeric_limits<float>::infinity();
-  }
-  float t2 = thr * thr;
-  if (t2 >= 1e-30f && t2 <= 1e37f) return t2 * (1.0f + 1e-6f);
-  return std::numeric_limits<float>::infinity();
-}
-
-// The register-resident screen + relax + rescue loop behind
-// KernelMetric::ScreenedRelaxTile for all-dense layouts. Per data row: one
-// 16-lane fp32 kernel call into a 64-byte stack buffer and one packed
-// compare against the row's certain-skip cutoff (kernels::RescueMask16F32);
-// only rows with a lane in the certified band do further work. Besides
-// removing the fp32 tile traffic (write + re-read of nq x nr floats, which
-// dominates at low dimension), the fused loop certifies skips MORE
-// aggressively than the unfused loop: band-hit rows resolve through a
-// per-row argmin screen instead of the serial per-center cascade, so the
-// rescue set is typically SMALLER (never more than nq * nr; fused <=
-// unfused is pinned in screen_test) while the final dist / assignment /
-// argmax stay bit-identical to the exact relax fold.
-//
-// Two facts make it both fast and safe:
-//
-//   * The tile relax is a strict-min fold: the final (dist[r],
-//     assignment[r]) is the exact minimum over incoming dist and all lane
-//     distances, with the FIRST rank winning exact ties — a pure function
-//     of the pair distances, independent of relax order. So a fused kernel
-//     need not replay the unfused loop's serial lane cascade; it only has
-//     to produce that function's value bit for bit.
-//   * Per row, the candidates for that minimum are certified by the
-//     argmin-screening argument (see ScreenedArgClosestWithin): with
-//     U = min(dist[r], ScreenedUpper(smin)) over the row's finite lane
-//     values, any lane whose certified lower bound exceeds U provably
-//     cannot improve or tie the final minimum. Evaluating only the
-//     candidates, in ascending rank with a strict-min relax, reproduces
-//     the exact fold — typically ONE exact evaluation per touched row,
-//     against the serial cascade's string of band hits (and strictly no
-//     more than the nq * nr the unscreened path pays).
-//
-// The fast path stays one packed compare: rows where every lane clears the
-// certain-skip cutoff (mask_thr[r], in the lane kernels' native value
-// space — squared when K::kRootOfSquares, so no SQRTPS runs there) are done
-// in ~RescueMask16F32 alone. A band-hit row's argmin screen is packed too:
-// MinFinite16F32 reduces the lane block (still in native space — sqrt and
-// min commute, so Euclidean pays ONE scalar sqrt on the reduced value), the
-// candidate cutoff maps back to native space, and a second RescueMask16F32
-// yields the candidate bitset — walked in ascending rank so exact ties keep
-// first-rank semantics.
-template <typename K>
-size_t FusedDenseScreenedRelaxTile(const Dataset& queries, size_t q_begin,
-                                   size_t nq, size_t rank_base,
-                                   const Dataset& data, size_t r_begin,
-                                   size_t nr, const ScreenBound& bound,
-                                   std::span<double> dist,
-                                   std::span<size_t> assignment) {
-  // Native-space maps of a distance-space cutoff and back.
-  auto mask_cutoff = [](float thr) {
-    return K::kRootOfSquares ? SquaredSkipCutoff(thr) : thr;
-  };
-  auto to_distance = [](float v) {
-    return K::kRootOfSquares ? std::sqrt(v) : v;
-  };
-  constexpr size_t kRowBlock = 256;
-  constexpr size_t kLanes = kernels::kTileLanesF32;
-  const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
-  const size_t dim = data.dim();
-  size_t exact_evals = 0;
-  thread_local std::vector<float> qt;
-  thread_local std::vector<float> mask_thr;
-  qt.resize(dim * kLanes);
-  VecView qv[kLanes];
-  float vals[kLanes];
-  for (size_t rb = 0; rb < nr; rb += kRowBlock) {
-    size_t rn = std::min(kRowBlock, nr - rb);
-    // Cache each row's certain-skip cutoff for the whole center sweep; it
-    // only changes when a rescue improves the row's distance.
-    mask_thr.resize(rn);
-    for (size_t i = 0; i < rn; ++i) {
-      mask_thr[i] = mask_cutoff(
-          ScreenSkipThreshold(dist[r_begin + rb + i], bound.abs, inv_rel));
-    }
-    for (size_t qc = 0; qc < nq; qc += kLanes) {
-      size_t qn = std::min(kLanes, nq - qc);
-      for (size_t l = 0; l < qn; ++l) {
-        qv[l] = queries.row(q_begin + qc + l);
-      }
-      kernels::PackQueryLanesF32(qv, qn, dim, qt.data());
-      const uint32_t lane_mask =
-          qn >= kLanes ? 0xFFFFu : ((1u << qn) - 1u);
-      for (size_t r = 0; r < rn; ++r) {
-        size_t gr = r_begin + rb + r;
-        VecView row = data.row(gr);
-        K::Lanes(qt.data(), row.values, dim, vals);
-        if constexpr (!K::kRootOfSquares) K::Finish(vals, qv, row, qn);
-        if ((kernels::RescueMask16F32(vals, mask_thr[r]) & lane_mask) == 0) {
-          continue;
-        }
-        // Band hit: run the certified argmin screen for this row's
-        // strict-min fold. Padding lanes (zero-filled queries) must not
-        // reach the packed min.
-        if (qn < kLanes) {
-          for (size_t l = qn; l < kLanes; ++l) {
-            vals[l] = std::numeric_limits<float>::infinity();
-          }
-        }
-        float smin = to_distance(kernels::MinFinite16F32(vals));
-        double min_upper = std::min(dist[gr], ScreenedUpper(smin, bound));
-        float cutoff = mask_cutoff(NextUpNonNegativeF32(
-            static_cast<float>((min_upper + bound.abs) * inv_rel)));
-        uint32_t cand = kernels::RescueMask16F32(vals, cutoff) & lane_mask;
-        bool improved = false;
-        while (cand != 0) {
-          size_t l = static_cast<size_t>(std::countr_zero(cand));
-          cand &= cand - 1;
-          double d = K::Pair(qv[l], row);
-          ++exact_evals;
-          if (d < dist[gr]) {
-            dist[gr] = d;
-            if (!assignment.empty()) assignment[gr] = rank_base + qc + l;
-            improved = true;
-          }
-        }
-        if (improved) {
-          mask_thr[r] = mask_cutoff(
-              ScreenSkipThreshold(dist[gr], bound.abs, inv_rel));
-        }
-      }
-    }
-  }
-  return exact_evals;
-}
-
-// Cosine-space screened relax for all-sparse tiles: the screen compares
-// raw fp32 dots against per-row cos thresholds, so the skip path costs the
-// SparseDotLanesF32 walks plus one multiply-compare per lane — no arccos
-// anywhere. Every center chunk is decoded ONCE per call and a row streams
-// against all of them back to back, so a band-hit row screens its ENTIRE
-// center set at once: the certified cosine-space argmin test (angular min
-// is cosine max; C_LO lower-bounds the cosine of the row's final minimum,
-// so lanes certified below it cannot improve or tie the strict-min fold)
-// leaves typically ONE candidate per row per sweep to pay the exact
-// per-pair merge — not one per 8-lane chunk, which is what makes sparse
-// cosine screening profitable at all (rescued merges are ~an order of
-// magnitude costlier than blocked pairs). Zero-norm rows and lanes always
-// rescue: their distances are convention values the screen does not model.
-// Deterministic: decode order, walk order, and thresholds depend only on
-// inputs.
-size_t CosineSparseScreenedRelaxTile(const Dataset& queries, size_t q_begin,
-                                     size_t nq, size_t rank_base,
-                                     const Dataset& data, size_t r_begin,
-                                     size_t nr, std::span<double> dist,
-                                     std::span<size_t> assignment) {
-  constexpr size_t kSub = kernels::kTileLanes;
-  const double inf = std::numeric_limits<double>::infinity();
-  const float flt_max = std::numeric_limits<float>::max();
-  ScreenSideStats qs = SideStatsOf(queries);
-  ScreenSideStats rs = SideStatsOf(data);
-  const double e_c = CosineSpaceError(MaxPairTerms(qs, rs, data.dim()),
-                                      qs.min_positive_norm,
-                                      rs.min_positive_norm);
-  // Absorbs the cos() rounding and the norm multiplications/divisions of
-  // the skip tests (each ~1e-16, far below this absolute cosine slack).
-  constexpr double kCosSlack = 1e-9;
-  size_t exact_evals = 0;
-  size_t num_sub = (nq + kSub - 1) / kSub;
-  thread_local std::vector<kernels::SparseTileScratch> ws_pool;
-  if (ws_pool.size() < num_sub) ws_pool.resize(num_sub);
-  thread_local std::vector<VecView> qv;
-  thread_local std::vector<double> qnorm;
-  thread_local std::vector<double> inv_nb;
-  thread_local std::vector<float> dots;
-  thread_local std::vector<double> cvals;
-  qv.resize(nq);
-  qnorm.resize(nq);
-  inv_nb.resize(nq);
-  dots.resize(num_sub * kSub);
-  cvals.resize(nq);
-  for (size_t l = 0; l < nq; ++l) {
-    qv[l] = queries.row(q_begin + l);
-    qnorm[l] = qv[l].norm;
-    inv_nb[l] = qnorm[l] > 0.0 ? 1.0 / qnorm[l] : 0.0;
-  }
-  const size_t direct_dim = DirectIndexDim(data, nr);
-  thread_local std::vector<SparseDecodeKey> key_pool;
-  if (key_pool.size() < ws_pool.size()) key_pool.resize(ws_pool.size());
-  for (size_t sub = 0; sub < num_sub; ++sub) {
-    size_t sub_n = std::min(kSub, nq - sub * kSub);
-    SparseDecodeKey want{queries.content_stamp(), q_begin, nq, sub,
-                         direct_dim};
-    if (!SparseDecodeCached(want, key_pool[sub])) {
-      kernels::PackSparseQueryLanes(qv.data() + sub * kSub, sub_n, direct_dim,
-                                    ws_pool[sub]);
-    }
-  }
-  auto row_cos_threshold = [&](double cur, double rnorm) -> double {
-    // (cos(cur) - slack - e_c) * row_norm; -inf (never skip) when the row
-    // norm is zero or the row has not been relaxed yet.
-    if (!(rnorm > 0.0) || !(cur < inf)) return -inf;
-    return (std::cos(cur) - kCosSlack - e_c) * rnorm;
-  };
-  for (size_t r = 0; r < nr; ++r) {
-    size_t gr = r_begin + r;
-    VecView row = data.row(gr);
-    double na = row.norm;
-    double cthr = row_cos_threshold(dist[gr], na);
-    uint32_t any = 0;
-    for (size_t sub = 0; sub < num_sub; ++sub) {
-      any |= kernels::SparseCosineScreenLanes(ws_pool[sub], row, cthr,
-                                              qnorm.data() + sub * kSub,
-                                              dots.data() + sub * kSub);
-    }
-    if (any == 0) continue;
-    if (na > 0.0) {
-      double inv_na = 1.0 / na;
-      // Lower bound on cos(dist[gr]), division rounding inside the slack.
-      double c_lo = cthr * inv_na + e_c;
-      for (size_t l = 0; l < nq; ++l) {
-        float s = dots[l];
-        if (qnorm[l] > 0.0 && s >= -flt_max && s <= flt_max) {
-          double c = static_cast<double>(s) * inv_na * inv_nb[l];
-          cvals[l] = c;
-          if (c - e_c > c_lo) c_lo = c - e_c;
-        } else {
-          cvals[l] = inf;  // convention / overflow lane: always a candidate
-        }
-      }
-      for (size_t l = 0; l < nq; ++l) {
-        if (cvals[l] + e_c < c_lo) continue;
-        double d = kernels::AngularCosine(qv[l], row);
-        ++exact_evals;
-        if (d < dist[gr]) {
-          dist[gr] = d;
-          if (!assignment.empty()) assignment[gr] = rank_base + l;
-        }
-      }
-    } else {
-      // Zero-norm row: every pair takes its exact convention value.
-      for (size_t l = 0; l < nq; ++l) {
-        double d = kernels::AngularCosine(qv[l], row);
-        ++exact_evals;
-        if (d < dist[gr]) {
-          dist[gr] = d;
-          if (!assignment.empty()) assignment[gr] = rank_base + l;
-        }
-      }
-    }
-  }
-  return exact_evals;
 }
 
 }  // namespace
@@ -673,14 +409,12 @@ size_t CosineSparseScreenedRelaxTile(const Dataset& queries, size_t q_begin,
 //                            table (intersection kernels, !kUnionWalk);
 //   kRootOfSquares           lane values are SQUARED distances (Squared,
 //                            SquaredF32 per pair): one-query runs take the
-//                            roots in one batched pass, and the fused screen
-//                            compares in squared space;
-//   kScreens                 ScreeningProfitable(). When false the fp32
-//                            members keep the Metric fallbacks and the
-//                            screening members below are not needed;
-//   Bound, Screens, RelaxTileScreens   ScreenErrorBound and its two gates;
-//   kSparseScreen            an all-sparse fused screened relax
-//                            (SparseScreenedRelaxTile);
+//                            roots in one batched pass;
+//   kScreens                 real fp32 kernels. When false the fp32 members
+//                            keep the Metric fallbacks, the screening gate
+//                            is always false and the screening members
+//                            below are not needed;
+//   Bound, Screens           ScreenErrorBound and the screening gate;
 //   Slack                    IndexSlack.
 
 // Euclidean and L1: union-walk sparse kernels, screened on every layout,
@@ -693,17 +427,12 @@ struct AdditiveKernel {
   static constexpr bool kUnionWalk = true;
   static constexpr bool kRootOfSquares = false;
   static constexpr bool kScreens = true;
-  static constexpr bool kSparseScreen = false;
   static ScreenBound Bound(const ScreenSideStats& q, const ScreenSideStats& r,
                            size_t dim) {
     return ScreenBound{(2.0 * MaxPairTerms(q, r, dim) + 64.0) * kF32Eps,
                        1e-18};
   }
   static bool Screens(const ScreenSideStats&, const ScreenSideStats&) {
-    return true;
-  }
-  static bool RelaxTileScreens(const ScreenSideStats&,
-                               const ScreenSideStats&) {
     return true;
   }
   static ScreenBound Slack(const Dataset& data) {
@@ -786,7 +515,6 @@ struct CosineKernel {
   static constexpr bool kUnionWalk = false;
   static constexpr bool kRootOfSquares = false;
   static constexpr bool kScreens = true;
-  static constexpr bool kSparseScreen = true;
   static double Pair(const VecView& a, const VecView& b) {
     return kernels::AngularCosine(a, b);
   }
@@ -865,26 +593,13 @@ struct CosineKernel {
   static bool Screens(const ScreenSideStats& q, const ScreenSideStats& r) {
     return !q.has_sparse && !r.has_sparse;
   }
-  // Dense tiles screen in angular space (fused); all-sparse tiles screen in
-  // cosine space through the blocked CSR dot engine — the skip path pays
-  // one multiply-compare per pair instead of an arccos. Mixed layouts stay
-  // exact.
-  static bool RelaxTileScreens(const ScreenSideStats& q,
-                               const ScreenSideStats& r) {
-    bool all_sparse = q.has_sparse && !q.has_dense && r.has_sparse &&
-                      !r.has_dense;
-    return Screens(q, r) || all_sparse;
-  }
-  static constexpr auto SparseScreenedRelaxTile =
-      CosineSparseScreenedRelaxTile;
-  // The distance here is the ANGULAR cosine — a genuine metric, so the
-  // triangle inequality holds in angle space and that is where the
-  // matching bound prunes. The slack is the cosine-space band of the exact double dot
-  // (Cauchy-Schwarz over absolute terms, any order) with a denormal floor
-  // over the smallest positive norm product, lifted to the angle like the
-  // screening bound, plus ulp-scale headroom for the exact std::acos
-  // itself. Degrades to the never-prune band (abs = 4 >= pi) when norms
-  // underflow the floor.
+  // The distance here is the ANGULAR cosine — a genuine metric, so the triangle
+  // inequality holds in angle space and that is where the matching bound
+  // prunes. The slack is the cosine-space band of the exact double dot
+  // (Cauchy-Schwarz over absolute terms, any order) with a denormal floor over
+  // the smallest positive norm product, lifted to the angle like the screening
+  // bound, plus ulp-scale headroom for the exact std::acos itself. Degrades to
+  // the never-prune band (abs = 4 >= pi) when norms underflow the floor.
   static ScreenBound Slack(const Dataset& data) {
     ScreenSideStats s = SideStatsOf(data);
     double m = MaxPairTerms(s, s, data.dim());
@@ -993,7 +708,7 @@ void Metric::DistanceTileF32(const Dataset& queries, size_t q_begin,
                              size_t nq, const Dataset& data, size_t r_begin,
                              size_t nr, float* out, size_t out_stride) const {
   // Exact tile, narrowed to float. Valid under the default ScreenErrorBound
-  // (one fp32 rounding); ScreeningProfitable() stays false so screened
+  // (one fp32 rounding); ScreeningProfitableFor stays false so screened
   // sweeps do not route hot loops through it.
   CheckTileArgs(queries, q_begin, nq, data, r_begin, nr, out_stride);
   if (nq == 0 || nr == 0) return;
@@ -1015,16 +730,6 @@ void Metric::DistanceRowsMany(const Dataset& a, size_t i, const Dataset& b,
   for (size_t t = 0; t < rows.size(); ++t) {
     out[t] = Distance(query, row.Assign(b.row(rows[t])));
   }
-}
-
-size_t Metric::ScreenedRelaxTile(const Dataset& queries, size_t q_begin,
-                                 size_t nq, size_t rank_base,
-                                 const Dataset& data, size_t r_begin,
-                                 size_t nr, const ScreenBound& bound,
-                                 std::span<double> dist,
-                                 std::span<size_t> assignment) const {
-  return UnfusedScreenedRelaxTile(*this, queries, q_begin, nq, rank_base,
-                                  data, r_begin, nr, bound, dist, assignment);
 }
 
 ScreenBound Metric::ScreenErrorBound(const ScreenSideStats&,
@@ -1127,34 +832,6 @@ void KernelMetric<K>::DistanceRowsMany(const Dataset& a, size_t i,
 }
 
 template <typename K>
-size_t KernelMetric<K>::ScreenedRelaxTile(
-    const Dataset& queries, size_t q_begin, size_t nq, size_t rank_base,
-    const Dataset& data, size_t r_begin, size_t nr, const ScreenBound& bound,
-    std::span<double> dist, std::span<size_t> assignment) const {
-  // The layout tests read only dataset statistics — deterministic. Other
-  // layouts keep the unfused tile path (the sparse engine's block decode
-  // already amortizes; the fusion win is dense tile traffic).
-  if constexpr (K::kScreens) {
-    if (queries.sparse_stats().rows == 0 && data.sparse_stats().rows == 0 &&
-        data.dim() > 0) {
-      return FusedDenseScreenedRelaxTile<K>(queries, q_begin, nq, rank_base,
-                                            data, r_begin, nr, bound, dist,
-                                            assignment);
-    }
-    if constexpr (K::kSparseScreen) {
-      if (queries.sparse_stats().rows == queries.size() &&
-          data.sparse_stats().rows == data.size() && !data.empty()) {
-        return K::SparseScreenedRelaxTile(queries, q_begin, nq, rank_base,
-                                          data, r_begin, nr, dist,
-                                          assignment);
-      }
-    }
-  }
-  return UnfusedScreenedRelaxTile(*this, queries, q_begin, nq, rank_base,
-                                  data, r_begin, nr, bound, dist, assignment);
-}
-
-template <typename K>
 ScreenBound KernelMetric<K>::ScreenErrorBound(const ScreenSideStats& queries,
                                               const ScreenSideStats& data,
                                               size_t dim) const {
@@ -1166,25 +843,10 @@ ScreenBound KernelMetric<K>::ScreenErrorBound(const ScreenSideStats& queries,
 }
 
 template <typename K>
-bool KernelMetric<K>::ScreeningProfitable() const {
-  return K::kScreens;
-}
-
-template <typename K>
 bool KernelMetric<K>::ScreeningProfitableFor(
     const ScreenSideStats& queries, const ScreenSideStats& data) const {
   if constexpr (K::kScreens) {
     return K::Screens(queries, data);
-  } else {
-    return false;
-  }
-}
-
-template <typename K>
-bool KernelMetric<K>::RelaxTileScreeningProfitableFor(
-    const ScreenSideStats& queries, const ScreenSideStats& data) const {
-  if constexpr (K::kScreens) {
-    return K::RelaxTileScreens(queries, data);
   } else {
     return false;
   }

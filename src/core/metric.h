@@ -151,9 +151,9 @@ class Metric {
   /// (the choice reads only the block and the Dataset's nnz statistics, so
   /// it never changes results or determinism). The tile is computed on the
   /// calling thread: callers that want parallelism partition their work
-  /// into tiles across the thread pool (see RelaxTilesAndArgFarthest in
-  /// core/screen.h), which keeps nested kernel calls deadlock-free and
-  /// results independent of thread count.
+  /// into tiles across the thread pool (see the greedy-matching pair scan
+  /// in core/sequential.cc), which keeps nested kernel calls deadlock-free
+  /// and results independent of thread count.
   virtual void DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,
                             const Dataset& data, size_t r_begin, size_t nr,
                             double* out, size_t out_stride) const;
@@ -179,32 +179,6 @@ class Metric {
                                 std::span<const uint32_t> rows,
                                 double* out) const;
 
-  /// Fused screen + relax + rescue over a row range. Produces EXACTLY the
-  /// relax fold of RelaxTilesAndArgFarthest over centers
-  /// [q_begin, q_begin + nq) and rows [r_begin, r_begin + nr): final dist[r]
-  /// is the exact minimum over the incoming value and all center distances,
-  /// assignment[r] the rank_base-relative rank of the FIRST center achieving
-  /// it. The fp32 screen and the certified skip tests only decide WHICH
-  /// pairs pay an exact evaluation; the return value is that number, which
-  /// CountingMetric adds to its exact counter. The count is deterministic
-  /// and never exceeds nq * nr, but implementations may certify skips more
-  /// aggressively than the base loop (fused <= unfused is tested in
-  /// screen_test). dist/assignment span the whole dataset (absolute row
-  /// indexing); computed on the calling thread. Requires bound.rel < 1 and
-  /// `bound` == ScreenErrorBound of the two datasets; callers gate on
-  /// RelaxTileScreeningProfitableFor first.
-  ///
-  /// The base implementation is UnfusedScreenedRelaxTile (core/screen.h),
-  /// correct for any metric. The built-in screening metrics replace it with
-  /// a register-resident fused loop on all-dense layouts, and cosine also
-  /// screens all-sparse blocks in cosine space (no acos on the skip path).
-  virtual size_t ScreenedRelaxTile(const Dataset& queries, size_t q_begin,
-                                   size_t nq, size_t rank_base,
-                                   const Dataset& data, size_t r_begin,
-                                   size_t nr, const ScreenBound& bound,
-                                   std::span<double> dist,
-                                   std::span<size_t> assignment) const;
-
   /// Certified |screened - exact| bound valid for every (query, data row)
   /// pair of the fp32 kernels, from the statistics of the two sides and the
   /// ambient dimension. The base returns one fp32 rounding, which matches
@@ -214,31 +188,20 @@ class Metric {
                                        size_t dim) const;
 
   /// True when the fp32 kernels above are real reduced-precision
-  /// implementations that make a screening pass cheaper than the exact
-  /// sweep. False for the base class (its fp32 kernels do full exact work
-  /// and then narrow) and for Jaccard (integer-exact support counting is
-  /// already the cheap path, and its discrete value set makes screened ties
-  /// — which always rescue — common). The screened sweeps of core/screen.h
-  /// fall back to the exact path when this is false.
-  virtual bool ScreeningProfitable() const { return false; }
-
-  /// Layout-aware refinement of ScreeningProfitable — the gate the
-  /// screened sweeps actually consult. Either verdict yields bit-identical
-  /// results; the gate only moves cost. Cosine narrows it to dense-only
-  /// layouts: a sparse sweep's cost is finding the index intersection,
-  /// which the exact one-query slot-table path already pays once per row
-  /// term, so an fp32 pass could only add a second walk plus rescues.
+  /// implementations that make a screening pass over this layout cheaper
+  /// than the exact sweep — the gate the screened sweeps of core/screen.h
+  /// consult (UseScreening). Either verdict yields bit-identical results;
+  /// the gate only moves cost. False for the base class (its fp32 kernels
+  /// do full exact work and then narrow) and for Jaccard (integer-exact
+  /// support counting is already the cheap path, and its discrete value set
+  /// makes screened ties — which always rescue — common). Cosine narrows it
+  /// to dense-only layouts: a sparse sweep's cost is finding the index
+  /// intersection, which the exact one-query slot-table path already pays
+  /// once per row term, so an fp32 pass could only add a second walk plus
+  /// rescues.
   virtual bool ScreeningProfitableFor(const ScreenSideStats& /*queries*/,
                                       const ScreenSideStats& /*data*/) const {
-    return ScreeningProfitable();
-  }
-
-  /// Gate for the fused screened tile relax (ScreenedRelaxTile). Defaults
-  /// to ScreeningProfitableFor; cosine widens it to all-sparse layouts,
-  /// which its fused kernel screens in cosine space.
-  virtual bool RelaxTileScreeningProfitableFor(
-      const ScreenSideStats& queries, const ScreenSideStats& data) const {
-    return ScreeningProfitableFor(queries, data);
+    return false;
   }
 
   /// Certified rounding slack of the *exact double* kernels: for every row
@@ -293,20 +256,11 @@ class KernelMetric final : public Metric {
   void DistanceRowsMany(const Dataset& a, size_t i, const Dataset& b,
                         std::span<const uint32_t> rows,
                         double* out) const override;
-  size_t ScreenedRelaxTile(const Dataset& queries, size_t q_begin, size_t nq,
-                           size_t rank_base, const Dataset& data,
-                           size_t r_begin, size_t nr, const ScreenBound& bound,
-                           std::span<double> dist,
-                           std::span<size_t> assignment) const override;
   ScreenBound ScreenErrorBound(const ScreenSideStats& queries,
                                const ScreenSideStats& data,
                                size_t dim) const override;
-  bool ScreeningProfitable() const override;
   bool ScreeningProfitableFor(const ScreenSideStats& queries,
                               const ScreenSideStats& data) const override;
-  bool RelaxTileScreeningProfitableFor(
-      const ScreenSideStats& queries,
-      const ScreenSideStats& data) const override;
   ScreenBound IndexSlack(const Dataset& data) const override;
   std::string Name() const override;
 };
@@ -395,41 +349,15 @@ class CountingMetric final : public Metric {
     base_->DistanceRowsMany(a, i, b, rows, out);
   }
 
-  size_t ScreenedRelaxTile(const Dataset& queries, size_t q_begin, size_t nq,
-                           size_t rank_base, const Dataset& data,
-                           size_t r_begin, size_t nr, const ScreenBound& bound,
-                           std::span<double> dist,
-                           std::span<size_t> assignment) const override {
-    // Every pair is screened in fp32; the fused kernel reports its exact
-    // rescue evaluations in the return value (its internal exact calls run
-    // devirtualized on base_, so this is the only accounting point).
-    screened_.fetch_add(nq * nr, std::memory_order_relaxed);
-    size_t rescued = base_->ScreenedRelaxTile(queries, q_begin, nq, rank_base,
-                                              data, r_begin, nr, bound, dist,
-                                              assignment);
-    count_.fetch_add(rescued, std::memory_order_relaxed);
-    return rescued;
-  }
-
   ScreenBound ScreenErrorBound(const ScreenSideStats& queries,
                                const ScreenSideStats& data,
                                size_t dim) const override {
     return base_->ScreenErrorBound(queries, data, dim);
   }
 
-  bool ScreeningProfitable() const override {
-    return base_->ScreeningProfitable();
-  }
-
   bool ScreeningProfitableFor(const ScreenSideStats& queries,
                               const ScreenSideStats& data) const override {
     return base_->ScreeningProfitableFor(queries, data);
-  }
-
-  bool RelaxTileScreeningProfitableFor(
-      const ScreenSideStats& queries,
-      const ScreenSideStats& data) const override {
-    return base_->RelaxTileScreeningProfitableFor(queries, data);
   }
 
   ScreenBound IndexSlack(const Dataset& data) const override {

@@ -54,17 +54,17 @@ ScreenedNearest ExactNearest(const Metric& metric, const Point& query,
   return out;
 }
 
-// The parallel skeleton of every relax-and-argmax sweep: runs
-// relax(lo, hi) over all rows of `data` — GrainRows ranges on the pool,
-// each cut into blocks of at most `block` rows — and returns the smallest
-// index maximizing the relaxed dist[]. Each range folds its first maximum
+// The parallel skeleton of the relax-and-argmax sweep: runs relax(lo, hi)
+// over all rows of `data` — GrainRows ranges on the pool, each cut into
+// blocks of at most kRelaxChunk rows — and returns the smallest index
+// maximizing the relaxed dist[]. Each range folds its first maximum
 // block by block while the block is cache-warm; ranges combine in ascending
 // order with a strict comparison, which reproduces a sequential first-max
 // scan exactly at any thread count. relax(lo, hi) may touch only rows
 // [lo, hi) of dist and assignment.
 template <typename RelaxFn>
 size_t RelaxArgFarthestRanges(const Dataset& data, std::span<double> dist,
-                              std::span<size_t> assignment, size_t block,
+                              std::span<size_t> assignment,
                               const RelaxFn& relax) {
   size_t n = data.size();
   DIVERSE_CHECK_EQ(dist.size(), n);
@@ -79,7 +79,7 @@ size_t RelaxArgFarthestRanges(const Dataset& data, std::span<double> dist,
     size_t local_best = lo;
     double local_val = -std::numeric_limits<double>::infinity();
     for (size_t b = lo; b < hi;) {
-      size_t e = hi - b > block ? b + block : hi;
+      size_t e = hi - b > kRelaxChunk ? b + kRelaxChunk : hi;
       relax(b, e);
       for (; b < e; ++b) {
         if (dist[b] > local_val) {
@@ -141,144 +141,15 @@ void CollectScreenRescues(const float* t, const float* thr, size_t count,
   }
 }
 
-bool UseScreening(const Metric& metric) {
-  return metric.policy().screening && metric.ScreeningProfitable();
+bool UseScreening(const Metric& metric, const ScreenSideStats& queries,
+                  const ScreenSideStats& data) {
+  return metric.policy().screening &&
+         metric.ScreeningProfitableFor(queries, data);
 }
 
 bool UseIndexing(const Metric& metric, const Dataset& data) {
   return metric.policy().indexing &&
          metric.IndexSlack(data).abs < std::numeric_limits<double>::infinity();
-}
-
-size_t RelaxTilesAndArgFarthest(const Metric& metric, const Dataset& queries,
-                                size_t q_begin, size_t nq, size_t rank_base,
-                                const Dataset& data, std::span<double> dist,
-                                std::span<size_t> assignment) {
-  DIVERSE_CHECK_GE(nq, 1u);
-  DIVERSE_CHECK_LE(q_begin + nq, queries.size());
-  // Row block per tile: small enough that a kQChunk x kRowBlock tile stays
-  // cache-resident (the relax pass re-reads every tile entry right after it
-  // is written), large enough to amortize the per-block query transpose.
-  constexpr size_t kRowBlock = 256;
-  // Centers per tile: bounds the scratch to kQChunk * kRowBlock doubles
-  // (128 KiB); within one DistanceTile call each data row is fetched once
-  // for all kQChunk centers.
-  constexpr size_t kQChunk = 64;
-  return RelaxArgFarthestRanges(
-      data, dist, assignment, kRowBlock, [&](size_t rb, size_t re) {
-        thread_local std::vector<double> tile;
-        size_t rn = re - rb;
-        for (size_t qc = 0; qc < nq; qc += kQChunk) {
-          size_t qn = std::min(kQChunk, nq - qc);
-          tile.resize(qn * rn);
-          metric.DistanceTile(queries, q_begin + qc, qn, data, rb, rn,
-                              tile.data(), rn);
-          // Relax centers in ascending rank order: identical to the
-          // sequential one-center-at-a-time relax loop, including ties
-          // (strictly smaller wins, earliest rank kept). Center-major order
-          // streams the tile sequentially while the block's dist (and
-          // assignment) slices stay cache-resident.
-          for (size_t q = 0; q < qn; ++q) {
-            const double* tile_row = tile.data() + q * rn;
-            if (assignment.empty()) {
-              for (size_t i = 0; i < rn; ++i) {
-                if (tile_row[i] < dist[rb + i]) dist[rb + i] = tile_row[i];
-              }
-            } else {
-              size_t rank = rank_base + qc + q;
-              for (size_t i = 0; i < rn; ++i) {
-                if (tile_row[i] < dist[rb + i]) {
-                  dist[rb + i] = tile_row[i];
-                  assignment[rb + i] = rank;
-                }
-              }
-            }
-          }
-        }
-      });
-}
-
-size_t UnfusedScreenedRelaxTile(const Metric& metric, const Dataset& queries,
-                                size_t q_begin, size_t nq, size_t rank_base,
-                                const Dataset& data, size_t r_begin,
-                                size_t nr, const ScreenBound& bound,
-                                std::span<double> dist,
-                                std::span<size_t> assignment) {
-  constexpr size_t kRowBlock = 256;
-  constexpr size_t kQChunk = 64;
-  const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
-  size_t exact_evals = 0;
-  thread_local std::vector<float> tile;
-  thread_local std::vector<float> thr;
-  thread_local std::vector<uint32_t> rescue;
-  thread_local std::vector<double> rescued_d;
-  for (size_t rb = 0; rb < nr; rb += kRowBlock) {
-    size_t rn = std::min(kRowBlock, nr - rb);
-    size_t row0 = r_begin + rb;
-    thr.resize(rn);
-    for (size_t i = 0; i < rn; ++i) {
-      thr[i] = ScreenSkipThreshold(dist[row0 + i], bound.abs, inv_rel);
-    }
-    for (size_t qc = 0; qc < nq; qc += kQChunk) {
-      size_t qn = std::min(kQChunk, nq - qc);
-      tile.resize(qn * rn);
-      metric.DistanceTileF32(queries, q_begin + qc, qn, data, row0, rn,
-                             tile.data(), rn);
-      for (size_t q = 0; q < qn; ++q) {
-        const float* tile_row = tile.data() + q * rn;
-        rescue.clear();
-        CollectScreenRescues(tile_row, thr.data(), rn,
-                             static_cast<uint32_t>(row0), rescue);
-        if (rescue.empty()) continue;
-        rescued_d.resize(rescue.size());
-        metric.DistanceRowsMany(queries, q_begin + qc + q, data, rescue,
-                                rescued_d.data());
-        exact_evals += rescue.size();
-        size_t rank = rank_base + qc + q;
-        for (size_t t = 0; t < rescue.size(); ++t) {
-          size_t row = rescue[t];
-          double d = rescued_d[t];
-          if (d < dist[row]) {
-            dist[row] = d;
-            if (!assignment.empty()) assignment[row] = rank;
-            thr[row - row0] = ScreenSkipThreshold(d, bound.abs, inv_rel);
-          }
-        }
-      }
-    }
-  }
-  return exact_evals;
-}
-
-size_t ScreenedRelaxTilesAndArgFarthest(const Metric& metric,
-                                        const Dataset& queries, size_t q_begin,
-                                        size_t nq, size_t rank_base,
-                                        const Dataset& data,
-                                        std::span<double> dist,
-                                        std::span<size_t> assignment) {
-  const ScreenSideStats qs = SideStatsOf(queries);
-  const ScreenSideStats ds = SideStatsOf(data);
-  if (UseScreening(metric) && metric.RelaxTileScreeningProfitableFor(qs, ds)) {
-    // One bound for the whole sweep. A degenerate bound (rel >= 1 —
-    // possible only at astronomical term counts) would invert the
-    // skip-threshold transform, so such sweeps run exact instead.
-    const ScreenBound bound = metric.ScreenErrorBound(qs, ds, data.dim());
-    if (bound.rel < 1.0) {
-      DIVERSE_CHECK_GE(nq, 1u);
-      DIVERSE_CHECK_LE(q_begin + nq, queries.size());
-      // The whole screen + relax + rescue loop for a row range runs inside
-      // the metric's fused kernel — no intermediate fp32 tile for the dense
-      // metrics, cosine-space thresholds for all-sparse cosine tiles, and
-      // the unfused materialize-then-collect loop otherwise.
-      return RelaxArgFarthestRanges(
-          data, dist, assignment, SIZE_MAX, [&](size_t lo, size_t hi) {
-            metric.ScreenedRelaxTile(queries, q_begin, nq, rank_base, data,
-                                     lo, hi - lo, bound, dist, assignment);
-          });
-    }
-  }
-  return RelaxTilesAndArgFarthest(metric, queries, q_begin, nq, rank_base,
-                                  data, dist, assignment);
 }
 
 namespace {
@@ -298,8 +169,7 @@ RelaxScreenPlan PlanScreenedRelax(const Metric& metric, const Dataset& queries,
   RelaxScreenPlan plan;
   const ScreenSideStats qs = SideStatsOf(queries);
   const ScreenSideStats ds = SideStatsOf(data);
-  if (!UseScreening(metric) || !SingleQueryScreenWorthwhile(data) ||
-      !metric.ScreeningProfitableFor(qs, ds)) {
+  if (!UseScreening(metric, qs, ds) || !SingleQueryScreenWorthwhile(data)) {
     return plan;
   }
   plan.bound = metric.ScreenErrorBound(qs, ds, data.dim());
@@ -384,7 +254,7 @@ size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& queries,
   DIVERSE_CHECK_LT(q_index, queries.size());
   const RelaxScreenPlan plan = PlanScreenedRelax(metric, queries, data);
   return RelaxArgFarthestRanges(
-      data, dist, assignment, kRelaxChunk, [&](size_t lo, size_t hi) {
+      data, dist, assignment, [&](size_t lo, size_t hi) {
         ScreenedRelaxRange(metric, queries, q_index, data, lo, hi - lo, plan,
                            dist, assignment, center_rank);
       });
@@ -399,9 +269,7 @@ ScreenedNearest ScreenedArgClosestWithin(const Metric& metric,
   DIVERSE_CHECK_GE(cover_threshold, 0.0);
   const ScreenSideStats qs = SideStatsOf(query);
   const ScreenSideStats ds = SideStatsOf(data);
-  if (!UseScreening(metric) || !metric.ScreeningProfitableFor(qs, ds)) {
-    return ExactNearest(metric, query, data);
-  }
+  if (!UseScreening(metric, qs, ds)) return ExactNearest(metric, query, data);
   const ScreenBound bound = metric.ScreenErrorBound(qs, ds, data.dim());
   if (!(bound.rel < 1.0)) {
     return ExactNearest(metric, query, data);  // degenerate: run exact
@@ -470,7 +338,7 @@ size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
   constexpr size_t kChunk = 16;
   const ScreenSideStats qs = SideStatsOf(query);
   const ScreenSideStats ds = SideStatsOf(data);
-  if (UseScreening(metric) && metric.ScreeningProfitableFor(qs, ds)) {
+  if (UseScreening(metric, qs, ds)) {
     if (threshold < 0.0) return n;  // distances are nonnegative; none fits
     const ScreenBound bound = metric.ScreenErrorBound(qs, ds, data.dim());
     if (bound.rel < 1.0) {

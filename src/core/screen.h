@@ -1,18 +1,17 @@
 // Screen-then-certify sweeps: the mixed-precision engine behind every
 // argmax / argmin / threshold hot loop.
 //
-// Every distance-dominated loop in this library — k-center farthest-point
-// argmax, GMM's per-center relax sweeps, greedy matching's heaviest-pair
-// scans, SMM's nearest-center and merge threshold scans, generalized-coreset
-// instantiation — needs *exact* distances only for the handful of candidates
-// that decide the outcome. The sweeps here run a cheap fp32 pass first
-// (Metric::DistanceTileF32 / DistanceToManyF32: twice the SIMD lanes, half
-// the bandwidth of the exact tile engine), keep every candidate whose
-// screened value lies within a certified error band
+// Every distance-dominated loop in this library — GMM's per-center relax
+// sweeps, greedy matching's heaviest-pair scans, SMM's nearest-center and merge
+// threshold scans, generalized-coreset instantiation — needs *exact* distances
+// only for the handful of candidates that decide the outcome. The sweeps here
+// run a cheap fp32 pass first (Metric::DistanceTileF32 / DistanceToManyF32:
+// twice the SIMD lanes, half the bandwidth of the exact tile engine), keep
+// every candidate whose screened value lies within a certified error band
 // (Metric::ScreenErrorBound over the two sides' ScreenSideStats) of the
 // decision threshold, and re-evaluate only those in exact double
-// (Metric::DistanceRowsMany / Distance — the same shared kernels as the
-// exact sweeps). Consequences:
+// (Metric::DistanceRowsMany / Distance — the same shared kernels as the exact
+// sweeps). Consequences:
 //
 //   * Results are bit-identical to the double-only path: every value that
 //     can influence a comparison, a stored distance, or a reported radius is
@@ -27,7 +26,7 @@
 //   * Every sweep falls back to the exact path when the metric's policy
 //     turns screening off (KernelPolicy::screening, core/metric.h) or its
 //     gate (Metric::ScreeningProfitableFor) says screening does not pay —
-//     never for Jaccard and user-defined metrics. The policy is part of the
+//     always for Jaccard and user-defined metrics. The policy is part of the
 //     metric, so concurrent sweeps on differently built metrics never see
 //     each other's choice.
 //
@@ -50,25 +49,24 @@
 namespace diverse {
 
 /// Rows per parallel range of every row sweep (core/metric.cc's batched
-/// kernels and the relax sweeps below): a fixed amount of coordinate work
+/// kernels and the relax sweep below): a fixed amount of coordinate work
 /// per range. Range boundaries depend only on (n, grain), never on
 /// scheduling, so per-range reductions — combined in ascending order — are
 /// deterministic at any thread count.
 size_t GrainRows(const Dataset& data);
 
 // --- Certified-skip machinery ---------------------------------------------
-// Shared by the screened sweeps below and by the fused tile kernels
-// (Metric::ScreenedRelaxTile in core/metric.cc). The mathematically exact
-// skip test is ScreenedLower(s, bound) > cur; evaluating it per pair costs
-// a multiply-add in double. Instead, the sweeps precompute — once per row,
-// or on a rescue that improves the row — the float threshold T(cur) such
-// that a finite screened value s > T certifies exact > cur: the exact
-// condition is s > (cur + abs) / (1 - rel), inflated by 1e-12 against the
-// double rounding of the transform and rounded UP to the next float (both
-// slops only widen the rescue band — more rescues, never an unsafe skip).
-// Inner loops then run one float compare per pair. NaN and +inf screened
-// values (overflowed fp32 accumulators certify nothing) always rescue: NaN
-// fails every comparison and +inf fails s <= FLT_MAX.
+// Shared by the screened sweeps below. The mathematically exact skip test is
+// ScreenedLower(s, bound) > cur; evaluating it per pair costs a multiply-add in
+// double. Instead, the sweeps precompute — once per row, or on a rescue that
+// improves the row — the float threshold T(cur) such that a finite screened
+// value s > T certifies exact > cur: the exact condition is s > (cur + abs) /
+// (1 - rel), inflated by 1e-12 against the double rounding of the transform and
+// rounded UP to the next float (both slops only widen the rescue band — more
+// rescues, never an unsafe skip). Inner loops then run one float compare per
+// pair. NaN and +inf screened values (overflowed fp32 accumulators certify
+// nothing) always rescue: NaN fails every comparison and +inf fails s <=
+// FLT_MAX.
 
 /// Next float up for nonnegative input (+inf stays +inf): for positive IEEE
 /// floats the bit pattern is monotone, so incrementing it is nextafterf
@@ -122,9 +120,12 @@ inline float ScreenCertifiedBelow(double threshold, const ScreenBound& bound) {
 void CollectScreenRescues(const float* t, const float* thr, size_t count,
                           uint32_t base, std::vector<uint32_t>& out);
 
-/// True when the screened sweeps should screen for `metric` (its policy
-/// allows screening and its fp32 kernels are genuinely cheaper than exact).
-bool UseScreening(const Metric& metric);
+/// True when a screened sweep of `queries` against `data` should screen
+/// for `metric`: its policy allows screening (KernelPolicy::screening) and
+/// its gate (Metric::ScreeningProfitableFor) says the fp32 pass pays on
+/// this layout.
+bool UseScreening(const Metric& metric, const ScreenSideStats& queries,
+                  const ScreenSideStats& data);
 
 /// True when triangle-inequality pruning (greedy matching's cluster-pair
 /// bound, core/sequential.h) may run for `metric` over `data`: its policy
@@ -132,56 +133,17 @@ bool UseScreening(const Metric& metric);
 /// IndexSlack over `data` is finite).
 bool UseIndexing(const Metric& metric, const Dataset& data);
 
-/// Fused multi-center relax-and-argmax over blocked tiles: for each center
-/// q in ascending order and every row i,
-///   d = Distance(queries.point(q_begin + q), data.point(i));
-///   if (d < dist[i]) { dist[i] = d; if assignment given:
-///                      assignment[i] = rank_base + q; }
-/// then returns the smallest index maximizing the relaxed dist[] — executed
-/// as one blocked pass over `data` (each row block is loaded once for all
-/// nq centers). Parallelized over row ranges on GlobalThreadPool(); range
-/// boundaries and the first-max argmax combination depend only on the
-/// input sizes, so results are deterministic at any thread count. Costs
-/// exactly nq * data.size() evaluations through metric.DistanceTile.
-/// Requires nq >= 1, dist.size() == data.size(), and assignment empty or
-/// the same size.
-size_t RelaxTilesAndArgFarthest(const Metric& metric, const Dataset& queries,
-                                size_t q_begin, size_t nq, size_t rank_base,
-                                const Dataset& data, std::span<double> dist,
-                                std::span<size_t> assignment = {});
-
-/// The materialize-then-collect screened tile relax, correct for any metric
-/// and the base Metric::ScreenedRelaxTile (same contract): fp32 tiles
-/// through metric.DistanceTileF32 on thread-local scratch, band hits
-/// collected against cached per-row skip thresholds, and their exact
-/// re-evaluations batched through metric.DistanceRowsMany. Returns the
-/// number of exact evaluations. The built-in metrics' fused kernels
-/// produce the identical fold with no more rescues (pinned in screen_test).
-size_t UnfusedScreenedRelaxTile(const Metric& metric, const Dataset& queries,
-                                size_t q_begin, size_t nq, size_t rank_base,
-                                const Dataset& data, size_t r_begin,
-                                size_t nr, const ScreenBound& bound,
-                                std::span<double> dist,
-                                std::span<size_t> assignment);
-
-/// Screened drop-in for RelaxTilesAndArgFarthest: identical
-/// dist / assignment updates and return value, but each row range is swept
-/// through the metric's fused Metric::ScreenedRelaxTile kernel — fp32
-/// screen, certified skip test, and exact rescue in one register-resident
-/// loop, with no intermediate fp32 tile. Falls back to the exact tile path
-/// when screening is off or Metric::RelaxTileScreeningProfitableFor says
-/// the layout does not pay.
-size_t ScreenedRelaxTilesAndArgFarthest(const Metric& metric,
-                                        const Dataset& queries, size_t q_begin,
-                                        size_t nq, size_t rank_base,
-                                        const Dataset& data,
-                                        std::span<double> dist,
-                                        std::span<size_t> assignment = {});
-
 /// One-center relax-and-argmax with the query drawn from a dataset row
-/// (queries.point(q_index) — for GMM, queries == data): the one-center case
-/// of RelaxTilesAndArgFarthest, with center rank `center_rank`. Screens
-/// when the metric's gates and a per-row work gate allow it, and otherwise
+/// (queries.point(q_index) — for GMM, queries == data): for every row i,
+///   d = Distance(queries.point(q_index), data.point(i));
+///   if (d < dist[i]) { dist[i] = d; if assignment given:
+///                      assignment[i] = center_rank; }
+/// then returns the smallest index maximizing the relaxed dist[].
+/// Parallelized over row ranges on GlobalThreadPool(); range boundaries and
+/// the first-max combination depend only on the input sizes, so results
+/// are deterministic at any thread count. Requires dist.size() ==
+/// data.size(), and assignment empty or the same size. Screens when the
+/// metric's gate and a per-row work gate allow it, and otherwise
 /// relaxes through chunked exact DistanceToMany sweeps (exactly data.size()
 /// evaluations); dist, assignment and the return value are identical
 /// either way.

@@ -275,8 +275,7 @@ std::vector<HeavyPair> ScanLivePairsTiled(const Dataset& data,
   }
 
   const ScreenSideStats stats = SideStatsOf(*src);
-  const bool screened =
-      UseScreening(metric) && metric.ScreeningProfitableFor(stats, stats);
+  const bool screened = UseScreening(metric, stats, stats);
   ScreenBound bound;
   if (screened) bound = metric.ScreenErrorBound(stats, stats, src->dim());
 

@@ -45,7 +45,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "core/vector_kernels.h"
@@ -394,38 +393,6 @@ inline void SparseDotLanesF32(const SparseTileScratch& ws, const VecView& r,
     for (size_t l = 0; l < kTileLanes; ++l) acc[l] += q[l] * rv;
   });
   for (size_t l = 0; l < kTileLanes; ++l) out[l] = acc[l];
-}
-
-/// Fused cosine-space screen over one decoded sparse query block: computes
-/// the fp32 lane dots <q_l, r> (exactly SparseDotLanesF32's values, left in
-/// dots[] for the rescue path) and returns the mask of lanes that need an
-/// exact rescue. Lane l is certified-skippable — its exact angular distance
-/// provably exceeds the row's current one — iff
-///   dots[l] >= -FLT_MAX   (a negatively-overflowed dot certifies nothing)
-///   && (double)dots[l] < scaled_thr * lane_norms[l],
-/// where the caller folds cos(current distance), the certified cosine-space
-/// error band, the safety slack, and the row norm into
-///   scaled_thr = (cos(cur) - slack - e_c) * row_norm
-/// (-inf for zero-norm rows, whose distances are convention values the
-/// screen does not model). The per-lane skip test is thus one multiply and
-/// one compare — no arccos anywhere on the skip path, which is what lets
-/// sparse cosine corpora screen profitably (the unfused angular screen paid
-/// a polynomial arccos per pair even when every lane skipped). NaN and +inf
-/// dots fail the comparison and rescue; zero-norm lanes always rescue.
-inline uint32_t SparseCosineScreenLanes(const SparseTileScratch& ws,
-                                        const VecView& r, double scaled_thr,
-                                        const double* lane_norms,
-                                        float* dots) {
-  SparseDotLanesF32(ws, r, dots);
-  uint32_t mask = 0;
-  for (size_t l = 0; l < ws.nq; ++l) {
-    float s = dots[l];
-    double ln = lane_norms[l];
-    bool skip = ln > 0.0 && s >= -std::numeric_limits<float>::max() &&
-                static_cast<double>(s) < scaled_thr * ln;
-    if (!skip) mask |= 1u << l;
-  }
-  return mask;
 }
 
 /// out[l] = SupportJaccard(q_l, r) per decoded lane, exactly: intersections

@@ -723,71 +723,6 @@ inline void DotLanesF32(const float* qt, const float* row, size_t dim,
   internal::DotLanesF32Generic(qt, row, dim, out);
 }
 
-/// Rescue mask over one 16-lane fp32 screen block: bit l is set iff lane
-/// l's screened value cannot be certified-skipped against the row threshold
-/// `thr` — i.e. !(vals[l] > thr && vals[l] <= FLT_MAX). NaN fails both
-/// comparisons and +inf fails the FLT_MAX test, so overflowed accumulators
-/// always rescue. This is the one compare the fused screened tile kernels
-/// (Metric::ScreenedRelaxTile) pay per (16 centers x row); on realistic
-/// sweeps the result is 0 for the vast majority of rows.
-inline uint32_t RescueMask16F32(const float* vals, float thr) {
-#if defined(__x86_64__) && defined(__SSE2__)
-  const __m128 vthr = _mm_set1_ps(thr);
-  const __m128 vmax = _mm_set1_ps(std::numeric_limits<float>::max());
-  uint32_t skip = 0;
-  for (size_t i = 0; i < 16; i += 4) {
-    __m128 v = _mm_loadu_ps(vals + i);
-    __m128 ok = _mm_and_ps(_mm_cmpgt_ps(v, vthr), _mm_cmple_ps(v, vmax));
-    skip |= static_cast<uint32_t>(_mm_movemask_ps(ok)) << i;
-  }
-  return ~skip & 0xFFFFu;
-#else
-  uint32_t mask = 0;
-  for (size_t l = 0; l < 16; ++l) {
-    float v = vals[l];
-    if (!(v > thr && v <= std::numeric_limits<float>::max())) {
-      mask |= 1u << l;
-    }
-  }
-  return mask;
-#endif
-}
-
-/// Minimum of 16 fp32 lane values with every non-finite lane (NaN, ±inf —
-/// overflowed screen accumulators, padding) replaced by +inf; returns +inf
-/// when no lane is finite. The screened argmin machinery of the fused tile
-/// kernels reduces a band-hit row's lane block through this in four packed
-/// compares instead of a branchy scalar scan.
-inline float MinFinite16F32(const float* vals) {
-#if defined(__x86_64__) && defined(__SSE2__)
-  const __m128 vmax = _mm_set1_ps(std::numeric_limits<float>::max());
-  const __m128 vlow = _mm_set1_ps(-std::numeric_limits<float>::max());
-  const __m128 vinf = _mm_set1_ps(std::numeric_limits<float>::infinity());
-  __m128 acc = vinf;
-  for (size_t i = 0; i < 16; i += 4) {
-    __m128 v = _mm_loadu_ps(vals + i);
-    __m128 finite = _mm_and_ps(_mm_cmpge_ps(v, vlow), _mm_cmple_ps(v, vmax));
-    __m128 sel = _mm_or_ps(_mm_and_ps(finite, v), _mm_andnot_ps(finite, vinf));
-    acc = _mm_min_ps(acc, sel);
-  }
-  __m128 sh = _mm_shuffle_ps(acc, acc, _MM_SHUFFLE(1, 0, 3, 2));
-  acc = _mm_min_ps(acc, sh);
-  sh = _mm_shuffle_ps(acc, acc, _MM_SHUFFLE(2, 3, 0, 1));
-  acc = _mm_min_ps(acc, sh);
-  return _mm_cvtss_f32(acc);
-#else
-  float m = std::numeric_limits<float>::infinity();
-  for (size_t l = 0; l < 16; ++l) {
-    float v = vals[l];
-    if (v >= -std::numeric_limits<float>::max() &&
-        v <= std::numeric_limits<float>::max() && v < m) {
-      m = v;
-    }
-  }
-  return m;
-#endif
-}
-
 /// In-place fp32 sqrt over `count` floats (packed SQRTPS where available;
 /// IEEE sqrt is correctly rounded, so identical to sqrtf per element).
 inline void SqrtLanesF32(float* vals, size_t count) {

@@ -112,9 +112,6 @@ class TwoPassStreamingDiversity {
   /// Returns the instantiated solution (k distinct input points).
   StreamingResult Finalize();
 
-  /// The coherent subset T-hat chosen after pass 1 (for tests).
-  const GeneralizedCoreset& selected() const { return selected_; }
-
   /// The instantiation radius delta used in pass 2.
   double delta() const { return delta_; }
 

@@ -14,7 +14,9 @@
 // Datasets are the library's text (.txt) or binary (.bin, default) formats;
 // see data/io.h.
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,9 +58,23 @@ class CliFlags {
     return it == values_.end() ? def : it->second;
   }
 
-  long long GetInt(const std::string& key, long long def) const {
+  // A non-negative integer flag: digits only, and the value must fit in T.
+  // Any other value is a usage error that ends the process with exit code 1
+  // (each command reads its integer flags before it writes a file or
+  // starts a worker).
+  template <typename T>
+  T GetInt(const std::string& key, T def) const {
     auto it = values_.find(key);
-    return it == values_.end() ? def : std::atoll(it->second.c_str());
+    if (it == values_.end()) return def;
+    const std::string& s = it->second;
+    T value = 0;
+    auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+    if (s.empty() || ec != std::errc() || end != s.data() + s.size()) {
+      std::fprintf(stderr, "error: --%s expects a non-negative integer\n",
+                   key.c_str());
+      std::exit(1);
+    }
+    return value;
   }
 
  private:
@@ -142,8 +158,8 @@ int RunSolve(const CliFlags& flags) {
   // The builtin-metric registry (core/metric.h) — one name table shared
   // with the socket transport, which ships metric *names* to workers.
   KernelPolicy policy;
-  policy.screening = flags.GetInt("screening", 1) != 0;
-  policy.indexing = flags.GetInt("indexing", 1) != 0;
+  policy.screening = flags.GetInt<uint32_t>("screening", 1) != 0;
+  policy.indexing = flags.GetInt<uint32_t>("indexing", 1) != 0;
   auto metric = MakeMetricByName(flags.Get("metric", "euclidean"), policy);
   if (metric == nullptr) {
     std::fprintf(stderr, "error: unknown metric\n");
@@ -153,15 +169,14 @@ int RunSolve(const CliFlags& flags) {
   SolveOptions opts;
   opts.problem = *problem;
   opts.backend = backend;
-  opts.k = static_cast<size_t>(flags.GetInt("k", 8));
-  opts.k_prime = static_cast<size_t>(flags.GetInt("k_prime", 0));
-  opts.num_partitions = static_cast<size_t>(flags.GetInt("partitions", 0));
-  opts.num_workers = static_cast<size_t>(flags.GetInt("workers", 0));
-  opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  opts.max_retries = static_cast<size_t>(flags.GetInt("max-retries", 2));
-  opts.task_timeout_ms =
-      static_cast<uint64_t>(flags.GetInt("task-timeout-ms", 0));
-  opts.allow_degraded = flags.GetInt("allow-degraded", 1) != 0;
+  opts.k = flags.GetInt<size_t>("k", 8);
+  opts.k_prime = flags.GetInt<size_t>("k_prime", 0);
+  opts.num_partitions = flags.GetInt<size_t>("partitions", 0);
+  opts.num_workers = flags.GetInt<size_t>("workers", 0);
+  opts.seed = flags.GetInt<uint64_t>("seed", 1);
+  opts.max_retries = flags.GetInt<size_t>("max-retries", 2);
+  opts.task_timeout_ms = flags.GetInt<uint64_t>("task-timeout-ms", 0);
+  opts.allow_degraded = flags.GetInt<uint32_t>("allow-degraded", 1) != 0;
 
   // Fault injection: an explicit --fault-spec schedule, a seeded stochastic
   // layer (--fault-seed + --fault-rate-*), or both.
@@ -186,14 +201,13 @@ int RunSolve(const CliFlags& flags) {
   rates.straggler = std::atof(flags.Get("fault-rate-straggler", "0").c_str());
   if (rates.crash > 0 || rates.empty_output > 0 || rates.wrong_output > 0 ||
       rates.corrupt_partition > 0 || rates.straggler > 0) {
-    faults.SetSeeded(static_cast<uint64_t>(flags.GetInt("fault-seed", 1)),
-                     rates);
+    faults.SetSeeded(flags.GetInt<uint64_t>("fault-seed", 1), rates);
   }
   if (!faults.empty()) opts.faults = &faults;
 
   // Distributed runtime: --transport=socket runs MapReduce task compute in
   // a pool of worker processes instead of in-process threads.
-  opts.tree_reduce = flags.GetInt("tree-reduce", 0) != 0;
+  opts.tree_reduce = flags.GetInt<uint32_t>("tree-reduce", 0) != 0;
   const std::string transport = flags.Get("transport", "loopback");
   std::unique_ptr<SocketEngine> socket_engine;
   if (transport == "socket") {
@@ -202,13 +216,10 @@ int RunSolve(const CliFlags& flags) {
     so.metric = flags.Get("metric", "euclidean");
     so.problem = *problem;
     so.worker_binary = flags.Get("worker-binary", "");
-    so.heartbeat_ms = static_cast<uint64_t>(flags.GetInt("heartbeat-ms", 0));
-    so.rpc_deadline_ms =
-        static_cast<uint64_t>(flags.GetInt("rpc-deadline-ms", 30000));
-    so.chunk_bytes =
-        static_cast<size_t>(flags.GetInt("chunk-kb", 256)) * 1024;
-    so.worker_cache_bytes =
-        static_cast<size_t>(flags.GetInt("worker-cache-mb", 64)) << 20;
+    so.heartbeat_ms = flags.GetInt<uint64_t>("heartbeat-ms", 0);
+    so.rpc_deadline_ms = flags.GetInt<uint64_t>("rpc-deadline-ms", 30000);
+    so.chunk_bytes = flags.GetInt<size_t>("chunk-kb", 256) * 1024;
+    so.worker_cache_bytes = flags.GetInt<size_t>("worker-cache-mb", 64) << 20;
     socket_engine = std::make_unique<SocketEngine>(so);
     Status healthy = socket_engine->Healthy();
     if (!healthy.ok()) {
@@ -277,25 +288,24 @@ int RunGenerate(const CliFlags& flags) {
   std::string out = flags.Get("out", "");
   std::string kind = flags.Get("kind", "sphere");
   if (out.empty()) return Usage();
-  size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  size_t n = flags.GetInt<size_t>("n", 10000);
+  uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
 
   PointSet pts;
   if (kind == "sphere") {
     SphereDatasetOptions o;
     o.n = n;
-    o.k = static_cast<size_t>(flags.GetInt("k", 8));
-    o.dim = static_cast<size_t>(flags.GetInt("dim", 3));
+    o.k = flags.GetInt<size_t>("k", 8);
+    o.dim = flags.GetInt<size_t>("dim", 3);
     o.seed = seed;
     pts = GenerateSphereDataset(o);
   } else if (kind == "cube") {
-    pts = GenerateUniformCube(n, static_cast<size_t>(flags.GetInt("dim", 3)),
-                              seed);
+    pts = GenerateUniformCube(n, flags.GetInt<size_t>("dim", 3), seed);
   } else if (kind == "text") {
     SparseTextOptions o;
     o.n = n;
-    o.vocab_size = static_cast<uint32_t>(flags.GetInt("vocab", 5000));
-    o.num_topics = static_cast<size_t>(flags.GetInt("topics", 32));
+    o.vocab_size = flags.GetInt<uint32_t>("vocab", 5000);
+    o.num_topics = flags.GetInt<size_t>("topics", 32);
     o.seed = seed;
     pts = GenerateSparseTextDataset(o);
   } else {
@@ -331,8 +341,8 @@ int RunEstimate(const CliFlags& flags) {
     return 1;
   }
   DoublingEstimateOptions opts;
-  opts.num_centers = static_cast<size_t>(flags.GetInt("centers", 32));
-  opts.max_sample = static_cast<size_t>(flags.GetInt("sample", 2000));
+  opts.num_centers = flags.GetInt<size_t>("centers", 32);
+  opts.max_sample = flags.GetInt<size_t>("sample", 2000);
   DoublingEstimate est = EstimateDoublingDimension(*points, *metric, opts);
   std::printf("points:            %zu\n", points->size());
   std::printf("probes:            %zu\n", est.probes);

@@ -1,0 +1,37 @@
+# diverse_cli parses integer flags strictly: a value that is not all digits,
+# or does not fit, is a usage error (exit code 1 and
+# "error: --<flag> expects a non-negative integer"), never a wrapped or
+# defaulted number. A well-formed value still solves.
+#
+# Run through CTest (cli_int_flags_test), or by hand:
+#   cmake -DCLI=build/diverse_cli -DWORK_DIR=build -P tests/cli_int_flags.cmake
+
+set(data "${WORK_DIR}/cli_int_flags.bin")
+execute_process(
+  COMMAND "${CLI}" generate --kind=cube --n=200 --out=${data}
+  RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "generate failed (${rc})")
+endif()
+
+foreach(bad "partitions=-1" "workers=-1" "k_prime=abc" "k=+4" "partitions="
+            "seed=18446744073709551616")
+  string(REGEX REPLACE "=.*" "" flag "${bad}")
+  execute_process(
+    COMMAND "${CLI}" solve --in=${data} --backend=mapreduce --k=4 --${bad}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "--${bad}: exit code ${rc}, want 1\n${err}")
+  endif()
+  if(NOT err MATCHES "error: --${flag} expects a non-negative integer")
+    message(FATAL_ERROR "--${bad}: unexpected stderr:\n${err}")
+  endif()
+endforeach()
+
+execute_process(
+  COMMAND "${CLI}" solve --in=${data} --backend=mapreduce --k=4 --partitions=4
+          --seed=18446744073709551615
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "well-formed flags: exit code ${rc}\n${err}")
+endif()

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/metric.h"
-#include "data/synthetic.h"
 
 namespace diverse {
 namespace {
@@ -42,21 +41,6 @@ TEST(DistanceMatrixTest, Restrict) {
   DistanceMatrix r = d.Restrict(subset);
   EXPECT_EQ(r.size(), 2u);
   EXPECT_DOUBLE_EQ(r.at(0, 1), 2.5);
-}
-
-TEST(DistanceMatrixTest, TriangleInequalityHoldsForEuclidean) {
-  EuclideanMetric m;
-  PointSet pts = GenerateUniformCube(12, 3, /*seed=*/5);
-  DistanceMatrix d(pts, m);
-  EXPECT_TRUE(d.SatisfiesTriangleInequality());
-}
-
-TEST(DistanceMatrixTest, TriangleInequalityDetectsViolation) {
-  DistanceMatrix d(3);
-  d.set(0, 1, 10.0);
-  d.set(0, 2, 1.0);
-  d.set(1, 2, 1.0);
-  EXPECT_FALSE(d.SatisfiesTriangleInequality());
 }
 
 TEST(DistanceMatrixDeathTest, SetRejectsNegative) {

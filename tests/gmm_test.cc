@@ -93,7 +93,7 @@ TEST(GmmTest, AnticoverProperty) {
 }
 
 // GMM is a 2-approximation for the k-center problem: r_T <= 2 r*_k.
-TEST(GmmTest, KCenterTwoApproximation) {
+TEST(GmmTest, RangeWithinTwiceOptimalRange) {
   EuclideanMetric m;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     PointSet pts = GenerateUniformCube(14, 2, seed * 13);

@@ -1,12 +1,11 @@
 // The kernel-selection gates of every metric, pinned as a literal table.
 //
-// Screening (Metric::ScreeningProfitableFor), the fused screened tile relax
-// (Metric::RelaxTileScreeningProfitableFor) and the matching scan's
-// cluster-pair bound (UseIndexing) each decide from dataset statistics alone which kernel a
-// sweep runs. Either verdict is bit-identical, so no oracle suite notices a
-// flipped gate — only the cost moves. This table fixes every verdict for
-// the four built-in metrics and a user-defined metric, over dense, sparse,
-// mixed and empty data, with point queries and with dataset queries.
+// Screening (Metric::ScreeningProfitableFor) and the matching scan's
+// cluster-pair bound (UseIndexing) each decide from dataset statistics alone
+// which kernel a sweep runs. Either verdict is bit-identical, so no oracle
+// suite notices a flipped gate — only the cost moves. This table fixes every
+// verdict for the four built-in metrics and a user-defined metric, over dense,
+// sparse, mixed and empty data, with point queries and with dataset queries.
 
 #include <memory>
 #include <string>
@@ -74,10 +73,6 @@ bool ScreenGate(const Metric& m, const Dataset& q, const Dataset& d) {
   return m.ScreeningProfitableFor(SideStatsOf(q), SideStatsOf(d));
 }
 
-bool RelaxTileGate(const Metric& m, const Dataset& q, const Dataset& d) {
-  return m.RelaxTileScreeningProfitableFor(SideStatsOf(q), SideStatsOf(d));
-}
-
 std::string Verdicts(const std::vector<bool>& v) {
   std::string s;
   for (bool b : v) s += b ? '1' : '0';
@@ -86,62 +81,65 @@ std::string Verdicts(const std::vector<bool>& v) {
 
 // One row per (data, query) pair. Verdict strings list the metrics in
 // GateMetrics() order: euclidean, manhattan, cosine, jaccard, discrete.
-// Point queries have no relax-tile gate ("-").
 struct GateRow {
   const char* data;
   const char* query;  // "point-dense", "point-sparse" or a layout name
   const char* screen;
-  const char* relax_tile;
 };
 
 constexpr GateRow kGateTable[] = {
-    {"dense", "point-dense", "11100", "-"},
-    {"dense", "point-sparse", "11000", "-"},
-    {"dense", "dense", "11100", "11100"},
-    {"dense", "sparse", "11000", "11000"},
-    {"dense", "mixed", "11000", "11000"},
-    {"dense", "empty", "11100", "11100"},
-    {"sparse", "point-dense", "11000", "-"},
-    {"sparse", "point-sparse", "11000", "-"},
-    {"sparse", "dense", "11000", "11000"},
-    {"sparse", "sparse", "11000", "11100"},
-    {"sparse", "mixed", "11000", "11000"},
-    {"sparse", "empty", "11000", "11000"},
-    {"mixed", "point-dense", "11000", "-"},
-    {"mixed", "point-sparse", "11000", "-"},
-    {"mixed", "dense", "11000", "11000"},
-    {"mixed", "sparse", "11000", "11000"},
-    {"mixed", "mixed", "11000", "11000"},
-    {"mixed", "empty", "11000", "11000"},
-    {"empty", "point-dense", "11100", "-"},
-    {"empty", "point-sparse", "11000", "-"},
-    {"empty", "dense", "11100", "11100"},
-    {"empty", "sparse", "11000", "11000"},
-    {"empty", "mixed", "11000", "11000"},
-    {"empty", "empty", "11100", "11100"},
+    {"dense", "point-dense", "11100"},
+    {"dense", "point-sparse", "11000"},
+    {"dense", "dense", "11100"},
+    {"dense", "sparse", "11000"},
+    {"dense", "mixed", "11000"},
+    {"dense", "empty", "11100"},
+    {"sparse", "point-dense", "11000"},
+    {"sparse", "point-sparse", "11000"},
+    {"sparse", "dense", "11000"},
+    {"sparse", "sparse", "11000"},
+    {"sparse", "mixed", "11000"},
+    {"sparse", "empty", "11000"},
+    {"mixed", "point-dense", "11000"},
+    {"mixed", "point-sparse", "11000"},
+    {"mixed", "dense", "11000"},
+    {"mixed", "sparse", "11000"},
+    {"mixed", "mixed", "11000"},
+    {"mixed", "empty", "11000"},
+    {"empty", "point-dense", "11100"},
+    {"empty", "point-sparse", "11000"},
+    {"empty", "dense", "11100"},
+    {"empty", "sparse", "11000"},
+    {"empty", "mixed", "11000"},
+    {"empty", "empty", "11100"},
 };
 
-TEST(MetricGateTable, ScreeningAndRelaxTileVerdicts) {
+TEST(MetricGateTable, ScreeningVerdicts) {
   auto metrics = GateMetrics();
   for (const GateRow& row : kGateTable) {
     Dataset data = Layout(row.data);
     std::string query = row.query;
     std::string ctx = std::string(row.data) + " <- " + query;
-    std::vector<bool> screen, relax_tile;
+    std::vector<bool> screen;
     for (const auto& m : metrics) {
       if (query == "point-dense" || query == "point-sparse") {
         Point q = query == "point-dense" ? DenseRow(5) : SparseRow(5);
         screen.push_back(ScreenGate(*m, q, data));
       } else {
-        Dataset queries = Layout(query);
-        screen.push_back(ScreenGate(*m, queries, data));
-        relax_tile.push_back(RelaxTileGate(*m, queries, data));
+        screen.push_back(ScreenGate(*m, Layout(query), data));
       }
     }
     EXPECT_EQ(Verdicts(screen), row.screen) << ctx;
-    if (!relax_tile.empty()) {
-      EXPECT_EQ(Verdicts(relax_tile), row.relax_tile) << ctx;
-    }
+  }
+  // UseScreening is the gate under the metric's policy: off turns it off.
+  const ScreenSideStats dense = SideStatsOf(Layout("dense"));
+  for (const auto& m : GateMetrics()) {
+    EXPECT_EQ(UseScreening(*m, dense, dense),
+              m->ScreeningProfitableFor(dense, dense))
+        << m->Name();
+  }
+  for (const auto& m : GateMetrics({.screening = false})) {
+    EXPECT_FALSE(UseScreening(*m, dense, dense)) << m->Name();
   }
 }
 

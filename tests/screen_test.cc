@@ -3,9 +3,9 @@
 // the exact double-only path it replaces — across metrics, representations,
 // and thread counts — because the fp32 pass only ever proves that skipped
 // candidates could not influence the outcome. The suite covers:
-//   * end-to-end consumers (GMM, k-center doubling assignment,
-//     ClusteringRadius, greedy matching, SMM streams, generalized-coreset
-//     instantiation) screened vs exact at 1/2/8 threads;
+//   * end-to-end consumers (GMM, greedy matching, SMM streams,
+//     generalized-coreset instantiation) screened vs exact at 1/2/8
+//     threads;
 //   * the certified error bound itself, property-tested against sampled
 //     |screened - exact| gaps for every profitable metric and layout;
 //   * adversarial inputs: fp32-colliding near-ties whose doubles differ,
@@ -28,7 +28,6 @@
 #include "core/dataset.h"
 #include "core/generalized_coreset.h"
 #include "core/gmm.h"
-#include "core/kcenter.h"
 #include "core/metric.h"
 #include "core/screen.h"
 #include "core/sequential.h"
@@ -184,53 +183,15 @@ TEST_P(ThreadCounts, GmmTrajectoryBitIdenticalToExact) {
   SetGlobalThreadPoolSize(1);
 }
 
-TEST_P(ThreadCounts, ScreenedTileRelaxBitIdenticalToExact) {
-  SetGlobalThreadPoolSize(GetParam());
-  for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data(layout.pts);
-    size_t n = data.size();
-    for (const auto& metric : AllMetrics()) {
-      std::vector<double> exact_dist(n,
-                                     std::numeric_limits<double>::infinity());
-      std::vector<size_t> exact_assign(n, 0);
-      size_t exact_best = RelaxTilesAndArgFarthest(
-          *metric, data, 0, std::min<size_t>(20, n), 0, data, exact_dist,
-          exact_assign);
-      std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-      std::vector<size_t> assign(n, 0);
-      size_t best = ScreenedRelaxTilesAndArgFarthest(
-          *metric, data, 0, std::min<size_t>(20, n), 0, data, dist, assign);
-      std::string ctx = metric->Name() + "/" + layout.name;
-      EXPECT_EQ(best, exact_best) << ctx;
-      EXPECT_EQ(dist, exact_dist) << ctx;
-      EXPECT_EQ(assign, exact_assign) << ctx;
-    }
-  }
-  SetGlobalThreadPoolSize(1);
-}
-
-TEST_P(ThreadCounts, KCenterAndMatchingAndRadiusBitIdenticalToExact) {
+TEST_P(ThreadCounts, GreedyMatchingBitIdenticalToExact) {
   SetGlobalThreadPoolSize(GetParam());
   for (const NamedLayout& layout : AllLayouts()) {
     Dataset data(layout.pts);
     for (const auto& metric : AllMetrics()) {
       std::string ctx = metric->Name() + "/" + layout.name;
-      KCenterResult exact_kc;
-      std::vector<size_t> exact_match;
-      double exact_radius;
-      {
-        const auto exact = Unscreened(*metric);
-        exact_kc = SolveKCenterDoubling(layout.pts, *exact, 6);
-        exact_match = GreedyMatchingOnDataset(data, *exact, 9);
-        exact_radius = ClusteringRadius(data, *exact, exact_kc.centers);
-      }
-      KCenterResult kc = SolveKCenterDoubling(layout.pts, *metric, 6);
-      EXPECT_EQ(kc.centers, exact_kc.centers) << ctx;
-      EXPECT_EQ(kc.assignment, exact_kc.assignment) << ctx;
-      EXPECT_EQ(kc.radius, exact_kc.radius) << ctx;
+      std::vector<size_t> exact_match =
+          GreedyMatchingOnDataset(data, *Unscreened(*metric), 9);
       EXPECT_EQ(GreedyMatchingOnDataset(data, *metric, 9), exact_match) << ctx;
-      EXPECT_EQ(ClusteringRadius(data, *metric, kc.centers), exact_radius)
-          << ctx;
     }
   }
   SetGlobalThreadPoolSize(1);
@@ -442,50 +403,6 @@ TEST(ScreenTest, ScreenedCountsDeterministicAcrossThreadCounts) {
   SetGlobalThreadPoolSize(1);
 }
 
-
-// The fused tile kernels (Metric::ScreenedRelaxTile overrides) must match
-// the unfused materialize-then-collect loop (UnfusedScreenedRelaxTile) bit
-// for bit AND never pay more exact rescues than it: the dense kernels
-// certify skips against the same thresholds and screen the remaining
-// candidates with a per-row argmin test that can only shrink the rescue
-// set. Rows never couple, so one unfused call over all rows relaxes exactly
-// as the sweep's per-range calls do.
-TEST(ScreenTest, FusedTileRelaxNoMoreExactEvalsThanUnfused) {
-  for (size_t dim : {3u, 16u}) {
-    Dataset data(DensePoints(3000, dim, /*seed=*/230));
-    EuclideanMetric inner;
-    size_t nq = 48;
-
-    CountingMetric fused(&inner);
-    std::vector<double> fdist(data.size(),
-                              std::numeric_limits<double>::infinity());
-    std::vector<size_t> fassign(data.size(), 0);
-    size_t fbest = ScreenedRelaxTilesAndArgFarthest(fused, data, 0, nq, 0,
-                                                    data, fdist, fassign);
-
-    CountingMetric unfused(&inner);
-    std::vector<double> udist(data.size(),
-                              std::numeric_limits<double>::infinity());
-    std::vector<size_t> uassign(data.size(), 0);
-    ScreenSideStats stats = SideStatsOf(data);
-    UnfusedScreenedRelaxTile(unfused, data, 0, nq, 0, data, 0, data.size(),
-                             inner.ScreenErrorBound(stats, stats, dim),
-                             udist, uassign);
-    size_t ubest = 0;
-    for (size_t i = 1; i < udist.size(); ++i) {
-      if (udist[i] > udist[ubest]) ubest = i;
-    }
-
-    EXPECT_EQ(fbest, ubest) << dim;
-    EXPECT_EQ(fdist, udist) << dim;
-    EXPECT_EQ(fassign, uassign) << dim;
-    EXPECT_EQ(fused.screened_evals(), unfused.screened_evals()) << dim;
-    EXPECT_GT(fused.screened_evals(), 0u) << dim;
-    EXPECT_LE(fused.exact_evals(), unfused.exact_evals()) << dim;
-    EXPECT_LE(fused.exact_evals(), nq * data.size()) << dim;
-  }
-}
-
 // The fused SMM sweeps dropped the >=8-coords-per-row gate: a dim-3 dense
 // stream now actually screens (screened_evals > 0) while staying
 // bit-identical (covered by SmmStreamsBitIdenticalToExact above), and the
@@ -504,47 +421,6 @@ TEST(ScreenTest, FusedSmmSweepsScreenAtLowDimension) {
   EXPECT_GE(smm.Finalize().size(), 1u);
 }
 
-// The cosine-space angular screen: all-sparse cosine tiles now pass the
-// fused gate (RelaxTileScreeningProfitableFor) and screen — bit-identical
-// to the exact tile relax, with deterministic counts across thread counts.
-TEST(ScreenTest, SparseCosineTileRelaxScreensAndMatchesExact) {
-  PointSet docs = SparsePoints(600, /*seed=*/232);
-  Dataset data(docs);
-  CosineMetric base;
-  ASSERT_TRUE(base.RelaxTileScreeningProfitableFor(SideStatsOf(data),
-                                                   SideStatsOf(data)));
-  size_t nq = 24;
-  std::vector<double> exact_dist(data.size(),
-                                 std::numeric_limits<double>::infinity());
-  std::vector<size_t> exact_assign(data.size(), 0);
-  size_t exact_best = RelaxTilesAndArgFarthest(base, data, 0, nq, 0, data,
-                                                exact_dist, exact_assign);
-  uint64_t screened_ref = 0, exact_ref = 0;
-  for (size_t threads : {1u, 2u, 8u}) {
-    SetGlobalThreadPoolSize(threads);
-    CountingMetric counting(&base);
-    std::vector<double> dist(data.size(),
-                             std::numeric_limits<double>::infinity());
-    std::vector<size_t> assign(data.size(), 0);
-    size_t best = ScreenedRelaxTilesAndArgFarthest(counting, data, 0, nq, 0,
-                                                   data, dist, assign);
-    EXPECT_EQ(best, exact_best) << threads;
-    EXPECT_EQ(dist, exact_dist) << threads;
-    EXPECT_EQ(assign, exact_assign) << threads;
-    EXPECT_EQ(counting.screened_evals(), nq * data.size()) << threads;
-    EXPECT_LE(counting.exact_evals(), nq * data.size()) << threads;
-    EXPECT_GT(counting.exact_evals(), 0u) << threads;
-    if (threads == 1) {
-      screened_ref = counting.screened_evals();
-      exact_ref = counting.exact_evals();
-    } else {
-      EXPECT_EQ(counting.screened_evals(), screened_ref) << threads;
-      EXPECT_EQ(counting.exact_evals(), exact_ref) << threads;
-    }
-  }
-  SetGlobalThreadPoolSize(1);
-}
-
 // The metric's screening policy: screening off means zero fp32 evaluations;
 // results agree bit for bit either way.
 TEST(ScreenTest, ToggleDisablesScreeningEntirely) {
@@ -557,7 +433,8 @@ TEST(ScreenTest, ToggleDisablesScreeningEntirely) {
     EXPECT_EQ(counting.screened_evals(), 0u);
     EXPECT_EQ(counting.exact_evals(), 8u * pts.size());
   }
-  // Jaccard never screens (ScreeningProfitable false), even when enabled.
+  // Jaccard never screens (ScreeningProfitableFor false), even when
+  // enabled.
   {
     JaccardMetric jaccard;
     CountingMetric counting(&jaccard);

@@ -135,14 +135,18 @@ TEST(TwoPassStreamingTest, EndToEndProducesKDistinctPoints) {
   }
 }
 
+// The coherent subset chosen after pass 1 has expanded size k: the second
+// pass instantiates at most one input point per unit of its multiplicity,
+// so k instantiated points mean every unit was there and was filled.
 TEST(TwoPassStreamingTest, SelectedSubsetIsCoherentWithSizeK) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(500, 2, /*seed=*/7);
   TwoPassStreamingDiversity sd(&m, DiversityProblem::kRemoteClique, 5, 10);
   for (const Point& x : pts) sd.UpdateFirstPass(x);
   sd.EndFirstPass();
-  EXPECT_EQ(sd.selected().ExpandedSize(), 5u);
   EXPECT_GT(sd.delta(), 0.0);
+  for (const Point& x : pts) sd.UpdateSecondPass(x);
+  EXPECT_EQ(sd.Finalize().solution.size(), 5u);
 }
 
 TEST(TwoPassStreamingTest, UsesLessMemoryThanOnePassExt) {

@@ -1,6 +1,5 @@
 // Equivalence, accounting, and determinism tests for the blocked
-// many-vs-many tile kernels (Metric::DistanceTile / RelaxTilesAndArgFarthest)
-// and their consumers:
+// many-vs-many tile kernels (Metric::DistanceTile) and their consumers:
 //   * a Q x R tile equals per-query DistanceToMany for all four metrics on
 //     dense, sparse, and mixed layouts — bit-exact where the scalar merge
 //     kernel is shared (any sparse side), and within 1e-9 relative error on
@@ -9,8 +8,8 @@
 //   * odd tile edges: Q and R not multiples of the lane width, nonzero
 //     offsets, strided output;
 //   * CountingMetric adds exactly nq * nr per tile;
-//   * RelaxTilesAndArgFarthest reproduces a per-center scalar Distance
-//     relax loop exactly (dist, assignment, argmax) at 1/2/8 threads;
+//   * the sparse query-block decode cache serves a second equal row range
+//     of one query block without re-decoding;
 //   * the tiled DistanceMatrix build matches the scalar per-pair build and
 //     costs exactly n(n-1)/2 evaluations;
 //   * GreedyMatchingOnDataset refill scans run on the compacted live rows
@@ -23,7 +22,6 @@
 //     never pays more evaluations than the exhaustive scan where it prunes.
 
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -33,9 +31,7 @@
 
 #include "core/dataset.h"
 #include "core/distance_matrix.h"
-#include "core/kcenter.h"
 #include "core/metric.h"
-#include "core/screen.h"
 #include "core/sequential.h"
 #include "core/vector_kernels.h"
 #include "data/sparse_text.h"
@@ -212,108 +208,6 @@ TEST(TileKernelTest, CountingMetricCountsTilesExactly) {
   std::vector<double> tile(11 * 17);
   counting.DistanceTile(data, 3, 11, data, 20, 17, tile.data(), 17);
   EXPECT_EQ(counting.count(), 11u * 17u);
-
-  counting.Reset();
-  std::vector<double> dist(data.size(),
-                           std::numeric_limits<double>::infinity());
-  RelaxTilesAndArgFarthest(counting, data, 0, 9, 0, data, dist);
-  EXPECT_EQ(counting.count(), 9u * data.size());
-}
-
-TEST(TileKernelTest, RelaxTilesMatchesPerCenterSweepsAllMetricsAllLayouts) {
-  for (const NamedLayout& layout : AllLayouts()) {
-    Dataset data(layout.pts);
-    size_t n = data.size();
-    // Centers: a scattered, non-contiguous selection appended to its own
-    // Dataset, as the k-center consumers build it.
-    std::vector<size_t> centers = {4, 0, 17, 33, 9, 61, 25, 48, 70, 13, 57};
-    Dataset center_rows;
-    for (size_t c : centers) center_rows.Append(data.point(c));
-    for (const auto& metric : AllMetrics()) {
-      std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-      std::vector<size_t> assignment(n, 0);
-      size_t got = RelaxTilesAndArgFarthest(*metric, center_rows, 0,
-                                            centers.size(), 0, data, dist,
-                                            assignment);
-      std::vector<double> ref_dist(n,
-                                   std::numeric_limits<double>::infinity());
-      std::vector<size_t> ref_assignment(n, 0);
-      size_t want = 0;
-      for (size_t c = 0; c < centers.size(); ++c) {
-        double best = -std::numeric_limits<double>::infinity();
-        for (size_t i = 0; i < n; ++i) {
-          double d = metric->Distance(data.point(i), data.point(centers[c]));
-          if (d < ref_dist[i]) {
-            ref_dist[i] = d;
-            ref_assignment[i] = c;
-          }
-          if (ref_dist[i] > best) {
-            best = ref_dist[i];
-            want = i;
-          }
-        }
-      }
-      EXPECT_EQ(got, want) << metric->Name() << "/" << layout.name;
-      EXPECT_EQ(assignment, ref_assignment)
-          << metric->Name() << "/" << layout.name;
-      for (size_t i = 0; i < n; ++i) {
-        bool dense_path = !data.row_is_sparse(i);
-        ExpectTileEntry(dist[i], ref_dist[i], dense_path,
-                        metric->Name() + std::string("/") + layout.name +
-                            " row " + std::to_string(i));
-      }
-    }
-  }
-}
-
-TEST(TileKernelTest, RelaxTilesDeterministicAtAnyThreadCount) {
-  PointSet pts = DensePoints(20000, 4, /*seed=*/108);
-  Dataset data(pts);
-  EuclideanMetric metric;
-  Dataset center_rows;
-  for (size_t c = 0; c < 30; ++c) center_rows.Append(data.point(c * 613));
-
-  std::vector<double> base_dist;
-  std::vector<size_t> base_assignment;
-  size_t base_far = 0;
-  for (size_t threads : {1u, 2u, 8u}) {
-    SetGlobalThreadPoolSize(threads);
-    std::vector<double> dist(data.size(),
-                             std::numeric_limits<double>::infinity());
-    std::vector<size_t> assignment(data.size(), 0);
-    size_t far = RelaxTilesAndArgFarthest(metric, center_rows, 0,
-                                          center_rows.size(), 0, data, dist,
-                                          assignment);
-    if (threads == 1u) {
-      base_dist = std::move(dist);
-      base_assignment = std::move(assignment);
-      base_far = far;
-    } else {
-      EXPECT_EQ(far, base_far) << threads << " threads";
-      EXPECT_EQ(dist, base_dist) << threads << " threads";
-      EXPECT_EQ(assignment, base_assignment) << threads << " threads";
-    }
-  }
-  SetGlobalThreadPoolSize(1);
-}
-
-TEST(TileKernelTest, KCenterDoublingAssignmentUnchangedByTiles) {
-  PointSet pts = DensePoints(800, 3, /*seed=*/109);
-  EuclideanMetric metric;
-  KCenterResult result = SolveKCenterDoubling(pts, metric, 12);
-  // Reference: scalar nearest-center assignment.
-  for (size_t i = 0; i < pts.size(); ++i) {
-    size_t best = 0;
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (size_t c = 0; c < result.centers.size(); ++c) {
-      double d = metric.Distance(pts[i], pts[result.centers[c]]);
-      if (d < best_dist) {
-        best_dist = d;
-        best = c;
-      }
-    }
-    EXPECT_EQ(result.assignment[i], best) << "point " << i;
-  }
 }
 
 TEST(TileKernelTest, DistanceMatrixTiledMatchesScalarAllMetricsAllLayouts) {
@@ -785,45 +679,12 @@ TEST(SparseTileTest, CountingMetricCountsSparseTilesExactly) {
   EXPECT_EQ(counting.count(), 9u * 33u);
 }
 
-TEST(SparseTileTest, SparseRelaxTilesDeterministicAtAnyThreadCount) {
-  PointSet pts = SparseCorpus(6000, 500, 5, 60, /*seed=*/207);
-  Dataset data(pts);
-  Dataset center_rows;
-  for (size_t c = 0; c < 24; ++c) center_rows.Append(data.point(c * 241));
-  for (const auto& metric : AllMetrics()) {
-    std::vector<double> base_dist;
-    std::vector<size_t> base_assignment;
-    size_t base_far = 0;
-    for (size_t threads : {1u, 2u, 8u}) {
-      SetGlobalThreadPoolSize(threads);
-      std::vector<double> dist(data.size(),
-                               std::numeric_limits<double>::infinity());
-      std::vector<size_t> assignment(data.size(), 0);
-      size_t far = RelaxTilesAndArgFarthest(*metric, center_rows, 0,
-                                            center_rows.size(), 0, data,
-                                            dist, assignment);
-      if (threads == 1u) {
-        base_dist = std::move(dist);
-        base_assignment = std::move(assignment);
-        base_far = far;
-      } else {
-        EXPECT_EQ(far, base_far) << metric->Name() << "@" << threads;
-        EXPECT_EQ(dist, base_dist) << metric->Name() << "@" << threads;
-        EXPECT_EQ(assignment, base_assignment)
-            << metric->Name() << "@" << threads;
-      }
-    }
-    SetGlobalThreadPoolSize(1);
-  }
-}
-
 // The sparse decode cache reuses query-block decodes across row ranges of
-// one sweep. An all-sparse cosine tile relax decodes each center block once
+// one sweep. An all-sparse exact cosine tile decodes each center block once
 // per (row-range, lane-width) shape; a second call on the next equal-size
 // row range — the shape a thread's chunked sweep produces — must hit the
 // cache instead of re-decoding.
 TEST(SparseDecodeCache, ReusesQueryBlockDecodesAcrossRowRanges) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   SetGlobalThreadPoolSize(1);
   CosineMetric metric;
   SparseTextOptions opts;
@@ -832,62 +693,58 @@ TEST(SparseDecodeCache, ReusesQueryBlockDecodesAcrossRowRanges) {
   opts.seed = 361;
   Dataset data(GenerateSparseTextDataset(opts));
   size_t n = data.size();
+  size_t half = n / 2;
+  ASSERT_EQ(n, 2 * half);
   Dataset centers;
   for (size_t i = 0; i < 8; ++i) centers.Append(data.point(i * 11));
-  ASSERT_TRUE(metric.RelaxTileScreeningProfitableFor(SideStatsOf(centers),
-                                                     SideStatsOf(data)));
-  ScreenBound bound = metric.ScreenErrorBound(SideStatsOf(centers),
-                                              SideStatsOf(data), data.dim());
-  ASSERT_LT(bound.rel, 1.0);
-  std::vector<double> dist(n, kInf);
-  std::vector<size_t> assign(n, 0);
+  // Both halves land in one 8 x n matrix through the output stride.
+  std::vector<double> tile(8 * n, -1.0);
   ResetSparseQueryDecodeStats();
-  metric.ScreenedRelaxTile(centers, 0, 8, 0, data, 0, n / 2, bound, dist,
-                           assign);
+  metric.DistanceTile(centers, 0, 8, data, 0, half, tile.data(), n);
   uint64_t first_decodes = SparseQueryDecodeCount();
   EXPECT_GT(first_decodes, 0u);
   EXPECT_EQ(SparseQueryDecodeHits(), 0u);
-  metric.ScreenedRelaxTile(centers, 0, 8, 0, data, n / 2, n - n / 2, bound,
-                           dist, assign);
+  metric.DistanceTile(centers, 0, 8, data, half, half, tile.data() + half, n);
   // Same query block, same lane shape: the second range re-decodes nothing.
   EXPECT_EQ(SparseQueryDecodeCount(), first_decodes);
   EXPECT_GT(SparseQueryDecodeHits(), 0u);
-  // The cached sweep matches an uncached exact relax bit for bit.
-  std::vector<double> want_dist(n, kInf);
-  std::vector<size_t> want_assign(n, 0);
+  // The cached tiles match uncached one-query sweeps bit for bit.
   for (size_t q = 0; q < 8; ++q) {
     std::vector<double> row(n);
     metric.DistanceToMany(centers.point(q), data, 0, row);
-    for (size_t r = 0; r < n; ++r) {
-      if (row[r] < want_dist[r]) {
-        want_dist[r] = row[r];
-        want_assign[r] = q;
-      }
-    }
+    EXPECT_EQ(std::vector<double>(tile.begin() + q * n,
+                                  tile.begin() + (q + 1) * n),
+              row)
+        << "center " << q;
   }
-  EXPECT_EQ(dist, want_dist);
-  EXPECT_EQ(assign, want_assign);
 }
 
+// Mixed dense/sparse rows, and an all-sparse corpus that runs every tile
+// through the blocked sparse engine.
 TEST(SparseTileTest, MixedTileThreadCountDeterminism) {
-  PointSet pts = MixedPoints(900, 14, /*seed=*/208);
-  Dataset data(pts);
-  for (const auto& metric : AllMetrics()) {
-    std::vector<std::vector<double>> results;
-    for (size_t threads : {1u, 2u, 8u}) {
-      SetGlobalThreadPoolSize(threads);
-      DistanceMatrix d(data, *metric);
-      std::vector<double> flat;
-      flat.reserve(data.size() * data.size());
-      for (size_t i = 0; i < data.size(); ++i) {
-        std::span<const double> row = d.row(i);
-        flat.insert(flat.end(), row.begin(), row.end());
+  for (const NamedLayout& layout :
+       {NamedLayout{"mixed", MixedPoints(900, 14, /*seed=*/208)},
+        NamedLayout{"sparse", SparseCorpus(900, 500, 5, 60, /*seed=*/207)}}) {
+    Dataset data(layout.pts);
+    for (const auto& metric : AllMetrics()) {
+      std::vector<std::vector<double>> results;
+      for (size_t threads : {1u, 2u, 8u}) {
+        SetGlobalThreadPoolSize(threads);
+        DistanceMatrix d(data, *metric);
+        std::vector<double> flat;
+        flat.reserve(data.size() * data.size());
+        for (size_t i = 0; i < data.size(); ++i) {
+          std::span<const double> row = d.row(i);
+          flat.insert(flat.end(), row.begin(), row.end());
+        }
+        results.push_back(std::move(flat));
       }
-      results.push_back(std::move(flat));
+      SetGlobalThreadPoolSize(1);
+      EXPECT_EQ(results[0], results[1])
+          << metric->Name() << "/" << layout.name;
+      EXPECT_EQ(results[0], results[2])
+          << metric->Name() << "/" << layout.name;
     }
-    SetGlobalThreadPoolSize(1);
-    EXPECT_EQ(results[0], results[1]) << metric->Name();
-    EXPECT_EQ(results[0], results[2]) << metric->Name();
   }
 }
 
