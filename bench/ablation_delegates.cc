@@ -91,11 +91,12 @@ int main(int argc, char** argv) {
                                         &metric);
       PointSet united;
       for (const auto& part : partitions) {
-        PointSet c = GmmCoreset(part, metric, k_prime).points;
+        PointSet c =
+            bench::Gather(part, GmmCoreset(Dataset(part), metric, k_prime));
         united.insert(united.end(), c.begin(), c.end());
       }
       std::vector<size_t> picked =
-          SolveSequential(problem, united, metric, k);
+          SolveSequential(problem, Dataset(united), metric, k);
       rows[3].coreset += static_cast<double>(united.size());
       rows[3].div += bench::SolutionDiversity(problem, united, picked, metric);
     }

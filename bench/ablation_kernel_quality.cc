@@ -47,16 +47,17 @@ int main(int argc, char** argv) {
       opts.seed = 8000 + static_cast<uint64_t>(run);
       PointSet pts = GenerateSphereDataset(opts);
 
-      PointSet gmm_coreset = GmmCoreset(pts, metric, k_prime).points;
+      PointSet gmm_coreset =
+          bench::Gather(pts, GmmCoreset(Dataset(pts), metric, k_prime));
       std::vector<size_t> gi =
-          SolveSequential(problem, gmm_coreset, metric, k);
+          SolveSequential(problem, Dataset(gmm_coreset), metric, k);
       gmm_sum += bench::SolutionDiversity(problem, gmm_coreset, gi, metric);
 
       Smm smm(&metric, k, k_prime);
       for (const Point& p : pts) smm.Update(p);
       PointSet smm_coreset = smm.Finalize();
       std::vector<size_t> si =
-          SolveSequential(problem, smm_coreset, metric,
+          SolveSequential(problem, Dataset(smm_coreset), metric,
                           std::min(k, smm_coreset.size()));
       smm_sum += bench::SolutionDiversity(problem, smm_coreset, si, metric);
     }

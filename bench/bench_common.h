@@ -61,15 +61,22 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
+/// The points `indices` of `points`, in that order (a core-set or a
+/// solution given as row ids).
+inline PointSet Gather(const PointSet& points,
+                       const std::vector<size_t>& indices) {
+  PointSet out;
+  out.reserve(indices.size());
+  for (size_t i : indices) out.push_back(points[i]);
+  return out;
+}
+
 /// div(solution) where `solution` indexes into `points`.
 inline double SolutionDiversity(DiversityProblem problem,
                                 const PointSet& points,
                                 const std::vector<size_t>& indices,
                                 const Metric& metric) {
-  PointSet sol;
-  sol.reserve(indices.size());
-  for (size_t i : indices) sol.push_back(points[i]);
-  return EvaluateDiversity(problem, sol, metric);
+  return EvaluateDiversity(problem, Gather(points, indices), metric);
 }
 
 /// The value of a run the harness's fault-free configuration cannot fail;

@@ -116,7 +116,7 @@ void BM_Gmm(benchmark::State& state) {
   size_t k = static_cast<size_t>(state.range(1));
   PointSet pts = GenerateUniformCube(n, 3, 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Gmm(pts, m, k));
+    benchmark::DoNotOptimize(Gmm(Dataset(pts), m, k));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
@@ -130,7 +130,7 @@ void BM_GmmExtCoreset(benchmark::State& state) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(10000, 3, 3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(GmmExtCoreset(pts, m, 64, 15));
+    benchmark::DoNotOptimize(GmmExtCoreset(Dataset(pts), m, 64, 15));
   }
   state.counters["n"] = 10000;
   state.counters["dim"] = 3;
@@ -177,7 +177,7 @@ void BM_GreedyMatching(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   PointSet pts = GenerateUniformCube(n, 3, 6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(GreedyMatchingOnPoints(pts, m, 8));
+    benchmark::DoNotOptimize(GreedyMatchingOnDataset(Dataset(pts), m, 8));
   }
   state.counters["n"] = static_cast<double>(n);
   state.counters["dim"] = 3;

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
 
       // Reference: the sequential algorithm on the full input.
       std::vector<size_t> ref_idx =
-          SolveSequential(problem, pts, metric, k);
+          SolveSequential(problem, Dataset(pts), metric, k);
       double ref = bench::SolutionDiversity(problem, pts, ref_idx, metric);
 
       // Composable core-set: per-partition construction, then solve on the
@@ -61,13 +61,15 @@ int main(int argc, char** argv) {
                                         100 + static_cast<uint64_t>(run));
       PointSet united;
       for (const PointSet& part : partitions) {
-        PointSet c = RequiresInjectiveProxies(problem)
-                         ? GmmExtCoreset(part, metric, 4 * k, k - 1).points
-                         : GmmCoreset(part, metric, 4 * k).points;
+        const Dataset data(part);
+        PointSet c = bench::Gather(
+            part, RequiresInjectiveProxies(problem)
+                      ? GmmExtCoreset(data, metric, 4 * k, k - 1)
+                      : GmmCoreset(data, metric, 4 * k));
         united.insert(united.end(), c.begin(), c.end());
       }
       std::vector<size_t> core_idx =
-          SolveSequential(problem, united, metric, k);
+          SolveSequential(problem, Dataset(united), metric, k);
       double core =
           bench::SolutionDiversity(problem, united, core_idx, metric);
 

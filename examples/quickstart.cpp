@@ -23,8 +23,8 @@ int main() {
   PointSet points = GenerateUniformCube(/*n=*/1000, /*dim=*/2, /*seed=*/42);
   const size_t k = 5;
 
-  std::vector<size_t> picked =
-      SolveSequential(DiversityProblem::kRemoteEdge, points, metric, k);
+  std::vector<size_t> picked = SolveSequential(
+      DiversityProblem::kRemoteEdge, Dataset(points), metric, k);
   PointSet solution;
   for (size_t idx : picked) solution.push_back(points[idx]);
   double div =

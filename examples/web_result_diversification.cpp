@@ -34,8 +34,8 @@ int main() {
   const size_t k = 10;
 
   // remote-clique: matching-based 2-approximation.
-  std::vector<size_t> picked =
-      SolveSequential(DiversityProblem::kRemoteClique, results, metric, k);
+  std::vector<size_t> picked = SolveSequential(
+      DiversityProblem::kRemoteClique, Dataset(results), metric, k);
   PointSet page;
   for (size_t idx : picked) page.push_back(results[idx]);
 

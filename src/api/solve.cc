@@ -140,6 +140,15 @@ StatusOr<SolveResult> TrySolve(const Dataset& data, const Metric& metric,
                                const SolveOptions& options) {
   DIVERSE_RETURN_IF_ERROR(ValidateSolveInput(data, options));
   const SolveOptions o = Normalize(options);
+  // Checked after Normalize: an auto k' (4k) is the one the driver runs
+  // with, and an auto budget is never below it.
+  if (o.backend == Backend::kMapReduceRecursive &&
+      o.local_memory_budget < o.k_prime) {
+    return InvalidArgumentError(
+        "local_memory_budget (" + std::to_string(o.local_memory_budget) +
+        ") is below the effective k_prime (" + std::to_string(o.k_prime) +
+        "); a reducer must hold at least one core-set");
+  }
   Timer timer;
   SolveResult result;
   switch (o.backend) {

@@ -117,7 +117,9 @@ struct SolveResult {
 ///     a non-finite (NaN/inf) input coordinate; a backend/problem pairing
 ///     the paper's algorithms are undefined for (the generalized core-set
 ///     backends kStreamingTwoPass and kMapReduceGeneralized on
-///     non-injective-proxy problems; everything else accepts all six).
+///     non-injective-proxy problems; everything else accepts all six);
+///     for kMapReduceRecursive, a nonzero local_memory_budget below the
+///     effective k' (k_prime, or 4k when k_prime is 0).
 /// MapReduce task failures surface as the underlying driver error
 /// (kDataLoss, kAborted, ...) when recovery and degradation cannot
 /// complete the run.

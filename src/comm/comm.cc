@@ -15,10 +15,14 @@ PointSet ComputeCoreset(const PointSet& part, const Metric& metric,
                         const CoresetSpec& spec, Dataset* scratch) {
   if (part.empty()) return {};
   scratch->Assign(part);
-  if (!spec.extended) {
-    return GmmCoreset(*scratch, metric, spec.k_prime).points;
-  }
-  return GmmExtCoreset(*scratch, metric, spec.k_prime, spec.delegates).points;
+  const std::vector<size_t> ids =
+      spec.extended
+          ? GmmExtCoreset(*scratch, metric, spec.k_prime, spec.delegates)
+          : GmmCoreset(*scratch, metric, spec.k_prime);
+  PointSet out;
+  out.reserve(ids.size());
+  for (size_t id : ids) out.push_back(scratch->point(id));
+  return out;
 }
 
 GenCoresetResult ComputeGenCoreset(const PointSet& part, const Metric& metric,
@@ -54,14 +58,20 @@ GeneralizedCoreset ComputeGenSolve(const GeneralizedCoreset& merged,
 StatusOr<PointSet> ComputeInstantiate(const TaskEnvelope& env,
                                       const GeneralizedCoreset& selected,
                                       const PointSet& part,
-                                      const Metric& metric, double range) {
-  std::optional<PointSet> inst = Instantiate(selected, part, metric, range);
-  if (!inst.has_value()) {
+                                      const Metric& metric, double range,
+                                      Dataset* scratch) {
+  scratch->Assign(part);
+  std::optional<std::vector<size_t>> ids =
+      Instantiate(selected, *scratch, metric, range);
+  if (!ids.has_value()) {
     return FailedPreconditionError(
         "instantiation could not supply enough delegates (round '" +
         env.round + "', task " + std::to_string(env.task) + ")");
   }
-  return std::move(*inst);
+  PointSet out;
+  out.reserve(ids->size());
+  for (size_t id : *ids) out.push_back(part[id]);
+  return out;
 }
 
 // A free-list of scratch Datasets: each call acquires one, Assign()s its
@@ -177,7 +187,11 @@ StatusOr<PointSet> LoopbackEngine::Instantiate(
     const TaskEnvelope& env, const GeneralizedCoreset& selected,
     const PointSet& part, double range) {
   DIVERSE_RETURN_IF_ERROR(ApplyTransportFault(env));
-  return ComputeInstantiate(env, selected, part, *metric_, range);
+  Dataset scratch = scratch_->Acquire();
+  StatusOr<PointSet> inst =
+      ComputeInstantiate(env, selected, part, *metric_, range, &scratch);
+  scratch_->Release(std::move(scratch));
+  return inst;
 }
 
 }  // namespace diverse

@@ -154,7 +154,8 @@ GeneralizedCoreset ComputeGenSolve(const GeneralizedCoreset& merged,
 StatusOr<PointSet> ComputeInstantiate(const TaskEnvelope& env,
                                       const GeneralizedCoreset& selected,
                                       const PointSet& part,
-                                      const Metric& metric, double range);
+                                      const Metric& metric, double range,
+                                      Dataset* scratch);
 
 /// The in-process engine: runs every call directly on the driver's metric.
 /// Thread-safe; owns a scratch-Dataset pool so concurrent reducers reuse

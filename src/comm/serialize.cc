@@ -135,8 +135,7 @@ StatusOr<PointSet> TryReadPointSet(ByteReader* in, const std::string& what) {
   PointSet points;
   points.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    StatusOr<Point> p = TryReadPointRecord(
-        in, "point " + std::to_string(i) + " of " + what);
+    StatusOr<Point> p = TryReadPointRecord(in, {"point", i, what});
     if (!p.ok()) return p.status();
     points.push_back(std::move(*p));
   }
@@ -165,13 +164,13 @@ StatusOr<GeneralizedCoreset> TryReadGenCoreset(ByteReader* in,
   }
   GeneralizedCoreset gen;
   for (uint64_t i = 0; i < count; ++i) {
-    const std::string where = "entry " + std::to_string(i) + " of " + what;
+    const RecordLocation where{"entry", i, what};
     uint64_t multiplicity = 0;
     if (!ReadScalar(in, &multiplicity)) {
-      return DataLossError("truncated multiplicity at " + where);
+      return DataLossError("truncated multiplicity at " + where.ToString());
     }
     if (multiplicity == 0) {
-      return InvalidArgumentError("zero multiplicity at " + where);
+      return InvalidArgumentError("zero multiplicity at " + where.ToString());
     }
     StatusOr<Point> p = TryReadPointRecord(in, where);
     if (!p.ok()) return p.status();
@@ -324,8 +323,7 @@ Status StreamingRequestDecoder::Advance(bool final) {
               " payload bytes remain");
         }
         ByteReader in(rest);
-        StatusOr<Point> p = TryReadPointRecord(
-            &in, "point " + std::to_string(got_) + " of " + what);
+        StatusOr<Point> p = TryReadPointRecord(&in, {"point", got_, what});
         if (!p.ok()) {
           // Mid-stream a short record is indistinguishable from one whose
           // tail is still in flight; only the final pass may condemn it.
@@ -367,18 +365,21 @@ Status StreamingRequestDecoder::Advance(bool final) {
               " entries but only " + std::to_string(rest.size()) +
               " payload bytes remain");
         }
-        const std::string where =
-            "entry " + std::to_string(got_) + " of " + what;
+        const RecordLocation where{"entry", got_, what};
         ByteReader in(rest);
         uint64_t multiplicity = 0;
         if (!ReadScalar(&in, &multiplicity)) {
-          if (final) return DataLossError("truncated multiplicity at " + where);
+          if (final) {
+            return DataLossError("truncated multiplicity at " +
+                                 where.ToString());
+          }
           return OkStatus();
         }
         if (multiplicity == 0) {
           // The 8 bytes are present: this is corruption, certain even
           // mid-stream.
-          return InvalidArgumentError("zero multiplicity at " + where);
+          return InvalidArgumentError("zero multiplicity at " +
+                                      where.ToString());
         }
         StatusOr<Point> p = TryReadPointRecord(&in, where);
         if (!p.ok()) {

@@ -76,7 +76,8 @@ WireReply ExecuteDecodedTask(const WireRequest& req, const PointSet& points) {
     }
     case WireTaskType::kInstantiate: {
       StatusOr<PointSet> inst =
-          ComputeInstantiate(env, req.gen, points, *metric, req.range);
+          ComputeInstantiate(env, req.gen, points, *metric, req.range,
+                             &scratch);
       if (!inst.ok()) {
         reply.status = inst.status();
       } else {

@@ -1,5 +1,7 @@
-// Core-set containers and the GMM-based composable core-set constructions
-// used by the MapReduce algorithms (Theorems 4 and 5 of the paper).
+// The GMM-based composable core-set constructions used by the MapReduce
+// algorithms (Theorems 4 and 5 of the paper). A core-set is a subset of its
+// input, so both return row ids into their input Dataset; callers gather
+// the rows they need (Dataset::point).
 //
 //   * GmmCoreset(S, k')          — kernel only; (1+eps)-composable core-set
 //                                  for remote-edge and remote-cycle (Thm 4).
@@ -15,47 +17,31 @@
 #define DIVERSE_CORE_CORESET_H_
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "core/dataset.h"
 #include "core/gmm.h"
 #include "core/metric.h"
-#include "core/point.h"
 
 namespace diverse {
 
-/// A plain core-set: a subset of the input points. `indices[i]` is the
-/// position of `points[i]` in the originating set, so callers that work with
-/// local indices (tests, instantiation passes) can trace points back.
-struct Coreset {
-  PointSet points;
-  std::vector<size_t> indices;
-
-  size_t size() const { return points.size(); }
-};
-
-/// GMM core-set: the k' points selected by a farthest-first traversal of
-/// `data`. Requires 1 <= k_prime <= data.size().
-Coreset GmmCoreset(const Dataset& data, const Metric& metric, size_t k_prime);
-
-/// Shim: copies `points` into a Dataset and builds the core-set on it.
-Coreset GmmCoreset(std::span<const Point> points, const Metric& metric,
-                   size_t k_prime);
+/// GMM core-set: the ids of the k' rows selected by a farthest-first
+/// traversal of `data`, in selection order (Gmm(...).selected). Requires
+/// 1 <= k_prime <= data.size().
+std::vector<size_t> GmmCoreset(const Dataset& data, const Metric& metric,
+                               size_t k_prime);
 
 /// GMM-EXT core-set (Algorithm 1): runs GMM(S, k') to obtain a kernel
 /// T' = {c_1..c_k'}, clusters S around the kernel (ties toward earlier
-/// centers), and returns each center plus up to `delegates_per_cluster`
-/// additional points of its cluster. With delegates_per_cluster = k-1 this
-/// is exactly the paper's GMM-EXT(S, k, k'); Theorem 7's randomized MR
-/// algorithm calls it with a smaller cap. Output size is at most
-/// k' * (1 + delegates_per_cluster).
-Coreset GmmExtCoreset(const Dataset& data, const Metric& metric,
-                      size_t k_prime, size_t delegates_per_cluster);
-
-/// Shim: copies `points` into a Dataset and builds the core-set on it.
-Coreset GmmExtCoreset(std::span<const Point> points, const Metric& metric,
-                      size_t k_prime, size_t delegates_per_cluster);
+/// centers), and returns the ids of each center followed by up to
+/// `delegates_per_cluster` additional rows of its cluster. With
+/// delegates_per_cluster = k-1 this is exactly the paper's GMM-EXT(S, k, k');
+/// Theorem 7's randomized MR algorithm calls it with a smaller cap. Output
+/// size is at most k' * (1 + delegates_per_cluster). On duplicate-heavy
+/// inputs GMM may select one row twice; the repeat stays in the output.
+std::vector<size_t> GmmExtCoreset(const Dataset& data, const Metric& metric,
+                                  size_t k_prime,
+                                  size_t delegates_per_cluster);
 
 }  // namespace diverse
 

@@ -43,6 +43,14 @@ Point Dataset::point(size_t i) const {
   return p;
 }
 
+bool Dataset::RowEquals(size_t i, const Point& p) const {
+  const kernels::VecView a = row(i);
+  const kernels::VecView b = p.View();
+  return a.sparse == b.sparse && a.dim == b.dim && a.nnz == b.nnz &&
+         std::equal(a.values, a.values + a.nnz, b.values) &&
+         (!a.sparse || std::equal(a.indices, a.indices + a.nnz, b.indices));
+}
+
 PointSet Dataset::points() const {
   PointSet out;
   out.reserve(size());

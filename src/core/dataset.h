@@ -71,6 +71,9 @@ class Dataset {
   /// (benches, tests). Library code reads rows instead.
   PointSet points() const;
 
+  /// Point::operator== between row i and `p`, building no point.
+  bool RowEquals(size_t i, const Point& p) const;
+
   /// True if row i uses the sparse representation.
   bool row_is_sparse(size_t i) const { return rows_[i].sparse != 0; }
 

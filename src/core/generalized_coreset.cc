@@ -115,39 +115,32 @@ GeneralizedCoreset GmmGenCoreset(const Dataset& data, const Metric& metric,
   return out;
 }
 
-GeneralizedCoreset GmmGenCoreset(std::span<const Point> points,
-                                 const Metric& metric, size_t k,
-                                 size_t k_prime, double* range_out) {
-  return GmmGenCoreset(Dataset(points), metric, k, k_prime,
-                       range_out);
-}
-
-std::optional<PointSet> Instantiate(const GeneralizedCoreset& coreset,
-                                    std::span<const Point> points,
-                                    const Metric& metric, double delta) {
+std::optional<std::vector<size_t>> Instantiate(
+    const GeneralizedCoreset& coreset, const Dataset& data,
+    const Metric& metric, double delta) {
   const auto& entries = coreset.entries();
   std::vector<size_t> needed(entries.size());
   for (size_t e = 0; e < entries.size(); ++e) {
     needed[e] = entries[e].multiplicity;
   }
 
-  PointSet chosen;
-  std::vector<bool> used(points.size(), false);
+  std::vector<size_t> chosen;
+  std::vector<bool> used(data.size(), false);
 
-  // First serve each entry its own kernel point if it occurs in `points`
+  // First serve each entry its own kernel point if it occurs in `data`
   // (distance 0, always a legal delegate); then give each entry its m_p
   // *nearest* unused points within delta. Nearest-first keeps the realized
   // proxy distances (and hence the Lemma 7 loss f(k) * 2 * delta) as small
   // as possible in practice while preserving the worst-case guarantee.
   // Since every delegate of the construction lies within delta of its own
-  // kernel point, the sweep can only run out of candidates if `points` is
+  // kernel point, the sweep can only run out of candidates if `data` is
   // not the originating set.
   for (size_t e = 0; e < entries.size(); ++e) {
     if (needed[e] == 0) continue;
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (!used[i] && points[i] == entries[e].point) {
+    for (size_t i = 0; i < data.size(); ++i) {
+      if (!used[i] && data.RowEquals(i, entries[e].point)) {
         used[i] = true;
-        chosen.push_back(points[i]);
+        chosen.push_back(i);
         --needed[e];
         break;
       }
@@ -170,7 +163,6 @@ std::optional<PointSet> Instantiate(const GeneralizedCoreset& coreset,
     if (needed[e] > 0) pending.push_back(e);
   }
   if (!pending.empty()) {
-    const Dataset data(points);
     const ScreenSideStats ds = SideStatsOf(data);
     constexpr size_t kChunk = kernels::kTileLanes;
     constexpr size_t kRowBlock = 256;
@@ -234,7 +226,7 @@ std::optional<PointSet> Instantiate(const GeneralizedCoreset& coreset,
           if (needed[e] == 0) break;
           if (used[i]) continue;
           used[i] = true;
-          chosen.push_back(points[i]);
+          chosen.push_back(i);
           --needed[e];
         }
       }

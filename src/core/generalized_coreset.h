@@ -102,19 +102,15 @@ GeneralizedCoreset GmmGenCoreset(const Dataset& data, const Metric& metric,
                                  size_t k, size_t k_prime,
                                  double* range_out = nullptr);
 
-/// Shim: copies `points` into a Dataset and builds the core-set on it.
-GeneralizedCoreset GmmGenCoreset(std::span<const Point> points,
-                                 const Metric& metric, size_t k,
-                                 size_t k_prime, double* range_out = nullptr);
-
 /// A delta-instantiation I(T) of a generalized core-set: for each pair
-/// (p, m_p), m_p distinct delegates from `points` (including p itself when
-/// present), each within `delta` of p, disjoint across pairs. Returns
-/// nullopt if `points` cannot supply enough delegates, which cannot happen
-/// when T was built from `points` with the same delta used at construction.
-std::optional<PointSet> Instantiate(const GeneralizedCoreset& coreset,
-                                    std::span<const Point> points,
-                                    const Metric& metric, double delta);
+/// (p, m_p), the row ids of m_p distinct delegates from `data` (including
+/// p's own row when present), each within `delta` of p, disjoint across
+/// pairs. Returns nullopt if `data` cannot supply enough delegates, which
+/// cannot happen when T was built from `data` with the same delta used at
+/// construction.
+std::optional<std::vector<size_t>> Instantiate(
+    const GeneralizedCoreset& coreset, const Dataset& data,
+    const Metric& metric, double delta);
 
 }  // namespace diverse
 

@@ -53,11 +53,6 @@ GmmResult Gmm(const Dataset& data, const Metric& metric, size_t k,
   return result;
 }
 
-GmmResult Gmm(std::span<const Point> points, const Metric& metric, size_t k,
-              size_t first) {
-  return Gmm(Dataset(points), metric, k, first);
-}
-
 double Farness(std::span<const Point> points, const Metric& metric,
                std::span<const size_t> subset) {
   if (subset.size() < 2) return 0.0;

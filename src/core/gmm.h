@@ -55,12 +55,6 @@ struct GmmResult {
 GmmResult Gmm(const Dataset& data, const Metric& metric, size_t k,
               size_t first = 0);
 
-/// Convenience shim: copies `points` into a Dataset and runs the batched
-/// GMM. Callers with a Dataset (or running GMM repeatedly on one input)
-/// should build it once and use the overload above.
-GmmResult Gmm(std::span<const Point> points, const Metric& metric, size_t k,
-              size_t first = 0);
-
 /// Farness rho_T = min_{c in T} d(c, T \ {c}) of the rows `subset` of
 /// `points` (the remote-edge value of the subset).
 double Farness(std::span<const Point> points, const Metric& metric,

@@ -468,11 +468,6 @@ std::vector<size_t> GreedyMatchingOnDataset(const Dataset& data,
   return chosen;
 }
 
-std::vector<size_t> GreedyMatchingOnPoints(std::span<const Point> points,
-                                           const Metric& metric, size_t k) {
-  return GreedyMatchingOnDataset(Dataset(points), metric, k);
-}
-
 std::vector<size_t> SolveSequentialOnMatrix(DiversityProblem problem,
                                             const DistanceMatrix& d,
                                             size_t k) {
@@ -505,17 +500,10 @@ std::vector<size_t> SolveSequential(DiversityProblem problem,
   return {};
 }
 
-std::vector<size_t> SolveSequential(DiversityProblem problem,
-                                    std::span<const Point> points,
-                                    const Metric& metric, size_t k) {
-  return SolveSequential(problem, Dataset(points), metric, k);
-}
-
 std::vector<size_t> LocalSearchRemoteClique(std::span<const Point> points,
                                             const Metric& metric,
                                             std::vector<size_t> initial,
-                                            size_t max_sweeps,
-                                            LocalSearchScan scan) {
+                                            size_t max_sweeps) {
   size_t n = points.size();
   size_t k = initial.size();
   DIVERSE_CHECK_GE(k, 1u);
@@ -526,95 +514,10 @@ std::vector<size_t> LocalSearchRemoteClique(std::span<const Point> points,
     in_set[idx] = true;
   }
 
-  // contribution[c] = sum of distances from current[c] to the rest of the
-  // set; swapping current[c] for q changes the objective by
-  // sum_d(q, set minus current[c]) - contribution[c].
-  std::vector<double> contribution(k, 0.0);
-  auto recompute = [&] {
-    for (size_t a = 0; a < k; ++a) {
-      double s = 0.0;
-      for (size_t b = 0; b < k; ++b) {
-        if (a != b) s += metric.Distance(points[current[a]], points[current[b]]);
-      }
-      contribution[a] = s;
-    }
-  };
-  recompute();
-
-  if (scan == LocalSearchScan::kContinue) {
-    // Tiled candidate sweeps: the distances from a block of candidates to
-    // the whole current set are one Q x k DistanceTile instead of k scalar
-    // virtual calls per candidate, so sparse corpora run the blocked CSR
-    // kernels and dense data the lane kernels. The tile entries are
-    // bit-identical to the scalar Distance calls and the swap decisions
-    // consume them in the same candidate order, so the search trajectory is
-    // unchanged; after an accepted swap the remainder of the block is
-    // recomputed against the updated set (exactly what the scalar loop saw).
-    const Dataset candidates(points);
-    Dataset current_rows;
-    std::vector<uint32_t> current_ids;
-    auto rebuild_current = [&] {
-      current_ids.assign(current.begin(), current.end());
-      current_rows.AssignGatherColumnar(candidates, current_ids);
-    };
-    rebuild_current();
-    constexpr size_t kCandidateBlock = 128;
-    std::vector<double> tile(kCandidateBlock * k);
-    // Applies the best improving swap for candidate q given its distances
-    // to the current set (dq_row[a] = d(q, current[a])), if any.
-    auto try_swap = [&](size_t q, const double* dq_row) {
-      double total = 0.0;
-      for (size_t a = 0; a < k; ++a) total += dq_row[a];
-      // Best member to evict: the one whose removal keeps the most of q's
-      // contribution while dropping the least of its own.
-      size_t best_a = k;
-      double best_delta = 1e-9;
-      for (size_t a = 0; a < k; ++a) {
-        double delta = (total - dq_row[a]) - contribution[a];
-        if (delta > best_delta) {
-          best_delta = delta;
-          best_a = a;
-        }
-      }
-      if (best_a == k) return false;
-      in_set[current[best_a]] = false;
-      in_set[q] = true;
-      current[best_a] = q;
-      recompute();
-      rebuild_current();
-      return true;
-    };
-    for (size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-      bool improved = false;
-      for (size_t q0 = 0; q0 < n; q0 += kCandidateBlock) {
-        size_t qn = std::min(kCandidateBlock, n - q0);
-        metric.DistanceTile(candidates, q0, qn, current_rows, 0, k,
-                            tile.data(), k);
-        for (size_t qi = 0; qi < qn; ++qi) {
-          size_t q = q0 + qi;
-          if (in_set[q]) continue;
-          if (try_swap(q, tile.data() + qi * k)) {
-            improved = true;
-            if (qi + 1 < qn) {
-              metric.DistanceTile(candidates, q + 1, qn - qi - 1,
-                                  current_rows, 0, k,
-                                  tile.data() + (qi + 1) * k, k);
-            }
-          }
-        }
-      }
-      if (!improved) break;
-    }
-    return current;
-  }
-
-  // kRestart: the literal published local search — every candidate swap
-  // (q in, current[a] out) is evaluated by recomputing the objective of the
-  // swapped set from scratch (O(k^2) distances), and after every accepted
-  // swap the scan restarts from the beginning. Cost is
-  // O(#improvements * n * k^3); the superlinear growth of #improvements
-  // with n is what Table 4 measures. `max_sweeps` caps accepted swaps as a
-  // termination safety valve only.
+  // Every candidate swap (q in, current[a] out) is evaluated by recomputing
+  // the objective of the swapped set from scratch (O(k^2) distances), and
+  // after every accepted swap the scan restarts from the beginning. The
+  // superlinear growth of #improvements with n is what Table 4 measures.
   auto set_value = [&](const std::vector<size_t>& s) {
     double v = 0.0;
     for (size_t a = 0; a < s.size(); ++a) {

@@ -83,10 +83,6 @@ std::vector<size_t> GreedyMatchingOnMatrix(const DistanceMatrix& d, size_t k);
 std::vector<size_t> GreedyMatchingOnDataset(const Dataset& data,
                                             const Metric& metric, size_t k);
 
-/// Shim: copies `points` into a Dataset and matches on it.
-std::vector<size_t> GreedyMatchingOnPoints(std::span<const Point> points,
-                                           const Metric& metric, size_t k);
-
 /// Solves the problem on the rows of `d`, returning k row indices.
 /// Dispatches to GmmOnMatrix or GreedyMatchingOnMatrix by problem family.
 std::vector<size_t> SolveSequentialOnMatrix(DiversityProblem problem,
@@ -103,35 +99,20 @@ std::vector<size_t> SolveSequential(DiversityProblem problem,
                                     const Dataset& data, const Metric& metric,
                                     size_t k);
 
-/// Shim: copies `points` into a Dataset and solves on it.
-std::vector<size_t> SolveSequential(DiversityProblem problem,
-                                    std::span<const Point> points,
-                                    const Metric& metric, size_t k);
-
-/// Scan policy for LocalSearchRemoteClique.
-enum class LocalSearchScan : uint8_t {
-  /// Continue the candidate sweep after an improving swap (our optimized
-  /// variant: converges in few sweeps).
-  kContinue,
-  /// Restart the candidate scan from the beginning after every improving
-  /// swap — the literal reading of the published local-search pseudocode,
-  /// and the source of the AFZ baseline's superlinear running time
-  /// (cost ~ #improvements * n * k).
-  kRestart,
-};
-
-/// Local-search improvement for remote-clique: starting from `initial`
-/// (k indices into `points`), repeatedly swaps a chosen point for an outside
-/// point while the sum of pairwise distances improves. With kContinue,
-/// `max_sweeps` bounds the number of full candidate sweeps; with kRestart it
-/// bounds the number of accepted swaps (a termination safety valve — the
-/// search normally stops at a local optimum). This is the (intentionally
+/// Local-search improvement for remote-clique, the (intentionally
 /// expensive) core-set construction of the AFZ baseline
-/// [Aghamolaei et al., CCCG 15]; exposed here so tests can exercise it.
-std::vector<size_t> LocalSearchRemoteClique(
-    std::span<const Point> points, const Metric& metric,
-    std::vector<size_t> initial, size_t max_sweeps,
-    LocalSearchScan scan = LocalSearchScan::kContinue);
+/// [Aghamolaei et al., CCCG 15]. Starting from `initial` (k indices into
+/// `points`), it scans the outside points q in order, and for each q the
+/// members in order, accepts the first swap (q in, member out) that
+/// improves the sum of pairwise distances, and then restarts the scan from
+/// the beginning: the literal reading of the published pseudocode, and the
+/// source of AFZ's superlinear running time (cost ~ #improvements * n *
+/// k^3). `max_sweeps` bounds the number of accepted swaps, a termination
+/// safety valve: the search normally stops at a local optimum.
+std::vector<size_t> LocalSearchRemoteClique(std::span<const Point> points,
+                                            const Metric& metric,
+                                            std::vector<size_t> initial,
+                                            size_t max_sweeps);
 
 /// Fact 2: the multiplicity-aware adaptation. Runs the sequential algorithm
 /// for `problem` on the capped expansion of `coreset` (replicas at distance

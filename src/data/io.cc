@@ -168,12 +168,18 @@ bool SavePointsBinary(const PointSet& points, const std::string& path) {
   return static_cast<bool>(out);
 }
 
-StatusOr<Point> TryReadPointRecord(ByteReader* in, const std::string& where) {
+std::string RecordLocation::ToString() const {
+  return std::string(label) + " " + std::to_string(index) + " of " +
+         std::string(of);
+}
+
+StatusOr<Point> TryReadPointRecord(ByteReader* in,
+                                   const RecordLocation& where) {
   uint8_t tag;
   uint32_t dim, nnz;
   if (!in->Read(&tag, sizeof(tag)) || !in->Read(&dim, sizeof(dim)) ||
       !in->Read(&nnz, sizeof(nnz))) {
-    return DataLossError("truncated record header at " + where);
+    return DataLossError("truncated record header at " + where.ToString());
   }
   // A record's payload cannot exceed the bytes that remain: reject corrupt
   // nnz fields before they turn into huge allocations.
@@ -181,17 +187,19 @@ StatusOr<Point> TryReadPointRecord(ByteReader* in, const std::string& where) {
       tag == kSparseTag ? sizeof(uint32_t) + sizeof(float) : sizeof(float);
   if (static_cast<uint64_t>(nnz) * entry_bytes > in->remaining()) {
     return DataLossError("record payload (" + std::to_string(nnz) +
-                         " entries) exceeds file size at " + where);
+                         " entries) exceeds file size at " +
+                         where.ToString());
   }
   if (tag == kDenseTag) {
     if (nnz != dim) {
       return InvalidArgumentError("dense record with nnz " +
                                   std::to_string(nnz) + " != dim " +
-                                  std::to_string(dim) + " at " + where);
+                                  std::to_string(dim) + " at " +
+                                  where.ToString());
     }
     std::vector<float> values(nnz);
     if (!in->Read(values.data(), nnz * sizeof(float))) {
-      return DataLossError("truncated dense payload at " + where);
+      return DataLossError("truncated dense payload at " + where.ToString());
     }
     return Point::Dense(std::move(values));
   }
@@ -199,29 +207,32 @@ StatusOr<Point> TryReadPointRecord(ByteReader* in, const std::string& where) {
     if (nnz > dim) {
       return InvalidArgumentError("sparse record with nnz " +
                                   std::to_string(nnz) + " > dim " +
-                                  std::to_string(dim) + " at " + where);
+                                  std::to_string(dim) + " at " +
+                                  where.ToString());
     }
     std::vector<uint32_t> indices(nnz);
     std::vector<float> values(nnz);
     if (!in->Read(indices.data(), nnz * sizeof(uint32_t)) ||
         !in->Read(values.data(), nnz * sizeof(float))) {
-      return DataLossError("truncated sparse payload at " + where);
+      return DataLossError("truncated sparse payload at " + where.ToString());
     }
     for (size_t j = 0; j + 1 < indices.size(); ++j) {
       if (indices[j] >= indices[j + 1]) {
-        return InvalidArgumentError("unsorted sparse indices at " + where);
+        return InvalidArgumentError("unsorted sparse indices at " +
+                                    where.ToString());
       }
     }
     if (!indices.empty() && indices.back() >= dim) {
       return InvalidArgumentError(
           "sparse index " + std::to_string(indices.back()) +
-          " out of range for dim " + std::to_string(dim) + " at " + where);
+          " out of range for dim " + std::to_string(dim) + " at " +
+          where.ToString());
     }
     return Point::Sparse(std::move(indices), std::move(values), dim);
   }
   return InvalidArgumentError("unknown record tag " +
                               std::to_string(static_cast<int>(tag)) + " at " +
-                              where);
+                              where.ToString());
 }
 
 StatusOr<PointSet> TryParsePointsBinary(std::string_view bytes,
@@ -249,11 +260,11 @@ StatusOr<PointSet> TryParsePointsBinary(std::string_view bytes,
         Quoted(origin) + " has only " + std::to_string(payload) +
         " payload bytes");
   }
+  const std::string quoted = Quoted(origin);
   PointSet points;
   points.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    StatusOr<Point> p = TryReadPointRecord(
-        &in, "record " + std::to_string(i) + " of " + Quoted(origin));
+    StatusOr<Point> p = TryReadPointRecord(&in, {"record", i, quoted});
     if (!p.ok()) return p.status();
     points.push_back(std::move(*p));
   }

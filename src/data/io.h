@@ -17,13 +17,13 @@
 // truncated header or record, unknown record tag, nnz > dim, unsorted or
 // out-of-range sparse indices, a record count larger than the file could
 // possibly hold, malformed text lines) and return a Status naming the
-// offending record or line. The optional-returning loaders are shims over
-// them for callers that only care about success.
+// offending record or line.
 
 #ifndef DIVERSE_DATA_IO_H_
 #define DIVERSE_DATA_IO_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -71,12 +71,23 @@ class ByteReader {
 /// serialized partitions and core-sets bit-identical after transport.
 void AppendPointRecord(const Point& point, std::string* out);
 
+/// Names a record in error messages as "<label> <index> of <of>". Decoders
+/// pass the pieces and format them only on error, so a successful read
+/// builds no string. `of` must outlive the read.
+struct RecordLocation {
+  const char* label = "";
+  uint64_t index = 0;
+  std::string_view of;
+
+  std::string ToString() const;
+};
+
 /// Reads one binary point record from `*in` with the same validation and
 /// error taxonomy as TryLoadPointsBinary (truncation -> kDataLoss; nnz >
 /// dim, unsorted or out-of-range sparse indices, unknown tag ->
 /// kInvalidArgument). `where` names the record in error messages.
-DIVERSE_MUST_USE StatusOr<Point> TryReadPointRecord(ByteReader* in,
-                                                    const std::string& where);
+DIVERSE_MUST_USE StatusOr<Point> TryReadPointRecord(
+    ByteReader* in, const RecordLocation& where);
 
 /// Serializes `points` to the binary format in memory — the exact bytes
 /// SavePointsBinary would write to a file. Decoded by TryParsePointsBinary.

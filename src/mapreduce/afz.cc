@@ -18,17 +18,18 @@ PointSet AfzPartitionCoreset(const PointSet& part, const Metric& metric,
                              size_t max_sweeps) {
   if (part.empty()) return {};  // empty reducer input (num_partitions > n)
   size_t kk = std::min(k, part.size());
+  std::vector<size_t> chosen;
   if (problem == DiversityProblem::kRemoteEdge) {
-    return GmmCoreset(part, metric, kk).points;
+    chosen = GmmCoreset(Dataset(part), metric, kk);
+  } else {
+    DIVERSE_CHECK(problem == DiversityProblem::kRemoteClique);
+    // Local search from an arbitrary initial set (the first k points, as the
+    // construction prescribes "any" initial solution).
+    std::vector<size_t> initial(kk);
+    std::iota(initial.begin(), initial.end(), 0);
+    chosen = LocalSearchRemoteClique(part, metric, std::move(initial),
+                                     max_sweeps);
   }
-  DIVERSE_CHECK(problem == DiversityProblem::kRemoteClique);
-  // Local search from an arbitrary initial set (the first k points, as the
-  // construction prescribes "any" initial solution).
-  std::vector<size_t> initial(kk);
-  std::iota(initial.begin(), initial.end(), 0);
-  std::vector<size_t> chosen =
-      LocalSearchRemoteClique(part, metric, std::move(initial), max_sweeps,
-                              LocalSearchScan::kRestart);
   PointSet out;
   out.reserve(chosen.size());
   for (size_t idx : chosen) out.push_back(part[idx]);

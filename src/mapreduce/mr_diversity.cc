@@ -62,15 +62,6 @@ const PointSet& AttemptInput(const MrTaskContext& ctx,
   return *scratch;
 }
 
-// Point::operator== between row r of `data` and `p`, building no point.
-bool RowEquals(const Dataset& data, size_t r, const Point& p) {
-  const kernels::VecView a = data.row(r);
-  const kernels::VecView b = p.View();
-  return a.sparse == b.sparse && a.dim == b.dim && a.nnz == b.nnz &&
-         std::equal(a.values, a.values + a.nnz, b.values) &&
-         (!a.sparse || std::equal(a.indices, a.indices + a.nnz, b.indices));
-}
-
 // Moves every point of `parts` into one set, in order.
 PointSet Concatenate(std::vector<PointSet>* parts) {
   size_t total = 0;
@@ -571,7 +562,7 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
         if (assigned[e]) continue;
         const Point& p = selected.entries()[e].point;
         for (uint32_t r : parts[i]) {
-          if (RowEquals(input, r, p)) {
+          if (input.RowEquals(r, p)) {
             per_part[i].Add(p, selected.entries()[e].multiplicity);
             assigned[e] = true;
             break;

@@ -30,6 +30,21 @@ double ExactDivK(DiversityProblem p, const PointSet& pts, const Metric& m,
 
 // --- GMM / GMM-EXT (composable core-sets, Theorems 4 and 5) ---------------
 
+// The GMM-family core-set of `pts` for `problem` (GMM-EXT with k-1
+// delegates for the injective-proxy problems, plain GMM otherwise),
+// gathered into points.
+PointSet GmmFamilyCoreset(DiversityProblem problem, const PointSet& pts,
+                          const Metric& m, size_t k_prime) {
+  const Dataset data(pts);
+  const std::vector<size_t> ids =
+      RequiresInjectiveProxies(problem)
+          ? GmmExtCoreset(data, m, k_prime, kK - 1)
+          : GmmCoreset(data, m, k_prime);
+  PointSet out;
+  for (size_t id : ids) out.push_back(pts[id]);
+  return out;
+}
+
 class GmmCoresetQualityTest
     : public ::testing::TestWithParam<DiversityProblem> {};
 
@@ -40,12 +55,7 @@ TEST_P(GmmCoresetQualityTest, CoresetPreservesDiversityWithinFactor) {
     PointSet pts = GenerateUniformCube(kN, 2, seed * 101);
     double opt = ExactDivK(problem, pts, m, kK);
     // k' = 2k already gives a strong core-set in 2 dimensions.
-    PointSet coreset;
-    if (RequiresInjectiveProxies(problem)) {
-      coreset = GmmExtCoreset(pts, m, 2 * kK, kK - 1).points;
-    } else {
-      coreset = GmmCoreset(pts, m, 2 * kK).points;
-    }
+    PointSet coreset = GmmFamilyCoreset(problem, pts, m, 2 * kK);
     ASSERT_GE(coreset.size(), kK);
     ASSERT_LE(coreset.size(), kN);
     double core_opt = ExactDivK(problem, coreset, m, kK);
@@ -67,10 +77,7 @@ TEST_P(GmmCoresetQualityTest, QualityImprovesWithKPrime) {
     double opt = ExactDivK(problem, pts, m, kK);
     if (opt <= 0.0) continue;
     auto ratio_for = [&](size_t k_prime) {
-      PointSet coreset =
-          RequiresInjectiveProxies(problem)
-              ? GmmExtCoreset(pts, m, k_prime, kK - 1).points
-              : GmmCoreset(pts, m, k_prime).points;
+      PointSet coreset = GmmFamilyCoreset(problem, pts, m, k_prime);
       return ExactDivK(problem, coreset, m, kK) / opt;
     };
     worst_small = std::min(worst_small, ratio_for(kK));
@@ -104,12 +111,8 @@ TEST_P(ComposabilityTest, UnionOfPartitionCoresetsIsACoreset) {
       auto parts = PartitionPoints(pts, 2, GetParam(), seed, &m);
       PointSet united;
       for (const PointSet& part : parts) {
-        PointSet c =
-            RequiresInjectiveProxies(problem)
-                ? GmmExtCoreset(part, m, std::min(2 * kK, part.size()),
-                                kK - 1)
-                      .points
-                : GmmCoreset(part, m, std::min(2 * kK, part.size())).points;
+        PointSet c = GmmFamilyCoreset(problem, part, m,
+                                      std::min(2 * kK, part.size()));
         united.insert(united.end(), c.begin(), c.end());
       }
       ASSERT_GE(united.size(), kK);
@@ -183,7 +186,7 @@ TEST(GeneralizedCoresetQualityTest, GenDivKDominatesScaledOptimum) {
     for (uint64_t seed = 1; seed <= 4; ++seed) {
       PointSet pts = GenerateUniformCube(kN, 2, seed * 503);
       double opt = ExactDivK(problem, pts, m, kK);
-      GeneralizedCoreset gc = GmmGenCoreset(pts, m, kK, 2 * kK);
+      GeneralizedCoreset gc = GmmGenCoreset(Dataset(pts), m, kK, 2 * kK);
       // Evaluate gen-div_k by brute force over the capped expansion.
       auto expansion = gc.ExpandCapped(kK);
       DistanceMatrix d = ExpansionDistanceMatrix(expansion, m);

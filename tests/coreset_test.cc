@@ -13,34 +13,35 @@ namespace {
 TEST(GmmCoresetTest, SizeAndMembership) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(100, 2, /*seed=*/1);
-  Coreset c = GmmCoreset(pts, m, 12);
+  const Dataset data(pts);
+  std::vector<size_t> c = GmmCoreset(data, m, 12);
   EXPECT_EQ(c.size(), 12u);
-  ASSERT_EQ(c.points.size(), c.indices.size());
-  for (size_t i = 0; i < c.size(); ++i) {
-    EXPECT_TRUE(c.points[i] == pts[c.indices[i]]);
-  }
+  for (size_t id : c) EXPECT_LT(id, pts.size());
+  // The core-set is GMM's selection, in selection order.
+  EXPECT_EQ(c, Gmm(data, m, 12).selected);
 }
 
 TEST(GmmExtCoresetTest, CentersPlusDelegates) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(200, 2, /*seed=*/2);
   size_t k_prime = 10, delegates = 3;
-  Coreset c = GmmExtCoreset(pts, m, k_prime, delegates);
+  std::vector<size_t> c = GmmExtCoreset(Dataset(pts), m, k_prime, delegates);
   EXPECT_GE(c.size(), k_prime);
   EXPECT_LE(c.size(), k_prime * (1 + delegates));
   // No duplicates.
-  std::set<size_t> unique(c.indices.begin(), c.indices.end());
+  std::set<size_t> unique(c.begin(), c.end());
   EXPECT_EQ(unique.size(), c.size());
 }
 
 TEST(GmmExtCoresetTest, ZeroDelegatesEqualsPlainGmm) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(80, 2, /*seed=*/3);
-  Coreset plain = GmmCoreset(pts, m, 9);
-  Coreset ext = GmmExtCoreset(pts, m, 9, 0);
+  const Dataset data(pts);
+  std::vector<size_t> plain = GmmCoreset(data, m, 9);
+  std::vector<size_t> ext = GmmExtCoreset(data, m, 9, 0);
   ASSERT_EQ(plain.size(), ext.size());
-  std::set<size_t> a(plain.indices.begin(), plain.indices.end());
-  std::set<size_t> b(ext.indices.begin(), ext.indices.end());
+  std::set<size_t> a(plain.begin(), plain.end());
+  std::set<size_t> b(ext.begin(), ext.end());
   EXPECT_EQ(a, b);
 }
 
@@ -48,24 +49,25 @@ TEST(GmmExtCoresetTest, FullDelegatesCoverEntireTinyInput) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(20, 2, /*seed=*/4);
   // k' = 5 clusters, up to 19 delegates each: every point must be included.
-  Coreset c = GmmExtCoreset(pts, m, 5, pts.size() - 1);
+  std::vector<size_t> c = GmmExtCoreset(Dataset(pts), m, 5, pts.size() - 1);
   EXPECT_EQ(c.size(), pts.size());
 }
 
 TEST(GmmExtCoresetTest, DelegatesComeFromOwnCluster) {
   EuclideanMetric m;
   PointSet pts = GenerateGaussianBlobs(90, 3, 2, 0.01, /*seed=*/5);
+  const Dataset data(pts);
   size_t k_prime = 3;
-  Coreset c = GmmExtCoreset(pts, m, k_prime, 4);
+  std::vector<size_t> c = GmmExtCoreset(data, m, k_prime, 4);
   // With 3 tight blobs and k'=3, each point's nearest center is its blob
   // center; delegates follow their center in the output layout, so each
   // group of consecutive points must lie within a blob diameter.
   // Verify: all coreset points are within 0.2 of some center.
-  Coreset kernel = GmmCoreset(pts, m, k_prime);
-  for (const Point& p : c.points) {
+  std::vector<size_t> kernel = GmmCoreset(data, m, k_prime);
+  for (size_t id : c) {
     double dist = 1e100;
-    for (const Point& center : kernel.points) {
-      dist = std::min(dist, m.Distance(p, center));
+    for (size_t center : kernel) {
+      dist = std::min(dist, m.Distance(pts[id], pts[center]));
     }
     EXPECT_LT(dist, 0.2);
   }
@@ -74,7 +76,7 @@ TEST(GmmExtCoresetTest, DelegatesComeFromOwnCluster) {
 TEST(GmmExtCoresetTest, KPrimeEqualsNIsIdentitylike) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(15, 2, /*seed=*/6);
-  Coreset c = GmmExtCoreset(pts, m, pts.size(), 2);
+  std::vector<size_t> c = GmmExtCoreset(Dataset(pts), m, pts.size(), 2);
   EXPECT_EQ(c.size(), pts.size());  // every point is its own center
 }
 

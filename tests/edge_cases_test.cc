@@ -148,7 +148,7 @@ TEST(EdgeCaseTest, GreedyMatchingCollinearForcesBufferReuse) {
   PointSet pts = Collinear(300);
   DistanceMatrix d(pts, metric);
   for (size_t k : {2u, 4u, 7u, 12u}) {
-    EXPECT_EQ(GreedyMatchingOnPoints(pts, metric, k),
+    EXPECT_EQ(GreedyMatchingOnDataset(Dataset(pts), metric, k),
               GreedyMatchingOnMatrix(d, k))
         << "k=" << k;
   }
@@ -157,10 +157,10 @@ TEST(EdgeCaseTest, GreedyMatchingCollinearForcesBufferReuse) {
 TEST(EdgeCaseTest, GreedyMatchingTinyInputs) {
   EuclideanMetric metric;
   PointSet two = Collinear(2);
-  EXPECT_EQ(GreedyMatchingOnPoints(two, metric, 2).size(), 2u);
-  PointSet three = Collinear(3);
-  EXPECT_EQ(GreedyMatchingOnPoints(three, metric, 3).size(), 3u);
-  EXPECT_EQ(GreedyMatchingOnPoints(three, metric, 1).size(), 1u);
+  EXPECT_EQ(GreedyMatchingOnDataset(Dataset(two), metric, 2).size(), 2u);
+  const Dataset three(Collinear(3));
+  EXPECT_EQ(GreedyMatchingOnDataset(three, metric, 3).size(), 3u);
+  EXPECT_EQ(GreedyMatchingOnDataset(three, metric, 1).size(), 1u);
 }
 
 TEST(EdgeCaseTest, ZeroVectorsUnderCosine) {

@@ -69,7 +69,7 @@ TEST(GmmGenCoresetTest, MatchesGmmExtCounts) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(120, 2, /*seed=*/3);
   size_t k = 4, k_prime = 10;
-  GeneralizedCoreset gc = GmmGenCoreset(pts, m, k, k_prime);
+  GeneralizedCoreset gc = GmmGenCoreset(Dataset(pts), m, k, k_prime);
   EXPECT_EQ(gc.size(), k_prime);
   // Every multiplicity in [1, k]; total expanded size at most k * k'.
   for (const WeightedPoint& e : gc.entries()) {
@@ -84,7 +84,7 @@ TEST(GmmGenCoresetTest, RangeOutputMatchesKernelRange) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(100, 2, /*seed=*/4);
   double range = -1.0;
-  GeneralizedCoreset gc = GmmGenCoreset(pts, m, 3, 8, &range);
+  GeneralizedCoreset gc = GmmGenCoreset(Dataset(pts), m, 3, 8, &range);
   ASSERT_GE(range, 0.0);
   // Every input point is within `range` of some kernel point.
   for (const Point& p : pts) {
@@ -99,18 +99,19 @@ TEST(GmmGenCoresetTest, RangeOutputMatchesKernelRange) {
 TEST(InstantiateTest, RecoversDistinctDelegates) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(60, 2, /*seed=*/5);
+  const Dataset data(pts);
   double range = 0.0;
-  GeneralizedCoreset gc = GmmGenCoreset(pts, m, 3, 6, &range);
+  GeneralizedCoreset gc = GmmGenCoreset(data, m, 3, 6, &range);
   // Select a coherent subset of expanded size 3 by solving remote-clique.
   GeneralizedCoreset sel =
       SolveSequentialGeneralized(DiversityProblem::kRemoteClique, gc, m, 3);
-  auto inst = Instantiate(sel, pts, m, range);
+  auto inst = Instantiate(sel, data, m, range);
   ASSERT_TRUE(inst.has_value());
   EXPECT_EQ(inst->size(), 3u);
   // Distinctness.
   for (size_t i = 0; i < inst->size(); ++i) {
     for (size_t j = i + 1; j < inst->size(); ++j) {
-      EXPECT_FALSE((*inst)[i] == (*inst)[j]);
+      EXPECT_FALSE(pts[(*inst)[i]] == pts[(*inst)[j]]);
     }
   }
 }
@@ -121,7 +122,7 @@ TEST(InstantiateTest, FailsWhenPointsCannotSupply) {
   gc.Add(Point::Dense2(0, 0), 3);
   PointSet pts = {Point::Dense2(0, 0), Point::Dense2(0.01f, 0)};
   // Only 2 points within any radius of the kernel point; need 3.
-  EXPECT_FALSE(Instantiate(gc, pts, m, 0.5).has_value());
+  EXPECT_FALSE(Instantiate(gc, Dataset(pts), m, 0.5).has_value());
 }
 
 // Lemma 7: div(I(T)) >= gen-div(T) - f(k) * 2 * delta.
@@ -129,18 +130,21 @@ TEST(InstantiateTest, Lemma7Bound) {
   EuclideanMetric m;
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     PointSet pts = GenerateUniformCube(80, 2, seed);
+    const Dataset data(pts);
     double range = 0.0;
     size_t k = 4;
-    GeneralizedCoreset gc = GmmGenCoreset(pts, m, k, 8, &range);
+    GeneralizedCoreset gc = GmmGenCoreset(data, m, k, 8, &range);
     for (DiversityProblem p :
          {DiversityProblem::kRemoteClique, DiversityProblem::kRemoteStar,
           DiversityProblem::kRemoteBipartition,
           DiversityProblem::kRemoteTree}) {
       GeneralizedCoreset sel = SolveSequentialGeneralized(p, gc, m, k);
-      auto inst = Instantiate(sel, pts, m, range);
+      auto inst = Instantiate(sel, data, m, range);
       ASSERT_TRUE(inst.has_value()) << ProblemName(p) << " seed " << seed;
+      PointSet delegates;
+      for (size_t id : *inst) delegates.push_back(pts[id]);
       double gen_div = EvaluateGeneralizedDiversity(p, sel, m);
-      double div = EvaluateDiversity(p, *inst, m);
+      double div = EvaluateDiversity(p, delegates, m);
       double bound = gen_div - DiversityTermCount(p, k) * 2.0 * range;
       EXPECT_GE(div + 1e-9, bound) << ProblemName(p) << " seed " << seed;
     }

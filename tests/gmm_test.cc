@@ -24,7 +24,7 @@ namespace {
 TEST(GmmTest, SelectsRequestedCount) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(50, 2, /*seed=*/1);
-  GmmResult r = Gmm(pts, m, 7);
+  GmmResult r = Gmm(Dataset(pts), m, 7);
   EXPECT_EQ(r.selected.size(), 7u);
   std::set<size_t> unique(r.selected.begin(), r.selected.end());
   EXPECT_EQ(unique.size(), 7u);
@@ -33,14 +33,14 @@ TEST(GmmTest, SelectsRequestedCount) {
 TEST(GmmTest, FirstPointIsStart) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(20, 2, /*seed=*/2);
-  GmmResult r = Gmm(pts, m, 3, /*first=*/5);
+  GmmResult r = Gmm(Dataset(pts), m, 3, /*first=*/5);
   EXPECT_EQ(r.selected[0], 5u);
 }
 
 TEST(GmmTest, SelectionDistancesNonIncreasing) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(100, 3, /*seed=*/3);
-  GmmResult r = Gmm(pts, m, 20);
+  GmmResult r = Gmm(Dataset(pts), m, 20);
   for (size_t j = 2; j < r.selection_distance.size(); ++j) {
     EXPECT_LE(r.selection_distance[j], r.selection_distance[j - 1] + 1e-12);
   }
@@ -49,7 +49,7 @@ TEST(GmmTest, SelectionDistancesNonIncreasing) {
 TEST(GmmTest, RangeMatchesDirectComputation) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(60, 2, /*seed=*/4);
-  GmmResult r = Gmm(pts, m, 8);
+  GmmResult r = Gmm(Dataset(pts), m, 8);
   double range = 0.0;
   for (const Point& p : pts) {
     double dist = 1e100;
@@ -64,7 +64,7 @@ TEST(GmmTest, RangeMatchesDirectComputation) {
 TEST(GmmTest, AssignmentIsNearestCenterWithEarliestTieBreak) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(40, 2, /*seed=*/5);
-  GmmResult r = Gmm(pts, m, 6);
+  GmmResult r = Gmm(Dataset(pts), m, 6);
   for (size_t i = 0; i < pts.size(); ++i) {
     double best = 1e100;
     size_t best_j = 0;
@@ -86,7 +86,7 @@ TEST(GmmTest, AnticoverProperty) {
   EuclideanMetric m;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     PointSet pts = GenerateUniformCube(50, 2, seed);
-    GmmResult r = Gmm(pts, m, 5);
+    GmmResult r = Gmm(Dataset(pts), m, 5);
     double rho = Farness(pts, m, r.selected);
     EXPECT_LE(r.range, rho + 1e-9) << "seed " << seed;
   }
@@ -99,7 +99,7 @@ TEST(GmmTest, RangeWithinTwiceOptimalRange) {
     PointSet pts = GenerateUniformCube(14, 2, seed * 13);
     DistanceMatrix d(pts, m);
     for (size_t k = 2; k <= 5; ++k) {
-      GmmResult r = Gmm(pts, m, k);
+      GmmResult r = Gmm(Dataset(pts), m, k);
       double opt = ExactOptimalRange(d, k);
       EXPECT_LE(r.range, 2.0 * opt + 1e-9)
           << "seed " << seed << " k " << k;
@@ -114,7 +114,7 @@ TEST(GmmTest, RemoteEdgeTwoApproximation) {
     PointSet pts = GenerateUniformCube(14, 2, seed * 7);
     DistanceMatrix d(pts, m);
     for (size_t k = 2; k <= 5; ++k) {
-      GmmResult r = Gmm(pts, m, k);
+      GmmResult r = Gmm(Dataset(pts), m, k);
       double rho = Farness(pts, m, r.selected);
       double opt = ExactOptimalFarness(d, k);
       EXPECT_GE(rho, opt / 2.0 - 1e-9) << "seed " << seed << " k " << k;
@@ -144,7 +144,7 @@ TEST(GmmTest, PlantedSphereRecoversFarPoints) {
   opts.k = 8;
   opts.seed = 123;
   PointSet pts = GenerateSphereDataset(opts);
-  GmmResult r = Gmm(pts, m, opts.k);
+  GmmResult r = Gmm(Dataset(pts), m, opts.k);
   // Every selected point should be (nearly) on the outer shell: the planted
   // points dominate all inner points in farthest-first order.
   double planted_farness = Farness(pts, m, r.selected);
@@ -154,7 +154,7 @@ TEST(GmmTest, PlantedSphereRecoversFarPoints) {
 TEST(GmmTest, WorksWithKEqualN) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(10, 2, /*seed=*/6);
-  GmmResult r = Gmm(pts, m, 10);
+  GmmResult r = Gmm(Dataset(pts), m, 10);
   EXPECT_EQ(r.selected.size(), 10u);
   EXPECT_NEAR(r.range, 0.0, 1e-12);
 }
@@ -162,7 +162,7 @@ TEST(GmmTest, WorksWithKEqualN) {
 TEST(GmmTest, SingleCenter) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(10, 2, /*seed=*/7);
-  GmmResult r = Gmm(pts, m, 1);
+  GmmResult r = Gmm(Dataset(pts), m, 1);
   EXPECT_EQ(r.selected.size(), 1u);
   EXPECT_GT(r.range, 0.0);
 }
@@ -302,13 +302,13 @@ TEST_P(GmmThreads, BitIdenticalToScalar) {
 TEST(GmmDeathTest, RejectsKZero) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(5, 2, /*seed=*/8);
-  EXPECT_DEATH(Gmm(pts, m, 0), "CHECK failed");
+  EXPECT_DEATH(Gmm(Dataset(pts), m, 0), "CHECK failed");
 }
 
 TEST(GmmDeathTest, RejectsKBeyondN) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(5, 2, /*seed=*/9);
-  EXPECT_DEATH(Gmm(pts, m, 6), "CHECK failed");
+  EXPECT_DEATH(Gmm(Dataset(pts), m, 6), "CHECK failed");
 }
 
 }  // namespace

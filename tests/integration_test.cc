@@ -18,7 +18,7 @@ namespace {
 
 double SequentialBaseline(DiversityProblem p, const PointSet& pts,
                           const Metric& m, size_t k) {
-  std::vector<size_t> idx = SolveSequential(p, pts, m, k);
+  std::vector<size_t> idx = SolveSequential(p, Dataset(pts), m, k);
   PointSet sol;
   for (size_t i : idx) sol.push_back(pts[i]);
   return EvaluateDiversity(p, sol, m);

@@ -257,10 +257,10 @@ TEST_P(ThreadCounts, InstantiateBitIdenticalToExact) {
       double range = 0.0;
       GeneralizedCoreset coreset =
           GmmGenCoreset(data, *metric, 4, 10, &range);
-      std::optional<PointSet> exact =
-          Instantiate(coreset, layout.pts, *Unscreened(*metric), range);
-      std::optional<PointSet> screened =
-          Instantiate(coreset, layout.pts, *metric, range);
+      std::optional<std::vector<size_t>> exact =
+          Instantiate(coreset, data, *Unscreened(*metric), range);
+      std::optional<std::vector<size_t>> screened =
+          Instantiate(coreset, data, *metric, range);
       ASSERT_EQ(screened.has_value(), exact.has_value()) << ctx;
       if (exact.has_value()) EXPECT_EQ(*screened, *exact) << ctx;
     }

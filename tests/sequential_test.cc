@@ -17,7 +17,7 @@ TEST(GmmOnMatrixTest, MatchesPointBasedGmm) {
   DistanceMatrix d(pts, m);
   std::vector<size_t> via_matrix = GmmOnMatrix(d, 6);
   std::vector<size_t> via_points =
-      SolveSequential(DiversityProblem::kRemoteEdge, pts, m, 6);
+      SolveSequential(DiversityProblem::kRemoteEdge, Dataset(pts), m, 6);
   EXPECT_EQ(via_matrix, via_points);
 }
 
@@ -59,8 +59,9 @@ TEST(GreedyMatchingTest, PointAndMatrixVariantsAgree) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(35, 2, /*seed=*/5);
   DistanceMatrix d(pts, m);
-  EXPECT_EQ(GreedyMatchingOnMatrix(d, 8), GreedyMatchingOnPoints(pts, m, 8));
-  EXPECT_EQ(GreedyMatchingOnMatrix(d, 5), GreedyMatchingOnPoints(pts, m, 5));
+  const Dataset data(pts);
+  EXPECT_EQ(GreedyMatchingOnMatrix(d, 8), GreedyMatchingOnDataset(data, m, 8));
+  EXPECT_EQ(GreedyMatchingOnMatrix(d, 5), GreedyMatchingOnDataset(data, m, 5));
 }
 
 // Approximation guarantees of Table 1 against brute-force optima.

@@ -123,7 +123,7 @@ TEST(SlidingWindowTest, QualityTracksBatchSolveOnWindow) {
   PointSet recent(history.end() - static_cast<ptrdiff_t>(span),
                   history.end());
   std::vector<size_t> ref = SolveSequential(DiversityProblem::kRemoteEdge,
-                                            recent, m, k);
+                                            Dataset(recent), m, k);
   PointSet ref_sol;
   for (size_t idx : ref) ref_sol.push_back(recent[idx]);
   double ref_div =

@@ -189,6 +189,44 @@ TEST(TrySolveTest, RejectsGeneralizedBackendOnNonInjectiveProblem) {
   }
 }
 
+// A reducer of the recursive backend must hold one core-set of k' points,
+// so a smaller budget is an invalid request, checked against the effective
+// k' (4k under auto) and only for the backend that reads the budget.
+TEST(TrySolveTest, RejectsRecursiveBudgetBelowKPrime) {
+  EuclideanMetric metric;
+  PointSet pts = GenerateUniformCube(200, 2, /*seed=*/36);
+  SolveOptions opts;
+  opts.backend = Backend::kMapReduceRecursive;
+  opts.k = 4;
+  opts.k_prime = 32;
+  opts.local_memory_budget = 10;
+  StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("local_memory_budget (10)"),
+            std::string::npos)
+      << r.status().message();
+  EXPECT_NE(r.status().message().find("k_prime (32)"), std::string::npos)
+      << r.status().message();
+
+  opts.k_prime = 0;  // auto: 4k = 16
+  r = TrySolve(pts, metric, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("k_prime (16)"), std::string::npos)
+      << r.status().message();
+
+  opts.local_memory_budget = 64;  // holds a core-set: solves
+  r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->solution.size(), 4u);
+
+  opts.backend = Backend::kMapReduce;  // does not read the budget
+  opts.local_memory_budget = 10;
+  r = TrySolve(pts, metric, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+}
+
 // The PointSet overload only wraps its input in a Dataset: both overloads
 // give the same answer on every backend.
 TEST(TrySolveTest, PointSetAndDatasetOverloadsAgreeOnAllBackends) {

@@ -748,80 +748,6 @@ TEST(SparseTileTest, MixedTileThreadCountDeterminism) {
   }
 }
 
-// The kContinue local search now consumes distance tiles for its candidate
-// sweeps; its trajectory (and thus the selected set) must be identical to
-// the scalar reference loop, dense and sparse alike.
-std::vector<size_t> ScalarLocalSearchReference(std::span<const Point> points,
-                                               const Metric& metric,
-                                               std::vector<size_t> current,
-                                               size_t max_sweeps) {
-  size_t n = points.size();
-  size_t k = current.size();
-  std::vector<bool> in_set(n, false);
-  for (size_t idx : current) in_set[idx] = true;
-  std::vector<double> contribution(k, 0.0);
-  auto recompute = [&] {
-    for (size_t a = 0; a < k; ++a) {
-      double s = 0.0;
-      for (size_t b = 0; b < k; ++b) {
-        if (a != b) {
-          s += metric.Distance(points[current[a]], points[current[b]]);
-        }
-      }
-      contribution[a] = s;
-    }
-  };
-  recompute();
-  std::vector<double> dq(k);
-  auto try_swap = [&](size_t q) {
-    if (in_set[q]) return false;
-    double total = 0.0;
-    for (size_t a = 0; a < k; ++a) {
-      dq[a] = metric.Distance(points[q], points[current[a]]);
-      total += dq[a];
-    }
-    size_t best_a = k;
-    double best_delta = 1e-9;
-    for (size_t a = 0; a < k; ++a) {
-      double delta = (total - dq[a]) - contribution[a];
-      if (delta > best_delta) {
-        best_delta = delta;
-        best_a = a;
-      }
-    }
-    if (best_a == k) return false;
-    in_set[current[best_a]] = false;
-    in_set[q] = true;
-    current[best_a] = q;
-    recompute();
-    return true;
-  };
-  for (size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-    bool improved = false;
-    for (size_t q = 0; q < n; ++q) improved |= try_swap(q);
-    if (!improved) break;
-  }
-  return current;
-}
-
-TEST(SparseTileTest, LocalSearchContinueMatchesScalarReference) {
-  std::vector<size_t> initial = {0, 1, 2, 3, 4};
-  {
-    EuclideanMetric m;
-    PointSet pts = DensePoints(300, 4, /*seed=*/209);
-    EXPECT_EQ(LocalSearchRemoteClique(pts, m, initial, 16,
-                                      LocalSearchScan::kContinue),
-              ScalarLocalSearchReference(pts, m, initial, 16));
-  }
-  {
-    CosineMetric m;
-    PointSet docs = SparseCorpus(250, 200, 5, 40, /*seed=*/210);
-    EXPECT_EQ(LocalSearchRemoteClique(docs, m, initial, 16,
-                                      LocalSearchScan::kContinue),
-              ScalarLocalSearchReference(docs, m, initial, 16));
-  }
-}
-
 TEST(TileKernelTest, SimdFlagReport) {
   // Informational: record whether the AVX2 lane kernels are active in this
   // build+host so CI logs show which path the equivalence suite covered.
