@@ -572,14 +572,16 @@ void BM_SparseTileEuclideanWideVocabPerPair(benchmark::State& state) {
 BENCHMARK(BM_SparseTileEuclideanWideVocabPerPair)->Args({4096, 120});
 
 // The fused SMM "argmin + threshold" update sweep at dim 3 — below the old
-// >=8-coords-per-row gate, so the pre-fusion engine ran this exact. Arg(1)
-// screens (fused sweep), Arg(0) is the exact baseline.
+// >=8-coords-per-row gate, so the pre-fusion engine ran this exact. SMM-EXT
+// runs it on every update (base SMM only asks whether some center is
+// within 4 d_i). Arg(1) screens (fused sweep), Arg(0) is the exact
+// baseline.
 void BM_FusedScreenSmmUpdate(benchmark::State& state) {
   bool screening = state.range(0) != 0;
   EuclideanMetric m({.screening = screening});
   SetGlobalThreadPoolSize(1);
   PointSet pts = GenerateUniformCube(100000, 3, 4);
-  Smm smm(&m, 64, 128);
+  SmmExt smm(&m, 64, 128);
   size_t i = 0;
   for (auto _ : state) {
     smm.Update(pts[i++ % pts.size()]);
@@ -606,10 +608,11 @@ class ScalarCosineMetric final : public Metric {
 };
 
 // SMM updates over a sparse text stream under cosine (vocab 5000, k'=128),
-// single-threaded: the stream-text-cosine request's inner loop. Setup
-// checks that a 3000-document prefix yields the same core-set as the
-// scalar fallbacks.
-void BM_SmmUpdateSparseCosine(benchmark::State& state) {
+// single-threaded: the stream-text-cosine request's inner loop (base SMM's
+// first-within sweep) and SMM-EXT's argmin sweep. Setup checks that a
+// 3000-document prefix yields the same core-set as the scalar fallbacks.
+template <typename SmmVariant>
+void SmmUpdateSparseCosineBench(benchmark::State& state) {
   CosineMetric m;
   SetGlobalThreadPoolSize(1);
   SparseTextOptions opts;
@@ -618,8 +621,8 @@ void BM_SmmUpdateSparseCosine(benchmark::State& state) {
   PointSet pts = GenerateSparseTextDataset(opts);
   {
     ScalarCosineMetric scalar;
-    Smm fast(&m, 32, 128);
-    Smm ref(&scalar, 32, 128);
+    SmmVariant fast(&m, 32, 128);
+    SmmVariant ref(&scalar, 32, 128);
     for (size_t i = 0; i < 3000; ++i) {
       fast.Update(pts[i]);
       ref.Update(pts[i]);
@@ -629,7 +632,7 @@ void BM_SmmUpdateSparseCosine(benchmark::State& state) {
       return;
     }
   }
-  Smm smm(&m, 32, 128);
+  SmmVariant smm(&m, 32, 128);
   size_t i = 0;
   for (auto _ : state) {
     smm.Update(pts[i++ % pts.size()]);
@@ -640,7 +643,16 @@ void BM_SmmUpdateSparseCosine(benchmark::State& state) {
   state.counters["threads"] = 1;
   state.SetLabel("cosine");
 }
+
+void BM_SmmUpdateSparseCosine(benchmark::State& state) {
+  SmmUpdateSparseCosineBench<Smm>(state);
+}
 BENCHMARK(BM_SmmUpdateSparseCosine);
+
+void BM_SmmExtUpdateSparseCosine(benchmark::State& state) {
+  SmmUpdateSparseCosineBench<SmmExt>(state);
+}
+BENCHMARK(BM_SmmExtUpdateSparseCosine);
 
 // Screened GMM end to end at dim 16 (single-query sweeps below ~dim 8 are
 // gated back to the exact path — too little per-row work to amortize the

@@ -2,7 +2,7 @@
 // argmax / argmin / threshold hot loop.
 //
 // Every distance-dominated loop in this library — GMM's per-center relax
-// sweeps, greedy matching's heaviest-pair scans, SMM's nearest-center and merge
+// sweeps, greedy matching's heaviest-pair scans, SMM's coverage and merge
 // threshold scans, generalized-coreset instantiation — needs *exact* distances
 // only for the handful of candidates that decide the outcome. The sweeps here
 // run a cheap fp32 pass first (Metric::DistanceTileF32 / DistanceToManyF32:
@@ -164,16 +164,18 @@ struct ScreenedNearest {
   double dist = 0.0;
 };
 
-/// Fused screened "argmin + threshold" sweep (SMM's update step): one fp32
-/// pass decides, per row, whether it can be the nearest center and whether
-/// the whole sweep can certify min distance > cover_threshold. When it can,
-/// the caller's coverage decision needs no exact evaluation at all;
-/// otherwise the exact first-strict argmin (ties to the smallest index) and
-/// minimum are returned, bit-identical to the exact scan. A +inf
-/// cover_threshold never certifies, making this a plain screened argmin.
-/// The candidate test compares raw fp32 values against precomputed float
-/// cutoffs and carries no per-row work gate: it screens at any dimension.
-/// Requires data nonempty.
+/// Fused screened "argmin + threshold" sweep (the update step of SMM-EXT
+/// and SMM-GEN, whose host decides where delegates and counts go; base SMM
+/// needs only ScreenedFirstWithin's yes/no answer): one fp32 pass decides,
+/// per row, whether it can be the nearest center and whether the whole
+/// sweep can certify min distance > cover_threshold. When it can, the
+/// caller's coverage decision needs no exact evaluation at all; otherwise
+/// the exact first-strict argmin (ties to the smallest index) and minimum
+/// are returned, bit-identical to the exact scan. A +inf cover_threshold
+/// never certifies, making this a plain screened argmin. The candidate
+/// test compares raw fp32 values against precomputed float cutoffs and
+/// carries no per-row work gate: it screens at any dimension. Requires
+/// data nonempty.
 ScreenedNearest ScreenedArgClosestWithin(const Metric& metric,
                                          const Point& query,
                                          const Dataset& data,
@@ -181,10 +183,10 @@ ScreenedNearest ScreenedArgClosestWithin(const Metric& metric,
 
 /// First row index with Distance(query, row) <= threshold, or data.size()
 /// when no row qualifies, scanning ascending with chunked early exit.
-/// (SMM's merge-step membership scan.) Fused like ScreenedArgClosestWithin:
-/// two precomputed float cutoffs (certainly-within / certainly-beyond)
-/// replace the per-row double bound transforms, and no per-row work gate
-/// applies.
+/// (SMM's merge-step membership scan and base SMM's update step.) Fused
+/// like ScreenedArgClosestWithin: two precomputed float cutoffs
+/// (certainly-within / certainly-beyond) replace the per-row double bound
+/// transforms, and no per-row work gate applies.
 size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
                            const Dataset& data, double threshold);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "core/distance_matrix.h"
@@ -18,27 +19,68 @@ SmmEngine::SmmEngine(const Metric* metric, size_t k, size_t k_prime, Mode mode)
   DIVERSE_CHECK_GE(k_prime, k);
 }
 
+size_t SmmEngine::SkipCoveredRows(const Dataset& data, size_t begin) {
+  if (mode_ != Mode::kCentersOnly || initializing_) return 0;
+  // One batched sweep per block with the hinted center as the query: a
+  // sparse center is scattered once per block, so a covered row costs one
+  // walk of its own coordinates whatever the center's size. Blocks double
+  // while every row is covered, up to a size that runs on the calling
+  // thread; the first miss ends the run and wastes the rest of its block.
+  constexpr size_t kMinBlock = 16;
+  constexpr size_t kMaxBlock = 256;
+  const Point center = centers_columnar_.point(hint_);
+  const double cover = 4.0 * threshold_;
+  double d[kMaxBlock];
+  size_t i = begin;
+  for (size_t block = kMinBlock; i < data.size();
+       block = std::min(2 * block, kMaxBlock)) {
+    const size_t len = std::min(block, data.size() - i);
+    metric_->DistanceToMany(center, data, i, std::span<double>(d, len));
+    size_t covered = 0;
+    while (covered < len && d[covered] <= cover) ++covered;
+    i += covered;
+    if (covered < len) break;
+  }
+  points_processed_ += i - begin;
+  return i - begin;
+}
+
 void SmmEngine::Update(const Point& p) {
   ++points_processed_;
   if (!initializing_) {
-    // Update step of the current phase: one fused screened "argmin +
-    // threshold" sweep over the columnar centers. When the fp32 pass
-    // certifies that every center is beyond 4 d_i, the point opens a new
-    // center with zero exact evaluations; otherwise the exact first-strict
-    // argmin decides the host. Either way the decision is bit-identical to
-    // the exact batched sweep it falls back to when screening is off.
-    ScreenedNearest nearest = ScreenedArgClosestWithin(
-        *metric_, p, centers_columnar_, 4.0 * threshold_);
-    if (!nearest.beyond && nearest.dist <= 4.0 * threshold_) {
-      // Covered point: delegate bookkeeping in the EXT/GEN variants, plain
-      // discard in base SMM.
-      Entry& host = centers_[nearest.index];
-      if (mode_ == Mode::kDelegates && host.delegates.size() < k_) {
-        host.delegates.push_back(p);
-      } else if (mode_ == Mode::kCounts && host.count < k_) {
-        ++host.count;
+    // Update step of the current phase. Base SMM asks only "is some center
+    // within 4 d_i?", so any scan order gives the same answer: it tries the
+    // previous covered point's host with one exact evaluation, then one
+    // early-exit ScreenedFirstWithin sweep whose host becomes the next
+    // hint (a Dataset pass has already skipped the rows the hint covers,
+    // see SkipCoveredRows). EXT/GEN need the host itself (it decides where
+    // delegates and counts go): one fused screened "argmin + threshold"
+    // sweep, which certifies "every center beyond 4 d_i" with zero exact
+    // evaluations when the fp32 pass allows. Either way the decision is
+    // bit-identical to an exact scalar scan.
+    const double cover = 4.0 * threshold_;
+    if (mode_ == Mode::kCentersOnly) {
+      double d = 0.0;
+      metric_->DistanceToMany(p, centers_columnar_, hint_,
+                              std::span<double>(&d, 1));
+      if (d <= cover) return;
+      size_t host = ScreenedFirstWithin(*metric_, p, centers_columnar_, cover);
+      if (host < centers_.size()) {
+        hint_ = host;
+        return;
       }
-      return;
+    } else {
+      ScreenedNearest nearest =
+          ScreenedArgClosestWithin(*metric_, p, centers_columnar_, cover);
+      if (!nearest.beyond && nearest.dist <= cover) {
+        Entry& host = centers_[nearest.index];
+        if (mode_ == Mode::kDelegates && host.delegates.size() < k_) {
+          host.delegates.push_back(p);
+        } else if (mode_ == Mode::kCounts && host.count < k_) {
+          ++host.count;
+        }
+        return;
+      }
     }
   }
   // p opens a new center.
@@ -105,15 +147,19 @@ void SmmEngine::MergeStep() {
   // evaluation; only band hits do), keeping the old scalar loop's early
   // exit to within one chunk (a merge-heavy step costs ~|T| evaluations,
   // not |T|^2/2) and returning the exact scan's first host. The kept copy
-  // then becomes the post-merge centers_columnar_.
+  // then becomes the post-merge centers_columnar_, and the update step's
+  // hint follows its center: to the kept index it survives as, or to the
+  // host it merged into.
   double radius = 2.0 * threshold_;
   std::vector<Entry> kept;
   kept.reserve(centers_.size());
   Dataset kept_columnar;  // the centers of `kept`, same order
+  size_t hint = 0;
   for (size_t i = 0; i < centers_.size(); ++i) {
     Point center = centers_columnar_.point(i);
     Entry& e = centers_[i];
     size_t host = ScreenedFirstWithin(*metric_, center, kept_columnar, radius);
+    if (i == hint_) hint = host;
     if (host == kept.size()) {
       kept_columnar.Append(center);
       kept.push_back(std::move(e));
@@ -139,6 +185,7 @@ void SmmEngine::MergeStep() {
   }
   centers_ = std::move(kept);
   centers_columnar_ = std::move(kept_columnar);
+  hint_ = hint;
 }
 
 size_t SmmEngine::StoredPoints() const {

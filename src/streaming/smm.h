@@ -58,6 +58,14 @@ class SmmEngine {
   /// Processes one stream point.
   void Update(const Point& p);
 
+  /// Base SMM past the initial fill: counts as processed the longest run
+  /// of rows data[begin], data[begin + 1], ... that the hinted center
+  /// covers and returns its length; 0 in the other modes and while
+  /// initializing. Such rows would change nothing but the count in Update,
+  /// so a caller feeds the row after the run to Update. Relies on the
+  /// metric's symmetry: the hinted center is the query of the sweep.
+  size_t SkipCoveredRows(const Dataset& data, size_t begin);
+
   /// Number of stream points processed so far.
   size_t points_processed() const { return points_processed_; }
 
@@ -111,14 +119,19 @@ class SmmEngine {
   Mode mode_;
 
   // T, stored once: centers_columnar_ row i is center i and centers_[i]
-  // its bookkeeping. Columnar so the per-update nearest-center scan runs
-  // as one screened devirtualized sweep (core/screen.h) instead of |T|
-  // virtual Distance calls, the phase-threshold pairwise scans run as
-  // blocked distance tiles (DistanceMatrix), and merge steps scan their
-  // growing kept set in chunked screened threshold sweeps. Appended to on
+  // its bookkeeping. Columnar so the per-update coverage test runs as
+  // screened devirtualized sweeps (core/screen.h) instead of |T| virtual
+  // Distance calls — an early-exit first-within sweep in base SMM, a fused
+  // argmin in EXT/GEN — the phase-threshold pairwise scans run as blocked
+  // distance tiles (DistanceMatrix), and merge steps scan their growing
+  // kept set in chunked screened threshold sweeps. Appended to on
   // insertion, replaced by the kept set after merges.
   Dataset centers_columnar_;
   std::vector<Entry> centers_;
+  // Base SMM: the center that covered the previous covered point, tried
+  // first by the next update (and by SkipCoveredRows). It orders the scan,
+  // never the decision, and depends only on the stream.
+  size_t hint_ = 0;
   PointSet removed_;  // M: points dropped in the current phase's merges
   double threshold_ = 0.0;
   bool initializing_ = true;

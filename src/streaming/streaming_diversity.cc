@@ -22,7 +22,13 @@ void StreamingDiversity::Update(const Point& p) {
 }
 
 void StreamingDiversity::UpdateAll(const Dataset& data) {
-  for (size_t i = 0; i < data.size(); ++i) Update(data.point(i));
+  // Runs of rows the hinted center covers change nothing but the count
+  // (and so not the peak), so only the row after each run goes to Update.
+  Point row;  // reused for every row: Update copies what it keeps
+  for (size_t i = 0; i < data.size(); ++i) {
+    i += engine_.SkipCoveredRows(data, i);
+    if (i < data.size()) Update(row.Assign(data.row(i)));
+  }
 }
 
 StreamingResult StreamingDiversity::Finalize() {
@@ -62,11 +68,17 @@ void TwoPassStreamingDiversity::UpdateFirstPass(const Point& p) {
 }
 
 void TwoPassStreamingDiversity::UpdateAllFirstPass(const Dataset& data) {
-  for (size_t i = 0; i < data.size(); ++i) UpdateFirstPass(data.point(i));
+  Point row;  // reused for every row: UpdateFirstPass copies what it keeps
+  for (size_t i = 0; i < data.size(); ++i) {
+    UpdateFirstPass(row.Assign(data.row(i)));
+  }
 }
 
 void TwoPassStreamingDiversity::UpdateAllSecondPass(const Dataset& data) {
-  for (size_t i = 0; i < data.size(); ++i) UpdateSecondPass(data.point(i));
+  Point row;  // reused for every row: UpdateSecondPass copies what it keeps
+  for (size_t i = 0; i < data.size(); ++i) {
+    UpdateSecondPass(row.Assign(data.row(i)));
+  }
 }
 
 void TwoPassStreamingDiversity::EndFirstPass() {

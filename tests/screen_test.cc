@@ -406,19 +406,33 @@ TEST(ScreenTest, ScreenedCountsDeterministicAcrossThreadCounts) {
 // The fused SMM sweeps dropped the >=8-coords-per-row gate: a dim-3 dense
 // stream now actually screens (screened_evals > 0) while staying
 // bit-identical (covered by SmmStreamsBitIdenticalToExact above), and the
-// exact (rescue) count stays below the pre-screening baseline.
-TEST(ScreenTest, FusedSmmSweepsScreenAtLowDimension) {
-  PointSet pts = DensePoints(400, 3, /*seed=*/231);
+// exact (rescue) count stays below the pre-screening baseline. Base SMM's
+// update step runs the first-within sweep (ScreenedFirstWithin), SMM-EXT's
+// the argmin sweep (ScreenedArgClosestWithin); both are checked.
+template <typename SmmVariant>
+void ExpectFusedSmmSweepsScreen(const PointSet& pts) {
   EuclideanMetric base;
   CountingMetric counting(&base);
-  Smm smm(&counting, 8, 16);
+  SmmVariant smm(&counting, 8, 16);
   for (const Point& p : pts) smm.Update(p);
   EXPECT_GT(counting.screened_evals(), 0u);
-  // Coverage certificates and argmin screening keep the exact evals well
-  // under one-per-(point, center) pair.
+  // Coverage certificates and screened update and merge sweeps keep the
+  // exact evals well under one-per-(point, center) pair.
   EXPECT_LT(counting.exact_evals(),
             counting.screened_evals() + 17 * 17 * pts.size() / 100);
   EXPECT_GE(smm.Finalize().size(), 1u);
+}
+
+TEST(ScreenTest, FusedSmmSweepsScreenAtLowDimension) {
+  PointSet pts = DensePoints(400, 3, /*seed=*/231);
+  {
+    SCOPED_TRACE("Smm");
+    ExpectFusedSmmSweepsScreen<Smm>(pts);
+  }
+  {
+    SCOPED_TRACE("SmmExt");
+    ExpectFusedSmmSweepsScreen<SmmExt>(pts);
+  }
 }
 
 // The metric's screening policy: screening off means zero fp32 evaluations;

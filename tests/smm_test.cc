@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dataset.h"
 #include "core/metric.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace diverse {
@@ -268,6 +272,354 @@ TEST(SmmTest, SparseCosineMatchesScalarFallbackAtAnyThreadCount) {
     ExpectSameRun(RunAllSmm(&counting, stream), want);
     if (threads == 1) exact_at_one_thread = counting.exact_evals();
     EXPECT_EQ(counting.exact_evals(), exact_at_one_thread);
+  }
+  SetGlobalThreadPoolSize(1);
+}
+
+// SMM as the paper describes it (Section 4), one scalar Distance per pair:
+// every update finds the nearest center (first strict argmin) and discards
+// or delegates the point when it lies within 4 d_i, and every merge keeps
+// the greedy maximal independent set at radius 2 d_i, merging each dropped
+// center into the first kept one that covers it. The library engines may
+// scan in any order, but must take the same decisions.
+class ReferenceSmm {
+ public:
+  ReferenceSmm(const Metric* metric, size_t k, size_t k_prime,
+               SmmEngine::Mode mode)
+      : metric_(metric), k_(k), k_prime_(k_prime), mode_(mode) {}
+
+  // Processes p and returns true when it was covered by a center.
+  bool Update(const Point& p) {
+    if (!initializing_) {
+      size_t host = 0;
+      double best = std::numeric_limits<double>::infinity();
+      for (size_t i = 0; i < centers_.size(); ++i) {
+        double d = metric_->Distance(p, centers_[i].center);
+        if (d < best) {
+          best = d;
+          host = i;
+        }
+      }
+      if (best <= 4.0 * threshold_) {
+        Center& h = centers_[host];
+        if (mode_ == SmmEngine::Mode::kDelegates && h.delegates.size() < k_) {
+          h.delegates.push_back(p);
+        } else if (mode_ == SmmEngine::Mode::kCounts && h.count < k_) {
+          ++h.count;
+        }
+        return true;
+      }
+    }
+    Center c{p, {}, 1};
+    if (mode_ == SmmEngine::Mode::kDelegates) c.delegates.push_back(p);
+    centers_.push_back(std::move(c));
+    if (centers_.size() <= k_prime_) return false;
+    if (initializing_) {
+      threshold_ = MinPairwise(/*positive_only=*/false);
+      initializing_ = false;
+    } else {
+      threshold_ *= 2.0;
+    }
+    ++phases_;
+    removed_.clear();
+    for (;;) {
+      Merge();
+      if (centers_.size() <= k_prime_) return false;
+      threshold_ = threshold_ > 0.0 ? 2.0 * threshold_
+                                    : MinPairwise(/*positive_only=*/true);
+      ++phases_;
+    }
+  }
+
+  PointSet Centers() const {
+    PointSet out;
+    for (const Center& c : centers_) out.push_back(c.center);
+    return out;
+  }
+
+  PointSet FinalizeCoreset() const {
+    PointSet out;
+    if (mode_ == SmmEngine::Mode::kDelegates) {
+      for (const Center& c : centers_) {
+        out.insert(out.end(), c.delegates.begin(), c.delegates.end());
+      }
+      return out;
+    }
+    out = Centers();
+    for (size_t i = 0; out.size() < k_ && i < removed_.size(); ++i) {
+      out.push_back(removed_[i]);
+    }
+    return out;
+  }
+
+  GeneralizedCoreset FinalizeCounts() const {
+    GeneralizedCoreset out;
+    for (const Center& c : centers_) out.Add(c.center, c.count);
+    return out;
+  }
+
+  double threshold() const { return threshold_; }
+  size_t phases() const { return phases_; }
+
+ private:
+  struct Center {
+    Point center;
+    PointSet delegates;
+    size_t count;
+  };
+
+  double MinPairwise(bool positive_only) const {
+    double best = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < centers_.size(); ++i) {
+      for (size_t j = i + 1; j < centers_.size(); ++j) {
+        double d = metric_->Distance(centers_[i].center, centers_[j].center);
+        if (d > 0.0 || !positive_only) best = std::min(best, d);
+      }
+    }
+    return best;
+  }
+
+  void Merge() {
+    std::vector<Center> kept;
+    for (Center& c : centers_) {
+      size_t host = 0;
+      while (host < kept.size() &&
+             !(metric_->Distance(c.center, kept[host].center) <=
+               2.0 * threshold_)) {
+        ++host;
+      }
+      if (host == kept.size()) {
+        kept.push_back(std::move(c));
+        continue;
+      }
+      Center& h = kept[host];
+      switch (mode_) {
+        case SmmEngine::Mode::kCentersOnly:
+          removed_.push_back(c.center);
+          break;
+        case SmmEngine::Mode::kDelegates: {
+          size_t take = std::min(k_ - h.delegates.size(), c.delegates.size());
+          h.delegates.insert(h.delegates.end(), c.delegates.begin(),
+                             c.delegates.begin() + take);
+          break;
+        }
+        case SmmEngine::Mode::kCounts:
+          h.count += std::min(c.count, k_ - h.count);
+          break;
+      }
+    }
+    centers_ = std::move(kept);
+  }
+
+  const Metric* metric_;
+  size_t k_;
+  size_t k_prime_;
+  SmmEngine::Mode mode_;
+  std::vector<Center> centers_;
+  PointSet removed_;
+  double threshold_ = 0.0;
+  bool initializing_ = true;
+  size_t phases_ = 0;
+};
+
+// A stream drawn from a small pool of distinct points in runs of one to
+// four copies: the first half from 20 pool points, so the initial fill
+// holds duplicates and d_1 = 0 (a point is covered only at distance 0, and
+// the <= of the coverage test decides), the second half from all 60, so
+// the centers overflow at d_i = 0 and the threshold jumps to the smallest
+// positive separation.
+PointSet DuplicateHeavyStream(size_t n, uint64_t seed) {
+  PointSet pool = GenerateUniformCube(60, 2, seed);
+  Rng rng(seed);
+  PointSet stream;
+  while (stream.size() < n) {
+    size_t values = stream.size() < n / 2 ? 20 : pool.size();
+    const Point& p = pool[rng.Next() % values];
+    for (size_t run = 1 + rng.Next() % 4; run > 0 && stream.size() < n;
+         --run) {
+      stream.push_back(p);
+    }
+  }
+  return stream;
+}
+
+// The streams both reference tests run: dense, sparse under cosine, and
+// duplicate-heavy.
+struct ReferenceCase {
+  const char* name;
+  const Metric* metric;
+  PointSet stream;
+  bool duplicate_heavy;
+};
+
+std::vector<ReferenceCase> ReferenceCases(const Metric* euclidean,
+                                          const Metric* cosine) {
+  SparseTextOptions text;
+  text.n = 3000;
+  text.seed = 67;
+  std::vector<ReferenceCase> cases;
+  cases.push_back(
+      {"dense-uniform", euclidean, GenerateUniformCube(3000, 2, 71), false});
+  cases.push_back(
+      {"sparse-text-cosine", cosine, GenerateSparseTextDataset(text), false});
+  cases.push_back(
+      {"duplicate-heavy", euclidean, DuplicateHeavyStream(3000, 73), true});
+  return cases;
+}
+
+// Smm, SmmExt and SmmGen take the reference's decisions on dense, sparse
+// and duplicate-heavy streams: the same centers, core-sets, threshold and
+// phases, at any thread count, with exact-evaluation counts that do not
+// depend on the thread count. Base SMM tries the previous covered point's
+// host first, so a covered point followed by a copy of itself costs one
+// exact evaluation — also at d_i = 0, where only <= admits the copy.
+TEST(SmmTest, MatchesTextbookReferenceAtAnyThreadCount) {
+  EuclideanMetric euclidean;
+  CosineMetric cosine;
+  const std::vector<ReferenceCase> cases = ReferenceCases(&euclidean, &cosine);
+  const size_t k = 8, k_prime = 32;
+  const SmmEngine::Mode modes[] = {SmmEngine::Mode::kCentersOnly,
+                                   SmmEngine::Mode::kDelegates,
+                                   SmmEngine::Mode::kCounts};
+  for (const ReferenceCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<ReferenceSmm> ref;
+    for (SmmEngine::Mode mode : modes) {
+      ref.emplace_back(c.metric, k, k_prime, mode);
+    }
+    std::vector<bool> covered(c.stream.size());
+    size_t covered_at_zero = 0;
+    for (size_t t = 0; t < c.stream.size(); ++t) {
+      bool zero = ref[0].phases() > 0 && ref[0].threshold() == 0.0;
+      covered[t] = ref[0].Update(c.stream[t]);
+      covered_at_zero += covered[t] && zero;
+      ref[1].Update(c.stream[t]);
+      ref[2].Update(c.stream[t]);
+    }
+    EXPECT_GE(ref[0].phases(), 2u);
+    if (c.duplicate_heavy) EXPECT_GT(covered_at_zero, 100u);
+
+    uint64_t exact_at_one_thread[3] = {};
+    for (size_t threads : {1, 2, 8}) {
+      SCOPED_TRACE(testing::Message() << "threads " << threads);
+      SetGlobalThreadPoolSize(threads);
+      CountingMetric counting[3] = {CountingMetric(c.metric),
+                                    CountingMetric(c.metric),
+                                    CountingMetric(c.metric)};
+      Smm smm(&counting[0], k, k_prime);
+      SmmExt ext(&counting[1], k, k_prime);
+      SmmGen gen(&counting[2], k, k_prime);
+      size_t repeats = 0;
+      for (size_t t = 0; t < c.stream.size(); ++t) {
+        uint64_t before = counting[0].exact_evals();
+        smm.Update(c.stream[t]);
+        ext.Update(c.stream[t]);
+        gen.Update(c.stream[t]);
+        if (t > 0 && covered[t - 1] && c.stream[t] == c.stream[t - 1]) {
+          ++repeats;
+          ASSERT_EQ(counting[0].exact_evals() - before, 1u) << "update " << t;
+        }
+      }
+      if (c.duplicate_heavy) EXPECT_GT(repeats, 100u);
+
+      const SmmEngine* engines[] = {&smm.engine(), &ext.engine(),
+                                    &gen.engine()};
+      for (size_t v = 0; v < 3; ++v) {
+        SCOPED_TRACE(testing::Message() << "variant " << v);
+        EXPECT_EQ(engines[v]->Centers(), ref[v].Centers());
+        EXPECT_EQ(engines[v]->threshold(), ref[v].threshold());
+        EXPECT_EQ(engines[v]->phases(), ref[v].phases());
+        if (threads == 1) exact_at_one_thread[v] = counting[v].exact_evals();
+        EXPECT_EQ(counting[v].exact_evals(), exact_at_one_thread[v]);
+      }
+      EXPECT_EQ(smm.Finalize(), ref[0].FinalizeCoreset());
+      EXPECT_EQ(ext.Finalize(), ref[1].FinalizeCoreset());
+      GeneralizedCoreset counts = gen.Finalize();
+      GeneralizedCoreset want = ref[2].FinalizeCounts();
+      ASSERT_EQ(counts.size(), want.size());
+      for (size_t i = 0; i < counts.size(); ++i) {
+        EXPECT_EQ(counts.entries()[i].point, want.entries()[i].point);
+        EXPECT_EQ(counts.entries()[i].multiplicity,
+                  want.entries()[i].multiplicity);
+      }
+    }
+  }
+  SetGlobalThreadPoolSize(1);
+}
+
+// The Dataset loop of a streaming pass (SkipCoveredRows, then Update on
+// the row after each covered run) takes the reference's decisions in every
+// mode: the same centers, core-sets, threshold and phases, at any thread
+// count, with exact-evaluation counts that do not depend on the thread
+// count. Only base SMM skips rows. A covered row followed by a copy of
+// itself leaves the copy to the skip, also at d_i = 0, where only <=
+// admits it.
+TEST(SmmTest, SkipCoveredRowsMatchesTextbookReferenceAtAnyThreadCount) {
+  EuclideanMetric euclidean;
+  CosineMetric cosine;
+  const std::vector<ReferenceCase> cases = ReferenceCases(&euclidean, &cosine);
+  const size_t k = 8, k_prime = 32;
+  const SmmEngine::Mode modes[] = {SmmEngine::Mode::kCentersOnly,
+                                   SmmEngine::Mode::kDelegates,
+                                   SmmEngine::Mode::kCounts};
+  for (const ReferenceCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Dataset data(c.stream);
+    for (size_t v = 0; v < 3; ++v) {
+      SCOPED_TRACE(testing::Message() << "variant " << v);
+      ReferenceSmm ref(c.metric, k, k_prime, modes[v]);
+      std::vector<bool> covered(c.stream.size());
+      for (size_t t = 0; t < c.stream.size(); ++t) {
+        covered[t] = ref.Update(c.stream[t]);
+      }
+      uint64_t exact_at_one_thread = 0;
+      for (size_t threads : {1, 2, 8}) {
+        SCOPED_TRACE(testing::Message() << "threads " << threads);
+        SetGlobalThreadPoolSize(threads);
+        CountingMetric counting(c.metric);
+        SmmEngine engine(&counting, k, k_prime, modes[v]);
+        std::vector<bool> updated(c.stream.size());
+        size_t skipped = 0;
+        for (size_t i = 0; i < data.size(); ++i) {
+          size_t run = engine.SkipCoveredRows(data, i);
+          if (v > 0) ASSERT_EQ(run, 0u) << "row " << i;
+          skipped += run;
+          i += run;
+          if (i == data.size()) break;
+          updated[i] = true;
+          engine.Update(data.point(i));
+        }
+        EXPECT_EQ(engine.points_processed(), c.stream.size());
+        if (v == 0) {
+          EXPECT_GT(skipped, 0u);
+          size_t repeats = 0;
+          for (size_t t = 1; t < c.stream.size(); ++t) {
+            if (covered[t - 1] && c.stream[t] == c.stream[t - 1]) {
+              ++repeats;
+              ASSERT_FALSE(updated[t]) << "row " << t;
+            }
+          }
+          if (c.duplicate_heavy) EXPECT_GT(repeats, 100u);
+        }
+        EXPECT_EQ(engine.Centers(), ref.Centers());
+        EXPECT_EQ(engine.threshold(), ref.threshold());
+        EXPECT_EQ(engine.phases(), ref.phases());
+        if (modes[v] == SmmEngine::Mode::kCounts) {
+          GeneralizedCoreset counts = engine.FinalizeCounts();
+          GeneralizedCoreset want = ref.FinalizeCounts();
+          ASSERT_EQ(counts.size(), want.size());
+          for (size_t i = 0; i < counts.size(); ++i) {
+            EXPECT_EQ(counts.entries()[i].point, want.entries()[i].point);
+            EXPECT_EQ(counts.entries()[i].multiplicity,
+                      want.entries()[i].multiplicity);
+          }
+        } else {
+          EXPECT_EQ(engine.FinalizeCoreset(), ref.FinalizeCoreset());
+        }
+        if (threads == 1) exact_at_one_thread = counting.exact_evals();
+        EXPECT_EQ(counting.exact_evals(), exact_at_one_thread);
+      }
+    }
   }
   SetGlobalThreadPoolSize(1);
 }

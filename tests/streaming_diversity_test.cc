@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dataset.h"
 #include "core/exact.h"
 #include "core/metric.h"
+#include "data/sparse_text.h"
 #include "data/synthetic.h"
 
 namespace diverse {
@@ -112,6 +114,46 @@ TEST(StreamingDiversityTest, LargerKPrimeImprovesPlantedRecovery) {
   (void)prev;
   EXPECT_GE(last + 0.05, first);  // no degradation, usually improvement
   EXPECT_GT(last, 0.3);           // clearly separated planted points found
+}
+
+// UpdateAll over a Dataset (which skips the rows base SMM's hinted center
+// covers) and one Update per point reach the same answer, core-set size,
+// peak memory and phase count, in the centers-only mode (remote-edge) and
+// the delegates mode (remote-clique).
+TEST(StreamingDiversityTest, UpdateAllMatchesPointUpdates) {
+  EuclideanMetric euclidean;
+  CosineMetric cosine;
+  SparseTextOptions text;
+  text.n = 3000;
+  text.seed = 5;
+  struct Case {
+    const char* name;
+    const Metric* metric;
+    PointSet stream;
+  };
+  const Case cases[] = {
+      {"dense-uniform", &euclidean, GenerateUniformCube(3000, 2, 4)},
+      {"sparse-text-cosine", &cosine, GenerateSparseTextDataset(text)},
+  };
+  for (const Case& c : cases) {
+    const Dataset data(c.stream);
+    for (DiversityProblem p :
+         {DiversityProblem::kRemoteEdge, DiversityProblem::kRemoteClique}) {
+      SCOPED_TRACE(testing::Message() << c.name << " " << ProblemName(p));
+      StreamingDiversity per_point(c.metric, p, 6, 24);
+      for (const Point& x : c.stream) per_point.Update(x);
+      StreamingDiversity all(c.metric, p, 6, 24);
+      all.UpdateAll(data);
+      StreamingResult want = per_point.Finalize();
+      StreamingResult got = all.Finalize();
+      EXPECT_GE(want.phases, 2u);
+      EXPECT_EQ(got.solution, want.solution);
+      EXPECT_EQ(got.diversity, want.diversity);
+      EXPECT_EQ(got.coreset_size, want.coreset_size);
+      EXPECT_EQ(got.peak_memory_points, want.peak_memory_points);
+      EXPECT_EQ(got.phases, want.phases);
+    }
+  }
 }
 
 TEST(TwoPassStreamingTest, EndToEndProducesKDistinctPoints) {
