@@ -694,18 +694,19 @@ void BM_ParallelForRangesDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForRangesDispatch)->Arg(2)->Arg(4);
 
-// --- GMM on a clustered corpus ---------------------------------------------
-// 8 well-separated blobs at dim 16 with small spread: the regime a
-// cluster-bounded GMM would prune (ROADMAP item 2), pinned here as the flat
-// screened baseline it must beat. Setup checks the result against the
-// scalar reference (SkipWithError on a mismatch drops the entry).
+// --- GMM on a clustered and on a uniform corpus ---------------------------
+// BM_GmmClustered: 8 well-separated blobs at dim 16 with small spread, where
+// GMM's triangle-inequality skip leaves most rows unread.
+// BM_GmmUniform: a uniform dim-32 cube, where almost nothing prunes, so it
+// pins the cost of the skip test and of the indexed kernels on rows that
+// all stay live. Setup checks the result against the scalar reference
+// (SkipWithError on a mismatch drops the entry).
 
-void BM_GmmClustered(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  size_t k = static_cast<size_t>(state.range(1));
+void RunGmmBench(benchmark::State& state, const PointSet& pts, size_t dim) {
+  const size_t n = pts.size();
+  const size_t k = static_cast<size_t>(state.range(1));
   SetGlobalThreadPoolSize(1);
   EuclideanMetric m;
-  PointSet pts = GenerateGaussianBlobs(n, 8, 16, 0.02, 17);
   Dataset data(pts);
   GmmResult got = Gmm(data, m, k);
   GmmResult want = GmmScalar(pts, m, k);
@@ -724,11 +725,27 @@ void BM_GmmClustered(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n * k));
   state.counters["n"] = static_cast<double>(n);
-  state.counters["dim"] = 16;
+  state.counters["dim"] = static_cast<double>(dim);
   state.counters["threads"] = 1;
   state.SetLabel("euclidean");
 }
+
+void BM_GmmClustered(benchmark::State& state) {
+  RunGmmBench(state,
+              GenerateGaussianBlobs(static_cast<size_t>(state.range(0)), 8,
+                                    16, 0.02, 17),
+              16);
+}
 BENCHMARK(BM_GmmClustered)->Args({20000, 64})->Args({200000, 256})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_GmmUniform(benchmark::State& state) {
+  RunGmmBench(state,
+              GenerateUniformCube(static_cast<size_t>(state.range(0)), 32,
+                                  19),
+              32);
+}
+BENCHMARK(BM_GmmUniform)->Args({20000, 64})->Args({200000, 256})
     ->Unit(benchmark::kMillisecond);
 
 // Fault-tolerant executor overhead. The 2-round MR driver now runs every

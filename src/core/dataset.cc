@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -23,15 +25,18 @@ uint64_t NextContentStamp() {
 
 }  // namespace
 
+Status RowDimMismatchError(size_t index, size_t dim, size_t first_dim) {
+  return InvalidArgumentError("point " + std::to_string(index) + " has dim " +
+                              std::to_string(dim) + " but point 0 has dim " +
+                              std::to_string(first_dim));
+}
+
 Dataset::Dataset(std::span<const Point> points) { Assign(points); }
 
 StatusOr<Dataset> Dataset::TryFromPoints(std::span<const Point> points) {
   for (size_t i = 1; i < points.size(); ++i) {
     if (points[i].dim() != points[0].dim()) {
-      return InvalidArgumentError(
-          "point " + std::to_string(i) + " has dim " +
-          std::to_string(points[i].dim()) + " but point 0 has dim " +
-          std::to_string(points[0].dim()));
+      return RowDimMismatchError(i, points[i].dim(), points[0].dim());
     }
   }
   return Dataset(points);
@@ -90,6 +95,51 @@ void Dataset::Append(const Point& p) {
   screen_stats_.Add(p.norm());
 }
 
+void Dataset::AppendRowBytes(bool sparse, uint32_t dim, uint32_t nnz,
+                             const void* indices, const void* values) {
+  if (rows_.empty()) {
+    dim_ = dim;
+  } else {
+    DIVERSE_CHECK_EQ(dim, dim_);
+  }
+  content_stamp_ = NextContentStamp();
+  RowRef r;
+  r.len = nnz;
+  r.sparse = sparse ? 1 : 0;
+  std::vector<float>& pool = sparse ? csr_values_ : dense_;
+  r.start = pool.size();
+  pool.resize(r.start + nnz);
+  // memcpy requires valid pointers even for zero bytes.
+  if (nnz > 0) std::memcpy(pool.data() + r.start, values, nnz * sizeof(float));
+  if (sparse) {
+    csr_indices_.resize(r.start + nnz);
+    if (nnz > 0) {
+      std::memcpy(csr_indices_.data() + r.start, indices,
+                  nnz * sizeof(uint32_t));
+    }
+    ++sparse_stats_.rows;
+    sparse_stats_.total_nnz += nnz;
+    sparse_stats_.max_nnz = std::max<size_t>(sparse_stats_.max_nnz, nnz);
+  }
+  // Point::ComputeNorm's sum, term for term.
+  const float* v = pool.data() + r.start;
+  double s = 0.0;
+  for (uint32_t j = 0; j < nnz; ++j) s += static_cast<double>(v[j]) * v[j];
+  const double norm = std::sqrt(s);
+  rows_.push_back(r);
+  norms_.push_back(norm);
+  screen_stats_.Add(norm);
+}
+
+void Dataset::Reserve(size_t rows, size_t dense_values,
+                      size_t sparse_entries) {
+  dense_.reserve(dense_.size() + dense_values);
+  csr_indices_.reserve(csr_indices_.size() + sparse_entries);
+  csr_values_.reserve(csr_values_.size() + sparse_entries);
+  rows_.reserve(rows_.size() + rows);
+  norms_.reserve(norms_.size() + rows);
+}
+
 void Dataset::Assign(std::span<const Point> points) {
   Clear();
   size_t dense_total = 0;
@@ -97,11 +147,7 @@ void Dataset::Assign(std::span<const Point> points) {
   for (const Point& p : points) {
     (p.is_sparse() ? csr_total : dense_total) += p.nnz();
   }
-  dense_.reserve(dense_total);
-  csr_indices_.reserve(csr_total);
-  csr_values_.reserve(csr_total);
-  rows_.reserve(points.size());
-  norms_.reserve(points.size());
+  Reserve(points.size(), dense_total, csr_total);
   for (const Point& p : points) Append(p);
 }
 

@@ -38,6 +38,11 @@
 
 namespace diverse {
 
+/// The kInvalidArgument Dataset::TryFromPoints returns when point `index`
+/// has dim `dim` but point 0 has `first_dim`; the binary loader
+/// (data/io.h) reports the same error for the same file.
+Status RowDimMismatchError(size_t index, size_t dim, size_t first_dim);
+
 /// Contiguous column-oriented storage for a point collection. Append-only;
 /// all rows must share one ambient dimension.
 class Dataset {
@@ -98,6 +103,16 @@ class Dataset {
   /// Precomputed Euclidean norm of row i.
   double norm(size_t i) const { return norms_[i]; }
 
+  /// The dense row-major array when every row is dense — row i is then the
+  /// dim() floats at dense_rows() + i * dim() — or nullptr when some row is
+  /// sparse. The direct-addressing path of the indexed kernels
+  /// (Metric::DistanceRowsMany / DistanceRowsManyF32), which then read
+  /// scattered rows without building a view per row. Valid until the next
+  /// Append/Assign/Clear.
+  const float* dense_rows() const {
+    return sparse_stats_.rows == 0 ? dense_.data() : nullptr;
+  }
+
   /// Aggregate statistics over the sparse rows, maintained incrementally by
   /// Append/Assign. The sparse tile engine (core/metric.cc over
   /// core/sparse_kernels.h) reads them to choose its probe strategy per
@@ -154,6 +169,21 @@ class Dataset {
 
   /// Appends one row. The first row fixes dim(); later rows must match it.
   void Append(const Point& p);
+
+  /// Appends one row copied from raw, possibly unaligned bytes: `nnz`
+  /// floats at `values` (a dense row: nnz == dim), or for a sparse row
+  /// `nnz` uint32 indices at `indices` — ascending and below dim — and
+  /// their `nnz` float values. The norm is computed exactly as
+  /// Point::ComputeNorm computes it, so the row equals the one Append
+  /// stores for the same point, without building the point. The binary
+  /// loader's path (data/io.h, TryParseDatasetBinary); the caller has
+  /// validated the record. Same dim rule as Append.
+  void AppendRowBytes(bool sparse, uint32_t dim, uint32_t nnz,
+                      const void* indices, const void* values);
+
+  /// Reserves room for `rows` more rows holding `dense_values` dense
+  /// coordinates and `sparse_entries` sparse (index, value) pairs.
+  void Reserve(size_t rows, size_t dense_values, size_t sparse_entries);
 
   /// Replaces the contents with `points`: Clear() + Append for each point,
   /// reusing the existing columnar array capacity. This is the scratch-reuse

@@ -86,8 +86,8 @@ double ExactOptimalFarness(const DistanceMatrix& d, size_t k) {
   DIVERSE_CHECK_LE(k, n);
   DIVERSE_CHECK_LE(n, kMaxExactN);
   if (k < 2) {
-    // A single point has farness 0 by the minimum-over-empty convention used
-    // by Farness(); keep the two solvers consistent.
+    // A single point has farness 0 by the minimum-over-empty convention
+    // (it has no pair).
     return 0.0;
   }
 

@@ -13,12 +13,10 @@
 #define DIVERSE_CORE_GMM_H_
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "core/dataset.h"
 #include "core/metric.h"
-#include "core/point.h"
 
 namespace diverse {
 
@@ -47,18 +45,18 @@ struct GmmResult {
 
 /// Runs GMM for k steps on columnar `data` under `metric`, starting from
 /// row `first`. Requires 1 <= k <= data.size() and first < data.size().
-/// Cost: exactly k * n distance evaluations, executed as k fused
-/// relax-and-argmax sweeps (ScreenedRelaxArgFarthest) — devirtualized
-/// over the columnar rows and parallelized for large n. The result is
+/// Each step is one fused relax-and-argmax sweep (ScreenedRelaxArgFarthest)
+/// against the newest center, devirtualized over the columnar rows and
+/// parallelized for large n. When UseIndexing(metric, data) holds
+/// (KernelPolicy::indexing), a step first evaluates the new center against
+/// the previous ones and skips every row the triangle inequality shows it
+/// cannot improve. Cost: at most k * n relax evaluations plus k(k-1)/2
+/// center-to-center ones (screened where the metric screens the layout,
+/// exact otherwise); exactly k * n with indexing off. The result is
 /// deterministic and identical to the scalar reference (tests/gmm_scalar.h)
-/// at any thread count.
+/// at any thread count, with indexing on or off.
 GmmResult Gmm(const Dataset& data, const Metric& metric, size_t k,
               size_t first = 0);
-
-/// Farness rho_T = min_{c in T} d(c, T \ {c}) of the rows `subset` of
-/// `points` (the remote-edge value of the subset).
-double Farness(std::span<const Point> points, const Metric& metric,
-               std::span<const size_t> subset);
 
 }  // namespace diverse
 

@@ -69,6 +69,24 @@ __attribute__((noinline, aligned(64))) void SlotRows(
   for (size_t p = 0; p < q.nnz; ++p) slot[q.indices[p]] = 0;
 }
 
+// SlotRows over the listed rows instead of a contiguous range: the
+// DistanceRowsMany path of a sparse query under an intersection kernel.
+template <typename K>
+void SlotListedRows(const VecView& q, const Dataset& data,
+                    std::span<const uint32_t> rows, double* out) {
+  thread_local std::vector<uint32_t> slot;
+  if (slot.size() < data.dim()) slot.resize(data.dim());
+  for (size_t p = 0; p < q.nnz; ++p) {
+    slot[q.indices[p]] = static_cast<uint32_t>(p + 1);
+  }
+  for (size_t t = 0; t < rows.size(); ++t) {
+    VecView row = data.row(rows[t]);
+    out[t] = row.is_sparse() ? K::SlotPair(slot.data(), q, row)
+                             : K::Pair(row, q);
+  }
+  for (size_t p = 0; p < q.nnz; ++p) slot[q.indices[p]] = 0;
+}
+
 template <typename K>
 void SlotBatchMap(const VecView& q, const Dataset& data, size_t begin,
                   std::span<double> out) {
@@ -394,6 +412,25 @@ double CosineSpaceError(double m, double min_norm_q, double min_norm_r) {
   return (2.0 * m + 32.0) * kF32Eps + m * 3e-45 / (min_norm_q * min_norm_r);
 }
 
+// out[t] = the exact distance of q to row_view(rows[t]): DistanceRowsMany's
+// loop, the roots taken in one batched pass for root-of-squares kernels.
+// Flattened: left to itself GCC 12 calls the pair kernel out of line for
+// every row, which costs more than the kernel at low dimension.
+template <typename K, typename RowViewFn>
+[[gnu::flatten]] void ExactRows(const VecView& q, std::span<const uint32_t> rows, double* out,
+               const RowViewFn& row_view) {
+  if constexpr (K::kRootOfSquares) {
+    for (size_t t = 0; t < rows.size(); ++t) {
+      out[t] = K::Squared(q, row_view(rows[t]));
+    }
+    kernels::SqrtLanes(out, rows.size());
+  } else {
+    for (size_t t = 0; t < rows.size(); ++t) {
+      out[t] = K::Pair(q, row_view(rows[t]));
+    }
+  }
+}
+
 }  // namespace
 
 // --- Kernel traits of the built-in metrics --------------------------------
@@ -479,6 +516,12 @@ struct EuclideanKernel : AdditiveKernel {
   static void Finish(float* vals, const VecView*, const VecView&, size_t n) {
     kernels::SqrtLanesF32(vals, n);
   }
+  static void DenseRowsF32(const VecView& q, const Dataset& b,
+                           const float* base, std::span<const uint32_t> rows,
+                           float* out) {
+    kernels::DenseRowsF32<kernels::SquaredDiffF32>(
+        q.values, base, b.dim(), rows.data(), rows.size(), out);
+  }
 };
 
 struct ManhattanKernel : AdditiveKernel {
@@ -507,6 +550,12 @@ struct ManhattanKernel : AdditiveKernel {
   }
   template <typename Out>
   static void Finish(Out*, const VecView*, const VecView&, size_t) {}
+  static void DenseRowsF32(const VecView& q, const Dataset& b,
+                           const float* base, std::span<const uint32_t> rows,
+                           float* out) {
+    kernels::DenseRowsF32<kernels::AbsDiffF32>(q.values, base, b.dim(),
+                                               rows.data(), rows.size(), out);
+  }
 };
 
 struct CosineKernel {
@@ -564,6 +613,18 @@ struct CosineKernel {
     for (size_t lane = 0; lane < n; ++lane) {
       vals[lane] = static_cast<float>(kernels::AngularCosineFromScreenedDot(
           vals[lane], row.norm, qv[lane].norm));
+    }
+  }
+  // PairF32 over dense rows addressed directly: the fp32 dots, then the
+  // same finish with the row norms.
+  static void DenseRowsF32(const VecView& q, const Dataset& b,
+                           const float* base, std::span<const uint32_t> rows,
+                           float* out) {
+    kernels::DenseRowsF32<kernels::ProductF32>(q.values, base, b.dim(),
+                                               rows.data(), rows.size(), out);
+    for (size_t t = 0; t < rows.size(); ++t) {
+      out[t] = static_cast<float>(kernels::AngularCosineFromScreenedDot(
+          out[t], b.norm(rows[t]), q.norm));
     }
   }
   // One sparse pair through the query's slot table (SlotBatchMap): the
@@ -732,6 +793,17 @@ void Metric::DistanceRowsMany(const Dataset& a, size_t i, const Dataset& b,
   }
 }
 
+void Metric::DistanceRowsManyF32(const Dataset& a, size_t i, const Dataset& b,
+                                 std::span<const uint32_t> rows,
+                                 float* out) const {
+  thread_local std::vector<double> tmp;
+  tmp.resize(rows.size());
+  DistanceRowsMany(a, i, b, rows, tmp.data());
+  for (size_t t = 0; t < rows.size(); ++t) {
+    out[t] = static_cast<float>(tmp[t]);
+  }
+}
+
 ScreenBound Metric::ScreenErrorBound(const ScreenSideStats&,
                                      const ScreenSideStats&, size_t) const {
   // The default F32 kernels narrow an exact double to float: one fp32
@@ -819,14 +891,50 @@ void KernelMetric<K>::DistanceRowsMany(const Dataset& a, size_t i,
                                        std::span<const uint32_t> rows,
                                        double* out) const {
   VecView q = a.row(i);
-  if constexpr (K::kRootOfSquares) {
-    for (size_t t = 0; t < rows.size(); ++t) {
-      out[t] = K::Squared(q, b.row(rows[t]));
+  if constexpr (!K::kUnionWalk) {
+    if (q.is_sparse() && b.dim() <= kDirectIndexMaxDim) {
+      SlotListedRows<K>(q, b, rows, out);
+      return;
     }
-    kernels::SqrtLanes(out, rows.size());
+  }
+  const float* base = b.dense_rows();
+  if (base != nullptr && !q.is_sparse()) {
+    ExactRows<K>(q, rows, out, [base, &b, dim = b.dim()](uint32_t r) {
+      VecView v;
+      v.values = base + static_cast<size_t>(r) * dim;
+      v.nnz = dim;
+      v.dim = dim;
+      v.norm = b.norm(r);
+      return v;
+    });
   } else {
-    for (size_t t = 0; t < rows.size(); ++t) {
-      out[t] = K::Pair(q, b.row(rows[t]));
+    ExactRows<K>(q, rows, out, [&b](uint32_t r) { return b.row(r); });
+  }
+}
+
+template <typename K>
+void KernelMetric<K>::DistanceRowsManyF32(const Dataset& a, size_t i,
+                                          const Dataset& b,
+                                          std::span<const uint32_t> rows,
+                                          float* out) const {
+  if constexpr (!K::kScreens) {
+    Metric::DistanceRowsManyF32(a, i, b, rows, out);
+  } else {
+    VecView q = a.row(i);
+    const float* base = b.dense_rows();
+    if (base != nullptr && !q.is_sparse()) {
+      K::DenseRowsF32(q, b, base, rows, out);
+    } else if constexpr (K::kRootOfSquares) {
+      for (size_t t = 0; t < rows.size(); ++t) {
+        out[t] = K::SquaredF32(b.row(rows[t]), q);
+      }
+    } else {
+      for (size_t t = 0; t < rows.size(); ++t) {
+        out[t] = K::PairF32(b.row(rows[t]), q);
+      }
+    }
+    if constexpr (K::kRootOfSquares) {
+      kernels::SqrtLanesF32(out, rows.size());
     }
   }
 }

@@ -83,8 +83,10 @@ struct KernelPolicy {
   /// Certified fp32 screening (core/screen.h), where the metric's gate
   /// says it pays.
   bool screening = true;
-  /// Triangle-inequality pruning: greedy matching's cluster-pair bound
-  /// (core/sequential.h), where the metric opts in through IndexSlack.
+  /// Triangle-inequality pruning, where the metric opts in through
+  /// IndexSlack: GMM's per-step skip of rows the new center cannot improve
+  /// (core/gmm.h) and greedy matching's cluster-pair bound
+  /// (core/sequential.h). The CLI's --indexing=0 turns it off.
   bool indexing = true;
 };
 
@@ -179,6 +181,16 @@ class Metric {
                                 std::span<const uint32_t> rows,
                                 double* out) const;
 
+  /// fp32 twin of DistanceRowsMany: out[t] approximates
+  /// Distance(a.point(i), b.point(rows[t])) within ScreenErrorBound, bit
+  /// for bit the value DistanceToManyF32 gives the same pair. The screening
+  /// pass of the relax sweep (core/screen.h), whose rows are scattered.
+  /// Computed on the calling thread. The base narrows DistanceRowsMany.
+  virtual void DistanceRowsManyF32(const Dataset& a, size_t i,
+                                   const Dataset& b,
+                                   std::span<const uint32_t> rows,
+                                   float* out) const;
+
   /// Certified |screened - exact| bound valid for every (query, data row)
   /// pair of the fp32 kernels, from the statistics of the two sides and the
   /// ambient dimension. The base returns one fp32 rounding, which matches
@@ -205,7 +217,9 @@ class Metric {
   }
 
   /// Certified rounding slack of the *exact double* kernels: for every row
-  /// pair, |computed - true| <= rel * computed + abs. Greedy matching's
+  /// pair, |computed - true| <= rel * computed + abs. GMM's skip bound
+  /// (core/gmm.cc) chains two computed distances through the triangle
+  /// inequality, and greedy matching's
   /// cluster-pair bound (core/sequential.h) chains three computed distances
   /// through the triangle inequality (a row's distance to its cluster
   /// center, the center-to-center distance, and the other row's), so it
@@ -256,6 +270,9 @@ class KernelMetric final : public Metric {
   void DistanceRowsMany(const Dataset& a, size_t i, const Dataset& b,
                         std::span<const uint32_t> rows,
                         double* out) const override;
+  void DistanceRowsManyF32(const Dataset& a, size_t i, const Dataset& b,
+                           std::span<const uint32_t> rows,
+                           float* out) const override;
   ScreenBound ScreenErrorBound(const ScreenSideStats& queries,
                                const ScreenSideStats& data,
                                size_t dim) const override;
@@ -347,6 +364,13 @@ class CountingMetric final : public Metric {
                         double* out) const override {
     count_.fetch_add(rows.size(), std::memory_order_relaxed);
     base_->DistanceRowsMany(a, i, b, rows, out);
+  }
+
+  void DistanceRowsManyF32(const Dataset& a, size_t i, const Dataset& b,
+                           std::span<const uint32_t> rows,
+                           float* out) const override {
+    screened_.fetch_add(rows.size(), std::memory_order_relaxed);
+    base_->DistanceRowsManyF32(a, i, b, rows, out);
   }
 
   ScreenBound ScreenErrorBound(const ScreenSideStats& queries,

@@ -154,109 +154,100 @@ bool UseIndexing(const Metric& metric, const Dataset& data) {
 
 namespace {
 
-// Whether a ScreenedRelaxArgFarthest sweep of queries-rows against `data`
-// screens at all (the metric's screening policy, its profitability verdict,
-// the per-row work gate and the degenerate-bound check), and when it does,
-// the certified bound plus its precomputed (1 + 1e-12) / (1 - rel).
+// Whether a ScreenedRelaxArgFarthest sweep over `data` screens at all (the
+// metric's screening policy, its profitability verdict, the per-row work
+// gate and the degenerate-bound check), and when it does, the certified
+// bound plus its precomputed (1 + 1e-12) / (1 - rel).
 struct RelaxScreenPlan {
   bool screen = false;  // false: every pair pays the exact kernel
   ScreenBound bound;    // valid when screen
   double inv_rel = 0.0; // (1 + 1e-12) / (1 - bound.rel) when screen
 };
 
-RelaxScreenPlan PlanScreenedRelax(const Metric& metric, const Dataset& queries,
-                                  const Dataset& data) {
+RelaxScreenPlan PlanScreenedRelax(const Metric& metric, const Dataset& data) {
   RelaxScreenPlan plan;
-  const ScreenSideStats qs = SideStatsOf(queries);
   const ScreenSideStats ds = SideStatsOf(data);
-  if (!UseScreening(metric, qs, ds) || !SingleQueryScreenWorthwhile(data)) {
+  if (!UseScreening(metric, ds, ds) || !SingleQueryScreenWorthwhile(data)) {
     return plan;
   }
-  plan.bound = metric.ScreenErrorBound(qs, ds, data.dim());
+  plan.bound = metric.ScreenErrorBound(ds, ds, data.dim());
   if (!(plan.bound.rel < 1.0)) return plan;  // degenerate: run exact
   plan.inv_rel = (1.0 + 1e-12) / (1.0 - plan.bound.rel);
   plan.screen = true;
   return plan;
 }
 
-// The relax body of ScreenedRelaxArgFarthest restricted to the nonempty
-// rows [begin, begin + count): relaxes dist/assignment (full-dataset spans,
-// absolute row indexing) against queries.point(q_index) under `plan`.
-// Kept out of line: inlined into RelaxArgFarthestRanges' range lambda, GCC
-// 12 emits a screened loop about 25% slower (BM_GmmClustered/200000/256).
-[[gnu::noinline]] void ScreenedRelaxRange(
-    const Metric& metric, const Dataset& queries, size_t q_index,
-    const Dataset& data, size_t begin, size_t count,
-    const RelaxScreenPlan& plan, std::span<double> dist,
-    std::span<size_t> assignment, size_t center_rank) {
-  const Point query = queries.point(q_index);
-  size_t end = begin + count;
-  if (!plan.screen) {
-    // Exact per-pair relax through the batched kernel, chunked to bound
-    // scratch.
-    thread_local std::vector<double> dbuf;
-    for (size_t c0 = begin; c0 < end; c0 += kRelaxChunk) {
-      size_t cn = std::min(kRelaxChunk, end - c0);
-      dbuf.resize(cn);
-      metric.DistanceToMany(query, data, c0,
-                            std::span<double>(dbuf.data(), cn));
-      for (size_t i = 0; i < cn; ++i) {
-        if (dbuf[i] < dist[c0 + i]) {
-          dist[c0 + i] = dbuf[i];
-          if (!assignment.empty()) assignment[c0 + i] = center_rank;
-        }
-      }
-    }
-    return;
-  }
-  // Per-row fp32 values, skip thresholds, and rescue verdicts are functions
-  // of the pair and the row's incoming dist alone (the per-row kernels do
-  // not couple rows), so chunk alignment cannot move a decision: any row
-  // range relaxes exactly as it would inside a full sweep.
-  thread_local std::vector<float> buf;
+// The relax body of ScreenedRelaxArgFarthest over rows [begin, end) (at
+// most kRelaxChunk): collects the rows the caller's skip bounds do not rule
+// out, screens them when `plan` says so, and relaxes dist/assignment with
+// exact distances for the rows the screen cannot certify. A row's screened
+// value, skip threshold and rescue verdict are functions of the pair and
+// its incoming dist alone (the kernels do not couple rows), so chunk
+// alignment cannot move a decision. Kept out of line: inlined into
+// RelaxArgFarthestRanges' range lambda, GCC 12 emits a screened loop about
+// 25% slower (BM_GmmClustered/200000/256).
+[[gnu::noinline]] void RelaxRows(const Metric& metric, const Dataset& data,
+                                 size_t center, size_t begin, size_t end,
+                                 const RelaxScreenPlan& plan,
+                                 std::span<const double> skip_at,
+                                 std::span<double> dist,
+                                 std::span<size_t> assignment,
+                                 size_t center_rank) {
+  thread_local std::vector<uint32_t> rows;
+  thread_local std::vector<float> screened;
   thread_local std::vector<float> thr;
   thread_local std::vector<uint32_t> rescue;
-  thread_local std::vector<double> rescued_d;
-  for (size_t c0 = begin; c0 < end; c0 += kRelaxChunk) {
-    size_t cn = std::min(kRelaxChunk, end - c0);
-    buf.resize(cn);
-    thr.resize(cn);
-    metric.DistanceToManyF32(query, data, c0,
-                             std::span<float>(buf.data(), cn));
-    for (size_t i = 0; i < cn; ++i) {
-      thr[i] = ScreenSkipThreshold(dist[c0 + i], plan.bound.abs, plan.inv_rel);
+  thread_local std::vector<double> exact;
+  rows.resize(end - begin);
+  size_t live = 0;
+  if (skip_at.empty()) {
+    for (size_t i = begin; i < end; ++i) rows[live++] = static_cast<uint32_t>(i);
+  } else {
+    for (size_t i = begin; i < end; ++i) {
+      rows[live] = static_cast<uint32_t>(i);
+      live += !(dist[i] <= skip_at[assignment[i]]);
+    }
+  }
+  std::span<const uint32_t> todo(rows.data(), live);
+  if (plan.screen && live > 0) {
+    screened.resize(live);
+    thr.resize(live);
+    metric.DistanceRowsManyF32(data, center, data, todo, screened.data());
+    for (size_t t = 0; t < live; ++t) {
+      thr[t] = ScreenSkipThreshold(dist[rows[t]], plan.bound.abs,
+                                   plan.inv_rel);
     }
     rescue.clear();
-    CollectScreenRescues(buf.data(), thr.data(), cn,
-                         static_cast<uint32_t>(c0), rescue);
-    if (!rescue.empty()) {
-      rescued_d.resize(rescue.size());
-      metric.DistanceRowsMany(queries, q_index, data, rescue,
-                              rescued_d.data());
-      for (size_t t = 0; t < rescue.size(); ++t) {
-        size_t row = rescue[t];
-        if (rescued_d[t] < dist[row]) {
-          dist[row] = rescued_d[t];
-          if (!assignment.empty()) assignment[row] = center_rank;
-        }
-      }
+    CollectScreenRescues(screened.data(), thr.data(), live, 0, rescue);
+    for (uint32_t& r : rescue) r = rows[r];
+    todo = rescue;
+  }
+  if (todo.empty()) return;
+  exact.resize(todo.size());
+  metric.DistanceRowsMany(data, center, data, todo, exact.data());
+  for (size_t t = 0; t < todo.size(); ++t) {
+    const size_t row = todo[t];
+    if (exact[t] < dist[row]) {
+      dist[row] = exact[t];
+      if (!assignment.empty()) assignment[row] = center_rank;
     }
   }
 }
 
 }  // namespace
 
-size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& queries,
-                                size_t q_index, const Dataset& data,
-                                std::span<double> dist,
+size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& data,
+                                size_t center, std::span<double> dist,
                                 std::span<size_t> assignment,
-                                size_t center_rank) {
-  DIVERSE_CHECK_LT(q_index, queries.size());
-  const RelaxScreenPlan plan = PlanScreenedRelax(metric, queries, data);
+                                size_t center_rank,
+                                std::span<const double> skip_at) {
+  DIVERSE_CHECK_LT(center, data.size());
+  if (!skip_at.empty()) DIVERSE_CHECK_EQ(assignment.size(), data.size());
+  const RelaxScreenPlan plan = PlanScreenedRelax(metric, data);
   return RelaxArgFarthestRanges(
       data, dist, assignment, [&](size_t lo, size_t hi) {
-        ScreenedRelaxRange(metric, queries, q_index, data, lo, hi - lo, plan,
-                           dist, assignment, center_rank);
+        RelaxRows(metric, data, center, lo, hi, plan, skip_at, dist,
+                  assignment, center_rank);
       });
 }
 

@@ -5,8 +5,9 @@
 // sweeps, greedy matching's heaviest-pair scans, SMM's coverage and merge
 // threshold scans, generalized-coreset instantiation — needs *exact* distances
 // only for the handful of candidates that decide the outcome. The sweeps here
-// run a cheap fp32 pass first (Metric::DistanceTileF32 / DistanceToManyF32:
-// twice the SIMD lanes, half the bandwidth of the exact tile engine), keep
+// run a cheap fp32 pass first (Metric::DistanceTileF32 / DistanceToManyF32 /
+// DistanceRowsManyF32: twice the SIMD lanes, half the bandwidth of the
+// exact tile engine), keep
 // every candidate whose screened value lies within a certified error band
 // (Metric::ScreenErrorBound over the two sides' ScreenSideStats) of the
 // decision threshold, and re-evaluate only those in exact double
@@ -127,31 +128,36 @@ void CollectScreenRescues(const float* t, const float* thr, size_t count,
 bool UseScreening(const Metric& metric, const ScreenSideStats& queries,
                   const ScreenSideStats& data);
 
-/// True when triangle-inequality pruning (greedy matching's cluster-pair
-/// bound, core/sequential.h) may run for `metric` over `data`: its policy
-/// allows indexing (KernelPolicy::indexing) and the metric opted in (its
-/// IndexSlack over `data` is finite).
+/// True when triangle-inequality pruning (GMM's per-step skip, core/gmm.h,
+/// and greedy matching's cluster-pair bound, core/sequential.h) may run for
+/// `metric` over `data`: its policy allows indexing (KernelPolicy::indexing)
+/// and the metric opted in (its IndexSlack over `data` is finite).
 bool UseIndexing(const Metric& metric, const Dataset& data);
 
-/// One-center relax-and-argmax with the query drawn from a dataset row
-/// (queries.point(q_index) — for GMM, queries == data): for every row i,
-///   d = Distance(queries.point(q_index), data.point(i));
+/// One-center relax-and-argmax, the sweep of every GMM step: for every row
+/// i with center c = data.point(center),
+///   d = Distance(c, data.point(i));
 ///   if (d < dist[i]) { dist[i] = d; if assignment given:
 ///                      assignment[i] = center_rank; }
 /// then returns the smallest index maximizing the relaxed dist[].
-/// Parallelized over row ranges on GlobalThreadPool(); range boundaries and
-/// the first-max combination depend only on the input sizes, so results
-/// are deterministic at any thread count. Requires dist.size() ==
-/// data.size(), and assignment empty or the same size. Screens when the
-/// metric's gate and a per-row work gate allow it, and otherwise
-/// relaxes through chunked exact DistanceToMany sweeps (exactly data.size()
-/// evaluations); dist, assignment and the return value are identical
-/// either way.
-size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& queries,
-                                size_t q_index, const Dataset& data,
-                                std::span<double> dist,
+/// `skip_at` is empty or holds one bound per value of assignment[]: a row
+/// with dist[i] <= skip_at[assignment[i]] is left as it is without reading
+/// its coordinates. The caller certifies that c cannot strictly improve
+/// such a row (GMM derives the bounds from the triangle inequality,
+/// core/gmm.cc); assignment must then be given. The remaining rows are
+/// screened when the metric's gate and a per-row work gate allow it, and
+/// otherwise relaxed through exact DistanceRowsMany calls (one evaluation
+/// per remaining row); dist, assignment and the return value are identical
+/// either way. Parallelized over row ranges on GlobalThreadPool(); range
+/// boundaries and the first-max combination depend only on the input
+/// sizes, so results and evaluation counts are deterministic at any thread
+/// count. Requires dist.size() == data.size(), and assignment empty or the
+/// same size.
+size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& data,
+                                size_t center, std::span<double> dist,
                                 std::span<size_t> assignment = {},
-                                size_t center_rank = 0);
+                                size_t center_rank = 0,
+                                std::span<const double> skip_at = {});
 
 /// Outcome of the fused nearest-center + coverage sweep.
 struct ScreenedNearest {

@@ -687,6 +687,77 @@ inline float Accumulate8F32(const float* a, const float* b, size_t n,
 
 }  // namespace internal
 
+// The per-coordinate terms of the dense fp32 kernels below, in a scalar
+// (operator()) and, on x86-64, a four-lane SSE2 form (Vec) that performs
+// the same IEEE operations. Passed as objects, so each term gets its own
+// inlined Accumulate8F32.
+struct SquaredDiffF32 {
+  float operator()(float x, float y) const {
+    float d = x - y;
+    return d * d;
+  }
+#if defined(__x86_64__) && defined(__SSE2__)
+  static __m128 Vec(__m128 x, __m128 y) {
+    __m128 d = _mm_sub_ps(x, y);
+    return _mm_mul_ps(d, d);
+  }
+#endif
+};
+
+struct AbsDiffF32 {
+  float operator()(float x, float y) const { return std::abs(x - y); }
+#if defined(__x86_64__) && defined(__SSE2__)
+  static __m128 Vec(__m128 x, __m128 y) {
+    return _mm_andnot_ps(_mm_set1_ps(-0.0f), _mm_sub_ps(x, y));
+  }
+#endif
+};
+
+struct ProductF32 {
+  float operator()(float x, float y) const { return x * y; }
+#if defined(__x86_64__) && defined(__SSE2__)
+  static __m128 Vec(__m128 x, __m128 y) { return _mm_mul_ps(x, y); }
+#endif
+};
+
+/// out[t] = Accumulate8F32(base + rows[t] * dim, q, dim, Term{}) for
+/// t in [0, count): the dense fp32 kernels below (before any root or
+/// cosine finish) over rows of a dense row-major array addressed directly
+/// by index. At dim >= 16 the eight accumulators are two SSE2 registers and
+/// the reduction is the same ((s0 + s2) + (s1 + s3)) + tail, so every value
+/// is bit-identical to the per-pair kernel's.
+template <typename Term>
+inline void DenseRowsF32(const float* q, const float* base, size_t dim,
+                         const uint32_t* rows, size_t count, float* out) {
+#if defined(__x86_64__) && defined(__SSE2__)
+  if (dim >= 16) {
+    const size_t n8 = dim & ~size_t{7};
+    for (size_t t = 0; t < count; ++t) {
+      const float* r = base + static_cast<size_t>(rows[t]) * dim;
+      __m128 lo = _mm_setzero_ps();
+      __m128 hi = _mm_setzero_ps();
+      for (size_t d = 0; d < n8; d += 8) {
+        lo = _mm_add_ps(lo, Term::Vec(_mm_loadu_ps(r + d),
+                                      _mm_loadu_ps(q + d)));
+        hi = _mm_add_ps(hi, Term::Vec(_mm_loadu_ps(r + d + 4),
+                                      _mm_loadu_ps(q + d + 4)));
+      }
+      float tail = 0.0f;
+      for (size_t d = n8; d < dim; ++d) tail += Term{}(r[d], q[d]);
+      const __m128 s = _mm_add_ps(lo, hi);                  // s0 s1 s2 s3
+      const __m128 p = _mm_add_ps(s, _mm_movehl_ps(s, s));  // s0+s2 s1+s3
+      out[t] = (_mm_cvtss_f32(p) + _mm_cvtss_f32(_mm_shuffle_ps(p, p, 1))) +
+               tail;
+    }
+    return;
+  }
+#endif
+  for (size_t t = 0; t < count; ++t) {
+    out[t] = internal::Accumulate8F32(base + static_cast<size_t>(rows[t]) * dim,
+                                      q, dim, Term{});
+  }
+}
+
 /// out[lane] = |q_lane - row|^2 in fp32 for each packed query lane.
 inline void SquaredEuclideanLanesF32(const float* qt, const float* row,
                                      size_t dim, float* out) {
@@ -741,10 +812,7 @@ inline void SqrtLanesF32(float* vals, size_t count) {
 inline float SquaredEuclideanF32(const VecView& a, const VecView& b) {
   if (!a.is_sparse() && !b.is_sparse()) {
     return internal::Accumulate8F32(a.values, b.values, a.nnz,
-                                    [](float x, float y) {
-                                      float d = x - y;
-                                      return d * d;
-                                    });
+                                    SquaredDiffF32{});
   }
   float s = 0.0f;
   if (a.is_sparse() && b.is_sparse()) {
@@ -780,9 +848,8 @@ inline float EuclideanF32(const VecView& a, const VecView& b) {
 /// fp32 L1 distance |a - b|_1 (any representation mix).
 inline float L1F32(const VecView& a, const VecView& b) {
   if (!a.is_sparse() && !b.is_sparse()) {
-    return internal::Accumulate8F32(
-        a.values, b.values, a.nnz,
-        [](float x, float y) { return std::abs(x - y); });
+    return internal::Accumulate8F32(a.values, b.values, a.nnz,
+                                    AbsDiffF32{});
   }
   float s = 0.0f;
   if (a.is_sparse() && b.is_sparse()) {
@@ -809,7 +876,7 @@ inline float L1F32(const VecView& a, const VecView& b) {
 inline float DotF32(const VecView& a, const VecView& b) {
   if (!a.is_sparse() && !b.is_sparse()) {
     return internal::Accumulate8F32(a.values, b.values, a.nnz,
-                                    [](float x, float y) { return x * y; });
+                                    ProductF32{});
   }
   float s = 0.0f;
   if (a.is_sparse() && b.is_sparse()) {

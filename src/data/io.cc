@@ -173,14 +173,31 @@ std::string RecordLocation::ToString() const {
          std::string(of);
 }
 
-StatusOr<Point> TryReadPointRecord(ByteReader* in,
-                                   const RecordLocation& where) {
+namespace {
+
+// One validated binary record whose payload is still in the input bytes
+// (possibly unaligned): `nnz` uint32 indices at `indices` for a sparse
+// record, then `nnz` floats at `values`.
+struct RecordBytes {
+  bool sparse = false;
+  uint32_t dim = 0;
+  uint32_t nnz = 0;
+  const char* indices = nullptr;
+  const char* values = nullptr;
+};
+
+// The one record decoder: every check and message of the binary format's
+// records, shared by TryReadPointRecord and TryParseDatasetBinary.
+StatusOr<RecordBytes> TryDecodeRecord(ByteReader* in,
+                                      const RecordLocation& where) {
   uint8_t tag;
-  uint32_t dim, nnz;
-  if (!in->Read(&tag, sizeof(tag)) || !in->Read(&dim, sizeof(dim)) ||
-      !in->Read(&nnz, sizeof(nnz))) {
+  RecordBytes rec;
+  if (!in->Read(&tag, sizeof(tag)) || !in->Read(&rec.dim, sizeof(rec.dim)) ||
+      !in->Read(&rec.nnz, sizeof(rec.nnz))) {
     return DataLossError("truncated record header at " + where.ToString());
   }
+  const uint32_t dim = rec.dim;
+  const uint32_t nnz = rec.nnz;
   // A record's payload cannot exceed the bytes that remain: reject corrupt
   // nnz fields before they turn into huge allocations.
   const uint64_t entry_bytes =
@@ -197,11 +214,10 @@ StatusOr<Point> TryReadPointRecord(ByteReader* in,
                                   std::to_string(dim) + " at " +
                                   where.ToString());
     }
-    std::vector<float> values(nnz);
-    if (!in->Read(values.data(), nnz * sizeof(float))) {
+    if (!in->Take(nnz * sizeof(float), &rec.values)) {
       return DataLossError("truncated dense payload at " + where.ToString());
     }
-    return Point::Dense(std::move(values));
+    return rec;
   }
   if (tag == kSparseTag) {
     if (nnz > dim) {
@@ -210,38 +226,40 @@ StatusOr<Point> TryReadPointRecord(ByteReader* in,
                                   std::to_string(dim) + " at " +
                                   where.ToString());
     }
-    std::vector<uint32_t> indices(nnz);
-    std::vector<float> values(nnz);
-    if (!in->Read(indices.data(), nnz * sizeof(uint32_t)) ||
-        !in->Read(values.data(), nnz * sizeof(float))) {
+    if (!in->Take(nnz * sizeof(uint32_t), &rec.indices) ||
+        !in->Take(nnz * sizeof(float), &rec.values)) {
       return DataLossError("truncated sparse payload at " + where.ToString());
     }
-    for (size_t j = 0; j + 1 < indices.size(); ++j) {
-      if (indices[j] >= indices[j + 1]) {
+    rec.sparse = true;
+    uint32_t prev = 0;
+    for (uint32_t j = 0; j < nnz; ++j) {
+      uint32_t index;
+      std::memcpy(&index, rec.indices + j * sizeof(uint32_t), sizeof(index));
+      if (j > 0 && prev >= index) {
         return InvalidArgumentError("unsorted sparse indices at " +
                                     where.ToString());
       }
+      prev = index;
     }
-    if (!indices.empty() && indices.back() >= dim) {
+    if (nnz > 0 && prev >= dim) {
       return InvalidArgumentError(
-          "sparse index " + std::to_string(indices.back()) +
-          " out of range for dim " + std::to_string(dim) + " at " +
-          where.ToString());
+          "sparse index " + std::to_string(prev) + " out of range for dim " +
+          std::to_string(dim) + " at " + where.ToString());
     }
-    return Point::Sparse(std::move(indices), std::move(values), dim);
+    return rec;
   }
   return InvalidArgumentError("unknown record tag " +
                               std::to_string(static_cast<int>(tag)) + " at " +
                               where.ToString());
 }
 
-StatusOr<PointSet> TryParsePointsBinary(std::string_view bytes,
-                                        const std::string& origin) {
-  const uint64_t file_size = bytes.size();
-  ByteReader in(bytes);
+// Reads and checks the header of binary-format `bytes`; returns the record
+// count, which the file is known to be able to hold.
+StatusOr<uint64_t> TryReadBinaryHeader(ByteReader* in, uint64_t file_size,
+                                       const std::string& origin) {
   uint32_t magic = 0;
   uint64_t count = 0;
-  if (!in.Read(&magic, sizeof(magic)) || !in.Read(&count, sizeof(count))) {
+  if (!in->Read(&magic, sizeof(magic)) || !in->Read(&count, sizeof(count))) {
     return DataLossError("truncated header (" + std::to_string(file_size) +
                          " bytes, want at least 12) in " + Quoted(origin));
   }
@@ -260,15 +278,78 @@ StatusOr<PointSet> TryParsePointsBinary(std::string_view bytes,
         Quoted(origin) + " has only " + std::to_string(payload) +
         " payload bytes");
   }
+  return count;
+}
+
+}  // namespace
+
+StatusOr<Point> TryReadPointRecord(ByteReader* in,
+                                   const RecordLocation& where) {
+  StatusOr<RecordBytes> rec = TryDecodeRecord(in, where);
+  if (!rec.ok()) return rec.status();
+  std::vector<float> values(rec->nnz);
+  if (rec->nnz > 0) {
+    std::memcpy(values.data(), rec->values, rec->nnz * sizeof(float));
+  }
+  if (!rec->sparse) return Point::Dense(std::move(values));
+  std::vector<uint32_t> indices(rec->nnz);
+  if (rec->nnz > 0) {
+    std::memcpy(indices.data(), rec->indices, rec->nnz * sizeof(uint32_t));
+  }
+  return Point::Sparse(std::move(indices), std::move(values), rec->dim);
+}
+
+StatusOr<PointSet> TryParsePointsBinary(std::string_view bytes,
+                                        const std::string& origin) {
+  ByteReader in(bytes);
+  StatusOr<uint64_t> count = TryReadBinaryHeader(&in, bytes.size(), origin);
+  if (!count.ok()) return count.status();
   const std::string quoted = Quoted(origin);
   PointSet points;
-  points.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
+  points.reserve(*count);
+  for (uint64_t i = 0; i < *count; ++i) {
     StatusOr<Point> p = TryReadPointRecord(&in, {"record", i, quoted});
     if (!p.ok()) return p.status();
     points.push_back(std::move(*p));
   }
   return points;
+}
+
+StatusOr<Dataset> TryParseDatasetBinary(std::string_view bytes,
+                                        const std::string& origin) {
+  ByteReader in(bytes);
+  StatusOr<uint64_t> count = TryReadBinaryHeader(&in, bytes.size(), origin);
+  if (!count.ok()) return count.status();
+  const std::string quoted = Quoted(origin);
+  // Pass 1 validates every record and sizes the arrays. A malformed record
+  // anywhere wins over a dim mismatch, as in TryParsePointsBinary followed
+  // by Dataset::TryFromPoints.
+  const ByteReader records = in;
+  size_t dense_values = 0;
+  size_t sparse_entries = 0;
+  uint32_t first_dim = 0;
+  Status dim_error = OkStatus();
+  for (uint64_t i = 0; i < *count; ++i) {
+    StatusOr<RecordBytes> rec = TryDecodeRecord(&in, {"record", i, quoted});
+    if (!rec.ok()) return rec.status();
+    (rec->sparse ? sparse_entries : dense_values) += rec->nnz;
+    if (i == 0) first_dim = rec->dim;
+    if (rec->dim != first_dim && dim_error.ok()) {
+      dim_error = RowDimMismatchError(i, rec->dim, first_dim);
+    }
+  }
+  if (!dim_error.ok()) return dim_error;
+  // Pass 2 copies the validated records straight into the columns.
+  Dataset data;
+  data.Reserve(*count, dense_values, sparse_entries);
+  in = records;
+  for (uint64_t i = 0; i < *count; ++i) {
+    StatusOr<RecordBytes> rec = TryDecodeRecord(&in, {"record", i, quoted});
+    if (!rec.ok()) return rec.status();
+    data.AppendRowBytes(rec->sparse, rec->dim, rec->nnz, rec->indices,
+                        rec->values);
+  }
+  return data;
 }
 
 StatusOr<PointSet> TryLoadPointsBinary(const std::string& path) {
@@ -284,9 +365,9 @@ StatusOr<Dataset> TryLoadDatasetText(const std::string& path) {
 }
 
 StatusOr<Dataset> TryLoadDatasetBinary(const std::string& path) {
-  StatusOr<PointSet> points = TryLoadPointsBinary(path);
-  if (!points.ok()) return points.status();
-  return Dataset::TryFromPoints(*points);
+  StatusOr<std::string> bytes = ReadFileBytes(path, /*binary=*/true);
+  if (!bytes.ok()) return bytes.status();
+  return TryParseDatasetBinary(*bytes, path);
 }
 
 }  // namespace diverse

@@ -57,6 +57,16 @@ class ByteReader {
     return true;
   }
 
+  /// Points `*at` at the next `n` bytes and consumes them without copying;
+  /// false (cursor unchanged) when fewer than `n` remain.
+  bool Take(size_t n, const char** at) {
+    if (n > remaining_) return false;
+    *at = p_;
+    p_ += n;
+    remaining_ -= n;
+    return true;
+  }
+
   /// Bytes not yet consumed.
   size_t remaining() const { return remaining_; }
 
@@ -108,6 +118,15 @@ DIVERSE_MUST_USE StatusOr<PointSet> TryParsePointsText(
 DIVERSE_MUST_USE StatusOr<PointSet> TryParsePointsBinary(
     std::string_view bytes, const std::string& origin);
 
+/// Parses binary-format bytes straight into columnar Dataset storage,
+/// building no Point: each record is copied into the arrays and its norm
+/// computed as Point::ComputeNorm computes it. Returns exactly what
+/// TryParsePointsBinary followed by Dataset::TryFromPoints returns — the
+/// same rows and statistics, or the same Status (a malformed record
+/// anywhere in the file wins over a dim mismatch before it).
+DIVERSE_MUST_USE StatusOr<Dataset> TryParseDatasetBinary(
+    std::string_view bytes, const std::string& origin);
+
 /// Writes `points` in the text format. Returns false on I/O failure.
 bool SavePointsText(const PointSet& points, const std::string& path);
 
@@ -125,13 +144,15 @@ bool SavePointsBinary(const PointSet& points, const std::string& path);
 /// record index).
 DIVERSE_MUST_USE StatusOr<PointSet> TryLoadPointsBinary(const std::string& path);
 
-/// Reads a text-format file directly into columnar Dataset storage, ready
-/// for the batched kernels. Same errors as TryLoadPointsText, plus
-/// kInvalidArgument when the points do not share one dim (see
-/// Dataset::TryFromPoints).
+/// Reads a text-format file into columnar Dataset storage, ready for the
+/// batched kernels. It parses a PointSet first (TryLoadPointsText) and
+/// builds the Dataset from it, so the points exist twice while it runs.
+/// Same errors as TryLoadPointsText, plus kInvalidArgument when the points
+/// do not share one dim (see Dataset::TryFromPoints).
 DIVERSE_MUST_USE StatusOr<Dataset> TryLoadDatasetText(const std::string& path);
 
-/// Reads a binary-format file directly into columnar Dataset storage.
+/// Reads a binary-format file directly into columnar Dataset storage
+/// (TryParseDatasetBinary over the file's bytes; no PointSet is built).
 /// Same errors as TryLoadPointsBinary, plus kInvalidArgument when the
 /// points do not share one dim.
 DIVERSE_MUST_USE StatusOr<Dataset> TryLoadDatasetBinary(const std::string& path);

@@ -92,7 +92,8 @@ commands:
             [--k_prime=N] [--partitions=N] [--workers=N]
             [--metric=euclidean|manhattan|cosine|jaccard] [--out=FILE]
             [--screening=0|1]  (fp32 screen-then-certify sweeps, default on)
-            [--indexing=0|1]   (greedy matching's cluster-pair bound, default on)
+            [--indexing=0|1]   (GMM's triangle-inequality skip and greedy
+                                matching's cluster-pair bound, default on)
             (both set the driver metric's policy; socket workers keep the
              defaults)
             fault tolerance (MapReduce backends):

@@ -295,8 +295,8 @@ TEST(BatchKernelTest, ExactRelaxArgFarthestMatchesManualRelax) {
       size_t want = 0;
       for (size_t rank = 0; rank < 2; ++rank) {
         const Point& c = pts[centers[rank]];
-        got = ScreenedRelaxArgFarthest(*metric, data, centers[rank], data,
-                                       dist, assignment, rank);
+        got = ScreenedRelaxArgFarthest(*metric, data, centers[rank], dist,
+                                       assignment, rank);
         double best = -std::numeric_limits<double>::infinity();
         for (size_t i = 0; i < n; ++i) {
           double d = metric->Distance(pts[i], c);
@@ -333,7 +333,7 @@ TEST(BatchKernelTest, CountingMetricCountsBatchedEvaluationsExactly) {
   counting.Reset();
   std::vector<double> dist(pts.size(),
                            std::numeric_limits<double>::infinity());
-  ScreenedRelaxArgFarthest(counting, data, 0, data, dist);
+  ScreenedRelaxArgFarthest(counting, data, 0, dist);
   EXPECT_EQ(counting.count(), pts.size());
 }
 
@@ -342,27 +342,51 @@ TEST(BatchKernelTest, CountingMetricGmmCostIsExactlyKTimesN) {
   // path (not enough per-row work to amortize a screen).
   PointSet pts = DensePoints(200, 8, /*seed=*/32);
   Dataset data(pts);
-  EuclideanMetric base;
-  size_t k = 9;
-  // Exact path: exactly k * n exact evaluations, nothing screened.
+  const size_t k = 9;
+  const size_t n = pts.size();
+  const size_t centers = k * (k - 1) / 2;  // center-to-center evaluations
+  // Exact flat path: exactly k * n exact evaluations, nothing screened.
   {
-    EuclideanMetric exact({.screening = false});
+    EuclideanMetric exact({.screening = false, .indexing = false});
     CountingMetric counting(&exact);
     Gmm(data, counting, k);
-    EXPECT_EQ(counting.count(), k * pts.size());
+    EXPECT_EQ(counting.count(), k * n);
     EXPECT_EQ(counting.screened_evals(), 0u);
   }
-  // Screened path: the same k * n sweep positions go through the fp32
+  // Screened flat path: the same k * n sweep positions go through the fp32
   // kernels, and the exact (rescue) count never exceeds the pre-screening
   // baseline. (On this workload most relax positions are certified skips.)
   {
-    CountingMetric counting(&base);
+    EuclideanMetric flat({.indexing = false});
+    CountingMetric counting(&flat);
     Gmm(data, counting, k);
-    EXPECT_EQ(counting.screened_evals(), k * pts.size());
-    EXPECT_LE(counting.exact_evals(), k * pts.size());
+    EXPECT_EQ(counting.screened_evals(), k * n);
+    EXPECT_LE(counting.exact_evals(), k * n);
     EXPECT_GT(counting.exact_evals(), 0u);
     EXPECT_LT(counting.exact_evals(), counting.screened_evals());
   }
+  // Indexed paths: the skip adds the k(k-1)/2 center-to-center evaluations
+  // (screened where the sweep may screen, exact otherwise) and only removes
+  // relax positions, with counts identical at any thread count.
+  for (bool screening : {false, true}) {
+    EuclideanMetric indexed({.screening = screening});
+    uint64_t exact_ref = 0, screened_ref = 0;
+    for (size_t threads : {1u, 2u, 8u}) {
+      SetGlobalThreadPoolSize(threads);
+      CountingMetric counting(&indexed);
+      Gmm(data, counting, k);
+      if (threads == 1) {
+        exact_ref = counting.exact_evals();
+        screened_ref = counting.screened_evals();
+        EXPECT_LE(exact_ref, k * n + centers) << screening;
+        EXPECT_LE(screened_ref, screening ? k * n + centers : 0u);
+      } else {
+        EXPECT_EQ(counting.exact_evals(), exact_ref) << threads;
+        EXPECT_EQ(counting.screened_evals(), screened_ref) << threads;
+      }
+    }
+  }
+  SetGlobalThreadPoolSize(1);
 }
 
 TEST(BatchKernelTest, GmmMatchesScalarReferenceAllMetricsAllLayouts) {

@@ -8,8 +8,11 @@
 // both parsers; accepted inputs additionally round-trip through the text
 // serializer as a consistency oracle (a parse-accepts / serialize-reparse
 // mismatch is a CHECK-abort, i.e. a fuzzer finding), and are built into a
-// Dataset the way the Dataset loaders do it, which must return a Status
-// (e.g. on mixed dims) rather than abort.
+// Dataset through Dataset::TryFromPoints, which must return a Status (e.g.
+// on mixed dims) rather than abort. Binary inputs also drive the direct
+// Dataset parser (TryParseDatasetBinary), whose result must equal that
+// PointSet-then-TryFromPoints result: the same Status code and message, or
+// the same rows, norms and statistics.
 //
 // Build modes (CMakeLists.txt):
 //   * clang + DIVERSE_FUZZ_LIBFUZZER: -fsanitize=fuzzer,address — real
@@ -20,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -29,6 +33,36 @@
 #include "util/check.h"
 
 namespace {
+
+// The direct binary Dataset parser's oracle: `got` must equal `want`, the
+// result of the PointSet parse followed by Dataset::TryFromPoints.
+void CheckSameDataset(const diverse::StatusOr<diverse::Dataset>& got,
+                      const diverse::StatusOr<diverse::Dataset>& want) {
+  DIVERSE_CHECK(got.ok() == want.ok());
+  if (!want.ok()) {
+    DIVERSE_CHECK(got.status().code() == want.status().code());
+    DIVERSE_CHECK(got.status().message() == want.status().message());
+    return;
+  }
+  DIVERSE_CHECK_EQ(got->size(), want->size());
+  DIVERSE_CHECK_EQ(got->dim(), want->dim());
+  for (size_t i = 0; i < want->size(); ++i) {
+    DIVERSE_CHECK(got->RowEquals(i, want->point(i)));
+    // Bit equality; NaN norms (from NaN coordinates) compare by pattern.
+    const double a = got->norm(i), b = want->norm(i);
+    DIVERSE_CHECK(std::memcmp(&a, &b, sizeof(a)) == 0);
+  }
+  DIVERSE_CHECK_EQ(got->sparse_stats().rows, want->sparse_stats().rows);
+  DIVERSE_CHECK_EQ(got->sparse_stats().total_nnz,
+                   want->sparse_stats().total_nnz);
+  DIVERSE_CHECK_EQ(got->sparse_stats().max_nnz, want->sparse_stats().max_nnz);
+  const double min_a = got->screen_stats().min_positive_norm;
+  const double min_b = want->screen_stats().min_positive_norm;
+  const double max_a = got->screen_stats().max_norm;
+  const double max_b = want->screen_stats().max_norm;
+  DIVERSE_CHECK(std::memcmp(&min_a, &min_b, sizeof(min_a)) == 0);
+  DIVERSE_CHECK(std::memcmp(&max_a, &max_b, sizeof(max_a)) == 0);
+}
 
 void FuzzOne(const uint8_t* data, size_t size) {
   if (size == 0) return;
@@ -40,6 +74,10 @@ void FuzzOne(const uint8_t* data, size_t size) {
   if (!parsed.ok()) {
     // Rejected input must carry a diagnosis, never an OK code.
     DIVERSE_CHECK(!parsed.status().message().empty());
+    if (!text) {
+      CheckSameDataset(diverse::TryParseDatasetBinary(payload, "<fuzz>"),
+                       parsed.status());
+    }
     return;
   }
   // Accepted input: the canonical text round-trip must accept and preserve
@@ -53,6 +91,10 @@ void FuzzOne(const uint8_t* data, size_t size) {
   const size_t n = parsed->size();
   diverse::StatusOr<diverse::Dataset> dataset =
       diverse::Dataset::TryFromPoints(std::move(*parsed));
+  if (!text) {
+    CheckSameDataset(diverse::TryParseDatasetBinary(payload, "<fuzz>"),
+                     dataset);
+  }
   if (dataset.ok()) {
     DIVERSE_CHECK_EQ(dataset->size(), n);
   } else {

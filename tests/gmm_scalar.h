@@ -1,4 +1,5 @@
-// Scalar reference GMM for equivalence tests and microbenchmarks.
+// Scalar reference GMM for equivalence tests and microbenchmarks, and the
+// farness of a selection.
 //
 // The classic farthest-first loop over Metric::Distance, with no Dataset,
 // batching, screening or threading. The production Gmm (core/gmm.h) must
@@ -7,6 +8,7 @@
 #ifndef DIVERSE_TESTS_GMM_SCALAR_H_
 #define DIVERSE_TESTS_GMM_SCALAR_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <span>
@@ -66,6 +68,23 @@ namespace diverse {
     current = farthest;
   }
   return result;
+}
+
+/// Farness rho_T = min_{c in T} d(c, T \ {c}) of the rows `subset` of
+/// `points` (the remote-edge value of the subset); 0 below two rows. Out
+/// of line for the same reason as GmmScalar.
+[[gnu::noinline]] inline double Farness(std::span<const Point> points,
+                                          const Metric& metric,
+                                          std::span<const size_t> subset) {
+  if (subset.size() < 2) return 0.0;
+  double best = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < subset.size(); ++i) {
+    for (size_t j = i + 1; j < subset.size(); ++j) {
+      best = std::min(best,
+                      metric.Distance(points[subset[i]], points[subset[j]]));
+    }
+  }
+  return best;
 }
 
 }  // namespace diverse

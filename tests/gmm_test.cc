@@ -269,6 +269,19 @@ std::vector<GmmCase> GmmCases() {
                    OneClusterPlusOutlier(120, /*seed=*/304), 10, 0});
   cases.push_back({"single-point", OneClusterPlusOutlier(1, /*seed=*/305), 1,
                    0});
+  // Inputs on both sides of GMM's skip: a uniform dim-32 cube (almost no
+  // row can be skipped), the paper's dim-3 planted sphere, and 64 tight
+  // dim-16 blobs (most rows skipped once every blob holds a center).
+  cases.push_back({"uniform-dim32", GenerateUniformCube(2000, 32, /*seed=*/306),
+                   40, 3});
+  SphereDatasetOptions sphere;
+  sphere.n = 3000;
+  sphere.k = 16;
+  sphere.seed = 307;
+  cases.push_back({"sphere-dim3", GenerateSphereDataset(sphere), 48, 11});
+  cases.push_back({"blobs64-dim16",
+                   GenerateGaussianBlobs(4000, 64, 16, 0.02, /*seed=*/308),
+                   96, 0});
   return cases;
 }
 
@@ -277,23 +290,30 @@ class GmmThreads : public ::testing::TestWithParam<size_t> {};
 INSTANTIATE_TEST_SUITE_P(Threads, GmmThreads, ::testing::Values(1, 2, 4));
 
 // The batched screened Gmm equals the scalar reference byte for byte, for
-// every built-in metric x layout x thread count, including layouts built to
-// stress ties (duplicates), degenerate radii and a single point.
+// every built-in metric x layout x thread count, with GMM's skip (indexing)
+// on and off, including layouts built to stress ties (duplicates),
+// degenerate radii and a single point.
 TEST_P(GmmThreads, BitIdenticalToScalar) {
   SetGlobalThreadPoolSize(GetParam());
   for (const GmmCase& c : GmmCases()) {
     Dataset data(c.pts);
     for (const std::string name : {"euclidean", "manhattan", "cosine",
                                    "jaccard"}) {
-      std::unique_ptr<Metric> metric = MakeMetricByName(name);
-      const std::string ctx = name + "/" + c.name;
-      GmmResult got = Gmm(data, *metric, c.k, c.first);
-      GmmResult want = GmmScalar(c.pts, *metric, c.k, c.first);
-      EXPECT_EQ(got.selected, want.selected) << ctx;
-      EXPECT_EQ(got.selection_distance, want.selection_distance) << ctx;
-      EXPECT_EQ(got.assignment, want.assignment) << ctx;
-      EXPECT_EQ(got.distance_to_selected, want.distance_to_selected) << ctx;
-      EXPECT_EQ(got.range, want.range) << ctx;
+      const GmmResult want =
+          GmmScalar(c.pts, *MakeMetricByName(name), c.k, c.first);
+      for (bool indexing : {true, false}) {
+        std::unique_ptr<Metric> metric =
+            MakeMetricByName(name, {.indexing = indexing});
+        const std::string ctx =
+            name + "/" + c.name + (indexing ? "/indexed" : "/flat");
+        GmmResult got = Gmm(data, *metric, c.k, c.first);
+        EXPECT_EQ(got.selected, want.selected) << ctx;
+        EXPECT_EQ(got.selection_distance, want.selection_distance) << ctx;
+        EXPECT_EQ(got.assignment, want.assignment) << ctx;
+        EXPECT_EQ(got.distance_to_selected, want.distance_to_selected)
+            << ctx;
+        EXPECT_EQ(got.range, want.range) << ctx;
+      }
     }
   }
   SetGlobalThreadPoolSize(1);

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -73,6 +74,67 @@ TEST(IoTextTest, MissingFileIsNotFound) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
+// TryLoadDatasetBinary parses straight into the columns; it must build
+// exactly what TryFromPoints(TryLoadPointsBinary) builds — rows, norms and
+// statistics — or fail with the same code and message.
+void ExpectDatasetLoadersAgree(const std::string& path) {
+  SCOPED_TRACE(path);
+  StatusOr<Dataset> got = TryLoadDatasetBinary(path);
+  StatusOr<PointSet> points = TryLoadPointsBinary(path);
+  StatusOr<Dataset> want =
+      points.ok() ? Dataset::TryFromPoints(*points) : points.status();
+  ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString() << " vs "
+                                 << want.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+    return;
+  }
+  ASSERT_EQ(got->size(), want->size());
+  EXPECT_EQ(got->dim(), want->dim());
+  for (size_t i = 0; i < want->size(); ++i) {
+    EXPECT_TRUE(got->RowEquals(i, want->point(i))) << "row " << i;
+    EXPECT_EQ(got->norm(i), want->norm(i)) << "row " << i;
+  }
+  EXPECT_EQ(got->sparse_stats().rows, want->sparse_stats().rows);
+  EXPECT_EQ(got->sparse_stats().total_nnz, want->sparse_stats().total_nnz);
+  EXPECT_EQ(got->sparse_stats().max_nnz, want->sparse_stats().max_nnz);
+  EXPECT_EQ(got->screen_stats().min_positive_norm,
+            want->screen_stats().min_positive_norm);
+  EXPECT_EQ(got->screen_stats().max_norm, want->screen_stats().max_norm);
+  EXPECT_EQ(got->has_dense_rows(), want->has_dense_rows());
+  EXPECT_EQ(got->MemoryBytes(), want->MemoryBytes());
+}
+
+TEST(IoBinaryTest, DatasetLoaderMatchesPointsPathOnValidFiles) {
+  SparseTextOptions opts;
+  opts.n = 40;
+  opts.vocab_size = 60;
+  opts.min_terms = 1;
+  opts.max_terms = 9;
+  opts.seed = 7;
+  PointSet sparse = GenerateSparseTextDataset(opts);
+  sparse.push_back(Point::Sparse({}, {}, 60));  // empty support
+  PointSet mixed = GenerateUniformCube(15, 60, /*seed=*/8);
+  mixed.insert(mixed.begin() + 5, sparse.begin(), sparse.begin() + 20);
+  mixed.push_back(sparse.back());
+  const std::pair<const char*, PointSet> files[] = {
+      {"ds-dense.bin", GenerateUniformCube(33, 7, /*seed=*/9)},
+      {"ds-sparse.bin", sparse},
+      {"ds-mixed.bin", mixed},
+      {"ds-empty.bin", {}},
+  };
+  for (const auto& [name, pts] : files) {
+    const std::string path = TempPath(name);
+    ASSERT_TRUE(SavePointsBinary(pts, path));
+    ExpectDatasetLoadersAgree(path);
+    StatusOr<Dataset> ds = TryLoadDatasetBinary(path);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    EXPECT_EQ(ds->size(), pts.size());
+    std::remove(path.c_str());
+  }
+}
+
 TEST(IoBinaryTest, FileRoundTripMixed) {
   PointSet pts = MixedPoints();
   std::string path = TempPath("points.bin");
@@ -107,6 +169,7 @@ TEST(IoBinaryTest, BadMagicRejected) {
   StatusOr<PointSet> loaded = TryLoadPointsBinary(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  ExpectDatasetLoadersAgree(path);
   std::remove(path.c_str());
 }
 
@@ -126,6 +189,7 @@ TEST(IoBinaryTest, TruncatedFileRejected) {
   StatusOr<PointSet> loaded = TryLoadPointsBinary(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  ExpectDatasetLoadersAgree(path);
   std::remove(path.c_str());
 }
 
@@ -159,6 +223,7 @@ TEST(IoStatusTest, MissingFileIsNotFound) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
   StatusOr<PointSet> t = TryLoadPointsText(TempPath("does-not-exist.txt"));
   EXPECT_EQ(t.status().code(), StatusCode::kNotFound);
+  ExpectDatasetLoadersAgree(TempPath("does-not-exist.bin"));
 }
 
 TEST(IoStatusTest, TruncatedHeaderIsDataLoss) {
@@ -167,6 +232,7 @@ TEST(IoStatusTest, TruncatedHeaderIsDataLoss) {
   StatusOr<PointSet> r = TryLoadPointsBinary(path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+  ExpectDatasetLoadersAgree(path);
   std::remove(path.c_str());
 }
 
@@ -179,6 +245,7 @@ TEST(IoStatusTest, BadMagicIsInvalidArgumentWithHex) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("0xDEADBEEF"), std::string::npos)
       << r.status().message();
+  ExpectDatasetLoadersAgree(path);
   std::remove(path.c_str());
 }
 
@@ -191,6 +258,7 @@ TEST(IoStatusTest, AbsurdRecordCountRejectedBeforeAllocation) {
   StatusOr<PointSet> r = TryLoadPointsBinary(path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  ExpectDatasetLoadersAgree(path);
   std::remove(path.c_str());
 }
 
@@ -203,6 +271,7 @@ TEST(IoStatusTest, TruncatedRecordIsDataLossNamingTheRecord) {
   // The count now exceeds what the payload can hold, or the read hits EOF;
   // either way the message names the file.
   EXPECT_NE(r.status().message().find("record.bin"), std::string::npos);
+  ExpectDatasetLoadersAgree(path);
   std::remove(path.c_str());
 }
 
@@ -215,6 +284,7 @@ TEST(IoStatusTest, UnknownTagIsInvalidArgument) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("record 0"), std::string::npos)
       << r.status().message();
+  ExpectDatasetLoadersAgree(path);
   std::remove(path.c_str());
 }
 
@@ -225,6 +295,7 @@ TEST(IoStatusTest, DenseNnzDimMismatchIsInvalidArgument) {
   StatusOr<PointSet> r = TryLoadPointsBinary(path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  ExpectDatasetLoadersAgree(path);
   std::remove(path.c_str());
 }
 
@@ -238,6 +309,7 @@ TEST(IoStatusTest, HugeNnzRejectedBeforeAllocation) {
   StatusOr<PointSet> r = TryLoadPointsBinary(path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+  ExpectDatasetLoadersAgree(path);
   std::remove(path.c_str());
 }
 
@@ -254,6 +326,7 @@ TEST(IoStatusTest, CorruptSparseRecordsRejected) {
     StatusOr<PointSet> r = TryLoadPointsBinary(path);
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    ExpectDatasetLoadersAgree(path);
     const uint32_t good_dim = 10;
     PatchFile(path, 13, &good_dim, sizeof(good_dim));
   }
@@ -265,6 +338,7 @@ TEST(IoStatusTest, CorruptSparseRecordsRejected) {
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(r.status().message().find("unsorted"), std::string::npos);
+    ExpectDatasetLoadersAgree(path);
     const uint32_t restore = 7;
     PatchFile(path, 21 + 4, &restore, sizeof(restore));
   }
@@ -276,6 +350,7 @@ TEST(IoStatusTest, CorruptSparseRecordsRejected) {
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(r.status().message().find("out of range"), std::string::npos);
+    ExpectDatasetLoadersAgree(path);
   }
   std::remove(path.c_str());
 }
@@ -337,6 +412,7 @@ TEST(IoStatusTest, MixedDimDatasetLoadIsInvalidArgument) {
   EXPECT_NE(from_bin.status().message().find("point 1 has dim 4"),
             std::string::npos)
       << from_bin.status().message();
+  ExpectDatasetLoadersAgree(bin);
   std::remove(bin.c_str());
 
   std::string txt = TempPath("mixed-dim.txt");
@@ -352,6 +428,24 @@ TEST(IoStatusTest, MixedDimDatasetLoadIsInvalidArgument) {
             std::string::npos)
       << from_txt.status().message();
   std::remove(txt.c_str());
+}
+
+// A malformed record anywhere wins over a dim mismatch before it: the
+// PointSet parse fails first, so TryFromPoints never sees the mismatch.
+TEST(IoStatusTest, DimMismatchThenTruncatedRecordIsDataLoss) {
+  std::string path = TempPath("mixed-dim-truncated.bin");
+  ASSERT_TRUE(SavePointsBinary({Point::Dense3(1, 2, 3),
+                                Point::Dense({1, 2, 3, 4}),
+                                Point::Dense3(4, 5, 6)},
+                               path));
+  // Header 12 bytes, records of 21 and 25 bytes; cut inside the third.
+  ASSERT_EQ(truncate(path.c_str(), 12 + 21 + 25 + 5), 0);
+  StatusOr<Dataset> r = TryLoadDatasetBinary(path);
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(r.status().message().find("record 2"), std::string::npos)
+      << r.status().message();
+  ExpectDatasetLoadersAgree(path);
+  std::remove(path.c_str());
 }
 
 // A zero-byte read of an empty view (whose data pointer is null) must not

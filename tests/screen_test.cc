@@ -383,21 +383,33 @@ TEST(ScreenTest, ScreenedCountsDeterministicAcrossThreadCounts) {
   // dim >= 8 so the single-query work gate keeps the sweeps screened.
   PointSet pts = DensePoints(700, 8, /*seed=*/210);
   Dataset data(pts);
-  EuclideanMetric base;
-  uint64_t exact_ref = 0, screened_ref = 0;
-  for (size_t threads : {1u, 2u, 8u}) {
-    SetGlobalThreadPoolSize(threads);
-    CountingMetric counting(&base);
-    GmmResult r = Gmm(data, counting, 24);
-    ASSERT_EQ(r.selected.size(), 24u);
-    if (threads == 1) {
-      exact_ref = counting.exact_evals();
-      screened_ref = counting.screened_evals();
-      EXPECT_EQ(screened_ref, 24u * pts.size());
-      EXPECT_LE(exact_ref, 24u * pts.size());
-    } else {
-      EXPECT_EQ(counting.exact_evals(), exact_ref) << threads;
-      EXPECT_EQ(counting.screened_evals(), screened_ref) << threads;
+  const size_t k = 24;
+  const size_t n = pts.size();
+  // Flat sweeps (indexing off) screen every one of the k * n positions;
+  // GMM's skip (indexing on) screens at most that many plus the k(k-1)/2
+  // center-to-center distances, and pays at most k * n + k(k-1)/2 exact.
+  for (bool indexing : {false, true}) {
+    EuclideanMetric base({.indexing = indexing});
+    uint64_t exact_ref = 0, screened_ref = 0;
+    for (size_t threads : {1u, 2u, 8u}) {
+      SetGlobalThreadPoolSize(threads);
+      CountingMetric counting(&base);
+      GmmResult r = Gmm(data, counting, k);
+      ASSERT_EQ(r.selected.size(), k);
+      if (threads == 1) {
+        exact_ref = counting.exact_evals();
+        screened_ref = counting.screened_evals();
+        if (indexing) {
+          EXPECT_LE(screened_ref, k * n + k * (k - 1) / 2);
+          EXPECT_LE(exact_ref, k * n + k * (k - 1) / 2);
+        } else {
+          EXPECT_EQ(screened_ref, k * n);
+          EXPECT_LE(exact_ref, k * n);
+        }
+      } else {
+        EXPECT_EQ(counting.exact_evals(), exact_ref) << threads;
+        EXPECT_EQ(counting.screened_evals(), screened_ref) << threads;
+      }
     }
   }
   SetGlobalThreadPoolSize(1);
@@ -438,24 +450,39 @@ TEST(ScreenTest, FusedSmmSweepsScreenAtLowDimension) {
 // The metric's screening policy: screening off means zero fp32 evaluations;
 // results agree bit for bit either way.
 TEST(ScreenTest, ToggleDisablesScreeningEntirely) {
+  // With indexing off GMM pays exactly k * n exact evaluations; GMM's skip
+  // (indexing on) pays at most that plus the k(k-1)/2 center-to-center
+  // ones. Neither screens anything.
+  const size_t k = 8;
   PointSet pts = DensePoints(300, 8, /*seed=*/211);
   Dataset data(pts);
-  EuclideanMetric base({.screening = false});
-  {
-    CountingMetric counting(&base);
-    Gmm(data, counting, 8);
-    EXPECT_EQ(counting.screened_evals(), 0u);
-    EXPECT_EQ(counting.exact_evals(), 8u * pts.size());
-  }
-  // Jaccard never screens (ScreeningProfitableFor false), even when
-  // enabled.
-  {
-    JaccardMetric jaccard;
-    CountingMetric counting(&jaccard);
-    Dataset sparse(SparsePoints(150, /*seed=*/212));
-    Gmm(sparse, counting, 8);
-    EXPECT_EQ(counting.screened_evals(), 0u);
-    EXPECT_EQ(counting.exact_evals(), 8u * sparse.size());
+  Dataset sparse(SparsePoints(150, /*seed=*/212));
+  for (bool indexing : {false, true}) {
+    {
+      EuclideanMetric base({.screening = false, .indexing = indexing});
+      CountingMetric counting(&base);
+      Gmm(data, counting, k);
+      EXPECT_EQ(counting.screened_evals(), 0u);
+      if (indexing) {
+        EXPECT_LE(counting.exact_evals(), k * pts.size() + k * (k - 1) / 2);
+      } else {
+        EXPECT_EQ(counting.exact_evals(), k * pts.size());
+      }
+    }
+    // Jaccard never screens (ScreeningProfitableFor false), even when
+    // enabled.
+    {
+      JaccardMetric jaccard({.indexing = indexing});
+      CountingMetric counting(&jaccard);
+      Gmm(sparse, counting, k);
+      EXPECT_EQ(counting.screened_evals(), 0u);
+      if (indexing) {
+        EXPECT_LE(counting.exact_evals(),
+                  k * sparse.size() + k * (k - 1) / 2);
+      } else {
+        EXPECT_EQ(counting.exact_evals(), k * sparse.size());
+      }
+    }
   }
 }
 

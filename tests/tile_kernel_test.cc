@@ -8,6 +8,8 @@
 //   * odd tile edges: Q and R not multiples of the lane width, nonzero
 //     offsets, strided output;
 //   * CountingMetric adds exactly nq * nr per tile;
+//   * the indexed kernels (Metric::DistanceRowsManyF32 / DistanceRowsMany)
+//     equal the one-query sweeps bit for bit on scattered rows;
 //   * the sparse query-block decode cache serves a second equal row range
 //     of one query block without re-decoding;
 //   * the tiled DistanceMatrix build matches the scalar per-pair build and
@@ -21,7 +23,9 @@
 //     clustered, uniform, all-duplicate, hub, sparse and L1 inputs, and
 //     never pays more evaluations than the exhaustive scan where it prunes.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -134,6 +138,52 @@ TEST(TileKernelTest, TileMatchesPerQuerySweepsAllMetricsAllLayouts) {
           ExpectTileEntry(tile[q * nr + r], ref[r_begin + r], dense_pair,
                           metric->Name() + "/" + layout.name + " q=" +
                               std::to_string(q) + " r=" + std::to_string(r));
+        }
+      }
+    }
+  }
+}
+
+// The indexed kernels of the relax sweep equal the one-query sweeps bit for
+// bit — DistanceRowsManyF32 the fp32 one, DistanceRowsMany the exact one:
+// every metric and layout, dense dims on both sides of the 16-coordinate
+// SIMD cut of the direct dense path, and an odd count of scattered rows
+// with a repeat. CountingMetric counts each row of the fp32 kernel as one
+// screened evaluation.
+TEST(TileKernelTest, RowsManyMatchesToManyAllMetricsAllLayouts) {
+  std::vector<NamedLayout> layouts = AllLayouts();
+  layouts.push_back({"dense-dim16", DensePoints(83, 16, /*seed=*/108)});
+  layouts.push_back({"dense-dim21", DensePoints(83, 21, /*seed=*/109)});
+  for (const NamedLayout& layout : layouts) {
+    Dataset data(layout.pts);
+    const size_t n = data.size();
+    std::vector<uint32_t> rows;
+    for (size_t t = 0; t < 37; ++t) {
+      rows.push_back(static_cast<uint32_t>((7 * t + 3) % n));
+    }
+    rows.push_back(rows[4]);
+    for (const auto& metric : AllMetrics()) {
+      for (size_t q : {size_t{0}, size_t{5}, n - 1}) {
+        const std::string ctx = metric->Name() + "/" + layout.name +
+                                " q=" + std::to_string(q);
+        std::vector<float> want(n);
+        metric->DistanceToManyF32(data.point(q), data, 0, want);
+        CountingMetric counting(metric.get());
+        std::vector<float> got(rows.size(), -1.0f);
+        counting.DistanceRowsManyF32(data, q, data, rows, got.data());
+        EXPECT_EQ(counting.screened_evals(), rows.size()) << ctx;
+        EXPECT_EQ(counting.exact_evals(), 0u) << ctx;
+        std::vector<double> want_exact(n);
+        metric->DistanceToMany(data.point(q), data, 0, want_exact);
+        std::vector<double> got_exact(rows.size(), -1.0);
+        metric->DistanceRowsMany(data, q, data, rows, got_exact.data());
+        for (size_t t = 0; t < rows.size(); ++t) {
+          EXPECT_EQ(std::bit_cast<uint32_t>(got[t]),
+                    std::bit_cast<uint32_t>(want[rows[t]]))
+              << ctx << " row " << rows[t];
+          EXPECT_EQ(std::bit_cast<uint64_t>(got_exact[t]),
+                    std::bit_cast<uint64_t>(want_exact[rows[t]]))
+              << ctx << " exact row " << rows[t];
         }
       }
     }

@@ -22,9 +22,12 @@ rules:
                       (Placement new into preallocated storage is allowed.)
   tile-test-coverage  Every built-in metric (each `using X =
                       KernelMetric<...>` alias) and every other class
-                      overriding Metric::DistanceTile* must be exercised by
-                      tests/tile_kernel_test.cc — a tile kernel that skips
-                      the tile<->scalar equivalence matrix is unverified.
+                      overriding Metric::DistanceTile* or
+                      Metric::DistanceRowsManyF32 must be exercised by
+                      tests/tile_kernel_test.cc, and DistanceTile and
+                      DistanceRowsManyF32, where some class overrides them,
+                      must be called there — a kernel that skips the
+                      equivalence matrix is unverified.
   statusor-value-guard  `.value()` on a StatusOr/optional requires a
                       visible guard (`ok()` / `has_value()` check or the
                       DIVERSE_ASSIGN_OR_RETURN macro) within the preceding
@@ -221,17 +224,20 @@ def check_mutable_global(path, stmt, stmt_lines):
 
 
 def lint_tile_coverage():
-    """Every Metric with DistanceTile* kernels must appear in the tile
-    equivalence test matrix: each alias of the built-in KernelMetric
-    template (the template's kernels run once per kernel trait), and every
-    other class that overrides a DistanceTile* kernel."""
+    """Every Metric with DistanceTile* or DistanceRowsManyF32 kernels must
+    appear in the equivalence test matrix: each alias of the built-in
+    KernelMetric template (the template's kernels run once per kernel
+    trait), and every other class that overrides one of those kernels.
+    DistanceTile and DistanceRowsManyF32 overrides must also be called by
+    the matrix."""
     tile_test = (REPO / "tests" / "tile_kernel_test.cc").read_text(
         encoding="utf-8", errors="replace")
 
     def in_matrix(name):
         return re.search(rf"\b{name}\b", tile_test) is not None
 
-    override_re = re.compile(r"\bDistanceTile\w*\s*\(")
+    override_re = re.compile(r"\b(DistanceTile\w*|DistanceRowsManyF32)\s*\(")
+    overridden = set()
     class_re = re.compile(r"^\s*class\s+(\w+)[^;]*$")
     alias_re = re.compile(r"^\s*using\s+(\w+)\s*=\s*KernelMetric\s*<")
     for path in sorted(SRC.rglob("*.h")):
@@ -244,6 +250,7 @@ def lint_tile_coverage():
         current_class = None
         brace_depth = 0
         class_depth = None
+        pending = None
         for _, code, _full in code_lines(path):
             m = class_re.match(code)
             if m and "{" in code:
@@ -256,15 +263,35 @@ def lint_tile_coverage():
             if current_class and brace_depth <= (class_depth or 0) \
                     and "}" in code and ";" in code:
                 current_class = None
+            # A declaration may span lines: the kernel's name opens it and
+            # `override` may come on any line up to its `;` or `{`.
+            m = override_re.search(code)
+            if current_class and m:
+                pending = m.group(1)
+            if not current_class or not pending:
+                continue
+            if "override" not in code:
+                if ";" in code or "{" in code:
+                    pending = None
+                continue
+            overridden.add(pending)
             # KernelMetric itself is covered through its aliases above.
-            if current_class and current_class != "KernelMetric" \
-                    and override_re.search(code) and "override" in code:
-                if not in_matrix(current_class):
-                    finding("tile-test-coverage", path, 0,
-                            f"{current_class} overrides a DistanceTile* "
-                            "kernel but never appears in "
-                            "tests/tile_kernel_test.cc")
-                    current_class = None  # one finding per class
+            if current_class != "KernelMetric" \
+                    and not in_matrix(current_class):
+                finding("tile-test-coverage", path, 0,
+                        f"{current_class} overrides {pending} but never "
+                        "appears in tests/tile_kernel_test.cc")
+                current_class = None  # one finding per class
+            pending = None
+    # The kernels the matrix compares against a reference; DistanceTileF32
+    # is checked against its certified bound in tests/screen_test.cc.
+    for kernel in ("DistanceTile", "DistanceRowsManyF32"):
+        if kernel in overridden and \
+                not re.search(rf"\b{kernel}\s*\(", tile_test):
+            finding("tile-test-coverage", REPO / "tests" /
+                    "tile_kernel_test.cc", 0,
+                    f"{kernel} is overridden in src/ but never called by "
+                    "the equivalence matrix")
 
 
 def main():
