@@ -1,7 +1,6 @@
 #include "api/solve.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "core/sequential.h"
@@ -106,13 +105,10 @@ Status ValidateSolveInput(const Dataset& data, const SolveOptions& o) {
         "injective-proxy problems; '" +
         ProblemName(o.problem) + "' is not one");
   }
-  for (size_t i = 0; i < data.size(); ++i) {
-    const kernels::VecView v = data.row(i);
-    if (!std::all_of(v.values, v.values + v.nnz,
-                     [](float x) { return std::isfinite(x); })) {
-      return InvalidArgumentError("input point " + std::to_string(i) +
-                                  " has a non-finite (NaN/inf) coordinate");
-    }
+  const size_t bad = FirstNonFiniteRow(data);
+  if (bad < data.size()) {
+    return InvalidArgumentError("input point " + std::to_string(bad) +
+                                " has a non-finite (NaN/inf) coordinate");
   }
   return OkStatus();
 }

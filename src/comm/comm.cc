@@ -2,48 +2,41 @@
 
 #include <algorithm>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "core/coreset.h"
 #include "core/sequential.h"
-#include "util/thread_annotations.h"
 
 namespace diverse {
 
-PointSet ComputeCoreset(const PointSet& part, const Metric& metric,
-                        const CoresetSpec& spec, Dataset* scratch) {
+PointSet ComputeCoreset(const Dataset& part, const Metric& metric,
+                        const CoresetSpec& spec) {
   if (part.empty()) return {};
-  scratch->Assign(part);
   const std::vector<size_t> ids =
-      spec.extended
-          ? GmmExtCoreset(*scratch, metric, spec.k_prime, spec.delegates)
-          : GmmCoreset(*scratch, metric, spec.k_prime);
+      spec.extended ? GmmExtCoreset(part, metric, spec.k_prime, spec.delegates)
+                    : GmmCoreset(part, metric, spec.k_prime);
   PointSet out;
   out.reserve(ids.size());
-  for (size_t id : ids) out.push_back(scratch->point(id));
+  for (size_t id : ids) out.push_back(part.point(id));
   return out;
 }
 
-GenCoresetResult ComputeGenCoreset(const PointSet& part, const Metric& metric,
-                                   size_t k, size_t k_prime,
-                                   Dataset* scratch) {
+GenCoresetResult ComputeGenCoreset(const Dataset& part, const Metric& metric,
+                                   size_t k, size_t k_prime) {
   GenCoresetResult result;
-  scratch->Assign(part);
-  result.gen = GmmGenCoreset(*scratch, metric, k, k_prime, &result.range);
+  result.gen = GmmGenCoreset(part, metric, k, k_prime, &result.range);
   return result;
 }
 
-PointSet ComputeSolve(const PointSet& aggregate, DiversityProblem problem,
-                      const Metric& metric, size_t k, Dataset* scratch) {
+PointSet ComputeSolve(const Dataset& aggregate, DiversityProblem problem,
+                      const Metric& metric, size_t k) {
   const size_t effective_k = std::min(k, aggregate.size());
   PointSet sol;
   if (effective_k == 0) return sol;
-  scratch->Assign(aggregate);
   std::vector<size_t> picked =
-      SolveSequential(problem, *scratch, metric, effective_k);
+      SolveSequential(problem, aggregate, metric, effective_k);
   sol.reserve(picked.size());
-  for (size_t idx : picked) sol.push_back(aggregate[idx]);
+  for (size_t idx : picked) sol.push_back(aggregate.point(idx));
   return sol;
 }
 
@@ -57,12 +50,10 @@ GeneralizedCoreset ComputeGenSolve(const GeneralizedCoreset& merged,
 
 StatusOr<PointSet> ComputeInstantiate(const TaskEnvelope& env,
                                       const GeneralizedCoreset& selected,
-                                      const PointSet& part,
-                                      const Metric& metric, double range,
-                                      Dataset* scratch) {
-  scratch->Assign(part);
+                                      const Dataset& part,
+                                      const Metric& metric, double range) {
   std::optional<std::vector<size_t>> ids =
-      Instantiate(selected, *scratch, metric, range);
+      Instantiate(selected, part, metric, range);
   if (!ids.has_value()) {
     return FailedPreconditionError(
         "instantiation could not supply enough delegates (round '" +
@@ -70,37 +61,12 @@ StatusOr<PointSet> ComputeInstantiate(const TaskEnvelope& env,
   }
   PointSet out;
   out.reserve(ids->size());
-  for (size_t id : *ids) out.push_back(part[id]);
+  for (size_t id : *ids) out.push_back(part.point(id));
   return out;
 }
 
-// A free-list of scratch Datasets: each call acquires one, Assign()s its
-// input into it (reusing columnar capacity from earlier calls) and releases
-// it, so at most one scratch exists per concurrently running reducer.
-struct LoopbackEngine::ScratchPool {
-  Dataset Acquire() DIVERSE_EXCLUDES(mu) {
-    MutexLock lock(&mu);
-    if (free.empty()) return Dataset();
-    Dataset d = std::move(free.back());
-    free.pop_back();
-    return d;
-  }
-
-  void Release(Dataset d) DIVERSE_EXCLUDES(mu) {
-    d.Clear();
-    MutexLock lock(&mu);
-    free.push_back(std::move(d));
-  }
-
-  Mutex mu;
-  std::vector<Dataset> free DIVERSE_GUARDED_BY(mu);
-};
-
 LoopbackEngine::LoopbackEngine(const Metric* metric, DiversityProblem problem)
-    : metric_(metric), problem_(problem),
-      scratch_(std::make_unique<ScratchPool>()) {}
-
-LoopbackEngine::~LoopbackEngine() = default;
+    : metric_(metric), problem_(problem) {}
 
 Status LoopbackEngine::ApplyTransportFault(const TaskEnvelope& env) const {
   auto at = [&env]() {
@@ -136,24 +102,29 @@ Status LoopbackEngine::ApplyTransportFault(const TaskEnvelope& env) const {
 StatusOr<PointSet> LoopbackEngine::Coreset(const TaskEnvelope& env,
                                            const PointSet& part,
                                            const CoresetSpec& spec) {
+  DIVERSE_ASSIGN_OR_RETURN(Dataset rows, Dataset::TryFromPoints(part));
+  return CoresetRows(env, rows, spec);
+}
+
+StatusOr<PointSet> LoopbackEngine::CoresetRows(const TaskEnvelope& env,
+                                               const Dataset& part,
+                                               const CoresetSpec& spec) {
   DIVERSE_RETURN_IF_ERROR(ApplyTransportFault(env));
-  if (part.empty()) return PointSet{};
-  Dataset scratch = scratch_->Acquire();
-  PointSet cs = ComputeCoreset(part, *metric_, spec, &scratch);
-  scratch_->Release(std::move(scratch));
-  return cs;
+  return ComputeCoreset(part, *metric_, spec);
 }
 
 StatusOr<GenCoresetResult> LoopbackEngine::GenCoreset(const TaskEnvelope& env,
                                                       const PointSet& part,
                                                       size_t k,
                                                       size_t k_prime) {
+  DIVERSE_ASSIGN_OR_RETURN(Dataset rows, Dataset::TryFromPoints(part));
+  return GenCoresetRows(env, rows, k, k_prime);
+}
+
+StatusOr<GenCoresetResult> LoopbackEngine::GenCoresetRows(
+    const TaskEnvelope& env, const Dataset& part, size_t k, size_t k_prime) {
   DIVERSE_RETURN_IF_ERROR(ApplyTransportFault(env));
-  Dataset scratch = scratch_->Acquire();
-  GenCoresetResult result =
-      ComputeGenCoreset(part, *metric_, k, k_prime, &scratch);
-  scratch_->Release(std::move(scratch));
-  return result;
+  return ComputeGenCoreset(part, *metric_, k, k_prime);
 }
 
 StatusOr<PointSet> LoopbackEngine::MergeCoresets(const TaskEnvelope& env,
@@ -171,10 +142,8 @@ StatusOr<PointSet> LoopbackEngine::Solve(const TaskEnvelope& env,
                                          const PointSet& aggregate,
                                          size_t k) {
   DIVERSE_RETURN_IF_ERROR(ApplyTransportFault(env));
-  Dataset scratch = scratch_->Acquire();
-  PointSet sol = ComputeSolve(aggregate, problem_, *metric_, k, &scratch);
-  scratch_->Release(std::move(scratch));
-  return sol;
+  DIVERSE_ASSIGN_OR_RETURN(Dataset rows, Dataset::TryFromPoints(aggregate));
+  return ComputeSolve(rows, problem_, *metric_, k);
 }
 
 StatusOr<GeneralizedCoreset> LoopbackEngine::GenSolve(
@@ -186,12 +155,15 @@ StatusOr<GeneralizedCoreset> LoopbackEngine::GenSolve(
 StatusOr<PointSet> LoopbackEngine::Instantiate(
     const TaskEnvelope& env, const GeneralizedCoreset& selected,
     const PointSet& part, double range) {
+  DIVERSE_ASSIGN_OR_RETURN(Dataset rows, Dataset::TryFromPoints(part));
+  return InstantiateRows(env, selected, rows, range);
+}
+
+StatusOr<PointSet> LoopbackEngine::InstantiateRows(
+    const TaskEnvelope& env, const GeneralizedCoreset& selected,
+    const Dataset& part, double range) {
   DIVERSE_RETURN_IF_ERROR(ApplyTransportFault(env));
-  Dataset scratch = scratch_->Acquire();
-  StatusOr<PointSet> inst =
-      ComputeInstantiate(env, selected, part, *metric_, range, &scratch);
-  scratch_->Release(std::move(scratch));
-  return inst;
+  return ComputeInstantiate(env, selected, part, *metric_, range);
 }
 
 }  // namespace diverse

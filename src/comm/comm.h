@@ -23,13 +23,19 @@
 // LoopbackEngine and the worker process (comm/worker_core.cc) so the
 // remote path runs literally the same code — the fault-free
 // "distributed == in-process" bit-identity tests rest on that.
+//
+// Partitions cross this boundary as Datasets: the drivers gather each
+// attempt's rows into one (Dataset::AssignGatherColumnar) and call the
+// *Rows methods; loopback computes on those rows directly, and the socket
+// engine writes them to the wire from row views, where the worker decodes
+// them straight back into a Dataset. Outputs — core-sets, solutions,
+// instantiations — and the MergeCoresets/Solve aggregates stay PointSets.
 
 #ifndef DIVERSE_COMM_COMM_H_
 #define DIVERSE_COMM_COMM_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "core/dataset.h"
@@ -101,6 +107,36 @@ class CommunicationEngine {
                                                 const PointSet& part,
                                                 size_t k, size_t k_prime) = 0;
 
+  /// The partition calls the drivers make: Coreset, GenCoreset and
+  /// Instantiate on the partition's rows. The base versions convert `part`
+  /// to a PointSet and call the PointSet method. That adapter exists only
+  /// for decorators that override just the PointSet methods (perfbench's
+  /// TracingEngine), which keep compiling and seeing every call; the
+  /// engines here override these and adapt the other way.
+  virtual StatusOr<PointSet> CoresetRows(const TaskEnvelope& env,
+                                         const Dataset& part,
+                                         const CoresetSpec& spec) {
+    return Coreset(env,
+                   part.points(),  // lint: allow(no-dataset-points-in-src)
+                   spec);
+  }
+  virtual StatusOr<GenCoresetResult> GenCoresetRows(const TaskEnvelope& env,
+                                                    const Dataset& part,
+                                                    size_t k,
+                                                    size_t k_prime) {
+    return GenCoreset(env,
+                      part.points(),  // lint: allow(no-dataset-points-in-src)
+                      k, k_prime);
+  }
+  virtual StatusOr<PointSet> InstantiateRows(
+      const TaskEnvelope& env, const GeneralizedCoreset& selected,
+      const Dataset& part, double range) {
+    return Instantiate(
+        env, selected,
+        part.points(),  // lint: allow(no-dataset-points-in-src)
+        range);
+  }
+
   /// One tree-reduction node: the concatenation a ++ b, order preserved.
   /// Associative with the identity [], so any reduction tree over the
   /// per-partition core-sets yields the same final union as a single
@@ -130,18 +166,18 @@ class CommunicationEngine {
 
 // ---- Pure compute cores (shared by loopback and the worker process) ----
 
-/// Core-set of a partition per `spec`. `scratch` is the reducer's columnar
-/// scratch (capacity reused across calls); cleared by the caller's pool.
-PointSet ComputeCoreset(const PointSet& part, const Metric& metric,
-                        const CoresetSpec& spec, Dataset* scratch);
+/// Core-set of a partition per `spec`, as points built from its rows.
+PointSet ComputeCoreset(const Dataset& part, const Metric& metric,
+                        const CoresetSpec& spec);
 
 /// GMM-GEN on a partition. Requires a non-empty partition.
-GenCoresetResult ComputeGenCoreset(const PointSet& part, const Metric& metric,
-                                   size_t k, size_t k_prime, Dataset* scratch);
+GenCoresetResult ComputeGenCoreset(const Dataset& part, const Metric& metric,
+                                   size_t k, size_t k_prime);
 
-/// SolveSequential over `aggregate`: the min(k, |aggregate|) picked points.
-PointSet ComputeSolve(const PointSet& aggregate, DiversityProblem problem,
-                      const Metric& metric, size_t k, Dataset* scratch);
+/// SolveSequential over `aggregate`: the min(k, |aggregate|) picked rows,
+/// as points.
+PointSet ComputeSolve(const Dataset& aggregate, DiversityProblem problem,
+                      const Metric& metric, size_t k);
 
 /// SolveSequentialGeneralized over `merged` with target expanded size
 /// min(k, m(merged)).
@@ -153,18 +189,17 @@ GeneralizedCoreset ComputeGenSolve(const GeneralizedCoreset& merged,
 /// env.round/env.task) when the partition cannot supply enough delegates.
 StatusOr<PointSet> ComputeInstantiate(const TaskEnvelope& env,
                                       const GeneralizedCoreset& selected,
-                                      const PointSet& part,
-                                      const Metric& metric, double range,
-                                      Dataset* scratch);
+                                      const Dataset& part,
+                                      const Metric& metric, double range);
 
-/// The in-process engine: runs every call directly on the driver's metric.
-/// Thread-safe; owns a scratch-Dataset pool so concurrent reducers reuse
-/// columnar capacity exactly as the pre-engine simulator did.
+/// The in-process engine: runs every call directly on the driver's metric,
+/// on the rows the driver passes. Thread-safe and stateless. Its PointSet
+/// methods lay their input out as a Dataset first (kInvalidArgument when
+/// the points disagree on dim, as in Dataset::TryFromPoints).
 class LoopbackEngine final : public CommunicationEngine {
  public:
   /// `metric` must outlive this engine.
   LoopbackEngine(const Metric* metric, DiversityProblem problem);
-  ~LoopbackEngine() override;
 
   std::string BackendName() const override { return "loopback"; }
 
@@ -183,10 +218,17 @@ class LoopbackEngine final : public CommunicationEngine {
   StatusOr<PointSet> Instantiate(const TaskEnvelope& env,
                                  const GeneralizedCoreset& selected,
                                  const PointSet& part, double range) override;
+  StatusOr<PointSet> CoresetRows(const TaskEnvelope& env, const Dataset& part,
+                                 const CoresetSpec& spec) override;
+  StatusOr<GenCoresetResult> GenCoresetRows(const TaskEnvelope& env,
+                                            const Dataset& part, size_t k,
+                                            size_t k_prime) override;
+  StatusOr<PointSet> InstantiateRows(const TaskEnvelope& env,
+                                     const GeneralizedCoreset& selected,
+                                     const Dataset& part,
+                                     double range) override;
 
  private:
-  struct ScratchPool;
-
   // Simulates the Status outcome of the transport fault in `env` — the
   // same error code the socket transport surfaces after inflicting the
   // real failure. OK when env carries no transport fault.
@@ -194,7 +236,6 @@ class LoopbackEngine final : public CommunicationEngine {
 
   const Metric* metric_;
   DiversityProblem problem_;
-  std::unique_ptr<ScratchPool> scratch_;
 };
 
 }  // namespace diverse

@@ -54,7 +54,7 @@ constexpr uint8_t kFlagCacheInsert = 0x02;
 constexpr uint8_t kKnownRequestFlags = kFlagPointsByRef | kFlagCacheInsert;
 
 // splitmix64-style word mixer: 3 multiplies per 8-byte lane keeps
-// FingerprintPoints far cheaper than serializing the same bytes, which is
+// FingerprintRows far cheaper than serializing the same bytes, which is
 // what makes the warm-cache ship path a win and not a wash.
 uint64_t MixWord(uint64_t h, uint64_t w) {
   uint64_t x = h ^ (w + 0x9E3779B97F4A7C15ULL);
@@ -82,38 +82,31 @@ uint64_t MixBytes(uint64_t h, const void* data, size_t bytes) {
 
 }  // namespace
 
-uint64_t FingerprintPoints(const PointSet& points) {
-  uint64_t h = MixWord(0xD1BE45E5EED5EEDULL, points.size());
-  for (const Point& p : points) {
-    const uint64_t header = (uint64_t{p.is_sparse() ? 1u : 0u} << 48) ^
-                            (uint64_t{static_cast<uint32_t>(p.dim())} << 16) ^
-                            uint64_t{static_cast<uint32_t>(p.nnz())};
+uint64_t FingerprintRows(const Dataset& rows) {
+  uint64_t h = MixWord(0xD1BE45E5EED5EEDULL, rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const kernels::VecView v = rows.row(i);
+    const uint64_t header = (uint64_t{v.sparse ? 1u : 0u} << 48) ^
+                            (uint64_t{static_cast<uint32_t>(v.dim)} << 16) ^
+                            uint64_t{static_cast<uint32_t>(v.nnz)};
     h = MixWord(h, header);
-    if (p.is_sparse()) {
-      const std::vector<uint32_t>& idx = p.sparse_indices();
-      const std::vector<float>& val = p.sparse_values();
-      h = MixBytes(h, idx.data(), idx.size() * sizeof(uint32_t));
-      h = MixBytes(h, val.data(), val.size() * sizeof(float));
-    } else {
-      const std::vector<float>& val = p.dense_values();
-      h = MixBytes(h, val.data(), val.size() * sizeof(float));
-    }
+    if (v.sparse) h = MixBytes(h, v.indices, v.nnz * sizeof(uint32_t));
+    h = MixBytes(h, v.values, v.nnz * sizeof(float));
   }
   // 0 is the "untagged" sentinel in WireRequest; remap the (2^-64) hit.
   return h == 0 ? 0x9E3779B97F4A7C15ULL : h;
 }
 
-size_t ApproxPointSetBytes(const PointSet& points) {
-  size_t bytes = sizeof(PointSet) + points.capacity() * sizeof(Point);
-  for (const Point& p : points) {
-    if (p.is_sparse()) {
-      bytes += p.sparse_indices().size() * sizeof(uint32_t) +
-               p.sparse_values().size() * sizeof(float);
-    } else {
-      bytes += p.dense_values().size() * sizeof(float);
-    }
-  }
-  return bytes;
+void AppendRows(const Dataset& rows, std::string* out) {
+  // Exact size: a 9-byte header per record, 4 bytes per dense value and 8
+  // per sparse (index, value) entry.
+  const Dataset::SparseStats& sparse = rows.sparse_stats();
+  out->reserve(out->size() + sizeof(uint64_t) +
+               rows.size() * kMinPointRecordBytes +
+               (rows.size() - sparse.rows) * rows.dim() * sizeof(float) +
+               sparse.total_nnz * (sizeof(uint32_t) + sizeof(float)));
+  AppendScalar<uint64_t>(rows.size(), out);
+  for (size_t i = 0; i < rows.size(); ++i) AppendRowRecord(rows, i, out);
 }
 
 void AppendPointSet(const PointSet& points, std::string* out) {
@@ -180,7 +173,7 @@ StatusOr<GeneralizedCoreset> TryReadGenCoreset(ByteReader* in,
 }
 
 std::string EncodeWireRequest(const WireRequest& request,
-                              const PointSet* points_override) {
+                              const Dataset* part_override) {
   std::string out;
   AppendScalar<uint8_t>(static_cast<uint8_t>(request.type), &out);
   AppendString(request.metric, &out);
@@ -201,9 +194,8 @@ std::string EncodeWireRequest(const WireRequest& request,
   AppendScalar<uint8_t>(flags, &out);
   AppendScalar<uint64_t>(request.evict_fingerprint, &out);
   if (!request.points_by_ref) {
-    AppendPointSet(points_override != nullptr ? *points_override
-                                              : request.points,
-                   &out);
+    AppendRows(part_override != nullptr ? *part_override : request.part,
+               &out);
   }
   AppendPointSet(request.points2, &out);
   AppendGenCoreset(request.gen, &out);
@@ -290,7 +282,6 @@ Status StreamingRequestDecoder::Advance(bool final) {
       case Stage::kPoints2: {
         const bool first = stage_ == Stage::kPoints;
         const char* what = first ? "request points" : "request points2";
-        PointSet* out = first ? &req_.points : &req_.points2;
         if (!have_count_) {
           ByteReader in(rest);
           uint64_t count = 0;
@@ -307,8 +298,13 @@ Status StreamingRequestDecoder::Advance(bool final) {
           got_ = 0;
           // Reserve conservatively: the count is untrusted until the
           // records actually arrive.
-          out->reserve(static_cast<size_t>(
-              std::min<uint64_t>(count, uint64_t{1} << 16)));
+          const size_t reserve = static_cast<size_t>(
+              std::min<uint64_t>(count, uint64_t{1} << 16));
+          if (first) {
+            req_.part.Reserve(reserve, 0, 0);
+          } else {
+            req_.points2.reserve(reserve);
+          }
           continue;
         }
         if (got_ == want_) {
@@ -322,16 +318,27 @@ Status StreamingRequestDecoder::Advance(bool final) {
               " points but only " + std::to_string(rest.size()) +
               " payload bytes remain");
         }
+        // Mid-stream a short record is indistinguishable from one whose
+        // tail is still in flight; only the final pass may condemn it.
         ByteReader in(rest);
-        StatusOr<Point> p = TryReadPointRecord(&in, {"point", got_, what});
-        if (!p.ok()) {
-          // Mid-stream a short record is indistinguishable from one whose
-          // tail is still in flight; only the final pass may condemn it.
-          if (final) return p.status();
-          return OkStatus();
+        const RecordLocation where{"point", got_, what};
+        if (first) {
+          StatusOr<RecordBytes> rec = TryDecodeRecord(&in, where);
+          if (!rec.ok()) return final ? rec.status() : OkStatus();
+          // A complete record whose dim differs from row 0's is certain
+          // corruption, mid-stream or not.
+          if (!req_.part.empty() && rec->dim != req_.part.dim()) {
+            return RowDimMismatchError(static_cast<size_t>(got_), rec->dim,
+                                       req_.part.dim());
+          }
+          req_.part.AppendRowBytes(rec->sparse, rec->dim, rec->nnz,
+                                   rec->indices, rec->values);
+        } else {
+          StatusOr<Point> p = TryReadPointRecord(&in, where);
+          if (!p.ok()) return final ? p.status() : OkStatus();
+          req_.points2.push_back(std::move(*p));
         }
         pos_ += rest.size() - in.remaining();
-        out->push_back(std::move(*p));
         ++got_;
         continue;
       }

@@ -5,7 +5,11 @@
 // Point payloads reuse the binary record format of data/io.h verbatim
 // (tag, dim, nnz, raw little-endian float bytes), so a partition or
 // core-set that crosses the transport decodes bit-identically — the
-// property the fault-free "distributed == in-process" tests assert.
+// property the fault-free "distributed == in-process" tests assert. A
+// request's partition section is written from Dataset rows
+// (AppendRowRecord) and decoded straight back into a Dataset
+// (WireRequest::part), so neither side builds a Point per partition row;
+// core-sets, solutions and the other sections stay PointSets.
 // Every decoder validates through ByteReader bounds checks and returns a
 // diagnosable Status on corrupt input; nothing here trusts a length field
 // before checking it against the bytes actually present.
@@ -18,6 +22,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/dataset.h"
 #include "core/diversity.h"
 #include "core/generalized_coreset.h"
 #include "core/point.h"
@@ -55,12 +60,12 @@ struct WireRequest {
   uint64_t attempt = 0;
   uint64_t delay_ms = 0;
 
-  // kCoreset: `points` = partition; k_prime, delegates, extended.
-  // kGenCoreset: `points` = partition; k, k_prime.
-  // kMergeCoresets: `points` + `points2`, concatenated in this order.
-  // kSolve: `points` = aggregated core-set; k.
+  // kCoreset: `part` = partition; k_prime, delegates, extended.
+  // kGenCoreset: `part` = partition; k, k_prime.
+  // kMergeCoresets: `part` + `points2`, concatenated in this order.
+  // kSolve: `part` = aggregated core-set; k.
   // kGenSolve: `gen` = merged generalized core-set; k.
-  // kInstantiate: `gen` = selected subset, `points` = partition; `range`.
+  // kInstantiate: `gen` = selected subset, `part` = partition; `range`.
   uint64_t k = 0;
   uint64_t k_prime = 0;
   uint64_t delegates = 0;
@@ -68,22 +73,24 @@ struct WireRequest {
   double range = 0.0;
 
   // Worker-side partition caching (README "Distributed runtime"). The
-  // fingerprint is the content stamp of the `points` section
-  // (FingerprintPoints — pure content, so retries and repeated solves over
-  // one corpus key identically); 0 = untagged, no cache interaction.
+  // fingerprint is the content stamp of the `part` section (FingerprintRows
+  // — pure content, so retries and repeated solves over one corpus key
+  // identically); 0 = untagged, no cache interaction.
   uint64_t points_fingerprint = 0;
-  /// The `points` section is omitted from the wire; the worker must resolve
+  /// The `part` section is omitted from the wire; the worker must resolve
   /// `points_fingerprint` from its partition cache (kNotFound + cache_miss
   /// reply when it cannot, and the driver falls back to a full ship).
   bool points_by_ref = false;
-  /// The worker should verify the shipped `points` against the fingerprint
+  /// The worker should verify the shipped `part` against the fingerprint
   /// and insert them into its cache (kDataLoss reply on a stamp mismatch).
   bool cache_insert = false;
   /// Non-zero: evict this entry from the worker cache before serving (the
   /// cache-evict fault — exercises the miss -> full-re-ship degraded path).
   uint64_t evict_fingerprint = 0;
 
-  PointSet points;
+  /// The first points section, as rows. Its records must share one dim:
+  /// the decoder rejects a mismatch (RowDimMismatchError).
+  Dataset part;
   PointSet points2;
   GeneralizedCoreset gen;
 };
@@ -117,29 +124,30 @@ void AppendGenCoreset(const GeneralizedCoreset& gen, std::string* out);
 DIVERSE_MUST_USE StatusOr<GeneralizedCoreset> TryReadGenCoreset(
     ByteReader* in, const std::string& what);
 
-/// 64-bit content stamp of a point set: a word-mixed hash over the same
-/// logical bytes AppendPointRecord serializes (tag, dim, nnz, raw
-/// index/value bit patterns), plus the count. Pure content — independent
-/// of object identity, allocation, or transport — so the driver computes
-/// it without serializing and the worker verifies it on the decoded
-/// points (decode is exact, so the stamps agree iff the bytes survived).
-/// Never returns 0 (0 is the "untagged" sentinel in WireRequest).
-uint64_t FingerprintPoints(const PointSet& points);
+/// Partition payload: the u64 row count, then AppendRowRecord of each
+/// row — the bytes AppendPointSet(rows.points()) writes.
+void AppendRows(const Dataset& rows, std::string* out);
 
-/// Approximate resident bytes of a point set (records + vector headers):
-/// the unit of the worker cache budget and the driver's oversize guard.
-size_t ApproxPointSetBytes(const PointSet& points);
+/// 64-bit content stamp of a partition: a word-mixed hash over the same
+/// logical bytes AppendRowRecord serializes (tag, dim, nnz, raw
+/// index/value bit patterns), plus the row count. Pure content —
+/// independent of object identity, allocation, or transport — so the
+/// driver computes it without serializing and the worker verifies it on
+/// the decoded rows (decode is exact, so the stamps agree iff the bytes
+/// survived). Never returns 0 (0 is the "untagged" sentinel in
+/// WireRequest).
+uint64_t FingerprintRows(const Dataset& rows);
 
 /// Request / reply payload codecs. Decoders reject structural nonsense
 /// (unknown task type, unknown metric name is left to the worker, counts
 /// the payload cannot hold, truncation) with kInvalidArgument / kDataLoss.
 ///
-/// `points_override`, when non-null, is serialized as the request's
-/// `points` section in place of request.points — the driver ships a
-/// partition it does not own without copying it into the WireRequest
-/// first. Ignored when request.points_by_ref (no points section at all).
+/// `part_override`, when non-null, is serialized as the request's `part`
+/// section in place of request.part — the driver ships a partition it does
+/// not own without copying it into the WireRequest first. Ignored when
+/// request.points_by_ref (no part section at all).
 std::string EncodeWireRequest(const WireRequest& request,
-                              const PointSet* points_override = nullptr);
+                              const Dataset* part_override = nullptr);
 DIVERSE_MUST_USE StatusOr<WireRequest> TryDecodeWireRequest(
     std::string_view payload);
 std::string EncodeWireReply(const WireReply& reply);
@@ -149,9 +157,11 @@ DIVERSE_MUST_USE StatusOr<WireReply> TryDecodeWireReply(
 /// Incremental decoder of one wire-request payload, fed the kRequestChunk /
 /// kRequestLast slices as they arrive so the worker deserializes while
 /// later chunks are still in flight. Feed() consumes whole records
-/// greedily and buffers only the unconsumed tail; it reports structural
-/// errors it is already certain of (unknown task type, zero multiplicity)
-/// immediately and defers truncation-vs-corruption judgement to Finish(),
+/// greedily — partition records straight into WireRequest::part — and
+/// buffers only the unconsumed tail; it reports structural errors it is
+/// already certain of (unknown task type, zero multiplicity, a complete
+/// partition record whose dim differs from row 0's) immediately and
+/// defers truncation-vs-corruption judgement to Finish(),
 /// where the stream is complete and every error is final. Feeding the
 /// whole payload once then calling Finish() is exactly
 /// TryDecodeWireRequest (the monolithic decoder is implemented this way).
@@ -165,7 +175,7 @@ class StreamingRequestDecoder {
   DIVERSE_MUST_USE StatusOr<WireRequest> Finish();
 
   /// Decode progress (tests pin that deserialization overlaps arrival).
-  size_t points_decoded() const { return req_.points.size(); }
+  size_t points_decoded() const { return req_.part.size(); }
   size_t buffered_bytes() const { return buf_.size() - pos_; }
 
  private:

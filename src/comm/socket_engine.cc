@@ -389,7 +389,7 @@ WireRequest SocketEngine::MakeRequest(WireTaskType type,
 
 StatusOr<WireReply> SocketEngine::Call(const TaskEnvelope& env,
                                        WireRequest* req,
-                                       const PointSet* points,
+                                       const Dataset* part,
                                        bool cacheable) {
   Worker* w = AcquireWorker();
   if (w == nullptr) return UnavailableError("socket engine is shut down");
@@ -403,12 +403,12 @@ StatusOr<WireReply> SocketEngine::Call(const TaskEnvelope& env,
     }
   }
   CallTally tally;
-  const bool caching = cacheable && points != nullptr && !points->empty() &&
+  const bool caching = cacheable && part != nullptr && !part->empty() &&
                        options_.worker_cache_bytes > 0;
   uint64_t key = 0;
   if (caching) {
     const auto fp_start = std::chrono::steady_clock::now();
-    key = FingerprintPoints(*points);
+    key = FingerprintRows(*part);
     tally.ship_seconds += SecondsSince(fp_start);
     if (env.fault == FaultKind::kCacheEvict) {
       // Inflict the eviction for real: the worker drops the entry before
@@ -465,7 +465,7 @@ StatusOr<WireReply> SocketEngine::Call(const TaskEnvelope& env,
     req->cache_insert = caching;
     req->points_fingerprint = caching ? key : 0;
     const auto enc_start = std::chrono::steady_clock::now();
-    const std::string payload = EncodeWireRequest(*req, points);
+    const std::string payload = EncodeWireRequest(*req, part);
     tally.ship_seconds += SecondsSince(enc_start);
     exchanged = Exchange(w, env, payload, &reply, &tally);
     if (exchanged.ok() && caching && reply.status.ok()) {
@@ -547,6 +547,13 @@ void SocketEngine::HeartbeatLoop() {
 StatusOr<PointSet> SocketEngine::Coreset(const TaskEnvelope& env,
                                          const PointSet& part,
                                          const CoresetSpec& spec) {
+  DIVERSE_ASSIGN_OR_RETURN(Dataset rows, Dataset::TryFromPoints(part));
+  return CoresetRows(env, rows, spec);
+}
+
+StatusOr<PointSet> SocketEngine::CoresetRows(const TaskEnvelope& env,
+                                             const Dataset& part,
+                                             const CoresetSpec& spec) {
   WireRequest req = MakeRequest(WireTaskType::kCoreset, env);
   req.k_prime = spec.k_prime;
   req.delegates = spec.delegates;
@@ -560,6 +567,12 @@ StatusOr<PointSet> SocketEngine::Coreset(const TaskEnvelope& env,
 StatusOr<GenCoresetResult> SocketEngine::GenCoreset(const TaskEnvelope& env,
                                                     const PointSet& part,
                                                     size_t k, size_t k_prime) {
+  DIVERSE_ASSIGN_OR_RETURN(Dataset rows, Dataset::TryFromPoints(part));
+  return GenCoresetRows(env, rows, k, k_prime);
+}
+
+StatusOr<GenCoresetResult> SocketEngine::GenCoresetRows(
+    const TaskEnvelope& env, const Dataset& part, size_t k, size_t k_prime) {
   WireRequest req = MakeRequest(WireTaskType::kGenCoreset, env);
   req.k = k;
   req.k_prime = k_prime;
@@ -576,8 +589,9 @@ StatusOr<PointSet> SocketEngine::MergeCoresets(const TaskEnvelope& env,
                                                const PointSet& a,
                                                const PointSet& b) {
   WireRequest req = MakeRequest(WireTaskType::kMergeCoresets, env);
+  DIVERSE_ASSIGN_OR_RETURN(req.part, Dataset::TryFromPoints(a));
   req.points2 = b;
-  StatusOr<WireReply> reply = Call(env, &req, &a, /*cacheable=*/false);
+  StatusOr<WireReply> reply = Call(env, &req, nullptr, /*cacheable=*/false);
   if (!reply.ok()) return reply.status();
   if (!reply->status.ok()) return reply->status;
   return std::move(reply->points);
@@ -586,8 +600,9 @@ StatusOr<PointSet> SocketEngine::MergeCoresets(const TaskEnvelope& env,
 StatusOr<PointSet> SocketEngine::Solve(const TaskEnvelope& env,
                                        const PointSet& aggregate, size_t k) {
   WireRequest req = MakeRequest(WireTaskType::kSolve, env);
+  DIVERSE_ASSIGN_OR_RETURN(req.part, Dataset::TryFromPoints(aggregate));
   req.k = k;
-  StatusOr<WireReply> reply = Call(env, &req, &aggregate, /*cacheable=*/false);
+  StatusOr<WireReply> reply = Call(env, &req, nullptr, /*cacheable=*/false);
   if (!reply.ok()) return reply.status();
   if (!reply->status.ok()) return reply->status;
   return std::move(reply->points);
@@ -608,6 +623,13 @@ StatusOr<PointSet> SocketEngine::Instantiate(const TaskEnvelope& env,
                                              const GeneralizedCoreset& selected,
                                              const PointSet& part,
                                              double range) {
+  DIVERSE_ASSIGN_OR_RETURN(Dataset rows, Dataset::TryFromPoints(part));
+  return InstantiateRows(env, selected, rows, range);
+}
+
+StatusOr<PointSet> SocketEngine::InstantiateRows(
+    const TaskEnvelope& env, const GeneralizedCoreset& selected,
+    const Dataset& part, double range) {
   WireRequest req = MakeRequest(WireTaskType::kInstantiate, env);
   req.gen = selected;
   req.range = range;

@@ -23,7 +23,9 @@
 //
 // Determinism: fault-free calls return bit-identical results to
 // LoopbackEngine (same Compute* bodies, float bytes round-tripped raw),
-// so the driver's output is independent of the transport.
+// so the driver's output is independent of the transport. Like loopback,
+// the PointSet methods lay their input out as a Dataset before shipping
+// it, and points that disagree on dim are a kInvalidArgument error.
 
 #ifndef DIVERSE_COMM_SOCKET_ENGINE_H_
 #define DIVERSE_COMM_SOCKET_ENGINE_H_
@@ -134,6 +136,15 @@ class SocketEngine final : public CommunicationEngine {
   StatusOr<PointSet> Instantiate(const TaskEnvelope& env,
                                  const GeneralizedCoreset& selected,
                                  const PointSet& part, double range) override;
+  StatusOr<PointSet> CoresetRows(const TaskEnvelope& env, const Dataset& part,
+                                 const CoresetSpec& spec) override;
+  StatusOr<GenCoresetResult> GenCoresetRows(const TaskEnvelope& env,
+                                            const Dataset& part, size_t k,
+                                            size_t k_prime) override;
+  StatusOr<PointSet> InstantiateRows(const TaskEnvelope& env,
+                                     const GeneralizedCoreset& selected,
+                                     const Dataset& part,
+                                     double range) override;
 
   /// OK iff the initial pool fully spawned.
   Status Healthy() const;
@@ -173,13 +184,13 @@ class SocketEngine final : public CommunicationEngine {
   WireRequest MakeRequest(WireTaskType type, const TaskEnvelope& env) const;
 
   // Full RPC: check out a worker, apply transport faults, ship the request
-  // (by-ref when the worker caches `points`, chunked when large), await
-  // the reply frame under the deadline, return the worker. `points` is the
-  // partition serialized as the request's points section (nullptr: the
-  // small req.points — possibly empty — ships inline); `cacheable` opts
-  // the partition into worker-side caching.
+  // (by-ref when the worker caches `part`, chunked when large), await the
+  // reply frame under the deadline, return the worker. `part` is the
+  // partition serialized as the request's part section (nullptr: req.part
+  // — possibly empty — ships inline); `cacheable` opts the partition into
+  // worker-side caching.
   StatusOr<WireReply> Call(const TaskEnvelope& env, WireRequest* req,
-                           const PointSet* points, bool cacheable);
+                           const Dataset* part, bool cacheable);
 
   // One send/receive exchange on a checked-out worker: frames and writes
   // `payload` (chunking large payloads), then awaits the reply. On failure

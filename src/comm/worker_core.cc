@@ -21,11 +21,11 @@ namespace diverse {
 
 namespace {
 
-// The task bodies read the partition through `points`, which aliases
-// either request.points (inline ship) or a cache-resident PointSet
-// (by-ref request) — the one code path is what keeps cached and shipped
-// results bit-identical.
-WireReply ExecuteDecodedTask(const WireRequest& req, const PointSet& points) {
+// The task bodies read the partition through `part`, which aliases either
+// request.part (inline ship) or a cache-resident Dataset (by-ref request)
+// — the one code path is what keeps cached and shipped results
+// bit-identical.
+WireReply ExecuteDecodedTask(const WireRequest& req, const Dataset& part) {
   WireReply reply;
   reply.type = req.type;
   std::unique_ptr<Metric> metric = MakeMetricByName(req.metric);
@@ -39,34 +39,35 @@ WireReply ExecuteDecodedTask(const WireRequest& req, const PointSet& points) {
   env.round = req.round;
   env.task = static_cast<size_t>(req.task);
   env.attempt = static_cast<size_t>(req.attempt);
-  Dataset scratch;
   switch (req.type) {
     case WireTaskType::kCoreset: {
       CoresetSpec spec;
       spec.k_prime = static_cast<size_t>(req.k_prime);
       spec.delegates = static_cast<size_t>(req.delegates);
       spec.extended = req.extended;
-      reply.points = ComputeCoreset(points, *metric, spec, &scratch);
+      reply.points = ComputeCoreset(part, *metric, spec);
       break;
     }
     case WireTaskType::kGenCoreset: {
-      GenCoresetResult result = ComputeGenCoreset(
-          points, *metric, static_cast<size_t>(req.k),
-          static_cast<size_t>(req.k_prime), &scratch);
+      GenCoresetResult result =
+          ComputeGenCoreset(part, *metric, static_cast<size_t>(req.k),
+                            static_cast<size_t>(req.k_prime));
       reply.gen = std::move(result.gen);
       reply.range = result.range;
       break;
     }
     case WireTaskType::kMergeCoresets: {
-      reply.points.reserve(points.size() + req.points2.size());
-      reply.points.insert(reply.points.end(), points.begin(), points.end());
+      reply.points.reserve(part.size() + req.points2.size());
+      for (size_t i = 0; i < part.size(); ++i) {
+        reply.points.push_back(part.point(i));
+      }
       reply.points.insert(reply.points.end(), req.points2.begin(),
                           req.points2.end());
       break;
     }
     case WireTaskType::kSolve: {
-      reply.points = ComputeSolve(points, req.problem, *metric,
-                                  static_cast<size_t>(req.k), &scratch);
+      reply.points = ComputeSolve(part, req.problem, *metric,
+                                  static_cast<size_t>(req.k));
       break;
     }
     case WireTaskType::kGenSolve: {
@@ -76,8 +77,7 @@ WireReply ExecuteDecodedTask(const WireRequest& req, const PointSet& points) {
     }
     case WireTaskType::kInstantiate: {
       StatusOr<PointSet> inst =
-          ComputeInstantiate(env, req.gen, points, *metric, req.range,
-                             &scratch);
+          ComputeInstantiate(env, req.gen, part, *metric, req.range);
       if (!inst.ok()) {
         reply.status = inst.status();
       } else {
@@ -91,7 +91,7 @@ WireReply ExecuteDecodedTask(const WireRequest& req, const PointSet& points) {
 
 }  // namespace
 
-std::shared_ptr<const PointSet> WorkerPartitionCache::Lookup(
+std::shared_ptr<const Dataset> WorkerPartitionCache::Lookup(
     uint64_t fingerprint) {
   auto it = index_.find(fingerprint);
   if (it == index_.end()) {
@@ -100,19 +100,19 @@ std::shared_ptr<const PointSet> WorkerPartitionCache::Lookup(
   }
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);  // touch: move to MRU
-  return it->second->points;
+  return it->second->part;
 }
 
-std::shared_ptr<const PointSet> WorkerPartitionCache::Insert(
-    uint64_t fingerprint, PointSet points) {
+std::shared_ptr<const Dataset> WorkerPartitionCache::Insert(
+    uint64_t fingerprint, Dataset part) {
   auto it = index_.find(fingerprint);
   if (it != index_.end()) {
     // Same fingerprint = same content; keep the resident copy warm.
     lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->points;
+    return it->second->part;
   }
-  const size_t bytes = ApproxPointSetBytes(points);
-  auto shared = std::make_shared<const PointSet>(std::move(points));
+  const size_t bytes = part.MemoryBytes();
+  auto shared = std::make_shared<const Dataset>(std::move(part));
   if (bytes > capacity_) return shared;  // would evict everything: bypass
   while (size_bytes_ + bytes > capacity_ && !lru_.empty()) {
     index_.erase(lru_.back().fingerprint);
@@ -142,7 +142,7 @@ WireReply ExecuteWireRequest(WireRequest request,
     (void)cache->Evict(request.evict_fingerprint);
   }
   if (request.points_by_ref) {
-    std::shared_ptr<const PointSet> cached =
+    std::shared_ptr<const Dataset> cached =
         cache != nullptr ? cache->Lookup(request.points_fingerprint)
                          : nullptr;
     if (cached == nullptr) {
@@ -159,7 +159,7 @@ WireReply ExecuteWireRequest(WireRequest request,
     return ExecuteDecodedTask(request, *cached);
   }
   if (request.cache_insert && request.points_fingerprint != 0) {
-    const uint64_t actual = FingerprintPoints(request.points);
+    const uint64_t actual = FingerprintRows(request.part);
     if (actual != request.points_fingerprint) {
       WireReply reply;
       reply.type = request.type;
@@ -170,13 +170,12 @@ WireReply ExecuteWireRequest(WireRequest request,
       return reply;
     }
     if (cache != nullptr) {
-      std::shared_ptr<const PointSet> stored =
-          cache->Insert(request.points_fingerprint,
-                        std::move(request.points));
+      std::shared_ptr<const Dataset> stored =
+          cache->Insert(request.points_fingerprint, std::move(request.part));
       return ExecuteDecodedTask(request, *stored);
     }
   }
-  return ExecuteDecodedTask(request, request.points);
+  return ExecuteDecodedTask(request, request.part);
 }
 
 std::string ExecuteWireTask(std::string_view request_payload,

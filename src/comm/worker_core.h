@@ -9,9 +9,10 @@
 // shipped partition with its content fingerprint (cache_insert), later
 // requests name the fingerprint instead of re-shipping the bytes
 // (points_by_ref), and a miss comes back as kNotFound + cache_miss so the
-// driver can fall back to a full ship. Cached and shipped partitions
-// decode to identical PointSets, so task results are bit-identical either
-// way — the invariant tests/comm_cache_test.cc pins.
+// driver can fall back to a full ship. A partition is decoded straight
+// into a Dataset and cached as one, so cached and shipped partitions hold
+// identical rows and task results are bit-identical either way — the
+// invariant tests/comm_cache_test.cc pins.
 
 #ifndef DIVERSE_COMM_WORKER_CORE_H_
 #define DIVERSE_COMM_WORKER_CORE_H_
@@ -28,13 +29,13 @@
 
 namespace diverse {
 
-/// A bytes-bounded LRU of deserialized partitions, keyed by their content
-/// fingerprint (FingerprintPoints). Entries are shared_ptr so a task can
+/// A bytes-bounded LRU of decoded partitions, keyed by their content
+/// fingerprint (FingerprintRows). Entries are shared_ptr so a task can
 /// keep computing on a partition that a concurrent insert evicts. The
 /// worker process is single-threaded, so the cache is not synchronized.
 class WorkerPartitionCache {
  public:
-  /// `capacity_bytes` bounds the sum of ApproxPointSetBytes over resident
+  /// `capacity_bytes` bounds the sum of Dataset::MemoryBytes over resident
   /// entries; 0 disables caching (every Lookup misses, Insert stores
   /// nothing).
   explicit WorkerPartitionCache(size_t capacity_bytes)
@@ -42,15 +43,14 @@ class WorkerPartitionCache {
 
   /// Returns the cached partition and marks it most-recently-used, or
   /// nullptr on a miss.
-  std::shared_ptr<const PointSet> Lookup(uint64_t fingerprint);
+  std::shared_ptr<const Dataset> Lookup(uint64_t fingerprint);
 
-  /// Stores `points` under `fingerprint`, evicting least-recently-used
+  /// Stores `part` under `fingerprint`, evicting least-recently-used
   /// entries until it fits, and returns the (now shared) partition. A
   /// partition larger than the whole capacity is returned without being
   /// stored; an already-present fingerprint is touched and its resident
   /// copy returned (same fingerprint = same content).
-  std::shared_ptr<const PointSet> Insert(uint64_t fingerprint,
-                                         PointSet points);
+  std::shared_ptr<const Dataset> Insert(uint64_t fingerprint, Dataset part);
 
   /// Drops the entry if present (the cache-evict fault). Returns whether
   /// anything was evicted.
@@ -65,7 +65,7 @@ class WorkerPartitionCache {
  private:
   struct Entry {
     uint64_t fingerprint = 0;
-    std::shared_ptr<const PointSet> points;
+    std::shared_ptr<const Dataset> part;
     size_t bytes = 0;
   };
 
@@ -86,7 +86,7 @@ class WorkerPartitionCache {
 /// fingerprint (kDataLoss "partition fingerprint mismatch" on corruption)
 /// and then inserted. `delay_ms` is NOT honored here (sleeping is the
 /// worker loop's job, so tests can run this synchronously). Takes the
-/// request by value because the points may be moved into the cache.
+/// request by value because its partition may be moved into the cache.
 WireReply ExecuteWireRequest(WireRequest request, WorkerPartitionCache* cache);
 
 /// Executes the wire task in `request_payload` and returns the encoded

@@ -31,7 +31,26 @@ Status RowDimMismatchError(size_t index, size_t dim, size_t first_dim) {
                               std::to_string(first_dim));
 }
 
-Dataset::Dataset(std::span<const Point> points) { Assign(points); }
+size_t FirstNonFiniteRow(const Dataset& data) {
+  for (size_t i = 0; i < data.size(); ++i) {
+    const kernels::VecView v = data.row(i);
+    if (!std::all_of(v.values, v.values + v.nnz,
+                     [](float x) { return std::isfinite(x); })) {
+      return i;
+    }
+  }
+  return data.size();
+}
+
+Dataset::Dataset(std::span<const Point> points) {
+  size_t dense_total = 0;
+  size_t csr_total = 0;
+  for (const Point& p : points) {
+    (p.is_sparse() ? csr_total : dense_total) += p.nnz();
+  }
+  Reserve(points.size(), dense_total, csr_total);
+  for (const Point& p : points) Append(p);
+}
 
 StatusOr<Dataset> Dataset::TryFromPoints(std::span<const Point> points) {
   for (size_t i = 1; i < points.size(); ++i) {
@@ -138,17 +157,6 @@ void Dataset::Reserve(size_t rows, size_t dense_values,
   csr_values_.reserve(csr_values_.size() + sparse_entries);
   rows_.reserve(rows_.size() + rows);
   norms_.reserve(norms_.size() + rows);
-}
-
-void Dataset::Assign(std::span<const Point> points) {
-  Clear();
-  size_t dense_total = 0;
-  size_t csr_total = 0;
-  for (const Point& p : points) {
-    (p.is_sparse() ? csr_total : dense_total) += p.nnz();
-  }
-  Reserve(points.size(), dense_total, csr_total);
-  for (const Point& p : points) Append(p);
 }
 
 void Dataset::Clear() {

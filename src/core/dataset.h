@@ -83,7 +83,7 @@ class Dataset {
   bool row_is_sparse(size_t i) const { return rows_[i].sparse != 0; }
 
   /// Kernel view of row i over the columnar arrays, valid until the next
-  /// Append/Assign/Clear.
+  /// Append/Clear.
   kernels::VecView row(size_t i) const {
     const RowRef& r = rows_[i];
     kernels::VecView v;
@@ -108,13 +108,13 @@ class Dataset {
   /// sparse. The direct-addressing path of the indexed kernels
   /// (Metric::DistanceRowsMany / DistanceRowsManyF32), which then read
   /// scattered rows without building a view per row. Valid until the next
-  /// Append/Assign/Clear.
+  /// Append/Clear.
   const float* dense_rows() const {
     return sparse_stats_.rows == 0 ? dense_.data() : nullptr;
   }
 
   /// Aggregate statistics over the sparse rows, maintained incrementally by
-  /// Append/Assign. The sparse tile engine (core/metric.cc over
+  /// every mutation. The sparse tile engine (core/metric.cc over
   /// core/sparse_kernels.h) reads them to choose its probe strategy per
   /// query block — decisions depend only on these totals and the block
   /// content, never on scheduling, so tiled results stay deterministic.
@@ -157,7 +157,7 @@ class Dataset {
   /// use dim() as the worst-case term count for such rows).
   bool has_dense_rows() const { return rows_.size() > sparse_stats_.rows; }
 
-  /// Content identity stamp: every mutation (Append/Assign/Clear) draws a
+  /// Content identity stamp: every mutation (Append/Clear) draws a
   /// fresh value from a process-global monotonic counter, so two datasets
   /// reporting the SAME nonzero stamp hold identical content — copies share
   /// the stamp until either side mutates, and stamps are never reused. The
@@ -185,13 +185,6 @@ class Dataset {
   /// coordinates and `sparse_entries` sparse (index, value) pairs.
   void Reserve(size_t rows, size_t dense_values, size_t sparse_entries);
 
-  /// Replaces the contents with `points`: Clear() + Append for each point,
-  /// reusing the existing columnar array capacity. This is the scratch-reuse
-  /// path for per-partition re-layouts (MapReduce reducers rebuild a Dataset
-  /// per partition; assigning into one scratch avoids re-allocating the
-  /// dense/CSR/norm arrays every round).
-  void Assign(std::span<const Point> points);
-
   /// Removes all rows (dimension resets with the next Append).
   void Clear();
 
@@ -199,9 +192,9 @@ class Dataset {
   /// their columnar slices, norms and statistics — exactly the content
   /// Append of the same rows' points would have produced, at raw
   /// array-copy speed. The scratch path of the greedy-matching scans
-  /// (core/sequential.cc: live-row refills and the cluster-major gather)
-  /// and of every row subset a kernel sweep needs (center rows, solution
-  /// rows).
+  /// (core/sequential.cc: live-row refills and the cluster-major gather),
+  /// of every row subset a kernel sweep needs (center rows, solution rows)
+  /// and of the partition each MapReduce reducer attempt computes on.
   void AssignGatherColumnar(const Dataset& src,
                             std::span<const uint32_t> rows);
 
@@ -225,6 +218,11 @@ class Dataset {
   ScreenStats screen_stats_;
   uint64_t content_stamp_ = 0;
 };
+
+/// Index of the first row of `data` holding a non-finite (NaN/inf)
+/// coordinate, or data.size() when every coordinate is finite. The input
+/// check of TrySolve and of every MapReduce partition attempt.
+size_t FirstNonFiniteRow(const Dataset& data);
 
 }  // namespace diverse
 

@@ -19,6 +19,22 @@ constexpr uint64_t kMinRecordBytes = 9;
 
 std::string Quoted(const std::string& s) { return "'" + s + "'"; }
 
+// The binary record of the vector `v` views: tag, dim, nnz, then the
+// sparse indices (sparse records only) and the values, as raw bytes.
+void AppendViewRecord(const kernels::VecView& v, std::string* out) {
+  const uint8_t tag = v.sparse ? kSparseTag : kDenseTag;
+  const uint32_t dim = static_cast<uint32_t>(v.dim);
+  const uint32_t nnz = static_cast<uint32_t>(v.nnz);
+  out->append(reinterpret_cast<const char*>(&tag), sizeof(tag));
+  out->append(reinterpret_cast<const char*>(&dim), sizeof(dim));
+  out->append(reinterpret_cast<const char*>(&nnz), sizeof(nnz));
+  if (v.sparse) {
+    out->append(reinterpret_cast<const char*>(v.indices),
+                nnz * sizeof(uint32_t));
+  }
+  out->append(reinterpret_cast<const char*>(v.values), nnz * sizeof(float));
+}
+
 }  // namespace
 
 std::string PointToTextLine(const Point& point) {
@@ -26,7 +42,7 @@ std::string PointToTextLine(const Point& point) {
   char buf[48];
   std::string out;
   if (point.is_sparse()) {
-    out = "s " + std::to_string(point.dim());
+    out.append("s ").append(std::to_string(point.dim()));
     const auto& idx = point.sparse_indices();
     const auto& val = point.sparse_values();
     for (size_t i = 0; i < idx.size(); ++i) {
@@ -35,7 +51,7 @@ std::string PointToTextLine(const Point& point) {
       out += buf;
     }
   } else {
-    out = "d";
+    out.push_back('d');
     for (float v : point.dense_values()) {
       std::snprintf(buf, sizeof(buf), " %.9g", static_cast<double>(v));
       out += buf;
@@ -133,21 +149,11 @@ StatusOr<PointSet> TryLoadPointsText(const std::string& path) {
 }
 
 void AppendPointRecord(const Point& point, std::string* out) {
-  const uint8_t tag = point.is_sparse() ? kSparseTag : kDenseTag;
-  const uint32_t dim = static_cast<uint32_t>(point.dim());
-  const uint32_t nnz = static_cast<uint32_t>(point.nnz());
-  out->append(reinterpret_cast<const char*>(&tag), sizeof(tag));
-  out->append(reinterpret_cast<const char*>(&dim), sizeof(dim));
-  out->append(reinterpret_cast<const char*>(&nnz), sizeof(nnz));
-  if (point.is_sparse()) {
-    out->append(reinterpret_cast<const char*>(point.sparse_indices().data()),
-                nnz * sizeof(uint32_t));
-    out->append(reinterpret_cast<const char*>(point.sparse_values().data()),
-                nnz * sizeof(float));
-  } else {
-    out->append(reinterpret_cast<const char*>(point.dense_values().data()),
-                nnz * sizeof(float));
-  }
+  AppendViewRecord(point.View(), out);
+}
+
+void AppendRowRecord(const Dataset& data, size_t i, std::string* out) {
+  AppendViewRecord(data.row(i), out);
 }
 
 std::string EncodePointsBinary(const PointSet& points) {
@@ -173,21 +179,6 @@ std::string RecordLocation::ToString() const {
          std::string(of);
 }
 
-namespace {
-
-// One validated binary record whose payload is still in the input bytes
-// (possibly unaligned): `nnz` uint32 indices at `indices` for a sparse
-// record, then `nnz` floats at `values`.
-struct RecordBytes {
-  bool sparse = false;
-  uint32_t dim = 0;
-  uint32_t nnz = 0;
-  const char* indices = nullptr;
-  const char* values = nullptr;
-};
-
-// The one record decoder: every check and message of the binary format's
-// records, shared by TryReadPointRecord and TryParseDatasetBinary.
 StatusOr<RecordBytes> TryDecodeRecord(ByteReader* in,
                                       const RecordLocation& where) {
   uint8_t tag;
@@ -252,6 +243,8 @@ StatusOr<RecordBytes> TryDecodeRecord(ByteReader* in,
                               std::to_string(static_cast<int>(tag)) + " at " +
                               where.ToString());
 }
+
+namespace {
 
 // Reads and checks the header of binary-format `bytes`; returns the record
 // count, which the file is known to be able to hold.

@@ -81,6 +81,11 @@ class ByteReader {
 /// serialized partitions and core-sets bit-identical after transport.
 void AppendPointRecord(const Point& point, std::string* out);
 
+/// Appends the binary-format record of row `i` of `data`, byte for byte
+/// what AppendPointRecord(data.point(i), out) appends, building no point.
+/// The driver writes a shipped partition this way (comm/serialize.h).
+void AppendRowRecord(const Dataset& data, size_t i, std::string* out);
+
 /// Names a record in error messages as "<label> <index> of <of>". Decoders
 /// pass the pieces and format them only on error, so a successful read
 /// builds no string. `of` must outlive the read.
@@ -91,6 +96,27 @@ struct RecordLocation {
 
   std::string ToString() const;
 };
+
+/// One validated binary record whose payload is still in the input bytes
+/// (possibly unaligned): for a sparse record `nnz` uint32 indices at
+/// `indices`, then `nnz` floats at `values`. Valid while those bytes are.
+struct RecordBytes {
+  bool sparse = false;
+  uint32_t dim = 0;
+  uint32_t nnz = 0;
+  const char* indices = nullptr;
+  const char* values = nullptr;
+};
+
+/// The one record decoder: every check and message of the binary format's
+/// records (truncation -> kDataLoss; nnz > dim, unsorted or out-of-range
+/// sparse indices, unknown tag -> kInvalidArgument), building nothing.
+/// TryReadPointRecord, TryParseDatasetBinary and the wire decoder of
+/// comm/serialize.h (which hands the record to Dataset::AppendRowBytes)
+/// all read records through it. On error the cursor position is
+/// unspecified.
+DIVERSE_MUST_USE StatusOr<RecordBytes> TryDecodeRecord(
+    ByteReader* in, const RecordLocation& where);
 
 /// Reads one binary point record from `*in` with the same validation and
 /// error taxonomy as TryLoadPointsBinary (truncation -> kDataLoss; nnz >

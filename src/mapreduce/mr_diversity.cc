@@ -36,16 +36,22 @@ void GarbleOne(PointSet* pts, uint64_t sub_seed) {
   (*pts)[t] = GarblePoint((*pts)[t], sub_seed);
 }
 
-// Rows `rows` of `data` as the points one reducer attempt ships, garbled
-// under a corrupted-partition fault. Every attempt re-reads the pristine
-// rows, which is why detection plus re-execution recovers exactly.
-PointSet PartitionInput(const MrTaskContext& ctx, const Dataset& data,
-                        std::span<const uint32_t> rows) {
-  PointSet out;
-  out.reserve(rows.size());
-  for (uint32_t r : rows) out.push_back(data.point(r));
-  if (ctx.fault == FaultKind::kCorruptPartition) {
-    GarbleOne(&out, ctx.fault_param);
+// Rows `rows` of `data` gathered into the Dataset one reducer attempt
+// computes on; it lives only as long as the attempt. Under a
+// corrupted-partition fault the copy is built row by row with one row
+// garbled (the row GarbleOne would pick). Every attempt re-reads the
+// pristine rows, which is why detection plus re-execution recovers exactly.
+Dataset AttemptRows(const MrTaskContext& ctx, const Dataset& data,
+                    std::span<const uint32_t> rows) {
+  Dataset out;
+  if (ctx.fault != FaultKind::kCorruptPartition || rows.empty()) {
+    out.AssignGatherColumnar(data, rows);
+    return out;
+  }
+  const size_t garbled = ctx.fault_param % rows.size();
+  for (size_t j = 0; j < rows.size(); ++j) {
+    const Point p = data.point(rows[j]);
+    out.Append(j == garbled ? GarblePoint(p, ctx.fault_param) : p);
   }
   return out;
 }
@@ -75,16 +81,26 @@ PointSet Concatenate(std::vector<PointSet>* parts) {
   return out;
 }
 
+Status NonFiniteError(const char* what, const std::string& round,
+                      size_t task, size_t point) {
+  return DataLossError(std::string(what) +
+                       " contains a non-finite coordinate (round '" + round +
+                       "', task " + std::to_string(task) + ", point " +
+                       std::to_string(point) + ")");
+}
+
 Status ValidateFinitePoints(const char* what, const std::string& round,
                             size_t task, const PointSet& pts) {
   for (size_t j = 0; j < pts.size(); ++j) {
-    if (!PointIsFinite(pts[j])) {
-      return DataLossError(std::string(what) +
-                           " contains a non-finite coordinate (round '" +
-                           round + "', task " + std::to_string(task) +
-                           ", point " + std::to_string(j) + ")");
-    }
+    if (!PointIsFinite(pts[j])) return NonFiniteError(what, round, task, j);
   }
+  return OkStatus();
+}
+
+Status ValidateFiniteRows(const char* what, const std::string& round,
+                          size_t task, const Dataset& rows) {
+  const size_t bad = FirstNonFiniteRow(rows);
+  if (bad < rows.size()) return NonFiniteError(what, round, task, bad);
   return OkStatus();
 }
 
@@ -273,10 +289,10 @@ Status MapReduceDiversity::CoresetRound(
       round_name, parts.size(),
       [&](const MrTaskContext& ctx, std::function<void()>* commit) -> Status {
         const size_t i = ctx.task;
-        const PointSet in = PartitionInput(ctx, data, parts[i]);
+        const Dataset in = AttemptRows(ctx, data, parts[i]);
         DIVERSE_RETURN_IF_ERROR(
-            ValidateFinitePoints("input partition", round_name, i, in));
-        StatusOr<PointSet> cs_or = engine->Coreset(
+            ValidateFiniteRows("input partition", round_name, i, in));
+        StatusOr<PointSet> cs_or = engine->CoresetRows(
             MakeEnvelope(round_name, ctx), in,
             MakeCoresetSpec(in.size(), input_size));
         if (!cs_or.ok()) return cs_or.status();
@@ -463,11 +479,11 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
           *commit = [] {};  // empty core-set, range stays 0
           return OkStatus();
         }
-        const PointSet in = PartitionInput(ctx, input, parts[i]);
+        const Dataset in = AttemptRows(ctx, input, parts[i]);
         DIVERSE_RETURN_IF_ERROR(
-            ValidateFinitePoints("input partition", "gen-coreset", i, in));
+            ValidateFiniteRows("input partition", "gen-coreset", i, in));
         size_t k_prime = std::min(options_.k_prime, in.size());
-        StatusOr<GenCoresetResult> gen_or = engine->GenCoreset(
+        StatusOr<GenCoresetResult> gen_or = engine->GenCoresetRows(
             MakeEnvelope("gen-coreset", ctx), in, options_.k, k_prime);
         if (!gen_or.ok()) return gen_or.status();
         GeneralizedCoreset gen = std::move(gen_or->gen);
@@ -581,10 +597,10 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
           *commit = [] {};
           return OkStatus();
         }
-        const PointSet in = PartitionInput(ctx, input, parts[i]);
+        const Dataset in = AttemptRows(ctx, input, parts[i]);
         DIVERSE_RETURN_IF_ERROR(
-            ValidateFinitePoints("input partition", "instantiate", i, in));
-        StatusOr<PointSet> inst_or = engine->Instantiate(
+            ValidateFiniteRows("input partition", "instantiate", i, in));
+        StatusOr<PointSet> inst_or = engine->InstantiateRows(
             MakeEnvelope("instantiate", ctx), per_part[i], in, r_t);
         if (!inst_or.ok()) return inst_or.status();
         PointSet inst = std::move(*inst_or);

@@ -169,8 +169,9 @@ struct MrResult {
 void AccumulateRoundStats(const MapReduceSimulator& sim, MrResult* result);
 
 /// Driver for the MapReduce algorithms. Thread-safe for concurrent runs
-/// only through distinct instances. Partitions are lists of row ids; a
-/// partition becomes points only at its engine call.
+/// only through distinct instances. Partitions are lists of row ids; each
+/// reducer attempt gathers its partition's rows into a Dataset of its own
+/// for the engine call, and no partition is ever turned into points.
 class MapReduceDiversity {
  public:
   /// `metric` must outlive this object.

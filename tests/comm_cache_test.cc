@@ -16,6 +16,7 @@
 #include "comm/net_io.h"
 #include "comm/serialize.h"
 #include "comm/worker_core.h"
+#include "core/dataset.h"
 #include "core/point.h"
 #include "util/status.h"
 
@@ -33,31 +34,31 @@ PointSet MakePoints(size_t n, float offset) {
 }
 
 // ---------------------------------------------------------------------------
-// FingerprintPoints: the content stamp.
+// FingerprintRows: the content stamp.
 
 TEST(FingerprintTest, IsPureContent) {
-  PointSet a = MakePoints(16, 1.0f);
-  PointSet b = MakePoints(16, 1.0f);  // separate allocation, same content
-  EXPECT_EQ(FingerprintPoints(a), FingerprintPoints(b));
+  Dataset a(MakePoints(16, 1.0f));
+  Dataset b(MakePoints(16, 1.0f));  // separate allocation, same content
+  EXPECT_EQ(FingerprintRows(a), FingerprintRows(b));
 }
 
 TEST(FingerprintTest, SensitiveToValuesCountAndOrder) {
   PointSet base = MakePoints(8, 1.0f);
-  const uint64_t fp = FingerprintPoints(base);
+  const uint64_t fp = FingerprintRows(Dataset(base));
 
   PointSet changed = base;
   std::vector<float> vals = changed[3].dense_values();
   vals[1] += 0.25f;
   changed[3] = Point::Dense(std::move(vals));
-  EXPECT_NE(FingerprintPoints(changed), fp);
+  EXPECT_NE(FingerprintRows(Dataset(changed)), fp);
 
   PointSet shorter = base;
   shorter.pop_back();
-  EXPECT_NE(FingerprintPoints(shorter), fp);
+  EXPECT_NE(FingerprintRows(Dataset(shorter)), fp);
 
   PointSet swapped = base;
   std::swap(swapped[0], swapped[1]);
-  EXPECT_NE(FingerprintPoints(swapped), fp);
+  EXPECT_NE(FingerprintRows(Dataset(swapped)), fp);
 }
 
 TEST(FingerprintTest, DistinguishesDenseFromSparseAndNeverReturnsZero) {
@@ -67,9 +68,9 @@ TEST(FingerprintTest, DistinguishesDenseFromSparseAndNeverReturnsZero) {
   dense.push_back(Point::Dense({1.0f, 2.0f}));
   PointSet sparse;
   sparse.push_back(Point::Sparse({0, 1}, {1.0f, 2.0f}, 2));
-  EXPECT_NE(FingerprintPoints(dense), FingerprintPoints(sparse));
+  EXPECT_NE(FingerprintRows(Dataset(dense)), FingerprintRows(Dataset(sparse)));
   // 0 is the "untagged" wire sentinel; the empty set must not produce it.
-  EXPECT_NE(FingerprintPoints(PointSet{}), 0u);
+  EXPECT_NE(FingerprintRows(Dataset()), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -80,8 +81,8 @@ TEST(WorkerCacheTest, LookupMissThenInsertThenHit) {
   EXPECT_EQ(cache.Lookup(42), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
 
-  PointSet part = MakePoints(10, 2.0f);
-  const uint64_t fp = FingerprintPoints(part);
+  Dataset part(MakePoints(10, 2.0f));
+  const uint64_t fp = FingerprintRows(part);
   auto stored = cache.Insert(fp, part);
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ(stored->size(), 10u);
@@ -95,13 +96,13 @@ TEST(WorkerCacheTest, LookupMissThenInsertThenHit) {
 }
 
 TEST(WorkerCacheTest, EvictsLeastRecentlyUsedUnderPressure) {
-  const size_t one_entry = ApproxPointSetBytes(MakePoints(64, 0.0f));
+  const size_t one_entry = Dataset(MakePoints(64, 0.0f)).MemoryBytes();
   // Room for two resident entries, not three.
   WorkerPartitionCache cache(2 * one_entry + one_entry / 2);
-  PointSet a = MakePoints(64, 1.0f), b = MakePoints(64, 2.0f),
-           c = MakePoints(64, 3.0f);
-  const uint64_t fa = FingerprintPoints(a), fb = FingerprintPoints(b),
-                 fc = FingerprintPoints(c);
+  Dataset a(MakePoints(64, 1.0f)), b(MakePoints(64, 2.0f)),
+      c(MakePoints(64, 3.0f));
+  const uint64_t fa = FingerprintRows(a), fb = FingerprintRows(b),
+                 fc = FingerprintRows(c);
   (void)cache.Insert(fa, a);
   (void)cache.Insert(fb, b);
   ASSERT_EQ(cache.entries(), 2u);
@@ -117,8 +118,8 @@ TEST(WorkerCacheTest, EvictsLeastRecentlyUsedUnderPressure) {
 
 TEST(WorkerCacheTest, OversizeEntryBypassesStorage) {
   WorkerPartitionCache cache(64);  // smaller than any real partition
-  PointSet part = MakePoints(32, 0.0f);
-  const uint64_t fp = FingerprintPoints(part);
+  Dataset part(MakePoints(32, 0.0f));
+  const uint64_t fp = FingerprintRows(part);
   auto stored = cache.Insert(fp, part);
   ASSERT_NE(stored, nullptr);  // caller still gets the partition
   EXPECT_EQ(stored->size(), 32u);
@@ -128,8 +129,8 @@ TEST(WorkerCacheTest, OversizeEntryBypassesStorage) {
 
 TEST(WorkerCacheTest, EvictDropsTheEntry) {
   WorkerPartitionCache cache(size_t{1} << 20);
-  PointSet part = MakePoints(8, 5.0f);
-  const uint64_t fp = FingerprintPoints(part);
+  Dataset part(MakePoints(8, 5.0f));
+  const uint64_t fp = FingerprintRows(part);
   (void)cache.Insert(fp, part);
   EXPECT_TRUE(cache.Evict(fp));
   EXPECT_FALSE(cache.Evict(fp));  // already gone
@@ -140,8 +141,8 @@ TEST(WorkerCacheTest, EvictDropsTheEntry) {
 
 TEST(WorkerCacheTest, SharedPtrSurvivesEviction) {
   WorkerPartitionCache cache(size_t{1} << 20);
-  PointSet part = MakePoints(8, 7.0f);
-  const uint64_t fp = FingerprintPoints(part);
+  Dataset part(MakePoints(8, 7.0f));
+  const uint64_t fp = FingerprintRows(part);
   auto held = cache.Insert(fp, part);
   ASSERT_TRUE(cache.Evict(fp));
   // A task computing on the partition keeps it alive past the eviction.
@@ -157,7 +158,7 @@ WireRequest MakeSolveRequest(const PointSet& points, size_t k) {
   req.metric = "euclidean";
   req.round = "solve";
   req.k = k;
-  req.points = points;
+  req.part = Dataset(points);
   return req;
 }
 
@@ -176,7 +177,7 @@ TEST(CacheProtocolTest, ByRefMissRepliesNotFoundWithCacheMissBit) {
 
 TEST(CacheProtocolTest, CachedReplyIsBitIdenticalToInlineShip) {
   const PointSet part = MakePoints(40, 3.0f);
-  const uint64_t fp = FingerprintPoints(part);
+  const uint64_t fp = FingerprintRows(Dataset(part));
 
   // Reference: a plain inline ship with no cache interaction.
   const std::string inline_reply =
@@ -206,7 +207,7 @@ TEST(CacheProtocolTest, FingerprintMismatchIsDataLossAndNothingIsCached) {
   WorkerPartitionCache cache(size_t{1} << 20);
   WireRequest req = MakeSolveRequest(MakePoints(12, 1.0f), 3);
   req.cache_insert = true;
-  req.points_fingerprint = FingerprintPoints(req.points) ^ 0x1;  // corrupt
+  req.points_fingerprint = FingerprintRows(req.part) ^ 0x1;  // corrupt
   StatusOr<WireReply> reply =
       TryDecodeWireReply(ExecuteWireTask(EncodeWireRequest(req), &cache));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
@@ -220,7 +221,7 @@ TEST(CacheProtocolTest, FingerprintMismatchIsDataLossAndNothingIsCached) {
 TEST(CacheProtocolTest, EvictFingerprintForcesTheMissPath) {
   WorkerPartitionCache cache(size_t{1} << 20);
   const PointSet part = MakePoints(20, 2.0f);
-  const uint64_t fp = FingerprintPoints(part);
+  const uint64_t fp = FingerprintRows(Dataset(part));
   WireRequest insert = MakeSolveRequest(part, 4);
   insert.cache_insert = true;
   insert.points_fingerprint = fp;
@@ -241,6 +242,53 @@ TEST(CacheProtocolTest, EvictFingerprintForcesTheMissPath) {
   EXPECT_EQ(cache.entries(), 0u);
 }
 
+// A kCoreset request whose partition section holds `points` record for
+// record — also a mixed-dim set, which no Dataset (and so no encoder) can
+// produce but a corrupt or hostile peer can still send.
+std::string CoresetPayloadWithPartition(const PointSet& points) {
+  WireRequest req;
+  req.type = WireTaskType::kCoreset;
+  req.metric = "euclidean";
+  req.round = "coreset";
+  req.k_prime = 2;
+  std::string payload = EncodeWireRequest(req);
+  // Drop the counts of the three empty trailing sections (part, points2,
+  // gen), then write them again with `points` as the partition.
+  payload.resize(payload.size() - 3 * sizeof(uint64_t));
+  AppendPointSet(points, &payload);
+  AppendPointSet(PointSet{}, &payload);
+  AppendGenCoreset(GeneralizedCoreset(), &payload);
+  return payload;
+}
+
+PointSet MixedDimPoints() {
+  PointSet points = MakePoints(4, 1.0f);  // dim 3
+  points.push_back(Point::Dense({1.0f, 2.0f}));
+  points.push_back(Point::Dense({3.0f, 4.0f, 5.0f}));
+  return points;
+}
+
+TEST(CacheProtocolTest, MixedDimPartitionIsAnErrorReplyNotAnAbort) {
+  // Same-dim control: the hand-built payload is a valid request.
+  StatusOr<WireReply> ok_reply = TryDecodeWireReply(
+      ExecuteWireTask(CoresetPayloadWithPartition(MakePoints(6, 1.0f))));
+  ASSERT_TRUE(ok_reply.ok()) << ok_reply.status().ToString();
+  ASSERT_TRUE(ok_reply->status.ok()) << ok_reply->status.ToString();
+  EXPECT_EQ(ok_reply->points.size(), 2u);
+
+  // Record 4 has dim 2 but record 0 has dim 3: the worker answers with the
+  // loaders' dim-mismatch error instead of CHECK-aborting in the task body.
+  WorkerPartitionCache cache(size_t{1} << 20);
+  StatusOr<WireReply> reply = TryDecodeWireReply(
+      ExecuteWireTask(CoresetPayloadWithPartition(MixedDimPoints()), &cache));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reply->status.message(),
+            "point 4 has dim 2 but point 0 has dim 3");
+  EXPECT_TRUE(reply->points.empty());
+  EXPECT_EQ(cache.entries(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // StreamingRequestDecoder: chunked feed == monolithic decode.
 
@@ -254,7 +302,7 @@ WireRequest MakeBigRequest() {
   req.k_prime = 9;
   req.delegates = 2;
   req.extended = true;
-  req.points = MakePoints(300, 4.0f);
+  req.part = Dataset(MakePoints(300, 4.0f));
   req.points2 = MakePoints(5, 1.0f);
   req.gen.Add(Point::Dense({1.0f, 2.0f, 3.0f}), 3);
   req.gen.Add(Point::Sparse({1, 4}, {0.5f, -2.0f}, 8), 1);
@@ -299,7 +347,7 @@ TEST(StreamingDecoderTest, DecodesPointsWhileLaterChunksAreStillInFlight) {
           .ok());
   StatusOr<WireRequest> decoded = decoder.Finish();
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->points.size(), 300u);
+  EXPECT_EQ(decoded->part.size(), 300u);
 }
 
 TEST(StreamingDecoderTest, CertainStructuralErrorsSurfaceMidStream) {
@@ -311,6 +359,32 @@ TEST(StreamingDecoderTest, CertainStructuralErrorsSurfaceMidStream) {
   // Sticky: further feeds keep reporting the same error.
   EXPECT_EQ(decoder.Feed("more").code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(decoder.Finish().ok());
+}
+
+TEST(StreamingDecoderTest, DimMismatchSurfacesOnceTheRecordIsComplete) {
+  const std::string payload = CoresetPayloadWithPartition(MixedDimPoints());
+  const StatusOr<WireRequest> mono = TryDecodeWireRequest(payload);
+  ASSERT_FALSE(mono.ok());
+  EXPECT_EQ(mono.status().code(), StatusCode::kInvalidArgument);
+  // Fed one byte at a time, the decoder reports the mismatch exactly when
+  // the mismatching record's last byte arrives — certain corruption, like
+  // an unknown task type — and the streamed verdict equals the monolithic.
+  StreamingRequestDecoder decoder;
+  size_t fed = 0;
+  Status st = OkStatus();
+  while (st.ok() && fed < payload.size()) {
+    st = decoder.Feed(std::string_view(payload).substr(fed++, 1));
+  }
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoder.points_decoded(), 4u);
+  // Only the last record (a dim-3 point) and the two empty section counts
+  // follow the mismatching record.
+  const size_t record_end =
+      payload.size() - (9 + 3 * sizeof(float)) - 2 * sizeof(uint64_t);
+  EXPECT_EQ(fed, record_end);
+  StatusOr<WireRequest> streamed = decoder.Finish();
+  ASSERT_FALSE(streamed.ok());
+  EXPECT_EQ(streamed.status().ToString(), mono.status().ToString());
 }
 
 TEST(StreamingDecoderTest, TruncationIsOnlyDiagnosedAtFinish) {
@@ -336,7 +410,7 @@ TEST(StreamingDecoderTest, ByRefRequestCarriesNoPointsSection) {
   StatusOr<WireRequest> decoded = TryDecodeWireRequest(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded->points_by_ref);
-  EXPECT_TRUE(decoded->points.empty());
+  EXPECT_TRUE(decoded->part.empty());
   EXPECT_EQ(decoded->points_fingerprint, 0x1234u);
   EXPECT_EQ(decoded->points2.size(), 5u);  // later sections still ship
 }

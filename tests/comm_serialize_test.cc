@@ -8,12 +8,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "comm/frame.h"
 #include "comm/serialize.h"
+#include "core/dataset.h"
 #include "core/generalized_coreset.h"
 #include "core/point.h"
 #include "util/status.h"
@@ -200,6 +202,63 @@ TEST(SerializeTest, PointCountBeyondPayloadRejectedBeforeAllocating) {
   EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
 }
 
+// SamplePoints at one dim, as a request's partition section must be: the
+// dense points padded with zeros to the sparse points' dim 9.
+Dataset SampleRows() {
+  PointSet pts = SamplePoints();
+  for (Point& p : pts) {
+    if (p.is_sparse()) continue;
+    std::vector<float> values = p.dense_values();
+    values.resize(9, 0.0f);
+    p = Point::Dense(std::move(values));
+  }
+  return Dataset(pts);
+}
+
+TEST(SerializeTest, RowEncoderBytesEqualPointSetEncoder) {
+  // The partition section is written from row views; its bytes must be
+  // exactly what the PointSet encoder writes for the same points.
+  PointSet dense;
+  PointSet sparse;
+  for (int i = 0; i < 5; ++i) {
+    const float f = static_cast<float>(i);
+    dense.push_back(Point::Dense({f, -f, 0.5f * f, 1e-38f}));
+    sparse.push_back(Point::Sparse({1, static_cast<uint32_t>(3 + i)},
+                                   {f, -0.0f}, 12));
+  }
+  PointSet empty_support = sparse;
+  empty_support.push_back(Point::Sparse({}, {}, 12));
+  empty_support.insert(empty_support.begin() + 2, Point::Sparse({}, {}, 12));
+  PointSet mixed = empty_support;
+  for (int i = 0; i < 3; ++i) {
+    mixed.insert(mixed.begin() + 2 * i,
+                 Point::Dense(std::vector<float>(12, static_cast<float>(i))));
+  }
+  const std::vector<std::pair<const char*, PointSet>> cases = {
+      {"dense", dense},
+      {"sparse", sparse},
+      {"mixed", mixed},
+      {"empty-support", empty_support},
+      {"empty", PointSet{}},
+  };
+  for (const auto& [name, points] : cases) {
+    const Dataset d(points);
+    std::string rows;
+    AppendRows(d, &rows);
+    std::string reference;
+    AppendPointSet(d.points(), &reference);
+    EXPECT_EQ(rows, reference) << name;
+    EXPECT_EQ(rows, EncodeSet(points)) << name;
+    for (size_t i = 0; i < d.size(); ++i) {
+      std::string one;
+      AppendRowRecord(d, i, &one);
+      std::string want;
+      AppendPointRecord(points[i], &want);
+      EXPECT_EQ(one, want) << name << " row " << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Generalized core-set payloads.
 
@@ -257,7 +316,7 @@ WireRequest SampleRequest() {
   req.delegates = 7;
   req.extended = true;
   req.range = 0.125;
-  req.points = SamplePoints();
+  req.part = SampleRows();
   req.points2.push_back(Point::Dense({9.0f}));
   req.gen = SampleGen();
   return req;
@@ -280,9 +339,9 @@ TEST(SerializeTest, RequestRoundTripsEveryField) {
   EXPECT_EQ(back->delegates, req.delegates);
   EXPECT_EQ(back->extended, req.extended);
   EXPECT_EQ(back->range, req.range);
-  ASSERT_EQ(back->points.size(), req.points.size());
-  for (size_t i = 0; i < req.points.size(); ++i) {
-    EXPECT_TRUE(back->points[i] == req.points[i]);
+  ASSERT_EQ(back->part.size(), req.part.size());
+  for (size_t i = 0; i < req.part.size(); ++i) {
+    EXPECT_TRUE(back->part.RowEquals(i, req.part.point(i)));
   }
   ASSERT_EQ(back->points2.size(), req.points2.size());
   EXPECT_TRUE(back->points2[0] == req.points2[0]);

@@ -206,8 +206,8 @@ TEST(DatasetTest, ScreenStatsTrackEveryMutation) {
     data.Append(p);
     ExpectScreenStatsMatchRecomputation(data, "append");
   }
-  data.Assign(MixedPoints(9, 6, /*seed=*/8));
-  ExpectScreenStatsMatchRecomputation(data, "assign");
+  data = Dataset(MixedPoints(9, 6, /*seed=*/8));
+  ExpectScreenStatsMatchRecomputation(data, "construct");
   Dataset gathered;
   std::vector<uint32_t> rows = {7, 2, 2, 5};
   gathered.AssignGatherColumnar(data, rows);

@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -250,6 +251,64 @@ TEST(DistributedTest, TransportFaultsSimulateIdenticallyOnLoopback) {
   EXPECT_TRUE(SamePoints(base->solution, result->solution));
   EXPECT_GE(result->task_retries, 4u);
   EXPECT_EQ(result->faults_injected, 4u);
+}
+
+// A corrupted partition copy (one garbled row) on each partition round —
+// coreset, gen-coreset, instantiate — is caught by the driver's input
+// validation before the engine call, and the retry gathers the pristine
+// rows: both engines recover the fault-free loopback answer bit for bit.
+TEST(DistributedTest, CorruptPartitionRecoversBitIdenticallyOnEveryRound) {
+  EuclideanMetric metric;
+  const DiversityProblem problem = DiversityProblem::kRemoteClique;
+  const Dataset input(DenseInput());
+  MrOptions opts = BaseOptions();
+  MapReduceDiversity clean(&metric, problem, opts);
+  StatusOr<MrResult> base = clean.TryRun(input);
+  StatusOr<MrResult> base_gen = clean.TryRunGeneralized(input);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ASSERT_TRUE(base_gen.ok()) << base_gen.status().ToString();
+
+  // Which instantiate tasks own a selected point depends on the run, so
+  // every one corrupts its first attempt (tasks without one never read
+  // their partition, and never retry).
+  StatusOr<FaultInjector> two_round =
+      FaultInjector::Parse("coreset:1:0:corrupt-partition:7");
+  StatusOr<FaultInjector> three_round = FaultInjector::Parse(
+      "gen-coreset:2:0:corrupt-partition:5,"
+      "instantiate:0:0:corrupt-partition:3,"
+      "instantiate:1:0:corrupt-partition:3,"
+      "instantiate:2:0:corrupt-partition:3,"
+      "instantiate:3:0:corrupt-partition:3");
+  ASSERT_TRUE(two_round.ok());
+  ASSERT_TRUE(three_round.ok());
+
+  SocketEngine socket(SocketOptions("euclidean", problem));
+  ASSERT_TRUE(socket.Healthy().ok()) << socket.Healthy().ToString();
+  for (CommunicationEngine* engine :
+       {static_cast<CommunicationEngine*>(nullptr),
+        static_cast<CommunicationEngine*>(&socket)}) {
+    const std::string name = engine == nullptr ? "loopback" : "socket";
+    MrOptions faulty = opts;
+    faulty.engine = engine;
+    faulty.faults = &*two_round;
+    StatusOr<MrResult> got =
+        MapReduceDiversity(&metric, problem, faulty).TryRun(input);
+    ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+    EXPECT_TRUE(SamePoints(base->solution, got->solution)) << name;
+    EXPECT_EQ(base->diversity, got->diversity) << name;
+    EXPECT_EQ(got->task_retries, 1u) << name;
+    EXPECT_FALSE(got->degraded.has_value()) << name;
+
+    faulty.faults = &*three_round;
+    StatusOr<MrResult> got_gen =
+        MapReduceDiversity(&metric, problem, faulty).TryRunGeneralized(input);
+    ASSERT_TRUE(got_gen.ok()) << name << ": " << got_gen.status().ToString();
+    EXPECT_TRUE(SamePoints(base_gen->solution, got_gen->solution)) << name;
+    EXPECT_EQ(base_gen->diversity, got_gen->diversity) << name;
+    // The gen-coreset retry plus at least one instantiate retry.
+    EXPECT_GE(got_gen->task_retries, 2u) << name;
+    EXPECT_FALSE(got_gen->degraded.has_value()) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -556,6 +615,38 @@ TEST(DistributedTest, UnknownMetricNameSurfacesWorkerError) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("mystery-metric"),
             std::string::npos);
+}
+
+TEST(DistributedTest, MixedDimPointSetIsAnErrorNotAnAbort) {
+  // Both engines lay a PointSet input out as rows first; points that
+  // disagree on dim come back as the loaders' error on either engine,
+  // without aborting the caller or reaching a worker.
+  EuclideanMetric metric;
+  LoopbackEngine loopback(&metric, DiversityProblem::kRemoteEdge);
+  SocketEngineOptions so =
+      SocketOptions("euclidean", DiversityProblem::kRemoteEdge);
+  so.num_workers = 1;
+  SocketEngine socket(so);
+  ASSERT_TRUE(socket.Healthy().ok());
+  PointSet mixed = DenseInput();
+  mixed.push_back(Point::Dense(std::vector<float>(mixed[0].dim() + 1, 1.0f)));
+  for (CommunicationEngine* engine :
+       {static_cast<CommunicationEngine*>(&loopback),
+        static_cast<CommunicationEngine*>(&socket)}) {
+    TaskEnvelope env;
+    env.round = "coreset";
+    EXPECT_EQ(engine->Coreset(env, mixed, CoresetSpec{4, 0, false})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << engine->BackendName();
+    env.round = "solve";
+    EXPECT_EQ(engine->Solve(env, mixed, 3).status().code(),
+              StatusCode::kInvalidArgument)
+        << engine->BackendName();
+  }
+  EXPECT_EQ(socket.stats().rpc_errors, 0u);
+  EXPECT_EQ(socket.stats().request_bytes_sent, 0u);
 }
 
 TEST(DistributedTest, BackendNamesAreDistinct) {
