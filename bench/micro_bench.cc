@@ -8,9 +8,9 @@
 // Besides the usual console output, the binary writes a machine-readable
 // BENCH_micro.json (override the path with the BENCH_MICRO_JSON environment
 // variable): a {"meta": ..., "entries": [...]} document whose meta block
-// records the run configuration (git sha, hardware thread count, AVX2
-// dispatch state, fp32 screening mode) so trajectories are comparable
-// across commits and machines, and whose entries each carry
+// records the run configuration (git sha, hardware thread count) so
+// trajectories are comparable across commits and machines, and whose
+// entries each carry
 // {op, n, dim, threads, metric, ns_per_op, exact_evals, screened_evals}.
 // Benchmarks report n / dim / threads / exact_evals / screened_evals
 // through counters of those names and the metric through the label.
@@ -571,28 +571,35 @@ void BM_SparseTileEuclideanWideVocabPerPair(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseTileEuclideanWideVocabPerPair)->Args({4096, 120});
 
-// The fused SMM "argmin + threshold" update sweep at dim 3 — below the old
-// >=8-coords-per-row gate, so the pre-fusion engine ran this exact. SMM-EXT
-// runs it on every update (base SMM only asks whether some center is
-// within 4 d_i). Arg(1) screens (fused sweep), Arg(0) is the exact
-// baseline.
+// The SMM update step's screened sweeps against their exact baselines,
+// Args({ext, dim, screening}) over a uniform-cube stream (k=64, k'=128,
+// single-threaded). ext=1 is SMM-EXT's fused "argmin + threshold" sweep,
+// which it runs on every update; ext=0 is base SMM's early-exit
+// first-within sweep. screening=1 screens in fp32, screening=0 is the exact
+// baseline. The dim sweep shows where the screened halves pay.
 void BM_FusedScreenSmmUpdate(benchmark::State& state) {
-  bool screening = state.range(0) != 0;
+  using internal_smm::SmmEngine;
+  const bool ext = state.range(0) != 0;
+  const size_t dim = static_cast<size_t>(state.range(1));
+  const bool screening = state.range(2) != 0;
   EuclideanMetric m({.screening = screening});
   SetGlobalThreadPoolSize(1);
-  PointSet pts = GenerateUniformCube(100000, 3, 4);
-  SmmExt smm(&m, 64, 128);
+  PointSet pts = GenerateUniformCube(100000, dim, 4);
+  SmmEngine smm(&m, 64, 128,
+                ext ? SmmEngine::Mode::kDelegates
+                    : SmmEngine::Mode::kCentersOnly);
   size_t i = 0;
   for (auto _ : state) {
     smm.Update(pts[i++ % pts.size()]);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.counters["n"] = 128;
-  state.counters["dim"] = 3;
+  state.counters["dim"] = static_cast<double>(dim);
   state.counters["threads"] = 1;
   state.SetLabel(screening ? "euclidean/screened" : "euclidean/exact");
 }
-BENCHMARK(BM_FusedScreenSmmUpdate)->Arg(1)->Arg(0);
+BENCHMARK(BM_FusedScreenSmmUpdate)
+    ->ArgsProduct({{0, 1}, {3, 8, 16, 32, 64}, {1, 0}});
 
 // Forwards Distance to CosineMetric and keeps every other Metric member's
 // base-class fallback: the scalar reference for the sparse SMM sweep.
@@ -867,10 +874,8 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
     std::fprintf(f, "{\n");
     std::fprintf(
         f,
-        "  \"meta\": {\"git_sha\": \"%s\", \"hw_threads\": %u, "
-        "\"avx2\": %s},\n",
-        Escaped(GitSha()).c_str(), std::thread::hardware_concurrency(),
-        diverse::kernels::TileSimdEnabled() ? "true" : "false");
+        "  \"meta\": {\"git_sha\": \"%s\", \"hw_threads\": %u},\n",
+        Escaped(GitSha()).c_str(), std::thread::hardware_concurrency());
     std::fprintf(f, "  \"entries\": [\n");
     for (size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];

@@ -12,7 +12,6 @@
 #include "core/diversity.h"
 #include "core/metric.h"
 #include "data/sparse_text.h"
-#include "streaming/sliding_window.h"
 #include "streaming/streaming_diversity.h"
 #include "util/timer.h"
 
@@ -60,24 +59,5 @@ int main() {
               result.diversity /
                   DiversityTermCount(DiversityProblem::kRemoteClique, k));
 
-  // --- Sliding window: "most diverse stories of the last 10k" ------------
-  // The whole-stream panel above never forgets; a news page usually should.
-  // SlidingWindowDiversity keeps one core-set per block of the stream and
-  // answers queries over the most recent `window` points in block
-  // granularity, with memory independent of the stream length.
-  SlidingWindowOptions wopts;
-  wopts.problem = DiversityProblem::kRemoteClique;
-  wopts.k = k;
-  wopts.k_prime = k_prime;
-  wopts.window = 10000;
-  wopts.block = 2500;
-  SlidingWindowDiversity window_panel(&metric, wopts);
-  for (const Point& story : stream) window_panel.Update(story);
-  StreamingResult recent = window_panel.Query();
-  std::printf("\nsliding window (last ~%zu stories):\n", wopts.window);
-  std::printf("window panel size:    %zu stories\n", recent.solution.size());
-  std::printf("window diversity:     %.3f\n", recent.diversity);
-  std::printf("window memory:        %zu points across %zu block core-sets\n",
-              recent.peak_memory_points, window_panel.retained_blocks());
   return 0;
 }

@@ -21,16 +21,13 @@
 #include <cstdint>
 #include <limits>
 
-#if defined(DIVERSE_ENABLE_AVX2) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define DIVERSE_HAVE_AVX2_KERNELS 1
-#include <immintrin.h>
-#elif defined(__x86_64__) && defined(__SSE2__)
-#define DIVERSE_HAVE_AVX2_KERNELS 0
+#if defined(__x86_64__) && defined(__SSE2__)
 #include <emmintrin.h>
-#else
-#define DIVERSE_HAVE_AVX2_KERNELS 0
 #endif
+
+// The library has no AVX2 kernels; perfbench/src/main.cc reads this macro
+// for the `avx2_compiled` field of its meta line, its only reader.
+#define DIVERSE_HAVE_AVX2_KERNELS 0
 
 namespace diverse {
 namespace kernels {
@@ -242,11 +239,9 @@ inline double Euclidean(const VecView& a, const VecView& b) {
 // coordinate order. Because each lane performs exactly the operations of the
 // scalar kernels above, in the same order, with the same double-precision
 // intermediates (sub, mul, add — deliberately no FMA), the lane kernels are
-// bit-identical to the scalar reference. The optional AVX2 variants
-// (DIVERSE_ENABLE_AVX2 + runtime CPU check) keep this property: 8 lanes are
-// two 4-wide double vectors and every vector op maps 1:1 onto the scalar
-// sequence. Sparse or mixed rows never reach these kernels — the tile layer
-// falls back to the exact scalar merge kernels above.
+// bit-identical to the scalar reference. Sparse or mixed rows never reach
+// these kernels — the tile layer falls back to the exact scalar merge kernels
+// above.
 
 /// Queries per transposed lane block.
 inline constexpr size_t kTileLanes = 8;
@@ -264,10 +259,10 @@ inline void PackQueryLanes(const VecView* queries, size_t nq, size_t dim,
   }
 }
 
-namespace internal {
-
-inline void SquaredEuclideanLanesGeneric(const float* qt, const float* row,
-                                         size_t dim, double* out) {
+/// out[lane] = |q_lane - row|^2 for each packed query lane, bit-identical
+/// per lane to SquaredEuclidean on the same pair.
+inline void SquaredEuclideanLanes(const float* qt, const float* row,
+                                  size_t dim, double* out) {
   double acc[kTileLanes] = {0, 0, 0, 0, 0, 0, 0, 0};
   for (size_t d = 0; d < dim; ++d) {
     double rv = row[d];
@@ -280,8 +275,9 @@ inline void SquaredEuclideanLanesGeneric(const float* qt, const float* row,
   for (size_t lane = 0; lane < kTileLanes; ++lane) out[lane] = acc[lane];
 }
 
-inline void L1LanesGeneric(const float* qt, const float* row, size_t dim,
-                           double* out) {
+/// out[lane] = |q_lane - row|_1, bit-identical per lane to L1.
+inline void L1Lanes(const float* qt, const float* row, size_t dim,
+                    double* out) {
   double acc[kTileLanes] = {0, 0, 0, 0, 0, 0, 0, 0};
   for (size_t d = 0; d < dim; ++d) {
     double rv = row[d];
@@ -291,121 +287,6 @@ inline void L1LanesGeneric(const float* qt, const float* row, size_t dim,
     }
   }
   for (size_t lane = 0; lane < kTileLanes; ++lane) out[lane] = acc[lane];
-}
-
-inline void DotLanesGeneric(const float* qt, const float* row, size_t dim,
-                            double* out) {
-  double acc[kTileLanes] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (size_t d = 0; d < dim; ++d) {
-    double rv = row[d];
-    const float* q = qt + d * kTileLanes;
-    for (size_t lane = 0; lane < kTileLanes; ++lane) {
-      acc[lane] += static_cast<double>(q[lane]) * rv;
-    }
-  }
-  for (size_t lane = 0; lane < kTileLanes; ++lane) out[lane] = acc[lane];
-}
-
-#if DIVERSE_HAVE_AVX2_KERNELS
-
-// The AVX2 lane kernels mirror the generic ones vector-op for scalar-op
-// (sub/mul/add, no FMA contraction), so each lane's result is bit-identical
-// to the scalar kernels regardless of which variant ran.
-
-__attribute__((target("avx2"))) inline void SquaredEuclideanLanesAvx2(
-    const float* qt, const float* row, size_t dim, double* out) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  for (size_t d = 0; d < dim; ++d) {
-    __m256d rv = _mm256_set1_pd(static_cast<double>(row[d]));
-    __m256 q8 = _mm256_loadu_ps(qt + d * kTileLanes);
-    __m256d q0 = _mm256_cvtps_pd(_mm256_castps256_ps128(q8));
-    __m256d q1 = _mm256_cvtps_pd(_mm256_extractf128_ps(q8, 1));
-    __m256d d0 = _mm256_sub_pd(q0, rv);
-    __m256d d1 = _mm256_sub_pd(q1, rv);
-    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d0, d0));
-    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d1, d1));
-  }
-  _mm256_storeu_pd(out, acc0);
-  _mm256_storeu_pd(out + 4, acc1);
-}
-
-__attribute__((target("avx2"))) inline void L1LanesAvx2(const float* qt,
-                                                        const float* row,
-                                                        size_t dim,
-                                                        double* out) {
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  for (size_t d = 0; d < dim; ++d) {
-    __m256d rv = _mm256_set1_pd(static_cast<double>(row[d]));
-    __m256 q8 = _mm256_loadu_ps(qt + d * kTileLanes);
-    __m256d q0 = _mm256_cvtps_pd(_mm256_castps256_ps128(q8));
-    __m256d q1 = _mm256_cvtps_pd(_mm256_extractf128_ps(q8, 1));
-    acc0 = _mm256_add_pd(acc0, _mm256_and_pd(_mm256_sub_pd(q0, rv), abs_mask));
-    acc1 = _mm256_add_pd(acc1, _mm256_and_pd(_mm256_sub_pd(q1, rv), abs_mask));
-  }
-  _mm256_storeu_pd(out, acc0);
-  _mm256_storeu_pd(out + 4, acc1);
-}
-
-__attribute__((target("avx2"))) inline void DotLanesAvx2(const float* qt,
-                                                         const float* row,
-                                                         size_t dim,
-                                                         double* out) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  for (size_t d = 0; d < dim; ++d) {
-    __m256d rv = _mm256_set1_pd(static_cast<double>(row[d]));
-    __m256 q8 = _mm256_loadu_ps(qt + d * kTileLanes);
-    __m256d q0 = _mm256_cvtps_pd(_mm256_castps256_ps128(q8));
-    __m256d q1 = _mm256_cvtps_pd(_mm256_extractf128_ps(q8, 1));
-    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(q0, rv));
-    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(q1, rv));
-  }
-  _mm256_storeu_pd(out, acc0);
-  _mm256_storeu_pd(out + 4, acc1);
-}
-
-#endif  // DIVERSE_HAVE_AVX2_KERNELS
-
-}  // namespace internal
-
-/// True when the AVX2 lane kernels are compiled in and the CPU supports
-/// them. Informational: lane results are bit-identical either way.
-inline bool TileSimdEnabled() {
-#if DIVERSE_HAVE_AVX2_KERNELS
-  static const bool enabled = __builtin_cpu_supports("avx2") != 0;
-  return enabled;
-#else
-  return false;
-#endif
-}
-
-/// out[lane] = |q_lane - row|^2 for each packed query lane, bit-identical
-/// per lane to SquaredEuclidean on the same pair.
-inline void SquaredEuclideanLanes(const float* qt, const float* row,
-                                  size_t dim, double* out) {
-#if DIVERSE_HAVE_AVX2_KERNELS
-  if (TileSimdEnabled()) {
-    internal::SquaredEuclideanLanesAvx2(qt, row, dim, out);
-    return;
-  }
-#endif
-  internal::SquaredEuclideanLanesGeneric(qt, row, dim, out);
-}
-
-/// out[lane] = |q_lane - row|_1, bit-identical per lane to L1.
-inline void L1Lanes(const float* qt, const float* row, size_t dim,
-                    double* out) {
-#if DIVERSE_HAVE_AVX2_KERNELS
-  if (TileSimdEnabled()) {
-    internal::L1LanesAvx2(qt, row, dim, out);
-    return;
-  }
-#endif
-  internal::L1LanesGeneric(qt, row, dim, out);
 }
 
 /// In-place sqrt over `count` doubles. Uses packed SQRTPD where available:
@@ -426,13 +307,15 @@ inline void SqrtLanes(double* vals, size_t count) {
 /// out[lane] = <q_lane, row>, bit-identical per lane to Dot.
 inline void DotLanes(const float* qt, const float* row, size_t dim,
                      double* out) {
-#if DIVERSE_HAVE_AVX2_KERNELS
-  if (TileSimdEnabled()) {
-    internal::DotLanesAvx2(qt, row, dim, out);
-    return;
+  double acc[kTileLanes] = {0, 0, 0, 0, 0, 0, 0, 0};
+  for (size_t d = 0; d < dim; ++d) {
+    double rv = row[d];
+    const float* q = qt + d * kTileLanes;
+    for (size_t lane = 0; lane < kTileLanes; ++lane) {
+      acc[lane] += static_cast<double>(q[lane]) * rv;
+    }
   }
-#endif
-  internal::DotLanesGeneric(qt, row, dim, out);
+  for (size_t lane = 0; lane < kTileLanes; ++lane) out[lane] = acc[lane];
 }
 
 // ---------------------------------------------------------------------------
@@ -449,9 +332,7 @@ inline void DotLanes(const float* qt, const float* row, size_t dim,
 // (sequential) gamma_n analysis, so each kernel is free to pick the order
 // that vectorizes best. Every order is still *fixed in code* — never
 // scheduling-dependent — so screened values, rescue sets, and evaluation
-// counts are deterministic at any thread count; and the AVX2 variants mirror
-// the generic ones op for op, so they are bit-identical to each other just
-// like the exact lane kernels.
+// counts are deterministic at any thread count.
 
 /// Queries per transposed fp32 lane block (twice the double lane width).
 inline constexpr size_t kTileLanesF32 = 16;
@@ -470,191 +351,6 @@ inline void PackQueryLanesF32(const VecView* queries, size_t nq, size_t dim,
 }
 
 namespace internal {
-
-// The baseline fp32 lane kernels are hand-written SSE2 on x86-64 (part of
-// the base ISA, no dispatch needed): left to the auto-vectorizer, GCC
-// chooses an outer-loop (across-coordinates) strategy for these 16-lane
-// float loops whose shuffle/transpose overhead runs slower than the scalar
-// double kernels. The intrinsics pin the natural in-lane direction; every
-// vector op maps 1:1 onto the plain-loop fallback's scalar sequence, so
-// all variants (plain, SSE2, AVX2) produce identical float bits.
-
-#if defined(__x86_64__) && defined(__SSE2__)
-
-inline void SquaredEuclideanLanesF32Generic(const float* qt, const float* row,
-                                            size_t dim, float* out) {
-  __m128 acc0 = _mm_setzero_ps();
-  __m128 acc1 = _mm_setzero_ps();
-  __m128 acc2 = _mm_setzero_ps();
-  __m128 acc3 = _mm_setzero_ps();
-  for (size_t d = 0; d < dim; ++d) {
-    __m128 rv = _mm_set1_ps(row[d]);
-    const float* q = qt + d * kTileLanesF32;
-    __m128 d0 = _mm_sub_ps(_mm_loadu_ps(q), rv);
-    __m128 d1 = _mm_sub_ps(_mm_loadu_ps(q + 4), rv);
-    __m128 d2 = _mm_sub_ps(_mm_loadu_ps(q + 8), rv);
-    __m128 d3 = _mm_sub_ps(_mm_loadu_ps(q + 12), rv);
-    acc0 = _mm_add_ps(acc0, _mm_mul_ps(d0, d0));
-    acc1 = _mm_add_ps(acc1, _mm_mul_ps(d1, d1));
-    acc2 = _mm_add_ps(acc2, _mm_mul_ps(d2, d2));
-    acc3 = _mm_add_ps(acc3, _mm_mul_ps(d3, d3));
-  }
-  _mm_storeu_ps(out, acc0);
-  _mm_storeu_ps(out + 4, acc1);
-  _mm_storeu_ps(out + 8, acc2);
-  _mm_storeu_ps(out + 12, acc3);
-}
-
-inline void L1LanesF32Generic(const float* qt, const float* row, size_t dim,
-                              float* out) {
-  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-  __m128 acc0 = _mm_setzero_ps();
-  __m128 acc1 = _mm_setzero_ps();
-  __m128 acc2 = _mm_setzero_ps();
-  __m128 acc3 = _mm_setzero_ps();
-  for (size_t d = 0; d < dim; ++d) {
-    __m128 rv = _mm_set1_ps(row[d]);
-    const float* q = qt + d * kTileLanesF32;
-    acc0 = _mm_add_ps(
-        acc0, _mm_and_ps(_mm_sub_ps(_mm_loadu_ps(q), rv), abs_mask));
-    acc1 = _mm_add_ps(
-        acc1, _mm_and_ps(_mm_sub_ps(_mm_loadu_ps(q + 4), rv), abs_mask));
-    acc2 = _mm_add_ps(
-        acc2, _mm_and_ps(_mm_sub_ps(_mm_loadu_ps(q + 8), rv), abs_mask));
-    acc3 = _mm_add_ps(
-        acc3, _mm_and_ps(_mm_sub_ps(_mm_loadu_ps(q + 12), rv), abs_mask));
-  }
-  _mm_storeu_ps(out, acc0);
-  _mm_storeu_ps(out + 4, acc1);
-  _mm_storeu_ps(out + 8, acc2);
-  _mm_storeu_ps(out + 12, acc3);
-}
-
-inline void DotLanesF32Generic(const float* qt, const float* row, size_t dim,
-                               float* out) {
-  __m128 acc0 = _mm_setzero_ps();
-  __m128 acc1 = _mm_setzero_ps();
-  __m128 acc2 = _mm_setzero_ps();
-  __m128 acc3 = _mm_setzero_ps();
-  for (size_t d = 0; d < dim; ++d) {
-    __m128 rv = _mm_set1_ps(row[d]);
-    const float* q = qt + d * kTileLanesF32;
-    acc0 = _mm_add_ps(acc0, _mm_mul_ps(_mm_loadu_ps(q), rv));
-    acc1 = _mm_add_ps(acc1, _mm_mul_ps(_mm_loadu_ps(q + 4), rv));
-    acc2 = _mm_add_ps(acc2, _mm_mul_ps(_mm_loadu_ps(q + 8), rv));
-    acc3 = _mm_add_ps(acc3, _mm_mul_ps(_mm_loadu_ps(q + 12), rv));
-  }
-  _mm_storeu_ps(out, acc0);
-  _mm_storeu_ps(out + 4, acc1);
-  _mm_storeu_ps(out + 8, acc2);
-  _mm_storeu_ps(out + 12, acc3);
-}
-
-#else  // !x86-64 SSE2
-
-inline void SquaredEuclideanLanesF32Generic(const float* qt, const float* row,
-                                            size_t dim, float* out) {
-  float acc[kTileLanesF32] = {};
-  for (size_t d = 0; d < dim; ++d) {
-    float rv = row[d];
-    const float* q = qt + d * kTileLanesF32;
-    for (size_t lane = 0; lane < kTileLanesF32; ++lane) {
-      float diff = q[lane] - rv;
-      acc[lane] += diff * diff;
-    }
-  }
-  for (size_t lane = 0; lane < kTileLanesF32; ++lane) out[lane] = acc[lane];
-}
-
-inline void L1LanesF32Generic(const float* qt, const float* row, size_t dim,
-                              float* out) {
-  float acc[kTileLanesF32] = {};
-  for (size_t d = 0; d < dim; ++d) {
-    float rv = row[d];
-    const float* q = qt + d * kTileLanesF32;
-    for (size_t lane = 0; lane < kTileLanesF32; ++lane) {
-      acc[lane] += std::abs(q[lane] - rv);
-    }
-  }
-  for (size_t lane = 0; lane < kTileLanesF32; ++lane) out[lane] = acc[lane];
-}
-
-inline void DotLanesF32Generic(const float* qt, const float* row, size_t dim,
-                               float* out) {
-  float acc[kTileLanesF32] = {};
-  for (size_t d = 0; d < dim; ++d) {
-    float rv = row[d];
-    const float* q = qt + d * kTileLanesF32;
-    for (size_t lane = 0; lane < kTileLanesF32; ++lane) {
-      acc[lane] += q[lane] * rv;
-    }
-  }
-  for (size_t lane = 0; lane < kTileLanesF32; ++lane) out[lane] = acc[lane];
-}
-
-#endif  // x86-64 SSE2
-
-#if DIVERSE_HAVE_AVX2_KERNELS
-
-// The fp32 AVX2 lane kernels mirror the generic loops vector-op for
-// scalar-op (sub/mul/add per coordinate, vertical only), so each lane's
-// float value is identical regardless of which variant ran — rescue sets do
-// not depend on the AVX2 build flag or CPU.
-
-__attribute__((target("avx2"))) inline void SquaredEuclideanLanesF32Avx2(
-    const float* qt, const float* row, size_t dim, float* out) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  for (size_t d = 0; d < dim; ++d) {
-    __m256 rv = _mm256_set1_ps(row[d]);
-    __m256 q0 = _mm256_loadu_ps(qt + d * kTileLanesF32);
-    __m256 q1 = _mm256_loadu_ps(qt + d * kTileLanesF32 + 8);
-    __m256 d0 = _mm256_sub_ps(q0, rv);
-    __m256 d1 = _mm256_sub_ps(q1, rv);
-    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(d0, d0));
-    acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(d1, d1));
-  }
-  _mm256_storeu_ps(out, acc0);
-  _mm256_storeu_ps(out + 8, acc1);
-}
-
-__attribute__((target("avx2"))) inline void L1LanesF32Avx2(const float* qt,
-                                                           const float* row,
-                                                           size_t dim,
-                                                           float* out) {
-  const __m256 abs_mask =
-      _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  for (size_t d = 0; d < dim; ++d) {
-    __m256 rv = _mm256_set1_ps(row[d]);
-    __m256 q0 = _mm256_loadu_ps(qt + d * kTileLanesF32);
-    __m256 q1 = _mm256_loadu_ps(qt + d * kTileLanesF32 + 8);
-    acc0 = _mm256_add_ps(acc0, _mm256_and_ps(_mm256_sub_ps(q0, rv), abs_mask));
-    acc1 = _mm256_add_ps(acc1, _mm256_and_ps(_mm256_sub_ps(q1, rv), abs_mask));
-  }
-  _mm256_storeu_ps(out, acc0);
-  _mm256_storeu_ps(out + 8, acc1);
-}
-
-__attribute__((target("avx2"))) inline void DotLanesF32Avx2(const float* qt,
-                                                            const float* row,
-                                                            size_t dim,
-                                                            float* out) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  for (size_t d = 0; d < dim; ++d) {
-    __m256 rv = _mm256_set1_ps(row[d]);
-    __m256 q0 = _mm256_loadu_ps(qt + d * kTileLanesF32);
-    __m256 q1 = _mm256_loadu_ps(qt + d * kTileLanesF32 + 8);
-    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(q0, rv));
-    acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(q1, rv));
-  }
-  _mm256_storeu_ps(out, acc0);
-  _mm256_storeu_ps(out + 8, acc1);
-}
-
-#endif  // DIVERSE_HAVE_AVX2_KERNELS
 
 // Shared structure of the dense single-query fp32 kernels: eight partial
 // accumulators filled 8 coordinates at a time (vectorizable without any
@@ -758,41 +454,131 @@ inline void DenseRowsF32(const float* q, const float* base, size_t dim,
   }
 }
 
-/// out[lane] = |q_lane - row|^2 in fp32 for each packed query lane.
+// The fp32 lane kernels: out[lane] = |q_lane - row|^2, |q_lane - row|_1 or
+// <q_lane, row> in fp32 for each packed query lane.
+//
+// They are hand-written SSE2 on x86-64 (part of the base ISA, no dispatch
+// needed): left to the auto-vectorizer, GCC chooses an outer-loop
+// (across-coordinates) strategy for these 16-lane float loops whose
+// shuffle/transpose overhead runs slower than the scalar double kernels. The
+// intrinsics pin the natural in-lane direction; every vector op maps 1:1 onto
+// the plain-loop fallback's scalar sequence, so both variants produce
+// identical float bits.
+
+#if defined(__x86_64__) && defined(__SSE2__)
+
 inline void SquaredEuclideanLanesF32(const float* qt, const float* row,
                                      size_t dim, float* out) {
-#if DIVERSE_HAVE_AVX2_KERNELS
-  if (TileSimdEnabled()) {
-    internal::SquaredEuclideanLanesF32Avx2(qt, row, dim, out);
-    return;
+  __m128 acc0 = _mm_setzero_ps();
+  __m128 acc1 = _mm_setzero_ps();
+  __m128 acc2 = _mm_setzero_ps();
+  __m128 acc3 = _mm_setzero_ps();
+  for (size_t d = 0; d < dim; ++d) {
+    __m128 rv = _mm_set1_ps(row[d]);
+    const float* q = qt + d * kTileLanesF32;
+    __m128 d0 = _mm_sub_ps(_mm_loadu_ps(q), rv);
+    __m128 d1 = _mm_sub_ps(_mm_loadu_ps(q + 4), rv);
+    __m128 d2 = _mm_sub_ps(_mm_loadu_ps(q + 8), rv);
+    __m128 d3 = _mm_sub_ps(_mm_loadu_ps(q + 12), rv);
+    acc0 = _mm_add_ps(acc0, _mm_mul_ps(d0, d0));
+    acc1 = _mm_add_ps(acc1, _mm_mul_ps(d1, d1));
+    acc2 = _mm_add_ps(acc2, _mm_mul_ps(d2, d2));
+    acc3 = _mm_add_ps(acc3, _mm_mul_ps(d3, d3));
   }
-#endif
-  internal::SquaredEuclideanLanesF32Generic(qt, row, dim, out);
+  _mm_storeu_ps(out, acc0);
+  _mm_storeu_ps(out + 4, acc1);
+  _mm_storeu_ps(out + 8, acc2);
+  _mm_storeu_ps(out + 12, acc3);
 }
 
-/// out[lane] = |q_lane - row|_1 in fp32.
 inline void L1LanesF32(const float* qt, const float* row, size_t dim,
                        float* out) {
-#if DIVERSE_HAVE_AVX2_KERNELS
-  if (TileSimdEnabled()) {
-    internal::L1LanesF32Avx2(qt, row, dim, out);
-    return;
+  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
+  __m128 acc0 = _mm_setzero_ps();
+  __m128 acc1 = _mm_setzero_ps();
+  __m128 acc2 = _mm_setzero_ps();
+  __m128 acc3 = _mm_setzero_ps();
+  for (size_t d = 0; d < dim; ++d) {
+    __m128 rv = _mm_set1_ps(row[d]);
+    const float* q = qt + d * kTileLanesF32;
+    acc0 = _mm_add_ps(
+        acc0, _mm_and_ps(_mm_sub_ps(_mm_loadu_ps(q), rv), abs_mask));
+    acc1 = _mm_add_ps(
+        acc1, _mm_and_ps(_mm_sub_ps(_mm_loadu_ps(q + 4), rv), abs_mask));
+    acc2 = _mm_add_ps(
+        acc2, _mm_and_ps(_mm_sub_ps(_mm_loadu_ps(q + 8), rv), abs_mask));
+    acc3 = _mm_add_ps(
+        acc3, _mm_and_ps(_mm_sub_ps(_mm_loadu_ps(q + 12), rv), abs_mask));
   }
-#endif
-  internal::L1LanesF32Generic(qt, row, dim, out);
+  _mm_storeu_ps(out, acc0);
+  _mm_storeu_ps(out + 4, acc1);
+  _mm_storeu_ps(out + 8, acc2);
+  _mm_storeu_ps(out + 12, acc3);
 }
 
-/// out[lane] = <q_lane, row> in fp32.
 inline void DotLanesF32(const float* qt, const float* row, size_t dim,
                         float* out) {
-#if DIVERSE_HAVE_AVX2_KERNELS
-  if (TileSimdEnabled()) {
-    internal::DotLanesF32Avx2(qt, row, dim, out);
-    return;
+  __m128 acc0 = _mm_setzero_ps();
+  __m128 acc1 = _mm_setzero_ps();
+  __m128 acc2 = _mm_setzero_ps();
+  __m128 acc3 = _mm_setzero_ps();
+  for (size_t d = 0; d < dim; ++d) {
+    __m128 rv = _mm_set1_ps(row[d]);
+    const float* q = qt + d * kTileLanesF32;
+    acc0 = _mm_add_ps(acc0, _mm_mul_ps(_mm_loadu_ps(q), rv));
+    acc1 = _mm_add_ps(acc1, _mm_mul_ps(_mm_loadu_ps(q + 4), rv));
+    acc2 = _mm_add_ps(acc2, _mm_mul_ps(_mm_loadu_ps(q + 8), rv));
+    acc3 = _mm_add_ps(acc3, _mm_mul_ps(_mm_loadu_ps(q + 12), rv));
   }
-#endif
-  internal::DotLanesF32Generic(qt, row, dim, out);
+  _mm_storeu_ps(out, acc0);
+  _mm_storeu_ps(out + 4, acc1);
+  _mm_storeu_ps(out + 8, acc2);
+  _mm_storeu_ps(out + 12, acc3);
 }
+
+#else  // !x86-64 SSE2
+
+inline void SquaredEuclideanLanesF32(const float* qt, const float* row,
+                                     size_t dim, float* out) {
+  float acc[kTileLanesF32] = {};
+  for (size_t d = 0; d < dim; ++d) {
+    float rv = row[d];
+    const float* q = qt + d * kTileLanesF32;
+    for (size_t lane = 0; lane < kTileLanesF32; ++lane) {
+      float diff = q[lane] - rv;
+      acc[lane] += diff * diff;
+    }
+  }
+  for (size_t lane = 0; lane < kTileLanesF32; ++lane) out[lane] = acc[lane];
+}
+
+inline void L1LanesF32(const float* qt, const float* row, size_t dim,
+                       float* out) {
+  float acc[kTileLanesF32] = {};
+  for (size_t d = 0; d < dim; ++d) {
+    float rv = row[d];
+    const float* q = qt + d * kTileLanesF32;
+    for (size_t lane = 0; lane < kTileLanesF32; ++lane) {
+      acc[lane] += std::abs(q[lane] - rv);
+    }
+  }
+  for (size_t lane = 0; lane < kTileLanesF32; ++lane) out[lane] = acc[lane];
+}
+
+inline void DotLanesF32(const float* qt, const float* row, size_t dim,
+                        float* out) {
+  float acc[kTileLanesF32] = {};
+  for (size_t d = 0; d < dim; ++d) {
+    float rv = row[d];
+    const float* q = qt + d * kTileLanesF32;
+    for (size_t lane = 0; lane < kTileLanesF32; ++lane) {
+      acc[lane] += q[lane] * rv;
+    }
+  }
+  for (size_t lane = 0; lane < kTileLanesF32; ++lane) out[lane] = acc[lane];
+}
+
+#endif  // x86-64 SSE2
 
 /// In-place fp32 sqrt over `count` floats (packed SQRTPS where available;
 /// IEEE sqrt is correctly rounded, so identical to sqrtf per element).

@@ -90,8 +90,7 @@ class SmmEngine {
   /// The point core-set of a kCentersOnly or kDelegates engine. Centers
   /// only: the centers, padded from M to >= k points when possible
   /// (padding is skipped only if the whole stream had fewer points).
-  /// Delegates: the union of all delegate sets. Reads the state only, so
-  /// it may be called mid-stream.
+  /// Delegates: the union of all delegate sets.
   PointSet FinalizeCoreset() const;
 
   /// Finalizes in kCounts mode: the generalized core-set

@@ -7,6 +7,17 @@
 #include "util/check.h"
 
 namespace diverse {
+namespace {
+
+// The engine mode of the one-pass algorithm: SMM-EXT (kDelegates) for the
+// injective-proxy problems, SMM (kCentersOnly) for the others.
+internal_smm::SmmEngine::Mode OnePassMode(DiversityProblem problem) {
+  return RequiresInjectiveProxies(problem)
+             ? internal_smm::SmmEngine::Mode::kDelegates
+             : internal_smm::SmmEngine::Mode::kCentersOnly;
+}
+
+}  // namespace
 
 StreamingDiversity::StreamingDiversity(const Metric* metric,
                                        DiversityProblem problem, size_t k,
@@ -14,7 +25,7 @@ StreamingDiversity::StreamingDiversity(const Metric* metric,
     : metric_(metric),
       problem_(problem),
       k_(k),
-      engine_(metric, k, k_prime, internal_smm::OnePassMode(problem)) {}
+      engine_(metric, k, k_prime, OnePassMode(problem)) {}
 
 void StreamingDiversity::Update(const Point& p) {
   engine_.Update(p);

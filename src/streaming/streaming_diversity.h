@@ -41,17 +41,6 @@ struct StreamingResult {
   size_t phases = 0;
 };
 
-namespace internal_smm {
-
-/// The engine mode of the one-pass algorithm: SMM-EXT (kDelegates) for the
-/// injective-proxy problems, SMM (kCentersOnly) for the others.
-inline SmmEngine::Mode OnePassMode(DiversityProblem problem) {
-  return RequiresInjectiveProxies(problem) ? SmmEngine::Mode::kDelegates
-                                           : SmmEngine::Mode::kCentersOnly;
-}
-
-}  // namespace internal_smm
-
 /// One-pass streaming diversity maximization (Theorem 3).
 class StreamingDiversity {
  public:

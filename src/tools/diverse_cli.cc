@@ -121,6 +121,15 @@ commands:
   return 2;
 }
 
+// A well-formed integer flag whose value the command cannot use: a usage
+// error with exit code 1, like a malformed one, reported before the
+// command generates or writes anything.
+int BelowMinimum(const char* flag, size_t minimum, const char* what = "") {
+  std::fprintf(stderr, "error: --%s must be at least %zu%s\n", flag, minimum,
+               what);
+  return 1;
+}
+
 bool IsTextPath(const std::string& path) {
   return path.size() > 4 && path.substr(path.size() - 4) == ".txt";
 }
@@ -299,6 +308,8 @@ int RunGenerate(const CliFlags& flags) {
     o.k = flags.GetInt<size_t>("k", 8);
     o.dim = flags.GetInt<size_t>("dim", 3);
     o.seed = seed;
+    if (o.n < o.k) return BelowMinimum("n", o.k, " (the planted --k)");
+    if (o.dim == 0) return BelowMinimum("dim", 1);
     pts = GenerateSphereDataset(o);
   } else if (kind == "cube") {
     pts = GenerateUniformCube(n, flags.GetInt<size_t>("dim", 3), seed);
@@ -308,6 +319,10 @@ int RunGenerate(const CliFlags& flags) {
     o.vocab_size = flags.GetInt<uint32_t>("vocab", 5000);
     o.num_topics = flags.GetInt<size_t>("topics", 32);
     o.seed = seed;
+    if (o.vocab_size < o.max_terms) {
+      return BelowMinimum("vocab", o.max_terms,
+                          " (the most distinct terms a document holds)");
+    }
     pts = GenerateSparseTextDataset(o);
   } else {
     std::fprintf(stderr, "error: unknown kind %s\n", kind.c_str());
@@ -344,6 +359,7 @@ int RunEstimate(const CliFlags& flags) {
   DoublingEstimateOptions opts;
   opts.num_centers = flags.GetInt<size_t>("centers", 32);
   opts.max_sample = flags.GetInt<size_t>("sample", 2000);
+  if (opts.max_sample == 0) return BelowMinimum("sample", 1);
   DoublingEstimate est = EstimateDoublingDimension(*points, *metric, opts);
   std::printf("points:            %zu\n", points->size());
   std::printf("probes:            %zu\n", est.probes);

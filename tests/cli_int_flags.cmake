@@ -1,7 +1,11 @@
 # diverse_cli parses integer flags strictly: a value that is not all digits,
 # or does not fit, is a usage error (exit code 1 and
 # "error: --<flag> expects a non-negative integer"), never a wrapped or
-# defaulted number. A well-formed value still solves.
+# defaulted number. A well-formed value the command cannot use (a sphere
+# with fewer points than planted ones, no dimensions, a vocabulary smaller
+# than a document, an empty estimator sample) is a usage error too (exit
+# code 1 and "error: --<flag> must be at least ..."), never an abort. A
+# well-formed value still solves.
 #
 # Run through CTest (cli_int_flags_test), or by hand:
 #   cmake -DCLI=build/diverse_cli -DWORK_DIR=build -P tests/cli_int_flags.cmake
@@ -25,6 +29,26 @@ foreach(bad "partitions=-1" "workers=-1" "k_prime=abc" "k=+4" "partitions="
   endif()
   if(NOT err MATCHES "error: --${flag} expects a non-negative integer")
     message(FATAL_ERROR "--${bad}: unexpected stderr:\n${err}")
+  endif()
+endforeach()
+
+set(out "${WORK_DIR}/cli_int_flags_out.bin")
+foreach(bad "generate|--kind=sphere|--n=5|--out=${out}"
+            "generate|--kind=sphere|--dim=0|--out=${out}"
+            "generate|--kind=text|--vocab=0|--out=${out}"
+            "generate|--kind=text|--vocab=50|--out=${out}"
+            "estimate|--in=${data}|--sample=0")
+  string(REPLACE "|" ";" args "${bad}")
+  list(GET args 2 arg)
+  string(REGEX REPLACE "^--([a-z_]+)=.*" "\\1" flag "${arg}")
+  execute_process(
+    COMMAND "${CLI}" ${args}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "${bad}: exit code ${rc}, want 1\n${err}")
+  endif()
+  if(NOT err MATCHES "error: --${flag} must be at least")
+    message(FATAL_ERROR "${bad}: unexpected stderr:\n${err}")
   endif()
 endforeach()
 

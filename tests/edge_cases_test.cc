@@ -9,9 +9,7 @@
 #include "core/exact.h"
 #include "core/metric.h"
 #include "core/sequential.h"
-#include "data/sparse_text.h"
 #include "data/synthetic.h"
-#include "streaming/sliding_window.h"
 #include "streaming/smm.h"
 
 namespace diverse {
@@ -265,49 +263,6 @@ TEST(EdgeCaseTest, SmmAllDuplicateSparseStream) {
   SmmExt smm(&metric, 3, 6);
   for (int i = 0; i < 200; ++i) smm.Update(SparseDoc());
   EXPECT_GE(smm.Finalize().size(), 1u);
-}
-
-TEST(EdgeCaseTest, SlidingWindowSparseStream) {
-  CosineMetric metric;
-  SlidingWindowOptions o;
-  o.problem = DiversityProblem::kRemoteEdge;
-  o.k = 3;
-  o.k_prime = 6;
-  o.window = 40;
-  o.block = 10;
-  SlidingWindowDiversity sw(&metric, o);
-  SparseTextOptions sopts;
-  sopts.n = 150;
-  sopts.vocab_size = 100;
-  sopts.min_terms = 3;
-  sopts.max_terms = 15;
-  sopts.seed = 17;
-  for (const Point& p : GenerateSparseTextDataset(sopts)) sw.Update(p);
-  StreamingResult r = sw.Query();
-  EXPECT_EQ(r.solution.size(), 3u);
-  EXPECT_GT(r.diversity, 0.0);
-  EXPECT_GE(r.peak_memory_points, sw.StoredPoints());
-}
-
-TEST(EdgeCaseTest, SlidingWindowSingletonAndDuplicateSparse) {
-  CosineMetric metric;
-  SlidingWindowOptions o;
-  o.problem = DiversityProblem::kRemoteClique;
-  o.k = 2;
-  o.k_prime = 4;
-  o.window = 20;
-  o.block = 5;
-  SlidingWindowDiversity single(&metric, o);
-  single.Update(SparseDoc());
-  StreamingResult r1 = single.Query();
-  EXPECT_EQ(r1.solution.size(), 1u);
-  EXPECT_DOUBLE_EQ(r1.diversity, 0.0);
-
-  SlidingWindowDiversity dup(&metric, o);
-  for (int i = 0; i < 100; ++i) dup.Update(SparseDoc());
-  StreamingResult r2 = dup.Query();
-  EXPECT_GE(r2.solution.size(), 1u);
-  EXPECT_DOUBLE_EQ(r2.diversity, 0.0);
 }
 
 TEST(EdgeCaseTest, MapReduceSinglePartition) {

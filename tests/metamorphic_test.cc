@@ -22,9 +22,8 @@
 //     objective than the original optimum.
 //
 // The scaling and duplication properties run across sequential, streaming
-// SMM, sliding-window, and MapReduce backends (permutation: sequential
-// only — the streaming and partitioned backends are order-sensitive by
-// construction).
+// SMM, and MapReduce backends (permutation: sequential only — the streaming
+// and partitioned backends are order-sensitive by construction).
 
 #include <algorithm>
 #include <memory>
@@ -44,7 +43,6 @@
 #include "core/sequential.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
-#include "streaming/sliding_window.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -281,20 +279,6 @@ TEST_P(MetamorphicThreads, PowerOfTwoScalingScalesObjectivesExactly) {
               << mc.metric->Name() << "/" << ProblemName(p) << "/"
               << BackendName(b);
         }
-        // Sliding window: same property through the block core-sets.
-        SlidingWindowOptions w;
-        w.problem = p;
-        w.k = 6;
-        w.k_prime = 12;
-        w.window = 128;
-        w.block = 32;
-        SlidingWindowDiversity win(mc.metric.get(), w);
-        SlidingWindowDiversity win_scaled(mc.metric.get(), w);
-        for (const Point& q : *pts) win.Update(q);
-        for (const Point& q : scaled) win_scaled.Update(q);
-        EXPECT_EQ(win_scaled.Query().diversity,
-                  mc.objective_factor * win.Query().diversity)
-            << mc.metric->Name() << "/" << ProblemName(p) << "/window";
       }
     }
   }
@@ -357,16 +341,6 @@ TEST_P(MetamorphicThreads, DuplicatingAPointNeverImprovesTheObjective) {
                 << metric->Name() << "/" << ProblemName(p) << "/"
                 << BackendName(b);
           }
-          SlidingWindowOptions w;
-          w.problem = p;
-          w.k = 4;
-          w.k_prime = 8;
-          w.window = 16;
-          w.block = 4;
-          SlidingWindowDiversity win(metric.get(), w);
-          for (const Point& q : with_dup) win.Update(q);
-          EXPECT_LE(win.Query().diversity, cap + 1e-9)
-              << metric->Name() << "/" << ProblemName(p) << "/window";
         }
       }
     }
