@@ -17,13 +17,20 @@ std::vector<size_t> GmmExtCoreset(const Dataset& data, const Metric& metric,
   DIVERSE_CHECK_LE(k_prime, n);
   GmmResult gmm = Gmm(data, metric, k_prime);
 
-  // Collect each cluster's members; gmm.assignment already breaks ties
-  // toward the earliest-selected center, matching the C_j of Algorithm 1.
+  // Collect the first members of each cluster; gmm.assignment already
+  // breaks ties toward the earliest-selected center, matching the C_j of
+  // Algorithm 1. The output takes at most delegates_per_cluster members
+  // other than the center, so a list stops at one more than that, and the
+  // scan stops once every list is full.
   std::vector<size_t> out;
   out.reserve(k_prime);
   std::vector<std::vector<size_t>> cluster(k_prime);
-  for (size_t i = 0; i < n; ++i) {
-    cluster[gmm.assignment[i]].push_back(i);
+  size_t open = k_prime;
+  for (size_t i = 0; i < n && open > 0; ++i) {
+    std::vector<size_t>& members = cluster[gmm.assignment[i]];
+    if (members.size() > delegates_per_cluster) continue;
+    members.push_back(i);
+    if (members.size() > delegates_per_cluster) --open;
   }
   for (size_t j = 0; j < k_prime; ++j) {
     size_t center = gmm.selected[j];

@@ -1,5 +1,6 @@
 #include "core/gmm.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -12,10 +13,13 @@ namespace diverse {
 
 namespace {
 
+// The bound that skips no row: no dist is at most -inf.
+constexpr double kSkipNothing = -std::numeric_limits<double>::infinity();
+
 // The largest dist a row assigned to center a may hold and still be
 // certified unimprovable by the new center c, given the computed center
-// distance D = d(c, c_a); -inf (skip nothing) when no positive bound can
-// be certified.
+// distance D = d(c, c_a); kSkipNothing when no positive bound can be
+// certified.
 //
 // Metric::IndexSlack certifies |x - t| <= rel * x + abs for every computed
 // distance x of true value t. Let x = dist[i] = d(c_a, i) and y = d(c, i)
@@ -31,7 +35,7 @@ namespace {
 // down: the first covers the roundings of the quotient, the second the
 // subtraction and the factor's own product; the halving is exact for the
 // normal results the last test admits. Non-finite and degenerate inputs
-// (rel >= 1, an unbounded slack, NaN) give -inf.
+// (rel >= 1, an unbounded slack, NaN) give kSkipNothing.
 double SkipBound(double center_dist, const ScreenBound& slack) {
   constexpr double kU = std::numeric_limits<double>::epsilon();
   const double reach = (center_dist - slack.abs) * (1.0 - slack.rel) /
@@ -41,7 +45,7 @@ double SkipBound(double center_dist, const ScreenBound& slack) {
       bound < std::numeric_limits<double>::infinity()) {
     return bound;
   }
-  return -std::numeric_limits<double>::infinity();
+  return kSkipNothing;
 }
 
 }  // namespace
@@ -105,9 +109,17 @@ GmmResult Gmm(const Dataset& data, const Metric& metric, size_t k,
       metric.DistanceRowsMany(data, current, data, centers, skip_at.data());
       for (double& d : skip_at) d = SkipBound(d, slack);
     }
+    // A step none of whose bounds can rule a row out (every one
+    // kSkipNothing, as on sparse text under cosine or Jaccard, whose whole
+    // range is too narrow to certify any) passes no bounds, so the sweep
+    // does not pay a per-row test that cannot fire.
+    std::span<const double> step_skip_at = skip_at;
+    if (!skip_at.empty() && std::ranges::max(skip_at) == kSkipNothing) {
+      step_skip_at = {};
+    }
     size_t farthest = ScreenedRelaxArgFarthest(
         metric, data, current, dist, assignment,
-        result.selected.size() - 1, skip_at);
+        result.selected.size() - 1, step_skip_at);
     double farthest_dist = result.distance_to_selected[farthest];
     if (step == k) {
       result.range = farthest_dist;

@@ -54,14 +54,40 @@ ScreenedNearest ExactNearest(const Metric& metric, const Point& query,
   return out;
 }
 
+// The largest non-NaN value of v[0, count), or -inf when there is none.
+// Over non-NaN doubles max is exact and order-free (up to the sign of a
+// zero, which no comparison sees), so the lanes may fold in any order.
+double MaxIgnoringNaN(const double* v, size_t count) {
+  double m = -std::numeric_limits<double>::infinity();
+  size_t i = 0;
+#if defined(__x86_64__) && defined(__SSE2__)
+  // _mm_max_pd returns its second operand when either one is NaN, so with
+  // the accumulator second a NaN row never enters it.
+  __m128d acc0 = _mm_set1_pd(m);
+  __m128d acc1 = acc0;
+  for (; i + 4 <= count; i += 4) {
+    acc0 = _mm_max_pd(_mm_loadu_pd(v + i), acc0);
+    acc1 = _mm_max_pd(_mm_loadu_pd(v + i + 2), acc1);
+  }
+  acc0 = _mm_max_pd(acc0, acc1);
+  m = _mm_cvtsd_f64(_mm_max_pd(acc0, _mm_unpackhi_pd(acc0, acc0)));
+#endif
+  for (; i < count; ++i) {
+    if (v[i] > m) m = v[i];
+  }
+  return m;
+}
+
 // The parallel skeleton of the relax-and-argmax sweep: runs relax(lo, hi)
 // over all rows of `data` — GrainRows ranges on the pool, each cut into
 // blocks of at most kRelaxChunk rows — and returns the smallest index
-// maximizing the relaxed dist[]. Each range folds its first maximum
-// block by block while the block is cache-warm; ranges combine in ascending
-// order with a strict comparison, which reproduces a sequential first-max
-// scan exactly at any thread count. relax(lo, hi) may touch only rows
-// [lo, hi) of dist and assignment.
+// maximizing the relaxed dist[] (NaNs ignored). Each range folds its first
+// maximum block by block while the block is cache-warm: one vector max per
+// block, and only a block whose max beats the running one is searched for
+// the first row equal to it, so a block that merely ties keeps the earlier
+// row. Ranges combine in ascending order with a strict comparison, which
+// reproduces a sequential first-max scan exactly at any thread count.
+// relax(lo, hi) may touch only rows [lo, hi) of dist and assignment.
 template <typename RelaxFn>
 size_t RelaxArgFarthestRanges(const Dataset& data, std::span<double> dist,
                               std::span<size_t> assignment,
@@ -81,12 +107,13 @@ size_t RelaxArgFarthestRanges(const Dataset& data, std::span<double> dist,
     for (size_t b = lo; b < hi;) {
       size_t e = hi - b > kRelaxChunk ? b + kRelaxChunk : hi;
       relax(b, e);
-      for (; b < e; ++b) {
-        if (dist[b] > local_val) {
-          local_val = dist[b];
-          local_best = b;
-        }
+      double block_max = MaxIgnoringNaN(dist.data() + b, e - b);
+      if (block_max > local_val) {
+        local_val = block_max;
+        local_best = b;
+        while (!(dist[local_best] == block_max)) ++local_best;
       }
+      b = e;
     }
     range_best[lo / grain] = local_best;
   });

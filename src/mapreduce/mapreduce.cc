@@ -51,6 +51,8 @@ struct FallibleRound {
                 size_t num_tasks)
       : name(name), body(body), opts(opts), pool(pool),
         clock(opts.clock != nullptr ? opts.clock : RealExecutorClock()),
+        inline_kernels(std::min(num_tasks, pool.num_threads()) >=
+                       GlobalThreadPool().num_threads()),
         tasks(num_tasks), unresolved(num_tasks) {}
 
   // Immutable during the round.
@@ -59,6 +61,12 @@ struct FallibleRound {
   const FallibleRoundOptions& opts;
   ThreadPool& pool;
   ExecutorClock* const clock;
+  // Whether the round's reducers alone occupy every kernel thread: then
+  // each attempt runs its kernel loops inline (ScopedInlineParallelLoops)
+  // instead of queueing them on the shared GlobalThreadPool(), where they
+  // would only oversubscribe the cores. A round of fewer concurrent tasks
+  // (round 2's single reducer) keeps the pool.
+  const bool inline_kernels;
 
   Mutex mu;
   CondVar cv;
@@ -111,6 +119,7 @@ void FallibleRound::Launch(size_t i, bool speculative) {
         ctx.fault = fault.kind;
         ctx.fault_param = fault.param;
       }
+      ScopedInlineParallelLoops inline_loops(inline_kernels);
       status = body(ctx, &commit);
     }
     OnAttemptDone(i, status, commit);

@@ -14,6 +14,7 @@
 // Datasets are the library's text (.txt) or binary (.bin, default) formats;
 // see data/io.h.
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -116,6 +117,7 @@ commands:
   generate  --kind=sphere|cube|text --n=N --out=FILE
             [--k=planted] [--dim=D] [--vocab=V] [--topics=T] [--seed=S]
             [--format=bin|txt]
+            (N at most 10^8, N*D at most 10^9, V from 120 to 10^7)
   estimate  --in=FILE [--metric=...] [--centers=N] [--sample=N]
 )");
   return 2;
@@ -129,6 +131,28 @@ int BelowMinimum(const char* flag, size_t minimum, const char* what = "") {
                what);
   return 1;
 }
+
+// A well-formed integer flag above what the command can hold: the same
+// usage error, reported before anything is allocated.
+int AboveMaximum(const char* flag, size_t maximum, const char* what = "") {
+  std::fprintf(stderr, "error: --%s must be at most %zu%s\n", flag, maximum,
+               what);
+  return 1;
+}
+
+// Upper bounds of `generate`, so a huge --n, --dim or --vocab is a usage
+// error instead of an allocation failure: 10^8 points, 10^9 dense
+// coordinates in all, and a vocabulary whose Zipf table (8 bytes a term)
+// stays at 80 MB.
+constexpr size_t kMaxGeneratePoints = 100000000;
+constexpr size_t kMaxGenerateCoords = 1000000000;
+constexpr uint32_t kMaxVocab = 10000000;
+
+// The largest --dim `generate` accepts for n points.
+size_t MaxGenerateDim(size_t n) {
+  return kMaxGenerateCoords / std::max<size_t>(n, 1);
+}
+constexpr const char* kDimBoundNote = " (10^9 coordinates over --n points)";
 
 bool IsTextPath(const std::string& path) {
   return path.size() > 4 && path.substr(path.size() - 4) == ".txt";
@@ -300,6 +324,7 @@ int RunGenerate(const CliFlags& flags) {
   if (out.empty()) return Usage();
   size_t n = flags.GetInt<size_t>("n", 10000);
   uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
+  if (n > kMaxGeneratePoints) return AboveMaximum("n", kMaxGeneratePoints);
 
   PointSet pts;
   if (kind == "sphere") {
@@ -310,9 +335,16 @@ int RunGenerate(const CliFlags& flags) {
     o.seed = seed;
     if (o.n < o.k) return BelowMinimum("n", o.k, " (the planted --k)");
     if (o.dim == 0) return BelowMinimum("dim", 1);
+    if (o.dim > MaxGenerateDim(n)) {
+      return AboveMaximum("dim", MaxGenerateDim(n), kDimBoundNote);
+    }
     pts = GenerateSphereDataset(o);
   } else if (kind == "cube") {
-    pts = GenerateUniformCube(n, flags.GetInt<size_t>("dim", 3), seed);
+    size_t dim = flags.GetInt<size_t>("dim", 3);
+    if (dim > MaxGenerateDim(n)) {
+      return AboveMaximum("dim", MaxGenerateDim(n), kDimBoundNote);
+    }
+    pts = GenerateUniformCube(n, dim, seed);
   } else if (kind == "text") {
     SparseTextOptions o;
     o.n = n;
@@ -323,6 +355,7 @@ int RunGenerate(const CliFlags& flags) {
       return BelowMinimum("vocab", o.max_terms,
                           " (the most distinct terms a document holds)");
     }
+    if (o.vocab_size > kMaxVocab) return AboveMaximum("vocab", kMaxVocab);
     pts = GenerateSparseTextDataset(o);
   } else {
     std::fprintf(stderr, "error: unknown kind %s\n", kind.c_str());

@@ -66,12 +66,25 @@ thread_local ThreadPool* tl_worker_pool = nullptr;
 // arena_call_mu_ again (non-recursive); it runs inline instead.
 thread_local ThreadPool* tl_arena_owner = nullptr;
 
+// Set while a ScopedInlineParallelLoops is active on this thread.
+thread_local bool tl_inline_loops = false;
+
 }  // namespace
+
+ScopedInlineParallelLoops::ScopedInlineParallelLoops(bool active)
+    : saved_(tl_inline_loops) {
+  if (active) tl_inline_loops = true;
+}
+
+ScopedInlineParallelLoops::~ScopedInlineParallelLoops() {
+  tl_inline_loops = saved_;
+}
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  if (tl_worker_pool == this) {
-    // Nested call from one of this pool's own workers: run inline.
+  if (tl_worker_pool == this || tl_inline_loops) {
+    // Nested call from one of this pool's own workers, or the caller keeps
+    // the cores busy already: run inline.
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -94,9 +107,9 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 bool ThreadPool::ParallelForFallible(size_t n,
                                      const std::function<bool(size_t)>& fn) {
   if (n == 0) return true;
-  if (tl_worker_pool == this) {
-    // Nested call from one of this pool's own workers: run inline, stopping
-    // at the first failure.
+  if (tl_worker_pool == this || tl_inline_loops) {
+    // Nested call from one of this pool's own workers, or the caller keeps
+    // the cores busy already: run inline, stopping at the first failure.
     for (size_t i = 0; i < n; ++i) {
       if (!fn(i)) return false;
     }
@@ -132,7 +145,7 @@ void ThreadPool::ParallelForRanges(
   if (n == 0) return;
   grain = std::max<size_t>(grain, 1);
   if (n <= grain || num_threads() == 1 || tl_worker_pool == this ||
-      tl_arena_owner == this) {
+      tl_arena_owner == this || tl_inline_loops) {
     fn(0, n);
     return;
   }

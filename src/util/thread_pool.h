@@ -27,7 +27,8 @@ namespace diverse {
 /// `arena_call_mu_` is a serialization token admitting one range-loop owner
 /// at a time; `arena_next_` is the only lock-free shared cursor. Entry
 /// points are non-reentrant on `mu_` (DIVERSE_EXCLUDES) — nested loops from
-/// worker threads are detected and run inline before any lock is touched.
+/// worker threads, and loops under a ScopedInlineParallelLoops, run inline
+/// before any lock is touched.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (at least 1).
@@ -72,11 +73,12 @@ class ThreadPool {
   /// Runs `fn(begin, end)` over disjoint ranges covering [0, n), each of
   /// roughly `grain` indices, across the pool, and waits. Runs inline on the
   /// calling thread when the work is too small to amortize dispatch
-  /// (n <= grain), the pool has a single worker, or the caller *is* a worker
+  /// (n <= grain), the pool has a single worker, the caller *is* a worker
   /// of this pool (nested same-pool loops would otherwise block a worker on
-  /// work only workers can run). Range boundaries depend only on (n, grain)
-  /// — never on scheduling — so deterministic per-range reductions combine
-  /// identically at any thread count.
+  /// work only workers can run), or a ScopedInlineParallelLoops is active.
+  /// Range boundaries depend only on (n, grain) — never on scheduling — so
+  /// deterministic per-range reductions combine identically at any thread
+  /// count.
   ///
   /// Dispatch goes through a persistent task arena: the caller publishes the
   /// loop descriptor, wakes the workers, and claims ranges itself alongside
@@ -124,6 +126,28 @@ class ThreadPool {
   size_t arena_workers_inside_ DIVERSE_GUARDED_BY(mu_) = 0;
   bool arena_open_ DIVERSE_GUARDED_BY(mu_) = false;
   CondVar arena_done_;
+};
+
+/// While alive, every ParallelFor, ParallelForFallible and ParallelForRanges
+/// call made on this thread runs inline, on any pool — the rule a pool's own
+/// workers already follow. For callers that already keep every kernel
+/// thread busy themselves (a MapReduce round running at least as many
+/// reducers at once as GlobalThreadPool() has threads): dispatching their
+/// loops would only oversubscribe the cores. Parallel loops combine
+/// per-range results in ascending order, so the answers do not depend on
+/// the marker. An inactive scope leaves the marker as it found it; scopes
+/// nest, and each destructor restores the marker its constructor saw.
+class ScopedInlineParallelLoops {
+ public:
+  explicit ScopedInlineParallelLoops(bool active);
+  ~ScopedInlineParallelLoops();
+
+  ScopedInlineParallelLoops(const ScopedInlineParallelLoops&) = delete;
+  ScopedInlineParallelLoops& operator=(const ScopedInlineParallelLoops&) =
+      delete;
+
+ private:
+  bool saved_;
 };
 
 /// Process-wide pool used by the batched distance kernels (core/metric.h).

@@ -11,11 +11,14 @@
 //   * batched parallel GMM selects the identical index sequence as the
 //     scalar reference, at any thread count.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -406,6 +409,76 @@ TEST(BatchKernelTest, GmmMatchesScalarReferenceAllMetricsAllLayouts) {
       }
     }
   }
+}
+
+// The relax-and-argmax sweep folds one vector max per 512-row block and
+// searches a block only when its max beats the running one. Ties must
+// still go to the smallest index wherever the tied rows sit: inside one
+// block at odd offsets, on both sides of a block or GrainRows range
+// boundary, in a later block that only ties the running max, or in the
+// scalar tail of the last block; NaNs never win. The relax cannot lower
+// the preset values (every row but the center sits at distance 1000), so
+// they are exactly the dist[] the fold sees.
+TEST(BatchKernelTest, RelaxArgFarthestKeepsFirstMaxAcrossBlocksAndRanges) {
+  constexpr size_t kN = 40003;  // last block: 67 rows, 3 past the lanes
+  PointSet pts(kN, Point::Dense({1000.0f}));
+  pts[0] = Point::Dense({0.0f});
+  Dataset data(pts);
+  ASSERT_EQ(GrainRows(data), 16384u);
+  EuclideanMetric metric({.screening = false});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* what;
+    std::vector<std::pair<size_t, double>> set;
+  };
+  const std::vector<Case> cases = {
+      {"odd offsets, later blocks and ranges tie",
+       {{5001, 50}, {5003, 50}, {9217, 50}, {16387, 50}, {40002, 50}}},
+      {"tie across a block boundary", {{1023, 50}, {1024, 50}}},
+      {"tie across a range boundary", {{16383, 50}, {16384, 50}}},
+      {"a later block only ties the running max",
+       {{100, 50}, {777, 50}, {1535, 49}, {1536, 50}}},
+      {"a later block beats it", {{100, 50}, {777, 50}, {9000, 51}}},
+      {"NaNs share the max's lanes",
+       {{2048, nan}, {2049, nan}, {2050, 50}, {2051, 50}, {2052, nan}}},
+      {"NaNs follow the max in its lanes",
+       {{2050, 50}, {2051, 50}, {2054, nan}, {2055, nan}, {2058, nan}}},
+      {"the max sits in the scalar tail", {{40002, 50}, {40001, nan}}},
+      {"the first row of a range", {{32768, 50}, {39999, 50}}},
+  };
+  for (size_t pool_size : {1, 2, 4}) {
+    SetGlobalThreadPoolSize(pool_size);
+    for (const Case& c : cases) {
+      Rng rng(/*seed=*/pool_size);
+      std::vector<double> dist(kN);
+      for (double& d : dist) d = rng.NextDouble();
+      for (const auto& [row, value] : c.set) dist[row] = value;
+      std::vector<double> want_dist = dist;
+      want_dist[0] = 0.0;  // the center's own row
+      size_t want = 0;
+      double best = -std::numeric_limits<double>::infinity();
+      for (size_t i = 0; i < kN; ++i) {
+        if (want_dist[i] > best) {
+          best = want_dist[i];
+          want = i;
+        }
+      }
+      std::vector<size_t> assignment(kN, 0);
+      size_t got =
+          ScreenedRelaxArgFarthest(metric, data, 0, dist, assignment, 0);
+      EXPECT_EQ(got, want) << c.what << ", pool " << pool_size;
+      ScopedInlineParallelLoops inline_loops(true);
+      for (const auto& [row, value] : c.set) dist[row] = value;
+      got = ScreenedRelaxArgFarthest(metric, data, 0, dist, assignment, 0);
+      EXPECT_EQ(got, want) << c.what << ", inline, pool " << pool_size;
+    }
+  }
+  // All NaN: no row beats -inf, so the first row stands.
+  std::vector<double> dist(kN, nan);
+  std::vector<size_t> assignment(kN, 0);
+  size_t got = ScreenedRelaxArgFarthest(metric, data, 0, dist, assignment, 0);
+  EXPECT_EQ(got, 0u);
+  SetGlobalThreadPoolSize(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 // The acceptance gate of the refactor: the batched parallel GMM must select

@@ -4,8 +4,10 @@
 # defaulted number. A well-formed value the command cannot use (a sphere
 # with fewer points than planted ones, no dimensions, a vocabulary smaller
 # than a document, an empty estimator sample) is a usage error too (exit
-# code 1 and "error: --<flag> must be at least ..."), never an abort. A
-# well-formed value still solves.
+# code 1 and "error: --<flag> must be at least ..."), never an abort; so is
+# one too large to generate (more than 10^8 points, 10^9 coordinates or a
+# vocabulary of 10^7 terms: "error: --<flag> must be at most ..."), checked
+# before anything is allocated. A well-formed value still solves.
 #
 # Run through CTest (cli_int_flags_test), or by hand:
 #   cmake -DCLI=build/diverse_cli -DWORK_DIR=build -P tests/cli_int_flags.cmake
@@ -33,12 +35,18 @@ foreach(bad "partitions=-1" "workers=-1" "k_prime=abc" "k=+4" "partitions="
 endforeach()
 
 set(out "${WORK_DIR}/cli_int_flags_out.bin")
-foreach(bad "generate|--kind=sphere|--n=5|--out=${out}"
-            "generate|--kind=sphere|--dim=0|--out=${out}"
-            "generate|--kind=text|--vocab=0|--out=${out}"
-            "generate|--kind=text|--vocab=50|--out=${out}"
-            "estimate|--in=${data}|--sample=0")
+foreach(bad "least|generate|--kind=sphere|--n=5|--out=${out}"
+            "least|generate|--kind=sphere|--dim=0|--out=${out}"
+            "least|generate|--kind=text|--vocab=0|--out=${out}"
+            "least|generate|--kind=text|--vocab=50|--out=${out}"
+            "least|estimate|--in=${data}|--sample=0"
+            "most|generate|--kind=text|--vocab=4294967295|--out=${out}"
+            "most|generate|--kind=sphere|--n=18446744073709551615|--out=${out}"
+            "most|generate|--kind=text|--n=18446744073709551615|--out=${out}"
+            "most|generate|--kind=cube|--dim=18446744073709551615|--n=1|--out=${out}"
+            "most|generate|--kind=sphere|--dim=18446744073709551615|--out=${out}")
   string(REPLACE "|" ";" args "${bad}")
+  list(POP_FRONT args bound)
   list(GET args 2 arg)
   string(REGEX REPLACE "^--([a-z_]+)=.*" "\\1" flag "${arg}")
   execute_process(
@@ -47,7 +55,7 @@ foreach(bad "generate|--kind=sphere|--n=5|--out=${out}"
   if(NOT rc EQUAL 1)
     message(FATAL_ERROR "${bad}: exit code ${rc}, want 1\n${err}")
   endif()
-  if(NOT err MATCHES "error: --${flag} must be at least")
+  if(NOT err MATCHES "error: --${flag} must be at ${bound}")
     message(FATAL_ERROR "${bad}: unexpected stderr:\n${err}")
   endif()
 endforeach()

@@ -1,6 +1,8 @@
 #include "core/coreset.h"
 
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +72,49 @@ TEST(GmmExtCoresetTest, DelegatesComeFromOwnCluster) {
       dist = std::min(dist, m.Distance(pts[id], pts[center]));
     }
     EXPECT_LT(dist, 0.2);
+  }
+}
+
+// Algorithm 1 read literally: every cluster's full member list, then the
+// center and the first `delegates` other members of each.
+std::vector<size_t> GmmExtReference(const Dataset& data, const Metric& m,
+                                    size_t k_prime, size_t delegates) {
+  GmmResult gmm = Gmm(data, m, k_prime);
+  std::vector<std::vector<size_t>> cluster(k_prime);
+  for (size_t i = 0; i < data.size(); ++i) {
+    cluster[gmm.assignment[i]].push_back(i);
+  }
+  std::vector<size_t> out;
+  for (size_t j = 0; j < k_prime; ++j) {
+    out.push_back(gmm.selected[j]);
+    size_t taken = 0;
+    for (size_t member : cluster[j]) {
+      if (member == gmm.selected[j]) continue;
+      if (taken++ == delegates) break;
+      out.push_back(member);
+    }
+  }
+  return out;
+}
+
+TEST(GmmExtCoresetTest, MatchesFullClusterListsExactly) {
+  EuclideanMetric m;
+  PointSet blobs = GenerateGaussianBlobs(600, 6, 2, 0.01, /*seed=*/7);
+  // Duplicate-heavy: GMM selects repeated rows once every distance is 0,
+  // and later copies of a center belong to an earlier cluster.
+  PointSet dups(40, Point::Dense({1.0f, 2.0f}));
+  dups[7] = Point::Dense({3.0f, 2.0f});
+  for (const PointSet* pts : {&blobs, &dups}) {
+    const Dataset data(*pts);
+    for (size_t k_prime : {1, 4, 9}) {
+      for (size_t delegates : {size_t{0}, size_t{1}, size_t{3}, size_t{50},
+                               pts->size(), SIZE_MAX}) {
+        EXPECT_EQ(GmmExtCoreset(data, m, k_prime, delegates),
+                  GmmExtReference(data, m, k_prime, delegates))
+            << "n " << pts->size() << ", k' " << k_prime << ", delegates "
+            << delegates;
+      }
+    }
   }
 }
 

@@ -3,6 +3,12 @@
 // many runs; bit-level determinism per seed is what makes those runs
 // re-creatable and regressions bisectable.
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <optional>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "api/solve.h"
@@ -12,6 +18,7 @@
 #include "mapreduce/afz.h"
 #include "mapreduce/mr_diversity.h"
 #include "streaming/streaming_diversity.h"
+#include "util/thread_pool.h"
 
 namespace diverse {
 namespace {
@@ -94,6 +101,43 @@ TEST(DeterminismTest, MapReduceParallelismDoesNotChangeResult) {
   }
   EXPECT_TRUE(SameSolutions(solutions[0], solutions[1]));
   EXPECT_TRUE(SameSolutions(solutions[1], solutions[2]));
+}
+
+TEST(DeterminismTest, MapReduceIsBitIdenticalAcrossPoolAndWorkerCounts) {
+  // Whether a round's reducers run their kernel loops inline or on the
+  // kernel pool depends on both counts; neither may move a bit of the
+  // answer. Partitions of 10k dim-4 rows split every GMM sweep into
+  // several ranges.
+  EuclideanMetric metric;
+  Dataset data(GenerateUniformCube(40000, 4, /*seed=*/31));
+  for (DiversityProblem problem :
+       {DiversityProblem::kRemoteClique, DiversityProblem::kRemoteEdge}) {
+    std::optional<MrResult> reference;
+    for (size_t pool_size : {1, 2, 4}) {
+      SetGlobalThreadPoolSize(pool_size);
+      for (size_t num_workers : {1, 2, 4, 8}) {
+        MrOptions o;
+        o.k = 8;
+        o.k_prime = 32;
+        o.num_partitions = 4;
+        o.num_workers = num_workers;
+        o.seed = 37;
+        MapReduceDiversity mr(&metric, problem, o);
+        StatusOr<MrResult> r = mr.TryRun(data);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        if (!reference) {
+          reference = std::move(*r);
+          continue;
+        }
+        EXPECT_TRUE(SameSolutions(r->solution, reference->solution))
+            << "pool " << pool_size << ", workers " << num_workers;
+        EXPECT_EQ(std::bit_cast<uint64_t>(r->diversity),
+                  std::bit_cast<uint64_t>(reference->diversity))
+            << "pool " << pool_size << ", workers " << num_workers;
+      }
+    }
+  }
+  SetGlobalThreadPoolSize(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST(DeterminismTest, DifferentSeedsUsuallyDiffer) {

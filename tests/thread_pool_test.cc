@@ -1,6 +1,8 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -149,6 +151,84 @@ TEST(ThreadPoolTest, ParallelForFallibleNestedInsideWorkerRunsInline) {
   // Outer 1 stops at index 3 (inline path stops at first failure); the
   // other three outers run all 8.
   EXPECT_EQ(inner_hits.load(), 3 * 8 + 4);
+}
+
+// How many invocations of a 16-index ParallelFor ran off the calling thread.
+int ParallelForCallsOffCaller(ThreadPool& pool) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> off{0};
+  pool.ParallelFor(16, [&](size_t) {
+    if (std::this_thread::get_id() != caller) off.fetch_add(1);
+  });
+  return off.load();
+}
+
+// How many ranges a ParallelForRanges of 64 indices at grain 4 ran as.
+int RangeCalls(ThreadPool& pool) {
+  std::atomic<int> calls{0};
+  pool.ParallelForRanges(64, 4, [&](size_t, size_t) { calls.fetch_add(1); });
+  return calls.load();
+}
+
+TEST(ThreadPoolTest, LoopsUnderInlineScopeRunOnTheCallingThread) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  ScopedInlineParallelLoops inline_loops(true);
+  EXPECT_EQ(ParallelForCallsOffCaller(pool), 0);
+  std::atomic<int> fallible_off{0};
+  EXPECT_TRUE(pool.ParallelForFallible(16, [&](size_t) {
+    if (std::this_thread::get_id() != caller) fallible_off.fetch_add(1);
+    return true;
+  }));
+  EXPECT_EQ(fallible_off.load(), 0);
+  std::vector<std::pair<size_t, size_t>> ranges;
+  pool.ParallelForRanges(64, 4, [&](size_t lo, size_t hi) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ranges.emplace_back(lo, hi);
+  });
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0], std::make_pair(size_t{0}, size_t{64}));
+  // The inline path still stops at the first failure.
+  int hits = 0;
+  EXPECT_FALSE(pool.ParallelForFallible(16, [&hits](size_t i) {
+    ++hits;
+    return i != 5;
+  }));
+  EXPECT_EQ(hits, 6);
+}
+
+TEST(ThreadPoolTest, InlineScopesNestAndRestoreTheMarker) {
+  ThreadPool pool(4);
+  // ParallelFor never runs an index on the caller when it dispatches.
+  EXPECT_EQ(ParallelForCallsOffCaller(pool), 16);
+  EXPECT_EQ(RangeCalls(pool), 16);
+  {
+    ScopedInlineParallelLoops inactive(false);
+    EXPECT_EQ(ParallelForCallsOffCaller(pool), 16);
+  }
+  {
+    ScopedInlineParallelLoops outer(true);
+    EXPECT_EQ(ParallelForCallsOffCaller(pool), 0);
+    {
+      ScopedInlineParallelLoops inner_inactive(false);
+      EXPECT_EQ(ParallelForCallsOffCaller(pool), 0);
+      {
+        ScopedInlineParallelLoops inner(true);
+        EXPECT_EQ(RangeCalls(pool), 1);
+      }
+      EXPECT_EQ(RangeCalls(pool), 1);
+    }
+    EXPECT_EQ(ParallelForCallsOffCaller(pool), 0);
+  }
+  EXPECT_EQ(ParallelForCallsOffCaller(pool), 16);
+  EXPECT_EQ(RangeCalls(pool), 16);
+  // The marker is per thread: another thread dispatches meanwhile.
+  ScopedInlineParallelLoops here(true);
+  int other_thread_off = 0;
+  std::thread other(
+      [&] { other_thread_off = ParallelForCallsOffCaller(pool); });
+  other.join();
+  EXPECT_EQ(other_thread_off, 16);
 }
 
 TEST(ThreadPoolTest, DestructionWaitsForTasks) {
