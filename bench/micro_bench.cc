@@ -571,18 +571,16 @@ void BM_SparseTileEuclideanWideVocabPerPair(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseTileEuclideanWideVocabPerPair)->Args({4096, 120});
 
-// The SMM update step's screened sweeps against their exact baselines,
-// Args({ext, dim, screening}) over a uniform-cube stream (k=64, k'=128,
-// single-threaded). ext=1 is SMM-EXT's fused "argmin + threshold" sweep,
-// which it runs on every update; ext=0 is base SMM's early-exit
-// first-within sweep. screening=1 screens in fp32, screening=0 is the exact
-// baseline. The dim sweep shows where the screened halves pay.
-void BM_FusedScreenSmmUpdate(benchmark::State& state) {
+// The SMM update step over a dense uniform-cube stream, Args({ext, dim})
+// (k=64, k'=128, single-threaded): ext=0 is base SMM's hint test plus
+// early-exit first-within scan, ext=1 SMM-EXT's nearest-center scan, both
+// exact. The dim sweep shows how the per-update cost scales with the
+// coordinates a distance reads.
+void BM_SmmUpdateByDim(benchmark::State& state) {
   using internal_smm::SmmEngine;
   const bool ext = state.range(0) != 0;
   const size_t dim = static_cast<size_t>(state.range(1));
-  const bool screening = state.range(2) != 0;
-  EuclideanMetric m({.screening = screening});
+  EuclideanMetric m;
   SetGlobalThreadPoolSize(1);
   PointSet pts = GenerateUniformCube(100000, dim, 4);
   SmmEngine smm(&m, 64, 128,
@@ -596,10 +594,9 @@ void BM_FusedScreenSmmUpdate(benchmark::State& state) {
   state.counters["n"] = 128;
   state.counters["dim"] = static_cast<double>(dim);
   state.counters["threads"] = 1;
-  state.SetLabel(screening ? "euclidean/screened" : "euclidean/exact");
+  state.SetLabel("euclidean");
 }
-BENCHMARK(BM_FusedScreenSmmUpdate)
-    ->ArgsProduct({{0, 1}, {3, 8, 16, 32, 64}, {1, 0}});
+BENCHMARK(BM_SmmUpdateByDim)->ArgsProduct({{0, 1}, {3, 8, 16, 32, 64}});
 
 // Forwards Distance to CosineMetric and keeps every other Metric member's
 // base-class fallback: the scalar reference for the sparse SMM sweep.

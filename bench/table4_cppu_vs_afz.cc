@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       aopts.k = k;
       aopts.num_partitions = reducers;
       aopts.num_workers = workers;
-      MrResult afz = RunAfz(pts, metric, problem, aopts);
+      MrResult afz = bench::OrDie(TryRunAfz(pts, metric, problem, aopts));
 
       MrOptions copts;
       copts.k = k;

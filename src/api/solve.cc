@@ -56,7 +56,9 @@ SolveOptions Normalize(const SolveOptions& in) {
   // returns empty tails), matching how a fixed cluster behaves on a small
   // round.
   if (o.num_partitions == 0) o.num_partitions = 8;
-  if (o.num_workers == 0) o.num_workers = o.num_partitions;
+  if (o.num_workers == 0) {
+    o.num_workers = std::min(o.num_partitions, kMaxMapReduceWorkers);
+  }
   if (o.local_memory_budget == 0) {
     o.local_memory_budget = std::max<size_t>(4 * o.k_prime * o.k, 1024);
   }

@@ -50,7 +50,9 @@ struct SolveOptions {
   size_t k_prime = 0;
   /// MapReduce: number of partitions / reducers. 0 means "auto": 8.
   size_t num_partitions = 0;
-  /// MapReduce: simulated processors. 0 means "auto": num_partitions.
+  /// MapReduce: simulated processors, one thread each. 0 means "auto":
+  /// min(num_partitions, kMaxMapReduceWorkers); an explicit value above
+  /// kMaxMapReduceWorkers is kInvalidArgument.
   size_t num_workers = 0;
   /// MapReduce recursive backend: local memory budget in points.
   /// 0 means "auto": max(4 k' k, 1024).

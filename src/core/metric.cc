@@ -719,15 +719,6 @@ ScreenSideStats SideStatsOf(const Dataset& data) {
   return s;
 }
 
-ScreenSideStats SideStatsOf(const Point& point) {
-  ScreenSideStats s;
-  s.has_dense = !point.is_sparse();
-  s.has_sparse = point.is_sparse();
-  s.max_sparse_nnz = point.is_sparse() ? point.sparse_values().size() : 0;
-  if (point.norm() > 0.0) s.min_positive_norm = point.norm();
-  return s;
-}
-
 // --- Metric: scalar fallbacks for user-defined metrics --------------------
 
 void Metric::DistanceToMany(const Point& query, const Dataset& data,
@@ -736,17 +727,6 @@ void Metric::DistanceToMany(const Point& query, const Dataset& data,
   Point row;
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = Distance(query, row.Assign(data.row(begin + i)));
-  }
-}
-
-void Metric::DistanceToManyF32(const Point& query, const Dataset& data,
-                               size_t begin, std::span<float> out) const {
-  DIVERSE_CHECK_LE(begin + out.size(), data.size());
-  thread_local std::vector<double> tmp;
-  tmp.resize(out.size());
-  DistanceToMany(query, data, begin, std::span<double>(tmp.data(), out.size()));
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = static_cast<float>(tmp[i]);
   }
 }
 
@@ -838,30 +818,6 @@ void KernelMetric<K>::DistanceToMany(const Point& query, const Dataset& data,
   }
   BatchMap(data, begin, out,
            [&q](const VecView& row) { return K::Pair(row, q); });
-}
-
-template <typename K>
-void KernelMetric<K>::DistanceToManyF32(const Point& query,
-                                        const Dataset& data, size_t begin,
-                                        std::span<float> out) const {
-  if constexpr (!K::kScreens) {
-    Metric::DistanceToManyF32(query, data, begin, out);
-  } else {
-    DIVERSE_CHECK_LE(begin + out.size(), data.size());
-    VecView q = QueryView(query, data);
-    if constexpr (K::kRootOfSquares) {
-      // Squared pass first, then one batched SQRTPS sweep: the scalar sqrt
-      // the exact kernel pays per row is the dominant cost at low dimension.
-      for (size_t i = 0; i < out.size(); ++i) {
-        out[i] = K::SquaredF32(data.row(begin + i), q);
-      }
-      kernels::SqrtLanesF32(out.data(), out.size());
-    } else {
-      for (size_t i = 0; i < out.size(); ++i) {
-        out[i] = K::PairF32(data.row(begin + i), q);
-      }
-    }
-  }
 }
 
 template <typename K>

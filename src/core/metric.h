@@ -50,29 +50,19 @@ inline double ScreenedLower(float s, const ScreenBound& b) {
   return d - (b.rel * d + b.abs);
 }
 
-/// Largest exact distance compatible with screened value `s` under `b`
-/// (+inf when s is not finite). `exact < t` is certified iff
-/// ScreenedUpper(s, b) < t.
-inline double ScreenedUpper(float s, const ScreenBound& b) {
-  double d = s;
-  if (!std::isfinite(d)) return std::numeric_limits<double>::infinity();
-  return d + (b.rel * d + b.abs);
-}
-
-/// The statistics of one side of a sweep — a query point, a query dataset,
-/// or the swept data — that the screening bounds and the kernel gates read.
+/// The statistics of one side of a sweep — the query rows or the swept
+/// data — that the screening bounds and the kernel gates read.
 /// Reading nothing else keeps every bound and every gate verdict
 /// deterministic and independent of thread count.
 struct ScreenSideStats {
-  bool has_dense = false;     ///< some row (or the point) is dense
-  bool has_sparse = false;    ///< some row (or the point) is sparse
+  bool has_dense = false;     ///< some row is dense
+  bool has_sparse = false;    ///< some row is sparse
   size_t max_sparse_nnz = 0;  ///< largest sparse support
   /// Smallest strictly positive norm (+inf when there is none).
   double min_positive_norm = std::numeric_limits<double>::infinity();
 };
 
 ScreenSideStats SideStatsOf(const Dataset& data);
-ScreenSideStats SideStatsOf(const Point& point);
 
 /// Which accelerated tiers the sweeps over a metric may use. Every setting
 /// yields bit-identical results; the policy only moves cost (A/B
@@ -129,13 +119,6 @@ class Metric {
   virtual void DistanceToMany(const Point& query, const Dataset& data,
                               size_t begin, std::span<double> out) const;
 
-  /// fp32 screening sweep: out[i] approximates
-  /// Distance(query, data.point(begin + i)) within ScreenErrorBound of the
-  /// two sides' statistics. Computed on the calling thread — screened
-  /// sweeps partition work themselves.
-  virtual void DistanceToManyF32(const Point& query, const Dataset& data,
-                                 size_t begin, std::span<float> out) const;
-
   /// Blocked many-vs-many kernel: a Q x R tile of distances,
   ///   out[q * out_stride + r] =
   ///       Distance(queries.point(q_begin + q), data.point(r_begin + r))
@@ -182,10 +165,11 @@ class Metric {
                                 double* out) const;
 
   /// fp32 twin of DistanceRowsMany: out[t] approximates
-  /// Distance(a.point(i), b.point(rows[t])) within ScreenErrorBound, bit
-  /// for bit the value DistanceToManyF32 gives the same pair. The screening
-  /// pass of the relax sweep (core/screen.h), whose rows are scattered.
-  /// Computed on the calling thread. The base narrows DistanceRowsMany.
+  /// Distance(a.point(i), b.point(rows[t])) within ScreenErrorBound of the
+  /// two datasets' statistics, and does not depend on which other rows are
+  /// listed. The screening pass of the relax sweep (core/screen.h), whose
+  /// rows are scattered. Computed on the calling thread. The base narrows
+  /// DistanceRowsMany.
   virtual void DistanceRowsManyF32(const Dataset& a, size_t i,
                                    const Dataset& b,
                                    std::span<const uint32_t> rows,
@@ -259,8 +243,6 @@ class KernelMetric final : public Metric {
   double Distance(const Point& a, const Point& b) const override;
   void DistanceToMany(const Point& query, const Dataset& data, size_t begin,
                       std::span<double> out) const override;
-  void DistanceToManyF32(const Point& query, const Dataset& data,
-                         size_t begin, std::span<float> out) const override;
   void DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,
                     const Dataset& data, size_t r_begin, size_t nr,
                     double* out, size_t out_stride) const override;
@@ -335,12 +317,6 @@ class CountingMetric final : public Metric {
                       std::span<double> out) const override {
     count_.fetch_add(out.size(), std::memory_order_relaxed);
     base_->DistanceToMany(query, data, begin, out);
-  }
-
-  void DistanceToManyF32(const Point& query, const Dataset& data,
-                         size_t begin, std::span<float> out) const override {
-    screened_.fetch_add(out.size(), std::memory_order_relaxed);
-    base_->DistanceToManyF32(query, data, begin, out);
   }
 
   void DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,

@@ -18,14 +18,11 @@ namespace {
 // Rows per chunk of a single-query relax: bounds the thread-local scratch.
 constexpr size_t kRelaxChunk = 512;
 
-// Single-query *relax* sweeps (GMM's per-center loop) still gate on per-row
-// coordinate work: their fp32 pass re-reads a materialized buffer and the
-// rescue band stays populated throughout the k-step trajectory, so below
-// ~8 coords per row the screen only ties the exact sweep. The fused SMM
-// sweeps (ScreenedArgClosestWithin / ScreenedFirstWithin) carry no such
-// gate: their skip path is one float compare against precomputed cutoffs,
-// profitable at any dimension. The decision reads only dataset
-// statistics — deterministic, and either verdict is bit-identical.
+// The relax sweep (GMM's per-center loop) gates on per-row coordinate
+// work: its fp32 pass re-reads a materialized buffer and the rescue band
+// stays populated throughout the k-step trajectory, so below ~8 coords per
+// row the screen only ties the exact sweep. The decision reads only
+// dataset statistics — deterministic, and either verdict is bit-identical.
 bool SingleQueryScreenWorthwhile(const Dataset& data) {
   size_t work = data.has_dense_rows() ? data.dim() : 0;
   const Dataset::SparseStats& ss = data.sparse_stats();
@@ -33,25 +30,6 @@ bool SingleQueryScreenWorthwhile(const Dataset& data) {
     work = std::max(work, static_cast<size_t>(2.0 * ss.AvgNnz()));
   }
   return work >= 8;
-}
-
-// Exact (unscreened) first-strict-argmin sweep — the fallback of
-// ScreenedArgClosestWithin.
-ScreenedNearest ExactNearest(const Metric& metric, const Point& query,
-                             const Dataset& data) {
-  size_t n = data.size();
-  thread_local std::vector<double> d;
-  d.resize(n);
-  metric.DistanceToMany(query, data, 0, std::span<double>(d.data(), n));
-  ScreenedNearest out;
-  out.dist = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    if (d[i] < out.dist) {
-      out.dist = d[i];
-      out.index = i;
-    }
-  }
-  return out;
 }
 
 // The largest non-NaN value of v[0, count), or -inf when there is none.
@@ -276,124 +254,6 @@ size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& data,
         RelaxRows(metric, data, center, lo, hi, plan, skip_at, dist,
                   assignment, center_rank);
       });
-}
-
-ScreenedNearest ScreenedArgClosestWithin(const Metric& metric,
-                                         const Point& query,
-                                         const Dataset& data,
-                                         double cover_threshold) {
-  size_t n = data.size();
-  DIVERSE_CHECK_GE(n, 1u);
-  DIVERSE_CHECK_GE(cover_threshold, 0.0);
-  const ScreenSideStats qs = SideStatsOf(query);
-  const ScreenSideStats ds = SideStatsOf(data);
-  if (!UseScreening(metric, qs, ds)) return ExactNearest(metric, query, data);
-  const ScreenBound bound = metric.ScreenErrorBound(qs, ds, data.dim());
-  if (!(bound.rel < 1.0)) {
-    return ExactNearest(metric, query, data);  // degenerate: run exact
-  }
-  const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
-  const float flt_max = std::numeric_limits<float>::max();
-  ScreenedNearest out;
-  thread_local std::vector<float> s;
-  s.resize(n);
-  metric.DistanceToManyF32(query, data, 0, std::span<float>(s.data(), n));
-  // Smallest finite screened value; non-finite values (overflowed fp32
-  // accumulators) certify nothing and keep every certificate off.
-  float smin = std::numeric_limits<float>::infinity();
-  bool any_nonfinite = false;
-  for (size_t i = 0; i < n; ++i) {
-    float v = s[i];
-    if (v >= -flt_max && v <= flt_max) {
-      smin = std::min(smin, v);
-    } else {
-      any_nonfinite = true;
-    }
-  }
-  // Coverage certificate: when every row's certified lower bound clears the
-  // cover threshold, the caller's coverage decision is settled with zero
-  // exact evaluations (the skip-threshold transform is exactly the
-  // "certify exact > t" test, applied with t = cover_threshold).
-  if (!any_nonfinite &&
-      smin > ScreenSkipThreshold(cover_threshold, bound.abs, inv_rel)) {
-    out.beyond = true;
-    return out;
-  }
-  // Argmin: every index whose certified lower bound is at or below the
-  // smallest certified upper bound could be (or tie) the minimum; the true
-  // argmin is always among them, and no skipped index can match the
-  // minimum (its lower bound strictly exceeds it), so the first-strict-min
-  // scan over the candidates in ascending order picks the same index as
-  // the exact sweep. Both transforms are monotone in the screened value,
-  // so the candidate test is one float compare against a precomputed
-  // cutoff.
-  double min_upper = ScreenedUpper(smin, bound);
-  float candidate_cutoff =
-      NextUpNonNegativeF32(static_cast<float>((min_upper + bound.abs) *
-                                              inv_rel));
-  size_t best = n;
-  double best_val = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    float v = s[i];
-    bool finite = v >= -flt_max && v <= flt_max;
-    if (finite && v > candidate_cutoff) continue;
-    double d = 0.0;
-    metric.DistanceToMany(query, data, i, std::span<double>(&d, 1));
-    if (d < best_val) {
-      best_val = d;
-      best = i;
-    }
-  }
-  DIVERSE_CHECK_LT(best, n);
-  out.index = best;
-  out.dist = best_val;
-  return out;
-}
-
-size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
-                           const Dataset& data, double threshold) {
-  size_t n = data.size();
-  constexpr size_t kChunk = 16;
-  const ScreenSideStats qs = SideStatsOf(query);
-  const ScreenSideStats ds = SideStatsOf(data);
-  if (UseScreening(metric, qs, ds)) {
-    if (threshold < 0.0) return n;  // distances are nonnegative; none fits
-    const ScreenBound bound = metric.ScreenErrorBound(qs, ds, data.dim());
-    if (bound.rel < 1.0) {
-      // Two precomputed float cutoffs replace the per-row double bound
-      // transforms: s <= within certifies d < threshold (qualify), a finite
-      // s > beyond certifies d > threshold (skip), and only band hits pay
-      // an exact evaluation. Chunked so a merge-heavy scan keeps its early
-      // exit.
-      const double inv_rel = (1.0 + 1e-12) / (1.0 - bound.rel);
-      const float within = ScreenCertifiedBelow(threshold, bound);
-      const float beyond = ScreenSkipThreshold(threshold, bound.abs, inv_rel);
-      const float flt_max = std::numeric_limits<float>::max();
-      float buf[kChunk];
-      for (size_t b = 0; b < n; b += kChunk) {
-        size_t bn = std::min(kChunk, n - b);
-        metric.DistanceToManyF32(query, data, b, std::span<float>(buf, bn));
-        for (size_t i = 0; i < bn; ++i) {
-          float v = buf[i];
-          if (v >= -flt_max && v <= within) return b + i;
-          if (v > beyond && v <= flt_max) continue;
-          double d = 0.0;
-          metric.DistanceToMany(query, data, b + i, std::span<double>(&d, 1));
-          if (d <= threshold) return b + i;
-        }
-      }
-      return n;
-    }
-  }
-  double buf[kChunk];
-  for (size_t b = 0; b < n; b += kChunk) {
-    size_t bn = std::min(kChunk, n - b);
-    metric.DistanceToMany(query, data, b, std::span<double>(buf, bn));
-    for (size_t i = 0; i < bn; ++i) {
-      if (buf[i] <= threshold) return b + i;
-    }
-  }
-  return n;
 }
 
 }  // namespace diverse

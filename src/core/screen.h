@@ -1,18 +1,18 @@
-// Screen-then-certify sweeps: the mixed-precision engine behind every
-// argmax / argmin / threshold hot loop.
+// Screen-then-certify sweeps: the mixed-precision engine behind GMM's relax
+// sweep, with the certify helpers its other users share.
 //
-// Every distance-dominated loop in this library — GMM's per-center relax
-// sweeps, greedy matching's heaviest-pair scans, SMM's coverage and merge
-// threshold scans, generalized-coreset instantiation — needs *exact* distances
-// only for the handful of candidates that decide the outcome. The sweeps here
-// run a cheap fp32 pass first (Metric::DistanceTileF32 / DistanceToManyF32 /
-// DistanceRowsManyF32: twice the SIMD lanes, half the bandwidth of the
-// exact tile engine), keep
-// every candidate whose screened value lies within a certified error band
+// GMM's per-center relax sweep (and through it GMM-EXT, GMM-GEN and greedy
+// matching's clustering), greedy matching's heaviest-pair scans and
+// generalized-coreset instantiation need *exact* distances only for the
+// handful of candidates that decide the outcome. They run a cheap fp32 pass
+// first (Metric::DistanceTileF32 / DistanceRowsManyF32: twice the SIMD
+// lanes, half the bandwidth of the exact kernels), keep every candidate
+// whose screened value lies within a certified error band
 // (Metric::ScreenErrorBound over the two sides' ScreenSideStats) of the
 // decision threshold, and re-evaluate only those in exact double
-// (Metric::DistanceRowsMany / Distance — the same shared kernels as the exact
-// sweeps). Consequences:
+// (Metric::DistanceRowsMany / DistanceTile — the same shared kernels as the
+// exact sweeps). SMM's update and merge scans over its few centers are
+// exact (streaming/smm.cc). Consequences:
 //
 //   * Results are bit-identical to the double-only path: every value that
 //     can influence a comparison, a stored distance, or a reported radius is
@@ -45,7 +45,6 @@
 
 #include "core/dataset.h"
 #include "core/metric.h"
-#include "core/point.h"
 
 namespace diverse {
 
@@ -57,7 +56,7 @@ namespace diverse {
 size_t GrainRows(const Dataset& data);
 
 // --- Certified-skip machinery ---------------------------------------------
-// Shared by the screened sweeps below. The mathematically exact skip test is
+// Shared by the relax sweep below and greedy matching's pair scan. The mathematically exact skip test is
 // ScreenedLower(s, bound) > cur; evaluating it per pair costs a multiply-add in
 // double. Instead, the sweeps precompute — once per row, or on a rescue that
 // improves the row — the float threshold T(cur) such that a finite screened
@@ -158,43 +157,6 @@ size_t ScreenedRelaxArgFarthest(const Metric& metric, const Dataset& data,
                                 std::span<size_t> assignment = {},
                                 size_t center_rank = 0,
                                 std::span<const double> skip_at = {});
-
-/// Outcome of the fused nearest-center + coverage sweep.
-struct ScreenedNearest {
-  /// True when the screen certified min distance > cover_threshold without
-  /// any exact evaluation; index/dist are then unset.
-  bool beyond = false;
-  /// First strict argmin row (exact tie semantics) when !beyond.
-  size_t index = 0;
-  /// Exact minimum distance when !beyond.
-  double dist = 0.0;
-};
-
-/// Fused screened "argmin + threshold" sweep (the update step of SMM-EXT
-/// and SMM-GEN, whose host decides where delegates and counts go; base SMM
-/// needs only ScreenedFirstWithin's yes/no answer): one fp32 pass decides,
-/// per row, whether it can be the nearest center and whether the whole
-/// sweep can certify min distance > cover_threshold. When it can, the
-/// caller's coverage decision needs no exact evaluation at all; otherwise
-/// the exact first-strict argmin (ties to the smallest index) and minimum
-/// are returned, bit-identical to the exact scan. A +inf cover_threshold
-/// never certifies, making this a plain screened argmin. The candidate
-/// test compares raw fp32 values against precomputed float cutoffs and
-/// carries no per-row work gate: it screens at any dimension. Requires
-/// data nonempty.
-ScreenedNearest ScreenedArgClosestWithin(const Metric& metric,
-                                         const Point& query,
-                                         const Dataset& data,
-                                         double cover_threshold);
-
-/// First row index with Distance(query, row) <= threshold, or data.size()
-/// when no row qualifies, scanning ascending with chunked early exit.
-/// (SMM's merge-step membership scan and base SMM's update step.) Fused
-/// like ScreenedArgClosestWithin: two precomputed float cutoffs
-/// (certainly-within / certainly-beyond) replace the per-row double bound
-/// transforms, and no per-row work gate applies.
-size_t ScreenedFirstWithin(const Metric& metric, const Point& query,
-                           const Dataset& data, double threshold);
 
 }  // namespace diverse
 

@@ -38,10 +38,12 @@ PointSet AfzPartitionCoreset(const PointSet& part, const Metric& metric,
 
 }  // namespace
 
-MrResult RunAfz(const PointSet& input, const Metric& metric,
-                DiversityProblem problem, const AfzOptions& options) {
+StatusOr<MrResult> TryRunAfz(const PointSet& input, const Metric& metric,
+                             DiversityProblem problem,
+                             const AfzOptions& options) {
   DIVERSE_CHECK(problem == DiversityProblem::kRemoteEdge ||
                 problem == DiversityProblem::kRemoteClique);
+  DIVERSE_RETURN_IF_ERROR(ValidateNumWorkers(options.num_workers));
   Timer total;
   MrResult result;
   MapReduceSimulator sim(options.num_workers);

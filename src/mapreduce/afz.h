@@ -30,6 +30,7 @@ namespace diverse {
 struct AfzOptions {
   size_t k = 8;
   size_t num_partitions = 4;
+  /// Simulated processors, at most kMaxMapReduceWorkers.
   size_t num_workers = 4;
   PartitionStrategy partition = PartitionStrategy::kRandom;
   uint64_t seed = 1;
@@ -41,8 +42,11 @@ struct AfzOptions {
 
 /// Runs the 2-round AFZ MapReduce algorithm. Supports kRemoteEdge and
 /// kRemoteClique (the two measures compared in the paper's Table 4 study).
-MrResult RunAfz(const PointSet& input, const Metric& metric,
-                DiversityProblem problem, const AfzOptions& options);
+/// Returns kInvalidArgument, before any thread starts, when
+/// options.num_workers is 0 or above kMaxMapReduceWorkers.
+StatusOr<MrResult> TryRunAfz(const PointSet& input, const Metric& metric,
+                             DiversityProblem problem,
+                             const AfzOptions& options);
 
 }  // namespace diverse
 

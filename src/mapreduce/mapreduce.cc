@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <string>
 #include <thread>
 
 #include "util/thread_annotations.h"
@@ -21,6 +22,15 @@ size_t RoundStats::MaxInputPoints() const {
 size_t RoundStats::TotalOutputPoints() const {
   return std::accumulate(output_points.begin(), output_points.end(),
                          size_t{0});
+}
+
+Status ValidateNumWorkers(size_t num_workers) {
+  if (num_workers == 0 || num_workers > kMaxMapReduceWorkers) {
+    return InvalidArgumentError(
+        "num_workers (" + std::to_string(num_workers) +
+        ") must be between 1 and " + std::to_string(kMaxMapReduceWorkers));
+  }
+  return OkStatus();
 }
 
 MapReduceSimulator::MapReduceSimulator(size_t num_workers)

@@ -118,6 +118,15 @@ struct [[nodiscard]] RoundOutcome {
   bool ok() const { return failed_tasks.empty(); }
 };
 
+/// Most processors a MapReduceSimulator models. It starts one thread per
+/// processor, so the drivers reject a larger num_workers before any thread
+/// starts (ValidateNumWorkers) instead of dying when the system refuses the
+/// threads; TrySolve's auto rule caps num_workers here.
+inline constexpr size_t kMaxMapReduceWorkers = 256;
+
+/// kInvalidArgument unless 1 <= num_workers <= kMaxMapReduceWorkers.
+Status ValidateNumWorkers(size_t num_workers);
+
 /// Executes rounds of reducer tasks on a fixed worker pool and accumulates
 /// RoundStats. `num_workers` models the number of physical processors (the
 /// "parallelism" axis of Figures 4 and 5); the number of reducers per round

@@ -419,6 +419,7 @@ MrResult MapReduceDiversity::Finalize(PointSet solution, size_t coreset_size,
 }
 
 StatusOr<MrResult> MapReduceDiversity::TryRun(const Dataset& input) const {
+  DIVERSE_RETURN_IF_ERROR(ValidateNumWorkers(options_.num_workers));
   Timer total;
   MapReduceSimulator sim(options_.num_workers);
   std::optional<LoopbackEngine> fallback;
@@ -454,6 +455,7 @@ StatusOr<MrResult> MapReduceDiversity::TryRun(const Dataset& input) const {
 StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
     const Dataset& input) const {
   DIVERSE_CHECK(RequiresInjectiveProxies(problem_));
+  DIVERSE_RETURN_IF_ERROR(ValidateNumWorkers(options_.num_workers));
   Timer total;
   MapReduceSimulator sim(options_.num_workers);
   std::optional<LoopbackEngine> fallback;
@@ -637,6 +639,7 @@ StatusOr<MrResult> MapReduceDiversity::TryRunGeneralized(
 StatusOr<MrResult> MapReduceDiversity::TryRunRecursive(
     const Dataset& input, size_t local_memory_budget) const {
   DIVERSE_CHECK_GE(local_memory_budget, options_.k_prime);
+  DIVERSE_RETURN_IF_ERROR(ValidateNumWorkers(options_.num_workers));
   Timer total;
   MapReduceSimulator sim(options_.num_workers);
   std::optional<LoopbackEngine> fallback;

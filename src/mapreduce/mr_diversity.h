@@ -59,7 +59,9 @@ struct MrOptions {
   size_t k_prime = 8;
   /// Number of partitions l (== number of round-1 reducers).
   size_t num_partitions = 4;
-  /// Number of simulated processors executing reducers.
+  /// Number of simulated processors executing reducers, one thread each;
+  /// every TryRun* returns kInvalidArgument above kMaxMapReduceWorkers
+  /// (mapreduce/mapreduce.h).
   size_t num_workers = 4;
   /// How the input is split.
   PartitionStrategy partition = PartitionStrategy::kRandom;

@@ -6,11 +6,47 @@
 #include <utility>
 
 #include "core/distance_matrix.h"
-#include "core/screen.h"
 #include "util/check.h"
 
 namespace diverse {
 namespace internal_smm {
+
+namespace {
+
+// First row of `data` with Distance(query, row) <= threshold, or
+// data.size() when none qualifies: 16-row DistanceToMany chunks, so a scan
+// that finds a host early pays about one chunk.
+size_t FirstWithin(const Metric& metric, const Point& query,
+                   const Dataset& data, double threshold) {
+  constexpr size_t kChunk = 16;
+  const size_t n = data.size();
+  double d[kChunk];
+  for (size_t b = 0; b < n; b += kChunk) {
+    const size_t len = std::min(kChunk, n - b);
+    metric.DistanceToMany(query, data, b, std::span<double>(d, len));
+    for (size_t i = 0; i < len; ++i) {
+      if (d[i] <= threshold) return b + i;
+    }
+  }
+  return n;
+}
+
+// The first strict argmin of Distance(query, row) over `data` (ties go to
+// the smallest index) and its distance; +inf when no distance is below it.
+std::pair<size_t, double> Nearest(const Metric& metric, const Point& query,
+                                  const Dataset& data) {
+  const size_t n = data.size();
+  thread_local std::vector<double> d;
+  d.resize(n);
+  metric.DistanceToMany(query, data, 0, std::span<double>(d.data(), n));
+  std::pair<size_t, double> best{0, std::numeric_limits<double>::infinity()};
+  for (size_t i = 0; i < n; ++i) {
+    if (d[i] < best.second) best = {i, d[i]};
+  }
+  return best;
+}
+
+}  // namespace
 
 SmmEngine::SmmEngine(const Metric* metric, size_t k, size_t k_prime, Mode mode)
     : metric_(metric), k_(k), k_prime_(k_prime), mode_(mode) {
@@ -51,29 +87,26 @@ void SmmEngine::Update(const Point& p) {
     // Update step of the current phase. Base SMM asks only "is some center
     // within 4 d_i?", so any scan order gives the same answer: it tries the
     // previous covered point's host with one exact evaluation, then one
-    // early-exit ScreenedFirstWithin sweep whose host becomes the next
-    // hint (a Dataset pass has already skipped the rows the hint covers,
-    // see SkipCoveredRows). EXT/GEN need the host itself (it decides where
-    // delegates and counts go): one fused screened "argmin + threshold"
-    // sweep, which certifies "every center beyond 4 d_i" with zero exact
-    // evaluations when the fp32 pass allows. Either way the decision is
-    // bit-identical to an exact scalar scan.
+    // early-exit FirstWithin scan whose host becomes the next hint (a
+    // Dataset pass has already skipped the rows the hint covers, see
+    // SkipCoveredRows). EXT/GEN need the host itself (it decides where
+    // delegates and counts go): the nearest center, first strict argmin.
+    // Either way the decision is the exact scalar scan's.
     const double cover = 4.0 * threshold_;
     if (mode_ == Mode::kCentersOnly) {
       double d = 0.0;
       metric_->DistanceToMany(p, centers_columnar_, hint_,
                               std::span<double>(&d, 1));
       if (d <= cover) return;
-      size_t host = ScreenedFirstWithin(*metric_, p, centers_columnar_, cover);
+      size_t host = FirstWithin(*metric_, p, centers_columnar_, cover);
       if (host < centers_.size()) {
         hint_ = host;
         return;
       }
     } else {
-      ScreenedNearest nearest =
-          ScreenedArgClosestWithin(*metric_, p, centers_columnar_, cover);
-      if (!nearest.beyond && nearest.dist <= cover) {
-        Entry& host = centers_[nearest.index];
+      const auto [nearest, dist] = Nearest(*metric_, p, centers_columnar_);
+      if (dist <= cover) {
+        Entry& host = centers_[nearest];
         if (mode_ == Mode::kDelegates && host.delegates.size() < k_) {
           host.delegates.push_back(p);
         } else if (mode_ == Mode::kCounts && host.count < k_) {
@@ -142,14 +175,12 @@ void SmmEngine::MergeStep() {
   // member of I is within 2 d_i, in which case it merges into that member
   // (the maximality witness), transferring delegates / counts. The kept
   // set grows its own columnar copy as it goes, so the membership scan
-  // runs as chunked screened threshold sweeps over contiguous rows
-  // (certainly-within and certainly-beyond fp32 verdicts need no exact
-  // evaluation; only band hits do), keeping the old scalar loop's early
-  // exit to within one chunk (a merge-heavy step costs ~|T| evaluations,
-  // not |T|^2/2) and returning the exact scan's first host. The kept copy
-  // then becomes the post-merge centers_columnar_, and the update step's
-  // hint follows its center: to the kept index it survives as, or to the
-  // host it merged into.
+  // runs as a chunked FirstWithin scan over contiguous rows, keeping the
+  // scalar loop's early exit to within one chunk (a merge-heavy step costs
+  // ~|T| evaluations, not |T|^2/2). The kept copy then becomes the
+  // post-merge centers_columnar_, and the update step's hint follows its
+  // center: to the kept index it survives as, or to the host it merged
+  // into.
   double radius = 2.0 * threshold_;
   std::vector<Entry> kept;
   kept.reserve(centers_.size());
@@ -158,7 +189,7 @@ void SmmEngine::MergeStep() {
   for (size_t i = 0; i < centers_.size(); ++i) {
     Point center = centers_columnar_.point(i);
     Entry& e = centers_[i];
-    size_t host = ScreenedFirstWithin(*metric_, center, kept_columnar, radius);
+    size_t host = FirstWithin(*metric_, center, kept_columnar, radius);
     if (i == hint_) hint = host;
     if (host == kept.size()) {
       kept_columnar.Append(center);

@@ -119,12 +119,12 @@ class SmmEngine {
 
   // T, stored once: centers_columnar_ row i is center i and centers_[i]
   // its bookkeeping. Columnar so the per-update coverage test runs as
-  // screened devirtualized sweeps (core/screen.h) instead of |T| virtual
-  // Distance calls — an early-exit first-within sweep in base SMM, a fused
-  // argmin in EXT/GEN — the phase-threshold pairwise scans run as blocked
-  // distance tiles (DistanceMatrix), and merge steps scan their growing
-  // kept set in chunked screened threshold sweeps. Appended to on
-  // insertion, replaced by the kept set after merges.
+  // devirtualized DistanceToMany scans instead of |T| virtual Distance
+  // calls — an early-exit first-within scan in base SMM, an argmin in
+  // EXT/GEN — the phase-threshold pairwise scans run as blocked distance
+  // tiles (DistanceMatrix), and merge steps scan their growing kept set in
+  // the same chunked first-within scan. Appended to on insertion, replaced
+  // by the kept set after merges.
   Dataset centers_columnar_;
   std::vector<Entry> centers_;
   // Base SMM: the center that covered the previous covered point, tried

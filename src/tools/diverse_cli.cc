@@ -78,6 +78,24 @@ class CliFlags {
     return value;
   }
 
+  // A probability flag: a decimal number in [0, 1], 0 when absent. Any
+  // other value (not a number, NaN, out of range) is a usage error that
+  // ends the process with exit code 1.
+  double GetRate(const std::string& key) const {
+    auto it = values_.find(key);
+    if (it == values_.end()) return 0.0;
+    const std::string& s = it->second;
+    double value = 0.0;
+    auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+    if (s.empty() || ec != std::errc() || end != s.data() + s.size() ||
+        !(value >= 0.0 && value <= 1.0)) {
+      std::fprintf(stderr, "error: --%s expects a number in [0, 1]\n",
+                   key.c_str());
+      std::exit(1);
+    }
+    return value;
+  }
+
  private:
   std::map<std::string, std::string> values_;
 };
@@ -90,7 +108,7 @@ commands:
             remote-bipartition|remote-tree|remote-cycle --k=N
             [--backend=sequential|streaming|streaming-2pass|mapreduce|
              mapreduce-randomized|mapreduce-generalized|mapreduce-recursive]
-            [--k_prime=N] [--partitions=N] [--workers=N]
+            [--k_prime=N] [--partitions=N] [--workers=N]  (N at most 256)
             [--metric=euclidean|manhattan|cosine|jaccard] [--out=FILE]
             [--screening=0|1]  (fp32 screen-then-certify sweeps, default on)
             [--indexing=0|1]   (GMM's triangle-inequality skip and greedy
@@ -102,7 +120,8 @@ commands:
             [--task-timeout-ms=N]  (straggler budget per attempt; 0 = off)
             [--allow-degraded=0|1] (drop permanently failed partitions, default on)
             [--fault-seed=S --fault-rate-KIND=P ...]  (seeded stochastic faults;
-             KIND in crash|empty-output|wrong-output|corrupt-partition|straggler)
+             KIND in crash|empty-output|wrong-output|corrupt-partition|straggler,
+             P in [0, 1])
             [--fault-spec=round:task:attempt:kind[:param],...]  (exact schedule;
              transport kinds worker-crash|conn-drop|frame-corrupt|reply-delay
              need --transport=socket to be inflicted for real)
@@ -207,6 +226,9 @@ int RunSolve(const CliFlags& flags) {
   opts.k_prime = flags.GetInt<size_t>("k_prime", 0);
   opts.num_partitions = flags.GetInt<size_t>("partitions", 0);
   opts.num_workers = flags.GetInt<size_t>("workers", 0);
+  if (opts.num_workers > kMaxMapReduceWorkers) {
+    return AboveMaximum("workers", kMaxMapReduceWorkers);
+  }
   opts.seed = flags.GetInt<uint64_t>("seed", 1);
   opts.max_retries = flags.GetInt<size_t>("max-retries", 2);
   opts.task_timeout_ms = flags.GetInt<uint64_t>("task-timeout-ms", 0);
@@ -225,14 +247,11 @@ int RunSolve(const CliFlags& flags) {
     faults = std::move(*parsed);
   }
   FaultRates rates;
-  rates.crash = std::atof(flags.Get("fault-rate-crash", "0").c_str());
-  rates.empty_output =
-      std::atof(flags.Get("fault-rate-empty-output", "0").c_str());
-  rates.wrong_output =
-      std::atof(flags.Get("fault-rate-wrong-output", "0").c_str());
-  rates.corrupt_partition =
-      std::atof(flags.Get("fault-rate-corrupt-partition", "0").c_str());
-  rates.straggler = std::atof(flags.Get("fault-rate-straggler", "0").c_str());
+  rates.crash = flags.GetRate("fault-rate-crash");
+  rates.empty_output = flags.GetRate("fault-rate-empty-output");
+  rates.wrong_output = flags.GetRate("fault-rate-wrong-output");
+  rates.corrupt_partition = flags.GetRate("fault-rate-corrupt-partition");
+  rates.straggler = flags.GetRate("fault-rate-straggler");
   if (rates.crash > 0 || rates.empty_output > 0 || rates.wrong_output > 0 ||
       rates.corrupt_partition > 0 || rates.straggler > 0) {
     faults.SetSeeded(flags.GetInt<uint64_t>("fault-seed", 1), rates);
@@ -252,8 +271,17 @@ int RunSolve(const CliFlags& flags) {
     so.worker_binary = flags.Get("worker-binary", "");
     so.heartbeat_ms = flags.GetInt<uint64_t>("heartbeat-ms", 0);
     so.rpc_deadline_ms = flags.GetInt<uint64_t>("rpc-deadline-ms", 30000);
-    so.chunk_bytes = flags.GetInt<size_t>("chunk-kb", 256) * 1024;
-    so.worker_cache_bytes = flags.GetInt<size_t>("worker-cache-mb", 64) << 20;
+    // Byte counts that do not fit in size_t are usage errors, not wraps.
+    const size_t chunk_kb = flags.GetInt<size_t>("chunk-kb", 256);
+    const size_t cache_mb = flags.GetInt<size_t>("worker-cache-mb", 64);
+    if (chunk_kb > (SIZE_MAX >> 10)) {
+      return AboveMaximum("chunk-kb", SIZE_MAX >> 10);
+    }
+    if (cache_mb > (SIZE_MAX >> 20)) {
+      return AboveMaximum("worker-cache-mb", SIZE_MAX >> 20);
+    }
+    so.chunk_bytes = chunk_kb << 10;
+    so.worker_cache_bytes = cache_mb << 20;
     socket_engine = std::make_unique<SocketEngine>(so);
     Status healthy = socket_engine->Healthy();
     if (!healthy.ok()) {

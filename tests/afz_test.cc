@@ -21,7 +21,8 @@ AfzOptions Options(size_t k, size_t parts) {
 TEST(AfzTest, RemoteEdgeProducesKPoints) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(400, 2, /*seed=*/1);
-  MrResult r = RunAfz(pts, m, DiversityProblem::kRemoteEdge, Options(6, 4));
+  MrResult r =
+      TryRunAfz(pts, m, DiversityProblem::kRemoteEdge, Options(6, 4)).value();
   EXPECT_EQ(r.solution.size(), 6u);
   EXPECT_GT(r.diversity, 0.0);
   EXPECT_EQ(r.rounds, 2u);
@@ -31,7 +32,9 @@ TEST(AfzTest, RemoteEdgeProducesKPoints) {
 TEST(AfzTest, RemoteCliqueProducesKPoints) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(400, 2, /*seed=*/2);
-  MrResult r = RunAfz(pts, m, DiversityProblem::kRemoteClique, Options(4, 4));
+  MrResult r =
+      TryRunAfz(pts, m, DiversityProblem::kRemoteClique, Options(4, 4))
+          .value();
   EXPECT_EQ(r.solution.size(), 4u);
   EXPECT_GT(r.diversity, 0.0);
 }
@@ -43,7 +46,8 @@ TEST(AfzTest, RemoteCliqueQualityIsReasonable) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     PointSet pts = GenerateUniformCube(16, 2, seed * 7);
     MrResult r =
-        RunAfz(pts, m, DiversityProblem::kRemoteClique, Options(4, 2));
+        TryRunAfz(pts, m, DiversityProblem::kRemoteClique, Options(4, 2))
+            .value();
     double opt =
         ExactDiversityMaximization(DiversityProblem::kRemoteClique, pts, m, 4)
             .value;
@@ -62,7 +66,9 @@ TEST(AfzTest, CppuBeatsOrMatchesAfzOnPlantedData) {
   sopts.seed = 11;
   PointSet pts = GenerateSphereDataset(sopts);
 
-  MrResult afz = RunAfz(pts, m, DiversityProblem::kRemoteClique, Options(6, 4));
+  MrResult afz =
+      TryRunAfz(pts, m, DiversityProblem::kRemoteClique, Options(6, 4))
+          .value();
 
   MrOptions cppu_opts;
   cppu_opts.k = 6;
@@ -77,10 +83,26 @@ TEST(AfzTest, CppuBeatsOrMatchesAfzOnPlantedData) {
   EXPECT_GE(cppu_r->diversity, 0.9 * afz.diversity);
 }
 
+// A worker count the simulator would need more threads for than it allows
+// is an error before any thread starts, as is zero.
+TEST(AfzTest, RejectsWorkerCountsOutsideTheBound) {
+  EuclideanMetric m;
+  PointSet pts = GenerateUniformCube(50, 2, /*seed=*/3);
+  for (size_t workers : {size_t{0}, kMaxMapReduceWorkers + 1}) {
+    AfzOptions o = Options(4, 2);
+    o.num_workers = workers;
+    StatusOr<MrResult> r =
+        TryRunAfz(pts, m, DiversityProblem::kRemoteEdge, o);
+    ASSERT_FALSE(r.ok()) << workers;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << workers;
+  }
+}
+
 TEST(AfzDeathTest, RejectsUnsupportedProblems) {
   EuclideanMetric m;
   PointSet pts = GenerateUniformCube(50, 2, /*seed=*/3);
-  EXPECT_DEATH(RunAfz(pts, m, DiversityProblem::kRemoteTree, Options(4, 2)),
+  EXPECT_DEATH((void)TryRunAfz(pts, m, DiversityProblem::kRemoteTree,
+                               Options(4, 2)),
                "CHECK failed");
 }
 

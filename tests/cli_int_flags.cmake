@@ -7,7 +7,11 @@
 # code 1 and "error: --<flag> must be at least ..."), never an abort; so is
 # one too large to generate (more than 10^8 points, 10^9 coordinates or a
 # vocabulary of 10^7 terms: "error: --<flag> must be at most ..."), checked
-# before anything is allocated. A well-formed value still solves.
+# before anything is allocated; so is a --workers count above 256 or a
+# --chunk-kb / --worker-cache-mb whose byte count overflows, checked before
+# any worker starts. A --fault-rate-* value must be a number in [0, 1]
+# ("error: --<flag> expects a number in [0, 1]"). Well-formed values,
+# in-range fault rates included, still solve.
 #
 # Run through CTest (cli_int_flags_test), or by hand:
 #   cmake -DCLI=build/diverse_cli -DWORK_DIR=build -P tests/cli_int_flags.cmake
@@ -60,9 +64,50 @@ foreach(bad "least|generate|--kind=sphere|--n=5|--out=${out}"
   endif()
 endforeach()
 
+# Solve values above what a run can hold: more workers than the MapReduce
+# simulator starts threads for (or the socket transport forks processes
+# for), and KB / MB counts whose byte total overflows size_t. Each is
+# rejected before any worker thread or process starts.
+foreach(bad "--workers=257"
+            "--workers=257|--transport=socket"
+            "--workers=18446744073709551615"
+            "--chunk-kb=18014398509481984|--transport=socket"
+            "--worker-cache-mb=17592186044416|--transport=socket")
+  string(REPLACE "|" ";" args "${bad}")
+  list(GET args 0 arg)
+  string(REGEX REPLACE "^--([a-z-]+)=.*" "\\1" flag "${arg}")
+  execute_process(
+    COMMAND "${CLI}" solve --in=${data} --backend=mapreduce --k=4 ${args}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "${bad}: exit code ${rc}, want 1\n${err}")
+  endif()
+  if(NOT err MATCHES "error: --${flag} must be at most")
+    message(FATAL_ERROR "${bad}: unexpected stderr:\n${err}")
+  endif()
+endforeach()
+
+# Fault rates are probabilities: a value that is not a number in [0, 1] is
+# a usage error, never "no faults" or "always".
+foreach(bad "crash=-1" "crash=nan" "crash=abc" "crash=2" "straggler="
+            "empty-output=0.5x" "corrupt-partition=inf")
+  string(REGEX REPLACE "=.*" "" kind "${bad}")
+  execute_process(
+    COMMAND "${CLI}" solve --in=${data} --backend=mapreduce --k=4
+            --fault-rate-${bad}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "--fault-rate-${bad}: exit code ${rc}, want 1\n${err}")
+  endif()
+  if(NOT err MATCHES "error: --fault-rate-${kind} expects a number in \\[0, 1\\]")
+    message(FATAL_ERROR "--fault-rate-${bad}: unexpected stderr:\n${err}")
+  endif()
+endforeach()
+
 execute_process(
   COMMAND "${CLI}" solve --in=${data} --backend=mapreduce --k=4 --partitions=4
-          --seed=18446744073709551615
+          --seed=18446744073709551615 --fault-rate-crash=0
+          --fault-rate-straggler=1e-300
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "well-formed flags: exit code ${rc}\n${err}")

@@ -175,8 +175,10 @@ TEST(DeterminismTest, AfzIsSeedPure) {
   o.k = 4;
   o.num_partitions = 3;
   o.seed = 41;
-  MrResult r1 = RunAfz(pts, metric, DiversityProblem::kRemoteClique, o);
-  MrResult r2 = RunAfz(pts, metric, DiversityProblem::kRemoteClique, o);
+  MrResult r1 =
+      TryRunAfz(pts, metric, DiversityProblem::kRemoteClique, o).value();
+  MrResult r2 =
+      TryRunAfz(pts, metric, DiversityProblem::kRemoteClique, o).value();
   EXPECT_TRUE(SameSolutions(r1.solution, r2.solution));
   EXPECT_DOUBLE_EQ(r1.diversity, r2.diversity);
 }

@@ -393,7 +393,7 @@ TEST(MapReduceDriverTest, AfzMorePartitionsThanPoints) {
   o.k = 2;
   o.num_partitions = 6;
   o.num_workers = 2;
-  MrResult r = RunAfz(pts, m, DiversityProblem::kRemoteClique, o);
+  MrResult r = TryRunAfz(pts, m, DiversityProblem::kRemoteClique, o).value();
   EXPECT_EQ(r.solution.size(), 2u);
 }
 

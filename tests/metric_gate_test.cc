@@ -5,7 +5,8 @@
 // which kernel a sweep runs. Either verdict is bit-identical, so no oracle
 // suite notices a flipped gate — only the cost moves. This table fixes every
 // verdict for the four built-in metrics and a user-defined metric, over dense,
-// sparse, mixed and empty data, with point queries and with dataset queries.
+// sparse, mixed and empty data, with one-row queries and with dataset
+// queries.
 
 #include <memory>
 #include <string>
@@ -65,10 +66,6 @@ std::vector<std::unique_ptr<Metric>> GateMetrics(KernelPolicy policy = {}) {
   return metrics;
 }
 
-bool ScreenGate(const Metric& m, const Point& q, const Dataset& d) {
-  return m.ScreeningProfitableFor(SideStatsOf(q), SideStatsOf(d));
-}
-
 bool ScreenGate(const Metric& m, const Dataset& q, const Dataset& d) {
   return m.ScreeningProfitableFor(SideStatsOf(q), SideStatsOf(d));
 }
@@ -83,7 +80,8 @@ std::string Verdicts(const std::vector<bool>& v) {
 // GateMetrics() order: euclidean, manhattan, cosine, jaccard, discrete.
 struct GateRow {
   const char* data;
-  const char* query;  // "point-dense", "point-sparse" or a layout name
+  // "point-dense" / "point-sparse" (a one-row Dataset) or a layout name
+  const char* query;
   const char* screen;
 };
 
@@ -123,7 +121,8 @@ TEST(MetricGateTable, ScreeningVerdicts) {
     std::vector<bool> screen;
     for (const auto& m : metrics) {
       if (query == "point-dense" || query == "point-sparse") {
-        Point q = query == "point-dense" ? DenseRow(5) : SparseRow(5);
+        Dataset q;
+        q.Append(query == "point-dense" ? DenseRow(5) : SparseRow(5));
         screen.push_back(ScreenGate(*m, q, data));
       } else {
         screen.push_back(ScreenGate(*m, Layout(query), data));

@@ -17,7 +17,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -29,7 +28,6 @@
 #include "core/generalized_coreset.h"
 #include "core/gmm.h"
 #include "core/metric.h"
-#include "core/screen.h"
 #include "core/sequential.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
@@ -269,9 +267,10 @@ TEST_P(ThreadCounts, InstantiateBitIdenticalToExact) {
 }
 
 // The certified bound itself: sample every (query, row) pair of each layout
-// through both tile kernels and check |screened - exact| <= rel*s + abs
-// whenever the screened value is finite. This is the property every
-// certified skip relies on.
+// through both tile kernels, and one row against all rows through both
+// row-list kernels, and check |screened - exact| <= rel*s + abs whenever
+// the screened value is finite. This is the property every certified skip
+// relies on.
 TEST(ScreenTest, ErrorBoundCoversSampledPairsAllMetricsAllLayouts) {
   for (const NamedLayout& layout : AllLayouts()) {
     Dataset data(layout.pts);
@@ -291,85 +290,20 @@ TEST(ScreenTest, ErrorBoundCoversSampledPairsAllMetricsAllLayouts) {
             << metric->Name() << "/" << layout.name << " pair " << i
             << " screened=" << s << " exact=" << exact[i];
       }
-      // Point-query sweep against its own bound.
-      const Point& q = layout.pts[layout.pts.size() / 2];
-      ScreenBound qbound = metric->ScreenErrorBound(
-          SideStatsOf(q), SideStatsOf(data), data.dim());
+      // One row against every row through the relax sweep's kernel pair,
+      // under the bound the relax sweep certifies with.
+      const size_t q = n / 2;
+      std::vector<uint32_t> rows(n);
+      for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
       std::vector<float> srow(n);
       std::vector<double> erow(n);
-      metric->DistanceToManyF32(q, data, 0, srow);
-      metric->DistanceToMany(q, data, 0, erow);
+      metric->DistanceRowsManyF32(data, q, data, rows, srow.data());
+      metric->DistanceRowsMany(data, q, data, rows, erow.data());
       for (size_t i = 0; i < n; ++i) {
         if (!std::isfinite(srow[i])) continue;
-        double band = qbound.rel * static_cast<double>(srow[i]) + qbound.abs;
+        double band = bound.rel * static_cast<double>(srow[i]) + bound.abs;
         EXPECT_LE(std::abs(static_cast<double>(srow[i]) - erow[i]), band)
             << metric->Name() << "/" << layout.name << " row " << i;
-      }
-    }
-  }
-}
-
-TEST(ScreenTest, ArgClosestAndFirstWithinMatchExactIncludingBoundaries) {
-  const double inf = std::numeric_limits<double>::infinity();
-  for (const NamedLayout& layout : AllLayouts()) {
-    for (size_t qi : {size_t{0}, layout.pts.size() / 2}) {
-      const Point& q = layout.pts[qi];
-      // The query against all rows (its own row makes the minimum 0) and
-      // against the other rows (usually a positive minimum, which gives
-      // the coverage certificate a margin to get wrong).
-      PointSet others = layout.pts;
-      others.erase(others.begin() + static_cast<std::ptrdiff_t>(qi));
-      for (const Dataset& data : {Dataset(layout.pts), Dataset(others)}) {
-        for (const auto& metric : AllMetrics()) {
-          std::string ctx = metric->Name() + "/" + layout.name + "/q" +
-                            std::to_string(qi) + "/n" +
-                            std::to_string(data.size());
-          const auto exact = Unscreened(*metric);
-          // A +inf cover threshold never certifies: the plain argmin.
-          ScreenedNearest exact_nearest =
-              ScreenedArgClosestWithin(*exact, q, data, inf);
-          ScreenedNearest nearest =
-              ScreenedArgClosestWithin(*metric, q, data, inf);
-          ASSERT_FALSE(exact_nearest.beyond) << ctx;
-          ASSERT_FALSE(nearest.beyond) << ctx;
-          EXPECT_EQ(nearest.index, exact_nearest.index) << ctx;
-          EXPECT_EQ(nearest.dist, exact_nearest.dist) << ctx;
-          const double exact_min = exact_nearest.dist;
-          // Thresholds at an exact distance value (inclusive boundary), just
-          // below it, and far out.
-          std::vector<double> all(data.size());
-          metric->DistanceToMany(q, data, 0, all);
-          double mid = all[data.size() / 3];
-          for (double threshold :
-               {exact_min, std::nextafter(exact_min, -1.0), mid,
-                std::nextafter(mid, -1.0), 1e300}) {
-            // Cover thresholds are nonnegative; nextafter(0, -1) is not.
-            if (threshold < 0.0) continue;
-            // The coverage certificate may fire only when every row really
-            // is beyond the threshold; otherwise the sweep reports the
-            // exact first-strict argmin.
-            ScreenedNearest within =
-                ScreenedArgClosestWithin(*metric, q, data, threshold);
-            if (within.beyond) {
-              EXPECT_GT(exact_min, threshold)
-                  << ctx << " threshold " << threshold;
-            } else {
-              EXPECT_EQ(within.index, exact_nearest.index)
-                  << ctx << " threshold " << threshold;
-              EXPECT_EQ(within.dist, exact_min)
-                  << ctx << " threshold " << threshold;
-            }
-          }
-          for (double threshold :
-               {exact_min, std::nextafter(exact_min, -1.0), mid,
-                std::nextafter(mid, -1.0), 1e300, -1.0}) {
-            size_t exact_first =
-                ScreenedFirstWithin(*exact, q, data, threshold);
-            size_t first = ScreenedFirstWithin(*metric, q, data, threshold);
-            EXPECT_EQ(first, exact_first)
-                << ctx << " threshold " << threshold;
-          }
-        }
       }
     }
   }
@@ -413,38 +347,6 @@ TEST(ScreenTest, ScreenedCountsDeterministicAcrossThreadCounts) {
     }
   }
   SetGlobalThreadPoolSize(1);
-}
-
-// The fused SMM sweeps dropped the >=8-coords-per-row gate: a dim-3 dense
-// stream now actually screens (screened_evals > 0) while staying
-// bit-identical (covered by SmmStreamsBitIdenticalToExact above), and the
-// exact (rescue) count stays below the pre-screening baseline. Base SMM's
-// update step runs the first-within sweep (ScreenedFirstWithin), SMM-EXT's
-// the argmin sweep (ScreenedArgClosestWithin); both are checked.
-template <typename SmmVariant>
-void ExpectFusedSmmSweepsScreen(const PointSet& pts) {
-  EuclideanMetric base;
-  CountingMetric counting(&base);
-  SmmVariant smm(&counting, 8, 16);
-  for (const Point& p : pts) smm.Update(p);
-  EXPECT_GT(counting.screened_evals(), 0u);
-  // Coverage certificates and screened update and merge sweeps keep the
-  // exact evals well under one-per-(point, center) pair.
-  EXPECT_LT(counting.exact_evals(),
-            counting.screened_evals() + 17 * 17 * pts.size() / 100);
-  EXPECT_GE(smm.Finalize().size(), 1u);
-}
-
-TEST(ScreenTest, FusedSmmSweepsScreenAtLowDimension) {
-  PointSet pts = DensePoints(400, 3, /*seed=*/231);
-  {
-    SCOPED_TRACE("Smm");
-    ExpectFusedSmmSweepsScreen<Smm>(pts);
-  }
-  {
-    SCOPED_TRACE("SmmExt");
-    ExpectFusedSmmSweepsScreen<SmmExt>(pts);
-  }
 }
 
 // The metric's screening policy: screening off means zero fp32 evaluations;

@@ -301,6 +301,7 @@ class ReferenceSmm {
         }
       }
       if (best <= 4.0 * threshold_) {
+        boundary_covers_ += best == 4.0 * threshold_ && best > 0.0;
         Center& h = centers_[host];
         if (mode_ == SmmEngine::Mode::kDelegates && h.delegates.size() < k_) {
           h.delegates.push_back(p);
@@ -360,6 +361,11 @@ class ReferenceSmm {
 
   double threshold() const { return threshold_; }
   size_t phases() const { return phases_; }
+  // Decisions that only the inclusive <= of the test admits: points whose
+  // nearest center lies at exactly 4 d_i > 0, and merged centers whose
+  // first covering kept center lies at exactly 2 d_i > 0.
+  size_t boundary_covers() const { return boundary_covers_; }
+  size_t boundary_merges() const { return boundary_merges_; }
 
  private:
   struct Center {
@@ -393,6 +399,8 @@ class ReferenceSmm {
         continue;
       }
       Center& h = kept[host];
+      const double d = metric_->Distance(c.center, h.center);
+      boundary_merges_ += d == 2.0 * threshold_ && d > 0.0;
       switch (mode_) {
         case SmmEngine::Mode::kCentersOnly:
           removed_.push_back(c.center);
@@ -420,6 +428,8 @@ class ReferenceSmm {
   double threshold_ = 0.0;
   bool initializing_ = true;
   size_t phases_ = 0;
+  size_t boundary_covers_ = 0;
+  size_t boundary_merges_ = 0;
 };
 
 // A stream drawn from a small pool of distinct points in runs of one to
@@ -443,13 +453,30 @@ PointSet DuplicateHeavyStream(size_t n, uint64_t seed) {
   return stream;
 }
 
-// The streams both reference tests run: dense, sparse under cosine, and
-// duplicate-heavy.
+// Points on a side x side grid of small integers in the plane: squared
+// distances are small integers, so every distance is exact, and thresholds
+// (a minimum distance doubled) land on distances the grid has — centers at
+// exactly 4 d_i and 2 d_i occur, where only the inclusive <= of the update
+// and merge tests decides.
+PointSet IntegerGridStream(size_t n, size_t side, uint64_t seed) {
+  Rng rng(seed);
+  PointSet stream;
+  for (size_t i = 0; i < n; ++i) {
+    const auto x = static_cast<float>(rng.Next() % side);
+    const auto y = static_cast<float>(rng.Next() % side);
+    stream.push_back(Point::Dense2(x, y));
+  }
+  return stream;
+}
+
+// The streams both reference tests run: dense, sparse under cosine,
+// duplicate-heavy, and an integer grid.
 struct ReferenceCase {
   const char* name;
   const Metric* metric;
   PointSet stream;
-  bool duplicate_heavy;
+  bool duplicate_heavy = false;
+  bool integer_grid = false;
 };
 
 std::vector<ReferenceCase> ReferenceCases(const Metric* euclidean,
@@ -459,20 +486,24 @@ std::vector<ReferenceCase> ReferenceCases(const Metric* euclidean,
   text.seed = 67;
   std::vector<ReferenceCase> cases;
   cases.push_back(
-      {"dense-uniform", euclidean, GenerateUniformCube(3000, 2, 71), false});
+      {"dense-uniform", euclidean, GenerateUniformCube(3000, 2, 71)});
   cases.push_back(
-      {"sparse-text-cosine", cosine, GenerateSparseTextDataset(text), false});
-  cases.push_back(
-      {"duplicate-heavy", euclidean, DuplicateHeavyStream(3000, 73), true});
+      {"sparse-text-cosine", cosine, GenerateSparseTextDataset(text)});
+  cases.push_back({"duplicate-heavy", euclidean,
+                   DuplicateHeavyStream(3000, 73), /*duplicate_heavy=*/true});
+  cases.push_back({"integer-grid", euclidean, IntegerGridStream(3000, 24, 84),
+                   /*duplicate_heavy=*/false, /*integer_grid=*/true});
   return cases;
 }
 
-// Smm, SmmExt and SmmGen take the reference's decisions on dense, sparse
-// and duplicate-heavy streams: the same centers, core-sets, threshold and
-// phases, at any thread count, with exact-evaluation counts that do not
-// depend on the thread count. Base SMM tries the previous covered point's
-// host first, so a covered point followed by a copy of itself costs one
-// exact evaluation — also at d_i = 0, where only <= admits the copy.
+// Smm, SmmExt and SmmGen take the reference's decisions on dense, sparse,
+// duplicate-heavy and integer-grid streams: the same centers, core-sets,
+// threshold and phases, at any thread count, with exact-evaluation counts
+// that do not depend on the thread count. Base SMM tries the previous
+// covered point's host first, so a covered point followed by a copy of
+// itself costs one exact evaluation — also at d_i = 0, where only <= admits
+// the copy. On the integer grid, covers at exactly 4 d_i > 0 and merges at
+// exactly 2 d_i > 0 happen, so the inclusive tests are exercised off zero.
 TEST(SmmTest, MatchesTextbookReferenceAtAnyThreadCount) {
   EuclideanMetric euclidean;
   CosineMetric cosine;
@@ -498,6 +529,12 @@ TEST(SmmTest, MatchesTextbookReferenceAtAnyThreadCount) {
     }
     EXPECT_GE(ref[0].phases(), 2u);
     if (c.duplicate_heavy) EXPECT_GT(covered_at_zero, 100u);
+    if (c.integer_grid) {
+      for (const ReferenceSmm& r : ref) {
+        EXPECT_GT(r.boundary_covers(), 0u);
+        EXPECT_GT(r.boundary_merges(), 0u);
+      }
+    }
 
     uint64_t exact_at_one_thread[3] = {};
     for (size_t threads : {1, 2, 8}) {

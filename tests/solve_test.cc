@@ -189,6 +189,31 @@ TEST(TrySolveTest, RejectsGeneralizedBackendOnNonInjectiveProblem) {
   }
 }
 
+// The simulator runs one thread per worker, so every MapReduce backend
+// rejects a worker count above kMaxMapReduceWorkers before any thread
+// starts. (The auto rule caps at the bound, so only an explicit count can
+// exceed it.)
+TEST(TrySolveTest, RejectsWorkerCountAboveBound) {
+  EuclideanMetric metric;
+  PointSet pts = GenerateUniformCube(100, 2, /*seed=*/37);
+  for (Backend b : {Backend::kMapReduce, Backend::kMapReduceRandomized,
+                    Backend::kMapReduceGeneralized,
+                    Backend::kMapReduceRecursive}) {
+    SolveOptions opts;
+    opts.backend = b;
+    opts.problem = DiversityProblem::kRemoteClique;
+    opts.k = 4;
+    opts.num_workers = kMaxMapReduceWorkers + 1;
+    StatusOr<SolveResult> r = TrySolve(pts, metric, opts);
+    ASSERT_FALSE(r.ok()) << BackendName(b);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    const std::string want =
+        "num_workers (" + std::to_string(opts.num_workers) + ")";
+    EXPECT_NE(r.status().message().find(want), std::string::npos)
+        << r.status().message();
+  }
+}
+
 // A reducer of the recursive backend must hold one core-set of k' points,
 // so a smaller budget is an invalid request, checked against the effective
 // k' (4k under auto) and only for the backend that reads the budget.

@@ -144,12 +144,13 @@ TEST(TileKernelTest, TileMatchesPerQuerySweepsAllMetricsAllLayouts) {
   }
 }
 
-// The indexed kernels of the relax sweep equal the one-query sweeps bit for
-// bit — DistanceRowsManyF32 the fp32 one, DistanceRowsMany the exact one:
-// every metric and layout, dense dims on both sides of the 16-coordinate
-// SIMD cut of the direct dense path, and an odd count of scattered rows
-// with a repeat. CountingMetric counts each row of the fp32 kernel as one
-// screened evaluation.
+// The indexed kernels of the relax sweep give each row the value it gets
+// alone — DistanceRowsManyF32 over a scattered list equals the same kernel
+// called with that one row, and DistanceRowsMany equals the exact one-query
+// sweep — bit for bit: every metric and layout, dense dims on both sides of
+// the 16-coordinate SIMD cut of the direct dense path, and an odd count of
+// scattered rows with a repeat. CountingMetric counts each row of the fp32
+// kernel as one screened evaluation.
 TEST(TileKernelTest, RowsManyMatchesToManyAllMetricsAllLayouts) {
   std::vector<NamedLayout> layouts = AllLayouts();
   layouts.push_back({"dense-dim16", DensePoints(83, 16, /*seed=*/108)});
@@ -166,8 +167,12 @@ TEST(TileKernelTest, RowsManyMatchesToManyAllMetricsAllLayouts) {
       for (size_t q : {size_t{0}, size_t{5}, n - 1}) {
         const std::string ctx = metric->Name() + "/" + layout.name +
                                 " q=" + std::to_string(q);
-        std::vector<float> want(n);
-        metric->DistanceToManyF32(data.point(q), data, 0, want);
+        std::vector<float> want(rows.size());
+        for (size_t t = 0; t < rows.size(); ++t) {
+          metric->DistanceRowsManyF32(data, q, data,
+                                      std::span<const uint32_t>(&rows[t], 1),
+                                      &want[t]);
+        }
         CountingMetric counting(metric.get());
         std::vector<float> got(rows.size(), -1.0f);
         counting.DistanceRowsManyF32(data, q, data, rows, got.data());
@@ -179,7 +184,7 @@ TEST(TileKernelTest, RowsManyMatchesToManyAllMetricsAllLayouts) {
         metric->DistanceRowsMany(data, q, data, rows, got_exact.data());
         for (size_t t = 0; t < rows.size(); ++t) {
           EXPECT_EQ(std::bit_cast<uint32_t>(got[t]),
-                    std::bit_cast<uint32_t>(want[rows[t]]))
+                    std::bit_cast<uint32_t>(want[t]))
               << ctx << " row " << rows[t];
           EXPECT_EQ(std::bit_cast<uint64_t>(got_exact[t]),
                     std::bit_cast<uint64_t>(want_exact[rows[t]]))
