@@ -1,6 +1,7 @@
 // Kernel microbenchmarks (google-benchmark): distance evaluations, GMM
-// steps, SMM updates, diversity evaluators, and scalar-vs-batched/tiled
-// kernel comparisons. These track the constants behind the throughput
+// steps, SMM updates, diversity evaluators, scalar-vs-batched/tiled
+// kernel comparisons, and one socket task's byte handling (frame CRC and
+// streamed wire decode). These track the constants behind the throughput
 // numbers of Figure 3 and measure (rather than assert) the speedup of the
 // columnar Dataset + batched/tiled kernel paths over the scalar
 // virtual-dispatch loops.
@@ -22,9 +23,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "comm/frame.h"
+#include "comm/serialize.h"
+#include "comm/socket_engine.h"
 #include "core/coreset.h"
 #include "core/dataset.h"
 #include "core/distance_matrix.h"
@@ -33,6 +38,7 @@
 #include "core/metric.h"
 #include "core/sequential.h"
 #include "core/vector_kernels.h"
+#include "crc32_reference.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
 #include "gmm_scalar.h"
@@ -796,6 +802,81 @@ void BM_MrFaultRecovery(benchmark::State& state) {
   state.SetLabel(faulty ? "euclidean/faulty" : "euclidean/fault-free");
 }
 BENCHMARK(BM_MrFaultRecovery)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One socket task's wire request: a 31,250-row dim-3 sphere partition
+// (one of 8 partitions of the mr-socket-sphere3d input), shipped inline
+// with a cache insert, as the socket engine ships a cold partition. The
+// payload is ~656 KB.
+constexpr size_t kWireTaskRows = 31250;
+
+std::string SphereTaskPayload() {
+  SphereDatasetOptions opts;
+  opts.n = kWireTaskRows;
+  opts.seed = 29;
+  WireRequest req;
+  req.type = WireTaskType::kCoreset;
+  req.metric = "euclidean";
+  req.round = "coreset";
+  req.k_prime = 64;
+  req.part = Dataset(GenerateSphereDataset(opts));
+  req.points_fingerprint = FingerprintRows(req.part);
+  req.cache_insert = true;
+  return EncodeWireRequest(req);
+}
+
+// Crc32 over one task payload: the frame checksum each side of the socket
+// pays per request. Setup checks the value against the byte-wise
+// reference CRC (tests/crc32_reference.h).
+void BM_Crc32(benchmark::State& state) {
+  const std::string payload = SphereTaskPayload();
+  if (Crc32(payload) != ReferenceCrc32(payload)) {
+    state.SkipWithError("Crc32 diverged from the byte-wise reference");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(payload));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(payload.size()));
+  state.counters["n"] = static_cast<double>(payload.size());
+  state.counters["threads"] = 1;
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
+
+// The worker's streamed decode of one task payload, fed in the socket
+// engine's default 256 KB chunks: record parsing, the Dataset appends and
+// the fingerprint the cache-insert check compares. The payload is encoded
+// once in setup; setup checks that the decode reproduces it byte for byte
+// and that the decoder's fingerprint is the one the driver shipped.
+void BM_WireRequestDecode(benchmark::State& state) {
+  const std::string payload = SphereTaskPayload();
+  const size_t chunk = SocketEngineOptions().chunk_bytes;
+  auto decode = [&]() {
+    StreamingRequestDecoder decoder;
+    for (size_t off = 0; off < payload.size(); off += chunk) {
+      (void)decoder.Feed(std::string_view(payload).substr(off, chunk));
+    }
+    return decoder.Finish();
+  };
+  {
+    StatusOr<WireRequest> req = decode();
+    if (!req.ok() || EncodeWireRequest(*req) != payload ||
+        req->decoded_fingerprint != req->points_fingerprint) {
+      state.SkipWithError("streamed decode diverged from the payload");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    StatusOr<WireRequest> req = decode();
+    benchmark::DoNotOptimize(req->decoded_fingerprint);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(payload.size()));
+  state.counters["n"] = static_cast<double>(kWireTaskRows);
+  state.counters["dim"] = 3;
+  state.counters["threads"] = 1;
+}
+BENCHMARK(BM_WireRequestDecode)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace diverse

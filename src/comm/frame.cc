@@ -1,6 +1,7 @@
 #include "comm/frame.h"
 
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -10,17 +11,30 @@ namespace {
 
 constexpr uint32_t kFrameMagic = 0x44495646;  // "DIVF"
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slice-by-8 tables (Kounavis & Berry, 2005) for the reflected polynomial
+// 0xEDB88320: kCrcTables[0] is the byte-at-a-time table, and
+// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so one
+// step folds 8 input bytes with 8 independent lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables BuildCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
 
 bool KnownFrameType(uint8_t t) {
   return t >= static_cast<uint8_t>(FrameType::kRequest) &&
@@ -30,10 +44,25 @@ bool KnownFrameType(uint8_t t) {
 }  // namespace
 
 uint32_t Crc32(std::string_view bytes) {
-  static const std::array<uint32_t, 256> table = BuildCrcTable();
+  // The 8-byte step reads its words in host order; the wire is
+  // little-endian, like every other raw scalar in the codecs.
+  static_assert(std::endian::native == std::endian::little);
+  const CrcTables& t = kCrcTables;
+  const char* p = bytes.data();
+  size_t n = bytes.size();
   uint32_t c = 0xFFFFFFFFu;
-  for (char ch : bytes) {
-    c = table[(c ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo;
+    uint32_t hi;
+    std::memcpy(&lo, p, sizeof(lo));
+    std::memcpy(&hi, p + 4, sizeof(hi));
+    lo ^= c;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ static_cast<uint8_t>(*p)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -67,7 +67,9 @@ inline constexpr uint64_t kMaxFramePayload = uint64_t{1} << 30;
 inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 8 + 4;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
-/// Software table implementation — no hardware or library dependency.
+/// Portable slice-by-8 over compile-time tables: 8 bytes per step, the same
+/// values as the byte-at-a-time table walk, no hardware CRC instruction and
+/// no library dependency.
 uint32_t Crc32(std::string_view bytes);
 
 /// Appends the complete frame (header + payload) for `type` to `*out`.

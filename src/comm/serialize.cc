@@ -80,21 +80,37 @@ uint64_t MixBytes(uint64_t h, const void* data, size_t bytes) {
   return h;
 }
 
+// FingerprintRows in three steps, shared with the request decoder, which
+// hashes each partition record as it appends it: the seed mixed with the
+// row count, then each row, then the remap of 0.
+uint64_t StartFingerprint(uint64_t rows) {
+  return MixWord(0xD1BE45E5EED5EEDULL, rows);
+}
+
+uint64_t MixRow(uint64_t h, bool sparse, uint32_t dim, uint32_t nnz,
+                const void* indices, const void* values) {
+  const uint64_t header = (uint64_t{sparse ? 1u : 0u} << 48) ^
+                          (uint64_t{dim} << 16) ^ uint64_t{nnz};
+  h = MixWord(h, header);
+  if (sparse) h = MixBytes(h, indices, nnz * sizeof(uint32_t));
+  return MixBytes(h, values, nnz * sizeof(float));
+}
+
+uint64_t FinishFingerprint(uint64_t h) {
+  // 0 is the "untagged" sentinel in WireRequest; remap the (2^-64) hit.
+  return h == 0 ? 0x9E3779B97F4A7C15ULL : h;
+}
+
 }  // namespace
 
 uint64_t FingerprintRows(const Dataset& rows) {
-  uint64_t h = MixWord(0xD1BE45E5EED5EEDULL, rows.size());
+  uint64_t h = StartFingerprint(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     const kernels::VecView v = rows.row(i);
-    const uint64_t header = (uint64_t{v.sparse ? 1u : 0u} << 48) ^
-                            (uint64_t{static_cast<uint32_t>(v.dim)} << 16) ^
-                            uint64_t{static_cast<uint32_t>(v.nnz)};
-    h = MixWord(h, header);
-    if (v.sparse) h = MixBytes(h, v.indices, v.nnz * sizeof(uint32_t));
-    h = MixBytes(h, v.values, v.nnz * sizeof(float));
+    h = MixRow(h, v.sparse, static_cast<uint32_t>(v.dim),
+               static_cast<uint32_t>(v.nnz), v.indices, v.values);
   }
-  // 0 is the "untagged" sentinel in WireRequest; remap the (2^-64) hit.
-  return h == 0 ? 0x9E3779B97F4A7C15ULL : h;
+  return FinishFingerprint(h);
 }
 
 void AppendRows(const Dataset& rows, std::string* out) {
@@ -302,12 +318,18 @@ Status StreamingRequestDecoder::Advance(bool final) {
               std::min<uint64_t>(count, uint64_t{1} << 16));
           if (first) {
             req_.part.Reserve(reserve, 0, 0);
+            part_hash_ = StartFingerprint(count);
           } else {
             req_.points2.reserve(reserve);
           }
           continue;
         }
         if (got_ == want_) {
+          if (first) {
+            // The partition is complete: one stamp for the whole batch.
+            req_.part.Restamp();
+            req_.decoded_fingerprint = FinishFingerprint(part_hash_);
+          }
           stage_ = first ? Stage::kPoints2 : Stage::kGen;
           have_count_ = false;
           continue;
@@ -333,6 +355,8 @@ Status StreamingRequestDecoder::Advance(bool final) {
           }
           req_.part.AppendRowBytes(rec->sparse, rec->dim, rec->nnz,
                                    rec->indices, rec->values);
+          part_hash_ = MixRow(part_hash_, rec->sparse, rec->dim, rec->nnz,
+                              rec->indices, rec->values);
         } else {
           StatusOr<Point> p = TryReadPointRecord(&in, where);
           if (!p.ok()) return final ? p.status() : OkStatus();

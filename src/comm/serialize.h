@@ -91,6 +91,11 @@ struct WireRequest {
   /// The first points section, as rows. Its records must share one dim:
   /// the decoder rejects a mismatch (RowDimMismatchError).
   Dataset part;
+  /// FingerprintRows(part) as the decoder computed it while appending the
+  /// rows, so the worker's cache-insert check costs no second pass; 0 when
+  /// the request carries no part section. Not on the wire: the encoder
+  /// ignores it, and only a decoded request carries it.
+  uint64_t decoded_fingerprint = 0;
   PointSet points2;
   GeneralizedCoreset gen;
 };
@@ -157,7 +162,8 @@ DIVERSE_MUST_USE StatusOr<WireReply> TryDecodeWireReply(
 /// Incremental decoder of one wire-request payload, fed the kRequestChunk /
 /// kRequestLast slices as they arrive so the worker deserializes while
 /// later chunks are still in flight. Feed() consumes whole records
-/// greedily — partition records straight into WireRequest::part — and
+/// greedily — partition records straight into WireRequest::part, hashing
+/// each into WireRequest::decoded_fingerprint as it goes — and
 /// buffers only the unconsumed tail; it reports structural errors it is
 /// already certain of (unknown task type, zero multiplicity, a complete
 /// partition record whose dim differs from row 0's) immediately and
@@ -192,6 +198,7 @@ class StreamingRequestDecoder {
   bool have_count_ = false;
   uint64_t want_ = 0;  // entries expected in the current section
   uint64_t got_ = 0;
+  uint64_t part_hash_ = 0;  // FingerprintRows of the part rows so far
   Status error_;  // sticky structural error
 };
 

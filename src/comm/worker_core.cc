@@ -159,7 +159,7 @@ WireReply ExecuteWireRequest(WireRequest request,
     return ExecuteDecodedTask(request, *cached);
   }
   if (request.cache_insert && request.points_fingerprint != 0) {
-    const uint64_t actual = FingerprintRows(request.part);
+    const uint64_t actual = request.decoded_fingerprint;
     if (actual != request.points_fingerprint) {
       WireReply reply;
       reply.type = request.type;

@@ -78,15 +78,17 @@ class WorkerPartitionCache {
   uint64_t evictions_ = 0;
 };
 
-/// Executes one decoded wire request against `cache` (nullable = no
-/// caching) and returns the reply. Handles the cache protocol before any
-/// compute: evict_fingerprint is applied first; a points_by_ref request
-/// that misses returns kNotFound with cache_miss set (and skips the task
-/// body entirely); a cache_insert ship is verified against its claimed
-/// fingerprint (kDataLoss "partition fingerprint mismatch" on corruption)
-/// and then inserted. `delay_ms` is NOT honored here (sleeping is the
-/// worker loop's job, so tests can run this synchronously). Takes the
-/// request by value because its partition may be moved into the cache.
+/// Executes one decoded wire request (TryDecodeWireRequest or
+/// StreamingRequestDecoder output) against `cache` (nullable = no caching)
+/// and returns the reply. Handles the cache protocol before any compute:
+/// evict_fingerprint is applied first; a points_by_ref request that misses
+/// returns kNotFound with cache_miss set (and skips the task body
+/// entirely); a cache_insert ship is verified by comparing its claimed
+/// fingerprint with the decoder's decoded_fingerprint (kDataLoss
+/// "partition fingerprint mismatch" on corruption) and then inserted.
+/// `delay_ms` is NOT honored here (sleeping is the worker loop's job, so
+/// tests can run this synchronously). Takes the request by value because
+/// its partition may be moved into the cache.
 WireReply ExecuteWireRequest(WireRequest request, WorkerPartitionCache* cache);
 
 /// Executes the wire task in `request_payload` and returns the encoded

@@ -121,7 +121,7 @@ void Dataset::AppendRowBytes(bool sparse, uint32_t dim, uint32_t nnz,
   } else {
     DIVERSE_CHECK_EQ(dim, dim_);
   }
-  content_stamp_ = NextContentStamp();
+  content_stamp_ = 0;
   RowRef r;
   r.len = nnz;
   r.sparse = sparse ? 1 : 0;
@@ -149,6 +149,8 @@ void Dataset::AppendRowBytes(bool sparse, uint32_t dim, uint32_t nnz,
   norms_.push_back(norm);
   screen_stats_.Add(norm);
 }
+
+void Dataset::Restamp() { content_stamp_ = NextContentStamp(); }
 
 void Dataset::Reserve(size_t rows, size_t dense_values,
                       size_t sparse_entries) {

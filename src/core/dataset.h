@@ -162,10 +162,15 @@ class Dataset {
   /// reporting the SAME nonzero stamp hold identical content — copies share
   /// the stamp until either side mutates, and stamps are never reused. The
   /// sparse decode cache (core/metric.cc) keys thread-local query-block
-  /// scratch on it. 0 means "never mutated" (necessarily empty) and is
-  /// treated as uncacheable. Moved-from datasets are valid-but-unspecified
-  /// as usual; mutate (or Clear) before reusing one.
+  /// scratch on it. 0 means "uncacheable": never mutated (necessarily
+  /// empty), or rows were batch-appended (AppendRowBytes) since the last
+  /// Restamp. A zero stamp is never stale, only uncached. Moved-from
+  /// datasets are valid-but-unspecified as usual; mutate (or Clear) before
+  /// reusing one.
   uint64_t content_stamp() const { return content_stamp_; }
+
+  /// Draws a fresh content stamp: the end of an AppendRowBytes batch.
+  void Restamp();
 
   /// Appends one row. The first row fixes dim(); later rows must match it.
   void Append(const Point& p);
@@ -175,9 +180,12 @@ class Dataset {
   /// `nnz` uint32 indices at `indices` — ascending and below dim — and
   /// their `nnz` float values. The norm is computed exactly as
   /// Point::ComputeNorm computes it, so the row equals the one Append
-  /// stores for the same point, without building the point. The binary
-  /// loader's path (data/io.h, TryParseDatasetBinary); the caller has
-  /// validated the record. Same dim rule as Append.
+  /// stores for the same point, without building the point. The batch path
+  /// of the binary loader (data/io.h, TryParseDatasetBinary) and the wire
+  /// decoder (comm/serialize.h); the caller has validated the record. Same
+  /// dim rule as Append. Draws no stamp per row: the stamp drops to 0
+  /// (uncacheable, see content_stamp) and the batch ends with one
+  /// Restamp().
   void AppendRowBytes(bool sparse, uint32_t dim, uint32_t nnz,
                       const void* indices, const void* values);
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -110,10 +111,23 @@ namespace {
 StatusOr<std::string> ReadFileBytes(const std::string& path, bool binary) {
   std::ifstream in(path, binary ? std::ios::binary : std::ios::in);
   if (!in) return NotFoundError("cannot open " + Quoted(path));
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  std::string bytes;
+  std::error_code size_error;
+  const uintmax_t size = std::filesystem::file_size(path, size_error);
+  if (!size_error) {
+    // A regular file: one read into a string sized from its length (short
+    // if the file shrank since).
+    bytes.resize(static_cast<size_t>(size));
+    in.read(bytes.data(), static_cast<std::streamsize>(size));
+    bytes.resize(static_cast<size_t>(in.gcount()));
+  } else {
+    // No length to size from (a pipe, a device, a directory): read to EOF.
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    bytes = std::move(buf).str();
+  }
   if (in.bad()) return DataLossError("read error in " + Quoted(path));
-  return std::move(buf).str();
+  return bytes;
 }
 
 }  // namespace
@@ -342,6 +356,7 @@ StatusOr<Dataset> TryParseDatasetBinary(std::string_view bytes,
     data.AppendRowBytes(rec->sparse, rec->dim, rec->nnz, rec->indices,
                         rec->values);
   }
+  data.Restamp();
   return data;
 }
 

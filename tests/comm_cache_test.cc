@@ -9,6 +9,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,6 +73,45 @@ TEST(FingerprintTest, DistinguishesDenseFromSparseAndNeverReturnsZero) {
   EXPECT_NE(FingerprintRows(Dataset(dense)), FingerprintRows(Dataset(sparse)));
   // 0 is the "untagged" wire sentinel; the empty set must not produce it.
   EXPECT_NE(FingerprintRows(Dataset()), 0u);
+}
+
+// The decoder hashes each partition record as it appends it; its
+// decoded_fingerprint must equal FingerprintRows of the rows it built (and
+// of the rows the driver shipped) however the payload is sliced, including
+// slices that end mid-record.
+TEST(FingerprintTest, DecoderFingerprintMatchesFingerprintRowsAtEverySplit) {
+  PointSet sparse;
+  sparse.push_back(Point::Sparse({1, 4, 7}, {0.5f, -1.5f, 2.0f}, 9));
+  sparse.push_back(Point::Sparse({}, {}, 9));  // nnz 0
+  sparse.push_back(Point::Sparse({0, 2, 3, 5, 8}, {1, 2, 3, 4, 5}, 9));
+  PointSet mixed = sparse;
+  mixed.push_back(Point::Dense({1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  const std::vector<std::pair<const char*, PointSet>> cases = {
+      {"dense", MakePoints(9, 2.0f)},
+      {"sparse", sparse},
+      {"mixed", mixed},
+      {"empty", {}},
+      {"one row", MakePoints(1, 3.0f)},
+  };
+  for (const auto& [name, points] : cases) {
+    WireRequest req;
+    req.metric = "euclidean";
+    req.part = Dataset(points);
+    const uint64_t shipped = FingerprintRows(req.part);
+    const std::string payload = EncodeWireRequest(req);
+    const std::string_view bytes = payload;
+    for (size_t split = 0; split <= bytes.size(); ++split) {
+      StreamingRequestDecoder decoder;
+      ASSERT_TRUE(decoder.Feed(bytes.substr(0, split)).ok());
+      ASSERT_TRUE(decoder.Feed(bytes.substr(split)).ok());
+      StatusOr<WireRequest> decoded = decoder.Finish();
+      ASSERT_TRUE(decoded.ok()) << name << ": " << decoded.status().ToString();
+      EXPECT_EQ(decoded->decoded_fingerprint, FingerprintRows(decoded->part))
+          << name << " split at " << split;
+      EXPECT_EQ(decoded->decoded_fingerprint, shipped)
+          << name << " split at " << split;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -412,6 +453,7 @@ TEST(StreamingDecoderTest, ByRefRequestCarriesNoPointsSection) {
   EXPECT_TRUE(decoded->points_by_ref);
   EXPECT_TRUE(decoded->part.empty());
   EXPECT_EQ(decoded->points_fingerprint, 0x1234u);
+  EXPECT_EQ(decoded->decoded_fingerprint, 0u);  // no part section to hash
   EXPECT_EQ(decoded->points2.size(), 5u);  // later sections still ship
 }
 

@@ -7,7 +7,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <random>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "core/dataset.h"
 #include "core/generalized_coreset.h"
 #include "core/point.h"
+#include "crc32_reference.h"
 #include "util/status.h"
 
 namespace diverse {
@@ -130,6 +133,26 @@ TEST(FrameTest, Crc32MatchesKnownVector) {
   // The IEEE 802.3 reference value for "123456789".
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0x00000000u);
+  EXPECT_EQ(ReferenceCrc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(ReferenceCrc32(""), 0x00000000u);
+}
+
+TEST(FrameTest, Crc32MatchesByteWiseReferenceAtEveryAlignment) {
+  // Slice-by-8 folds 8 bytes per step and finishes byte-wise, so lengths
+  // around multiples of 8 and every start offset within a word matter.
+  std::mt19937 rng(20051);
+  std::string buf(4096 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng());
+  std::vector<size_t> lengths = {0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 4096};
+  std::uniform_int_distribution<size_t> len_dist(0, 4096);
+  for (int i = 0; i < 40; ++i) lengths.push_back(len_dist(rng));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len : lengths) {
+      const std::string_view bytes = std::string_view(buf).substr(offset, len);
+      ASSERT_EQ(Crc32(bytes), ReferenceCrc32(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "comm/serialize.h"
+#include "data/io.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
 #include "util/rng.h"
@@ -215,6 +218,50 @@ TEST(DatasetTest, ScreenStatsTrackEveryMutation) {
   data.Clear();
   ExpectScreenStatsMatchRecomputation(data, "clear");
   EXPECT_EQ(data.screen_stats().max_norm, 0.0);
+}
+
+// The content-stamp contract: a Dataset that reaches a reader carries a
+// stamp no other content ever had, or 0 (uncacheable), never a stale one.
+// The loader and the wire decoder batch-append their rows and draw one
+// stamp per parse.
+TEST(DatasetTest, ContentStampIsFreshAfterEveryBatchAndMutation) {
+  const PointSet pts = MixedPoints(10, 6, /*seed=*/9);
+  const std::string path = ::testing::TempDir() + "/stamp.bin";
+  ASSERT_TRUE(SavePointsBinary(pts, path));
+  StatusOr<Dataset> first = TryLoadDatasetBinary(path);
+  StatusOr<Dataset> second = TryLoadDatasetBinary(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_NE(first->content_stamp(), 0u);
+  EXPECT_NE(second->content_stamp(), 0u);
+  EXPECT_NE(first->content_stamp(), second->content_stamp());
+  const uint64_t loaded = first->content_stamp();
+  first->Append(pts[0]);
+  EXPECT_NE(first->content_stamp(), 0u);
+  EXPECT_NE(first->content_stamp(), loaded);
+  EXPECT_NE(first->content_stamp(), second->content_stamp());
+
+  WireRequest req;
+  req.metric = "euclidean";
+  req.part = Dataset(pts);
+  StatusOr<WireRequest> decoded = TryDecodeWireRequest(EncodeWireRequest(req));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_NE(decoded->part.content_stamp(), 0u);
+  EXPECT_NE(decoded->part.content_stamp(), req.part.content_stamp());
+  const uint64_t decoded_stamp = decoded->part.content_stamp();
+  decoded->part.Append(pts[1]);
+  EXPECT_NE(decoded->part.content_stamp(), decoded_stamp);
+
+  // A batch in progress is uncacheable, not stale; Restamp ends it.
+  Dataset batch = Dataset(pts);
+  const uint64_t built = batch.content_stamp();
+  const float row[6] = {1, 2, 3, 4, 5, 6};
+  batch.AppendRowBytes(/*sparse=*/false, 6, 6, nullptr, row);
+  EXPECT_EQ(batch.content_stamp(), 0u);
+  batch.Restamp();
+  EXPECT_NE(batch.content_stamp(), 0u);
+  EXPECT_NE(batch.content_stamp(), built);
 }
 
 TEST(DatasetDeathTest, RejectsMismatchedDimensions) {

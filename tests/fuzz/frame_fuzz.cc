@@ -9,7 +9,9 @@
 // any buffering). Accepted request/reply frames are additionally decoded
 // by the payload codecs and, when those accept, re-encoded as a
 // consistency oracle: encode(decode(bytes)) must itself decode, or the
-// harness CHECK-aborts (a fuzzer finding).
+// harness CHECK-aborts (a fuzzer finding). Every input is also hashed by
+// Crc32 and by the byte-wise reference CRC (tests/crc32_reference.h), a
+// differential oracle for the slice-by-8 tables and their tail handling.
 //
 // Build modes match tests/fuzz/io_fuzz.cc: libFuzzer under
 // DIVERSE_FUZZ_LIBFUZZER, else a standalone main() that replays the
@@ -22,6 +24,7 @@
 
 #include "comm/frame.h"
 #include "comm/serialize.h"
+#include "crc32_reference.h"
 #include "util/check.h"
 
 namespace {
@@ -46,6 +49,11 @@ void CheckStreamingParity(std::string_view payload) {
   if (mono.ok()) {
     DIVERSE_CHECK(diverse::EncodeWireRequest(*streamed) ==
                   diverse::EncodeWireRequest(*mono));
+    // The fingerprint hashed during the decode is the one of the rows.
+    const uint64_t want =
+        mono->points_by_ref ? 0 : diverse::FingerprintRows(mono->part);
+    DIVERSE_CHECK(mono->decoded_fingerprint == want);
+    DIVERSE_CHECK(streamed->decoded_fingerprint == want);
   }
 }
 
@@ -79,6 +87,7 @@ void FuzzPayload(const diverse::Frame& frame) {
 
 void FuzzOne(const uint8_t* data, size_t size) {
   std::string_view buf(reinterpret_cast<const char*>(data), size);
+  DIVERSE_CHECK(diverse::Crc32(buf) == diverse::ReferenceCrc32(buf));
   // A chunked request spans kRequestChunk frames closed by kRequestLast —
   // reassembled across loop iterations exactly as the worker loop does.
   diverse::StreamingRequestDecoder chunked;

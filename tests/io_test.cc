@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -224,6 +225,44 @@ TEST(IoStatusTest, MissingFileIsNotFound) {
   StatusOr<PointSet> t = TryLoadPointsText(TempPath("does-not-exist.txt"));
   EXPECT_EQ(t.status().code(), StatusCode::kNotFound);
   ExpectDatasetLoadersAgree(TempPath("does-not-exist.bin"));
+}
+
+// The loaders read a whole file into a string sized from its length. A
+// zero-byte file, a device and a missing file keep their codes and
+// messages.
+TEST(IoStatusTest, EmptyAndMissingFilesKeepTheirCodesAndMessages) {
+  const std::string empty = TempPath("zero-bytes.bin");
+  { std::ofstream touch(empty, std::ios::binary); }
+  StatusOr<PointSet> text = TryLoadPointsText(empty);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_TRUE(text->empty());
+  const std::string truncated =
+      "truncated header (0 bytes, want at least 12) in '" + empty + "'";
+  StatusOr<PointSet> points = TryLoadPointsBinary(empty);
+  EXPECT_EQ(points.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(points.status().message(), truncated);
+  StatusOr<Dataset> data = TryLoadDatasetBinary(empty);
+  EXPECT_EQ(data.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(data.status().message(), truncated);
+  std::remove(empty.c_str());
+
+  // A file with no length to size from (a device) is read to EOF.
+  StatusOr<PointSet> device = TryLoadPointsText("/dev/null");
+  ASSERT_TRUE(device.ok()) << device.status().ToString();
+  EXPECT_TRUE(device->empty());
+  EXPECT_EQ(TryLoadDatasetBinary("/dev/null").status().message(),
+            "truncated header (0 bytes, want at least 12) in '/dev/null'");
+
+  const std::string missing = TempPath("does-not-exist.bin");
+  const std::string cannot_open = "cannot open '" + missing + "'";
+  for (const Status& st :
+       {TryLoadPointsText(missing).status(),
+        TryLoadPointsBinary(missing).status(),
+        TryLoadDatasetBinary(missing).status(),
+        TryLoadDatasetText(missing).status()}) {
+    EXPECT_EQ(st.code(), StatusCode::kNotFound);
+    EXPECT_EQ(st.message(), cannot_open);
+  }
 }
 
 TEST(IoStatusTest, TruncatedHeaderIsDataLoss) {
