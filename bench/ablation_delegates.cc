@@ -18,7 +18,7 @@
 #include "core/sequential.h"
 #include "data/synthetic.h"
 #include "mapreduce/mr_diversity.h"
-#include "util/table.h"
+#include "table.h"
 
 int main(int argc, char** argv) {
   using namespace diverse;

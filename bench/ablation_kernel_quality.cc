@@ -17,7 +17,7 @@
 #include "core/sequential.h"
 #include "data/synthetic.h"
 #include "streaming/smm.h"
-#include "util/table.h"
+#include "table.h"
 
 int main(int argc, char** argv) {
   using namespace diverse;

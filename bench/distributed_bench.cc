@@ -29,7 +29,7 @@
 #include "core/metric.h"
 #include "data/synthetic.h"
 #include "mapreduce/mr_diversity.h"
-#include "util/table.h"
+#include "table.h"
 #include "util/timer.h"
 
 namespace {

@@ -16,7 +16,7 @@
 #include "core/metric.h"
 #include "data/sparse_text.h"
 #include "streaming/streaming_diversity.h"
-#include "util/table.h"
+#include "table.h"
 
 int main(int argc, char** argv) {
   using namespace diverse;

@@ -15,7 +15,7 @@
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
 #include "streaming/streaming_diversity.h"
-#include "util/table.h"
+#include "table.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {

@@ -19,7 +19,7 @@
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
 #include "mapreduce/mr_diversity.h"
-#include "util/table.h"
+#include "table.h"
 
 int main(int argc, char** argv) {
   using namespace diverse;

@@ -21,7 +21,7 @@
 #include "data/synthetic.h"
 #include "mapreduce/mr_diversity.h"
 #include "streaming/streaming_diversity.h"
-#include "util/table.h"
+#include "table.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {

@@ -1,4 +1,4 @@
-#include "util/table.h"
+#include "table.h"
 
 #include <algorithm>
 #include <cstdio>

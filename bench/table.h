@@ -1,8 +1,8 @@
 // Plain-text table printer used by the benchmark harnesses to emit the rows
 // and series of each paper table/figure in a uniform, diffable format.
 
-#ifndef DIVERSE_UTIL_TABLE_H_
-#define DIVERSE_UTIL_TABLE_H_
+#ifndef DIVERSE_BENCH_TABLE_H_
+#define DIVERSE_BENCH_TABLE_H_
 
 #include <string>
 #include <vector>
@@ -39,4 +39,4 @@ class TablePrinter {
 
 }  // namespace diverse
 
-#endif  // DIVERSE_UTIL_TABLE_H_
+#endif  // DIVERSE_BENCH_TABLE_H_

@@ -17,7 +17,7 @@
 #include "data/synthetic.h"
 #include "mapreduce/afz.h"
 #include "mapreduce/mr_diversity.h"
-#include "util/table.h"
+#include "table.h"
 
 int main(int argc, char** argv) {
   using namespace diverse;

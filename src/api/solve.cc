@@ -128,7 +128,6 @@ MrOptions ToMrOptions(const SolveOptions& o) {
   mr.allow_degraded = o.allow_degraded;
   mr.faults = o.faults;
   mr.engine = o.engine;
-  mr.tree_reduce = o.tree_reduce;
   return mr;
 }
 

@@ -84,10 +84,6 @@ struct SolveOptions {
   /// SocketEngineOptions::chunk_bytes / worker_cache_bytes). Not owned;
   /// must outlive the call.
   CommunicationEngine* engine = nullptr;
-  /// Aggregate round-1 core-sets through a binary merge tree instead of a
-  /// single concatenation (bit-identical result; exercises multi-round
-  /// shuffle).
-  bool tree_reduce = false;
 };
 
 /// Outcome of TrySolve().

@@ -127,17 +127,6 @@ StatusOr<GenCoresetResult> LoopbackEngine::GenCoresetRows(
   return ComputeGenCoreset(part, *metric_, k, k_prime);
 }
 
-StatusOr<PointSet> LoopbackEngine::MergeCoresets(const TaskEnvelope& env,
-                                                 const PointSet& a,
-                                                 const PointSet& b) {
-  DIVERSE_RETURN_IF_ERROR(ApplyTransportFault(env));
-  PointSet merged;
-  merged.reserve(a.size() + b.size());
-  merged.insert(merged.end(), a.begin(), a.end());
-  merged.insert(merged.end(), b.begin(), b.end());
-  return merged;
-}
-
 StatusOr<PointSet> LoopbackEngine::Solve(const TaskEnvelope& env,
                                          const PointSet& aggregate,
                                          size_t k) {

@@ -29,7 +29,7 @@
 // *Rows methods; loopback computes on those rows directly, and the socket
 // engine writes them to the wire from row views, where the worker decodes
 // them straight back into a Dataset. Outputs — core-sets, solutions,
-// instantiations — and the MergeCoresets/Solve aggregates stay PointSets.
+// instantiations — and the Solve aggregate stay PointSets.
 
 #ifndef DIVERSE_COMM_COMM_H_
 #define DIVERSE_COMM_COMM_H_
@@ -137,13 +137,12 @@ class CommunicationEngine {
         range);
   }
 
-  /// One tree-reduction node: the concatenation a ++ b, order preserved.
-  /// Associative with the identity [], so any reduction tree over the
-  /// per-partition core-sets yields the same final union as a single
-  /// aggregator — which is why tree-reduced runs stay bit-identical.
-  virtual StatusOr<PointSet> MergeCoresets(const TaskEnvelope& env,
-                                           const PointSet& a,
-                                           const PointSet& b) = 0;
+  /// No caller; kept only because perfbench's TracingEngine overrides it.
+  virtual StatusOr<PointSet> MergeCoresets(const TaskEnvelope& /*env*/,
+                                           const PointSet& /*a*/,
+                                           const PointSet& /*b*/) {
+    return InternalError("no engine merges core-sets any more");
+  }
 
   /// Sequential alpha-approximation on the aggregated core-set: the
   /// min(k, |aggregate|) selected points, in selection order.
@@ -208,8 +207,6 @@ class LoopbackEngine final : public CommunicationEngine {
   StatusOr<GenCoresetResult> GenCoreset(const TaskEnvelope& env,
                                         const PointSet& part, size_t k,
                                         size_t k_prime) override;
-  StatusOr<PointSet> MergeCoresets(const TaskEnvelope& env, const PointSet& a,
-                                   const PointSet& b) override;
   StatusOr<PointSet> Solve(const TaskEnvelope& env, const PointSet& aggregate,
                            size_t k) override;
   StatusOr<GeneralizedCoreset> GenSolve(const TaskEnvelope& env,

@@ -40,9 +40,20 @@ Status ReadString(ByteReader* in, std::string* out, const std::string& what) {
 constexpr uint8_t kMaxStatusCode = static_cast<uint8_t>(StatusCode::kInternal);
 constexpr uint8_t kMaxProblem =
     static_cast<uint8_t>(DiversityProblem::kRemoteCycle);
-constexpr uint8_t kMinTaskType = static_cast<uint8_t>(WireTaskType::kCoreset);
-constexpr uint8_t kMaxTaskType =
-    static_cast<uint8_t>(WireTaskType::kInstantiate);
+
+// The task-type check both decoders share; 3 is unassigned.
+Status CheckTaskType(uint8_t type) {
+  switch (static_cast<WireTaskType>(type)) {
+    case WireTaskType::kCoreset:
+    case WireTaskType::kGenCoreset:
+    case WireTaskType::kSolve:
+    case WireTaskType::kGenSolve:
+    case WireTaskType::kInstantiate:
+      return OkStatus();
+  }
+  return InvalidArgumentError("unknown wire task type " +
+                              std::to_string(type));
+}
 
 // Smallest possible point record (tag + dim + nnz), for count-vs-bytes
 // sanity checks before reserving.
@@ -213,7 +224,6 @@ std::string EncodeWireRequest(const WireRequest& request,
     AppendRows(part_override != nullptr ? *part_override : request.part,
                &out);
   }
-  AppendPointSet(request.points2, &out);
   AppendGenCoreset(request.gen, &out);
   return out;
 }
@@ -230,10 +240,7 @@ Status StreamingRequestDecoder::Advance(bool final) {
           if (final) return DataLossError("truncated wire request header");
           return OkStatus();
         }
-        if (type < kMinTaskType || type > kMaxTaskType) {
-          return InvalidArgumentError("unknown wire task type " +
-                                      std::to_string(type));
-        }
+        DIVERSE_RETURN_IF_ERROR(CheckTaskType(type));
         req.type = static_cast<WireTaskType>(type);
         // String reads distinguish "length field present but bytes still
         // in flight" (wait) from real truncation (only final can tell).
@@ -291,21 +298,15 @@ Status StreamingRequestDecoder::Advance(bool final) {
         req_ = std::move(req);
         have_count_ = false;
         // A by-ref request carries no points section at all.
-        stage_ = req_.points_by_ref ? Stage::kPoints2 : Stage::kPoints;
+        stage_ = req_.points_by_ref ? Stage::kGen : Stage::kPoints;
         continue;
       }
-      case Stage::kPoints:
-      case Stage::kPoints2: {
-        const bool first = stage_ == Stage::kPoints;
-        const char* what = first ? "request points" : "request points2";
+      case Stage::kPoints: {
         if (!have_count_) {
           ByteReader in(rest);
           uint64_t count = 0;
           if (!ReadScalar(&in, &count)) {
-            if (final) {
-              return DataLossError("truncated " + std::string(what) +
-                                   " count");
-            }
+            if (final) return DataLossError("truncated request points count");
             return OkStatus();
           }
           pos_ += sizeof(uint64_t);
@@ -316,52 +317,40 @@ Status StreamingRequestDecoder::Advance(bool final) {
           // records actually arrive.
           const size_t reserve = static_cast<size_t>(
               std::min<uint64_t>(count, uint64_t{1} << 16));
-          if (first) {
-            req_.part.Reserve(reserve, 0, 0);
-            part_hash_ = StartFingerprint(count);
-          } else {
-            req_.points2.reserve(reserve);
-          }
+          req_.part.Reserve(reserve, 0, 0);
+          part_hash_ = StartFingerprint(count);
           continue;
         }
         if (got_ == want_) {
-          if (first) {
-            // The partition is complete: one stamp for the whole batch.
-            req_.part.Restamp();
-            req_.decoded_fingerprint = FinishFingerprint(part_hash_);
-          }
-          stage_ = first ? Stage::kPoints2 : Stage::kGen;
+          // The partition is complete: one stamp for the whole batch.
+          req_.part.Restamp();
+          req_.decoded_fingerprint = FinishFingerprint(part_hash_);
+          stage_ = Stage::kGen;
           have_count_ = false;
           continue;
         }
         if (final && want_ - got_ > rest.size() / kMinPointRecordBytes) {
           return InvalidArgumentError(
-              std::string(what) + " claims " + std::to_string(want_) +
+              "request points claims " + std::to_string(want_) +
               " points but only " + std::to_string(rest.size()) +
               " payload bytes remain");
         }
         // Mid-stream a short record is indistinguishable from one whose
         // tail is still in flight; only the final pass may condemn it.
         ByteReader in(rest);
-        const RecordLocation where{"point", got_, what};
-        if (first) {
-          StatusOr<RecordBytes> rec = TryDecodeRecord(&in, where);
-          if (!rec.ok()) return final ? rec.status() : OkStatus();
-          // A complete record whose dim differs from row 0's is certain
-          // corruption, mid-stream or not.
-          if (!req_.part.empty() && rec->dim != req_.part.dim()) {
-            return RowDimMismatchError(static_cast<size_t>(got_), rec->dim,
-                                       req_.part.dim());
-          }
-          req_.part.AppendRowBytes(rec->sparse, rec->dim, rec->nnz,
-                                   rec->indices, rec->values);
-          part_hash_ = MixRow(part_hash_, rec->sparse, rec->dim, rec->nnz,
-                              rec->indices, rec->values);
-        } else {
-          StatusOr<Point> p = TryReadPointRecord(&in, where);
-          if (!p.ok()) return final ? p.status() : OkStatus();
-          req_.points2.push_back(std::move(*p));
+        const RecordLocation where{"point", got_, "request points"};
+        StatusOr<RecordBytes> rec = TryDecodeRecord(&in, where);
+        if (!rec.ok()) return final ? rec.status() : OkStatus();
+        // A complete record whose dim differs from row 0's is certain
+        // corruption, mid-stream or not.
+        if (!req_.part.empty() && rec->dim != req_.part.dim()) {
+          return RowDimMismatchError(static_cast<size_t>(got_), rec->dim,
+                                     req_.part.dim());
         }
+        req_.part.AppendRowBytes(rec->sparse, rec->dim, rec->nnz,
+                                 rec->indices, rec->values);
+        part_hash_ = MixRow(part_hash_, rec->sparse, rec->dim, rec->nnz,
+                            rec->indices, rec->values);
         pos_ += rest.size() - in.remaining();
         ++got_;
         continue;
@@ -480,10 +469,7 @@ StatusOr<WireReply> TryDecodeWireReply(std::string_view payload) {
   if (!ReadScalar(&in, &type)) {
     return DataLossError("truncated wire reply header");
   }
-  if (type < kMinTaskType || type > kMaxTaskType) {
-    return InvalidArgumentError("unknown wire task type " +
-                                std::to_string(type) + " in reply");
-  }
+  DIVERSE_RETURN_IF_ERROR(CheckTaskType(type));
   reply.type = static_cast<WireTaskType>(type);
   if (!ReadScalar(&in, &code)) {
     return DataLossError("truncated wire reply status");

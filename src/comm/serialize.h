@@ -8,8 +8,9 @@
 // property the fault-free "distributed == in-process" tests assert. A
 // request's partition section is written from Dataset rows
 // (AppendRowRecord) and decoded straight back into a Dataset
-// (WireRequest::part), so neither side builds a Point per partition row;
-// core-sets, solutions and the other sections stay PointSets.
+// (WireRequest::part), so neither side builds a Point per partition row.
+// A request carries at most that one points section, then the generalized
+// core-set; a reply's core-set or solution stays a PointSet.
 // Every decoder validates through ByteReader bounds checks and returns a
 // diagnosable Status on corrupt input; nothing here trusts a length field
 // before checking it against the bytes actually present.
@@ -38,8 +39,8 @@ enum class WireTaskType : uint8_t {
   kCoreset = 1,
   /// GMM-GEN generalized core-set of one partition (+ kernel range).
   kGenCoreset = 2,
-  /// Concatenate two core-sets, in order (one tree-reduction node).
-  kMergeCoresets = 3,
+  // 3 is unassigned and decodes as unknown: renumbering would change the
+  // bytes of every other task.
   /// Sequential alpha-approximation on the aggregated core-set.
   kSolve = 4,
   /// SolveSequentialGeneralized on the merged generalized core-set.
@@ -62,7 +63,6 @@ struct WireRequest {
 
   // kCoreset: `part` = partition; k_prime, delegates, extended.
   // kGenCoreset: `part` = partition; k, k_prime.
-  // kMergeCoresets: `part` + `points2`, concatenated in this order.
   // kSolve: `part` = aggregated core-set; k.
   // kGenSolve: `gen` = merged generalized core-set; k.
   // kInstantiate: `gen` = selected subset, `part` = partition; `range`.
@@ -88,7 +88,7 @@ struct WireRequest {
   /// cache-evict fault — exercises the miss -> full-re-ship degraded path).
   uint64_t evict_fingerprint = 0;
 
-  /// The first points section, as rows. Its records must share one dim:
+  /// The points section, as rows. Its records must share one dim:
   /// the decoder rejects a mismatch (RowDimMismatchError).
   Dataset part;
   /// FingerprintRows(part) as the decoder computed it while appending the
@@ -96,7 +96,6 @@ struct WireRequest {
   /// the request carries no part section. Not on the wire: the encoder
   /// ignores it, and only a decoded request carries it.
   uint64_t decoded_fingerprint = 0;
-  PointSet points2;
   GeneralizedCoreset gen;
 };
 
@@ -109,7 +108,7 @@ struct WireReply {
   /// partition cache (status kNotFound): the driver distinguishes "re-ship
   /// the partition inline" from a genuine task failure by this bit.
   bool cache_miss = false;
-  /// kCoreset / kMergeCoresets / kSolve / kInstantiate result.
+  /// kCoreset / kSolve / kInstantiate result.
   PointSet points;
   /// kGenCoreset / kGenSolve result.
   GeneralizedCoreset gen;
@@ -185,7 +184,7 @@ class StreamingRequestDecoder {
   size_t buffered_bytes() const { return buf_.size() - pos_; }
 
  private:
-  enum class Stage : uint8_t { kEnvelope, kPoints, kPoints2, kGen, kDone };
+  enum class Stage : uint8_t { kEnvelope, kPoints, kGen, kDone };
 
   // Consumes as much of buf_ as possible. In `final` mode every blocked
   // parse is an error; otherwise a blocked parse waits for more bytes.

@@ -585,18 +585,6 @@ StatusOr<GenCoresetResult> SocketEngine::GenCoresetRows(
   return result;
 }
 
-StatusOr<PointSet> SocketEngine::MergeCoresets(const TaskEnvelope& env,
-                                               const PointSet& a,
-                                               const PointSet& b) {
-  WireRequest req = MakeRequest(WireTaskType::kMergeCoresets, env);
-  DIVERSE_ASSIGN_OR_RETURN(req.part, Dataset::TryFromPoints(a));
-  req.points2 = b;
-  StatusOr<WireReply> reply = Call(env, &req, nullptr, /*cacheable=*/false);
-  if (!reply.ok()) return reply.status();
-  if (!reply->status.ok()) return reply->status;
-  return std::move(reply->points);
-}
-
 StatusOr<PointSet> SocketEngine::Solve(const TaskEnvelope& env,
                                        const PointSet& aggregate, size_t k) {
   WireRequest req = MakeRequest(WireTaskType::kSolve, env);

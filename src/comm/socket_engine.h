@@ -126,8 +126,6 @@ class SocketEngine final : public CommunicationEngine {
   StatusOr<GenCoresetResult> GenCoreset(const TaskEnvelope& env,
                                         const PointSet& part, size_t k,
                                         size_t k_prime) override;
-  StatusOr<PointSet> MergeCoresets(const TaskEnvelope& env, const PointSet& a,
-                                   const PointSet& b) override;
   StatusOr<PointSet> Solve(const TaskEnvelope& env, const PointSet& aggregate,
                            size_t k) override;
   StatusOr<GeneralizedCoreset> GenSolve(const TaskEnvelope& env,

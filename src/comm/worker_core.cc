@@ -56,15 +56,6 @@ WireReply ExecuteDecodedTask(const WireRequest& req, const Dataset& part) {
       reply.range = result.range;
       break;
     }
-    case WireTaskType::kMergeCoresets: {
-      reply.points.reserve(part.size() + req.points2.size());
-      for (size_t i = 0; i < part.size(); ++i) {
-        reply.points.push_back(part.point(i));
-      }
-      reply.points.insert(reply.points.end(), req.points2.begin(),
-                          req.points2.end());
-      break;
-    }
     case WireTaskType::kSolve: {
       reply.points = ComputeSolve(part, req.problem, *metric,
                                   static_cast<size_t>(req.k));

@@ -312,59 +312,6 @@ Status MapReduceDiversity::CoresetRound(
                                options_.allow_degraded, degraded);
 }
 
-Status MapReduceDiversity::TreeReduce(MapReduceSimulator* sim,
-                                      CommunicationEngine* engine,
-                                      std::vector<PointSet>* coresets) const {
-  std::vector<PointSet> layer = std::move(*coresets);
-  int level = 0;
-  while (layer.size() > 1) {
-    const size_t pairs = layer.size() / 2;
-    std::vector<PointSet> next((layer.size() + 1) / 2);
-    if (layer.size() % 2 == 1) next.back() = std::move(layer.back());
-    const std::string round_name = "reduce-l" + std::to_string(level);
-    RoundOutcome outcome = sim->RunFallibleRound(
-        round_name, pairs,
-        [&](const MrTaskContext& ctx,
-            std::function<void()>* commit) -> Status {
-          const size_t i = ctx.task;
-          StatusOr<PointSet> merged = engine->MergeCoresets(
-              MakeEnvelope(round_name, ctx), layer[2 * i], layer[2 * i + 1]);
-          if (!merged.ok()) return merged.status();
-          PointSet out = std::move(*merged);
-          if (ctx.fault == FaultKind::kEmptyOutput) out.clear();
-          // A merge holds no pristine partition to corrupt, so both data
-          // faults garble the output; validation catches either.
-          if (ctx.fault == FaultKind::kWrongOutput ||
-              ctx.fault == FaultKind::kCorruptPartition) {
-            GarbleOne(&out, ctx.fault_param);
-          }
-          const size_t want = layer[2 * i].size() + layer[2 * i + 1].size();
-          if (out.size() != want) {
-            return DataLossError(
-                "merge produced " + std::to_string(out.size()) + " of " +
-                std::to_string(want) + " points (round '" + round_name +
-                "', task " + std::to_string(i) + ")");
-          }
-          DIVERSE_RETURN_IF_ERROR(
-              ValidateFinitePoints("merged core-set", round_name, i, out));
-          *commit = [&next, i, o = std::move(out)]() mutable {
-            next[i] = std::move(o);
-          };
-          return OkStatus();
-        },
-        ExecPolicy(),
-        [&](size_t i) { return layer[2 * i].size() + layer[2 * i + 1].size(); },
-        [&](size_t i) { return next[i].size(); });
-    if (!outcome.ok()) {
-      return AnnotateRoundFailure(round_name, outcome.first_error);
-    }
-    layer = std::move(next);
-    ++level;
-  }
-  *coresets = std::move(layer);
-  return OkStatus();
-}
-
 StatusOr<PointSet> MapReduceDiversity::SolveRound(
     MapReduceSimulator* sim, CommunicationEngine* engine,
     const PointSet& aggregate) const {
@@ -436,13 +383,6 @@ StatusOr<MrResult> MapReduceDiversity::TryRun(const Dataset& input) const {
   std::optional<DegradedResult> degraded;
   DIVERSE_RETURN_IF_ERROR(CoresetRound(&sim, engine, "coreset", input, parts,
                                        input.size(), &coresets, &degraded));
-
-  // Optional reduce rounds: collapse the core-set list through a binary
-  // merge tree. Order-preserving concatenation is associative, so the lone
-  // survivor equals the plain union below and the solve is unchanged.
-  if (options_.tree_reduce) {
-    DIVERSE_RETURN_IF_ERROR(TreeReduce(&sim, engine, &coresets));
-  }
 
   // Final round: T = union of the (surviving) core-sets.
   const PointSet aggregate = Concatenate(&coresets);

@@ -94,13 +94,6 @@ struct MrOptions {
   /// A SocketEngine here runs every task in a worker process. Not owned;
   /// must outlive the driver's runs.
   CommunicationEngine* engine = nullptr;
-  /// Aggregate round-1 core-sets through a binary tree of fallible
-  /// "reduce-l<level>" merge rounds instead of one concatenation inside the
-  /// solve reducer. Merging is order-preserving concatenation (associative,
-  /// identity []), so the final aggregate — and hence the solution — is
-  /// bit-identical to the single-aggregator path; the tree exercises
-  /// multi-round shuffle and spreads merge work across workers.
-  bool tree_reduce = false;
   /// Time source for the executor's straggler deadlines. Null = wall clock;
   /// tests inject a ManualExecutorClock for deterministic timeout runs.
   ExecutorClock* clock = nullptr;
@@ -223,13 +216,6 @@ class MapReduceDiversity {
                       const std::vector<std::vector<uint32_t>>& parts,
                       size_t input_size, std::vector<PointSet>* coresets,
                       std::optional<DegradedResult>* degraded) const;
-
-  // Collapses `coresets` to a single aggregate via fallible
-  // "reduce-l<level>" rounds of pairwise engine merges (MrOptions::
-  // tree_reduce). Merge failures are fatal: a lost merge would drop
-  // core-sets that already survived their own round.
-  Status TreeReduce(MapReduceSimulator* sim, CommunicationEngine* engine,
-                    std::vector<PointSet>* coresets) const;
 
   // The final round of TryRun and TryRunRecursive: one reducer runs the
   // sequential alpha-approximation on `aggregate`. With one reducer there

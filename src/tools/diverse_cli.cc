@@ -127,7 +127,6 @@ commands:
              need --transport=socket to be inflicted for real)
             distributed runtime (MapReduce backends):
             [--transport=loopback|socket]  (socket = worker processes, default loopback)
-            [--tree-reduce=0|1]    (binary merge tree over core-sets, default off)
             [--heartbeat-ms=N]     (idle-worker liveness probe period; 0 = off)
             [--rpc-deadline-ms=N]  (per-RPC reply deadline, default 30000)
             [--chunk-kb=N]         (streaming ship chunk size; 0 = monolithic frames)
@@ -260,7 +259,6 @@ int RunSolve(const CliFlags& flags) {
 
   // Distributed runtime: --transport=socket runs MapReduce task compute in
   // a pool of worker processes instead of in-process threads.
-  opts.tree_reduce = flags.GetInt<uint32_t>("tree-reduce", 0) != 0;
   const std::string transport = flags.Get("transport", "loopback");
   std::unique_ptr<SocketEngine> socket_engine;
   if (transport == "socket") {

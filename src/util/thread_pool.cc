@@ -226,10 +226,10 @@ size_t DefaultGlobalThreads() {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
-// The process-wide pool: mutable global state until ROADMAP item 3 (open)
+// The process-wide pool: mutable global state until ROADMAP item 1 (open)
 // moves the pool into per-call state.
-Mutex g_global_pool_mu;  // lint: allow(no-mutable-globals-in-core) item 3
-std::unique_ptr<ThreadPool>  // lint: allow(no-mutable-globals-in-core) item 3
+Mutex g_global_pool_mu;  // lint: allow(no-mutable-globals-in-core) item 1
+std::unique_ptr<ThreadPool>  // lint: allow(no-mutable-globals-in-core) item 1
     g_global_pool DIVERSE_GUARDED_BY(g_global_pool_mu);
 
 }  // namespace

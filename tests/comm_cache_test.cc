@@ -293,11 +293,10 @@ std::string CoresetPayloadWithPartition(const PointSet& points) {
   req.round = "coreset";
   req.k_prime = 2;
   std::string payload = EncodeWireRequest(req);
-  // Drop the counts of the three empty trailing sections (part, points2,
-  // gen), then write them again with `points` as the partition.
-  payload.resize(payload.size() - 3 * sizeof(uint64_t));
+  // Drop the counts of the two empty trailing sections (part, gen), then
+  // write them again with `points` as the partition.
+  payload.resize(payload.size() - 2 * sizeof(uint64_t));
   AppendPointSet(points, &payload);
-  AppendPointSet(PointSet{}, &payload);
   AppendGenCoreset(GeneralizedCoreset(), &payload);
   return payload;
 }
@@ -344,7 +343,6 @@ WireRequest MakeBigRequest() {
   req.delegates = 2;
   req.extended = true;
   req.part = Dataset(MakePoints(300, 4.0f));
-  req.points2 = MakePoints(5, 1.0f);
   req.gen.Add(Point::Dense({1.0f, 2.0f, 3.0f}), 3);
   req.gen.Add(Point::Sparse({1, 4}, {0.5f, -2.0f}, 8), 1);
   return req;
@@ -418,10 +416,10 @@ TEST(StreamingDecoderTest, DimMismatchSurfacesOnceTheRecordIsComplete) {
   }
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(decoder.points_decoded(), 4u);
-  // Only the last record (a dim-3 point) and the two empty section counts
+  // Only the last record (a dim-3 point) and the empty gen section's count
   // follow the mismatching record.
   const size_t record_end =
-      payload.size() - (9 + 3 * sizeof(float)) - 2 * sizeof(uint64_t);
+      payload.size() - (9 + 3 * sizeof(float)) - sizeof(uint64_t);
   EXPECT_EQ(fed, record_end);
   StatusOr<WireRequest> streamed = decoder.Finish();
   ASSERT_FALSE(streamed.ok());
@@ -454,7 +452,7 @@ TEST(StreamingDecoderTest, ByRefRequestCarriesNoPointsSection) {
   EXPECT_TRUE(decoded->part.empty());
   EXPECT_EQ(decoded->points_fingerprint, 0x1234u);
   EXPECT_EQ(decoded->decoded_fingerprint, 0u);  // no part section to hash
-  EXPECT_EQ(decoded->points2.size(), 5u);  // later sections still ship
+  EXPECT_EQ(decoded->gen.size(), 2u);  // the gen section still ships
 }
 
 // ---------------------------------------------------------------------------

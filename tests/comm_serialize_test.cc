@@ -340,7 +340,6 @@ WireRequest SampleRequest() {
   req.extended = true;
   req.range = 0.125;
   req.part = SampleRows();
-  req.points2.push_back(Point::Dense({9.0f}));
   req.gen = SampleGen();
   return req;
 }
@@ -366,8 +365,6 @@ TEST(SerializeTest, RequestRoundTripsEveryField) {
   for (size_t i = 0; i < req.part.size(); ++i) {
     EXPECT_TRUE(back->part.RowEquals(i, req.part.point(i)));
   }
-  ASSERT_EQ(back->points2.size(), req.points2.size());
-  EXPECT_TRUE(back->points2[0] == req.points2[0]);
   EXPECT_EQ(back->gen.size(), req.gen.size());
   // Encode-of-decode is byte-stable.
   EXPECT_EQ(EncodeWireRequest(*back), payload);
@@ -379,6 +376,29 @@ TEST(SerializeTest, RequestRejectsUnknownTaskType) {
   StatusOr<WireRequest> back = TryDecodeWireRequest(payload);
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Type 3 is unassigned: the monolithic and streaming request decoders and
+// the reply decoder all reject it as an unknown type.
+TEST(SerializeTest, RetiredTaskTypeThreeIsInvalidArgument) {
+  std::string request = EncodeWireRequest(SampleRequest());
+  request[0] = '\x03';
+  StatusOr<WireRequest> back = TryDecodeWireRequest(request);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(back.status().message(), "unknown wire task type 3");
+
+  StreamingRequestDecoder decoder;
+  const Status fed = decoder.Feed(std::string_view(request).substr(0, 1));
+  EXPECT_EQ(fed.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoder.Finish().status().code(), StatusCode::kInvalidArgument);
+
+  std::string reply = EncodeWireReply(WireReply{});
+  reply[0] = '\x03';
+  StatusOr<WireReply> reply_back = TryDecodeWireReply(reply);
+  ASSERT_FALSE(reply_back.ok());
+  EXPECT_EQ(reply_back.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reply_back.status().message(), "unknown wire task type 3");
 }
 
 TEST(SerializeTest, RequestRejectsTrailingBytes) {

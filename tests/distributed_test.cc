@@ -1,10 +1,10 @@
 // End-to-end tests of the multi-process runtime (comm/socket_engine.h):
 // fault-free socket runs must be bit-identical to the in-process loopback
-// simulator, tree reduction must equal the single-aggregator path, and
-// every transport fault — injected SIGKILL, dropped connection, corrupted
-// frame, delayed reply, plus an unscripted external kill — must recover
-// through the executor's retry machinery or degrade into a certified
-// DegradedResult, deterministically under a fixed fault schedule.
+// simulator, and every transport fault — injected SIGKILL, dropped
+// connection, corrupted frame, delayed reply, plus an unscripted external
+// kill — must recover through the executor's retry machinery or degrade
+// into a certified DegradedResult, deterministically under a fixed fault
+// schedule.
 
 #include <signal.h>
 
@@ -138,39 +138,6 @@ TEST(DistributedTest, GeneralizedDriverMatchesLoopback) {
       EXPECT_FALSE(remote->degraded.has_value());
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Tree reduction == single aggregator.
-
-TEST(DistributedTest, TreeReduceMatchesSingleAggregator) {
-  EuclideanMetric metric;
-  const PointSet input = DenseInput();
-  MrOptions opts = BaseOptions();
-  opts.num_partitions = 7;  // odd width: exercises the carried element
-  MapReduceDiversity flat(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> base = flat.TryRun(Dataset(input));
-  ASSERT_TRUE(base.ok());
-
-  opts.tree_reduce = true;
-  MapReduceDiversity tree(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> reduced = tree.TryRun(Dataset(input));
-  ASSERT_TRUE(reduced.ok()) << reduced.status().ToString();
-  EXPECT_TRUE(SamePoints(base->solution, reduced->solution));
-  EXPECT_EQ(base->diversity, reduced->diversity);
-  EXPECT_EQ(base->coreset_size, reduced->coreset_size);
-  // ceil(log2(7)) merge levels on top of coreset + solve.
-  EXPECT_EQ(reduced->rounds, base->rounds + 3);
-
-  SocketEngine socket(
-      SocketOptions("euclidean", DiversityProblem::kRemoteEdge));
-  ASSERT_TRUE(socket.Healthy().ok());
-  opts.engine = &socket;
-  MapReduceDiversity remote_tree(&metric, DiversityProblem::kRemoteEdge, opts);
-  StatusOr<MrResult> remote = remote_tree.TryRun(Dataset(input));
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  EXPECT_TRUE(SamePoints(base->solution, remote->solution));
-  EXPECT_EQ(base->diversity, remote->diversity);
 }
 
 // ---------------------------------------------------------------------------
