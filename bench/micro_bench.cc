@@ -1,10 +1,11 @@
 // Kernel microbenchmarks (google-benchmark): distance evaluations, GMM
 // steps, SMM updates, diversity evaluators, scalar-vs-batched/tiled
-// kernel comparisons, and one socket task's byte handling (frame CRC and
-// streamed wire decode). These track the constants behind the throughput
-// numbers of Figure 3 and measure (rather than assert) the speedup of the
-// columnar Dataset + batched/tiled kernel paths over the scalar
-// virtual-dispatch loops.
+// kernel comparisons, and the row copies of a socket request (binary file
+// load, partition gather, wire encode, frame CRC and streamed wire
+// decode). These track the constants behind the throughput numbers of
+// Figure 3 and measure (rather than assert) the speedup of the columnar
+// Dataset + batched/tiled kernel paths over the scalar virtual-dispatch
+// loops.
 //
 // Besides the usual console output, the binary writes a machine-readable
 // BENCH_micro.json (override the path with the BENCH_MICRO_JSON environment
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -39,11 +41,13 @@
 #include "core/sequential.h"
 #include "core/vector_kernels.h"
 #include "crc32_reference.h"
+#include "data/io.h"
 #include "data/sparse_text.h"
 #include "data/synthetic.h"
 #include "gmm_scalar.h"
 #include "mapreduce/mr_diversity.h"
 #include "streaming/smm.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace diverse {
@@ -809,7 +813,7 @@ BENCHMARK(BM_MrFaultRecovery)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 // payload is ~656 KB.
 constexpr size_t kWireTaskRows = 31250;
 
-std::string SphereTaskPayload() {
+WireRequest SphereTaskRequest() {
   SphereDatasetOptions opts;
   opts.n = kWireTaskRows;
   opts.seed = 29;
@@ -821,7 +825,11 @@ std::string SphereTaskPayload() {
   req.part = Dataset(GenerateSphereDataset(opts));
   req.points_fingerprint = FingerprintRows(req.part);
   req.cache_insert = true;
-  return EncodeWireRequest(req);
+  return req;
+}
+
+std::string SphereTaskPayload() {
+  return EncodeWireRequest(SphereTaskRequest());
 }
 
 // Crc32 over one task payload: the frame checksum each side of the socket
@@ -877,6 +885,107 @@ void BM_WireRequestDecode(benchmark::State& state) {
   state.counters["threads"] = 1;
 }
 BENCHMARK(BM_WireRequestDecode)->Unit(benchmark::kMicrosecond);
+
+// The driver's encode of one task payload: the exactly sized request
+// string and its partition records. Setup checks that the payload decodes
+// back to the shipped fingerprint.
+void BM_WireRequestEncode(benchmark::State& state) {
+  const WireRequest req = SphereTaskRequest();
+  {
+    StatusOr<WireRequest> back = TryDecodeWireRequest(EncodeWireRequest(req));
+    if (!back.ok() || back->decoded_fingerprint != req.points_fingerprint) {
+      state.SkipWithError("encoded payload does not decode to its rows");
+      return;
+    }
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string payload = EncodeWireRequest(req);
+    bytes = payload.size();
+    benchmark::DoNotOptimize(payload.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+  state.counters["n"] = static_cast<double>(kWireTaskRows);
+  state.counters["dim"] = 3;
+  state.counters["threads"] = 1;
+}
+BENCHMARK(BM_WireRequestEncode)->Unit(benchmark::kMicrosecond);
+
+// The binary file load of the mr-socket-sphere3d input size: 250k dense
+// dim-3 rows read from a file (in the page cache after setup), validated
+// and copied into a Dataset. Setup checks the rows against the points
+// the file was written from.
+void BM_LoadDatasetBinary(benchmark::State& state) {
+  SphereDatasetOptions opts;
+  opts.n = 250000;
+  opts.seed = 31;
+  const PointSet pts = GenerateSphereDataset(opts);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "micro_bench_load.bin")
+          .string();
+  if (!SavePointsBinary(pts, path)) {
+    state.SkipWithError("cannot write the benchmark input file");
+    return;
+  }
+  {
+    StatusOr<Dataset> data = TryLoadDatasetBinary(path);
+    if (!data.ok() ||
+        FingerprintRows(*data) != FingerprintRows(Dataset(pts))) {
+      std::remove(path.c_str());
+      state.SkipWithError("loaded rows differ from the written points");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    StatusOr<Dataset> data = TryLoadDatasetBinary(path);
+    benchmark::DoNotOptimize(data->norm(0));
+  }
+  std::remove(path.c_str());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(opts.n));
+  state.counters["n"] = static_cast<double>(opts.n);
+  state.counters["dim"] = 3;
+  state.counters["threads"] = 1;
+}
+BENCHMARK(BM_LoadDatasetBinary)->Unit(benchmark::kMillisecond);
+
+// One reducer attempt's partition gather (AssignGatherColumnar into a
+// fresh Dataset): a random 1/8 of n uniform rows of dimension dim, in row
+// order. Args: {n, dim}. Setup checks every gathered row.
+void BM_GatherRows(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t dim = static_cast<size_t>(state.range(1));
+  const Dataset data(GenerateUniformCube(n, dim, /*seed=*/37));
+  Rng rng(41);
+  std::vector<uint32_t> rows;
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.NextDouble() < 0.125) rows.push_back(static_cast<uint32_t>(i));
+  }
+  {
+    Dataset part;
+    part.AssignGatherColumnar(data, rows);
+    for (size_t j = 0; j < rows.size(); ++j) {
+      if (!part.RowEquals(j, data.point(rows[j])) ||
+          part.norm(j) != data.norm(rows[j])) {
+        state.SkipWithError("gathered row differs from its source");
+        return;
+      }
+    }
+  }
+  for (auto _ : state) {
+    Dataset part;
+    part.AssignGatherColumnar(data, rows);
+    benchmark::DoNotOptimize(part.norm(0));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows.size()));
+  state.counters["n"] = static_cast<double>(rows.size());
+  state.counters["dim"] = static_cast<double>(dim);
+  state.counters["threads"] = 1;
+}
+BENCHMARK(BM_GatherRows)->Args({250000, 3})->Args({1000000, 16})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace diverse

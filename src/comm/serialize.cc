@@ -4,6 +4,8 @@
 #include <cstring>
 #include <utility>
 
+#include "util/check.h"
+
 namespace diverse {
 
 namespace {
@@ -54,10 +56,6 @@ Status CheckTaskType(uint8_t type) {
   return InvalidArgumentError("unknown wire task type " +
                               std::to_string(type));
 }
-
-// Smallest possible point record (tag + dim + nnz), for count-vs-bytes
-// sanity checks before reserving.
-constexpr uint64_t kMinPointRecordBytes = 9;
 
 // Wire request flag bits (the u8 after the fingerprint).
 constexpr uint8_t kFlagPointsByRef = 0x01;
@@ -128,12 +126,16 @@ void AppendRows(const Dataset& rows, std::string* out) {
   // Exact size: a 9-byte header per record, 4 bytes per dense value and 8
   // per sparse (index, value) entry.
   const Dataset::SparseStats& sparse = rows.sparse_stats();
-  out->reserve(out->size() + sizeof(uint64_t) +
-               rows.size() * kMinPointRecordBytes +
-               (rows.size() - sparse.rows) * rows.dim() * sizeof(float) +
-               sparse.total_nnz * (sizeof(uint32_t) + sizeof(float)));
-  AppendScalar<uint64_t>(rows.size(), out);
-  for (size_t i = 0; i < rows.size(); ++i) AppendRowRecord(rows, i, out);
+  const uint64_t count = rows.size();
+  const size_t at = out->size();
+  out->resize(at + sizeof(count) + rows.size() * kRecordHeaderBytes +
+              (rows.size() - sparse.rows) * rows.dim() * sizeof(float) +
+              sparse.total_nnz * (sizeof(uint32_t) + sizeof(float)));
+  char* p = out->data() + at;
+  std::memcpy(p, &count, sizeof(count));
+  p += sizeof(count);
+  for (size_t i = 0; i < rows.size(); ++i) p = WriteRecord(rows.row(i), p);
+  DIVERSE_CHECK(p == out->data() + out->size());
 }
 
 void AppendPointSet(const PointSet& points, std::string* out) {
@@ -146,7 +148,7 @@ StatusOr<PointSet> TryReadPointSet(ByteReader* in, const std::string& what) {
   if (!ReadScalar(in, &count)) {
     return DataLossError("truncated " + what + " count");
   }
-  if (count > in->remaining() / kMinPointRecordBytes) {
+  if (count > in->remaining() / kRecordHeaderBytes) {
     return InvalidArgumentError(what + " claims " + std::to_string(count) +
                                 " points but only " +
                                 std::to_string(in->remaining()) +
@@ -176,7 +178,7 @@ StatusOr<GeneralizedCoreset> TryReadGenCoreset(ByteReader* in,
   if (!ReadScalar(in, &count)) {
     return DataLossError("truncated " + what + " count");
   }
-  if (count > in->remaining() / (sizeof(uint64_t) + kMinPointRecordBytes)) {
+  if (count > in->remaining() / (sizeof(uint64_t) + kRecordHeaderBytes)) {
     return InvalidArgumentError(what + " claims " + std::to_string(count) +
                                 " entries but only " +
                                 std::to_string(in->remaining()) +
@@ -313,46 +315,71 @@ Status StreamingRequestDecoder::Advance(bool final) {
           have_count_ = true;
           want_ = count;
           got_ = 0;
-          // Reserve conservatively: the count is untrusted until the
-          // records actually arrive.
-          const size_t reserve = static_cast<size_t>(
-              std::min<uint64_t>(count, uint64_t{1} << 16));
-          req_.part.Reserve(reserve, 0, 0);
           part_hash_ = StartFingerprint(count);
           continue;
         }
-        if (got_ == want_) {
-          // The partition is complete: one stamp for the whole batch.
-          req_.part.Restamp();
-          req_.decoded_fingerprint = FinishFingerprint(part_hash_);
-          stage_ = Stage::kGen;
-          have_count_ = false;
-          continue;
-        }
-        if (final && want_ - got_ > rest.size() / kMinPointRecordBytes) {
-          return InvalidArgumentError(
-              "request points claims " + std::to_string(want_) +
-              " points but only " + std::to_string(rest.size()) +
-              " payload bytes remain");
-        }
-        // Mid-stream a short record is indistinguishable from one whose
-        // tail is still in flight; only the final pass may condemn it.
+        // Validate (and hash) the complete records in the buffer, then
+        // append them as one run.
         ByteReader in(rest);
-        const RecordLocation where{"point", got_, "request points"};
-        StatusOr<RecordBytes> rec = TryDecodeRecord(&in, where);
-        if (!rec.ok()) return final ? rec.status() : OkStatus();
-        // A complete record whose dim differs from row 0's is certain
-        // corruption, mid-stream or not.
-        if (!req_.part.empty() && rec->dim != req_.part.dim()) {
-          return RowDimMismatchError(static_cast<size_t>(got_), rec->dim,
-                                     req_.part.dim());
+        uint64_t run = 0;
+        size_t dense_values = 0;
+        size_t sparse_entries = 0;
+        uint32_t dim = static_cast<uint32_t>(req_.part.dim());
+        Status blocked = OkStatus();
+        for (; got_ + run < want_; ++run) {
+          const uint64_t index = got_ + run;
+          if (final && want_ - index > in.remaining() / kRecordHeaderBytes) {
+            return InvalidArgumentError(
+                "request points claims " + std::to_string(want_) +
+                " points but only " + std::to_string(in.remaining()) +
+                " payload bytes remain");
+          }
+          // Mid-stream a short record is indistinguishable from one whose
+          // tail is still in flight; only the final pass may condemn it.
+          ByteReader next = in;
+          StatusOr<RecordBytes> rec =
+              TryDecodeRecord(&next, {"point", index, "request points"});
+          if (!rec.ok()) {
+            blocked = rec.status();
+            break;
+          }
+          // A complete record whose dim differs from row 0's is certain
+          // corruption, mid-stream or not.
+          if (index == 0) dim = rec->dim;
+          if (rec->dim != dim) {
+            return RowDimMismatchError(static_cast<size_t>(index), rec->dim,
+                                       dim);
+          }
+          (rec->sparse ? sparse_entries : dense_values) += rec->nnz;
+          part_hash_ = MixRow(part_hash_, rec->sparse, rec->dim, rec->nnz,
+                              rec->indices, rec->values);
+          in = next;
         }
-        req_.part.AppendRowBytes(rec->sparse, rec->dim, rec->nnz,
-                                 rec->indices, rec->values);
-        part_hash_ = MixRow(part_hash_, rec->sparse, rec->dim, rec->nnz,
-                            rec->indices, rec->values);
-        pos_ += rest.size() - in.remaining();
-        ++got_;
+        const size_t consumed = rest.size() - in.remaining();
+        if (run > 0) {
+          const uint64_t have = got_ + run;
+          if (have < want_) {
+            // More records are in flight. The count is untrusted, so the
+            // reservation is bounded by the bytes received: room for at
+            // most four times the rows that have arrived, at this run's
+            // mean row size. A partition of up to four chunks (1 MB at the
+            // socket engine's default chunk size) is then sized once.
+            const size_t extra = static_cast<size_t>(
+                std::min<uint64_t>(want_ - have, 3 * have));
+            req_.part.Reserve(run + extra, dense_values * (run + extra) / run,
+                              sparse_entries * (run + extra) / run);
+          }
+          req_.part.AppendRecordRun(rest.substr(0, consumed), run,
+                                    dense_values, sparse_entries);
+          pos_ += consumed;
+          got_ += run;
+        }
+        if (got_ < want_) return final ? blocked : OkStatus();
+        // The partition is complete: one stamp for the whole batch.
+        req_.part.Restamp();
+        req_.decoded_fingerprint = FinishFingerprint(part_hash_);
+        stage_ = Stage::kGen;
+        have_count_ = false;
         continue;
       }
       case Stage::kGen: {
@@ -379,7 +406,7 @@ Status StreamingRequestDecoder::Advance(bool final) {
         }
         if (final && want_ - got_ >
                          rest.size() / (sizeof(uint64_t) +
-                                        kMinPointRecordBytes)) {
+                                        kRecordHeaderBytes)) {
           return InvalidArgumentError(
               std::string(what) + " claims " + std::to_string(want_) +
               " entries but only " + std::to_string(rest.size()) +

@@ -6,9 +6,9 @@
 // (tag, dim, nnz, raw little-endian float bytes), so a partition or
 // core-set that crosses the transport decodes bit-identically — the
 // property the fault-free "distributed == in-process" tests assert. A
-// request's partition section is written from Dataset rows
-// (AppendRowRecord) and decoded straight back into a Dataset
-// (WireRequest::part), so neither side builds a Point per partition row.
+// request's partition section is written from Dataset rows (WriteRecord)
+// and decoded straight back into a Dataset (WireRequest::part), so
+// neither side builds a Point per partition row.
 // A request carries at most that one points section, then the generalized
 // core-set; a reply's core-set or solution stays a PointSet.
 // Every decoder validates through ByteReader bounds checks and returns a
@@ -128,12 +128,13 @@ void AppendGenCoreset(const GeneralizedCoreset& gen, std::string* out);
 DIVERSE_MUST_USE StatusOr<GeneralizedCoreset> TryReadGenCoreset(
     ByteReader* in, const std::string& what);
 
-/// Partition payload: the u64 row count, then AppendRowRecord of each
-/// row — the bytes AppendPointSet(rows.points()) writes.
+/// Partition payload: the u64 row count, then the WriteRecord record of
+/// each row — the bytes AppendPointSet(rows.points()) writes — through a
+/// pointer into `*out`, grown once by the exact size.
 void AppendRows(const Dataset& rows, std::string* out);
 
 /// 64-bit content stamp of a partition: a word-mixed hash over the same
-/// logical bytes AppendRowRecord serializes (tag, dim, nnz, raw
+/// logical bytes WriteRecord serializes (tag, dim, nnz, raw
 /// index/value bit patterns), plus the row count. Pure content —
 /// independent of object identity, allocation, or transport — so the
 /// driver computes it without serializing and the worker verifies it on
@@ -161,9 +162,10 @@ DIVERSE_MUST_USE StatusOr<WireReply> TryDecodeWireReply(
 /// Incremental decoder of one wire-request payload, fed the kRequestChunk /
 /// kRequestLast slices as they arrive so the worker deserializes while
 /// later chunks are still in flight. Feed() consumes whole records
-/// greedily — partition records straight into WireRequest::part, hashing
-/// each into WireRequest::decoded_fingerprint as it goes — and
-/// buffers only the unconsumed tail; it reports structural errors it is
+/// greedily — it validates the complete partition records of a slice,
+/// hashing each into WireRequest::decoded_fingerprint, then appends them
+/// to WireRequest::part in one Dataset::AppendRecordRun — and buffers
+/// only the unconsumed tail; it reports structural errors it is
 /// already certain of (unknown task type, zero multiplicity, a complete
 /// partition record whose dim differs from row 0's) immediately and
 /// defers truncation-vs-corruption judgement to Finish(),

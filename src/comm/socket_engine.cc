@@ -249,8 +249,14 @@ SocketEngine::Worker* SocketEngine::AcquireWorker() {
   MutexLock lock(&mu_);
   while (free_.empty() && !shutdown_) cv_.Wait(mu_);
   if (shutdown_) return nullptr;
-  const size_t slot = free_.back();
-  free_.pop_back();
+  // A dead slot goes out before any live one, so the RPC after a crash
+  // respawns it and the pool never quietly runs a worker short; otherwise
+  // the most recently released worker.
+  auto it = std::find_if(free_.begin(), free_.end(),
+                         [this](size_t s) { return !workers_[s].alive; });
+  if (it == free_.end()) it = free_.end() - 1;
+  const size_t slot = *it;
+  free_.erase(it);
   return &workers_[slot];
 }
 

@@ -28,8 +28,12 @@
 #include <cstddef>
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/point.h"
@@ -50,8 +54,9 @@ class Dataset {
   /// An empty dataset. The first appended point fixes the dimension.
   Dataset() = default;
 
-  /// Copies the coordinates of `points` into the columnar arrays. All points
-  /// must share one dim (CHECK); see TryFromPoints for untrusted input.
+  /// Copies the coordinates of `points` into the columnar arrays, drawing
+  /// one content stamp for all of them. All points must share one dim
+  /// (CHECK); see TryFromPoints for untrusted input.
   explicit Dataset(std::span<const Point> points);
 
   /// Builds like the constructor, but returns kInvalidArgument, naming the
@@ -163,31 +168,33 @@ class Dataset {
   /// the stamp until either side mutates, and stamps are never reused. The
   /// sparse decode cache (core/metric.cc) keys thread-local query-block
   /// scratch on it. 0 means "uncacheable": never mutated (necessarily
-  /// empty), or rows were batch-appended (AppendRowBytes) since the last
+  /// empty), or a record run was appended (AppendRecordRun) since the last
   /// Restamp. A zero stamp is never stale, only uncached. Moved-from
   /// datasets are valid-but-unspecified as usual; mutate (or Clear) before
   /// reusing one.
   uint64_t content_stamp() const { return content_stamp_; }
 
-  /// Draws a fresh content stamp: the end of an AppendRowBytes batch.
+  /// Draws a fresh content stamp: the end of a parse that appended its
+  /// rows with AppendRecordRun.
   void Restamp();
 
   /// Appends one row. The first row fixes dim(); later rows must match it.
   void Append(const Point& p);
 
-  /// Appends one row copied from raw, possibly unaligned bytes: `nnz`
-  /// floats at `values` (a dense row: nnz == dim), or for a sparse row
-  /// `nnz` uint32 indices at `indices` — ascending and below dim — and
-  /// their `nnz` float values. The norm is computed exactly as
-  /// Point::ComputeNorm computes it, so the row equals the one Append
-  /// stores for the same point, without building the point. The batch path
-  /// of the binary loader (data/io.h, TryParseDatasetBinary) and the wire
-  /// decoder (comm/serialize.h); the caller has validated the record. Same
-  /// dim rule as Append. Draws no stamp per row: the stamp drops to 0
-  /// (uncacheable, see content_stamp) and the batch ends with one
-  /// Restamp().
-  void AppendRowBytes(bool sparse, uint32_t dim, uint32_t nnz,
-                      const void* indices, const void* values);
+  /// Appends `rows` records (WriteRecord's layout, below) laid end to end
+  /// in `records`. `dense_values` and
+  /// `sparse_entries` are the run's totals of dense coordinates and of
+  /// sparse (index, value) pairs. Every array is sized once and each
+  /// record copied once; norms are summed term for term as
+  /// Point::ComputeNorm sums them, so the rows equal the ones Append stores
+  /// for the same points. The batch path of the binary loader (data/io.h,
+  /// TryParseDatasetBinary) and the wire decoder (comm/serialize.h): the
+  /// caller has validated every record (TryDecodeRecord), and the run must
+  /// match the totals and fill `records` exactly (CHECK). Same dim rule as
+  /// Append. Draws no stamp: the stamp drops to 0 (uncacheable, see
+  /// content_stamp) and the parse ends with one Restamp().
+  void AppendRecordRun(std::string_view records, size_t rows,
+                       size_t dense_values, size_t sparse_entries);
 
   /// Reserves room for `rows` more rows holding `dense_values` dense
   /// coordinates and `sparse_entries` sparse (index, value) pairs.
@@ -198,11 +205,12 @@ class Dataset {
 
   /// Replaces the contents with src rows `rows` (in that order) by copying
   /// their columnar slices, norms and statistics — exactly the content
-  /// Append of the same rows' points would have produced, at raw
-  /// array-copy speed. The scratch path of the greedy-matching scans
-  /// (core/sequential.cc: live-row refills and the cluster-major gather),
-  /// of every row subset a kernel sweep needs (center rows, solution rows)
-  /// and of the partition each MapReduce reducer attempt computes on.
+  /// Append of the same rows' points would have produced. The arrays are
+  /// sized once from the rows' totals and each row is one memcpy. The
+  /// scratch path of the greedy-matching scans (core/sequential.cc:
+  /// live-row refills and the cluster-major gather), of every row subset a
+  /// kernel sweep needs (center rows, solution rows) and of the partition
+  /// each MapReduce reducer attempt computes on.
   void AssignGatherColumnar(const Dataset& src,
                             std::span<const uint32_t> rows);
 
@@ -210,26 +218,113 @@ class Dataset {
   size_t MemoryBytes() const;
 
  private:
+  friend size_t FirstNonFiniteRow(const Dataset& data);
+
+  struct RowRef;
+
+  // Appends `points` as one sized run, drawing no stamp (the constructor
+  // draws one for all of them).
+  void AppendPoints(std::span<const Point> points);
+
+  // Sets the length of every column: `rows` rows, `dense_values` dense
+  // coordinates and `sparse_entries` sparse (index, value) pairs. New
+  // elements are left for the caller to write.
+  void Resize(size_t rows, size_t dense_values, size_t sparse_entries);
+
+  // Copies one row's `nnz` values (and for a sparse row its indices) from
+  // possibly unaligned bytes to the pool cursor `*dense_at` or `*csr_at`,
+  // inside the pools' current length, advances that cursor and folds the
+  // row into sparse_stats_. Returns the row's reference; the caller
+  // stores it with the row's norm.
+  RowRef CopyRow(bool sparse, uint32_t nnz, const void* indices,
+                 const void* values, size_t* dense_at, size_t* csr_at);
+
+  // Every field is written where a row is made; none has a default, so
+  // a resized rows_ is not zero-filled first.
   struct RowRef {
-    size_t start = 0;   // offset into dense_ or csr_{indices_,values_}
-    uint32_t len = 0;   // stored coordinates (== dim for dense rows)
-    uint8_t sparse = 0;
+    size_t start;   // offset into dense_ or csr_{indices_,values_}
+    uint32_t len;   // stored coordinates (== dim for dense rows)
+    uint8_t sparse;
   };
 
+  // The allocator of the columns: resize() default-initializes the new
+  // elements, which for these trivial types leaves them unwritten, so the
+  // run append and the gather write each element once instead of zeroing
+  // it first.
+  template <typename T>
+  struct NoInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = NoInitAllocator<U>;
+    };
+    NoInitAllocator() = default;
+    template <typename U>
+    NoInitAllocator(const NoInitAllocator<U>&) noexcept {}
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  template <typename T>
+  using Column = std::vector<T, NoInitAllocator<T>>;
+
   size_t dim_ = 0;
-  std::vector<float> dense_;
-  std::vector<uint32_t> csr_indices_;
-  std::vector<float> csr_values_;
-  std::vector<RowRef> rows_;
-  std::vector<double> norms_;
+  Column<float> dense_;
+  Column<uint32_t> csr_indices_;
+  Column<float> csr_values_;
+  Column<RowRef> rows_;
+  Column<double> norms_;
   SparseStats sparse_stats_;
   ScreenStats screen_stats_;
   uint64_t content_stamp_ = 0;
 };
 
+/// The binary record of one row, the unit of the file format (data/io.h)
+/// and of the wire (comm/serialize.h): a u8 tag, u32 dim, u32 nnz, then
+/// for a sparse record `nnz` u32 indices, then `nnz` float values, all raw
+/// little-endian bytes, possibly unaligned. WriteRecord writes one,
+/// Dataset::AppendRecordRun reads validated ones, and data/io.h's
+/// TryDecodeRecord validates untrusted ones.
+inline constexpr uint8_t kDenseRecordTag = 0;
+inline constexpr uint8_t kSparseRecordTag = 1;
+/// Tag, dim and nnz: the size of a record with nnz 0, the smallest one.
+inline constexpr size_t kRecordHeaderBytes = 9;
+
+/// Size in bytes of the record of the vector `v` views.
+inline size_t RecordSize(const kernels::VecView& v) {
+  return kRecordHeaderBytes +
+         v.nnz * (v.sparse ? sizeof(uint32_t) + sizeof(float) : sizeof(float));
+}
+
+/// Writes the record of the vector `v` views at `out`, which has
+/// RecordSize(v) bytes of room, and returns the byte after it.
+inline char* WriteRecord(const kernels::VecView& v, char* out) {
+  const uint8_t tag = v.sparse ? kSparseRecordTag : kDenseRecordTag;
+  const uint32_t dim = static_cast<uint32_t>(v.dim);
+  const uint32_t nnz = static_cast<uint32_t>(v.nnz);
+  std::memcpy(out, &tag, sizeof(tag));
+  std::memcpy(out + 1, &dim, sizeof(dim));
+  std::memcpy(out + 5, &nnz, sizeof(nnz));
+  out += kRecordHeaderBytes;
+  // memcpy requires valid pointers even for zero bytes.
+  if (nnz == 0) return out;
+  if (v.sparse) {
+    std::memcpy(out, v.indices, nnz * sizeof(uint32_t));
+    out += nnz * sizeof(uint32_t);
+  }
+  std::memcpy(out, v.values, nnz * sizeof(float));
+  return out + nnz * sizeof(float);
+}
+
 /// Index of the first row of `data` holding a non-finite (NaN/inf)
 /// coordinate, or data.size() when every coordinate is finite. The input
-/// check of TrySolve and of every MapReduce partition attempt.
+/// check of TrySolve and of every MapReduce partition attempt: it scans
+/// the dense and CSR value pools flat and walks the rows only when it
+/// finds a bad value, to name the first bad row.
 size_t FirstNonFiniteRow(const Dataset& data);
 
 }  // namespace diverse

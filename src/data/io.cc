@@ -12,29 +12,8 @@ namespace diverse {
 namespace {
 
 constexpr uint32_t kBinaryMagic = 0x44495650;  // "DIVP"
-constexpr uint8_t kDenseTag = 0;
-constexpr uint8_t kSparseTag = 1;
-// tag (1) + dim (4) + nnz (4): the smallest possible record. Used to reject
-// header counts no file of this size could hold before reserving memory.
-constexpr uint64_t kMinRecordBytes = 9;
 
 std::string Quoted(const std::string& s) { return "'" + s + "'"; }
-
-// The binary record of the vector `v` views: tag, dim, nnz, then the
-// sparse indices (sparse records only) and the values, as raw bytes.
-void AppendViewRecord(const kernels::VecView& v, std::string* out) {
-  const uint8_t tag = v.sparse ? kSparseTag : kDenseTag;
-  const uint32_t dim = static_cast<uint32_t>(v.dim);
-  const uint32_t nnz = static_cast<uint32_t>(v.nnz);
-  out->append(reinterpret_cast<const char*>(&tag), sizeof(tag));
-  out->append(reinterpret_cast<const char*>(&dim), sizeof(dim));
-  out->append(reinterpret_cast<const char*>(&nnz), sizeof(nnz));
-  if (v.sparse) {
-    out->append(reinterpret_cast<const char*>(v.indices),
-                nnz * sizeof(uint32_t));
-  }
-  out->append(reinterpret_cast<const char*>(v.values), nnz * sizeof(float));
-}
 
 }  // namespace
 
@@ -163,11 +142,10 @@ StatusOr<PointSet> TryLoadPointsText(const std::string& path) {
 }
 
 void AppendPointRecord(const Point& point, std::string* out) {
-  AppendViewRecord(point.View(), out);
-}
-
-void AppendRowRecord(const Dataset& data, size_t i, std::string* out) {
-  AppendViewRecord(data.row(i), out);
+  const kernels::VecView v = point.View();
+  const size_t at = out->size();
+  out->resize(at + RecordSize(v));
+  WriteRecord(v, out->data() + at);
 }
 
 std::string EncodePointsBinary(const PointSet& points) {
@@ -205,14 +183,15 @@ StatusOr<RecordBytes> TryDecodeRecord(ByteReader* in,
   const uint32_t nnz = rec.nnz;
   // A record's payload cannot exceed the bytes that remain: reject corrupt
   // nnz fields before they turn into huge allocations.
-  const uint64_t entry_bytes =
-      tag == kSparseTag ? sizeof(uint32_t) + sizeof(float) : sizeof(float);
+  const uint64_t entry_bytes = tag == kSparseRecordTag
+                                   ? sizeof(uint32_t) + sizeof(float)
+                                   : sizeof(float);
   if (static_cast<uint64_t>(nnz) * entry_bytes > in->remaining()) {
     return DataLossError("record payload (" + std::to_string(nnz) +
                          " entries) exceeds file size at " +
                          where.ToString());
   }
-  if (tag == kDenseTag) {
+  if (tag == kDenseRecordTag) {
     if (nnz != dim) {
       return InvalidArgumentError("dense record with nnz " +
                                   std::to_string(nnz) + " != dim " +
@@ -224,7 +203,7 @@ StatusOr<RecordBytes> TryDecodeRecord(ByteReader* in,
     }
     return rec;
   }
-  if (tag == kSparseTag) {
+  if (tag == kSparseRecordTag) {
     if (nnz > dim) {
       return InvalidArgumentError("sparse record with nnz " +
                                   std::to_string(nnz) + " > dim " +
@@ -279,7 +258,8 @@ StatusOr<uint64_t> TryReadBinaryHeader(ByteReader* in, uint64_t file_size,
   // Reject record counts the file cannot possibly hold before reserving:
   // a corrupted count field must not translate into a huge allocation.
   const uint64_t payload = file_size - sizeof(magic) - sizeof(count);
-  if (count > payload / kMinRecordBytes) {
+  // Each record takes at least kRecordHeaderBytes.
+  if (count > payload / kRecordHeaderBytes) {
     return InvalidArgumentError(
         "header claims " + std::to_string(count) + " records but " +
         Quoted(origin) + " has only " + std::to_string(payload) +
@@ -328,10 +308,10 @@ StatusOr<Dataset> TryParseDatasetBinary(std::string_view bytes,
   StatusOr<uint64_t> count = TryReadBinaryHeader(&in, bytes.size(), origin);
   if (!count.ok()) return count.status();
   const std::string quoted = Quoted(origin);
-  // Pass 1 validates every record and sizes the arrays. A malformed record
-  // anywhere wins over a dim mismatch, as in TryParsePointsBinary followed
-  // by Dataset::TryFromPoints.
-  const ByteReader records = in;
+  // Pass 1 validates every record and totals the arrays. A malformed
+  // record anywhere wins over a dim mismatch, as in TryParsePointsBinary
+  // followed by Dataset::TryFromPoints.
+  const size_t records_at = bytes.size() - in.remaining();
   size_t dense_values = 0;
   size_t sparse_entries = 0;
   uint32_t first_dim = 0;
@@ -346,16 +326,11 @@ StatusOr<Dataset> TryParseDatasetBinary(std::string_view bytes,
     }
   }
   if (!dim_error.ok()) return dim_error;
-  // Pass 2 copies the validated records straight into the columns.
+  // Pass 2 copies the validated run into arrays sized once.
   Dataset data;
-  data.Reserve(*count, dense_values, sparse_entries);
-  in = records;
-  for (uint64_t i = 0; i < *count; ++i) {
-    StatusOr<RecordBytes> rec = TryDecodeRecord(&in, {"record", i, quoted});
-    if (!rec.ok()) return rec.status();
-    data.AppendRowBytes(rec->sparse, rec->dim, rec->nnz, rec->indices,
-                        rec->values);
-  }
+  data.AppendRecordRun(
+      bytes.substr(records_at, bytes.size() - in.remaining() - records_at),
+      *count, dense_values, sparse_entries);
   data.Restamp();
   return data;
 }

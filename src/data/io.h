@@ -81,11 +81,6 @@ class ByteReader {
 /// serialized partitions and core-sets bit-identical after transport.
 void AppendPointRecord(const Point& point, std::string* out);
 
-/// Appends the binary-format record of row `i` of `data`, byte for byte
-/// what AppendPointRecord(data.point(i), out) appends, building no point.
-/// The driver writes a shipped partition this way (comm/serialize.h).
-void AppendRowRecord(const Dataset& data, size_t i, std::string* out);
-
 /// Names a record in error messages as "<label> <index> of <of>". Decoders
 /// pass the pieces and format them only on error, so a successful read
 /// builds no string. `of` must outlive the read.
@@ -112,9 +107,9 @@ struct RecordBytes {
 /// records (truncation -> kDataLoss; nnz > dim, unsorted or out-of-range
 /// sparse indices, unknown tag -> kInvalidArgument), building nothing.
 /// TryReadPointRecord, TryParseDatasetBinary and the wire decoder of
-/// comm/serialize.h (which hands the record to Dataset::AppendRowBytes)
-/// all read records through it. On error the cursor position is
-/// unspecified.
+/// comm/serialize.h all read records through it; the last two then hand
+/// the validated run to Dataset::AppendRecordRun. On error the cursor
+/// position is unspecified.
 DIVERSE_MUST_USE StatusOr<RecordBytes> TryDecodeRecord(
     ByteReader* in, const RecordLocation& where);
 
@@ -145,8 +140,9 @@ DIVERSE_MUST_USE StatusOr<PointSet> TryParsePointsBinary(
     std::string_view bytes, const std::string& origin);
 
 /// Parses binary-format bytes straight into columnar Dataset storage,
-/// building no Point: each record is copied into the arrays and its norm
-/// computed as Point::ComputeNorm computes it. Returns exactly what
+/// building no Point: one pass validates every record, then the whole run
+/// is copied once into arrays sized up front, each norm computed as
+/// Point::ComputeNorm computes it. Returns exactly what
 /// TryParsePointsBinary followed by Dataset::TryFromPoints returns — the
 /// same rows and statistics, or the same Status (a malformed record
 /// anywhere in the file wins over a dim mismatch before it).

@@ -20,6 +20,7 @@
 #include "comm/worker_core.h"
 #include "core/dataset.h"
 #include "core/point.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace diverse {
@@ -84,12 +85,31 @@ TEST(FingerprintTest, DecoderFingerprintMatchesFingerprintRowsAtEverySplit) {
   sparse.push_back(Point::Sparse({1, 4, 7}, {0.5f, -1.5f, 2.0f}, 9));
   sparse.push_back(Point::Sparse({}, {}, 9));  // nnz 0
   sparse.push_back(Point::Sparse({0, 2, 3, 5, 8}, {1, 2, 3, 4, 5}, 9));
-  PointSet mixed = sparse;
-  mixed.push_back(Point::Dense({1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  PointSet mixed = {Point::Dense({1, 2, 3, 4, 5, 6, 7, 8, 9}), sparse[0],
+                    sparse[1], Point::Dense({0, 0, 0, 0, 0, 0, 0, 0, 0}),
+                    sparse[2], Point::Dense({9, 8, 7, 6, 5, 4, 3, 2, 1})};
+  // Random values, whose squares rarely sum exactly: a norm summed in
+  // another order than Point::ComputeNorm's differs on some of these rows.
+  PointSet random;
+  Rng rng(5);
+  for (int i = 0; i < 40; ++i) {
+    std::vector<uint32_t> indices;
+    std::vector<float> values;
+    for (uint32_t j = 0; j < 9; ++j) {
+      if (i % 2 == 0 || rng.NextDouble() < 0.5) {
+        indices.push_back(j);
+        values.push_back(static_cast<float>(rng.NextDouble()));
+      }
+    }
+    random.push_back(i % 2 == 0 ? Point::Dense(std::move(values))
+                                : Point::Sparse(std::move(indices),
+                                                std::move(values), 9));
+  }
   const std::vector<std::pair<const char*, PointSet>> cases = {
       {"dense", MakePoints(9, 2.0f)},
       {"sparse", sparse},
       {"mixed", mixed},
+      {"random mixed", random},
       {"empty", {}},
       {"one row", MakePoints(1, 3.0f)},
   };
@@ -110,6 +130,20 @@ TEST(FingerprintTest, DecoderFingerprintMatchesFingerprintRowsAtEverySplit) {
           << name << " split at " << split;
       EXPECT_EQ(decoded->decoded_fingerprint, shipped)
           << name << " split at " << split;
+      const Dataset& part = decoded->part;
+      ASSERT_EQ(part.size(), req.part.size());
+      for (size_t i = 0; i < part.size(); ++i) {
+        EXPECT_TRUE(part.RowEquals(i, points[i])) << name << " row " << i;
+        EXPECT_EQ(part.norm(i), req.part.norm(i)) << name << " row " << i;
+      }
+      EXPECT_EQ(part.sparse_stats().rows, req.part.sparse_stats().rows);
+      EXPECT_EQ(part.sparse_stats().total_nnz,
+                req.part.sparse_stats().total_nnz);
+      EXPECT_EQ(part.sparse_stats().max_nnz, req.part.sparse_stats().max_nnz);
+      EXPECT_EQ(part.screen_stats().min_positive_norm,
+                req.part.screen_stats().min_positive_norm);
+      EXPECT_EQ(part.screen_stats().max_norm,
+                req.part.screen_stats().max_norm);
     }
   }
 }

@@ -273,8 +273,8 @@ TEST(SerializeTest, RowEncoderBytesEqualPointSetEncoder) {
     EXPECT_EQ(rows, reference) << name;
     EXPECT_EQ(rows, EncodeSet(points)) << name;
     for (size_t i = 0; i < d.size(); ++i) {
-      std::string one;
-      AppendRowRecord(d, i, &one);
+      std::string one(RecordSize(d.row(i)), '\0');
+      EXPECT_EQ(WriteRecord(d.row(i), one.data()), one.data() + one.size());
       std::string want;
       AppendPointRecord(points[i], &want);
       EXPECT_EQ(one, want) << name << " row " << i;

@@ -143,16 +143,78 @@ TEST(DatasetTest, PointRoundTripsDenseSparseAndMixedRows) {
   ExpectRowsRoundTrip(Dataset(mixed), mixed, "mixed");
 }
 
+// The aggregate statistics of `got` equal those of `want`, bit for bit.
+void ExpectSameStats(const Dataset& got, const Dataset& want,
+                     const std::string& ctx) {
+  EXPECT_EQ(got.sparse_stats().rows, want.sparse_stats().rows) << ctx;
+  EXPECT_EQ(got.sparse_stats().total_nnz, want.sparse_stats().total_nnz)
+      << ctx;
+  EXPECT_EQ(got.sparse_stats().max_nnz, want.sparse_stats().max_nnz) << ctx;
+  EXPECT_EQ(got.screen_stats().min_positive_norm,
+            want.screen_stats().min_positive_norm)
+      << ctx;
+  EXPECT_EQ(got.screen_stats().max_norm, want.screen_stats().max_norm) << ctx;
+}
+
 TEST(DatasetTest, PointRoundTripsOnGatheredRows) {
-  const PointSet pts = MixedPoints(16, 6, /*seed=*/9);
+  PointSet pts = MixedPoints(16, 6, /*seed=*/9);
+  pts[7] = Point::Sparse({}, {}, 6);  // a sparse row with nnz 0
   const Dataset data(pts);
-  const std::vector<uint32_t> rows = {15, 0, 3, 3, 8, 1};
+  const std::vector<uint32_t> rows = {15, 0, 7, 3, 3, 8, 1, 7};
   Dataset gathered;
   gathered.AssignGatherColumnar(data, rows);
   PointSet want;
   for (uint32_t r : rows) want.push_back(pts[r]);
   ExpectRowsRoundTrip(gathered, want, "gathered");
+  ExpectSameStats(gathered, Dataset(want), "gathered");
   EXPECT_EQ(gathered.dim(), data.dim());
+  // Gathering into a dataset that already holds rows replaces them.
+  gathered.AssignGatherColumnar(data, std::vector<uint32_t>{2, 7});
+  ExpectRowsRoundTrip(gathered, {pts[2], pts[7]}, "regathered");
+  ExpectSameStats(gathered, Dataset(PointSet{pts[2], pts[7]}), "regathered");
+}
+
+// The flat scan of the value pools names the same row as a scan of each
+// row's coordinates, whichever kind of row holds the first bad value.
+TEST(DatasetTest, FirstNonFiniteRowMatchesPerRowScanOnMixedRows) {
+  // Even rows are dense, odd rows sparse. Row 5 is a sparse row with nnz
+  // 0, and the rows made bad below (dense 4 and 10, sparse 3, 9 and the
+  // last row 11) all store values; every case has clean rows before the
+  // bad one.
+  PointSet clean = MixedPoints(12, 5, /*seed=*/11);
+  clean[3] = Point::Sparse({0, 2, 4}, {0.5f, -1.0f, 2.0f}, 5);
+  clean[5] = Point::Sparse({}, {}, 5);
+  clean[9] = Point::Sparse({1, 3}, {3.0f, 0.25f}, 5);
+  clean[11] = Point::Sparse({4}, {-2.0f}, 5);
+  ASSERT_FALSE(clean[4].is_sparse());
+  ASSERT_FALSE(clean[10].is_sparse());
+  EXPECT_EQ(FirstNonFiniteRow(Dataset(clean)), clean.size());
+  EXPECT_EQ(FirstNonFiniteRow(Dataset()), 0u);
+  const float bad_values[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()};
+  const std::vector<std::vector<size_t>> bad_rows = {
+      {4}, {3}, {11}, {9, 10}, {10, 3}, {4, 9}};
+  for (float bad : bad_values) {
+    for (const std::vector<size_t>& rows : bad_rows) {
+      PointSet pts = clean;
+      for (size_t r : rows) {
+        const kernels::VecView v = pts[r].View();
+        std::vector<float> values(v.values, v.values + v.nnz);
+        values.back() = bad;
+        pts[r] = v.sparse ? Point::Sparse(std::vector<uint32_t>(
+                                              v.indices, v.indices + v.nnz),
+                                          std::move(values), 5)
+                          : Point::Dense(std::move(values));
+      }
+      size_t want = pts.size();
+      for (size_t i = 0; i < pts.size() && want == pts.size(); ++i) {
+        if (!PointIsFinite(pts[i])) want = i;
+      }
+      EXPECT_EQ(FirstNonFiniteRow(Dataset(pts)), want)
+          << "value " << bad << ", first bad row " << rows[0];
+    }
+  }
 }
 
 TEST(DatasetTest, ConstructsFromPointSetRvalue) {
@@ -256,8 +318,9 @@ TEST(DatasetTest, ContentStampIsFreshAfterEveryBatchAndMutation) {
   // A batch in progress is uncacheable, not stale; Restamp ends it.
   Dataset batch = Dataset(pts);
   const uint64_t built = batch.content_stamp();
-  const float row[6] = {1, 2, 3, 4, 5, 6};
-  batch.AppendRowBytes(/*sparse=*/false, 6, 6, nullptr, row);
+  std::string record;
+  AppendPointRecord(Point::Dense({1, 2, 3, 4, 5, 6}), &record);
+  batch.AppendRecordRun(record, 1, 6, 0);
   EXPECT_EQ(batch.content_stamp(), 0u);
   batch.Restamp();
   EXPECT_NE(batch.content_stamp(), 0u);

@@ -118,6 +118,7 @@ TEST(IoBinaryTest, DatasetLoaderMatchesPointsPathOnValidFiles) {
   sparse.push_back(Point::Sparse({}, {}, 60));  // empty support
   PointSet mixed = GenerateUniformCube(15, 60, /*seed=*/8);
   mixed.insert(mixed.begin() + 5, sparse.begin(), sparse.begin() + 20);
+  mixed.insert(mixed.begin() + 1, sparse.back());  // nnz 0 between dense
   mixed.push_back(sparse.back());
   const std::pair<const char*, PointSet> files[] = {
       {"ds-dense.bin", GenerateUniformCube(33, 7, /*seed=*/9)},
