@@ -182,17 +182,17 @@ class Dataset {
   void Append(const Point& p);
 
   /// Appends `rows` records (WriteRecord's layout, below) laid end to end
-  /// in `records`. `dense_values` and
-  /// `sparse_entries` are the run's totals of dense coordinates and of
-  /// sparse (index, value) pairs. Every array is sized once and each
-  /// record copied once; norms are summed term for term as
-  /// Point::ComputeNorm sums them, so the rows equal the ones Append stores
-  /// for the same points. The batch path of the binary loader (data/io.h,
-  /// TryParseDatasetBinary) and the wire decoder (comm/serialize.h): the
-  /// caller has validated every record (TryDecodeRecord), and the run must
-  /// match the totals and fill `records` exactly (CHECK). Same dim rule as
-  /// Append. Draws no stamp: the stamp drops to 0 (uncacheable, see
-  /// content_stamp) and the parse ends with one Restamp().
+  /// in `records`. `dense_values` and `sparse_entries` are the run's
+  /// totals of dense coordinates and of sparse (index, value) pairs. Every
+  /// array is sized once and each record copied once; norms are summed
+  /// term for term as Point::ComputeNorm sums them, so the rows equal the
+  /// ones Append stores for the same points. The batch path of the binary
+  /// loader (data/io.h, TryParseDatasetBinary) and the wire decoder
+  /// (comm/serialize.h): the caller has validated every record
+  /// (TryDecodeRecord), and the run must match the totals and fill
+  /// `records` exactly (CHECK). Same dim rule as Append. Draws no stamp:
+  /// the stamp drops to 0 (uncacheable, see content_stamp) and the parse
+  /// ends with one Restamp().
   void AppendRecordRun(std::string_view records, size_t rows,
                        size_t dense_values, size_t sparse_entries);
 
