@@ -47,6 +47,7 @@
 #include "gmm_scalar.h"
 #include "mapreduce/mr_diversity.h"
 #include "streaming/smm.h"
+#include "streaming/streaming_diversity.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -667,6 +668,57 @@ void BM_SmmExtUpdateSparseCosine(benchmark::State& state) {
   SmmUpdateSparseCosineBench<SmmExt>(state);
 }
 BENCHMARK(BM_SmmExtUpdateSparseCosine);
+
+// One streaming pass as TrySolve runs it (StreamingDiversity::UpdateAll:
+// base SMM with its covered-run skip, then the solve on the core-set) over
+// 50k sparse documents under cosine, remote-edge, k=32, k'=128,
+// single-threaded. On seed 2 the initial fill holds a near-duplicate pair,
+// so d_1 is small and the pass runs 28 phases, each opening with a merge
+// step (stream-text-cosine runs 26). Setup checks that the pass's
+// core-set size, phases and solution equal the ScalarCosineMetric
+// fallback's, and counts one pass's exact evaluations (per pass and per
+// row) and phases.
+void BM_StreamingPassSparseCosine(benchmark::State& state) {
+  constexpr size_t kK = 32, kKPrime = 128;
+  CosineMetric m;
+  SetGlobalThreadPoolSize(1);
+  SparseTextOptions opts;
+  opts.n = 50000;
+  opts.seed = 2;
+  const Dataset data(GenerateSparseTextDataset(opts));
+  auto pass = [&](const Metric* metric) {
+    StreamingDiversity sd(metric, DiversityProblem::kRemoteEdge, kK, kKPrime);
+    sd.UpdateAll(data);
+    return sd.Finalize();
+  };
+  CountingMetric counting(&m);
+  const StreamingResult fast = pass(&counting);
+  {
+    ScalarCosineMetric scalar;
+    const StreamingResult ref = pass(&scalar);
+    if (fast.coreset_size != ref.coreset_size || fast.phases != ref.phases ||
+        fast.solution != ref.solution) {
+      state.SkipWithError(
+          "streaming pass diverged from the scalar-Distance reference");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pass(&m));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.size()));
+  state.counters["n"] = static_cast<double>(data.size());
+  state.counters["dim"] = static_cast<double>(opts.vocab_size);
+  state.counters["threads"] = 1;
+  state.counters["exact_evals"] = static_cast<double>(counting.exact_evals());
+  state.counters["exact_evals_per_row"] =
+      static_cast<double>(counting.exact_evals()) /
+      static_cast<double>(data.size());
+  state.counters["phases"] = static_cast<double>(fast.phases);
+  state.SetLabel("cosine");
+}
+BENCHMARK(BM_StreamingPassSparseCosine)->Unit(benchmark::kMillisecond);
 
 // Screened GMM end to end at dim 16 (single-query sweeps below ~dim 8 are
 // gated back to the exact path — too little per-row work to amortize the

@@ -5,27 +5,78 @@
 #include <span>
 #include <utility>
 
-#include "core/distance_matrix.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace diverse {
 namespace internal_smm {
 
 namespace {
 
+// Offset of row i in a packed strict lower triangle (rows 0..i-1 hold
+// 0 + 1 + ... + (i - 1) entries).
+size_t TriangleRow(size_t i) { return i * (i - 1) / 2; }
+
+// Fills `out` with the packed strict lower triangle of the rows of `data`:
+// out[TriangleRow(i) + j] = Distance(data.point(i), data.point(j)) for
+// j < i, the later row always the query. Blocked DistanceTile calls below
+// the diagonal blocks and per-row prefix sweeps inside them, exactly
+// n(n-1)/2 evaluations. Block pairs run on GlobalThreadPool with disjoint
+// writes, so the table is the same at any thread count; a prefix sweep
+// spans fewer than kBlock rows, which DistanceToMany runs inline (below
+// its parallel grain), so no pool wait nests.
+void FillLowerTriangle(const Metric& metric, const Dataset& data,
+                       std::vector<double>* out) {
+  constexpr size_t kBlock = 128;
+  const size_t n = data.size();
+  out->resize(TriangleRow(n));
+  double* table = out->data();
+  const size_t nb = (n + kBlock - 1) / kBlock;
+  GlobalThreadPool().ParallelForRanges(
+      nb * (nb + 1) / 2, 1, [&](size_t lo, size_t hi) {
+        std::vector<double> tile;
+        for (size_t idx = lo; idx < hi; ++idx) {
+          // Decode idx -> (bi, bj) with bj <= bi, row-major.
+          size_t bi = 0;
+          while ((bi + 1) * (bi + 2) / 2 <= idx) ++bi;
+          const size_t bj = idx - bi * (bi + 1) / 2;
+          const size_t ib = bi * kBlock;
+          const size_t in = std::min(kBlock, n - ib);
+          if (bi == bj) {
+            for (size_t i = ib + 1; i < ib + in; ++i) {
+              metric.DistanceToMany(
+                  data.point(i), data, ib,
+                  std::span<double>(table + TriangleRow(i) + ib, i - ib));
+            }
+            continue;
+          }
+          // A block left of the diagonal is always full.
+          const size_t jb = bj * kBlock;
+          tile.resize(in * kBlock);
+          metric.DistanceTile(data, ib, in, data, jb, kBlock, tile.data(),
+                              kBlock);
+          for (size_t q = 0; q < in; ++q) {
+            std::copy_n(tile.data() + q * kBlock, kBlock,
+                        table + TriangleRow(ib + q) + jb);
+          }
+        }
+      });
+}
+
 // First row of `data` with Distance(query, row) <= threshold, or
 // data.size() when none qualifies: 16-row DistanceToMany chunks, so a scan
-// that finds a host early pays about one chunk.
+// that finds a host early pays about one chunk. d[r] receives the distance
+// to each row r evaluated, so a scan that finds no host fills all of d.
 size_t FirstWithin(const Metric& metric, const Point& query,
-                   const Dataset& data, double threshold) {
+                   const Dataset& data, double threshold,
+                   std::span<double> d) {
   constexpr size_t kChunk = 16;
   const size_t n = data.size();
-  double d[kChunk];
   for (size_t b = 0; b < n; b += kChunk) {
     const size_t len = std::min(kChunk, n - b);
-    metric.DistanceToMany(query, data, b, std::span<double>(d, len));
-    for (size_t i = 0; i < len; ++i) {
-      if (d[i] <= threshold) return b + i;
+    metric.DistanceToMany(query, data, b, d.subspan(b, len));
+    for (size_t i = b; i < b + len; ++i) {
+      if (d[i] <= threshold) return i;
     }
   }
   return n;
@@ -33,14 +84,12 @@ size_t FirstWithin(const Metric& metric, const Point& query,
 
 // The first strict argmin of Distance(query, row) over `data` (ties go to
 // the smallest index) and its distance; +inf when no distance is below it.
+// d receives every row's distance.
 std::pair<size_t, double> Nearest(const Metric& metric, const Point& query,
-                                  const Dataset& data) {
-  const size_t n = data.size();
-  thread_local std::vector<double> d;
-  d.resize(n);
-  metric.DistanceToMany(query, data, 0, std::span<double>(d.data(), n));
+                                  const Dataset& data, std::span<double> d) {
+  metric.DistanceToMany(query, data, 0, d);
   std::pair<size_t, double> best{0, std::numeric_limits<double>::infinity()};
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < d.size(); ++i) {
     if (d[i] < best.second) best = {i, d[i]};
   }
   return best;
@@ -83,6 +132,7 @@ size_t SmmEngine::SkipCoveredRows(const Dataset& data, size_t begin) {
 
 void SmmEngine::Update(const Point& p) {
   ++points_processed_;
+  const size_t n = centers_.size();
   if (!initializing_) {
     // Update step of the current phase. Base SMM asks only "is some center
     // within 4 d_i?", so any scan order gives the same answer: it tries the
@@ -91,20 +141,23 @@ void SmmEngine::Update(const Point& p) {
     // Dataset pass has already skipped the rows the hint covers, see
     // SkipCoveredRows). EXT/GEN need the host itself (it decides where
     // delegates and counts go): the nearest center, first strict argmin.
-    // Either way the decision is the exact scalar scan's.
+    // Either way the decision is the exact scalar scan's, and a point that
+    // no center covers leaves its distance to every center in scan_.
     const double cover = 4.0 * threshold_;
+    scan_.resize(n);
     if (mode_ == Mode::kCentersOnly) {
       double d = 0.0;
       metric_->DistanceToMany(p, centers_columnar_, hint_,
                               std::span<double>(&d, 1));
       if (d <= cover) return;
-      size_t host = FirstWithin(*metric_, p, centers_columnar_, cover);
-      if (host < centers_.size()) {
+      size_t host = FirstWithin(*metric_, p, centers_columnar_, cover, scan_);
+      if (host < n) {
         hint_ = host;
         return;
       }
     } else {
-      const auto [nearest, dist] = Nearest(*metric_, p, centers_columnar_);
+      const auto [nearest, dist] = Nearest(*metric_, p, centers_columnar_,
+                                           scan_);
       if (dist <= cover) {
         Entry& host = centers_[nearest];
         if (mode_ == Mode::kDelegates && host.delegates.size() < k_) {
@@ -115,23 +168,20 @@ void SmmEngine::Update(const Point& p) {
         return;
       }
     }
+    // p opens a new center: the scan is its row of the table.
+    pairwise_.insert(pairwise_.end(), scan_.begin(), scan_.end());
   }
-  // p opens a new center.
   Entry e;
   if (mode_ == Mode::kDelegates) e.delegates.push_back(p);
   centers_.push_back(std::move(e));
   centers_columnar_.Append(p);
   if (centers_.size() < k_prime_ + 1) return;
   if (initializing_) {
-    // d_1 = min pairwise distance among the first k'+1 points, computed as
-    // one tiled pairwise pass over the columnar centers.
-    DistanceMatrix pairwise(centers_columnar_, *metric_);
+    // d_1 = min pairwise distance among the first k'+1 points, read off
+    // the table that one tiled pass over the columnar centers fills.
+    FillLowerTriangle(*metric_, centers_columnar_, &pairwise_);
     double d1 = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < pairwise.size(); ++i) {
-      for (size_t j = i + 1; j < pairwise.size(); ++j) {
-        d1 = std::min(d1, pairwise.at(i, j));
-      }
-    }
+    for (double dist : pairwise_) d1 = std::min(d1, dist);
     threshold_ = d1;
     initializing_ = false;
   } else {
@@ -153,13 +203,9 @@ void SmmEngine::MergeUntilBelowCapacity() {
     if (threshold_ > 0.0) {
       threshold_ *= 2.0;
     } else {
-      DistanceMatrix pairwise(centers_columnar_, *metric_);
       double min_positive = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < pairwise.size(); ++i) {
-        for (size_t j = i + 1; j < pairwise.size(); ++j) {
-          double dist = pairwise.at(i, j);
-          if (dist > 0.0) min_positive = std::min(min_positive, dist);
-        }
+      for (double dist : pairwise_) {
+        if (dist > 0.0) min_positive = std::min(min_positive, dist);
       }
       DIVERSE_CHECK_LT(min_positive,
                        std::numeric_limits<double>::infinity());
@@ -173,33 +219,34 @@ void SmmEngine::MergeStep() {
   // Greedy maximal independent set of the graph with edges at distance
   // <= 2 d_i: scan centers in order; a center joins I unless an earlier
   // member of I is within 2 d_i, in which case it merges into that member
-  // (the maximality witness), transferring delegates / counts. The kept
-  // set grows its own columnar copy as it goes, so the membership scan
-  // runs as a chunked FirstWithin scan over contiguous rows, keeping the
-  // scalar loop's early exit to within one chunk (a merge-heavy step costs
-  // ~|T| evaluations, not |T|^2/2). The kept copy then becomes the
-  // post-merge centers_columnar_, and the update step's hint follows its
-  // center: to the kept index it survives as, or to the host it merged
-  // into.
-  double radius = 2.0 * threshold_;
+  // (the maximality witness), transferring delegates / counts. A center's
+  // row of the table holds its distance to every earlier center, so the
+  // membership test reads the kept members' columns in order and
+  // evaluates nothing. The kept rows are then gathered once into the
+  // post-merge centers_columnar_, the table keeps only their rows and
+  // columns, and the update step's hint follows its center: to the kept
+  // index it survives as, or to the host it merged into.
+  const double radius = 2.0 * threshold_;
   std::vector<Entry> kept;
+  std::vector<uint32_t> kept_rows;  // the index in T of each kept center
   kept.reserve(centers_.size());
-  Dataset kept_columnar;  // the centers of `kept`, same order
+  kept_rows.reserve(centers_.size());
   size_t hint = 0;
   for (size_t i = 0; i < centers_.size(); ++i) {
-    Point center = centers_columnar_.point(i);
-    Entry& e = centers_[i];
-    size_t host = FirstWithin(*metric_, center, kept_columnar, radius);
+    const double* row = pairwise_.data() + TriangleRow(i);
+    size_t host = 0;
+    while (host < kept.size() && !(row[kept_rows[host]] <= radius)) ++host;
     if (i == hint_) hint = host;
+    Entry& e = centers_[i];
     if (host == kept.size()) {
-      kept_columnar.Append(center);
+      kept_rows.push_back(static_cast<uint32_t>(i));
       kept.push_back(std::move(e));
       continue;
     }
     Entry& h = kept[host];
     switch (mode_) {
       case Mode::kCentersOnly:
-        removed_.push_back(std::move(center));
+        removed_.push_back(centers_columnar_.point(i));
         break;
       case Mode::kDelegates: {
         size_t room = k_ - h.delegates.size();
@@ -214,6 +261,17 @@ void SmmEngine::MergeStep() {
         break;
     }
   }
+  // Compacts the table in place. An entry's row and column indices only
+  // shrink, so it moves to an offset no later than its own, and the
+  // forward copy never reads an entry it has already overwritten.
+  size_t at = 0;
+  for (size_t a = 1; a < kept_rows.size(); ++a) {
+    const double* row = pairwise_.data() + TriangleRow(kept_rows[a]);
+    for (size_t b = 0; b < a; ++b) pairwise_[at++] = row[kept_rows[b]];
+  }
+  pairwise_.resize(at);
+  Dataset kept_columnar;
+  kept_columnar.AssignGatherColumnar(centers_columnar_, kept_rows);
   centers_ = std::move(kept);
   centers_columnar_ = std::move(kept_columnar);
   hint_ = hint;

@@ -109,7 +109,8 @@ class SmmEngine {
   // until at most k_prime centers remain. Called when T reaches k'+1.
   void MergeUntilBelowCapacity();
 
-  // One maximal-independent-set merge at radius 2 * threshold_.
+  // One maximal-independent-set merge at radius 2 * threshold_, decided
+  // from pairwise_ without evaluating a distance.
   void MergeStep();
 
   const Metric* metric_;
@@ -121,12 +122,28 @@ class SmmEngine {
   // its bookkeeping. Columnar so the per-update coverage test runs as
   // devirtualized DistanceToMany scans instead of |T| virtual Distance
   // calls — an early-exit first-within scan in base SMM, an argmin in
-  // EXT/GEN — the phase-threshold pairwise scans run as blocked distance
-  // tiles (DistanceMatrix), and merge steps scan their growing kept set in
-  // the same chunked first-within scan. Appended to on insertion, replaced
-  // by the kept set after merges.
+  // EXT/GEN — and the pass that ends the initial fill runs as blocked
+  // distance tiles. Appended to on insertion, replaced by a gather of the
+  // kept rows after merges.
   Dataset centers_columnar_;
   std::vector<Entry> centers_;
+  // The distances between the centers of T once the initial fill has
+  // ended, as the packed strict lower triangle: row i (offset i(i-1)/2)
+  // holds d(center i, center j) for j < i, computed with the later center
+  // i as the query — the orientation in which the scalar merge asks its
+  // question. The tiled pass that sets d_1 fills it; after that a new
+  // center's row is the scan its own update just ran (a center opens only
+  // when no center covers it, so base SMM's FirstWithin and EXT/GEN's
+  // Nearest evaluated every center). Each value is thus one of the batch
+  // kernels' exact evaluations, bit-equal to the scalar Distance, and
+  // centers never move, so it is the value a fresh scan would compute.
+  // Merges read it instead of evaluating, and then compact it to the kept
+  // centers; the zero-threshold path reads its smallest positive entry.
+  // Grows with |T|, to at most (k'+1)k'/2 doubles.
+  std::vector<double> pairwise_;
+  // An update's distances to every center it evaluated, kept for the row
+  // pairwise_ gains when the point opens a center. Sized |T|.
+  std::vector<double> scan_;
   // Base SMM: the center that covered the previous covered point, tried
   // first by the next update (and by SkipCoveredRows). It orders the scan,
   // never the decision, and depends only on the stream.
@@ -141,9 +158,10 @@ class SmmEngine {
 }  // namespace internal_smm
 
 /// Streaming core-set for remote-edge / remote-cycle (Theorem 1).
-/// Memory: O(k') points. Use k' = (32/eps')^D * k for the (1+eps) guarantee
-/// on doubling dimension D; in practice small multiples of k suffice
-/// (Section 7.1).
+/// Memory: O(k') points, plus the centers' pairwise distances (at most
+/// (k'+1)k'/2 doubles) and one row of k'+1 doubles. Use
+/// k' = (32/eps')^D * k for the (1+eps) guarantee on doubling dimension D;
+/// in practice small multiples of k suffice (Section 7.1).
 class Smm {
  public:
   Smm(const Metric* metric, size_t k, size_t k_prime)
@@ -162,7 +180,8 @@ class Smm {
 };
 
 /// Streaming core-set for remote-clique/-star/-bipartition/-tree
-/// (Theorem 2). Memory: O(k' k) points.
+/// (Theorem 2). Memory: O(k' k) points, plus the centers' pairwise
+/// distances (at most (k'+1)k'/2 doubles) and one row of k'+1 doubles.
 class SmmExt {
  public:
   SmmExt(const Metric* metric, size_t k, size_t k_prime)
@@ -180,7 +199,8 @@ class SmmExt {
 };
 
 /// Streaming *generalized* core-set (first pass of Theorem 9).
-/// Memory: O(k') pairs.
+/// Memory: O(k') pairs, plus the centers' pairwise distances (at most
+/// (k'+1)k'/2 doubles) and one row of k'+1 doubles.
 class SmmGen {
  public:
   SmmGen(const Metric* metric, size_t k, size_t k_prime)

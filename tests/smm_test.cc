@@ -469,18 +469,83 @@ PointSet IntegerGridStream(size_t n, size_t side, uint64_t seed) {
   return stream;
 }
 
+// Dense rows in [0, 1)^dim interleaved with sparse ones of the same
+// dimension under Euclidean: a third dense, one in 40 sparse rows empty
+// (nnz 0, the origin), and each other sparse row keeps a coordinate with
+// probability 0.5. Mixed pairs run the per-pair scalar merge, sparse pairs
+// the sparse kernels.
+PointSet MixedDenseSparseStream(size_t n, size_t dim, uint64_t seed) {
+  Rng rng(seed);
+  PointSet stream;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 3 == 0) {
+      std::vector<float> values(dim);
+      for (float& v : values) v = static_cast<float>(rng.NextDouble());
+      stream.push_back(Point::Dense(std::move(values)));
+      continue;
+    }
+    std::vector<uint32_t> indices;
+    std::vector<float> values;
+    if (rng.NextBounded(40) != 0) {
+      for (uint32_t j = 0; j < dim; ++j) {
+        if (rng.NextDouble() < 0.5) {
+          indices.push_back(j);
+          values.push_back(static_cast<float>(rng.NextDouble()));
+        }
+      }
+    }
+    stream.push_back(Point::Sparse(std::move(indices), std::move(values),
+                                   static_cast<uint32_t>(dim)));
+  }
+  return stream;
+}
+
+// Sparse term sets for Jaccard over a vocabulary of 96 terms in 8 topics
+// of 12: each set draws 1 to 8 terms from one topic and, with probability
+// 1/4, one term from anywhere. Small sets repeat and overlap, so the
+// distances take few values and the threshold grows over several phases.
+PointSet JaccardSetStream(size_t n, uint64_t seed) {
+  constexpr uint32_t kTopics = 8, kTopicTerms = 12;
+  Rng rng(seed);
+  PointSet stream;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t topic = static_cast<uint32_t>(rng.NextBounded(kTopics));
+    std::set<uint32_t> terms;
+    for (size_t t = 1 + rng.NextBounded(8); t > 0; --t) {
+      terms.insert(topic * kTopicTerms +
+                   static_cast<uint32_t>(rng.NextBounded(kTopicTerms)));
+    }
+    if (rng.NextBounded(4) == 0) {
+      terms.insert(
+          static_cast<uint32_t>(rng.NextBounded(kTopics * kTopicTerms)));
+    }
+    std::vector<uint32_t> indices(terms.begin(), terms.end());
+    std::vector<float> values(indices.size(), 1.0f);
+    stream.push_back(Point::Sparse(std::move(indices), std::move(values),
+                                   kTopics * kTopicTerms));
+  }
+  return stream;
+}
+
 // The streams both reference tests run: dense, sparse under cosine,
-// duplicate-heavy, and an integer grid.
+// duplicate-heavy, an integer grid, mixed dense and sparse rows under
+// Euclidean and sparse sets under Jaccard. The last two run at a k' whose
+// initial fill of k'+1 centers spans two 128-row blocks, so the pass that
+// ends it evaluates a tile below the diagonal block as well as prefix
+// sweeps inside it, and merges decide on those values and on the update
+// scans' rows.
 struct ReferenceCase {
   const char* name;
   const Metric* metric;
   PointSet stream;
   bool duplicate_heavy = false;
   bool integer_grid = false;
+  size_t k_prime = 32;
 };
 
 std::vector<ReferenceCase> ReferenceCases(const Metric* euclidean,
-                                          const Metric* cosine) {
+                                          const Metric* cosine,
+                                          const Metric* jaccard) {
   SparseTextOptions text;
   text.n = 3000;
   text.seed = 67;
@@ -493,11 +558,18 @@ std::vector<ReferenceCase> ReferenceCases(const Metric* euclidean,
                    DuplicateHeavyStream(3000, 73), /*duplicate_heavy=*/true});
   cases.push_back({"integer-grid", euclidean, IntegerGridStream(3000, 24, 84),
                    /*duplicate_heavy=*/false, /*integer_grid=*/true});
+  cases.push_back({"mixed-dense-sparse-euclidean", euclidean,
+                   MixedDenseSparseStream(3000, 3, 89),
+                   /*duplicate_heavy=*/false, /*integer_grid=*/false,
+                   /*k_prime=*/136});
+  cases.push_back({"sparse-sets-jaccard", jaccard, JaccardSetStream(3000, 97),
+                   /*duplicate_heavy=*/false, /*integer_grid=*/false,
+                   /*k_prime=*/136});
   return cases;
 }
 
-// Smm, SmmExt and SmmGen take the reference's decisions on dense, sparse,
-// duplicate-heavy and integer-grid streams: the same centers, core-sets,
+// Smm, SmmExt and SmmGen take the reference's decisions on every reference
+// stream (ReferenceCases): the same centers, core-sets,
 // threshold and phases, at any thread count, with exact-evaluation counts
 // that do not depend on the thread count. Base SMM tries the previous
 // covered point's host first, so a covered point followed by a copy of
@@ -507,8 +579,10 @@ std::vector<ReferenceCase> ReferenceCases(const Metric* euclidean,
 TEST(SmmTest, MatchesTextbookReferenceAtAnyThreadCount) {
   EuclideanMetric euclidean;
   CosineMetric cosine;
-  const std::vector<ReferenceCase> cases = ReferenceCases(&euclidean, &cosine);
-  const size_t k = 8, k_prime = 32;
+  JaccardMetric jaccard;
+  const std::vector<ReferenceCase> cases =
+      ReferenceCases(&euclidean, &cosine, &jaccard);
+  const size_t k = 8;
   const SmmEngine::Mode modes[] = {SmmEngine::Mode::kCentersOnly,
                                    SmmEngine::Mode::kDelegates,
                                    SmmEngine::Mode::kCounts};
@@ -516,7 +590,7 @@ TEST(SmmTest, MatchesTextbookReferenceAtAnyThreadCount) {
     SCOPED_TRACE(c.name);
     std::vector<ReferenceSmm> ref;
     for (SmmEngine::Mode mode : modes) {
-      ref.emplace_back(c.metric, k, k_prime, mode);
+      ref.emplace_back(c.metric, k, c.k_prime, mode);
     }
     std::vector<bool> covered(c.stream.size());
     size_t covered_at_zero = 0;
@@ -543,9 +617,9 @@ TEST(SmmTest, MatchesTextbookReferenceAtAnyThreadCount) {
       CountingMetric counting[3] = {CountingMetric(c.metric),
                                     CountingMetric(c.metric),
                                     CountingMetric(c.metric)};
-      Smm smm(&counting[0], k, k_prime);
-      SmmExt ext(&counting[1], k, k_prime);
-      SmmGen gen(&counting[2], k, k_prime);
+      Smm smm(&counting[0], k, c.k_prime);
+      SmmExt ext(&counting[1], k, c.k_prime);
+      SmmGen gen(&counting[2], k, c.k_prime);
       size_t repeats = 0;
       for (size_t t = 0; t < c.stream.size(); ++t) {
         uint64_t before = counting[0].exact_evals();
@@ -594,8 +668,10 @@ TEST(SmmTest, MatchesTextbookReferenceAtAnyThreadCount) {
 TEST(SmmTest, SkipCoveredRowsMatchesTextbookReferenceAtAnyThreadCount) {
   EuclideanMetric euclidean;
   CosineMetric cosine;
-  const std::vector<ReferenceCase> cases = ReferenceCases(&euclidean, &cosine);
-  const size_t k = 8, k_prime = 32;
+  JaccardMetric jaccard;
+  const std::vector<ReferenceCase> cases =
+      ReferenceCases(&euclidean, &cosine, &jaccard);
+  const size_t k = 8;
   const SmmEngine::Mode modes[] = {SmmEngine::Mode::kCentersOnly,
                                    SmmEngine::Mode::kDelegates,
                                    SmmEngine::Mode::kCounts};
@@ -604,7 +680,7 @@ TEST(SmmTest, SkipCoveredRowsMatchesTextbookReferenceAtAnyThreadCount) {
     const Dataset data(c.stream);
     for (size_t v = 0; v < 3; ++v) {
       SCOPED_TRACE(testing::Message() << "variant " << v);
-      ReferenceSmm ref(c.metric, k, k_prime, modes[v]);
+      ReferenceSmm ref(c.metric, k, c.k_prime, modes[v]);
       std::vector<bool> covered(c.stream.size());
       for (size_t t = 0; t < c.stream.size(); ++t) {
         covered[t] = ref.Update(c.stream[t]);
@@ -614,7 +690,7 @@ TEST(SmmTest, SkipCoveredRowsMatchesTextbookReferenceAtAnyThreadCount) {
         SCOPED_TRACE(testing::Message() << "threads " << threads);
         SetGlobalThreadPoolSize(threads);
         CountingMetric counting(c.metric);
-        SmmEngine engine(&counting, k, k_prime, modes[v]);
+        SmmEngine engine(&counting, k, c.k_prime, modes[v]);
         std::vector<bool> updated(c.stream.size());
         size_t skipped = 0;
         for (size_t i = 0; i < data.size(); ++i) {
@@ -659,6 +735,50 @@ TEST(SmmTest, SkipCoveredRowsMatchesTextbookReferenceAtAnyThreadCount) {
     }
   }
   SetGlobalThreadPoolSize(1);
+}
+
+// Merges decide from the engine's table of its centers' pairwise distances
+// and evaluate nothing. So an update past the initial fill that triggers
+// merge steps costs exactly its own scan, which found no host: base SMM's
+// hinted center plus a FirstWithin over every center (1 + |T|), SMM-EXT's
+// and SMM-GEN's argmin over every center (|T|). That holds also when the
+// merges double the threshold again or, from d_i = 0, jump to the smallest
+// positive separation (the duplicate-heavy stream).
+TEST(SmmTest, MergeStepsEvaluateNoDistance) {
+  EuclideanMetric euclidean;
+  CosineMetric cosine;
+  JaccardMetric jaccard;
+  const std::vector<ReferenceCase> cases =
+      ReferenceCases(&euclidean, &cosine, &jaccard);
+  const size_t k = 8;
+  const SmmEngine::Mode modes[] = {SmmEngine::Mode::kCentersOnly,
+                                   SmmEngine::Mode::kDelegates,
+                                   SmmEngine::Mode::kCounts};
+  for (const ReferenceCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (SmmEngine::Mode mode : modes) {
+      SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode));
+      CountingMetric counting(c.metric);
+      SmmEngine engine(&counting, k, c.k_prime, mode);
+      size_t merging_updates = 0;
+      size_t zero_jumps = 0;
+      for (size_t t = 0; t < c.stream.size(); ++t) {
+        const size_t phases = engine.phases();
+        const size_t centers = engine.Centers().size();
+        const double threshold = engine.threshold();
+        const uint64_t before = counting.exact_evals();
+        engine.Update(c.stream[t]);
+        if (phases == 0 || engine.phases() == phases) continue;
+        ++merging_updates;
+        zero_jumps += threshold == 0.0 && engine.threshold() > 0.0;
+        const size_t scan =
+            mode == SmmEngine::Mode::kCentersOnly ? 1 + centers : centers;
+        ASSERT_EQ(counting.exact_evals() - before, scan) << "update " << t;
+      }
+      EXPECT_GT(merging_updates, 0u);
+      if (c.duplicate_heavy) EXPECT_GT(zero_jumps, 0u);
+    }
+  }
 }
 
 // Parameterized sweep: the coreset size grows with k' and the coverage
