@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace diverse {
 namespace internal_smm {
@@ -21,46 +20,36 @@ size_t TriangleRow(size_t i) { return i * (i - 1) / 2; }
 // out[TriangleRow(i) + j] = Distance(data.point(i), data.point(j)) for
 // j < i, the later row always the query. Blocked DistanceTile calls below
 // the diagonal blocks and per-row prefix sweeps inside them, exactly
-// n(n-1)/2 evaluations. Block pairs run on GlobalThreadPool with disjoint
-// writes, so the table is the same at any thread count; a prefix sweep
-// spans fewer than kBlock rows, which DistanceToMany runs inline (below
-// its parallel grain), so no pool wait nests.
+// n(n-1)/2 evaluations. It runs on the calling thread, like the rest of a
+// streaming pass: the tiles are serial, and a prefix sweep spans fewer
+// than kBlock rows, below DistanceToMany's parallel grain. A pool hand-off
+// here would be the pass's only cross-thread wait, and it buys nothing at
+// the usual sizes: at k' = 128 one diagonal block holds 8128 of the 8256
+// evaluations.
 void FillLowerTriangle(const Metric& metric, const Dataset& data,
                        std::vector<double>* out) {
   constexpr size_t kBlock = 128;
   const size_t n = data.size();
   out->resize(TriangleRow(n));
   double* table = out->data();
-  const size_t nb = (n + kBlock - 1) / kBlock;
-  GlobalThreadPool().ParallelForRanges(
-      nb * (nb + 1) / 2, 1, [&](size_t lo, size_t hi) {
-        std::vector<double> tile;
-        for (size_t idx = lo; idx < hi; ++idx) {
-          // Decode idx -> (bi, bj) with bj <= bi, row-major.
-          size_t bi = 0;
-          while ((bi + 1) * (bi + 2) / 2 <= idx) ++bi;
-          const size_t bj = idx - bi * (bi + 1) / 2;
-          const size_t ib = bi * kBlock;
-          const size_t in = std::min(kBlock, n - ib);
-          if (bi == bj) {
-            for (size_t i = ib + 1; i < ib + in; ++i) {
-              metric.DistanceToMany(
-                  data.point(i), data, ib,
-                  std::span<double>(table + TriangleRow(i) + ib, i - ib));
-            }
-            continue;
-          }
-          // A block left of the diagonal is always full.
-          const size_t jb = bj * kBlock;
-          tile.resize(in * kBlock);
-          metric.DistanceTile(data, ib, in, data, jb, kBlock, tile.data(),
-                              kBlock);
-          for (size_t q = 0; q < in; ++q) {
-            std::copy_n(tile.data() + q * kBlock, kBlock,
-                        table + TriangleRow(ib + q) + jb);
-          }
-        }
-      });
+  std::vector<double> tile;
+  for (size_t ib = 0; ib < n; ib += kBlock) {
+    const size_t in = std::min(kBlock, n - ib);
+    // A block left of the diagonal is always full.
+    for (size_t jb = 0; jb < ib; jb += kBlock) {
+      tile.resize(in * kBlock);
+      metric.DistanceTile(data, ib, in, data, jb, kBlock, tile.data(), kBlock);
+      for (size_t q = 0; q < in; ++q) {
+        std::copy_n(tile.data() + q * kBlock, kBlock,
+                    table + TriangleRow(ib + q) + jb);
+      }
+    }
+    for (size_t i = ib + 1; i < ib + in; ++i) {
+      metric.DistanceToMany(
+          data.point(i), data, ib,
+          std::span<double>(table + TriangleRow(i) + ib, i - ib));
+    }
+  }
 }
 
 // First row of `data` with Distance(query, row) <= threshold, or
