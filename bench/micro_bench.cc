@@ -19,6 +19,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -719,6 +720,44 @@ void BM_StreamingPassSparseCosine(benchmark::State& state) {
   state.SetLabel("cosine");
 }
 BENCHMARK(BM_StreamingPassSparseCosine)->Unit(benchmark::kMillisecond);
+
+// One sparse center against 50k sparse documents through
+// Metric::CoveredPrefix (base SMM's covered-run skip), single-threaded, at
+// a covering radius: 1% above the farthest document, so the run spans
+// every row and each row is decided from its cosine. Setup checks the run
+// length against the leading count of DistanceToMany's distances within
+// the radius.
+void BM_CoveredPrefixSparseCosine(benchmark::State& state) {
+  CosineMetric m;
+  SetGlobalThreadPoolSize(1);
+  SparseTextOptions opts;
+  opts.n = 50000;
+  opts.seed = 21;
+  const Dataset data(GenerateSparseTextDataset(opts));
+  const Point center = data.point(0);
+  std::vector<double> d(data.size());
+  m.DistanceToMany(center, data, 0, d);
+  const double radius = 1.01 * *std::max_element(d.begin(), d.end());
+  size_t want = 0;
+  while (want < d.size() && d[want] <= radius) ++want;
+  if (m.CoveredPrefix(center, data, 0, data.size(), radius) != want ||
+      want != data.size()) {
+    state.SkipWithError("CoveredPrefix diverged from DistanceToMany");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        m.CoveredPrefix(center, data, 0, data.size(), radius));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.size()));
+  state.counters["n"] = static_cast<double>(data.size());
+  state.counters["dim"] = static_cast<double>(opts.vocab_size);
+  state.counters["threads"] = 1;
+  state.counters["radius"] = radius;
+  state.SetLabel("cosine");
+}
+BENCHMARK(BM_CoveredPrefixSparseCosine)->Unit(benchmark::kMicrosecond);
 
 // Screened GMM end to end at dim 16 (single-query sweeps below ~dim 8 are
 // gated back to the exact path — too little per-row work to amortize the

@@ -38,13 +38,39 @@ VecView QueryView(const Point& query, const Dataset& data) {
   return query.View();
 }
 
-// BatchMap of one sparse query under an intersection kernel (dot,
-// Jaccard). Each range scatters the query into a thread-local dim-sized
-// slot table (slot[idx] = position + 1) and scores every sparse row by
-// walking only the row's own index list (K::SlotPair); dense rows keep
-// K::Pair. The touched slots are zeroed before the range returns, so the
-// table is all zero between calls. Caller guarantees data.dim() <=
+// A sparse query scattered into the calling thread's dim-sized slot table
+// (slot[idx] = position + 1, zero elsewhere) for the object's lifetime; the
+// destructor zeroes the touched slots, so the table is all zero between
+// uses. One table per thread serves every slot path below, so at most one
+// QuerySlots may live on a thread at a time. Caller guarantees dim <=
 // kDirectIndexMaxDim.
+class QuerySlots {
+ public:
+  QuerySlots(const VecView& q, size_t dim) : q_(q) {
+    thread_local std::vector<uint32_t> table;
+    if (table.size() < dim) table.resize(dim);
+    slot_ = table.data();
+    for (size_t p = 0; p < q_.nnz; ++p) {
+      slot_[q_.indices[p]] = static_cast<uint32_t>(p + 1);
+    }
+  }
+  ~QuerySlots() {
+    for (size_t p = 0; p < q_.nnz; ++p) slot_[q_.indices[p]] = 0;
+  }
+  QuerySlots(const QuerySlots&) = delete;
+  QuerySlots& operator=(const QuerySlots&) = delete;
+
+  const uint32_t* table() const { return slot_; }
+
+ private:
+  VecView q_;
+  uint32_t* slot_;
+};
+
+// BatchMap of one sparse query under an intersection kernel (dot,
+// Jaccard). Each range scatters the query (QuerySlots) and scores every
+// sparse row by walking only the row's own index list (K::SlotPair);
+// dense rows keep K::Pair.
 //
 // One range's walk is its own cache-line-aligned function: nearly all of a
 // sparse one-query sweep's time is its inner loop, whose speed depends on
@@ -56,17 +82,12 @@ template <typename K>
 __attribute__((noinline, aligned(64))) void SlotRows(
     const VecView& q, const Dataset& data, size_t begin, size_t lo, size_t hi,
     double* out) {
-  thread_local std::vector<uint32_t> slot;
-  if (slot.size() < data.dim()) slot.resize(data.dim());
-  for (size_t p = 0; p < q.nnz; ++p) {
-    slot[q.indices[p]] = static_cast<uint32_t>(p + 1);
-  }
+  const QuerySlots slots(q, data.dim());
   for (size_t i = lo; i < hi; ++i) {
     VecView row = data.row(begin + i);
-    out[i] = row.is_sparse() ? K::SlotPair(slot.data(), q, row)
+    out[i] = row.is_sparse() ? K::SlotPair(slots.table(), q, row)
                              : K::Pair(row, q);
   }
-  for (size_t p = 0; p < q.nnz; ++p) slot[q.indices[p]] = 0;
 }
 
 // SlotRows over the listed rows instead of a contiguous range: the
@@ -74,17 +95,33 @@ __attribute__((noinline, aligned(64))) void SlotRows(
 template <typename K>
 void SlotListedRows(const VecView& q, const Dataset& data,
                     std::span<const uint32_t> rows, double* out) {
-  thread_local std::vector<uint32_t> slot;
-  if (slot.size() < data.dim()) slot.resize(data.dim());
-  for (size_t p = 0; p < q.nnz; ++p) {
-    slot[q.indices[p]] = static_cast<uint32_t>(p + 1);
-  }
+  const QuerySlots slots(q, data.dim());
   for (size_t t = 0; t < rows.size(); ++t) {
     VecView row = data.row(rows[t]);
-    out[t] = row.is_sparse() ? K::SlotPair(slot.data(), q, row)
+    out[t] = row.is_sparse() ? K::SlotPair(slots.table(), q, row)
                              : K::Pair(row, q);
   }
-  for (size_t p = 0; p < q.nnz; ++p) slot[q.indices[p]] = 0;
+}
+
+// The CoveredPrefix path of a sparse query under an intersection kernel:
+// rows from `begin` on, one at a time on the calling thread, up to the
+// first row beyond `radius` or `limit`. Sparse rows are decided by
+// K::SlotRadius, dense rows by K::Pair. Aligned for the reason SlotRows
+// is; inlined into its caller, the walk ran ~25% slower.
+template <typename K>
+__attribute__((noinline, aligned(64))) size_t SlotCoveredRun(
+    const VecView& q, const Dataset& data, size_t begin, size_t limit,
+    double radius) {
+  const QuerySlots slots(q, data.dim());
+  const typename K::SlotRadius within(radius);
+  size_t i = begin;
+  for (; i < limit; ++i) {
+    VecView row = data.row(i);
+    const bool covered = row.is_sparse() ? within(slots.table(), q, row)
+                                         : K::Pair(row, q) <= radius;
+    if (!covered) break;
+  }
+  return i - begin;
 }
 
 template <typename K>
@@ -442,8 +479,10 @@ template <typename K, typename RowViewFn>
 //                            (double exact, float fp32); Finish turns a
 //                            block of lane values into distances in place;
 //   kDenseLanes, kUnionWalk  the tile engine's strategy switches;
-//   SlotPair                 one sparse row against a sparse query's slot
-//                            table (intersection kernels, !kUnionWalk);
+//   SlotPair, SlotRadius     one sparse row against a sparse query's slot
+//                            table (intersection kernels, !kUnionWalk):
+//                            its distance, and whether it is within a
+//                            radius;
 //   kRootOfSquares           lane values are SQUARED distances (Squared,
 //                            SquaredF32 per pair): one-query runs take the
 //                            roots in one batched pass;
@@ -587,6 +626,12 @@ struct CosineKernel {
                           const VecView& row, float* out) {
     kernels::SparseDotLanesF32(ws, row, out);
   }
+  // The cosine of kernels::AngularCosine from a dot product and two
+  // nonzero norms: the same product, divide and clamp.
+  static double ClampedCosine(double dot, double na, double nb) {
+    double c = dot / (na * nb);
+    return c < -1.0 ? -1.0 : (c > 1.0 ? 1.0 : c);
+  }
   // Same postprocess as kernels::AngularCosine, with the lane-computed dot
   // products: identical zero-norm conventions, product, clamp, acos.
   static void Finish(double* vals, const VecView* qv, const VecView& row,
@@ -599,9 +644,7 @@ struct CosineKernel {
       } else if (na == 0.0 || nb == 0.0) {
         vals[lane] = M_PI / 2.0;
       } else {
-        double c = vals[lane] / (na * nb);
-        c = c < -1.0 ? -1.0 : (c > 1.0 ? 1.0 : c);
-        vals[lane] = std::acos(c);
+        vals[lane] = std::acos(ClampedCosine(vals[lane], na, nb));
       }
     }
   }
@@ -627,19 +670,97 @@ struct CosineKernel {
           out[t], b.norm(rows[t]), q.norm));
     }
   }
-  // One sparse pair through the query's slot table (SlotBatchMap): the
-  // row's slot hits are the common indices in ascending order, so the dot
-  // sums the scalar merge's terms in the merge's order.
+  // The dot of one sparse row with the query through its slot table
+  // (QuerySlots). The row's slot hits are the common indices in ascending
+  // order, so summing them in row order sums the scalar merge's terms in
+  // the merge's order. Each chunk of row terms first lists its hits
+  // without a branch (every term writes its position, and the cursor
+  // advances only on a hit), then sums them: whether a term hits is data
+  // the branch predictor cannot learn. Misses add no term, so the sum is
+  // bit-identical to the merge's, -0.0 and NaN included.
+  static double SlotDot(const uint32_t* slot, const VecView& q,
+                        const VecView& row) {
+    constexpr size_t kChunk = 64;
+    uint32_t at[kChunk];
+    uint32_t hit[kChunk];
+    double s = 0.0;
+    for (size_t j0 = 0; j0 < row.nnz; j0 += kChunk) {
+      const size_t len = std::min(kChunk, row.nnz - j0);
+      const uint32_t* indices = row.indices + j0;
+      const float* values = row.values + j0;
+      size_t n = 0;
+      for (size_t j = 0; j < len; ++j) {
+        const uint32_t p = slot[indices[j]];
+        at[n] = static_cast<uint32_t>(j);
+        hit[n] = p;
+        n += p != 0;
+      }
+      for (size_t h = 0; h < n; ++h) {
+        s += static_cast<double>(values[at[h]]) * q.values[hit[h] - 1];
+      }
+    }
+    return s;
+  }
+  // One sparse pair through the query's slot table (SlotBatchMap).
   static double SlotPair(const uint32_t* slot, const VecView& q,
                          const VecView& row) {
-    double s = 0.0;
-    for (size_t j = 0; j < row.nnz; ++j) {
-      uint32_t p = slot[row.indices[j]];
-      if (p != 0) s += static_cast<double>(row.values[j]) * q.values[p - 1];
-    }
+    double s = SlotDot(slot, q, row);
     Finish(&s, &q, row, 1);
     return s;
   }
+  // d(q, row) <= radius for sparse rows against the query's slot table
+  // (SlotCoveredRun), decided on the clamped cosine c of Finish where it
+  // can be: c >= hi certifies the row within the radius, c < lo certifies
+  // it beyond, and only c in [lo, hi) pays for std::acos(c) <= radius.
+  //
+  // The band is sound because glibc's cos and acos are within 1 ulp.
+  // Let r >= 0 be the radius, r1 = fl(r * fl(1 - 1e-12)) and
+  // r2 = fl(r * fl(1 + 1e-12)); for normal r, r1 <= r(1 - 0.99e-12) and
+  // r2 >= r(1 + 0.99e-12). An ulp of a value of magnitude <= 1 + 1e-15 is
+  // at most 2^-52, so hi = fl(cos(r1) + 1e-15) >= cos(r1) + 1e-15 -
+  // 2 * 2^-52 > cos(r1), and likewise lo < cos(r2).
+  //   * c >= hi with r1 <= pi: c > cos(r1), and acos decreases on
+  //     [-1, 1], so acos(c) < r1 and the computed acos is at most
+  //     acos(c)(1 + 2^-52) < r1(1 + 2^-52) < r. With r1 > pi, the computed
+  //     acos is at most fl(pi) < pi < r. For r = 0 or subnormal r, the
+  //     computed cos(r1) is 1, hi = 1 + 1e-15 exceeds every clamped c, and
+  //     nothing is certified.
+  //   * c < lo with r2 < pi: c < cos(r2), so acos(c) > r2, and the
+  //     computed acos is at least acos(c)(1 - 2^-52) > r2(1 - 2^-52) > r.
+  //     For r = 0 or subnormal r, the computed cos(r2) is 1 and
+  //     lo <= 1 - 0.5e-15, so acos(c) > 3e-8 > r. With r2 >= pi no c
+  //     lies beyond, which lo = -inf encodes.
+  // A NaN c (a NaN or infinite dot) fails both tests, and std::acos then
+  // decides it as the exact path does; so does every c under a NaN or
+  // infinite radius. No distance is within a negative radius. Zero norms
+  // take Finish's conventions. Every decision is therefore the exact
+  // path's.
+  struct SlotRadius {
+    explicit SlotRadius(double r) : radius(r) {
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      if (r < 0.0) {
+        hi = lo = kInf;
+        return;
+      }
+      hi = std::cos(r * (1.0 - 1e-12)) + 1e-15;
+      lo = r * (1.0 + 1e-12) >= M_PI ? -kInf
+                                      : std::cos(r * (1.0 + 1e-12)) - 1e-15;
+    }
+    bool operator()(const uint32_t* slot, const VecView& q,
+                    const VecView& row) const {
+      const double na = row.norm, nb = q.norm;
+      if (na == 0.0 || nb == 0.0) {
+        return (na == nb ? 0.0 : M_PI / 2.0) <= radius;
+      }
+      const double c = ClampedCosine(SlotDot(slot, q, row), na, nb);
+      if (c >= hi) return true;
+      if (c < lo) return false;
+      return std::acos(c) <= radius;
+    }
+    double radius;
+    double hi;
+    double lo;
+  };
   static ScreenBound Bound(const ScreenSideStats& q, const ScreenSideStats& r,
                            size_t dim) {
     double e_c = CosineSpaceError(MaxPairTerms(q, r, dim),
@@ -702,6 +823,15 @@ struct JaccardKernel {
     if (uni == 0) return 0.0;
     return 1.0 - static_cast<double>(inter) / static_cast<double>(uni);
   }
+  // SlotPair <= radius (SlotCoveredRun): support counting is cheap.
+  struct SlotRadius {
+    explicit SlotRadius(double r) : radius(r) {}
+    bool operator()(const uint32_t* slot, const VecView& q,
+                    const VecView& row) const {
+      return SlotPair(slot, q, row) <= radius;
+    }
+    double radius;
+  };
   // A ratio of exact integer counts: one double divide and one subtract
   // round, so a couple of ulps relative plus an underflow floor covers it
   // with the usual >=2x margin.
@@ -728,6 +858,30 @@ void Metric::DistanceToMany(const Point& query, const Dataset& data,
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = Distance(query, row.Assign(data.row(begin + i)));
   }
+}
+
+size_t Metric::CoveredPrefix(const Point& query, const Dataset& data,
+                             size_t begin, size_t limit,
+                             double radius) const {
+  DIVERSE_CHECK_LE(begin, limit);
+  DIVERSE_CHECK_LE(limit, data.size());
+  // One DistanceToMany call per block. Blocks double while every row is
+  // covered, up to 256 rows (GrainRows' floor, so each call is a single
+  // range), and the first miss ends the run and wastes its block's tail.
+  constexpr size_t kMinBlock = 16;
+  constexpr size_t kMaxBlock = 256;
+  double d[kMaxBlock];
+  size_t i = begin;
+  for (size_t block = kMinBlock; i < limit;
+       block = std::min(2 * block, kMaxBlock)) {
+    const size_t len = std::min(block, limit - i);
+    DistanceToMany(query, data, i, std::span<double>(d, len));
+    size_t covered = 0;
+    while (covered < len && d[covered] <= radius) ++covered;
+    i += covered;
+    if (covered < len) break;
+  }
+  return i - begin;
 }
 
 void Metric::DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,
@@ -818,6 +972,21 @@ void KernelMetric<K>::DistanceToMany(const Point& query, const Dataset& data,
   }
   BatchMap(data, begin, out,
            [&q](const VecView& row) { return K::Pair(row, q); });
+}
+
+template <typename K>
+size_t KernelMetric<K>::CoveredPrefix(const Point& query, const Dataset& data,
+                                      size_t begin, size_t limit,
+                                      double radius) const {
+  if constexpr (!K::kUnionWalk) {
+    VecView q = QueryView(query, data);
+    if (q.is_sparse() && data.dim() <= kDirectIndexMaxDim) {
+      DIVERSE_CHECK_LE(begin, limit);
+      DIVERSE_CHECK_LE(limit, data.size());
+      return SlotCoveredRun<K>(q, data, begin, limit, radius);
+    }
+  }
+  return Metric::CoveredPrefix(query, data, begin, limit, radius);
 }
 
 template <typename K>

@@ -95,7 +95,8 @@ struct KernelPolicy {
 ///     the same order as the scalar path;
 ///   * exactly as many distance evaluations are performed as the signature
 ///     implies (out.size(), nq * nr, rows.size()) — CountingMetric relies
-///     on this to keep work accounting machine-independent;
+///     on this to keep work accounting machine-independent (CoveredPrefix,
+///     whose cost depends on its answer, is counted from the answer);
 ///   * results are deterministic at any thread count: rows are partitioned
 ///     into ranges that depend only on the input size, and reductions
 ///     combine ranges in ascending order.
@@ -104,6 +105,12 @@ struct KernelPolicy {
 ///
 /// Each metric also carries the KernelPolicy its sweeps read (fixed at
 /// construction; user-defined metrics get the default).
+///
+/// Eleven virtuals: Distance and Name, the exact kernels DistanceToMany,
+/// DistanceTile and DistanceRowsMany, the threshold question
+/// CoveredPrefix, the fp32 kernels DistanceTileF32 and DistanceRowsManyF32,
+/// and the bounds and gates ScreenErrorBound, ScreeningProfitableFor and
+/// IndexSlack.
 class Metric {
  public:
   virtual ~Metric() = default;
@@ -118,6 +125,22 @@ class Metric {
   /// Parallelized on GlobalThreadPool for large sweeps.
   virtual void DistanceToMany(const Point& query, const Dataset& data,
                               size_t begin, std::span<double> out) const;
+
+  /// Length of the leading run of rows in [begin, limit) within `radius`
+  /// of `query`: the largest m with Distance(query, data.point(i)) <=
+  /// radius for every i in [begin, begin + m). Requires begin <= limit <=
+  /// data.size(). Every decision is the one the exact distance takes (a
+  /// NaN distance is a miss). It implies m evaluations, plus one for the
+  /// row that ended the run when m < limit - begin; CountingMetric counts
+  /// that. The base implementation runs DistanceToMany over blocks of 16
+  /// rows, doubling to 256 while every row is covered, so it may evaluate
+  /// up to a block's tail past the miss. The built-in metrics walk a
+  /// sparse query's run row by row on the calling thread and stop at the
+  /// first miss (cosine decides most rows from the cosine itself, without
+  /// the arccos).
+  virtual size_t CoveredPrefix(const Point& query, const Dataset& data,
+                               size_t begin, size_t limit,
+                               double radius) const;
 
   /// Blocked many-vs-many kernel: a Q x R tile of distances,
   ///   out[q * out_stride + r] =
@@ -243,6 +266,8 @@ class KernelMetric final : public Metric {
   double Distance(const Point& a, const Point& b) const override;
   void DistanceToMany(const Point& query, const Dataset& data, size_t begin,
                       std::span<double> out) const override;
+  size_t CoveredPrefix(const Point& query, const Dataset& data, size_t begin,
+                       size_t limit, double radius) const override;
   void DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,
                     const Dataset& data, size_t r_begin, size_t nr,
                     double* out, size_t out_stride) const override;
@@ -296,7 +321,8 @@ extern template class KernelMetric<JaccardKernel>;
 /// machine-independent cost measure for diversity/clustering algorithms and
 /// is used by tests (complexity assertions) and benches (work accounting).
 /// Batched kernels count the exact number of evaluations they perform
-/// (out.size(), nq * nr or rows.size() per the batch-kernel contract), so
+/// (out.size(), nq * nr or rows.size() per the batch-kernel contract, and
+/// a CoveredPrefix its run plus the row that ended it), so
 /// the counter agrees with the scalar path for identical work regardless of
 /// batching or thread count. Screened (fp32) and exact (double) evaluations
 /// are accounted separately: the exact count of a screened sweep is its
@@ -317,6 +343,16 @@ class CountingMetric final : public Metric {
                       std::span<double> out) const override {
     count_.fetch_add(out.size(), std::memory_order_relaxed);
     base_->DistanceToMany(query, data, begin, out);
+  }
+
+  /// Counts the rows whose distance decided the run: the run, plus the row
+  /// that ended it before `limit`.
+  size_t CoveredPrefix(const Point& query, const Dataset& data, size_t begin,
+                       size_t limit, double radius) const override {
+    const size_t run = base_->CoveredPrefix(query, data, begin, limit, radius);
+    count_.fetch_add(run + (begin + run < limit ? 1 : 0),
+                     std::memory_order_relaxed);
+    return run;
   }
 
   void DistanceTile(const Dataset& queries, size_t q_begin, size_t nq,

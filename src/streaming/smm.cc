@@ -95,28 +95,13 @@ SmmEngine::SmmEngine(const Metric* metric, size_t k, size_t k_prime, Mode mode)
 
 size_t SmmEngine::SkipCoveredRows(const Dataset& data, size_t begin) {
   if (mode_ != Mode::kCentersOnly || initializing_) return 0;
-  // One batched sweep per block with the hinted center as the query: a
-  // sparse center is scattered once per block, so a covered row costs one
-  // walk of its own coordinates whatever the center's size. Blocks double
-  // while every row is covered, up to a size that runs on the calling
-  // thread; the first miss ends the run and wastes the rest of its block.
-  constexpr size_t kMinBlock = 16;
-  constexpr size_t kMaxBlock = 256;
-  const Point center = centers_columnar_.point(hint_);
-  const double cover = 4.0 * threshold_;
-  double d[kMaxBlock];
-  size_t i = begin;
-  for (size_t block = kMinBlock; i < data.size();
-       block = std::min(2 * block, kMaxBlock)) {
-    const size_t len = std::min(block, data.size() - i);
-    metric_->DistanceToMany(center, data, i, std::span<double>(d, len));
-    size_t covered = 0;
-    while (covered < len && d[covered] <= cover) ++covered;
-    i += covered;
-    if (covered < len) break;
-  }
-  points_processed_ += i - begin;
-  return i - begin;
+  // The hinted center is the query, so a sparse center is scattered once
+  // per run and a covered row costs one walk of its own terms.
+  const size_t run = metric_->CoveredPrefix(centers_columnar_.point(hint_),
+                                            data, begin, data.size(),
+                                            4.0 * threshold_);
+  points_processed_ += run;
+  return run;
 }
 
 void SmmEngine::Update(const Point& p) {

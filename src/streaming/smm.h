@@ -62,8 +62,9 @@ class SmmEngine {
   /// of rows data[begin], data[begin + 1], ... that the hinted center
   /// covers and returns its length; 0 in the other modes and while
   /// initializing. Such rows would change nothing but the count in Update,
-  /// so a caller feeds the row after the run to Update. Relies on the
-  /// metric's symmetry: the hinted center is the query of the sweep.
+  /// so a caller feeds the row after the run to Update. One
+  /// Metric::CoveredPrefix call at radius 4 d_i, which relies on the
+  /// metric's symmetry: the hinted center is its query.
   size_t SkipCoveredRows(const Dataset& data, size_t begin);
 
   /// Number of stream points processed so far.

@@ -22,10 +22,17 @@
 //     scan (indexing off) and the matrix reference select, on
 //     clustered, uniform, all-duplicate, hub, sparse and L1 inputs, and
 //     never pays more evaluations than the exhaustive scan where it prunes.
+//   * Metric::CoveredPrefix equals the leading count of DistanceToMany
+//     distances within the radius, for every metric, dense and sparse
+//     queries and rows, radii on and one ulp off a row's distance, and
+//     zero-norm, non-finite and multi-chunk rows; CountingMetric counts
+//     the run plus the row that ended it.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -799,6 +806,171 @@ TEST(SparseTileTest, MixedTileThreadCountDeterminism) {
           << metric->Name() << "/" << layout.name;
       EXPECT_EQ(results[0], results[2])
           << metric->Name() << "/" << layout.name;
+    }
+  }
+}
+
+// --- CoveredPrefix ---------------------------------------------------------
+
+// Overrides only Distance, so every kernel, CoveredPrefix included, is a
+// Metric fallback.
+class DistanceOnlyCosine final : public Metric {
+ public:
+  double Distance(const Point& a, const Point& b) const override {
+    return cosine_.Distance(a, b);
+  }
+  std::string Name() const override { return "distance-only-cosine"; }
+
+ private:
+  CosineMetric cosine_;
+};
+
+// Checks CoveredPrefix(query, data, begin, limit, radius) against the
+// leading count of DistanceToMany's distances within the radius, and
+// CountingMetric's count against the run plus the row that ended it.
+void ExpectCoveredPrefix(const Metric& metric, const Point& query,
+                         const Dataset& data, size_t begin, size_t limit,
+                         double radius, const std::string& ctx) {
+  std::vector<double> d(limit - begin);
+  metric.DistanceToMany(query, data, begin, d);
+  size_t want = 0;
+  while (want < d.size() && d[want] <= radius) ++want;
+  const std::string at = ctx + " begin=" + std::to_string(begin) +
+                         " limit=" + std::to_string(limit) +
+                         " radius=" + std::to_string(radius);
+  EXPECT_EQ(metric.CoveredPrefix(query, data, begin, limit, radius), want)
+      << at;
+  CountingMetric counting(&metric);
+  EXPECT_EQ(counting.CoveredPrefix(query, data, begin, limit, radius), want)
+      << at;
+  EXPECT_EQ(counting.exact_evals(), want + (begin + want < limit ? 1 : 0))
+      << at;
+}
+
+std::vector<std::unique_ptr<Metric>> CoveredPrefixMetrics() {
+  std::vector<std::unique_ptr<Metric>> metrics = AllMetrics();
+  metrics.push_back(std::make_unique<DistanceOnlyCosine>());
+  return metrics;
+}
+
+TEST(CoveredPrefixTest, MatchesLeadingDistanceToManyCount) {
+  constexpr uint32_t kDim = 200;
+  const float inf = std::numeric_limits<float>::infinity();
+  PointSet text = SparseCorpus(30, kDim, 5, 40, /*seed=*/301);
+  Rng rng(302);
+  auto dense = [&](float scale) {
+    std::vector<float> values(kDim);
+    for (float& v : values) v = scale * static_cast<float>(rng.NextDouble());
+    return Point::Dense(std::move(values));
+  };
+  // A sparse row of 150 terms spans three 64-term chunks of the slot walk.
+  std::vector<uint32_t> long_indices;
+  std::vector<float> long_values;
+  for (uint32_t j = 0; j < kDim; ++j) {
+    if (j % 4 != 3) {
+      long_indices.push_back(j);
+      long_values.push_back(0.25f + static_cast<float>(rng.NextDouble()));
+    }
+  }
+  const Point long_row = Point::Sparse(long_indices, long_values, kDim);
+  ASSERT_GT(long_row.View().nnz, 128u);
+  const Point zero_sparse = Point::Sparse({}, {}, kDim);
+  const Point zero_dense = Point::Dense(std::vector<float>(kDim, 0.0f));
+  // inf on a term of text[0] gives the sparse queries holding that term an
+  // infinite or NaN dot; on a term no sparse query holds, it only makes
+  // the norm infinite (a miss adds no 0 * inf term).
+  const Point inf_shared = Point::Sparse({text[0].View().indices[0]},
+                                         {inf}, kDim);
+  auto holds = [](const Point& p, uint32_t j) {
+    const kernels::VecView v = p.View();
+    return std::binary_search(v.indices, v.indices + v.nnz, j);
+  };
+  uint32_t lone = 3;  // the long row holds no index j with j % 4 == 3
+  while (holds(text[0], lone) || holds(text[5], lone)) lone += 4;
+  ASSERT_LT(lone, kDim);
+  const Point inf_alone = Point::Sparse({lone}, {inf}, kDim);
+  std::vector<float> inf_dense_values(kDim, 0.5f);
+  inf_dense_values[7] = inf;
+  const Point inf_dense = Point::Dense(inf_dense_values);
+
+  // Runs pass through the special rows: the queries' copies first, then
+  // text, then every special row, then more text.
+  PointSet rows = {text[0], text[0], text[1]};
+  rows.insert(rows.end(), text.begin() + 2, text.begin() + 12);
+  for (const Point& p : {long_row, zero_sparse, inf_shared, dense(1.0f),
+                         long_row, inf_alone, zero_dense, dense(3.0f),
+                         inf_dense, text[0]}) {
+    rows.push_back(p);
+  }
+  rows.insert(rows.end(), text.begin() + 12, text.end());
+  const Dataset data(rows);
+  const size_t n = data.size();
+
+  const PointSet queries = {text[0],  text[5],     long_row,
+                            inf_shared, zero_sparse, dense(1.0f),
+                            zero_dense};
+  const double radii_fixed[] = {0.0, -1.0, M_PI / 4, M_PI, 3.5,
+                                std::numeric_limits<double>::infinity()};
+  for (const auto& metric : CoveredPrefixMetrics()) {
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const Point& query = queries[qi];
+      const std::string ctx = metric->Name() + " query " + std::to_string(qi);
+      std::vector<double> d(n);
+      metric->DistanceToMany(query, data, 0, d);
+      // The reference is the scalar Distance's (a miss of the slot walk adds
+      // no 0 * inf term).
+      for (size_t i = 0; i < n; ++i) {
+        const double want = metric->Distance(query, data.point(i));
+        if (std::isnan(want)) {
+          EXPECT_TRUE(std::isnan(d[i])) << ctx << " row " << i;
+        } else {
+          EXPECT_EQ(std::bit_cast<uint64_t>(d[i]),
+                    std::bit_cast<uint64_t>(want))
+              << ctx << " row " << i;
+        }
+      }
+      // Every row's distance, and one ulp to either side.
+      std::vector<double> radii(std::begin(radii_fixed),
+                                std::end(radii_fixed));
+      for (double r : d) {
+        if (std::isnan(r)) continue;
+        radii.push_back(r);
+        radii.push_back(std::nextafter(r, -1.0));
+        radii.push_back(std::nextafter(r, 4.0));
+      }
+      for (size_t begin = 0; begin <= n; ++begin) {
+        for (double radius : radii) {
+          ExpectCoveredPrefix(*metric, query, data, begin, n, radius, ctx);
+          ExpectCoveredPrefix(*metric, query, data, begin,
+                              std::min(n, begin + 5), radius, ctx);
+        }
+      }
+      // begin == limit inside the data.
+      ExpectCoveredPrefix(*metric, query, data, 7, 7, 4.0, ctx);
+    }
+  }
+}
+
+// Runs longer than the base implementation's 16-to-256-row blocks, sparse
+// and dense, ended by a miss inside a block and by the limit.
+TEST(CoveredPrefixTest, LongRunsMatchLeadingDistanceToManyCount) {
+  PointSet text = SparseCorpus(2, 200, 20, 40, /*seed=*/303);
+  for (const Point& center : {text[0], DensePoints(1, 200, 304)[0]}) {
+    PointSet rows(700, center);
+    rows[500] = text[1];
+    const Dataset data(rows);
+    for (const auto& metric : CoveredPrefixMetrics()) {
+      const std::string ctx =
+          metric->Name() + (center.View().is_sparse() ? " sparse" : " dense");
+      EXPECT_EQ(metric->CoveredPrefix(center, data, 0, data.size(), 1e-7),
+                500u)
+          << ctx;
+      for (size_t begin : {size_t{0}, size_t{501}}) {
+        for (double radius : {0.0, 1e-7}) {
+          ExpectCoveredPrefix(*metric, center, data, begin, data.size(),
+                              radius, ctx);
+        }
+      }
     }
   }
 }

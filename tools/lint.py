@@ -22,12 +22,13 @@ rules:
                       (Placement new into preallocated storage is allowed.)
   tile-test-coverage  Every built-in metric (each `using X =
                       KernelMetric<...>` alias) and every other class
-                      overriding Metric::DistanceTile* or
-                      Metric::DistanceRowsManyF32 must be exercised by
-                      tests/tile_kernel_test.cc, and DistanceTile and
-                      DistanceRowsManyF32, where some class overrides them,
-                      must be called there — a kernel that skips the
-                      equivalence matrix is unverified.
+                      overriding Metric::DistanceTile*,
+                      Metric::DistanceRowsManyF32 or Metric::CoveredPrefix
+                      must be exercised by tests/tile_kernel_test.cc, and
+                      DistanceTile, DistanceRowsManyF32 and CoveredPrefix,
+                      where some class overrides them, must be called
+                      there — a kernel that skips the equivalence matrix is
+                      unverified.
   statusor-value-guard  `.value()` on a StatusOr/optional requires a
                       visible guard (`ok()` / `has_value()` check or the
                       DIVERSE_ASSIGN_OR_RETURN macro) within the preceding
@@ -224,19 +225,20 @@ def check_mutable_global(path, stmt, stmt_lines):
 
 
 def lint_tile_coverage():
-    """Every Metric with DistanceTile* or DistanceRowsManyF32 kernels must
-    appear in the equivalence test matrix: each alias of the built-in
-    KernelMetric template (the template's kernels run once per kernel
-    trait), and every other class that overrides one of those kernels.
-    DistanceTile and DistanceRowsManyF32 overrides must also be called by
-    the matrix."""
+    """Every Metric with DistanceTile*, DistanceRowsManyF32 or
+    CoveredPrefix kernels must appear in the equivalence test matrix: each
+    alias of the built-in KernelMetric template (the template's kernels run
+    once per kernel trait), and every other class that overrides one of
+    those kernels. DistanceTile, DistanceRowsManyF32 and CoveredPrefix
+    overrides must also be called by the matrix."""
     tile_test = (REPO / "tests" / "tile_kernel_test.cc").read_text(
         encoding="utf-8", errors="replace")
 
     def in_matrix(name):
         return re.search(rf"\b{name}\b", tile_test) is not None
 
-    override_re = re.compile(r"\b(DistanceTile\w*|DistanceRowsManyF32)\s*\(")
+    override_re = re.compile(
+        r"\b(DistanceTile\w*|DistanceRowsManyF32|CoveredPrefix)\s*\(")
     overridden = set()
     class_re = re.compile(r"^\s*class\s+(\w+)[^;]*$")
     alias_re = re.compile(r"^\s*using\s+(\w+)\s*=\s*KernelMetric\s*<")
@@ -285,7 +287,7 @@ def lint_tile_coverage():
             pending = None
     # The kernels the matrix compares against a reference; DistanceTileF32
     # is checked against its certified bound in tests/screen_test.cc.
-    for kernel in ("DistanceTile", "DistanceRowsManyF32"):
+    for kernel in ("DistanceTile", "DistanceRowsManyF32", "CoveredPrefix"):
         if kernel in overridden and \
                 not re.search(rf"\b{kernel}\s*\(", tile_test):
             finding("tile-test-coverage", REPO / "tests" /
